@@ -6,7 +6,6 @@ and radial shooting experiments.
 """
 
 from .numerics import (
-    Grid1D,
     Trajectory,
     eig_sym,
     eig_sym_full,
@@ -18,7 +17,6 @@ from .numerics import (
 from .fields import (
     AffineScaledField,
     CallableField,
-    GridField1D,
     QuadraticField,
     RadialProfileField,
     ScalarField,

@@ -22,7 +22,8 @@ from .constructor import (
     build_mss_counterexample,
 )
 from .fields import CallableField
-from .tau import TauParams
+from .numerics import InputError
+from .tau import InverseRangeError, TauParams
 
 EXIT_PASS = 0
 EXIT_VERIFY_FAIL = 2
@@ -84,57 +85,63 @@ def _emit(args, command, config, results, passed):
     return path
 
 
-def cmd_verify_quadratic(args):
+def _branch_sweep(args, command, default_tol, key, measure, **extra_config):
+    """Sweep random quadratic solutions, then write the report; returns the exit code.
+
+    The sweep covers the branch chosen by --branch/--tau/--a, or all six in
+    sorted order.  One RNG seeded by --seed draws everything, so reports are
+    byte-stable per seed: for each branch, ``measure(tp, trials, rng)``
+    consumes ``trials``, which draws a dimension in [1, --n] and an admissible
+    matrix A just before yielding ``(k, A)`` for trial k, draws whatever else
+    it needs from ``rng`` and returns the branch's results.  The sweep passes
+    iff the worst ``results[key]`` over the branches is <= tol.
+    """
+    sizes = {"n": args.n, "trials": args.trials, **extra_config}
+    for name, value in sizes.items():
+        if value < 1:
+            raise InputError(f"--{name} must be at least 1, got {value}")
     tp_single = _resolve_tp(args)
     tps = {tp_single.branch.value: tp_single} if tp_single else {
         name: make() for name, make in BRANCH_DEFAULTS.items()
     }
     rng = np.random.default_rng(args.seed)
-    tol = args.tol if args.tol is not None else 1e-10
+    tol = args.tol if args.tol is not None else default_tol
+
+    def trials(tp):
+        for k in range(args.trials):
+            n = int(rng.integers(1, args.n + 1))
+            yield k, quadratics.random_admissible_matrix(tp, n, rng)
+
     per_branch = {}
     worst = 0.0
     for name, tp in sorted(tps.items()):
-        # draw all inputs sequentially so reports stay byte-stable no matter
-        # how the evaluation map is scheduled
-        cases = []
-        defect_cases = []
-        for trial in range(args.trials):
-            n = int(rng.integers(1, args.n + 1))
-            A = quadratics.random_admissible_matrix(tp, n, rng)
-            pts = rng.uniform(-3.0, 3.0, size=(args.points, n))
-            cases.append((A, pts))
-            if trial % max(1, args.trials // 5) == 0:
-                defect_cases.append((A, rng.uniform(-2.0, 2.0, size=n)))
+        per_branch[name] = measure(tp, trials(tp), rng)
+        worst = max(worst, per_branch[name][key])
+    passed = worst <= tol
+    config = {"branches": sorted(tps), **sizes, "tol": tol, "seed": args.seed}
+    _emit(args, command, config, {"per_branch": per_branch, key: worst}, passed)
+    return EXIT_PASS if passed else EXIT_VERIFY_FAIL
 
-        def residual_sweep(case, tp=tp):
-            A, pts = case
-            sol = quadratics.build_quadratic(tp, A)
-            return max(abs(tau.shrinker_residual(tp, sol.field, x)) for x in pts)
 
-        def defect_sweep(case, tp=tp):
-            A, x = case
-            sol = quadratics.build_quadratic(tp, A)
-            return geometry.shrinker_defect(tp, sol.field, x, h=1e-3)
+def cmd_verify_quadratic(args):
+    defect_every = max(1, args.trials // 5)
 
-        max_resid = max(reports.parallel_map(residual_sweep, cases))
-        defects = reports.parallel_map(defect_sweep, defect_cases)
-        per_branch[name] = {
-            "max_residual": max_resid,
+    def measure(tp, trials, rng):
+        residuals, defects = [], []
+        for k, A in trials:
+            pts = rng.uniform(-3.0, 3.0, size=(args.points, len(A)))
+            residuals.append(quadratics.verify_quadratic(tp, A, pts))
+            if k % defect_every == 0:
+                x = rng.uniform(-2.0, 2.0, size=len(A))
+                sol = quadratics.build_quadratic(tp, A)
+                defects.append(geometry.shrinker_defect(tp, sol.field, x, h=1e-3))
+        return {
+            "max_residual": max(residuals),
             "defect_max": max(defects),
             "defect_mean": float(np.mean(defects)),
         }
-        worst = max(worst, max_resid)
-    passed = worst <= tol
-    config = {
-        "branches": sorted(tps),
-        "n": args.n,
-        "trials": args.trials,
-        "points": args.points,
-        "tol": tol,
-        "seed": args.seed,
-    }
-    _emit(args, "verify-quadratic", config, {"per_branch": per_branch, "max_residual": worst}, passed)
-    return EXIT_PASS if passed else EXIT_VERIFY_FAIL
+
+    return _branch_sweep(args, "verify-quadratic", 1e-10, "max_residual", measure, points=args.points)
 
 
 def cmd_build_counterexample(args):
@@ -205,35 +212,16 @@ def cmd_shoot(args):
 
 
 def cmd_flow_check(args):
-    tp_single = _resolve_tp(args)
-    tps = {tp_single.branch.value: tp_single} if tp_single else {
-        name: make() for name, make in BRANCH_DEFAULTS.items()
-    }
-    rng = np.random.default_rng(args.seed)
-    tol = args.tol if args.tol is not None else 1e-10
-    worst = 0.0
-    per_branch = {}
-    for name, tp in sorted(tps.items()):
-        cases = []
-        for _ in range(args.trials):
-            n = int(rng.integers(1, args.n + 1))
-            A = quadratics.random_admissible_matrix(tp, n, rng)
-            x = rng.uniform(-3.0, 3.0, size=n)
+    def measure(tp, trials, rng):
+        m = 0.0
+        for _, A in trials:
+            x = rng.uniform(-3.0, 3.0, size=len(A))
             t = -float(rng.uniform(0.1, 10.0))
-            cases.append((A, x, t))
-
-        def extension_defect(case, tp=tp):
-            A, x, t = case
             sol = quadratics.build_quadratic(tp, A)
-            return abs(transforms.self_similar_extension(tp, sol.field, x, t).defect)
+            m = max(m, abs(transforms.self_similar_extension(tp, sol.field, x, t).defect))
+        return {"max_defect": m}
 
-        m = max(reports.parallel_map(extension_defect, cases))
-        per_branch[name] = {"max_defect": m}
-        worst = max(worst, m)
-    passed = worst <= tol
-    config = {"branches": sorted(tps), "n": args.n, "trials": args.trials, "tol": tol, "seed": args.seed}
-    _emit(args, "flow-check", config, {"per_branch": per_branch, "max_defect": worst}, passed)
-    return EXIT_PASS if passed else EXIT_VERIFY_FAIL
+    return _branch_sweep(args, "flow-check", 1e-10, "max_defect", measure)
 
 
 def cmd_legendre_check(args):
@@ -270,28 +258,15 @@ def cmd_legendre_check(args):
 
 
 def cmd_defect(args):
-    tp_single = _resolve_tp(args)
-    tps = {tp_single.branch.value: tp_single} if tp_single else {
-        name: make() for name, make in BRANCH_DEFAULTS.items()
-    }
-    rng = np.random.default_rng(args.seed)
-    tol = args.tol if args.tol is not None else 1e-7
-    per_branch = {}
-    worst = 0.0
-    for name, tp in sorted(tps.items()):
+    def measure(tp, trials, rng):
         m = 0.0
-        for _ in range(args.trials):
-            n = int(rng.integers(1, args.n + 1))
-            A = quadratics.random_admissible_matrix(tp, n, rng)
+        for _, A in trials:
             sol = quadratics.build_quadratic(tp, A)
-            x = rng.uniform(-2.0, 2.0, size=n)
+            x = rng.uniform(-2.0, 2.0, size=len(A))
             m = max(m, geometry.shrinker_defect(tp, sol.field, x, h=1e-3))
-        per_branch[name] = {"max_defect": m}
-        worst = max(worst, m)
-    passed = worst <= tol
-    config = {"branches": sorted(tps), "n": args.n, "trials": args.trials, "tol": tol, "seed": args.seed}
-    _emit(args, "defect", config, {"per_branch": per_branch, "max_defect": worst}, passed)
-    return EXIT_PASS if passed else EXIT_VERIFY_FAIL
+        return {"max_defect": m}
+
+    return _branch_sweep(args, "defect", 1e-7, "max_defect", measure)
 
 
 def _add_common(p):
@@ -360,8 +335,8 @@ def main(argv=None):
     except UsageError as exc:
         print(f"shrinker-lab: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except TrivialSolutionError as exc:
-        print(f"shrinker-lab: trivial solution: {exc}", file=sys.stderr)
+    except (TrivialSolutionError, InputError, InverseRangeError) as exc:
+        print(f"shrinker-lab: parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
     except ConstructionError as exc:
         print(f"shrinker-lab: construction failed: {exc}", file=sys.stderr)

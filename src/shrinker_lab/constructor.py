@@ -368,7 +368,7 @@ def build_counterexample(
         raise ConstructionError("normalize", f"branch {tp.branch.value} is not the bounded-cone branch")
     n = int(n)
     if n < 1:
-        raise ConstructionError("assemble_nd", f"dimension must be >= 1, got {n}")
+        raise InputError(f"dimension must be >= 1, got {n}")
     a, b, k, c2, s_quad = _neg_constants(tp)
 
     # integrate at least as far as the certificate evaluates: the linear tail

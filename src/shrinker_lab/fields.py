@@ -1,14 +1,14 @@
 """Potential fields with value / gradient / Hessian evaluation.
 
-Three families of backends:
+Backends, tagged by ``backend``:
 
 * analytic        -- closed-form derivatives (quadratics, callables with
                      supplied gradient/Hessian, affine-scaled views)
+* fd              -- callables without supplied derivatives (central
+                     differences)
 * trajectory      -- one-dimensional profiles backed by an ODE trajectory plus
                      quadrature tables, with the second derivative given by an
                      exact backing relation
-* grid-fd         -- sampled values with local polynomial differentiation,
-                     one-sided near the boundary
 
 Views compose lazily (chain rule on exact derivatives), so transform pipelines
 do not accumulate interpolation error.
@@ -32,7 +32,6 @@ __all__ = [
     "QuadraticField",
     "CallableField",
     "AffineScaledField",
-    "GridField1D",
     "Table1DField",
     "SeparableExtensionField",
     "RadialProfileField",
@@ -167,11 +166,11 @@ def _bracket_index(ts, t):
     return min(max(k, 0), len(ts) - 2)
 
 
-def _local_cubic(ts, vals, t, deriv):
-    """Differentiate the interpolating cubic through the 4 nearest samples.
+def _local_cubic(ts, vals, t):
+    """Value at t of the interpolating cubic through the 4 nearest samples.
 
     Interior windows are symmetric around t; within one cell of the boundary
-    the window is clamped, which reproduces one-sided second-order stencils.
+    the window is clamped.
     """
     n = len(ts)
     k = _bracket_index(ts, t)
@@ -179,52 +178,13 @@ def _local_cubic(ts, vals, t, deriv):
     idx = slice(i0, i0 + 4)
     tw = ts[idx]
     vw = vals[idx]
-    # Newton divided differences, then derivatives of the cubic at t
+    # Newton divided differences, evaluated in nested form
     c = vw.astype(float).copy()
     for j in range(1, 4):
         c[j:] = (c[j:] - c[j - 1 : -1]) / (tw[j:] - tw[: 4 - j])
     d0, d1, d2, d3 = c
     t0, t1, t2 = tw[0], tw[1], tw[2]
-    if deriv == 0:
-        return d0 + (t - t0) * (d1 + (t - t1) * (d2 + (t - t2) * d3))
-    if deriv == 1:
-        return (
-            d1
-            + d2 * ((t - t0) + (t - t1))
-            + d3 * ((t - t0) * (t - t1) + (t - t0) * (t - t2) + (t - t1) * (t - t2))
-        )
-    if deriv == 2:
-        return 2.0 * d2 + 2.0 * d3 * ((t - t0) + (t - t1) + (t - t2))
-    raise InputError(f"deriv order {deriv} not supported")
-
-
-class GridField1D(ScalarField):
-    """1-D field from uniform samples; derivatives by local polynomial fit.
-
-    Derivative error is O(h^2) on smooth inputs, including within one cell of
-    the boundary (clamped one-sided windows).
-    """
-
-    backend = "grid-fd"
-    dim = 1
-
-    def __init__(self, grid, values):
-        self.ts = np.asarray(grid.samples if hasattr(grid, "samples") else grid, dtype=float)
-        self.vals = np.asarray(values, dtype=float)
-        if self.ts.ndim != 1 or self.ts.shape != self.vals.shape or len(self.ts) < 4:
-            raise InputError("need matching 1-D sample arrays with at least 4 points")
-
-    def _t(self, x):
-        return float(self._point(x)[0])
-
-    def value(self, x):
-        return float(_local_cubic(self.ts, self.vals, self._t(x), 0))
-
-    def gradient(self, x):
-        return np.array([_local_cubic(self.ts, self.vals, self._t(x), 1)])
-
-    def hessian(self, x):
-        return np.array([[_local_cubic(self.ts, self.vals, self._t(x), 2)]])
+    return d0 + (t - t0) * (d1 + (t - t1) * (d2 + (t - t2) * d3))
 
 
 class Table1DField(ScalarField):
@@ -288,7 +248,7 @@ class Table1DField(ScalarField):
     def curvature(self, t):
         if self._curv_fn is not None:
             return float(self._curv_fn(t))
-        return float(_local_cubic(self.ts, self.curvs, t, 0))
+        return float(_local_cubic(self.ts, self.curvs, t))
 
     def gradient(self, x):
         return np.array([self.slope(self._t(x))])

@@ -1,5 +1,6 @@
-"""Self-contained numerical kernels: symmetric eigensolver, finite differences,
-monotone inversion, adaptive Runge-Kutta integration with dense output, grids.
+"""Self-contained numerical kernels: symmetric eigenvalues (LAPACK through
+numpy), finite differences, monotone inversion, adaptive Runge-Kutta
+integration with dense output.
 
 Everything here is a pure function of its inputs; matrices are small and dense
 (n <= 10 throughout the package), so simplicity and determinism win over
@@ -17,7 +18,6 @@ __all__ = [
     "InputError",
     "DivergenceEvent",
     "RhsEvaluationError",
-    "Grid1D",
     "as_sym_matrix",
     "eig_sym",
     "eig_sym_full",
@@ -59,29 +59,6 @@ class DivergenceEvent:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class Grid1D:
-    """Uniform 1-D grid. ``samples[k] = t_min + k*step``, endpoint included."""
-
-    t_min: float
-    t_max: float
-    step: float
-    samples: np.ndarray
-
-    @classmethod
-    def from_step(cls, t_min, t_max, step):
-        if not (step > 0):
-            raise InputError(f"grid step must be positive, got {step}")
-        if not (t_max > t_min):
-            raise InputError(f"need t_max > t_min, got [{t_min}, {t_max}]")
-        m = int(round((t_max - t_min) / step))
-        samples = t_min + step * np.arange(m + 1)
-        return cls(float(t_min), float(t_max), float(step), samples)
-
-    def __len__(self):
-        return len(self.samples)
-
-
 def as_sym_matrix(M):
     """Validate and return a symmetric float matrix (no copy if already valid)."""
     A = np.asarray(M, dtype=float)
@@ -97,81 +74,15 @@ def as_sym_matrix(M):
     return A
 
 
-_EIG_SWEEP_LIMIT = 64
-_EIG_REL_TOL = 1e-13
-
-
-def _jacobi(A, want_vectors):
-    n = A.shape[0]
-    A = A.copy()
-    Q = np.eye(n) if want_vectors else None
-    norm = float(np.linalg.norm(A))
-    if n == 1 or norm == 0.0:
-        w = np.sort(np.diag(A))
-        return (w, Q) if want_vectors else w
-    thresh = _EIG_REL_TOL * norm
-    for _ in range(_EIG_SWEEP_LIMIT):
-        off = float(np.sqrt(np.sum(np.tril(A, -1) ** 2) * 2.0))
-        if off < thresh:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) < thresh / (n * n):
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c
-                rp = A[p, :].copy()
-                rq = A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp = A[:, p].copy()
-                cq = A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                if want_vectors:
-                    vp = Q[:, p].copy()
-                    vq = Q[:, q].copy()
-                    Q[:, p] = c * vp - s * vq
-                    Q[:, q] = s * vp + c * vq
-    w = np.diag(A).copy()
-    order = np.argsort(w, kind="stable")
-    if want_vectors:
-        return w[order], Q[:, order]
-    return w[order]
-
-
-_EIG_MEMO: dict = {}
-_EIG_MEMO_CAP = 512
-
-
 def eig_sym(M):
-    """All eigenvalues of a symmetric matrix, ascending.
-
-    Cyclic Jacobi sweeps until the off-diagonal Frobenius norm drops below
-    1e-13 * ||M||_F.  Deterministic for identical inputs; results for recent
-    inputs are memoized (verification sweeps evaluate the same constant
-    Hessian at many sample points).
-    """
-    A = as_sym_matrix(M)
-    key = (A.shape[0], A.tobytes())
-    hit = _EIG_MEMO.get(key)
-    if hit is not None:
-        return hit.copy()
-    w = _jacobi(A, want_vectors=False)
-    if len(_EIG_MEMO) >= _EIG_MEMO_CAP:
-        _EIG_MEMO.clear()
-    _EIG_MEMO[key] = w.copy()
-    return w
+    """All eigenvalues of a symmetric matrix, ascending (LAPACK ``syevd``)."""
+    return np.linalg.eigvalsh(as_sym_matrix(M))
 
 
 def eig_sym_full(M):
     """Eigenvalues (ascending) and the corresponding orthonormal eigenvectors."""
-    return _jacobi(as_sym_matrix(M), want_vectors=True)
+    w, Q = np.linalg.eigh(as_sym_matrix(M))
+    return w, Q
 
 
 def default_fd_step(x):
@@ -370,6 +281,8 @@ class Trajectory:
         tq = float(t)
         if tq < lo - 1e-12 * (1 + abs(lo)) or tq > hi + 1e-12 * (1 + abs(hi)):
             raise InputError(f"t={t} outside covered span [{lo}, {hi}]")
+        if len(ts) == 1:  # zero-span trajectory: the initial state
+            return self.ys[0].copy()
         tq = min(max(tq, lo), hi)
         if ts[0] <= ts[-1]:
             k = int(np.searchsorted(ts, tq, side="right") - 1)
@@ -379,9 +292,6 @@ class Trajectory:
         return hermite_value(
             tq, ts[k], ts[k + 1], self.ys[k], self.ys[k + 1], self.fs[k], self.fs[k + 1]
         )
-
-    def sample(self, ts):
-        return np.array([self(t) for t in np.asarray(ts, dtype=float)])
 
 
 # Dormand-Prince 5(4) pair, FSAL

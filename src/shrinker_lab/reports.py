@@ -1,15 +1,11 @@
-"""Report plumbing: deterministic JSON reports, RFC-4180 CSV writers, and the
-thread-capped parallel map used by sampling sweeps.
-"""
+"""Report plumbing: deterministic JSON reports and RFC-4180 CSV writers."""
 
 from __future__ import annotations
 
 import csv
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 
-__all__ = ["json_report", "write_json", "write_csv", "parallel_map", "thread_cap"]
+__all__ = ["json_report", "write_json", "write_csv"]
 
 TOOL_VERSION = "0.1.0"
 
@@ -42,22 +38,3 @@ def write_csv(path, header, rows):
         for row in rows:
             writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
-
-def thread_cap():
-    raw = os.environ.get("SHRINKER_LAB_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items):
-    """Order-preserving map, threaded when SHRINKER_LAB_THREADS > 1."""
-    items = list(items)
-    cap = thread_cap()
-    if cap <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))

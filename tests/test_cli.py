@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from shrinker_lab.cli import main
-from shrinker_lab.reports import parallel_map, write_csv
+from shrinker_lab.reports import write_csv
 
 
 def run(tmp_path, *argv):
@@ -41,6 +41,31 @@ class TestExitCodes:
         assert report["results"]["event"]["kind"] != "completed"
         assert report["results"]["event"]["r"] < 50.0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify-quadratic", "--trials", "0"),
+            ("verify-quadratic", "--points", "0"),
+            ("verify-quadratic", "--n", "0"),
+            ("flow-check", "--trials", "0"),
+            ("flow-check", "--n", "0"),
+            ("defect", "--trials", "0"),
+            ("defect", "--n", "0"),
+        ],
+    )
+    def test_empty_sweep_is_parameter_error(self, tmp_path, argv):
+        assert run(tmp_path, *argv) == 65
+        assert not (tmp_path / f"{argv[0]}.json").exists()
+
+    def test_unattainable_u0_is_parameter_error(self, tmp_path):
+        assert run(tmp_path, "shoot", "--branch", "SLAG", "--u0", "-4") == 65
+
+    def test_shoot_bad_dimension_is_parameter_error(self, tmp_path):
+        assert run(tmp_path, "shoot", "--branch", "SLAG", "--n", "0", "--u0", "-1") == 65
+
+    def test_construction_bad_dimension_is_parameter_error(self, tmp_path):
+        assert run(tmp_path, "build-counterexample", "--n", "0") == 65
+
     def test_shoot_high_precision_path(self, tmp_path):
         code = run(tmp_path, "shoot", "--branch", "MA", "--n", "2", "--u0", "0",
                    "--rmax", "2", "--dps", "30")
@@ -67,17 +92,6 @@ class TestReports:
         for out in (a, b):
             main(["verify-quadratic", "--trials", "5", "--points", "3", "--seed", "11",
                   "--out", str(out)])
-        assert (a / "verify-quadratic.json").read_bytes() == (b / "verify-quadratic.json").read_bytes()
-
-    def test_byte_identical_under_threading(self, tmp_path, monkeypatch):
-        a = tmp_path / "serial"
-        b = tmp_path / "threaded"
-        monkeypatch.delenv("SHRINKER_LAB_THREADS", raising=False)
-        main(["verify-quadratic", "--trials", "8", "--points", "4", "--seed", "2",
-              "--out", str(a)])
-        monkeypatch.setenv("SHRINKER_LAB_THREADS", "3")
-        main(["verify-quadratic", "--trials", "8", "--points", "4", "--seed", "2",
-              "--out", str(b)])
         assert (a / "verify-quadratic.json").read_bytes() == (b / "verify-quadratic.json").read_bytes()
 
     def test_counterexample_files(self, tmp_path):
@@ -109,17 +123,3 @@ class TestReports:
         write_csv(tmp_path / "x.csv", ["a", "b"], [[1.0, 2.0]])
         assert b"\r\n" in (tmp_path / "x.csv").read_bytes()
 
-
-class TestParallelMap:
-    def test_threaded_matches_serial(self, monkeypatch):
-        items = list(range(64))
-        fn = lambda k: k * k - 3  # noqa: E731
-        monkeypatch.delenv("SHRINKER_LAB_THREADS", raising=False)
-        serial = parallel_map(fn, items)
-        monkeypatch.setenv("SHRINKER_LAB_THREADS", "4")
-        threaded = parallel_map(fn, items)
-        assert serial == threaded
-
-    def test_bad_env_value_falls_back(self, monkeypatch):
-        monkeypatch.setenv("SHRINKER_LAB_THREADS", "lots")
-        assert parallel_map(lambda k: k, [1, 2, 3]) == [1, 2, 3]

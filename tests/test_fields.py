@@ -6,13 +6,12 @@ import pytest
 from shrinker_lab.fields import (
     AffineScaledField,
     CallableField,
-    GridField1D,
     QuadraticField,
     RadialProfileField,
     SeparableExtensionField,
     Table1DField,
 )
-from shrinker_lab.numerics import Grid1D, InputError
+from shrinker_lab.numerics import InputError
 
 
 class TestQuadraticField:
@@ -75,31 +74,6 @@ class TestAffineScaledField:
         v1 = AffineScaledField(base, outer=2.0, inner=0.5)
         v2 = AffineScaledField(v1, quad=1.0, offset=3.0)
         assert v2.backend == "analytic"
-
-
-class TestGridField1D:
-    def test_second_order_derivatives(self):
-        grid = Grid1D.from_step(-1.0, 1.0, 1e-3)
-        f = GridField1D(grid, np.exp(grid.samples))
-        for x in (-0.99999, -0.5, 0.0, 0.31, 0.99999):  # includes boundary cells
-            assert abs(f.value([x]) - math.exp(x)) < 1e-10
-            assert abs(f.gradient([x])[0] - math.exp(x)) < 1e-7
-            assert abs(f.hessian([x])[0, 0] - math.exp(x)) < 1e-4
-
-    def test_error_scales_quadratically(self):
-        errs = []
-        for h in (4e-3, 2e-3, 1e-3):
-            grid = Grid1D.from_step(-1.0, 1.0, h)
-            f = GridField1D(grid, np.sin(3.0 * grid.samples))
-            worst = max(
-                abs(f.hessian([x])[0, 0] + 9.0 * math.sin(3.0 * x)) for x in (-0.7, 0.123, 0.9)
-            )
-            errs.append(worst)
-        assert errs[2] < 0.35 * errs[1] < 0.35**2 / 0.3 * errs[0]
-
-    def test_backend_tag(self):
-        grid = Grid1D.from_step(0.0, 1.0, 0.25)
-        assert GridField1D(grid, np.zeros(5)).backend == "grid-fd"
 
 
 class TestTable1DField:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from shrinker_lab.numerics import (
     DivergenceEvent,
-    Grid1D,
     InputError,
     RhsEvaluationError,
     eig_sym,
@@ -17,6 +17,10 @@ from shrinker_lab.numerics import (
     integrate_ode,
     invert_monotone,
 )
+from shrinker_lab.quadratics import random_orthogonal
+from shrinker_lab.tau import admissible, cone_spec
+
+from conftest import branch_params
 
 
 class TestEigSym:
@@ -51,15 +55,33 @@ class TestEigSym:
             assert abs(np.sum(w) - np.trace(A)) < 1e-9
             assert abs(np.prod(w) - np.linalg.det(A)) < 1e-9 * max(1.0, abs(np.linalg.det(A)))
 
-    def test_against_lapack(self, rng):
-        # independent oracle: LAPACK via numpy
-        for _ in range(50):
-            n = int(rng.integers(1, 7))
-            A = rng.standard_normal((n, n))
-            A = 0.5 * (A + A.T)
-            assert np.max(np.abs(eig_sym(A) - np.linalg.eigvalsh(A))) < 1e-11 * max(
-                1.0, np.linalg.norm(A)
-            )
+    def test_near_cone_edge_against_high_precision(self, rng):
+        # one eigenvalue 1e-14 to 1e-12 inside each finite edge of each
+        # branch's cone components; oracle: mpmath's eigsy at 40 digits on
+        # the same float matrix
+        edges = {}
+        for tp in branch_params().values():
+            for side in ("upper", "lower"):
+                tp_side = tp.with_cone_side(side)
+                spec = cone_spec(tp_side)
+                for edge, inward in ((spec.lo, 1.0), (spec.hi, -1.0)):
+                    if math.isfinite(edge):
+                        edges.setdefault((tp.branch, edge, inward), (tp_side, spec))
+        assert len(edges) == 7
+        for (_, edge, inward), (tp, spec) in edges.items():
+            for n in (2, 3, 4) * 3:
+                depth = 10.0 ** rng.uniform(-14.0, -12.0)
+                far = rng.uniform(0.1, min(3.0, 0.9 * (spec.hi - spec.lo)), size=n - 1)
+                lams = edge + inward * np.concatenate([[depth], far])
+                Q = random_orthogonal(n, rng)
+                A = (Q * lams) @ Q.T
+                A = 0.5 * (A + A.T)
+                with mp.workdps(40):
+                    exact = sorted(float(e) for e in mp.eigsy(mp.matrix(A.tolist()), eigvals_only=True))
+                w = eig_sym(A)
+                assert np.max(np.abs(w - exact)) < 1e-13
+                tag = admissible(tp, exact)
+                assert tag is not None and admissible(tp, w) == tag
 
     def test_vectors_diagonalize(self, rng):
         A = rng.standard_normal((5, 5))
@@ -185,18 +207,13 @@ class TestIntegrateOde:
         for t in np.linspace(0.1, 5.9, 37):
             assert abs(traj(t)[0] - math.sin(t)) < 1e-7
 
+    def test_zero_span_returns_initial_state(self):
+        traj = integrate_ode(lambda t, y: -y, [2.0, -1.0], (0.5, 0.5))
+        assert traj.completed and len(traj.ts) == 1
+        assert np.array_equal(traj(0.5), [2.0, -1.0])
+
     def test_outside_span_rejected(self):
         traj = integrate_ode(lambda t, y: y, [1.0], (0.0, 1.0), 1e-8, 1e-10)
         with pytest.raises(InputError):
             traj(2.0)
 
-
-class TestGrid1D:
-    def test_sample_count(self):
-        g = Grid1D.from_step(0.0, 1.0, 0.25)
-        assert len(g) == 5
-        assert np.allclose(g.samples, [0.0, 0.25, 0.5, 0.75, 1.0])
-
-    def test_bad_step(self):
-        with pytest.raises(InputError):
-            Grid1D.from_step(0.0, 1.0, -0.1)
