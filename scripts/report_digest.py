@@ -1,0 +1,71 @@
+#!/usr/bin/env python3
+"""SHA-256 of every JSON report and CSV written by a fixed list of CLI commands.
+
+Each command runs in-process into its own temporary directory; the script
+prints the exit code (or the exception that escaped ``main``) and the digest
+of each file written.  Reports are byte-identical for a given config and
+seed, so two checkouts print the same lines unless a change moved a reported
+value, a CSV cell or an exit code:
+
+    python3 scripts/report_digest.py > after.txt
+    python3 scripts/report_digest.py --src /path/to/other/checkout/src > before.txt
+    diff before.txt after.txt
+
+The list covers every subcommand, and seven builds: three tolerances, two
+spacelike (``--mss``) profiles, and two that end in exit 3.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+COMMANDS = [
+    ["verify-quadratic", "--n", "3", "--trials", "20", "--points", "5", "--seed", "1"],
+    ["flow-check", "--n", "3", "--trials", "20", "--seed", "2"],
+    ["defect", "--n", "3", "--trials", "10", "--seed", "3"],
+    ["legendre-check", "--grid-step", "0.02"],
+    ["shoot", "--branch", "SLAG", "--n", "2", "--u0", "-1.4707963267948966"],
+    ["shoot", "--branch", "MA", "--n", "2", "--u0", "0", "--rmax", "2", "--dps", "30"],
+    ["build-counterexample", "--a0", "0.3", "--a1", "0.7", "--n", "2", "--tol", "1e-6", "--seed", "5"],
+    ["build-counterexample", "--a0", "-0.4", "--a1", "0.9", "--n", "3", "--tol", "1e-8", "--seed", "6"],
+    ["build-counterexample", "--a0", "0.3", "--a1", "0.7", "--n", "4", "--tol", "1e-10", "--seed", "7"],
+    ["build-counterexample", "--a0", "0.0", "--a1", "1.9", "--n", "2", "--tol", "1e-8"],  # cone_margin 0: exit 3
+    ["build-counterexample", "--mss", "--phi0", "1.2", "--s0", "0.1", "--tol", "1e-8"],
+    ["build-counterexample", "--mss", "--phi0", "-0.7", "--s0", "0.2", "--tol", "1e-10"],
+    ["build-counterexample", "--mss", "--phi0", "1.9", "--s0", "0.2", "--tol", "1e-8"],  # |f'| rounds to 1: exit 3
+]
+
+
+def digest(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def main(argv=None):
+    here = os.path.dirname(os.path.abspath(__file__))
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--src", default=os.path.join(here, os.pardir, "src"),
+                    help="directory holding the shrinker_lab package (default: this checkout's src/)")
+    args = ap.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+    from shrinker_lab.cli import main as cli_main
+
+    for command in COMMANDS:
+        with tempfile.TemporaryDirectory() as out:
+            sink = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                    status = f"exit {cli_main([*command, '--out', out])}"
+            except Exception as exc:  # noqa: BLE001 - an escaped exception is a result here
+                status = f"raised {type(exc).__name__}"
+            print(f"{status}  {' '.join(command)}")
+            for name in sorted(os.listdir(out)):
+                print(f"  {digest(os.path.join(out, name))}  {name}")
+
+
+if __name__ == "__main__":
+    main()

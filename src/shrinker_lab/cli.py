@@ -23,7 +23,7 @@ from .constructor import (
 )
 from .fields import CallableField
 from .numerics import InputError
-from .tau import InverseRangeError, TauParams
+from .tau import InverseRangeError, SpacelikeViolation, TauParams
 
 EXIT_PASS = 0
 EXIT_VERIFY_FAIL = 2
@@ -75,6 +75,15 @@ def _out_path(args, name):
     out = getattr(args, "out", None) or "."
     os.makedirs(out, exist_ok=True)
     return os.path.join(out, name)
+
+
+def _check_sizes(args):
+    """--rmax, --grid-step and --span, where the command has them, must be
+    finite and positive."""
+    for name in ("rmax", "grid_step", "span"):
+        value = getattr(args, name, None)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise InputError(f"--{name.replace('_', '-')} must be finite and positive, got {value}")
 
 
 def _emit(args, command, config, results, passed):
@@ -150,15 +159,11 @@ def cmd_build_counterexample(args):
         fld, cert = build_mss_counterexample(
             phi0=args.phi0, s0=args.s0, T=args.span, rel_tol=tol, radius=args.rmax
         )
-        rows = []
         step = args.grid_step if args.grid_step is not None else 0.01
-        for t in np.arange(-args.span, args.span + step / 2, step):
-            s, p = fld._pair(t)
-            rows.append([t, s, p, fld.value([t]), float(fld.gradient([t])[0]), float(fld.hessian([t])[0, 0])])
         reports.write_csv(
             _out_path(args, "mss-profile.csv"),
             ["x", "s", "phi", "f", "f_prime", "f_second"],
-            rows,
+            fld.rows(np.arange(-args.span, args.span + step / 2, step)),
         )
         config = {"mss": True, "phi0": args.phi0, "s0": args.s0, "span": args.span,
                   "tol": tol, "rmax": args.rmax, "seed": args.seed}
@@ -331,6 +336,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_sizes(args)
         return args.func(args)
     except UsageError as exc:
         print(f"shrinker-lab: usage error: {exc}", file=sys.stderr)
@@ -338,7 +344,7 @@ def main(argv=None):
     except (TrivialSolutionError, InputError, InverseRangeError) as exc:
         print(f"shrinker-lab: parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
-    except ConstructionError as exc:
+    except (ConstructionError, SpacelikeViolation) as exc:
         print(f"shrinker-lab: construction failed: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCT_FAIL
 

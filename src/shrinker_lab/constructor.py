@@ -7,6 +7,12 @@ double quadrature to a 1-D profile with curvature e^phi/(1+e^phi), product
 extension to n dimensions, and the exact affine back-transform; plus the
 analogous spacelike construction in the flat-signature graph equation.  Every
 constructed solution carries a machine-checkable certificate.
+
+Each ODE is integrated from 0 in both directions and the two legs are joined
+into one ascending ``numerics.Trajectory``.  Quadrature nodes, certificate
+clouds and CSV tables read it in one ``Trajectory.evaluate`` call; scalar
+reads go through ``Trajectory.__call__``.  Both apply the same cubic Hermite,
+so a batch read equals the scalar reads bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .fields import ScalarField, SeparableExtensionField, Table1DField
-from .numerics import InputError, Trajectory, hermite_value, integrate_ode
+from .numerics import InputError, Trajectory, integrate_ode
 from .tau import Branch, minkowski_residual, phase, shrinker_residual
 from .transforms import normalize_counterexample_branch, _neg_constants
 
@@ -48,13 +54,16 @@ class ConstructionError(RuntimeError):
 
 
 def sigmoid(s):
+    """Logistic e^s / (1 + e^s) without overflow on either tail; a float for a
+    scalar.  ``np.exp`` rounds a float as it rounds an array element, so both
+    forms agree bit for bit (``math.exp`` does not)."""
+    if np.ndim(s) == 0:
+        s = float(s)
+        e = np.exp(-abs(s))
+        return float(1.0 / (1.0 + e) if s >= 0.0 else e / (1.0 + e))
     s = np.asarray(s, dtype=float)
-    out = np.empty_like(s)
-    pos = s >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
-    e = np.exp(s[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out if out.ndim else float(out)
+    e = np.exp(-np.abs(s))
+    return np.where(s >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _phase_rhs(t, y):
@@ -77,38 +86,20 @@ class PhaseTrajectory:
     span: float
     rel_tol: float
     abs_tol: float
-    knots_t: np.ndarray
-    knots_y: np.ndarray        # (N, 2): phi, phi'
-    knots_f: np.ndarray        # (N, 2): derivatives
+    dense: Trajectory          # (phi, phi'), both legs joined, ascending
     bound: float
     monotone_on_right: bool
     positive_slope: bool
-    n_steps: int
-
-    def _ends(self):
-        return self.knots_t[0], self.knots_t[-1]
 
     def phi_pair(self, t):
         """(phi, phi') at scalar t, tail-extended outside the integrated span."""
-        lo, hi = self._ends()
+        ts, ys = self.dense.ts, self.dense.ys
         t = float(t)
-        if t > hi:
-            y = self.knots_y[-1]
-            return y[0] + y[1] * (t - hi), y[1]
-        if t < lo:
-            y = self.knots_y[0]
-            return y[0] + y[1] * (t - lo), y[1]
-        k = int(np.searchsorted(self.knots_t, t, side="right") - 1)
-        k = min(max(k, 0), len(self.knots_t) - 2)
-        y = hermite_value(
-            t,
-            self.knots_t[k],
-            self.knots_t[k + 1],
-            self.knots_y[k],
-            self.knots_y[k + 1],
-            self.knots_f[k],
-            self.knots_f[k + 1],
-        )
+        if t > ts[-1]:
+            return ys[-1, 0] + ys[-1, 1] * (t - ts[-1]), ys[-1, 1]
+        if t < ts[0]:
+            return ys[0, 0] + ys[0, 1] * (t - ts[0]), ys[0, 1]
+        y = self.dense(t)
         return float(y[0]), float(y[1])
 
     def phi(self, t):
@@ -118,43 +109,19 @@ class PhaseTrajectory:
         return self.phi_pair(t)[1]
 
     def phi_array(self, ts):
-        """Vectorized phi over a (sorted or not) array of times."""
+        """``phi_pair`` at each of an array of times, shape (m, 2)."""
         ts = np.asarray(ts, dtype=float)
-        lo, hi = self._ends()
-        out = np.empty_like(ts)
-        below = ts < lo
-        above = ts > hi
-        inside = ~(below | above)
-        if np.any(below):
-            y = self.knots_y[0]
-            out[below] = y[0] + y[1] * (ts[below] - lo)
-        if np.any(above):
-            y = self.knots_y[-1]
-            out[above] = y[0] + y[1] * (ts[above] - hi)
-        if np.any(inside):
-            tq = ts[inside]
-            k = np.clip(np.searchsorted(self.knots_t, tq, side="right") - 1, 0, len(self.knots_t) - 2)
-            t0 = self.knots_t[k]
-            t1 = self.knots_t[k + 1]
-            h = t1 - t0
-            s = (tq - t0) / h
-            s2 = s * s
-            s3 = s2 * s
-            y0 = self.knots_y[k, 0]
-            y1 = self.knots_y[k + 1, 0]
-            d0 = self.knots_f[k, 0]
-            d1 = self.knots_f[k + 1, 0]
-            out[inside] = (
-                (2 * s3 - 3 * s2 + 1) * y0
-                + (s3 - 2 * s2 + s) * h * d0
-                + (-2 * s3 + 3 * s2) * y1
-                + (s3 - s2) * h * d1
-            )
+        knots, ys = self.dense.ts, self.dense.ys
+        out = self.dense.evaluate(ts)
+        for end, outside in ((0, ts < knots[0]), (-1, ts > knots[-1])):
+            if outside.any():
+                out[outside, 0] = ys[end, 0] + ys[end, 1] * (ts[outside] - knots[end])
+                out[outside, 1] = ys[end, 1]
         return out
 
     def tail_bound(self, side=1):
         """Ceiling on the phi' change neglected by the tail extension."""
-        t_end = self.knots_t[-1] if side > 0 else self.knots_t[0]
+        t_end = self.dense.ts[-1] if side > 0 else self.dense.ts[0]
         phi_end, dphi_end = self.phi_pair(t_end)
         rate = max(self.a1, dphi_end, 1e-30)
         return 0.5 * self.bound * math.exp(-abs(phi_end)) * (abs(t_end) / rate + 1.0 / rate**2)
@@ -179,49 +146,56 @@ def solve_phase_ode(a0, a1, T, rel_tol=1e-10, abs_tol=None):
     rhs0 = _phase_rhs(0.0, np.array([a0, a1]))
     assert rhs0[1] == 0.0  # phi''(0) vanishes identically
 
-    # cubic Hermite dense output is a full order below the integrator, so cap
-    # the step with the tolerance to keep interpolated values on budget
-    max_step = _dense_step_cap(rel_tol)
-    legs = []
-    for t_end in (T, -T):
-        leg = integrate_ode(_phase_rhs, [a0, a1], (0.0, t_end), rel_tol, abs_tol, max_step=max_step)
-        if not leg.completed:
-            raise ConstructionError(
-                "phase_ode",
-                f"divergence event {leg.event.label} at t = {leg.event.t}: "
-                "tolerance failure, not accepted",
-            )
-        legs.append(leg)
-    pos, neg = legs
-
-    ts = np.concatenate([neg.ts[::-1][:-1], pos.ts])
-    ys = np.concatenate([neg.ys[::-1][:-1], pos.ys])
-    fs = np.concatenate([neg.fs[::-1][:-1], pos.fs])
-
+    dense = _two_sided(_phase_rhs, [a0, a1], T, rel_tol, abs_tol, "phase_ode", "t")
     bound = a1 * math.exp(math.exp(-a0) / (a1 * a1))
-    right = pos.ys[:, 1]
+    right = dense.ys[dense.ts >= 0.0, 1]
     slack = 10.0 * (rel_tol * bound + abs_tol)
     monotone = bool(np.all(np.diff(right) >= -slack))
-    positive = bool(np.all(ys[:, 1] > 0.0))
+    positive = bool(np.all(dense.ys[:, 1] > 0.0))
     traj = PhaseTrajectory(
         a0=a0,
         a1=a1,
         span=T,
         rel_tol=rel_tol,
         abs_tol=abs_tol,
-        knots_t=ts,
-        knots_y=ys,
-        knots_f=fs,
+        dense=dense,
         bound=bound,
         monotone_on_right=monotone,
         positive_slope=positive,
-        n_steps=pos.n_steps + neg.n_steps,
     )
     if traj.dphi(T) > bound * (1.0 + 1e-9) + slack:
         raise ConstructionError(
             "phase_ode", f"phi'(T) = {traj.dphi(T)} exceeds the a-priori bound {bound}"
         )
     return traj
+
+
+def _two_sided(rhs, y0, span, rel_tol, abs_tol, stage, var):
+    """Integrate from 0 to +span and to -span and join the legs into one
+    ascending Trajectory on [-span, span] that holds the origin knot once."""
+    # cubic Hermite dense output is a full order below the integrator, so cap
+    # the step with the tolerance to keep interpolated values on budget
+    max_step = _dense_step_cap(rel_tol)
+    legs = []
+    for t_end in (span, -span):
+        leg = integrate_ode(rhs, y0, (0.0, t_end), rel_tol, abs_tol, max_step=max_step)
+        if not leg.completed:
+            raise ConstructionError(
+                stage,
+                f"divergence event {leg.event.label} at {var} = {leg.event.t}: "
+                "tolerance failure, not accepted",
+            )
+        legs.append(leg)
+    pos, neg = legs
+    return Trajectory(
+        np.concatenate([neg.ts[:0:-1], pos.ts]),
+        np.concatenate([neg.ys[:0:-1], pos.ys]),
+        np.concatenate([neg.fs[:0:-1], pos.fs]),
+        neg.t_end,
+        pos.t_end,
+        n_steps=pos.n_steps + neg.n_steps,
+        n_rejected=pos.n_rejected + neg.n_rejected,
+    )
 
 
 def _quadrature_step(rel_tol):
@@ -254,9 +228,7 @@ class W1Profile:
 
     def rows(self):
         """Trajectory table (t, phi, phi', w1, w1', w1'')."""
-        phis = self.traj.phi_array(self.ts)
-        dphis = np.array([self.traj.dphi(t) for t in self.ts])
-        return np.column_stack([self.ts, phis, dphis, self.w1, self.w1p, self.w1pp])
+        return np.column_stack([self.ts, self.traj.phi_array(self.ts), self.w1, self.w1p, self.w1pp])
 
 
 def assemble_w1(traj, span=None, quad_step=None):
@@ -273,13 +245,13 @@ def assemble_w1(traj, span=None, quad_step=None):
     step = S / m
     ts = step * (np.arange(2 * m + 1) - m)  # exact 0 at index m
 
-    w1pp = sigmoid(traj.phi_array(ts))
+    phis = traj.phi_array(ts)[:, 0]
+    w1pp = sigmoid(phis)
     cs = cumulative_simpson(w1pp, dx=step, initial=0.0)
     w1p = -2.0 * traj.a1 + (cs - cs[m])
     cs2 = cumulative_simpson(w1p, dx=step, initial=0.0)
     w1 = -traj.a0 + (cs2 - cs2[m])
 
-    phis = traj.phi_array(ts)
     defect = float(np.max(np.abs(phis - (0.5 * ts * w1p - w1))))
 
     fld = Table1DField(ts, w1, w1p, w1pp, curvature_fn=lambda t: sigmoid(traj.phi(t)))
@@ -391,28 +363,27 @@ def build_counterexample(
     probes[2, 0] = -radius
     pts = np.vstack([pts, probes])
 
-    inv_k = 1.0 / k
+    phis = traj.phi_array(pts[:, 0] / c2)[:, 0]
+    stables = (1.0 / k) * phis - np.array([phase(ufield, z) for z in pts])
     sup = 0.0
     sup_at = None
-    mu_min, mu_max = math.inf, -math.inf
-    for z in pts:
-        x1 = z[0] / c2
-        stable = inv_k * traj.phi(x1) - phase(ufield, z)
+    for z, stable in zip(pts, stables):
         if abs(stable) > sup:
             sup, sup_at = abs(stable), z.copy()
-        mu1 = float(sigmoid(traj.phi(x1)))
-        mu_min = min(mu_min, mu1, 0.5 if n > 1 else mu1)
-        mu_max = max(mu_max, mu1, 0.5 if n > 1 else mu1)
+    mus = sigmoid(phis)
+    mu_min, mu_max = float(mus.min()), float(mus.max())
+    if n > 1:
+        mu_min, mu_max = min(mu_min, 0.5), max(mu_max, 0.5)
     cone_margin = 2.0 * b * min(mu_min, 1.0 - mu_max)
     cone_ok = cone_margin > 0.0
 
     # generic eigenvalue-route cross-check where it is well-conditioned
-    inner = pts[np.linalg.norm(pts, axis=1) <= 0.5 * radius]
+    is_inner = np.linalg.norm(pts, axis=1) <= 0.5 * radius
+    inner = pts[is_inner]
     cross_sup = 0.0
     agree_sup = 0.0
-    for z in inner[: max(1, len(inner))]:
+    for z, stable in zip(inner, stables[is_inner]):
         generic = shrinker_residual(tp, ufield, z)
-        stable = inv_k * traj.phi(z[0] / c2) - phase(ufield, z)
         cross_sup = max(cross_sup, abs(generic))
         agree_sup = max(agree_sup, abs(generic - stable))
 
@@ -490,15 +461,32 @@ class MinkowskiProfile(ScalarField):
     first-order system  s' = phi,  phi' = (x/2) sech^2(s) phi.
 
     ``gradient_complement`` evaluates 1 - f'^2 = sech^2(s) without the
-    catastrophic cancellation of forming it from a rounded f'.
+    catastrophic cancellation of forming it from a rounded f'.  (s, phi) come
+    from the integrated ``Trajectory``, clamped to its span.
     """
 
     backend = "trajectory"
     dim = 1
 
-    def __init__(self, table, s_phi_pair):
+    def __init__(self, table, dense):
         self._table = table
-        self._pair = s_phi_pair
+        self._dense = dense    # (s, phi), ascending
+
+    def _pair(self, x):
+        """(s, phi) at scalar x, clamped to the integrated span."""
+        ts = self._dense.ts
+        y = self._dense(min(max(float(x), ts[0]), ts[-1]))
+        return float(y[0]), float(y[1])
+
+    def rows(self, xs):
+        """Profile table (x, s, phi, f, f', f'') at an array of points; each
+        row equals the scalar reads ``_pair``, ``value``, ``gradient``,
+        ``hessian`` bit for bit."""
+        xs = np.asarray(xs, dtype=float)
+        return [
+            [x, s, p, self.value([x]), math.tanh(s), (1.0 / math.cosh(s)) ** 2 * p]
+            for x, (s, p) in zip(xs, self._dense.evaluate(xs).tolist())
+        ]
 
     def value(self, x):
         return self._table.value(x)
@@ -550,45 +538,19 @@ def build_mss_counterexample(
     abs_tol = rel_tol * 1e-2 if abs_tol is None else float(abs_tol)
     span = max(T, radius + 1.0)
 
-    max_step = _dense_step_cap(rel_tol)
-    legs = []
-    for t_end in (span, -span):
-        leg = integrate_ode(_mss_rhs, [s0, phi0], (0.0, t_end), rel_tol, abs_tol, max_step=max_step)
-        if not leg.completed:
-            raise ConstructionError(
-                "mss_ode",
-                f"divergence event {leg.event.label} at x = {leg.event.t}: "
-                "tolerance failure, not accepted",
-            )
-        legs.append(leg)
-    pos, neg = legs
-    ts_k = np.concatenate([neg.ts[::-1][:-1], pos.ts])
-    ys_k = np.concatenate([neg.ys[::-1][:-1], pos.ys])
-    fs_k = np.concatenate([neg.fs[::-1][:-1], pos.fs])
-
-    def pair(t):
-        t = float(t)
-        t = min(max(t, ts_k[0]), ts_k[-1])
-        j = int(np.searchsorted(ts_k, t, side="right") - 1)
-        j = min(max(j, 0), len(ts_k) - 2)
-        y = hermite_value(t, ts_k[j], ts_k[j + 1], ys_k[j], ys_k[j + 1], fs_k[j], fs_k[j + 1])
-        return float(y[0]), float(y[1])
-
+    dense = _two_sided(_mss_rhs, [s0, phi0], span, rel_tol, abs_tol, "mss_ode", "x")
     h = _quadrature_step(rel_tol)
     m = int(math.ceil(span / h))
     step = span / m
     ts = step * (np.arange(2 * m + 1) - m)
-    svals = np.empty_like(ts)
-    pvals = np.empty_like(ts)
-    for i, t in enumerate(ts):
-        svals[i], pvals[i] = pair(t)
+    svals, pvals = np.ascontiguousarray(dense.evaluate(ts).T)
     fp = np.tanh(svals)
     fpp = (1.0 / np.cosh(svals)) ** 2 * pvals
     cs = cumulative_simpson(fp, dx=step, initial=0.0)
     fvals = -2.0 * phi0 + (cs - cs[m])
 
     table = Table1DField(ts, fvals, fp, fpp)
-    fld = MinkowskiProfile(table, pair)
+    fld = MinkowskiProfile(table, dense)
 
     xs = np.linspace(-radius, radius, int(samples))
     sup = 0.0

@@ -215,7 +215,11 @@ def invert_monotone(fn, y, lo, hi, dfn=None, seed=None, resid_tol=None, max_iter
 
 
 def hermite_value(t, t0, t1, y0, y1, d0, d1):
-    """Cubic Hermite interpolant on [t0, t1] from endpoint values and slopes."""
+    """Cubic Hermite interpolant on [t0, t1] from endpoint values and slopes.
+
+    Pure elementwise arithmetic: arrays of intervals broadcast, each element
+    rounded exactly as the scalar call would round it.
+    """
     h = t1 - t0
     s = (t - t0) / h
     s2 = s * s
@@ -258,7 +262,9 @@ class Trajectory:
 
     Values between accepted steps come from cubic Hermite interpolation of the
     endpoint states and derivatives, which keeps downstream quadrature
-    consistent with a single trajectory.
+    consistent with a single trajectory.  ``__call__`` reads one time and
+    ``evaluate`` a batch; both apply ``hermite_value``, so they agree bit for
+    bit.
     """
 
     ts: np.ndarray
@@ -291,6 +297,25 @@ class Trajectory:
         k = min(max(k, 0), len(ts) - 2)
         return hermite_value(
             tq, ts[k], ts[k + 1], self.ys[k], self.ys[k + 1], self.fs[k], self.fs[k + 1]
+        )
+
+    def evaluate(self, tq):
+        """States at a 1-D array of times, shape (m, dim); times outside the
+        covered span are clamped to its ends."""
+        ts = self.ts
+        tq = np.asarray(tq, dtype=float)
+        if len(ts) == 1:  # zero-span trajectory: the initial state
+            return np.repeat(self.ys, len(tq), axis=0)
+        if ts[0] <= ts[-1]:
+            tq = np.clip(tq, ts[0], ts[-1])
+            k = np.searchsorted(ts, tq, side="right") - 1
+        else:
+            tq = np.clip(tq, ts[-1], ts[0])
+            k = np.searchsorted(-ts, -tq, side="right") - 1
+        k = np.clip(k, 0, len(ts) - 2)
+        c = k[:, None]
+        return hermite_value(
+            tq[:, None], ts[c], ts[c + 1], self.ys[k], self.ys[k + 1], self.fs[k], self.fs[k + 1]
         )
 
 
@@ -349,7 +374,7 @@ def integrate_ode(
         raise InputError("tolerances must be positive")
     t0, t1 = float(t_span[0]), float(t_span[1])
     y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise InputError("non-finite initial state")
     direction = 1.0 if t1 >= t0 else -1.0
     span = abs(t1 - t0)
@@ -382,7 +407,7 @@ def integrate_ode(
             failed = False
             for i in range(1, 7):
                 yi = y + hd * (_DP_A[i] @ k[:i])
-                if not np.all(np.isfinite(yi)):
+                if not np.isfinite(yi).all():
                     failed = True
                     break
                 k[i] = rhs(t + _DP_C[i] * hd, yi)
@@ -402,18 +427,19 @@ def integrate_ode(
         y_new = y + hd * (_DP_B5 @ k)
         err_vec = hd * (_DP_E @ k)
         scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        q = err_vec / scale
+        err = math.sqrt(float((q * q).sum()) / len(q))  # RMS, summed as np.mean sums
 
         if err <= 1.0 or h <= 2.0 * min_h_floor * max(1.0, abs(t)):
-            if not np.all(np.isfinite(y_new)):
+            if not np.isfinite(y_new).all():
                 event = DivergenceEvent("non_finite_state", t, y.copy())
                 break
             t = t + hd
             y = y_new
             f = k[6].copy()  # FSAL
             ts.append(t)
-            ys.append(y.copy())
-            fs.append(f.copy())
+            ys.append(y)
+            fs.append(f)
             n_steps += 1
             if stop_condition is not None:
                 label = stop_condition(t, y)

@@ -57,6 +57,34 @@ class TestExitCodes:
         assert run(tmp_path, *argv) == 65
         assert not (tmp_path / f"{argv[0]}.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("shoot", "--u0", "-1", "--rmax", "-1"),
+            ("shoot", "--u0", "-1", "--rmax", "0"),
+            ("shoot", "--u0", "-1", "--rmax", "nan"),
+            ("shoot", "--u0", "-1", "--rmax", "inf"),
+            ("build-counterexample", "--rmax", "0"),
+            ("legendre-check", "--grid-step", "0"),
+            ("legendre-check", "--grid-step", "-0.01"),
+            ("legendre-check", "--grid-step", "nan"),
+            ("build-counterexample", "--mss", "--grid-step", "0"),
+            ("build-counterexample", "--mss", "--grid-step", "nan"),
+            ("legendre-check", "--span", "nan"),
+            ("build-counterexample", "--span", "-1"),
+            ("build-counterexample", "--mss", "--span", "inf"),
+        ],
+    )
+    def test_bad_size_is_parameter_error(self, tmp_path, argv):
+        assert run(tmp_path, *argv) == 65
+        assert not (tmp_path / f"{argv[0]}.json").exists()
+
+    def test_spacelike_violation_is_construction_failure(self, tmp_path, capsys):
+        code = run(tmp_path, "build-counterexample", "--mss", "--phi0", "1.9", "--s0", "0.2",
+                   "--tol", "1e-8")
+        assert code == 3
+        assert "construction failed" in capsys.readouterr().err
+
     def test_unattainable_u0_is_parameter_error(self, tmp_path):
         assert run(tmp_path, "shoot", "--branch", "SLAG", "--u0", "-4") == 65
 

@@ -84,6 +84,21 @@ class TestSolvePhaseOde:
         assert traj.phi(10.0 + eps) == pytest.approx(traj.phi(10.0 - eps), abs=1e-6)
         assert traj.tail_bound(+1) < 1e-3
 
+    def test_step_counts(self):
+        # the integrator's steps and rejections on both legs of the phase ODE
+        traj = solve_phase_ode(0.3, 0.7, 24.63, rel_tol=1e-8)
+        dense = traj.dense
+        assert dense.n_steps == 2464
+        assert dense.n_rejected == 0
+        assert np.sum(dense.ts > 0.0) == np.sum(dense.ts < 0.0) == 1232
+
+    def test_phi_array_equals_phi_pair_bit_for_bit(self):
+        traj = solve_phase_ode(0.3, 0.7, 24.63, rel_tol=1e-8)
+        ts = np.concatenate([np.linspace(-28.0, 28.0, 1201), traj.dense.ts])
+        batch = traj.phi_array(ts)
+        scalar = np.array([traj.phi_pair(t) for t in ts])
+        assert np.array_equal(batch.view(np.int64), scalar.view(np.int64))
+
     def test_phase_lower_bound_on_right_half(self):
         # phi' nondecreasing from a1 pins phi(t) >= a1 t + a0 for t >= 0
         a0, a1 = -0.3, 0.8
@@ -111,6 +126,14 @@ class TestAssembleW1:
     def test_identity_defect(self):
         prof = assemble_w1(solve_phase_ode(0.0, 1.0, 20.0))
         assert prof.identity_defect <= 1e-7
+
+    def test_rows_equal_scalar_reads_bit_for_bit(self):
+        prof = assemble_w1(solve_phase_ode(0.3, 0.7, 10.0, rel_tol=1e-8))
+        scalar = np.array([
+            [t, prof.traj.phi(t), prof.traj.dphi(t), w, wp, wpp]
+            for t, w, wp, wpp in zip(prof.ts, prof.w1, prof.w1p, prof.w1pp)
+        ])
+        assert np.array_equal(prof.rows().view(np.int64), scalar.view(np.int64))
 
     def test_third_derivative_witness(self):
         # d/dt [e^phi/(1+e^phi)] at 0 equals a1 e^{a0}/(1+e^{a0})^2
@@ -250,6 +273,15 @@ class TestMssCounterexample:
     def test_trivial_phase_rejected(self):
         with pytest.raises(TrivialSolutionError):
             build_mss_counterexample(0.0)
+
+    def test_rows_equal_scalar_reads_bit_for_bit(self):
+        fld, _ = build_mss_counterexample(1.2, 0.1, T=10.0, rel_tol=1e-8, radius=5.0, samples=11)
+        xs = np.arange(-10.0, 10.0 + 0.0125, 0.025)
+        scalar = [
+            [x, *fld._pair(x), fld.value([x]), float(fld.gradient([x])[0]), float(fld.hessian([x])[0, 0])]
+            for x in xs
+        ]
+        assert np.array_equal(np.array(fld.rows(xs)).view(np.int64), np.array(scalar).view(np.int64))
 
     def test_negative_phase_profile(self):
         fld, cert = build_mss_counterexample(-1.0, 0.0, T=10.0, radius=5.0)

@@ -10,6 +10,7 @@ from shrinker_lab.numerics import (
     DivergenceEvent,
     InputError,
     RhsEvaluationError,
+    Trajectory,
     eig_sym,
     eig_sym_full,
     fd_gradient,
@@ -217,3 +218,46 @@ class TestIntegrateOde:
         with pytest.raises(InputError):
             traj(2.0)
 
+
+def _oscillator(t, y):
+    return np.array([y[1], -y[0] + 0.1 * t])
+
+
+def _merged_trajectory():
+    """Both legs of a two-sided integration joined into one ascending trajectory."""
+    pos = integrate_ode(_oscillator, [1.0, 0.2], (0.0, 4.0), 1e-7, 1e-9)
+    neg = integrate_ode(_oscillator, [1.0, 0.2], (0.0, -4.0), 1e-7, 1e-9)
+    return Trajectory(
+        np.concatenate([neg.ts[:0:-1], pos.ts]),
+        np.concatenate([neg.ys[:0:-1], pos.ys]),
+        np.concatenate([neg.fs[:0:-1], pos.fs]),
+        -4.0,
+        4.0,
+    )
+
+
+class TestTrajectoryEvaluate:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: integrate_ode(_oscillator, [1.0, 0.2], (0.0, 7.3), 1e-7, 1e-9),
+            lambda: integrate_ode(_oscillator, [1.0, 0.2], (0.0, -7.3), 1e-7, 1e-9),
+            _merged_trajectory,
+            lambda: integrate_ode(_oscillator, [1.0, 0.2], (0.5, 0.5)),
+        ],
+        ids=["forward", "backward", "merged", "one-knot"],
+    )
+    def test_equals_scalar_call_bit_for_bit(self, make):
+        traj = make()
+        lo, hi = sorted((traj.ts[0], traj.ts[-1]))
+        tq = np.concatenate([np.linspace(lo, hi, 997), traj.ts, [lo - 1e-13, hi + 1e-13]])
+        batch = traj.evaluate(tq)
+        scalar = np.array([traj(t) for t in tq])
+        assert batch.shape == (len(tq), 2)
+        assert np.array_equal(batch.view(np.int64), scalar.view(np.int64))
+
+    def test_clamps_to_covered_span(self):
+        for traj in (_merged_trajectory(), integrate_ode(_oscillator, [1.0, 0.2], (0.0, -3.0), 1e-7, 1e-9)):
+            lo, hi = sorted((traj.ts[0], traj.ts[-1]))
+            got = traj.evaluate([lo - 5.0, hi + 5.0, -np.inf, np.inf])
+            assert np.array_equal(got, [traj(lo), traj(hi), traj(lo), traj(hi)])
