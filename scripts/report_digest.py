@@ -11,8 +11,9 @@ value, a CSV cell or an exit code:
     python3 scripts/report_digest.py --src /path/to/other/checkout/src > before.txt
     diff before.txt after.txt
 
-The list covers every subcommand, and seven builds: three tolerances, two
-spacelike (``--mss``) profiles, and two that end in exit 3.
+The list covers every subcommand, two sweeps at their default sizes, and
+seven builds: three tolerances, two spacelike (``--mss``) profiles, and two
+that end in exit 3.
 """
 
 import argparse
@@ -27,6 +28,8 @@ COMMANDS = [
     ["verify-quadratic", "--n", "3", "--trials", "20", "--points", "5", "--seed", "1"],
     ["flow-check", "--n", "3", "--trials", "20", "--seed", "2"],
     ["defect", "--n", "3", "--trials", "10", "--seed", "3"],
+    ["verify-quadratic", "--n", "4", "--seed", "3"],  # default sizes: 2,000 points a branch
+    ["defect", "--n", "4", "--seed", "4"],
     ["legendre-check", "--grid-step", "0.02"],
     ["shoot", "--branch", "SLAG", "--n", "2", "--u0", "-1.4707963267948966"],
     ["shoot", "--branch", "MA", "--n", "2", "--u0", "0", "--rmax", "2", "--dps", "30"],

@@ -78,9 +78,9 @@ def _out_path(args, name):
 
 
 def _check_sizes(args):
-    """--rmax, --grid-step and --span, where the command has them, must be
-    finite and positive."""
-    for name in ("rmax", "grid_step", "span"):
+    """--rmax, --grid-step, --span and --tol, where the command has them and
+    they are given, must be finite and positive."""
+    for name in ("rmax", "grid_step", "span", "tol"):
         value = getattr(args, name, None)
         if value is not None and not (math.isfinite(value) and value > 0):
             raise InputError(f"--{name.replace('_', '-')} must be finite and positive, got {value}")

@@ -135,6 +135,8 @@ def solve_phase_ode(a0, a1, T, rel_tol=1e-10, abs_tol=None):
     raised as an integrator failure rather than recorded.
     """
     a0, a1, T = float(a0), float(a1), float(T)
+    if not (math.isfinite(a0) and math.isfinite(a1)):
+        raise InputError(f"phi(0) and phi'(0) must be finite, got {a0}, {a1}")
     if a1 == 0.0:
         raise TrivialSolutionError("phi'(0) = 0 yields a constant phase: trivial solution")
     if a1 < 0.0:

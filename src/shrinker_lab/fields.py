@@ -61,7 +61,14 @@ class ScalarField:
 
 
 class QuadraticField(ScalarField):
-    """u(x) = 0.5 <x, A x> + c with exact derivatives."""
+    """u(x) = 0.5 <x, A x> + c with exact derivatives.
+
+    Each method also takes an (m, n) cloud and returns (m,), (m, n) or
+    (m, n, n), every row bit for bit the single-point result: the stacked
+    products ``(X[:, None, :] @ A) @ X[:, :, None]`` and ``A @ X[:, :, None]``
+    run the kernel of the single-point products row by row, where ``X @ A``
+    would not.
+    """
 
     backend = "analytic"
 
@@ -74,15 +81,29 @@ class QuadraticField(ScalarField):
         self.c = float(c)
         self.dim = self.A.shape[0]
 
+    def _points(self, x):
+        """One point (dim,), or a row-major (m, dim) cloud."""
+        p = np.asarray(x, dtype=float)
+        if p.ndim == 2 and p.shape[1] == self.dim:
+            return np.ascontiguousarray(p)  # strided rows take another kernel
+        return self._point(p)
+
     def value(self, x):
-        x = self._point(x)
+        x = self._points(x)
+        if x.ndim == 2:
+            return 0.5 * ((x[:, None, :] @ self.A) @ x[:, :, None])[:, 0, 0] + self.c
         return 0.5 * float(x @ self.A @ x) + self.c
 
     def gradient(self, x):
-        return self.A @ self._point(x)
+        x = self._points(x)
+        if x.ndim == 2:
+            return (self.A @ x[:, :, None])[:, :, 0]
+        return self.A @ x
 
     def hessian(self, x):
-        self._point(x)
+        x = self._points(x)
+        if x.ndim == 2:
+            return np.repeat(self.A[None], len(x), axis=0)
         return self.A.copy()
 
 

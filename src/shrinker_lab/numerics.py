@@ -60,22 +60,31 @@ class DivergenceEvent:
 
 
 def as_sym_matrix(M):
-    """Validate and return a symmetric float matrix (no copy if already valid)."""
+    """Validate and return a symmetric float matrix, or a stack ``(..., n, n)``
+    of them checked one by one (no copy if already valid)."""
     A = np.asarray(M, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
-        raise InputError(f"expected a square matrix, got shape {A.shape}")
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.shape[-1] < 1:
+        raise InputError(f"expected a square matrix or a stack of them, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise InputError("matrix has non-finite entries")
-    if not np.array_equal(A, A.T):
+    AT = np.swapaxes(A, -1, -2)
+    skew = (A != AT).any(axis=(-2, -1))
+    if skew.any():
         # tolerate FD-era asymmetry only if it is exactly representable noise
-        if np.max(np.abs(A - A.T)) > 1e-12 * max(1.0, np.max(np.abs(A))):
+        noise = np.abs(A - AT).max(axis=(-2, -1))
+        if np.any(noise > 1e-12 * np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))):
             raise InputError("matrix is not symmetric")
-        A = 0.5 * (A + A.T)
+        A = A.copy()
+        A[skew] = 0.5 * (A[skew] + AT[skew])
     return A
 
 
 def eig_sym(M):
-    """All eigenvalues of a symmetric matrix, ascending (LAPACK ``syevd``)."""
+    """All eigenvalues of a symmetric matrix, ascending (LAPACK ``syevd``).
+
+    A stack ``(..., n, n)`` gives ``(..., n)`` in one gufunc call, each row
+    bit for bit the eigenvalues of its matrix alone.
+    """
     return np.linalg.eigvalsh(as_sym_matrix(M))
 
 
@@ -368,7 +377,9 @@ def integrate_ode(
     -------
     Trajectory
         Dense trajectory over the covered span; ``trajectory.event`` is None
-        iff t1 was reached.
+        iff t1 was reached, to within the step floor 1e-14 * max(1, |t|)
+        (summed steps can round a few ulp short of t1, and the last knot
+        then stays there).
     """
     if not (rel_tol > 0 and abs_tol > 0):
         raise InputError("tolerances must be positive")
@@ -397,7 +408,10 @@ def integrate_ode(
 
     while (t1 - t) * direction > 0:
         h = min(h, abs(t1 - t), max_step)
-        if h < min_h_floor * max(1.0, abs(t)):
+        floor = min_h_floor * max(1.0, abs(t))
+        if h < floor:
+            if abs(t1 - t) < floor:
+                break  # the summed steps rounded a few ulp short of t1: reached
             event = DivergenceEvent("step_underflow", t, y.copy(), "step size underflow")
             break
         hd = h * direction

@@ -62,12 +62,10 @@ def build_quadratic(tp, A):
 
 
 def verify_quadratic(tp, A, points):
-    """Max |shrinker residual| of the built solution over the sample points."""
+    """Max |shrinker residual| of the built solution over an (m, n) cloud of
+    sample points, evaluated as one cloud."""
     sol = build_quadratic(tp, A)
-    worst = 0.0
-    for x in points:
-        worst = max(worst, abs(shrinker_residual(tp, sol.field, x)))
-    return worst
+    return float(np.max(np.abs(shrinker_residual(tp, sol.field, points)), initial=0.0))
 
 
 def random_orthogonal(n, rng):

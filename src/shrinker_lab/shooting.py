@@ -279,6 +279,9 @@ def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, abs_tol=1e-12, dps=None, 
     n = int(n)
     if n < 1:
         raise InputError(f"dimension must be >= 1, got {n}")
+    if dps is not None and dps <= 10:
+        # the Taylor steps' tolerance is 10^-(dps-10)
+        raise InputError(f"dps must be above 10, got {dps}")
     u0_raw = u0
     u0 = float(u0)
     upp0 = f_inverse(tp, -u0 / n)

@@ -484,17 +484,44 @@ def operator_gradient_matrix(tp, H):
 
 
 def phase(field, x):
-    """-u(x) + <x, Du(x)>/2; constant along exact quadratic solutions."""
+    """-u(x) + <x, Du(x)>/2; constant along exact quadratic solutions.
+
+    ``x`` is one point, or an (m, n) cloud for a field that evaluates clouds;
+    a cloud gives (m,) values, each bit for bit its point's value.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.ndim == 2:
+        x = np.ascontiguousarray(x)
+        return -field.value(x) + 0.5 * (x[:, None, :] @ field.gradient(x)[:, :, None])[:, 0, 0]
     return float(-field.value(x) + 0.5 * float(x @ field.gradient(x)))
 
 
 def shrinker_residual(tp, field, x):
     """Pointwise defect of the self-shrinker potential equation at x.
 
-    Zero iff  F(lambda(D^2 u)) = -u + <x, Du>/2  holds at x.
+    Zero iff  F(lambda(D^2 u)) = -u + <x, Du>/2  holds at x.  An (m, n)
+    cloud, for a field that evaluates clouds, gives (m,) defects, each bit
+    for bit its point's defect: the Hessians are solved in one stacked call,
+    and F is taken once per distinct spectrum by the scalar summands.  The
+    first point with an inadmissible spectrum is the ``location`` of the
+    ConeViolation.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.ndim == 2:
+        x = np.ascontiguousarray(x)
+        eigs = eig_sym(field.hessian(x))
+        _, first, inverse = np.unique(
+            eigs.view(np.int64), axis=0, return_index=True, return_inverse=True
+        )
+        for k in sorted(first):
+            if admissible(tp, eigs[k]) is None:
+                raise ConeViolation(
+                    f"inadmissible Hessian spectrum {eigs[k]} at x = {x[k]}",
+                    eigenvalue=float(eigs[k][0]),
+                    location=x[k],
+                )
+        F = np.array([operator_value(tp, eigs[k]) for k in first])
+        return F[inverse.reshape(-1)] - phase(field, x)
     eigs = eig_sym(field.hessian(x))
     if admissible(tp, eigs) is None:
         raise ConeViolation(

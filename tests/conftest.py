@@ -25,3 +25,10 @@ def all_branches():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
+
+
+def same_bits(a, b):
+    """Equal shapes and identical float64 bit patterns (0.0 and -0.0 differ)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))

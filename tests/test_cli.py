@@ -73,11 +73,23 @@ class TestExitCodes:
             ("legendre-check", "--span", "nan"),
             ("build-counterexample", "--span", "-1"),
             ("build-counterexample", "--mss", "--span", "inf"),
+            ("verify-quadratic", "--tol", "nan"),
+            ("verify-quadratic", "--tol", "0"),
+            ("flow-check", "--tol", "-1"),
+            ("shoot", "--u0", "-1", "--tol", "inf"),
+            ("shoot", "--u0", "-1", "--dps", "-3"),
+            ("shoot", "--u0", "-1", "--dps", "0"),
+            ("shoot", "--u0", "-1", "--dps", "10"),
         ],
     )
     def test_bad_size_is_parameter_error(self, tmp_path, argv):
         assert run(tmp_path, *argv) == 65
         assert not (tmp_path / f"{argv[0]}.json").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--a0", "nan"), ("--a1", "inf"), ("--a1", "nan")])
+    def test_non_finite_phase_data_is_parameter_error(self, tmp_path, flag, value):
+        assert run(tmp_path, "build-counterexample", flag, value) == 65
+        assert not (tmp_path / "build-counterexample.json").exists()
 
     def test_spacelike_violation_is_construction_failure(self, tmp_path, capsys):
         code = run(tmp_path, "build-counterexample", "--mss", "--phi0", "1.9", "--s0", "0.2",

@@ -92,6 +92,15 @@ class TestSolvePhaseOde:
         assert dense.n_rejected == 0
         assert np.sum(dense.ts > 0.0) == np.sum(dense.ts < 0.0) == 1232
 
+    def test_every_span_reaches_its_end(self):
+        # the capped steps' sums can stop a few ulp short of +-T (36 of these
+        # spans, e.g. T = 4.2), a remainder below the step floor that ends
+        # the leg rather than failing as step_underflow
+        for k in range(10, 301):
+            T = k / 10
+            ts = solve_phase_ode(0.3, 0.7, T, rel_tol=1e-8).dense.ts
+            assert abs(ts[0] + T) < 1e-14 * T and abs(ts[-1] - T) < 1e-14 * T
+
     def test_phi_array_equals_phi_pair_bit_for_bit(self):
         traj = solve_phase_ode(0.3, 0.7, 24.63, rel_tol=1e-8)
         ts = np.concatenate([np.linspace(-28.0, 28.0, 1201), traj.dense.ts])

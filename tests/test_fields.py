@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shrinker_lab.fields import (
     AffineScaledField,
@@ -12,6 +14,9 @@ from shrinker_lab.fields import (
     Table1DField,
 )
 from shrinker_lab.numerics import InputError
+from shrinker_lab.quadratics import random_admissible_matrix
+
+from conftest import branch_params, same_bits
 
 
 class TestQuadraticField:
@@ -32,6 +37,25 @@ class TestQuadraticField:
         f = QuadraticField(np.eye(2))
         with pytest.raises(InputError):
             f.value(np.zeros(3))
+        with pytest.raises(InputError):
+            f.value(np.zeros((4, 3)))
+
+    @given(
+        branch=st.sampled_from(sorted(branch_params())),
+        n=st.integers(1, 4),
+        m=st.integers(1, 50),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_cloud_equals_points_bit_for_bit(self, branch, n, m, seed):
+        rng = np.random.default_rng(seed)
+        f = QuadraticField(random_admissible_matrix(branch_params()[branch], n, rng), rng.standard_normal())
+        X = rng.uniform(-3.0, 3.0, (m, n))
+        # a column-major cloud too: its strided rows would take another kernel
+        for cloud in (X, np.asfortranarray(X)):
+            assert same_bits(f.value(cloud), [f.value(x) for x in X])
+            assert same_bits(f.gradient(cloud), [f.gradient(x) for x in X])
+            assert same_bits(f.hessian(cloud), [f.hessian(x) for x in X])
 
 
 class TestCallableField:

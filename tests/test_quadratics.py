@@ -52,6 +52,15 @@ class TestVerify:
                 worst = max(worst, verify_quadratic(tp, A, pts))
             assert worst <= 1e-10, f"{name}: {worst}"
 
+    def test_cloud_equals_pointwise_loop(self, all_branches, rng):
+        for tp in all_branches.values():
+            for n in range(1, 5):
+                A = sl.random_admissible_matrix(tp, n, rng)
+                pts = rng.uniform(-3.0, 3.0, size=(20, n))
+                field = build_quadratic(tp, A).field
+                loop = max(abs(sl.shrinker_residual(tp, field, x)) for x in pts)
+                assert verify_quadratic(tp, A, pts) == loop
+
     def test_lower_cone_sweep(self, rng):
         for tp in (TauParams.harmonic("lower"), TauParams.log_branch(math.pi / 6, "lower")):
             A = sl.random_admissible_matrix(tp, 3, rng)

@@ -31,7 +31,8 @@ from shrinker_lab.tau import (
     minkowski_residual,
     weighted_p_laplace_residual,
 )
-from conftest import branch_params
+from shrinker_lab.quadratics import random_admissible_matrix
+from conftest import branch_params, same_bits
 
 SQRT2 = math.sqrt(2.0)
 
@@ -267,6 +268,31 @@ class TestAdmissible:
         assert admissible(tp, [spec.hi]) is None
 
 
+class _TwoPieceField:
+    """Quadratic ``neg`` where x_1 < 0 and ``pos`` elsewhere, point by point
+    or on a cloud."""
+
+    def __init__(self, neg, pos):
+        self.neg, self.pos = neg, pos
+        self.dim = neg.dim
+
+    def _pick(self, method, x):
+        x = np.asarray(x, dtype=float)
+        lo, hi = getattr(self.neg, method)(x), getattr(self.pos, method)(x)
+        if x.ndim == 1:
+            return lo if x[0] < 0 else hi
+        return np.where((x[:, 0] < 0).reshape((-1,) + (1,) * (np.ndim(lo) - 1)), lo, hi)
+
+    def value(self, x):
+        return self._pick("value", x)
+
+    def gradient(self, x):
+        return self._pick("gradient", x)
+
+    def hessian(self, x):
+        return self._pick("hessian", x)
+
+
 class TestResiduals:
     def test_ma_identity_hessian(self, rng):
         tp = TauParams.monge_ampere()
@@ -300,6 +326,52 @@ class TestResiduals:
     def test_phase_constant_field(self):
         field = QuadraticField(np.zeros((2, 2)), 3.25)
         assert phase(field, np.array([1.0, -2.0])) == -3.25
+
+    @given(
+        branch=st.sampled_from(sorted(branch_params())),
+        n=st.integers(1, 4),
+        m=st.integers(1, 50),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_cloud_equals_points_bit_for_bit(self, branch, n, m, seed):
+        # two Hessians in one cloud, so F is taken for two spectra
+        tp = branch_params()[branch]
+        rng = np.random.default_rng(seed)
+        field = _TwoPieceField(
+            *(QuadraticField(random_admissible_matrix(tp, n, rng), rng.standard_normal()) for _ in "ab")
+        )
+        X = rng.uniform(-3.0, 3.0, (m, n))
+        assert same_bits(phase(field, X), [phase(field, x) for x in X])
+        assert same_bits(sl.shrinker_residual(tp, field, X), [sl.shrinker_residual(tp, field, x) for x in X])
+
+    @given(
+        branch=st.sampled_from(["MA", "LOG", "HARM", "NEG"]),
+        n=st.integers(1, 4),
+        m=st.integers(1, 50),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_cloud_reports_first_inadmissible_point(self, branch, n, m, seed):
+        tp = branch_params()[branch]
+        rng = np.random.default_rng(seed)
+        edge = cone_spec(tp).lo  # in no component, on all four branches
+        good = QuadraticField(random_admissible_matrix(tp, n, rng))
+        bad = QuadraticField(np.diag(np.full(n, edge)))
+        X = rng.uniform(-3.0, 3.0, (m, n))
+        X[:, 0] = -np.abs(X[:, 0]) - 0.5  # every point on the admissible piece ...
+        k = int(rng.integers(m))
+        X[k:, 0] = rng.choice([-1.0, 1.0], m - k) * np.abs(X[k:, 0])
+        X[k, 0] = 1.0  # ... up to point k, then either piece
+        with pytest.raises(ConeViolation) as exc:
+            sl.shrinker_residual(tp, _TwoPieceField(good, bad), X)
+        assert same_bits(exc.value.location, X[k])
+        assert exc.value.eigenvalue == edge
+        if n > 1:  # two inadmissible spectra: the one of the first point is reported
+            other = QuadraticField(np.diag([edge] + [edge + 1.0] * (n - 1)))
+            with pytest.raises(ConeViolation) as exc:
+                sl.shrinker_residual(tp, _TwoPieceField(bad, other), X)
+            assert same_bits(exc.value.location, X[0])
 
 
 class TestDrift:
