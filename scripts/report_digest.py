@@ -13,7 +13,8 @@ value, a CSV cell or an exit code:
 
 The list covers every subcommand, two sweeps at their default sizes, and
 seven builds: three tolerances, two spacelike (``--mss``) profiles, and two
-that end in exit 3.
+whose cone margins are below the rounding of ``1 - x`` (taken from the
+log-odds and from s, they stay positive and both builds exit 0).
 """
 
 import argparse
@@ -36,10 +37,10 @@ COMMANDS = [
     ["build-counterexample", "--a0", "0.3", "--a1", "0.7", "--n", "2", "--tol", "1e-6", "--seed", "5"],
     ["build-counterexample", "--a0", "-0.4", "--a1", "0.9", "--n", "3", "--tol", "1e-8", "--seed", "6"],
     ["build-counterexample", "--a0", "0.3", "--a1", "0.7", "--n", "4", "--tol", "1e-10", "--seed", "7"],
-    ["build-counterexample", "--a0", "0.0", "--a1", "1.9", "--n", "2", "--tol", "1e-8"],  # cone_margin 0: exit 3
+    ["build-counterexample", "--a0", "0.0", "--a1", "1.9", "--n", "2", "--tol", "1e-8"],  # 1 - sigmoid(phi_max) rounds to 0
     ["build-counterexample", "--mss", "--phi0", "1.2", "--s0", "0.1", "--tol", "1e-8"],
     ["build-counterexample", "--mss", "--phi0", "-0.7", "--s0", "0.2", "--tol", "1e-10"],
-    ["build-counterexample", "--mss", "--phi0", "1.9", "--s0", "0.2", "--tol", "1e-8"],  # |f'| rounds to 1: exit 3
+    ["build-counterexample", "--mss", "--phi0", "1.9", "--s0", "0.2", "--tol", "1e-8"],  # |f'| rounds to 1
 ]
 
 

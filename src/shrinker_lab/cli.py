@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -42,6 +43,16 @@ BRANCH_DEFAULTS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    """argparse with exit 64 on usage errors, and every negative float
+    literal (``-1e-3``, ``-inf``, ``-nan``) read as a value, not as a flag:
+    argparse's own matcher knows only ``-1`` and ``-1.5``."""
+
+    _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self._NEGATIVE_NUMBER
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)

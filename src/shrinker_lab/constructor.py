@@ -305,6 +305,17 @@ class Certificate:
         }
 
 
+def _neg_cone_margin(b, phi_min, phi_max, n):
+    """Distance 2b min(mu_min, 1 - mu_max) of the curvatures mu = sigmoid(phi)
+    from the cone edges, with 1 - sigmoid(phi_max) taken as sigmoid(-phi_max):
+    the rounded difference is 0 once phi_max passes about 37.  The transverse
+    curvatures 1/2 cap it at 1/2 for n > 1."""
+    margin = min(sigmoid(phi_min), sigmoid(-phi_max))
+    if n > 1:
+        margin = min(margin, 0.5)
+    return 2.0 * b * margin
+
+
 def _ball_samples(rng, n, radius, count):
     pts = rng.standard_normal((count, n))
     pts /= np.maximum(np.linalg.norm(pts, axis=1, keepdims=True), 1e-300)
@@ -372,11 +383,7 @@ def build_counterexample(
     for z, stable in zip(pts, stables):
         if abs(stable) > sup:
             sup, sup_at = abs(stable), z.copy()
-    mus = sigmoid(phis)
-    mu_min, mu_max = float(mus.min()), float(mus.max())
-    if n > 1:
-        mu_min, mu_max = min(mu_min, 0.5), max(mu_max, 0.5)
-    cone_margin = 2.0 * b * min(mu_min, 1.0 - mu_max)
+    cone_margin = _neg_cone_margin(b, float(phis.min()), float(phis.max()), n)
     cone_ok = cone_margin > 0.0
 
     # generic eigenvalue-route cross-check where it is well-conditioned
@@ -464,7 +471,10 @@ class MinkowskiProfile(ScalarField):
 
     ``gradient_complement`` evaluates 1 - f'^2 = sech^2(s) without the
     catastrophic cancellation of forming it from a rounded f'.  (s, phi) come
-    from the integrated ``Trajectory``, clamped to its span.
+    from the integrated ``Trajectory``, clamped to its span.  Each method also
+    takes an (m, 1) cloud, read in one ``Trajectory.evaluate`` call, and
+    returns (m,), (m, 1) or (m, 1, 1), every row bit for bit the point call:
+    tanh and cosh are ``math``'s per element (numpy's round differently).
     """
 
     backend = "trajectory"
@@ -476,41 +486,65 @@ class MinkowskiProfile(ScalarField):
 
     def _pair(self, x):
         """(s, phi) at scalar x, clamped to the integrated span."""
-        ts = self._dense.ts
-        y = self._dense(min(max(float(x), ts[0]), ts[-1]))
-        return float(y[0]), float(y[1])
+        s, p, _ = self._pairs([x])
+        return s[0], p[0]
+
+    def _pairs(self, x):
+        """(s, phi) lists at a point or an (m, 1) cloud, clamped to the
+        integrated span, and whether x is a cloud."""
+        x = np.asarray(x, dtype=float)
+        cloud = x.ndim == 2 and x.shape[1] == 1
+        s, p = self._dense.evaluate(x[:, 0] if cloud else self._point(x)).T.tolist()
+        return s, p, cloud
 
     def rows(self, xs):
-        """Profile table (x, s, phi, f, f', f'') at an array of points; each
-        row equals the scalar reads ``_pair``, ``value``, ``gradient``,
-        ``hessian`` bit for bit."""
+        """Profile table (x, s, phi, f, f', f''), shape (m, 6), at an array of
+        points; each row equals the scalar reads ``_pair``, ``value``,
+        ``gradient``, ``hessian`` bit for bit."""
         xs = np.asarray(xs, dtype=float)
-        return [
-            [x, s, p, self.value([x]), math.tanh(s), (1.0 / math.cosh(s)) ** 2 * p]
-            for x, (s, p) in zip(xs, self._dense.evaluate(xs).tolist())
-        ]
+        s, p, _ = self._pairs(xs[:, None])
+        fp = [math.tanh(v) for v in s]
+        fpp = [_sech2(v) * w for v, w in zip(s, p)]
+        return np.column_stack([xs, s, p, self.value(xs[:, None]), fp, fpp])
 
     def value(self, x):
         return self._table.value(x)
 
     def gradient(self, x):
-        s, _ = self._pair(float(self._point(x)[0]))
-        return np.array([math.tanh(s)])
+        s, _, cloud = self._pairs(x)
+        g = np.array([[math.tanh(v)] for v in s])
+        return g if cloud else g[0]
 
     def hessian(self, x):
-        s, p = self._pair(float(self._point(x)[0]))
-        sech2 = (1.0 / math.cosh(s)) ** 2
-        return np.array([[sech2 * p]])
+        s, p, cloud = self._pairs(x)
+        H = np.array([[[_sech2(v) * w]] for v, w in zip(s, p)])
+        return H if cloud else H[0]
 
     def gradient_complement(self, x):
-        s, _ = self._pair(float(self._point(x)[0]))
+        s, _, cloud = self._pairs(x)
+        c = [_sech2(v) for v in s]
+        return np.array(c) if cloud else c[0]
+
+
+def _sech2(s):
+    """sech(s)^2; 0.0 where cosh overflows (|s| > 710), far past the |s| of
+    about 373 where the square underflows to 0."""
+    try:
         return (1.0 / math.cosh(s)) ** 2
+    except OverflowError:
+        return 0.0
 
 
 def _mss_rhs(x, y):
     s, p = y
-    sech2 = (1.0 / math.cosh(s)) ** 2
-    return np.array([p, 0.5 * x * sech2 * p])
+    return np.array([p, 0.5 * x * _sech2(s) * p])
+
+
+def _spacelike_margin(max_abs_s):
+    """1 - sup|f'| = 1 - tanh(max|s|) as 2 e^{-2|s|} / (1 + e^{-2|s|}): the
+    rounded difference is 0 once |s| passes about 19."""
+    e = math.exp(-2.0 * max_abs_s)
+    return 2.0 * e / (1.0 + e)
 
 
 def build_mss_counterexample(
@@ -529,8 +563,10 @@ def build_mss_counterexample(
     substituting  s = artanh(f')  gives the first-order system integrated
     here, with  f(0) = -2 phi(0)  and f recovered by quadrature of tanh(s).
     The certificate checks the equation residual (via the independent
-    pointwise residual operator), strict spacelikeness sup|f'| < 1, and the
-    nonlinearity witness  f''(0) = sech^2(s0) phi0 != 0.
+    residual operator, on the sample cloud in one call), strict spacelikeness
+    (|f'| = |tanh s| < 1 wherever s is finite, with margin 1 - sup|f'| taken
+    from the largest |s|), and the nonlinearity witness
+    f''(0) = sech^2(s0) phi0 != 0.
     """
     phi0, s0, T = float(phi0), float(s0), float(T)
     if phi0 == 0.0:
@@ -547,7 +583,8 @@ def build_mss_counterexample(
     ts = step * (np.arange(2 * m + 1) - m)
     svals, pvals = np.ascontiguousarray(dense.evaluate(ts).T)
     fp = np.tanh(svals)
-    fpp = (1.0 / np.cosh(svals)) ** 2 * pvals
+    with np.errstate(over="ignore"):  # cosh overflows past |s| = 710, where sech^2 is 0
+        fpp = (1.0 / np.cosh(svals)) ** 2 * pvals
     cs = cumulative_simpson(fp, dx=step, initial=0.0)
     fvals = -2.0 * phi0 + (cs - cs[m])
 
@@ -555,16 +592,13 @@ def build_mss_counterexample(
     fld = MinkowskiProfile(table, dense)
 
     xs = np.linspace(-radius, radius, int(samples))
-    sup = 0.0
-    sup_at = 0.0
-    max_abs_fp = 0.0
-    for x in xs:
-        r = minkowski_residual(fld, [x])
-        if abs(r) > sup:
-            sup, sup_at = abs(r), float(x)
-        max_abs_fp = max(max_abs_fp, abs(float(fld.gradient([x])[0])))
+    residuals = np.abs(minkowski_residual(fld, xs[:, None]))
+    sup = float(np.max(residuals, initial=0.0))  # a NaN residual propagates
+    sup_at = float(xs[np.argmax(residuals)]) if sup > 0.0 else 0.0
+    max_abs_fp = float(np.max(np.abs(fld.gradient(xs[:, None])), initial=0.0))
+    max_abs_s = float(np.max(np.abs(dense.evaluate(xs)[:, 0]), initial=0.0))
 
-    witness_val = (1.0 / math.cosh(s0)) ** 2 * phi0
+    witness_val = _sech2(s0) * phi0
     witness = {
         "name": "f_second_derivative_at_0",
         "location": 0.0,
@@ -574,7 +608,7 @@ def build_mss_counterexample(
     }
     bounds = {
         "sup_abs_slope": max_abs_fp,
-        "spacelike": bool(max_abs_fp < 1.0),
+        "spacelike": math.isfinite(max_abs_s),
         "f_at_0": float(fld.value([0.0])),
         "f_at_0_expected": -2.0 * phi0,
         "slope_at_0": float(fld.gradient([0.0])[0]),
@@ -597,7 +631,7 @@ def build_mss_counterexample(
         sample_count=int(len(xs)),
         sample_radius=float(radius),
         cone_ok=bounds["spacelike"],
-        cone_margin=float(1.0 - max_abs_fp),
+        cone_margin=_spacelike_margin(max_abs_s),
         witness=witness,
         bounds=bounds,
         cross_checks={"worst_sample": sup_at},

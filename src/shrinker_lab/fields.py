@@ -236,6 +236,28 @@ class Table1DField(ScalarField):
         return min(max(t, lo), hi)
 
     def value(self, x):
+        """Value at a point, or (m,) values at an (m, 1) cloud in one batch,
+        each bit for bit its point's value (the quintic is elementwise)."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2 and x.shape[1] == 1:
+            lo, hi = self.ts[0], self.ts[-1]
+            t = x[:, 0]
+            outside = (t < lo - 1e-9 * (1 + abs(lo))) | (t > hi + 1e-9 * (1 + abs(hi)))
+            if outside.any():
+                raise InputError(f"evaluation point {t[outside][0]} outside table span [{lo}, {hi}]")
+            t = np.clip(t, lo, hi)
+            k = np.clip(np.searchsorted(self.ts, t, side="right") - 1, 0, len(self.ts) - 2)
+            return hermite_quintic_value(
+                t,
+                self.ts[k],
+                self.ts[k + 1],
+                self.vals[k],
+                self.vals[k + 1],
+                self.slopes[k],
+                self.slopes[k + 1],
+                self.curvs[k],
+                self.curvs[k + 1],
+            )
         t = self._t(x)
         k = _bracket_index(self.ts, t)
         return float(

@@ -328,21 +328,29 @@ class Trajectory:
         )
 
 
-# Dormand-Prince 5(4) pair, FSAL
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_E = _DP_B5 - np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+# Dormand-Prince 5(4) pair, FSAL (Hairer, Norsett & Wanner, Solving ODEs I,
+# sec. II.5), as float tuples
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
+_DP_E = tuple(
+    b - bh
+    for b, bh in zip(
+        _DP_A[6] + (0.0,),
+        (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40),
+    )
+)
+
+
+class _NonFiniteStage(Exception):
+    """A stage point left the finite numbers: the step is retried shorter."""
 
 
 def integrate_ode(
@@ -357,10 +365,16 @@ def integrate_ode(
 ):
     """Adaptive Dormand-Prince 5(4) with dense output.
 
+    Each step runs on Python floats: the state, the stages and the error
+    estimate are float lists, and each stage sum is formed left to right over
+    its tableau row.  On states of a few components this costs a fraction of
+    the per-call overhead of numpy's small-array operations.
+
     Parameters
     ----------
     rhs : callable
-        ``rhs(t, y) -> dy/dt``.  May raise :class:`RhsEvaluationError` to signal
+        ``rhs(t, y) -> dy/dt``, with y an ndarray and dy/dt an ndarray of the
+        same shape.  May raise :class:`RhsEvaluationError` to signal
         that (t, y) left the domain; the step is then shrunk and, on underflow,
         the failure becomes a :class:`DivergenceEvent` on the trajectory.
     y0 : array_like
@@ -371,7 +385,8 @@ def integrate_ode(
         Per-step local error control (RMS-weighted).
     stop_condition : callable, optional
         ``stop_condition(t, y) -> str | None`` checked after each accepted
-        step; a non-None label halts integration with that event.
+        step (y an ndarray); a non-None label halts integration with that
+        event.
 
     Returns
     -------
@@ -384,16 +399,20 @@ def integrate_ode(
     if not (rel_tol > 0 and abs_tol > 0):
         raise InputError("tolerances must be positive")
     t0, t1 = float(t_span[0]), float(t_span[1])
-    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
-    if not np.isfinite(y).all():
+    y_arr = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
+    if not np.isfinite(y_arr).all():
         raise InputError("non-finite initial state")
+    f_arr = np.asarray(rhs(t0, y_arr), dtype=float)
+    if f_arr.shape != y_arr.shape:
+        raise InputError(f"rhs returned shape {f_arr.shape} for a state of shape {y_arr.shape}")
+    y = y_arr.tolist()
+    f = f_arr.tolist()
     direction = 1.0 if t1 >= t0 else -1.0
     span = abs(t1 - t0)
 
     ts = [t0]
-    ys = [y.copy()]
-    f = np.asarray(rhs(t0, y), dtype=float)
-    fs = [f.copy()]
+    ys = [y]
+    fs = [f]
     event = None
     n_steps = 0
     n_rejected = 0
@@ -406,59 +425,89 @@ def integrate_ode(
     t = t0
     min_h_floor = 1e-14
 
+    # the tableau as locals: each stage sum below is spelled out left to right
+    # over its row, one fixed order of IEEE operations whichever BLAS numpy loads
+    (a10,) = _DP_A[1]
+    a20, a21 = _DP_A[2]
+    a30, a31, a32 = _DP_A[3]
+    a40, a41, a42, a43 = _DP_A[4]
+    a50, a51, a52, a53, a54 = _DP_A[5]
+    a60, a61, a62, a63, a64, a65 = _DP_A[6]
+    e0, e1, e2, e3, e4, e5, e6 = _DP_E
+    _, c1, c2, c3, c4, c5, c6 = _DP_C
+
+    def stage(ti, yi):
+        if not all(map(math.isfinite, yi)):
+            raise _NonFiniteStage
+        return rhs(ti, np.array(yi)).tolist()
+
     while (t1 - t) * direction > 0:
         h = min(h, abs(t1 - t), max_step)
         floor = min_h_floor * max(1.0, abs(t))
         if h < floor:
             if abs(t1 - t) < floor:
                 break  # the summed steps rounded a few ulp short of t1: reached
-            event = DivergenceEvent("step_underflow", t, y.copy(), "step size underflow")
+            event = DivergenceEvent("step_underflow", t, np.array(y), "step size underflow")
             break
         hd = h * direction
         try:
-            k = np.empty((7, len(y)))
-            k[0] = f
-            failed = False
-            for i in range(1, 7):
-                yi = y + hd * (_DP_A[i] @ k[:i])
-                if not np.isfinite(yi).all():
-                    failed = True
-                    break
-                k[i] = rhs(t + _DP_C[i] * hd, yi)
-            if failed:
-                n_rejected += 1
-                h *= 0.25
-                continue
+            k0 = f
+            k1 = stage(t + c1 * hd, [yj + hd * (a10 * p) for yj, p in zip(y, k0)])
+            k2 = stage(t + c2 * hd, [yj + hd * (a20 * p + a21 * q) for yj, p, q in zip(y, k0, k1)])
+            k3 = stage(t + c3 * hd, [
+                yj + hd * (a30 * p + a31 * q + a32 * r) for yj, p, q, r in zip(y, k0, k1, k2)
+            ])
+            k4 = stage(t + c4 * hd, [
+                yj + hd * (a40 * p + a41 * q + a42 * r + a43 * u)
+                for yj, p, q, r, u in zip(y, k0, k1, k2, k3)
+            ])
+            k5 = stage(t + c5 * hd, [
+                yj + hd * (a50 * p + a51 * q + a52 * r + a53 * u + a54 * v)
+                for yj, p, q, r, u, v in zip(y, k0, k1, k2, k3, k4)
+            ])
+            # row 6 holds the fifth-order weights: the last stage point is the
+            # new state, and its derivative the next step's first stage (FSAL)
+            y_new = [
+                yj + hd * (a60 * p + a61 * q + a62 * r + a63 * u + a64 * v + a65 * w)
+                for yj, p, q, r, u, v, w in zip(y, k0, k1, k2, k3, k4, k5)
+            ]
+            k6 = stage(t + c6 * hd, y_new)
+        except _NonFiniteStage:
+            n_rejected += 1
+            h *= 0.25
+            continue
         except RhsEvaluationError as exc:
             # domain failure inside the step: shrink; underflow localizes it
             if h < 4.0 * min_h_floor * max(1.0, abs(t)):
-                event = DivergenceEvent(exc.label, t, y.copy(), exc.detail)
+                event = DivergenceEvent(exc.label, t, np.array(y), exc.detail)
                 break
             n_rejected += 1
             h *= 0.25
             continue
 
-        y_new = y + hd * (_DP_B5 @ k)
-        err_vec = hd * (_DP_E @ k)
-        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        q = err_vec / scale
-        err = math.sqrt(float((q * q).sum()) / len(q))  # RMS, summed as np.mean sums
+        err_sq = 0.0
+        for yj, ynj, p, q, r, u, v, w, z in zip(y, y_new, k0, k1, k2, k3, k4, k5, k6):
+            e = hd * (e0 * p + e1 * q + e2 * r + e3 * u + e4 * v + e5 * w + e6 * z)
+            scaled = e / (abs_tol + rel_tol * max(abs(yj), abs(ynj)))
+            err_sq += scaled * scaled
+        err = math.sqrt(err_sq / len(y))  # RMS
 
         if err <= 1.0 or h <= 2.0 * min_h_floor * max(1.0, abs(t)):
-            if not np.isfinite(y_new).all():
-                event = DivergenceEvent("non_finite_state", t, y.copy())
+            # the new state passed as a stage point; its derivative may not
+            if not all(map(math.isfinite, k6)):
+                event = DivergenceEvent("non_finite_state", t, np.array(y))
                 break
             t = t + hd
             y = y_new
-            f = k[6].copy()  # FSAL
+            f = k6
             ts.append(t)
             ys.append(y)
             fs.append(f)
             n_steps += 1
             if stop_condition is not None:
-                label = stop_condition(t, y)
+                label = stop_condition(t, np.array(y))
                 if label:
-                    event = DivergenceEvent(label, t, y.copy())
+                    event = DivergenceEvent(label, t, np.array(y))
                     break
             fac = 0.9 * err ** -0.2 if err > 0 else 5.0
             h *= min(5.0, max(0.2, fac))

@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import json
 
+import numpy as np
+
 __all__ = ["json_report", "write_json", "write_csv"]
 
 TOOL_VERSION = "0.1.0"
@@ -30,11 +32,19 @@ def write_json(path, text):
         fh.write(text)
 
 
-def write_csv(path, header, rows):
-    """RFC-4180 CSV (CRLF line endings, as the csv module emits by default)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+# rows formatted and written per block: the whole table as one list of
+# Python floats would cost several times the array's memory
+_CSV_BLOCK_ROWS = 1024
 
+
+def write_csv(path, header, table):
+    """RFC-4180 CSV (CRLF line endings, as the csv module emits by default) of
+    an (m, k) float table, each cell ``repr`` of its float (the shortest
+    string that reads back to the same double; ``nan``, ``inf``, ``-0.0``).
+    """
+    table = np.asarray(table, dtype=float)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[start:start + _CSV_BLOCK_ROWS].tolist()
+            fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in block]))

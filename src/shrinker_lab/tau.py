@@ -82,7 +82,7 @@ class SingularWeightError(ValueError):
 
 
 class SpacelikeViolation(ValueError):
-    """|Df| >= 1: the graph is not spacelike at this point."""
+    """1 - |Df|^2 <= 0: the graph is not spacelike at this point."""
 
 
 @dataclass(frozen=True)
@@ -612,16 +612,31 @@ def minkowski_residual(field, x):
 
     (delta_ij + f_i f_j / (1 - |Df|^2)) f_ij + f/2 - <x, Df>/2.  When the field
     exposes ``gradient_complement`` (a stable evaluation of 1 - |Df|^2), that
-    is used for the weight; the direct expression loses precision once |Df| is
-    within a few ulp of 1.
+    is used for the weight and trusted: the direct expression loses precision
+    once |Df| is within a few ulp of 1, and rounds to 0 beyond.  The graph is
+    spacelike where the weight's denominator is positive.
+
+    ``x`` is one point, or an (m, n) cloud for a field that evaluates clouds;
+    a cloud gives (m,) residuals, each bit for bit its point's residual, and
+    the first point that is not spacelike is the one reported.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    g = field.gradient(x)
-    gn2 = float(g @ g)
     comp_fn = getattr(field, "gradient_complement", None)
-    comp = float(comp_fn(x)) if comp_fn is not None else 1.0 - gn2
-    if gn2 >= 1.0 or comp <= 0.0:
-        raise SpacelikeViolation(f"|Df| = {math.sqrt(gn2)} >= 1 at x = {x}")
+    g = field.gradient(x)
+    if x.ndim == 2:
+        x = np.ascontiguousarray(x)
+        comp = comp_fn(x) if comp_fn is not None else 1.0 - (g[:, None, :] @ g[:, :, None])[:, 0, 0]
+        bad = np.flatnonzero(comp <= 0.0)
+        if len(bad):
+            k = bad[0]
+            raise SpacelikeViolation(f"1 - |Df|^2 = {comp[k]} <= 0 at x = {x[k]}")
+        H = field.hessian(x)
+        lhs = np.trace(H, axis1=1, axis2=2) + ((g[:, None, :] @ H) @ g[:, :, None])[:, 0, 0] / comp
+        rhs = -0.5 * field.value(x) + 0.5 * (x[:, None, :] @ g[:, :, None])[:, 0, 0]
+        return lhs - rhs
+    comp = float(comp_fn(x)) if comp_fn is not None else 1.0 - float(g @ g)
+    if comp <= 0.0:
+        raise SpacelikeViolation(f"1 - |Df|^2 = {comp} <= 0 at x = {x}")
     H = field.hessian(x)
     lhs = float(np.trace(H)) + float(g @ H @ g) / comp
     rhs = -0.5 * field.value(x) + 0.5 * float(x @ g)

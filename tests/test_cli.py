@@ -1,10 +1,13 @@
+import csv
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
 from shrinker_lab.cli import main
+from shrinker_lab import reports
 from shrinker_lab.reports import write_csv
 
 
@@ -91,10 +94,28 @@ class TestExitCodes:
         assert run(tmp_path, "build-counterexample", flag, value) == 65
         assert not (tmp_path / "build-counterexample.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("build-counterexample", "--a0", "-1e-3", "--tol", "1e-6"), 0),
+            (("build-counterexample", "--a1", "-inf"), 65),
+            (("build-counterexample", "--a0", "-inf"), 65),
+            (("build-counterexample", "--a1", "-nan"), 65),
+            (("build-counterexample", "--a1", "-2.5E-1"), 65),
+            (("shoot", "--u0", "-inf"), 65),
+        ],
+    )
+    def test_negative_literal_is_a_value(self, tmp_path, argv, code):
+        assert run(tmp_path, *argv) == code
+
     def test_spacelike_violation_is_construction_failure(self, tmp_path, capsys):
-        code = run(tmp_path, "build-counterexample", "--mss", "--phi0", "1.9", "--s0", "0.2",
-                   "--tol", "1e-8")
+        code = run(tmp_path, "build-counterexample", "--mss", "--phi0", "100")
         assert code == 3
+        assert "construction failed" in capsys.readouterr().err
+
+    def test_slope_parameter_past_cosh_range_is_construction_failure(self, tmp_path, capsys):
+        # cosh(800) overflows; sech^2 is 0 there, so the profile is not spacelike
+        assert run(tmp_path, "build-counterexample", "--mss", "--s0", "800", "--tol", "1e-6") == 3
         assert "construction failed" in capsys.readouterr().err
 
     def test_unattainable_u0_is_parameter_error(self, tmp_path):
@@ -162,4 +183,23 @@ class TestReports:
     def test_csv_is_crlf(self, tmp_path):
         write_csv(tmp_path / "x.csv", ["a", "b"], [[1.0, 2.0]])
         assert b"\r\n" in (tmp_path / "x.csv").read_bytes()
+
+    def test_csv_bytes_equal_csv_module(self, tmp_path, rng):
+        # more rows than one block, and the cells whose repr is special
+        block = reports._CSV_BLOCK_ROWS
+        shape = (2 * block + 7, 5)
+        table = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        table[:6, 0] = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 0.0]
+        table[block, :] = [-math.inf, math.nan, -0.0, 5e-324, 1.7976931348623157e308]
+        header = ["t", "u", "u_prime", "u_second", "w"]
+        with open(tmp_path / "ref.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in table:
+                writer.writerow([repr(float(v)) for v in row])
+        for given in (table, table.tolist()):
+            write_csv(tmp_path / "x.csv", header, given)
+            assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        write_csv(tmp_path / "x.csv", header, np.empty((0, 5)))
+        assert (tmp_path / "x.csv").read_bytes() == b"t,u,u_prime,u_second,w\r\n"
 

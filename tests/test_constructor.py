@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -8,6 +9,8 @@ from shrinker_lab import TauParams
 from shrinker_lab.constructor import (
     ConstructionError,
     TrivialSolutionError,
+    _neg_cone_margin,
+    _spacelike_margin,
     assemble_nd,
     assemble_w1,
     build_counterexample,
@@ -16,8 +19,10 @@ from shrinker_lab.constructor import (
     solve_phase_ode,
 )
 from shrinker_lab.numerics import InputError
-from shrinker_lab.tau import minkowski_residual
+from shrinker_lab.tau import SpacelikeViolation, minkowski_residual
 from shrinker_lab.transforms import logit_equation_residual
+
+from conftest import same_bits
 
 
 def rk4_fixed(rhs, y0, t_end, h):
@@ -231,6 +236,27 @@ class TestBuildCounterexample:
         assert cert.passed
         assert cert.residual_sup <= 1e-6
 
+    @pytest.mark.parametrize("a1", [1.8, 2.0])
+    def test_steep_phase_keeps_a_positive_margin(self, a1):
+        # phi_max passes 37 on the cloud, where 1 - sigmoid(phi_max) rounds to 0
+        tp = TauParams.neg_branch(a=-2.0)
+        _, _, cert = build_counterexample(tp, 0.0, a1, 2, T=20.0, rel_tol=1e-8)
+        assert cert.passed and cert.cone_ok
+        assert 0.0 < cert.cone_margin < 1e-19
+
+    def test_margin_matches_high_precision(self):
+        b = TauParams.neg_branch(a=-2.0).b
+        phis = np.concatenate([-np.geomspace(700.0, 1e-3, 25), [0.0], np.geomspace(1e-3, 700.0, 25)])
+        for phi_min in phis:
+            for phi_max in phis[phis >= phi_min]:
+                for n in (1, 2):
+                    with mp.workdps(40):
+                        exact = 2 * mp.mpf(b) * min(
+                            1 / (1 + mp.exp(-phi_min)), 1 / (1 + mp.exp(phi_max)), 0.5 if n > 1 else 1
+                        )
+                        got = _neg_cone_margin(b, float(phi_min), float(phi_max), n)
+                        assert abs(got - exact) <= 1e-12 * exact
+
     def test_certificate_reproducible(self):
         tp = TauParams.neg_branch(a=-2.0)
         _, _, c1 = build_counterexample(tp, 0.0, 1.0, 2, T=12.0, radius=4.0, samples=100, seed=5)
@@ -291,6 +317,48 @@ class TestMssCounterexample:
             for x in xs
         ]
         assert np.array_equal(np.array(fld.rows(xs)).view(np.int64), np.array(scalar).view(np.int64))
+
+    @pytest.mark.parametrize("phi0, s0, tol", [(1.9, 0.2, 1e-8), (2.0, 0.5, 1e-10)])
+    def test_steep_profile_is_spacelike(self, phi0, s0, tol):
+        # |f'| = tanh|s| rounds to 1 on the cloud; sech^2(s) and the margin
+        # taken from s stay positive
+        fld, cert = build_mss_counterexample(phi0, s0, T=20.0, rel_tol=tol)
+        assert cert.passed and cert.bounds["spacelike"]
+        assert cert.bounds["sup_abs_slope"] == 1.0
+        assert 0.0 < cert.cone_margin < 1e-17
+
+    def test_complement_underflow_is_not_spacelike(self):
+        with pytest.raises(SpacelikeViolation, match=r"x = \[-10\.\]"):
+            build_mss_counterexample(100.0, 0.0, T=20.0, rel_tol=1e-8)
+
+    def test_margin_matches_high_precision(self):
+        for s in np.concatenate([[0.0], np.geomspace(1e-6, 350.0, 60)]):
+            with mp.workdps(40):
+                exact = 2 / (1 + mp.exp(2 * mp.mpf(s)))
+                assert abs(_spacelike_margin(float(s)) - exact) <= 1e-12 * exact
+
+    def test_cloud_reads_equal_point_reads_bit_for_bit(self):
+        fld, _ = build_mss_counterexample(1.2, 0.1, T=10.0, rel_tol=1e-8, radius=5.0, samples=11)
+        xs = np.concatenate([np.linspace(-10.0, 10.0, 801), [-10.0 - 1e-10, 10.0 + 1e-10], fld._dense.ts])
+        cloud = xs[:, None]
+        # the point reads as written before clouds: one scalar trajectory read
+        # each, math.tanh and math.cosh
+        lo, hi = fld._dense.ts[0], fld._dense.ts[-1]
+        s, p = np.array([fld._dense(min(max(x, lo), hi)) for x in xs]).T
+        sech2 = [(1.0 / math.cosh(v)) ** 2 for v in s]
+        assert same_bits(fld.gradient(cloud), [[math.tanh(v)] for v in s])
+        assert same_bits(fld.hessian(cloud), [[[c * w]] for c, w in zip(sech2, p)])
+        assert same_bits(fld.gradient_complement(cloud), sech2)
+        assert same_bits(fld.value(cloud), [fld.value([x]) for x in xs])
+        assert same_bits(minkowski_residual(fld, cloud), [minkowski_residual(fld, [x]) for x in xs])
+
+    def test_certificate_equals_point_residuals(self):
+        fld, cert = build_mss_counterexample(-0.7, 0.2, T=10.0, rel_tol=1e-8, radius=5.0, samples=201)
+        xs = np.linspace(-5.0, 5.0, 201)
+        point = [abs(minkowski_residual(fld, [x])) for x in xs]
+        assert cert.residual_sup == max(point)
+        assert cert.cross_checks["worst_sample"] == xs[int(np.argmax(point))]
+        assert cert.bounds["sup_abs_slope"] == max(abs(float(fld.gradient([x])[0])) for x in xs)
 
     def test_negative_phase_profile(self):
         fld, cert = build_mss_counterexample(-1.0, 0.0, T=10.0, radius=5.0)

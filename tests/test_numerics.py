@@ -242,6 +242,130 @@ class TestIntegrateOde:
             traj(2.0)
 
 
+# The numpy-array Dormand-Prince loop that the float kernel replaced: the same
+# tableau and step control, each stage sum a BLAS product over the stages.
+_REF_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_REF_A = [
+    np.array([]),
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+]
+_REF_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_REF_E = _REF_B5 - np.array(
+    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+)
+
+
+def _reference_integrate_ode(rhs, y0, t_span, rel_tol, abs_tol, max_step=math.inf, first_step=None):
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
+    direction = 1.0 if t1 >= t0 else -1.0
+    span = abs(t1 - t0)
+    f = np.asarray(rhs(t0, y), dtype=float)
+    ts, ys, event, n_steps, n_rejected = [t0], [y.copy()], None, 0, 0
+    h = first_step if first_step is not None else min(span / 100.0, 1.0, max_step)
+    h = max(h, 1e-12 * span)
+    t = t0
+    while (t1 - t) * direction > 0:
+        h = min(h, abs(t1 - t), max_step)
+        floor = 1e-14 * max(1.0, abs(t))
+        if h < floor:
+            if abs(t1 - t) >= floor:
+                event = DivergenceEvent("step_underflow", t, y.copy())
+            break
+        hd = h * direction
+        try:
+            k = np.empty((7, len(y)))
+            k[0] = f
+            failed = False
+            for i in range(1, 7):
+                yi = y + hd * (_REF_A[i] @ k[:i])
+                if not np.isfinite(yi).all():
+                    failed = True
+                    break
+                k[i] = rhs(t + _REF_C[i] * hd, yi)
+            if failed:
+                n_rejected += 1
+                h *= 0.25
+                continue
+        except RhsEvaluationError as exc:
+            if h < 4.0 * 1e-14 * max(1.0, abs(t)):
+                event = DivergenceEvent(exc.label, t, y.copy())
+                break
+            n_rejected += 1
+            h *= 0.25
+            continue
+        y_new = y + hd * (_REF_B5 @ k)
+        q = hd * (_REF_E @ k) / (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new)))
+        err = math.sqrt(float((q * q).sum()) / len(q))
+        if err <= 1.0 or h <= 2.0 * 1e-14 * max(1.0, abs(t)):
+            t, y, f = t + hd, y_new, k[6].copy()
+            ts.append(t)
+            ys.append(y)
+            n_steps += 1
+            h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
+        else:
+            n_rejected += 1
+            h *= min(1.0, max(0.1, 0.9 * err ** -0.2))
+    return np.array(ts), np.array(ys), event, n_steps, n_rejected
+
+
+def _coupled_system(n, domain_end=math.inf):
+    """A nonlinear, forced n-component system; it leaves its domain past
+    |t| = domain_end."""
+    rng = np.random.default_rng(n)
+    M = rng.standard_normal((n, n))
+    w = rng.uniform(0.5, 3.0, n)
+
+    def rhs(t, y):
+        if abs(t) > domain_end:
+            raise RhsEvaluationError("left_domain")
+        return M @ np.sin(y) - 0.3 * y + np.cos(w * t)
+
+    return rhs, rng.standard_normal(n)
+
+
+class TestFloatKernelAgainstNumpyReference:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("t_span", [(0.0, 8.0), (1.0, -6.0)])
+    def test_capped_steps_agree_to_rounding(self, n, t_span):
+        # capped as the constructions cap them: the same step sequence, so
+        # the knots differ only by the stage sums' rounding; the domain end
+        # adds a run of rejections before the event
+        rhs, y0 = _coupled_system(n, domain_end=5.0)
+        traj = integrate_ode(rhs, y0, t_span, 1e-6, 1e-8, max_step=0.01)
+        ts, ys, event, n_steps, n_rejected = _reference_integrate_ode(
+            rhs, y0, t_span, 1e-6, 1e-8, max_step=0.01
+        )
+        assert (traj.n_steps, traj.n_rejected) == (n_steps, n_rejected)
+        assert n_rejected > 0 and traj.event.label == event.label == "left_domain"
+        assert traj.event.t == event.t
+        assert np.array_equal(traj.ts, ts)
+        assert np.max(np.abs(traj.ys - ys)) <= 1e-14 * np.max(np.abs(ys))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rel_tol", [1e-3, 1e-5])
+    @pytest.mark.parametrize("first_step", [None, 2.0])
+    def test_adaptive_steps_agree(self, n, rel_tol, first_step):
+        # uncapped, the controller takes err^(-1/5) of an estimate formed by
+        # cancellation, so the stage sums' rounding moves the step sizes and
+        # with them the knots; the accept/reject decisions stay the same
+        rhs, y0 = _coupled_system(n)
+        traj = integrate_ode(rhs, y0, (0.0, 8.0), rel_tol, rel_tol * 1e-2, first_step=first_step)
+        ts, ys, event, n_steps, n_rejected = _reference_integrate_ode(
+            rhs, y0, (0.0, 8.0), rel_tol, rel_tol * 1e-2, first_step=first_step
+        )
+        assert traj.completed and event is None
+        assert (traj.n_steps, traj.n_rejected) == (n_steps, n_rejected)
+        assert n_rejected > 0
+        assert np.max(np.abs(traj.ts - ts)) <= 1e-9 * 8.0
+        assert np.max(np.abs(traj.ys - ys)) <= 1e-9 * np.max(np.abs(ys))
+
+
 def _oscillator(t, y):
     return np.array([y[1], -y[0] + 0.1 * t])
 

@@ -520,6 +520,33 @@ class TestMinkowskiResidual:
         with pytest.raises(SpacelikeViolation):
             minkowski_residual(field, np.array([0.0]))
 
+    def test_cloud_equals_points_bit_for_bit(self, rng):
+        for n in range(1, 5):
+            for _ in range(10):
+                A = 0.02 * rng.standard_normal((n, n))
+                field = QuadraticField(A + A.T, float(rng.standard_normal()))
+                X = rng.uniform(-1.0, 1.0, (60, n))
+                assert same_bits(minkowski_residual(field, X), [minkowski_residual(field, x) for x in X])
+
+    def test_cloud_reports_first_point_that_is_not_spacelike(self):
+        field = QuadraticField(np.eye(2), 0.0)
+        X = np.array([[0.1, 0.2], [2.0, 0.0], [0.0, 3.0]])
+        with pytest.raises(SpacelikeViolation, match=r"at x = \[2\. 0\.\]"):
+            minkowski_residual(field, X)
+
+    def test_supplied_complement_is_trusted(self):
+        # |Df| rounds to 1, while the field's own 1 - |Df|^2 is positive
+        for comp, spacelike in ((1e-300, True), (0.0, False), (-1e-300, False)):
+            field = CallableField(
+                1, lambda p: 0.0, grad=lambda p: np.array([1.0]), hess=lambda p: np.zeros((1, 1))
+            )
+            field.gradient_complement = lambda p, comp=comp: comp
+            if spacelike:
+                assert minkowski_residual(field, np.array([0.0])) == 0.0
+            else:
+                with pytest.raises(SpacelikeViolation):
+                    minkowski_residual(field, np.array([0.0]))
+
 
 class TestSeamConsistency:
     def test_residuals_vanish_on_both_sides_of_harm(self, rng):
