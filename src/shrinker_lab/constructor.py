@@ -484,11 +484,6 @@ class MinkowskiProfile(ScalarField):
         self._table = table
         self._dense = dense    # (s, phi), ascending
 
-    def _pair(self, x):
-        """(s, phi) at scalar x, clamped to the integrated span."""
-        s, p, _ = self._pairs([x])
-        return s[0], p[0]
-
     def _pairs(self, x):
         """(s, phi) lists at a point or an (m, 1) cloud, clamped to the
         integrated span, and whether x is a cloud."""
@@ -499,7 +494,7 @@ class MinkowskiProfile(ScalarField):
 
     def rows(self, xs):
         """Profile table (x, s, phi, f, f', f''), shape (m, 6), at an array of
-        points; each row equals the scalar reads ``_pair``, ``value``,
+        points; each row equals the point reads ``_pairs``, ``value``,
         ``gradient``, ``hessian`` bit for bit."""
         xs = np.asarray(xs, dtype=float)
         s, p, _ = self._pairs(xs[:, None])
@@ -595,7 +590,6 @@ def build_mss_counterexample(
     residuals = np.abs(minkowski_residual(fld, xs[:, None]))
     sup = float(np.max(residuals, initial=0.0))  # a NaN residual propagates
     sup_at = float(xs[np.argmax(residuals)]) if sup > 0.0 else 0.0
-    max_abs_fp = float(np.max(np.abs(fld.gradient(xs[:, None])), initial=0.0))
     max_abs_s = float(np.max(np.abs(dense.evaluate(xs)[:, 0]), initial=0.0))
 
     witness_val = _sech2(s0) * phi0
@@ -607,7 +601,7 @@ def build_mss_counterexample(
         "nonzero": abs(witness_val) > 1e-12,
     }
     bounds = {
-        "sup_abs_slope": max_abs_fp,
+        "sup_abs_slope": math.tanh(max_abs_s),  # max|f'| = max|tanh s|: tanh is odd and increasing
         "spacelike": math.isfinite(max_abs_s),
         "f_at_0": float(fld.value([0.0])),
         "f_at_0_expected": -2.0 * phi0,

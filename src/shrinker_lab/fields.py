@@ -183,8 +183,12 @@ class AffineScaledField(ScalarField):
 
 
 def _bracket_index(ts, t):
-    k = int(np.searchsorted(ts, t, side="right") - 1)
-    return min(max(k, 0), len(ts) - 2)
+    """Index k of the grid cell [ts[k], ts[k+1]] holding t, clamped to the
+    table; elementwise for an array of t."""
+    k = np.searchsorted(ts, t, side="right") - 1
+    if isinstance(k, np.ndarray):
+        return np.clip(k, 0, len(ts) - 2)
+    return min(max(int(k), 0), len(ts) - 2)
 
 
 def _local_cubic(ts, vals, t):
@@ -228,51 +232,39 @@ class Table1DField(ScalarField):
             raise InputError("need >= 4 aligned samples")
         self._curv_fn = curvature_fn
 
-    def _t(self, x):
-        t = float(self._point(x)[0])
+    def _t(self, t):
+        """t, a float or an array, clamped into the table span; InputError if
+        any t lies outside it by more than rounding."""
         lo, hi = self.ts[0], self.ts[-1]
-        if t < lo - 1e-9 * (1 + abs(lo)) or t > hi + 1e-9 * (1 + abs(hi)):
-            raise InputError(f"evaluation point {t} outside table span [{lo}, {hi}]")
-        return min(max(t, lo), hi)
+        outside = (t < lo - 1e-9 * (1 + abs(lo))) | (t > hi + 1e-9 * (1 + abs(hi)))
+        cloud = isinstance(t, np.ndarray)
+        if outside.any() if cloud else outside:
+            bad = t[outside][0] if cloud else t
+            raise InputError(f"evaluation point {bad} outside table span [{lo}, {hi}]")
+        return np.clip(t, lo, hi) if cloud else min(max(t, lo), hi)
+
+    def _point_t(self, x):
+        return self._t(float(self._point(x)[0]))
 
     def value(self, x):
         """Value at a point, or (m,) values at an (m, 1) cloud in one batch,
         each bit for bit its point's value (the quintic is elementwise)."""
         x = np.asarray(x, dtype=float)
-        if x.ndim == 2 and x.shape[1] == 1:
-            lo, hi = self.ts[0], self.ts[-1]
-            t = x[:, 0]
-            outside = (t < lo - 1e-9 * (1 + abs(lo))) | (t > hi + 1e-9 * (1 + abs(hi)))
-            if outside.any():
-                raise InputError(f"evaluation point {t[outside][0]} outside table span [{lo}, {hi}]")
-            t = np.clip(t, lo, hi)
-            k = np.clip(np.searchsorted(self.ts, t, side="right") - 1, 0, len(self.ts) - 2)
-            return hermite_quintic_value(
-                t,
-                self.ts[k],
-                self.ts[k + 1],
-                self.vals[k],
-                self.vals[k + 1],
-                self.slopes[k],
-                self.slopes[k + 1],
-                self.curvs[k],
-                self.curvs[k + 1],
-            )
-        t = self._t(x)
+        cloud = x.ndim == 2 and x.shape[1] == 1
+        t = self._t(x[:, 0]) if cloud else self._point_t(x)
         k = _bracket_index(self.ts, t)
-        return float(
-            hermite_quintic_value(
-                t,
-                self.ts[k],
-                self.ts[k + 1],
-                self.vals[k],
-                self.vals[k + 1],
-                self.slopes[k],
-                self.slopes[k + 1],
-                self.curvs[k],
-                self.curvs[k + 1],
-            )
+        v = hermite_quintic_value(
+            t,
+            self.ts[k],
+            self.ts[k + 1],
+            self.vals[k],
+            self.vals[k + 1],
+            self.slopes[k],
+            self.slopes[k + 1],
+            self.curvs[k],
+            self.curvs[k + 1],
         )
+        return v if cloud else float(v)
 
     def slope(self, t):
         k = _bracket_index(self.ts, t)
@@ -294,10 +286,10 @@ class Table1DField(ScalarField):
         return float(_local_cubic(self.ts, self.curvs, t))
 
     def gradient(self, x):
-        return np.array([self.slope(self._t(x))])
+        return np.array([self.slope(self._point_t(x))])
 
     def hessian(self, x):
-        return np.array([[self.curvature(self._t(x))]])
+        return np.array([[self.curvature(self._point_t(x))]])
 
 
 class SeparableExtensionField(ScalarField):

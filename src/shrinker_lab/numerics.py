@@ -374,7 +374,7 @@ def integrate_ode(
     ----------
     rhs : callable
         ``rhs(t, y) -> dy/dt``, with y an ndarray and dy/dt an ndarray of the
-        same shape.  May raise :class:`RhsEvaluationError` to signal
+        same shape (checked on every call).  May raise :class:`RhsEvaluationError` to signal
         that (t, y) left the domain; the step is then shrunk and, on underflow,
         the failure becomes a :class:`DivergenceEvent` on the trajectory.
     y0 : array_like
@@ -402,11 +402,19 @@ def integrate_ode(
     y_arr = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
     if not np.isfinite(y_arr).all():
         raise InputError("non-finite initial state")
-    f_arr = np.asarray(rhs(t0, y_arr), dtype=float)
-    if f_arr.shape != y_arr.shape:
-        raise InputError(f"rhs returned shape {f_arr.shape} for a state of shape {y_arr.shape}")
+    shape = y_arr.shape
+
+    def stage(ti, yi):
+        """rhs at a stage point, as a float list; every result is checked."""
+        if not all(map(math.isfinite, yi)):
+            raise _NonFiniteStage
+        k = rhs(ti, np.array(yi))
+        if not isinstance(k, np.ndarray) or k.shape != shape:
+            raise InputError(f"rhs must return an ndarray of the state's shape {shape}, got {k!r}")
+        return k.tolist()
+
     y = y_arr.tolist()
-    f = f_arr.tolist()
+    f = stage(t0, y)
     direction = 1.0 if t1 >= t0 else -1.0
     span = abs(t1 - t0)
 
@@ -435,11 +443,6 @@ def integrate_ode(
     a60, a61, a62, a63, a64, a65 = _DP_A[6]
     e0, e1, e2, e3, e4, e5, e6 = _DP_E
     _, c1, c2, c3, c4, c5, c6 = _DP_C
-
-    def stage(ti, yi):
-        if not all(map(math.isfinite, yi)):
-            raise _NonFiniteStage
-        return rhs(ti, np.array(yi)).tolist()
 
     while (t1 - t) * direction > 0:
         h = min(h, abs(t1 - t), max_step)

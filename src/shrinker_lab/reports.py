@@ -37,14 +37,21 @@ def write_json(path, text):
 _CSV_BLOCK_ROWS = 1024
 
 
-def write_csv(path, header, table):
-    """RFC-4180 CSV (CRLF line endings, as the csv module emits by default) of
-    an (m, k) float table, each cell ``repr`` of its float (the shortest
-    string that reads back to the same double; ``nan``, ``inf``, ``-0.0``).
+def write_csv(path, header, rows):
+    """RFC-4180 CSV (CRLF line endings, as the csv module emits by default).
+
+    A float cell is written as ``repr`` of its float (the shortest string that
+    reads back to the same double; ``nan``, ``inf``, ``-0.0``), any other cell
+    (a label, an int) as the csv module writes it.  A float64 ndarray table is
+    formatted in blocks of rows, with the same bytes.
     """
-    table = np.asarray(table, dtype=float)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        for start in range(0, len(table), _CSV_BLOCK_ROWS):
-            block = table[start:start + _CSV_BLOCK_ROWS].tolist()
-            fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in block]))
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
+            for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+                block = rows[start:start + _CSV_BLOCK_ROWS].tolist()
+                fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in block]))
+        else:
+            for row in rows:
+                writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])

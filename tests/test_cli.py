@@ -1,7 +1,9 @@
 import csv
+import importlib.util
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,4 +204,25 @@ class TestReports:
             assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
         write_csv(tmp_path / "x.csv", header, np.empty((0, 5)))
         assert (tmp_path / "x.csv").read_bytes() == b"t,u,u_prime,u_second,w\r\n"
+
+    def test_csv_keeps_label_and_int_cells(self, tmp_path):
+        # rows that are not a float table: labels, ints and a cell that needs quoting
+        rows = [["MA", 0.8, -0.2, "cone_exit", 1], ["a,b", np.float64(0.1), -0.0, None, math.inf]]
+        write_csv(tmp_path / "x.csv", ["branch", "c", "du0", "event", "r"], rows)
+        assert (tmp_path / "x.csv").read_bytes() == (
+            b"branch,c,du0,event,r\r\nMA,0.8,-0.2,cone_exit,1\r\n\"a,b\",0.1,-0.0,,inf\r\n"
+        )
+
+    def test_rigidity_events_script_writes_its_csv(self, tmp_path):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "rigidity_events.py"
+        spec = importlib.util.spec_from_file_location("rigidity_events", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        out = tmp_path / "events.csv"
+        assert script.main(["--rmax", "1", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            table = list(csv.reader(fh))
+        assert table[0] == ["branch", "curvature", "du0", "event", "r"]
+        assert len(table) == 1 + 4 * len(script.BRANCHES)
+        assert table[1][:3] == ["MA", "0.8", "-0.2"]
 

@@ -312,10 +312,10 @@ class TestMssCounterexample:
     def test_rows_equal_scalar_reads_bit_for_bit(self):
         fld, _ = build_mss_counterexample(1.2, 0.1, T=10.0, rel_tol=1e-8, radius=5.0, samples=11)
         xs = np.arange(-10.0, 10.0 + 0.0125, 0.025)
-        scalar = [
-            [x, *fld._pair(x), fld.value([x]), float(fld.gradient([x])[0]), float(fld.hessian([x])[0, 0])]
-            for x in xs
-        ]
+        scalar = []
+        for x in xs:
+            (s,), (p,), _ = fld._pairs([x])
+            scalar.append([x, s, p, fld.value([x]), float(fld.gradient([x])[0]), float(fld.hessian([x])[0, 0])])
         assert np.array_equal(np.array(fld.rows(xs)).view(np.int64), np.array(scalar).view(np.int64))
 
     @pytest.mark.parametrize("phi0, s0, tol", [(1.9, 0.2, 1e-8), (2.0, 0.5, 1e-10)])

@@ -241,6 +241,19 @@ class TestIntegrateOde:
         with pytest.raises(InputError):
             traj(2.0)
 
+    @pytest.mark.parametrize("bad_from", [-1.0, 0.3])
+    def test_every_rhs_result_checked(self, bad_from):
+        # a short array or a list is an error on any call, not only the first
+        def short(t, y):
+            return np.array([y[1], -y[0]])[: 1 if t > bad_from else 2]
+
+        def listed(t, y):
+            return [y[1], -y[0]] if t > bad_from else np.array([y[1], -y[0]])
+
+        for rhs in (short, listed):
+            with pytest.raises(InputError):
+                integrate_ode(rhs, [0.0, 1.0], (0.0, 1.0), 1e-8, 1e-10)
+
 
 # The numpy-array Dormand-Prince loop that the float kernel replaced: the same
 # tableau and step control, each stage sum a BLAS product over the stages.
