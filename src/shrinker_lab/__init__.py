@@ -6,6 +6,9 @@ and radial shooting experiments.
 """
 
 from .numerics import (
+    ConstructionError,
+    DomainError,
+    InputError,
     Trajectory,
     eig_sym,
     eig_sym_full,
@@ -26,8 +29,6 @@ from .fields import (
 from .tau import (
     Branch,
     ConeSpec,
-    ConeViolation,
-    InverseRangeError,
     TauParams,
     admissible,
     cone_spec,
@@ -65,7 +66,6 @@ from .transforms import (
 from .constructor import (
     Certificate,
     PhaseTrajectory,
-    TrivialSolutionError,
     assemble_nd,
     assemble_w1,
     build_counterexample,

@@ -15,22 +15,18 @@ import sys
 
 import numpy as np
 
-from . import geometry, quadratics, reports, shooting, tau, transforms
-from .constructor import (
-    ConstructionError,
-    TrivialSolutionError,
-    build_counterexample,
-    build_mss_counterexample,
-)
+from . import geometry, quadratics, reports, shooting, transforms
+from .constructor import build_counterexample, build_mss_counterexample
 from .fields import CallableField
-from .numerics import InputError
-from .tau import InverseRangeError, SpacelikeViolation, TauParams
+from .numerics import ConstructionError, DomainError, InputError
+from .tau import TauParams
 
 EXIT_PASS = 0
 EXIT_VERIFY_FAIL = 2
 EXIT_CONSTRUCT_FAIL = 3
 EXIT_USAGE = 64
 EXIT_PARAMETER = 65
+MAX_GRID_POINTS = 10**6
 
 BRANCH_DEFAULTS = {
     "MA": lambda: TauParams.monge_ampere(),
@@ -59,8 +55,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-class UsageError(ValueError):
-    pass
+class UsageError(Exception):
+    """Flags that do not name a runnable command, such as a malformed --tau."""
+
+
+# The one place that decides which failure exits with which code.  The library
+# raises three families: a bad argument, a point that left the equation's
+# domain, and a failed numerical stage.
+EXIT_CODES = {
+    UsageError: (EXIT_USAGE, "usage error"),
+    InputError: (EXIT_PARAMETER, "parameter error"),
+    DomainError: (EXIT_CONSTRUCT_FAIL, "construction failed"),
+    ConstructionError: (EXIT_CONSTRUCT_FAIL, "construction failed"),
+}
 
 
 def _resolve_tp(args, fallback=None):
@@ -78,7 +85,7 @@ def _resolve_tp(args, fallback=None):
         if fallback is not None:
             return BRANCH_DEFAULTS[fallback]()
         return None
-    except (ValueError, KeyError) as exc:
+    except InputError as exc:
         raise UsageError(str(exc)) from exc
 
 
@@ -90,11 +97,18 @@ def _out_path(args, name):
 
 def _check_sizes(args):
     """--rmax, --grid-step, --span and --tol, where the command has them and
-    they are given, must be finite and positive."""
+    they are given, must be finite and positive; --seed must be at least 0;
+    and --grid-step, where given or defaulted, may put at most MAX_GRID_POINTS
+    points on [-span, span]."""
     for name in ("rmax", "grid_step", "span", "tol"):
         value = getattr(args, name, None)
         if value is not None and not (math.isfinite(value) and value > 0):
             raise InputError(f"--{name.replace('_', '-')} must be finite and positive, got {value}")
+    if args.seed < 0:
+        raise InputError(f"--seed must be at least 0, got {args.seed}")
+    step = getattr(args, "grid_step", None)
+    if step is not None and 2 * args.span / step + 1 > MAX_GRID_POINTS:
+        raise InputError(f"--grid-step {step} puts more than {MAX_GRID_POINTS} points on --span {args.span}")
 
 
 def _emit(args, command, config, results, passed):
@@ -182,10 +196,6 @@ def cmd_build_counterexample(args):
         return EXIT_PASS if cert.passed else EXIT_CONSTRUCT_FAIL
 
     tp = _resolve_tp(args, fallback="NEG")
-    if tp.branch is not tau.Branch.NEG:
-        print(f"build-counterexample requires the bounded-cone branch (a < -1), got {tp.branch.value}",
-              file=sys.stderr)
-        return EXIT_PARAMETER
     ufield, prof, cert = build_counterexample(
         tp, a0=args.a0, a1=args.a1, n=args.n, T=args.span,
         rel_tol=tol, radius=args.rmax, seed=args.seed,
@@ -241,8 +251,7 @@ def cmd_flow_check(args):
 
 
 def cmd_legendre_check(args):
-    step = args.grid_step if args.grid_step is not None else 1e-2
-    span = args.span
+    step, span = args.grid_step, args.span
     num = int(round(2 * span / step)) + 1
     results = {}
 
@@ -331,7 +340,7 @@ def build_parser():
 
     p = sub.add_parser("legendre-check", help="dual-pipeline residuals on convex tests")
     _add_common(p)
-    p.add_argument("--grid-step", type=float, default=None)
+    p.add_argument("--grid-step", type=float, default=1e-2)
     p.add_argument("--span", type=float, default=2.0)
     p.set_defaults(func=cmd_legendre_check)
 
@@ -344,20 +353,14 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_sizes(args)
         return args.func(args)
-    except UsageError as exc:
-        print(f"shrinker-lab: usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (TrivialSolutionError, InputError, InverseRangeError) as exc:
-        print(f"shrinker-lab: parameter error: {exc}", file=sys.stderr)
-        return EXIT_PARAMETER
-    except (ConstructionError, SpacelikeViolation) as exc:
-        print(f"shrinker-lab: construction failed: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCT_FAIL
+    except tuple(EXIT_CODES) as exc:
+        code, label = next(v for cls, v in EXIT_CODES.items() if isinstance(exc, cls))
+        print(f"shrinker-lab: {label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -24,13 +24,11 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .fields import ScalarField, SeparableExtensionField, Table1DField
-from .numerics import InputError, Trajectory, integrate_ode
+from .numerics import ConstructionError, InputError, Trajectory, integrate_ode
 from .tau import Branch, minkowski_residual, phase, shrinker_residual
 from .transforms import normalize_counterexample_branch, _neg_constants
 
 __all__ = [
-    "TrivialSolutionError",
-    "ConstructionError",
     "PhaseTrajectory",
     "solve_phase_ode",
     "W1Profile",
@@ -41,16 +39,6 @@ __all__ = [
     "MinkowskiProfile",
     "build_mss_counterexample",
 ]
-
-
-class TrivialSolutionError(ValueError):
-    """Initial data that can only produce the trivial (quadratic/linear) solution."""
-
-
-class ConstructionError(RuntimeError):
-    def __init__(self, stage, message):
-        super().__init__(f"[{stage}] {message}")
-        self.stage = stage
 
 
 def sigmoid(s):
@@ -124,32 +112,40 @@ class PhaseTrajectory:
         t_end = self.dense.ts[-1] if side > 0 else self.dense.ts[0]
         phi_end, dphi_end = self.phi_pair(t_end)
         rate = max(self.a1, dphi_end, 1e-30)
-        return 0.5 * self.bound * math.exp(-abs(phi_end)) * (abs(t_end) / rate + 1.0 / rate**2)
+        return 0.5 * self.bound * math.exp(-abs(phi_end)) * (abs(t_end) / rate + 1.0 / (rate * rate))
 
 
 def solve_phase_ode(a0, a1, T, rel_tol=1e-10, abs_tol=None):
     """Integrate the phase ODE on [-T, T] from phi(0)=a0, phi'(0)=a1 > 0.
 
-    a1 = 0 forces the constant phase (a trivial solution) and is rejected.
-    A divergence event contradicts the entirety of the construction, so it is
-    raised as an integrator failure rather than recorded.
+    a1 = 0 forces the constant phase (a trivial solution) and is rejected, as
+    is data whose a-priori ceiling on phi' overflows.  A divergence event
+    contradicts the entirety of the construction, so it is raised as an
+    integrator failure rather than recorded.
     """
     a0, a1, T = float(a0), float(a1), float(T)
     if not (math.isfinite(a0) and math.isfinite(a1)):
         raise InputError(f"phi(0) and phi'(0) must be finite, got {a0}, {a1}")
     if a1 == 0.0:
-        raise TrivialSolutionError("phi'(0) = 0 yields a constant phase: trivial solution")
+        raise InputError("phi'(0) = 0 yields a constant phase: trivial solution")
     if a1 < 0.0:
         raise InputError("phi'(0) must be positive (negate t to flip the sign)")
     if not T > 0:
         raise InputError(f"need T > 0, got {T}")
+    try:
+        bound = a1 * math.exp(math.exp(-a0) / (a1 * a1))
+    except (OverflowError, ZeroDivisionError):
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise InputError(
+            f"the a-priori ceiling a1 exp(exp(-a0)/a1^2) on phi' overflows at a0 = {a0}, a1 = {a1}"
+        )
     abs_tol = rel_tol * 1e-2 if abs_tol is None else float(abs_tol)
 
     rhs0 = _phase_rhs(0.0, np.array([a0, a1]))
     assert rhs0[1] == 0.0  # phi''(0) vanishes identically
 
     dense = _two_sided(_phase_rhs, [a0, a1], T, rel_tol, abs_tol, "phase_ode", "t")
-    bound = a1 * math.exp(math.exp(-a0) / (a1 * a1))
     right = dense.ys[dense.ts >= 0.0, 1]
     slack = 10.0 * (rel_tol * bound + abs_tol)
     monotone = bool(np.all(np.diff(right) >= -slack))
@@ -350,7 +346,7 @@ def build_counterexample(
     route is cross-checked on the inner half-ball and recorded.
     """
     if tp.branch is not Branch.NEG:
-        raise ConstructionError("normalize", f"branch {tp.branch.value} is not the bounded-cone branch")
+        raise InputError(f"branch {tp.branch.value} is not the bounded-cone branch (a < -1)")
     n = int(n)
     if n < 1:
         raise InputError(f"dimension must be >= 1, got {n}")
@@ -477,7 +473,6 @@ class MinkowskiProfile(ScalarField):
     tanh and cosh are ``math``'s per element (numpy's round differently).
     """
 
-    backend = "trajectory"
     dim = 1
 
     def __init__(self, table, dense):
@@ -565,7 +560,7 @@ def build_mss_counterexample(
     """
     phi0, s0, T = float(phi0), float(s0), float(T)
     if phi0 == 0.0:
-        raise TrivialSolutionError("phi(0) = 0 yields a linear profile: trivial solution")
+        raise InputError("phi(0) = 0 yields a linear profile: trivial solution")
     if not T > 0:
         raise InputError(f"need T > 0, got {T}")
     abs_tol = rel_tol * 1e-2 if abs_tol is None else float(abs_tol)

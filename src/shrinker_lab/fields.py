@@ -1,14 +1,7 @@
-"""Potential fields with value / gradient / Hessian evaluation.
-
-Backends, tagged by ``backend``:
-
-* analytic        -- closed-form derivatives (quadratics, callables with
-                     supplied gradient/Hessian, affine-scaled views)
-* fd              -- callables without supplied derivatives (central
-                     differences)
-* trajectory      -- one-dimensional profiles backed by an ODE trajectory plus
-                     quadrature tables, with the second derivative given by an
-                     exact backing relation
+"""Potential fields with value / gradient / Hessian evaluation: closed-form
+derivatives (quadratics, callables with supplied gradient/Hessian, affine-scaled
+views), central differences (callables without them), and one-dimensional
+profiles backed by an ODE trajectory plus quadrature tables.
 
 Views compose lazily (chain rule on exact derivatives), so transform pipelines
 do not accumulate interpolation error.
@@ -42,7 +35,6 @@ class ScalarField:
     """Base interface: a potential u with u(x), Du(x), D^2u(x)."""
 
     dim: int
-    backend: str
 
     def value(self, x):
         raise NotImplementedError
@@ -69,8 +61,6 @@ class QuadraticField(ScalarField):
     run the kernel of the single-point products row by row, where ``X @ A``
     would not.
     """
-
-    backend = "analytic"
 
     def __init__(self, A, c=0.0):
         self.A = np.asarray(A, dtype=float)
@@ -116,7 +106,6 @@ class CallableField(ScalarField):
         self._grad = grad
         self._hess = hess
         self._fd_step = fd_step
-        self.backend = "analytic" if (grad is not None and hess is not None) else "fd"
 
     def value(self, x):
         return float(self._fn(self._point(x)))
@@ -160,7 +149,6 @@ class AffineScaledField(ScalarField):
         self.quad = quad
         self.offset = offset
         self.dim = base.dim
-        self.backend = base.backend
 
     def value(self, x):
         x = self._point(x)
@@ -220,7 +208,6 @@ class Table1DField(ScalarField):
     supplied exactly by ``curvature_fn`` when the backing relation is known.
     """
 
-    backend = "trajectory"
     dim = 1
 
     def __init__(self, ts, vals, slopes, curvatures, curvature_fn=None):
@@ -295,8 +282,6 @@ class Table1DField(ScalarField):
 class SeparableExtensionField(ScalarField):
     """n-D extension  w(x) = w1(x_1) + (|x|^2 - x_1^2)/4  of a 1-D profile."""
 
-    backend = "trajectory"
-
     def __init__(self, profile_1d, n):
         if n < 1:
             raise InputError("dimension must be >= 1")
@@ -329,8 +314,6 @@ class RadialProfileField(ScalarField):
     The Hessian is u'' along the ray and u'/r on the orthogonal complement;
     the removable singularity at the origin is filled with u''(0) I.
     """
-
-    backend = "trajectory"
 
     def __init__(self, n, u_fn, du_fn, d2u_fn, r_origin=1e-7):
         self.dim = int(n)

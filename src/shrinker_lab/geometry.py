@@ -9,11 +9,10 @@ import math
 
 import numpy as np
 
-from .numerics import as_sym_matrix, eig_sym, fd_gradient, default_fd_step
-from .tau import Branch, ConeViolation, admissible, operator_gradient_matrix, operator_value
+from .numerics import DomainError, InputError, as_sym_matrix, eig_sym, fd_gradient, default_fd_step
+from .tau import Branch, admissible, operator_gradient_matrix, operator_value
 
 __all__ = [
-    "DegenerateMetricError",
     "ambient_metric",
     "tangent_frame",
     "induced_metric",
@@ -22,10 +21,6 @@ __all__ = [
     "mean_curvature",
     "shrinker_defect",
 ]
-
-
-class DegenerateMetricError(np.linalg.LinAlgError):
-    """Induced metric not invertible at this Hessian."""
 
 
 def ambient_metric(tp, n):
@@ -59,12 +54,12 @@ def metric_duality_defect(tp, H):
     """
     H = as_sym_matrix(H)
     if admissible(tp, eig_sym(H)) is None:
-        raise ConeViolation(f"Hessian spectrum inadmissible for {tp.branch.value}")
+        raise DomainError(f"Hessian spectrum inadmissible for {tp.branch.value}")
     g = induced_metric(tp, H)
     try:
         ginv = np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
-        raise DegenerateMetricError(str(exc)) from exc
+        raise DomainError(f"induced metric degenerate: {exc}") from exc
     return float(np.max(np.abs(ginv - operator_gradient_matrix(tp, H))))
 
 
@@ -78,7 +73,7 @@ def normal_project(tp, H, V):
     V = np.asarray(V, dtype=float)
     n = H.shape[0]
     if V.shape != (2 * n,):
-        raise ValueError(f"expected an ambient vector of length {2 * n}, got {V.shape}")
+        raise InputError(f"expected an ambient vector of length {2 * n}, got {V.shape}")
     E = tangent_frame(H)
     G = ambient_metric(tp, n)
     g = E.T @ G @ E
@@ -86,7 +81,7 @@ def normal_project(tp, H, V):
     try:
         beta = np.linalg.solve(g, rhs)
     except np.linalg.LinAlgError as exc:
-        raise DegenerateMetricError(str(exc)) from exc
+        raise DomainError(f"induced metric degenerate: {exc}") from exc
     return V - E @ beta
 
 

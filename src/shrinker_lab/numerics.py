@@ -16,6 +16,8 @@ import numpy as np
 
 __all__ = [
     "InputError",
+    "DomainError",
+    "ConstructionError",
     "DivergenceEvent",
     "RhsEvaluationError",
     "as_sym_matrix",
@@ -33,7 +35,27 @@ __all__ = [
 
 
 class InputError(ValueError):
-    """Non-finite or otherwise malformed numerical input."""
+    """A bad argument: non-finite, malformed or outside its parameter range."""
+
+
+class DomainError(ValueError):
+    """A point left the set where the equation is defined: the admissibility
+    cone, the spacelike condition, convexity, a nonsingular weight or a
+    nondegenerate metric.  ``value`` is the offending eigenvalue, curvature or
+    1 - |Df|^2, where there is one, and ``location`` the point it was met at."""
+
+    def __init__(self, message, value=None, location=None):
+        super().__init__(message)
+        self.value = value
+        self.location = location
+
+
+class ConstructionError(RuntimeError):
+    """A numerical stage of a construction failed; ``stage`` names it."""
+
+    def __init__(self, stage, message):
+        super().__init__(f"[{stage}] {message}")
+        self.stage = stage
 
 
 class RhsEvaluationError(Exception):

@@ -11,8 +11,8 @@ from functools import cached_property
 import numpy as np
 
 from .fields import QuadraticField
-from .numerics import as_sym_matrix, eig_sym
-from .tau import Branch, ConeViolation, admissible, cone_spec, operator_value, shrinker_residual
+from .numerics import DomainError, as_sym_matrix, eig_sym
+from .tau import admissible, cone_spec, operator_value, shrinker_residual
 
 __all__ = [
     "QuadraticSolution",
@@ -54,9 +54,8 @@ def build_quadratic(tp, A):
     A = as_sym_matrix(A)
     eigs = eig_sym(A)
     if admissible(tp, eigs) is None:
-        raise ConeViolation(
-            f"matrix spectrum {eigs} inadmissible for branch {tp.branch.value}",
-            eigenvalue=float(eigs[0]),
+        raise DomainError(
+            f"matrix spectrum {eigs} inadmissible for branch {tp.branch.value}", value=float(eigs[0])
         )
     return QuadraticSolution(tp, A, -operator_value(tp, eigs))
 

@@ -29,9 +29,8 @@ import numpy as np
 
 from . import jets
 from .fields import RadialProfileField
-from .numerics import InputError, RhsEvaluationError, integrate_ode
+from .numerics import DomainError, InputError, RhsEvaluationError, integrate_ode
 from .tau import (
-    ConeViolation,
     cone_spec,
     f_inverse,
     f_inverse_jet,
@@ -111,7 +110,7 @@ def radial_quadratic_reference(tp, n, c, r_max=10.0, n_samples=401):
     """Exact profile u(r) = c r^2/2 - n f(c); the shooting oracle."""
     c = float(c)
     if not cone_spec(tp).contains(c):
-        raise ConeViolation(f"curvature {c} outside the selected cone component", eigenvalue=c)
+        raise DomainError(f"curvature {c} outside the selected cone component", value=c)
     const = -n * f_value(tp, c)
     rs = np.linspace(0.0, float(r_max), n_samples)
     us = 0.5 * c * rs**2 + const
@@ -121,7 +120,6 @@ def radial_quadratic_reference(tp, n, c, r_max=10.0, n_samples=401):
         tp, int(n), float(const), rs, us, ups, upps, ShotEvent("completed", float(r_max))
     )
     prof._state_fn = lambda r: (0.5 * c * r * r + const, c * r)
-    prof.d2u = lambda r: c  # exact, no inversion round-trip
     return prof
 
 
@@ -272,7 +270,7 @@ def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, abs_tol=1e-12, dps=None, 
 
     Raises
     ------
-    InverseRangeError
+    InputError
         If -u0/n is not attainable on the selected cone component (no valid
         initial curvature exists).
     """

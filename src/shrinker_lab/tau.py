@@ -18,16 +18,12 @@ import mpmath as mp
 import numpy as np
 
 from . import jets
-from .numerics import eig_sym, eig_sym_full, fd_gradient, fd_hessian, default_fd_step
+from .numerics import DomainError, InputError, default_fd_step, eig_sym, eig_sym_full, fd_gradient, fd_hessian
 
 __all__ = [
     "Branch",
     "TauParams",
     "ConeSpec",
-    "ConeViolation",
-    "InverseRangeError",
-    "SingularWeightError",
-    "SpacelikeViolation",
     "cone_spec",
     "f_value",
     "f_derivative",
@@ -60,31 +56,6 @@ class Branch(str, Enum):
     NEG = "NEG"      # -pi/4 < tau < 0, bounded-interval cone
 
 
-class ConeViolation(ValueError):
-    """A Hessian eigenvalue left the admissibility cone."""
-
-    def __init__(self, message, eigenvalue=None, location=None):
-        super().__init__(message)
-        self.eigenvalue = eigenvalue
-        self.location = location
-
-
-class InverseRangeError(ValueError):
-    """Target value outside the attainable range of the scalar branch function."""
-
-    def __init__(self, y, lo, hi):
-        super().__init__(f"target {y} outside attainable range ({lo}, {hi})")
-        self.attainable = (lo, hi)
-
-
-class SingularWeightError(ValueError):
-    """p-Laplace weight singular at a critical point (|Dh| = 0, p < 2)."""
-
-
-class SpacelikeViolation(ValueError):
-    """1 - |Df|^2 <= 0: the graph is not spacelike at this point."""
-
-
 @dataclass(frozen=True)
 class ConeSpec:
     """Open set of admissible eigenvalues for one component."""
@@ -115,14 +86,20 @@ class TauParams:
 
     def __post_init__(self):
         if self.cone_side not in ("upper", "lower"):
-            raise ValueError(f"cone_side must be 'upper' or 'lower', got {self.cone_side!r}")
+            raise InputError(f"cone_side must be 'upper' or 'lower', got {self.cone_side!r}")
         if self.branch not in Branch:
-            raise ValueError(f"unknown branch {self.branch!r}")
-        if self.branch is not Branch.MA:
-            if abs(self.a - 1.0 / math.tan(self.tau)) > 1e-9 * (1.0 + abs(self.a)):
-                raise ValueError("a is inconsistent with cot(tau)")
-            if abs(self.b * self.b - abs(self.a * self.a - 1.0)) > 1e-9 * (1.0 + self.a * self.a):
-                raise ValueError("b is inconsistent with sqrt(|cot^2 tau - 1|)")
+            raise InputError(f"unknown branch {self.branch!r}")
+        if self.branch is Branch.MA:
+            return
+        # each check holds only for finite values: a NaN, or the NaN of
+        # inf - inf, fails it rather than slipping past a '>'
+        if not abs(self.a - 1.0 / math.tan(self.tau)) <= 1e-9 * (1.0 + abs(self.a)):
+            raise InputError(f"a = {self.a} is inconsistent with cot(tau) at tau = {self.tau}")
+        if not abs(self.b * self.b - abs(self.a * self.a - 1.0)) <= 1e-9 * (1.0 + self.a * self.a):
+            raise InputError(f"b = {self.b} is inconsistent with sqrt(|cot^2 tau - 1|) at a = {self.a}")
+        if self.branch in (Branch.LOG, Branch.NEG) and not self.b < abs(self.a):
+            # the cone edge -(a - b) on LOG, or -(b + a) on NEG, would be 0
+            raise InputError(f"a = {self.a} rounds b = sqrt(a^2 - 1) to |a|: the cone edge is lost")
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -144,7 +121,7 @@ class TauParams:
         if math.pi / 4 < tau < math.pi / 2:
             a = 1.0 / math.tan(tau)
             return cls(tau, a, math.sqrt(1.0 - a * a), Branch.ATAN, cone_side)
-        raise ValueError(f"tau = {tau} outside (-pi/4, pi/2]")
+        raise InputError(f"tau = {tau} outside (-pi/4, pi/2]")
 
     @classmethod
     def from_cot(cls, a, cone_side="upper"):
@@ -157,7 +134,7 @@ class TauParams:
         if a == 1.0:
             return cls.harmonic(cone_side)
         if -1.0 <= a < 0.0:
-            raise ValueError(f"a = {a} corresponds to tau <= -pi/4")
+            raise InputError(f"a = {a} corresponds to tau <= -pi/4")
         tau = math.atan(1.0 / a)
         if a > 1.0:
             return cls(tau, a, math.sqrt(a * a - 1.0), Branch.LOG, cone_side)
@@ -181,21 +158,21 @@ class TauParams:
     def log_branch(cls, tau, cone_side="upper"):
         tp = cls.from_tau(tau, cone_side)
         if tp.branch is not Branch.LOG:
-            raise ValueError(f"tau = {tau} is not in (0, pi/4)")
+            raise InputError(f"tau = {tau} is not in (0, pi/4)")
         return tp
 
     @classmethod
     def atan_branch(cls, tau):
         tp = cls.from_tau(tau)
         if tp.branch is not Branch.ATAN:
-            raise ValueError(f"tau = {tau} is not in (pi/4, pi/2)")
+            raise InputError(f"tau = {tau} is not in (pi/4, pi/2)")
         return tp
 
     @classmethod
     def neg_branch(cls, a=None, tau=None, cone_side="upper"):
         tp = cls.from_cot(a, cone_side) if a is not None else cls.from_tau(tau, cone_side)
         if tp.branch is not Branch.NEG:
-            raise ValueError("parameters are not in the NEG range (a < -1)")
+            raise InputError("parameters are not in the NEG range (a < -1)")
         return tp
 
     # -- derived constants -------------------------------------------------
@@ -217,9 +194,6 @@ class TauParams:
         if br is Branch.NEG:
             return -s, -self.a * s
         return s, self.a * s
-
-    def with_cone_side(self, side):
-        return TauParams(self.tau, self.a, self.b, self.branch, side)
 
 
 def cone_spec(tp):
@@ -258,9 +232,7 @@ def f_value(tp, lam):
     """The single-eigenvalue summand of the operator."""
     lam = float(lam)
     if not _in_domain(tp, lam):
-        raise ConeViolation(
-            f"eigenvalue {lam} outside the {tp.branch.value} admissibility set", eigenvalue=lam
-        )
+        raise DomainError(f"eigenvalue {lam} outside the {tp.branch.value} admissibility set", value=lam)
     br, a, b = tp.branch, tp.a, tp.b
     if br is Branch.MA:
         return 0.5 * math.log(lam)
@@ -284,9 +256,7 @@ def f_derivative(tp, lam):
     """Closed-form derivative of the scalar summand; strictly positive."""
     lam = float(lam)
     if not _in_domain(tp, lam):
-        raise ConeViolation(
-            f"eigenvalue {lam} outside the {tp.branch.value} admissibility set", eigenvalue=lam
-        )
+        raise DomainError(f"eigenvalue {lam} outside the {tp.branch.value} admissibility set", value=lam)
     br, a, b = tp.branch, tp.a, tp.b
     if br is Branch.MA:
         return 0.5 / lam
@@ -330,7 +300,7 @@ def f_inverse(tp, y):
     y = float(y)
     lo, hi = f_range(tp)
     if not (lo < y < hi):
-        raise InverseRangeError(y, lo, hi)
+        raise InputError(f"target {y} outside attainable range ({lo}, {hi})")
     br, a, b = tp.branch, tp.a, tp.b
     if br is Branch.MA:
         try:
@@ -464,9 +434,8 @@ def operator_value(tp, eigenvalues):
     """Sum of the scalar summand over the spectrum (the operator itself)."""
     lams = np.atleast_1d(np.asarray(eigenvalues, dtype=float))
     if admissible(tp, lams) is None:
-        raise ConeViolation(
-            f"spectrum {lams} not inside a single {tp.branch.value} cone component",
-            eigenvalue=float(lams[0]),
+        raise DomainError(
+            f"spectrum {lams} not inside a single {tp.branch.value} cone component", value=float(lams[0])
         )
     return float(sum(f_value(tp, lam) for lam in lams))
 
@@ -478,7 +447,7 @@ def operator_gradient_matrix(tp, H):
     """
     w, Q = eig_sym_full(H)
     if admissible(tp, w) is None:
-        raise ConeViolation(f"Hessian spectrum {w} inadmissible for {tp.branch.value}")
+        raise DomainError(f"Hessian spectrum {w} inadmissible for {tp.branch.value}")
     d = np.array([f_derivative(tp, lam) for lam in w])
     return (Q * d) @ Q.T
 
@@ -504,7 +473,7 @@ def shrinker_residual(tp, field, x):
     for bit its point's defect: the Hessians are solved in one stacked call,
     and F is taken once per distinct spectrum by the scalar summands.  The
     first point with an inadmissible spectrum is the ``location`` of the
-    ConeViolation.
+    DomainError.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim == 2:
@@ -515,17 +484,17 @@ def shrinker_residual(tp, field, x):
         )
         for k in sorted(first):
             if admissible(tp, eigs[k]) is None:
-                raise ConeViolation(
+                raise DomainError(
                     f"inadmissible Hessian spectrum {eigs[k]} at x = {x[k]}",
-                    eigenvalue=float(eigs[k][0]),
+                    value=float(eigs[k][0]),
                     location=x[k],
                 )
         F = np.array([operator_value(tp, eigs[k]) for k in first])
         return F[inverse.reshape(-1)] - phase(field, x)
     eigs = eig_sym(field.hessian(x))
     if admissible(tp, eigs) is None:
-        raise ConeViolation(
-            f"inadmissible Hessian spectrum {eigs} at x = {x}", eigenvalue=float(eigs[0]), location=x
+        raise DomainError(
+            f"inadmissible Hessian spectrum {eigs} at x = {x}", value=float(eigs[0]), location=x
         )
     return float(operator_value(tp, eigs) - phase(field, x))
 
@@ -565,10 +534,10 @@ def growth_ratio(tp, field, theta, r, h=None):
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     nrm = float(np.linalg.norm(theta))
     if abs(nrm - 1.0) > 1e-10:
-        raise ValueError(f"theta must be a unit vector, |theta| = {nrm}")
+        raise InputError(f"theta must be a unit vector, |theta| = {nrm}")
     r = float(r)
     if r <= 0:
-        raise ValueError(f"radius must be positive, got {r}")
+        raise InputError(f"radius must be positive, got {r}")
     if h is None:
         h = min(1e-4 * max(1.0, r), 0.45 * r)
     q = field.value(r * theta) / r**2
@@ -586,9 +555,9 @@ def weighted_p_laplace_residual(field, p, K, x, h=None):
     an error rather than evaluated.
     """
     if not p > 1:
-        raise ValueError(f"need p > 1, got {p}")
+        raise InputError(f"need p > 1, got {p}")
     if not K > 0:
-        raise ValueError(f"need K > 0, got {K}")
+        raise InputError(f"need K > 0, got {K}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     h = default_fd_step(x) if h is None else float(h)
     g = fd_gradient(field, x, h) if not hasattr(field, "gradient") else field.gradient(x)
@@ -596,7 +565,7 @@ def weighted_p_laplace_residual(field, p, K, x, h=None):
     gn2 = float(g @ g)
     if gn2 == 0.0:
         if p < 2.0:
-            raise SingularWeightError(f"|Dh| = 0 at x = {x} with p = {p} < 2")
+            raise DomainError(f"weight singular: |Dh| = 0 at x = {x} with p = {p} < 2", location=x)
         if p == 2.0:
             return float(np.trace(H))
         return 0.0
@@ -629,14 +598,16 @@ def minkowski_residual(field, x):
         bad = np.flatnonzero(comp <= 0.0)
         if len(bad):
             k = bad[0]
-            raise SpacelikeViolation(f"1 - |Df|^2 = {comp[k]} <= 0 at x = {x[k]}")
+            raise DomainError(
+                f"not spacelike: 1 - |Df|^2 = {comp[k]} <= 0 at x = {x[k]}", value=comp[k], location=x[k]
+            )
         H = field.hessian(x)
         lhs = np.trace(H, axis1=1, axis2=2) + ((g[:, None, :] @ H) @ g[:, :, None])[:, 0, 0] / comp
         rhs = -0.5 * field.value(x) + 0.5 * (x[:, None, :] @ g[:, :, None])[:, 0, 0]
         return lhs - rhs
     comp = float(comp_fn(x)) if comp_fn is not None else 1.0 - float(g @ g)
     if comp <= 0.0:
-        raise SpacelikeViolation(f"1 - |Df|^2 = {comp} <= 0 at x = {x}")
+        raise DomainError(f"not spacelike: 1 - |Df|^2 = {comp} <= 0 at x = {x}", value=comp, location=x)
     H = field.hessian(x)
     lhs = float(np.trace(H)) + float(g @ H @ g) / comp
     rhs = -0.5 * field.value(x) + 0.5 * float(x @ g)

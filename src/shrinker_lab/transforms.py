@@ -16,18 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import AffineScaledField, CallableField, Table1DField
-from .numerics import InputError, eig_sym, invert_monotone
-from .tau import (
-    Branch,
-    ConeViolation,
-    phase,
-    operator_value,
-    weighted_p_laplace_residual,
-)
+from .numerics import DomainError, InputError, eig_sym, invert_monotone
+from .tau import Branch, phase, operator_value, weighted_p_laplace_residual
 
 __all__ = [
-    "UnsupportedBranchError",
-    "ConvexityViolation",
     "Transform1DResult",
     "legendre_1d",
     "DualEquationCheck",
@@ -38,22 +30,9 @@ __all__ = [
     "logit_equation_residual",
     "reduce_to_special_lagrangian",
     "normalize_counterexample_branch",
-    "neg_eigenvalue_to_unit",
-    "unit_to_neg_eigenvalue",
     "SelfSimilarSample",
     "self_similar_extension",
 ]
-
-
-class UnsupportedBranchError(ValueError):
-    """Transform not defined for this operator branch."""
-
-
-class ConvexityViolation(ValueError):
-    def __init__(self, location, curvature):
-        super().__init__(f"w''({location}) = {curvature} <= 0: not strictly convex")
-        self.location = location
-        self.curvature = curvature
 
 
 @dataclass
@@ -89,8 +68,8 @@ def legendre_1d(field, t0, t1, num=801, check_involution=True):
     curv = np.array([field.hessian([x])[0, 0] for x in xs])
     bad = np.where(curv <= 0.0)[0]
     if len(bad):
-        k = int(bad[0])
-        raise ConvexityViolation(float(xs[k]), float(curv[k]))
+        x, c = float(xs[bad[0]]), float(curv[bad[0]])
+        raise DomainError(f"w''({x}) = {c} <= 0: not strictly convex", value=c, location=x)
 
     def wprime(x):
         return float(field.gradient([x])[0])
@@ -175,9 +154,7 @@ def symmetry_negate(tp, field):
     elif tp.branch is Branch.LOG:
         k = tp.a
     else:
-        raise UnsupportedBranchError(
-            f"negation symmetry defined for HARM and LOG only, not {tp.branch.value}"
-        )
+        raise InputError(f"negation symmetry defined for HARM and LOG only, not {tp.branch.value}")
     return AffineScaledField(field, outer=-1.0, inner=1.0, quad=-2.0 * k, offset=0.0)
 
 
@@ -189,15 +166,13 @@ def convexify_shift(tp, field):
     Hessian spectrum translates by k.
     """
     if tp.cone_side != "upper":
-        raise ConeViolation("lower-cone input: apply symmetry_negate first")
+        raise DomainError("lower-cone input: apply symmetry_negate first")
     if tp.branch is Branch.HARM:
         k = 1.0
     elif tp.branch is Branch.LOG:
         k = tp.a - tp.b
     else:
-        raise UnsupportedBranchError(
-            f"convexifying shift defined for HARM and LOG only, not {tp.branch.value}"
-        )
+        raise InputError(f"convexifying shift defined for HARM and LOG only, not {tp.branch.value}")
     return AffineScaledField(field, outer=1.0, inner=1.0, quad=k, offset=0.0)
 
 
@@ -210,14 +185,14 @@ def shifted_equation_residual(tp, w_field, x):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     mus = eig_sym(w_field.hessian(x))
     if np.any(mus <= 0.0):
-        raise ConeViolation(f"shifted Hessian not positive definite at {x}", location=x)
+        raise DomainError(f"shifted Hessian not positive definite at {x}", value=float(mus[0]), location=x)
     if tp.branch is Branch.HARM:
         lhs = -math.sqrt(2.0) * float(np.sum(1.0 / mus))
     elif tp.branch is Branch.LOG:
         b = tp.b
         lhs = tp.sqrt_a2p1 / (2.0 * b) * float(np.sum(np.log(mus / (mus + 2.0 * b))))
     else:
-        raise UnsupportedBranchError(f"no shifted equation for {tp.branch.value}")
+        raise InputError(f"no shifted equation for {tp.branch.value}")
     return float(lhs - phase(w_field, x))
 
 
@@ -226,7 +201,7 @@ def logit_equation_residual(field, x):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     mus = eig_sym(field.hessian(x))
     if np.any(mus <= 0.0) or np.any(mus >= 1.0):
-        raise ConeViolation(f"Hessian spectrum {mus} outside (0, 1) at {x}", location=x)
+        raise DomainError(f"Hessian spectrum {mus} outside (0, 1) at {x}", location=x)
     lhs = float(np.sum(np.log(mus) - np.log1p(-mus)))
     return float(lhs - phase(field, x))
 
@@ -238,7 +213,7 @@ def reduce_to_special_lagrangian(tp, field):
     the Hessian spectra relate by mu = (lam + a)/b at the mapped point.
     """
     if tp.branch is not Branch.ATAN:
-        raise UnsupportedBranchError(f"reduction defined on the ATAN branch, not {tp.branch.value}")
+        raise InputError(f"reduction defined on the ATAN branch, not {tp.branch.value}")
     a, b = tp.a, tp.b
     root = tp.sqrt_a2p1
     return AffineScaledField(
@@ -252,24 +227,12 @@ def reduce_to_special_lagrangian(tp, field):
 
 def _neg_constants(tp):
     if tp.branch is not Branch.NEG:
-        raise UnsupportedBranchError(f"normalization defined on the NEG branch, not {tp.branch.value}")
+        raise InputError(f"normalization defined on the NEG branch, not {tp.branch.value}")
     a, b = tp.a, tp.b
     k = 2.0 * b / tp.sqrt_a2p1
     c2 = tp.sqrt_a2p1 ** 0.5 / (2.0 * b)
     s = (a + b) / (2.0 * b)
     return a, b, k, c2, s
-
-
-def neg_eigenvalue_to_unit(tp, lam):
-    """Affine spectrum map onto (0, 1):  mu = (lam + a + b)/(2b)."""
-    a, b, _, _, _ = _neg_constants(tp)
-    return (np.asarray(lam, dtype=float) + a + b) / (2.0 * b)
-
-
-def unit_to_neg_eigenvalue(tp, mu):
-    """Inverse spectrum map:  lam = 2b mu - a - b."""
-    a, b, _, _, _ = _neg_constants(tp)
-    return 2.0 * b * np.asarray(mu, dtype=float) - a - b
 
 
 def normalize_counterexample_branch(tp, direction, field):
@@ -285,9 +248,9 @@ def normalize_counterexample_branch(tp, direction, field):
     if direction == "to_u":
         mus = eig_sym(field.hessian(np.zeros(field.dim)))
         if np.any(mus <= 0.0) or np.any(mus >= 1.0):
-            raise ConeViolation(f"input Hessian spectrum {mus} not inside (0, 1)")
+            raise DomainError(f"input Hessian spectrum {mus} not inside (0, 1)")
         return AffineScaledField(field, outer=1.0 / k, inner=1.0 / c2, quad=-(a + b), offset=0.0)
-    raise ValueError(f"direction must be 'to_w' or 'to_u', got {direction!r}")
+    raise InputError(f"direction must be 'to_w' or 'to_u', got {direction!r}")
 
 
 @dataclass(frozen=True)

@@ -3,18 +3,65 @@ import importlib.util
 import json
 import math
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shrinker_lab.cli import main
+from shrinker_lab.cli import BRANCH_DEFAULTS, main
 from shrinker_lab import reports
 from shrinker_lab.reports import write_csv
 
 
 def run(tmp_path, *argv):
     return main([*argv, "--out", str(tmp_path)])
+
+
+DOCUMENTED_EXIT_CODES = {0, 2, 3, 64, 65}
+
+
+def _literals(*values):
+    return st.sampled_from([repr(v) for v in values])
+
+
+FUZZ_FLOATS = _literals(0.0, 1.0, -1.0, 1e-3, -1e-3, 40.0, -40.0, 1e10, -1e10, 1e300, -1e300, 5e-324,
+                        math.inf, -math.inf, math.nan)
+FUZZ_INTS = _literals(-1, 0, 1, 2, 3)
+# the flags that set how much work a command does draw only from small values
+SMALL_FLOATS = _literals(-1.0, 0.0, 5e-324, 1e-3, 1.0, math.inf, math.nan)
+SMALL_INTS = _literals(-1, 0, 1, 2)
+COMMON_FLAGS = {"--branch": st.sampled_from(sorted(BRANCH_DEFAULTS)), "--tau": FUZZ_FLOATS,
+                "--a": FUZZ_FLOATS, "--tol": FUZZ_FLOATS, "--n": FUZZ_INTS, "--seed": FUZZ_INTS}
+# per subcommand: (flags an example may give, flags every example gives)
+FUZZ_COMMANDS = {
+    "verify-quadratic": ({"--points": FUZZ_INTS}, {"--trials": SMALL_INTS}),
+    "flow-check": ({}, {"--trials": SMALL_INTS}),
+    "defect": ({}, {"--trials": SMALL_INTS}),
+    "build-counterexample": (
+        {"--a0": FUZZ_FLOATS, "--a1": FUZZ_FLOATS, "--phi0": FUZZ_FLOATS, "--s0": FUZZ_FLOATS,
+         "--grid-step": FUZZ_FLOATS, "--mss": st.none()},
+        {"--span": SMALL_FLOATS, "--rmax": SMALL_FLOATS},
+    ),
+    "shoot": ({"--u0": FUZZ_FLOATS, "--dps": _literals(-1, 0, 1, 11, 20)}, {"--rmax": SMALL_FLOATS}),
+    "legendre-check": ({"--grid-step": FUZZ_FLOATS}, {"--span": SMALL_FLOATS}),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    optional, sized = FUZZ_COMMANDS[command]
+    optional = {**COMMON_FLAGS, **optional}
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(sorted(optional)), max_size=5, unique=True)):
+        value = draw(optional[flag])
+        argv += [flag] if value is None else [flag, value]
+    for flag, values in sized.items():
+        argv += [flag, draw(values)]
+    return argv
 
 
 class TestExitCodes:
@@ -85,6 +132,14 @@ class TestExitCodes:
             ("shoot", "--u0", "-1", "--dps", "-3"),
             ("shoot", "--u0", "-1", "--dps", "0"),
             ("shoot", "--u0", "-1", "--dps", "10"),
+            ("flow-check", "--seed", "-1"),
+            ("verify-quadratic", "--seed", "-1"),
+            ("defect", "--seed", "-1"),
+            ("build-counterexample", "--seed", "-1"),
+            ("legendre-check", "--grid-step", "1e-20"),
+            ("legendre-check", "--grid-step", "5e-324", "--span", "1e-3"),
+            ("legendre-check", "--span", "1e10"),
+            ("build-counterexample", "--mss", "--grid-step", "1e-20"),
         ],
     )
     def test_bad_size_is_parameter_error(self, tmp_path, argv):
@@ -95,6 +150,46 @@ class TestExitCodes:
     def test_non_finite_phase_data_is_parameter_error(self, tmp_path, flag, value):
         assert run(tmp_path, "build-counterexample", flag, value) == 65
         assert not (tmp_path / "build-counterexample.json").exists()
+
+    @pytest.mark.parametrize("argv", [("--a1", "0.03"), ("--a0", "-40")])
+    def test_overflowing_ceiling_is_parameter_error(self, tmp_path, capsys, argv):
+        assert run(tmp_path, "build-counterexample", *argv) == 65
+        assert "ceiling" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify-quadratic", "--a", "1e300"),
+            ("verify-quadratic", "--a", "-1e300"),
+            ("verify-quadratic", "--tau", "1e-300"),
+            ("verify-quadratic", "--tau", "5e-324"),
+            ("verify-quadratic", "--a", "nan"),
+            ("shoot", "--u0", "1e-3", "--a", "-1e10"),
+            ("shoot", "--u0", "1", "--a", "1e10"),
+        ],
+    )
+    def test_degenerate_branch_constants_are_usage_errors(self, tmp_path, argv):
+        assert run(tmp_path, *argv) == 64
+        assert not (tmp_path / f"{argv[0]}.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        # --tol 1e-6 keeps the span of 650 that --tau -1e-3 needs to a second
+        [("--a0", "40"), ("--tau", "-1e-3", "--tol", "1e-6"), ("--tol", "100", "--a1", "10"), ("--a1", "40")],
+    )
+    def test_domain_error_is_construction_failure(self, tmp_path, capsys, argv):
+        assert run(tmp_path, "build-counterexample", *argv) == 3
+        assert "construction failed" in capsys.readouterr().err
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(argv=cli_argv())
+    def test_every_input_exits_with_a_documented_code(self, argv):
+        with tempfile.TemporaryDirectory() as out:
+            try:
+                code = main([*argv, "--out", out])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in DOCUMENTED_EXIT_CODES, argv
 
     @pytest.mark.parametrize(
         "argv, code",

@@ -7,8 +7,6 @@ import pytest
 import shrinker_lab as sl
 from shrinker_lab import TauParams
 from shrinker_lab.constructor import (
-    ConstructionError,
-    TrivialSolutionError,
     _neg_cone_margin,
     _spacelike_margin,
     assemble_nd,
@@ -18,8 +16,8 @@ from shrinker_lab.constructor import (
     sigmoid,
     solve_phase_ode,
 )
-from shrinker_lab.numerics import InputError
-from shrinker_lab.tau import SpacelikeViolation, minkowski_residual
+from shrinker_lab.numerics import DomainError, InputError
+from shrinker_lab.tau import minkowski_residual
 from shrinker_lab.transforms import logit_equation_residual
 
 from conftest import same_bits
@@ -64,12 +62,18 @@ class TestSolvePhaseOde:
         assert abs(traj.phi(1.0) - ref[0]) < 1e-7
 
     def test_trivial_slope_rejected(self):
-        with pytest.raises(TrivialSolutionError):
+        with pytest.raises(InputError, match="trivial"):
             solve_phase_ode(0.5, 0.0, 5.0)
 
     def test_negative_slope_rejected(self):
         with pytest.raises(InputError):
             solve_phase_ode(0.0, -1.0, 5.0)
+
+    @pytest.mark.parametrize("a0, a1", [(0.0, 0.03), (-40.0, 1.0), (0.0, 1e-300)])
+    def test_overflowing_ceiling_rejected(self, a0, a1):
+        # a1 exp(exp(-a0)/a1^2) is past the doubles: no certificate can hold it
+        with pytest.raises(InputError, match="ceiling"):
+            solve_phase_ode(a0, a1, 5.0)
 
     def test_monotone_and_positive_flags(self):
         traj = solve_phase_ode(0.3, 0.7, 15.0)
@@ -221,11 +225,11 @@ class TestBuildCounterexample:
 
     def test_trivial_slope_rejected(self):
         tp = TauParams.neg_branch(a=-2.0)
-        with pytest.raises(TrivialSolutionError, match="trivial"):
+        with pytest.raises(InputError, match="trivial"):
             build_counterexample(tp, 0.0, 0.0, 2)
 
     def test_wrong_branch_rejected(self):
-        with pytest.raises(ConstructionError):
+        with pytest.raises(InputError, match="bounded-cone"):
             build_counterexample(TauParams.harmonic(), 0.0, 1.0, 2)
 
     def test_small_slope_still_certifies(self):
@@ -306,7 +310,7 @@ class TestMssCounterexample:
             assert abs(stable - generic) < 1e-8
 
     def test_trivial_phase_rejected(self):
-        with pytest.raises(TrivialSolutionError):
+        with pytest.raises(InputError, match="trivial"):
             build_mss_counterexample(0.0)
 
     def test_rows_equal_scalar_reads_bit_for_bit(self):
@@ -328,7 +332,7 @@ class TestMssCounterexample:
         assert 0.0 < cert.cone_margin < 1e-17
 
     def test_complement_underflow_is_not_spacelike(self):
-        with pytest.raises(SpacelikeViolation, match=r"x = \[-10\.\]"):
+        with pytest.raises(DomainError, match=r"not spacelike: .* at x = \[-10\.\]"):
             build_mss_counterexample(100.0, 0.0, T=20.0, rel_tol=1e-8)
 
     def test_margin_matches_high_precision(self):

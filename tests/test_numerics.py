@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -64,7 +65,7 @@ class TestEigSym:
         edges = {}
         for tp in branch_params().values():
             for side in ("upper", "lower"):
-                tp_side = tp.with_cone_side(side)
+                tp_side = dataclasses.replace(tp, cone_side=side)
                 spec = cone_spec(tp_side)
                 for edge, inward in ((spec.lo, 1.0), (spec.hi, -1.0)):
                     if math.isfinite(edge):

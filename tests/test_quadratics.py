@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import shrinker_lab as sl
-from shrinker_lab import ConeViolation, TauParams, build_quadratic, verify_quadratic
+from shrinker_lab import DomainError, TauParams, build_quadratic, verify_quadratic
 from shrinker_lab.quadratics import random_orthogonal
 
 SQRT2 = math.sqrt(2.0)
@@ -35,9 +35,9 @@ class TestBuild:
         assert verify_quadratic(tp, np.eye(2), rng.uniform(-3, 3, (50, 2))) <= 1e-10
 
     def test_inadmissible_rejected(self):
-        with pytest.raises(ConeViolation):
+        with pytest.raises(DomainError, match="inadmissible"):
             build_quadratic(TauParams.monge_ampere(), np.diag([1.0, -0.1]))
-        with pytest.raises(ConeViolation):
+        with pytest.raises(DomainError, match="inadmissible"):
             build_quadratic(TauParams.neg_branch(a=-2.0), np.diag([1.0, 5.0]))
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import shrinker_lab as sl
-from shrinker_lab import InverseRangeError, TauParams
+from shrinker_lab import InputError, TauParams
 from shrinker_lab.shooting import radial_quadratic_reference, shoot_radial
 from shrinker_lab.tau import f_value, f_value_mp
 
@@ -31,7 +31,7 @@ class TestReference:
         assert np.all(prof.upps == 0.0)
 
     def test_inadmissible_curvature(self):
-        with pytest.raises(sl.ConeViolation):
+        with pytest.raises(sl.DomainError, match="outside the selected cone"):
             radial_quadratic_reference(TauParams.monge_ampere(), 2, -1.0)
 
 
@@ -99,7 +99,7 @@ class TestEvents:
 
     def test_unreachable_initial_value(self):
         # HARM upper component has range (-inf, 0): -u0/n must be negative
-        with pytest.raises(InverseRangeError):
+        with pytest.raises(InputError, match="outside attainable range"):
             shoot_radial(TauParams.harmonic(), 2, -1.0, r_max=5.0)
 
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import shrinker_lab as sl
 from shrinker_lab import (
     Branch,
-    ConeViolation,
-    InverseRangeError,
+    DomainError,
+    InputError,
     TauParams,
     admissible,
     cone_spec,
@@ -23,7 +23,6 @@ from shrinker_lab import (
 from shrinker_lab import jets
 from shrinker_lab.fields import CallableField, QuadraticField
 from shrinker_lab.tau import (
-    SpacelikeViolation,
     f_inverse_jet,
     f_inverse_mp,
     f_value_jet,
@@ -52,7 +51,7 @@ class TestTauParams:
 
     def test_out_of_range(self):
         for tau in (2.0, -math.pi / 4, -1.0, 3.2):
-            with pytest.raises(ValueError):
+            with pytest.raises(InputError):
                 TauParams.from_tau(tau)
 
     def test_from_cot(self):
@@ -61,7 +60,7 @@ class TestTauParams:
         assert TauParams.from_cot(0.5).branch is Branch.ATAN
         assert TauParams.from_cot(0.0).branch is Branch.SLAG
         assert TauParams.from_cot(1.0).branch is Branch.HARM
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             TauParams.from_cot(-0.5)
 
     def test_constants_consistency(self):
@@ -81,12 +80,37 @@ class TestTauParams:
         assert abs(spec.hi - (2.0 + math.sqrt(3.0))) < 1e-14
 
     def test_cone_side_validated(self):
-        with pytest.raises(ValueError, match="cone_side"):
+        with pytest.raises(InputError, match="cone_side"):
             TauParams(math.pi / 6, math.sqrt(3.0), math.sqrt(2.0), Branch.LOG, "middle")
 
     def test_inconsistent_constants_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             TauParams(math.pi / 6, 2.0, math.sqrt(2.0), Branch.LOG)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: TauParams.from_cot(1e300),     # b = sqrt(a^2 - 1) = inf
+            lambda: TauParams.from_cot(-1e300),
+            lambda: TauParams.from_tau(1e-300),    # a = 1e300
+            lambda: TauParams.from_tau(5e-324),    # a = 1/tan(tau) = inf
+            lambda: TauParams.from_cot(math.nan),
+            lambda: TauParams(math.nan, math.nan, math.nan, Branch.LOG),
+        ],
+    )
+    def test_non_finite_constants_rejected(self, make):
+        # inf - inf is NaN, and NaN fails every consistency check
+        with pytest.raises(InputError, match="inconsistent"):
+            make()
+
+    @pytest.mark.parametrize("a", [-1e10, 1e10])
+    def test_degenerate_cone_edge_rejected(self, a):
+        # b = sqrt(a^2 - 1) rounds to |a|: the cone edge -(b + a) of NEG, or
+        # -(a - b) of LOG, would be 0
+        with pytest.raises(InputError, match="rounds b"):
+            TauParams.from_cot(a)
+        tp = TauParams.from_cot(a / 1e3)
+        assert tp.b < abs(tp.a) and 0.0 not in (cone_spec(tp).lo, cone_spec(tp).hi)
 
 
 class TestScalarFunction:
@@ -131,15 +155,15 @@ class TestScalarFunction:
                 assert abs(fd - f_derivative(tp, lam)) < 1e-6 * max(1.0, abs(fd))
 
     def test_domain_violations(self, all_branches):
-        with pytest.raises(ConeViolation):
+        with pytest.raises(DomainError, match="admissibility"):
             f_value(all_branches["MA"], -0.5)
-        with pytest.raises(ConeViolation):
+        with pytest.raises(DomainError, match="admissibility"):
             f_value(all_branches["HARM"], -1.0)
-        with pytest.raises(ConeViolation):
+        with pytest.raises(DomainError, match="admissibility"):
             f_value(all_branches["NEG"], 4.0)
-        with pytest.raises(ConeViolation) as exc:
+        with pytest.raises(DomainError, match="admissibility") as exc:
             f_value(all_branches["NEG"], 0.1)
-        assert exc.value.eigenvalue == 0.1
+        assert exc.value.value == 0.1
 
 
 class TestInverse:
@@ -188,11 +212,12 @@ class TestInverse:
                 assert abs(f_value(tp, lam) - y) <= 1e-12 * (1.0 + abs(y))
 
     def test_range_error_reports_interval(self, all_branches):
-        with pytest.raises(InverseRangeError) as exc:
-            f_inverse(all_branches["SLAG"], 2.0)
-        lo, hi = exc.value.attainable
-        assert (lo, hi) == (-math.pi / 2, math.pi / 2)
-        with pytest.raises(InverseRangeError):
+        tp = all_branches["SLAG"]
+        with pytest.raises(InputError, match="outside attainable range") as exc:
+            f_inverse(tp, 2.0)
+        assert sl.tau.f_range(tp) == (-math.pi / 2, math.pi / 2)
+        assert str(sl.tau.f_range(tp)) in str(exc.value)
+        with pytest.raises(InputError, match="outside attainable range"):
             f_inverse(all_branches["HARM"], 0.5)  # upper component range is (-inf, 0)
 
 
@@ -247,7 +272,7 @@ class TestOperator:
         )
 
     def test_mixed_components_rejected(self, all_branches):
-        with pytest.raises(ConeViolation):
+        with pytest.raises(DomainError, match="cone component"):
             operator_value(all_branches["HARM"], [-3.0, 0.0])
 
 
@@ -363,13 +388,13 @@ class TestResiduals:
         k = int(rng.integers(m))
         X[k:, 0] = rng.choice([-1.0, 1.0], m - k) * np.abs(X[k:, 0])
         X[k, 0] = 1.0  # ... up to point k, then either piece
-        with pytest.raises(ConeViolation) as exc:
+        with pytest.raises(DomainError, match="inadmissible Hessian spectrum") as exc:
             sl.shrinker_residual(tp, _TwoPieceField(good, bad), X)
         assert same_bits(exc.value.location, X[k])
-        assert exc.value.eigenvalue == edge
+        assert exc.value.value == edge
         if n > 1:  # two inadmissible spectra: the one of the first point is reported
             other = QuadraticField(np.diag([edge] + [edge + 1.0] * (n - 1)))
-            with pytest.raises(ConeViolation) as exc:
+            with pytest.raises(DomainError, match="inadmissible Hessian spectrum") as exc:
                 sl.shrinker_residual(tp, _TwoPieceField(bad, other), X)
             assert same_bits(exc.value.location, X[0])
 
@@ -447,9 +472,9 @@ class TestGrowthRatio:
     def test_radius_validation(self):
         tp = TauParams.special_lagrangian()
         field = QuadraticField(np.eye(2), 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             sl.growth_ratio(tp, field, np.array([1.0, 0.0]), 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             sl.growth_ratio(tp, field, np.array([2.0, 0.0]), 1.0)
 
 
@@ -473,14 +498,14 @@ class TestWeightedPLaplace:
 
     def test_singular_weight(self):
         field = QuadraticField(np.eye(2), 0.0)
-        with pytest.raises(sl.tau.SingularWeightError):
+        with pytest.raises(DomainError, match="weight singular"):
             weighted_p_laplace_residual(field, 1.5, 1.0, np.zeros(2))
 
     def test_parameter_validation(self):
         field = QuadraticField(np.eye(2), 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             weighted_p_laplace_residual(field, 1.0, 1.0, np.ones(2))
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             weighted_p_laplace_residual(field, 2.0, 0.0, np.ones(2))
 
 
@@ -517,7 +542,7 @@ class TestMinkowskiResidual:
         field = CallableField(
             1, lambda p: 1.5 * p[0], grad=lambda p: np.array([1.5]), hess=lambda p: np.zeros((1, 1))
         )
-        with pytest.raises(SpacelikeViolation):
+        with pytest.raises(DomainError, match="not spacelike"):
             minkowski_residual(field, np.array([0.0]))
 
     def test_cloud_equals_points_bit_for_bit(self, rng):
@@ -531,7 +556,7 @@ class TestMinkowskiResidual:
     def test_cloud_reports_first_point_that_is_not_spacelike(self):
         field = QuadraticField(np.eye(2), 0.0)
         X = np.array([[0.1, 0.2], [2.0, 0.0], [0.0, 3.0]])
-        with pytest.raises(SpacelikeViolation, match=r"at x = \[2\. 0\.\]"):
+        with pytest.raises(DomainError, match=r"not spacelike: .* at x = \[2\. 0\.\]"):
             minkowski_residual(field, X)
 
     def test_supplied_complement_is_trusted(self):
@@ -544,7 +569,7 @@ class TestMinkowskiResidual:
             if spacelike:
                 assert minkowski_residual(field, np.array([0.0])) == 0.0
             else:
-                with pytest.raises(SpacelikeViolation):
+                with pytest.raises(DomainError, match="not spacelike"):
                     minkowski_residual(field, np.array([0.0]))
 
 
