@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import geometry, quadratics, reports, shooting, transforms
-from .constructor import build_counterexample, build_mss_counterexample
+from .constructor import MAX_GRID_POINTS, build_counterexample, build_mss_counterexample
 from .fields import CallableField
 from .numerics import ConstructionError, DomainError, InputError
 from .tau import TauParams
@@ -26,7 +26,6 @@ EXIT_VERIFY_FAIL = 2
 EXIT_CONSTRUCT_FAIL = 3
 EXIT_USAGE = 64
 EXIT_PARAMETER = 65
-MAX_GRID_POINTS = 10**6
 
 BRANCH_DEFAULTS = {
     "MA": lambda: TauParams.monge_ampere(),
@@ -72,16 +71,13 @@ EXIT_CODES = {
 
 def _resolve_tp(args, fallback=None):
     """TauParams from --branch / --tau / --a; None means 'all branches'."""
-    branch = getattr(args, "branch", None)
-    tau_arg = getattr(args, "tau", None)
-    a_arg = getattr(args, "a", None)
     try:
-        if tau_arg is not None:
-            return TauParams.from_tau(tau_arg)
-        if a_arg is not None:
-            return TauParams.from_cot(a_arg)
-        if branch is not None:
-            return BRANCH_DEFAULTS[branch]()
+        if args.tau is not None:
+            return TauParams.from_tau(args.tau)
+        if args.a is not None:
+            return TauParams.from_cot(args.a)
+        if args.branch is not None:
+            return BRANCH_DEFAULTS[args.branch]()
         if fallback is not None:
             return BRANCH_DEFAULTS[fallback]()
         return None
@@ -90,7 +86,7 @@ def _resolve_tp(args, fallback=None):
 
 
 def _out_path(args, name):
-    out = getattr(args, "out", None) or "."
+    out = args.out or "."
     os.makedirs(out, exist_ok=True)
     return os.path.join(out, name)
 
@@ -98,8 +94,8 @@ def _out_path(args, name):
 def _check_sizes(args):
     """--rmax, --grid-step, --span and --tol, where the command has them and
     they are given, must be finite and positive; --seed must be at least 0;
-    and --grid-step, where given or defaulted, may put at most MAX_GRID_POINTS
-    points on [-span, span]."""
+    and --grid-step, where the command samples it, may put at most
+    MAX_GRID_POINTS points on [-span, span]."""
     for name in ("rmax", "grid_step", "span", "tol"):
         value = getattr(args, name, None)
         if value is not None and not (math.isfinite(value) and value > 0):
@@ -107,7 +103,7 @@ def _check_sizes(args):
     if args.seed < 0:
         raise InputError(f"--seed must be at least 0, got {args.seed}")
     step = getattr(args, "grid_step", None)
-    if step is not None and 2 * args.span / step + 1 > MAX_GRID_POINTS:
+    if step is not None and getattr(args, "mss", True) and 2 * args.span / step + 1 > MAX_GRID_POINTS:
         raise InputError(f"--grid-step {step} puts more than {MAX_GRID_POINTS} points on --span {args.span}")
 
 
@@ -184,11 +180,10 @@ def cmd_build_counterexample(args):
         fld, cert = build_mss_counterexample(
             phi0=args.phi0, s0=args.s0, T=args.span, rel_tol=tol, radius=args.rmax
         )
-        step = args.grid_step if args.grid_step is not None else 0.01
         reports.write_csv(
             _out_path(args, "mss-profile.csv"),
             ["x", "s", "phi", "f", "f_prime", "f_second"],
-            fld.rows(np.arange(-args.span, args.span + step / 2, step)),
+            fld.rows(np.arange(-args.span, args.span + args.grid_step / 2, args.grid_step)),
         )
         config = {"mss": True, "phi0": args.phi0, "s0": args.s0, "span": args.span,
                   "tol": tol, "rmax": args.rmax, "seed": args.seed}
@@ -322,7 +317,7 @@ def build_parser():
     p.add_argument("--s0", type=float, default=0.0, help="spacelike construction: slope parameter at 0")
     p.add_argument("--span", type=float, default=20.0, help="integration half-span T")
     p.add_argument("--rmax", type=float, default=10.0, help="certification radius")
-    p.add_argument("--grid-step", type=float, default=None, help="CSV sampling step")
+    p.add_argument("--grid-step", type=float, default=0.01, help="CSV sampling step of --mss")
     p.add_argument("--mss", action="store_true", help="build the spacelike graph profile instead")
     p.set_defaults(func=cmd_build_counterexample)
 

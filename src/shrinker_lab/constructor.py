@@ -18,13 +18,12 @@ so a batch read equals the scalar reads bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .fields import ScalarField, SeparableExtensionField, Table1DField
-from .numerics import ConstructionError, InputError, Trajectory, integrate_ode
+from .numerics import ConstructionError, DomainError, InputError, Trajectory, cumulative_simpson, integrate_ode
 from .tau import Branch, minkowski_residual, phase, shrinker_residual
 from .transforms import normalize_counterexample_branch, _neg_constants
 
@@ -39,6 +38,9 @@ __all__ = [
     "MinkowskiProfile",
     "build_mss_counterexample",
 ]
+
+
+MAX_GRID_POINTS = 10**6
 
 
 def sigmoid(s):
@@ -132,6 +134,7 @@ def solve_phase_ode(a0, a1, T, rel_tol=1e-10, abs_tol=None):
         raise InputError("phi'(0) must be positive (negate t to flip the sign)")
     if not T > 0:
         raise InputError(f"need T > 0, got {T}")
+    _quadrature_grid(T, rel_tol)
     try:
         bound = a1 * math.exp(math.exp(-a0) / (a1 * a1))
     except (OverflowError, ZeroDivisionError):
@@ -196,10 +199,17 @@ def _two_sided(rhs, y0, span, rel_tol, abs_tol, stage, var):
     )
 
 
-def _quadrature_step(rel_tol):
-    """Tie the quadrature step to the integrator tolerance so the composite
-    error keeps scaling when tolerances tighten (h^4 term tracks tol)."""
-    return min(2e-2, max(7.5e-4, 0.35 * rel_tol**0.25))
+def _quadrature_grid(span, rel_tol):
+    """Half-count m and step of the quadrature grid step * (-m..m) on
+    [-span, span].  The step tracks the integrator tolerance, so the composite
+    error keeps scaling as tolerances tighten (the h^4 term tracks tol).  A grid
+    of more than MAX_GRID_POINTS nodes is refused before any work; the ODE
+    steps are never finer, so this also bounds the integration."""
+    h = min(2e-2, max(7.5e-4, 0.35 * rel_tol**0.25))
+    if not span / h <= (MAX_GRID_POINTS - 1) // 2:  # NaN and inf fail too
+        raise InputError(f"half-span {span} at tolerance {rel_tol} needs more than {MAX_GRID_POINTS} points")
+    m = math.ceil(span / h)
+    return m, span / m
 
 
 def _dense_step_cap(rel_tol):
@@ -229,7 +239,7 @@ class W1Profile:
         return np.column_stack([self.ts, self.traj.phi_array(self.ts), self.w1, self.w1p, self.w1pp])
 
 
-def assemble_w1(traj, span=None, quad_step=None):
+def assemble_w1(traj, span=None):
     """Profile w1 with w1'' = e^phi/(1+e^phi), w1(0) = -a0, w1'(0) = -2 a1.
 
     Simpson quadrature on the integrator's dense output at a fixed fine step
@@ -238,16 +248,14 @@ def assemble_w1(traj, span=None, quad_step=None):
     its sup defect stored.
     """
     S = float(span) if span is not None else traj.span
-    h = _quadrature_step(traj.rel_tol) if quad_step is None else float(quad_step)
-    m = int(math.ceil(S / h))
-    step = S / m
+    m, step = _quadrature_grid(S, traj.rel_tol)
     ts = step * (np.arange(2 * m + 1) - m)  # exact 0 at index m
 
     phis = traj.phi_array(ts)[:, 0]
     w1pp = sigmoid(phis)
-    cs = cumulative_simpson(w1pp, dx=step, initial=0.0)
+    cs = cumulative_simpson(w1pp, step)
     w1p = -2.0 * traj.a1 + (cs - cs[m])
-    cs2 = cumulative_simpson(w1p, dx=step, initial=0.0)
+    cs2 = cumulative_simpson(w1p, step)
     w1 = -traj.a0 + (cs2 - cs2[m])
 
     defect = float(np.max(np.abs(phis - (0.5 * ts * w1p - w1))))
@@ -285,20 +293,7 @@ class Certificate:
     passed: bool
 
     def to_dict(self):
-        return {
-            "equation": self.equation,
-            "residual_sup": self.residual_sup,
-            "residual_target": self.residual_target,
-            "sample_count": self.sample_count,
-            "sample_radius": self.sample_radius,
-            "cone_ok": self.cone_ok,
-            "cone_margin": self.cone_margin,
-            "witness": dict(self.witness),
-            "bounds": dict(self.bounds),
-            "cross_checks": dict(self.cross_checks),
-            "config": dict(self.config),
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def _neg_cone_margin(b, phi_min, phi_max, n):
@@ -343,7 +338,9 @@ def build_counterexample(
     (the operator side reduces to phi(x_1/c2)/k exactly); near the cloud edge
     the Hessian spectrum sits within ~1e-13 of the cone boundary, where the
     generic eigenvalue route is ill-conditioned in double precision.  That
-    route is cross-checked on the inner half-ball and recorded.
+    route is cross-checked on the inner half-ball and recorded; its sups are
+    null if a spectrum there rounds onto the cone edge, and the certificate
+    rests on the stable form alone.
     """
     if tp.branch is not Branch.NEG:
         raise InputError(f"branch {tp.branch.value} is not the bounded-cone branch (a < -1)")
@@ -358,10 +355,7 @@ def build_counterexample(
     span_needed = radius / c2 * 1.02 + 1.0
     traj = solve_phase_ode(a0, a1, max(T, span_needed), rel_tol=rel_tol, abs_tol=abs_tol)
 
-    try:
-        prof = assemble_w1(traj, span=span_needed)
-    except Exception as exc:  # noqa: BLE001 - stage tagging
-        raise ConstructionError("assemble_w1", str(exc)) from exc
+    prof = assemble_w1(traj, span=span_needed)
     wfield = assemble_nd(prof, n)
     ufield = normalize_counterexample_branch(tp, "to_u", wfield)
 
@@ -385,10 +379,13 @@ def build_counterexample(
     # generic eigenvalue-route cross-check where it is well-conditioned
     is_inner = np.linalg.norm(pts, axis=1) <= 0.5 * radius
     inner = pts[is_inner]
-    cross_sup = 0.0
-    agree_sup = 0.0
+    cross_sup = agree_sup = 0.0
     for z, stable in zip(inner, stables[is_inner]):
-        generic = shrinker_residual(tp, ufield, z)
+        try:
+            generic = shrinker_residual(tp, ufield, z)
+        except DomainError:
+            cross_sup = agree_sup = None
+            break
         cross_sup = max(cross_sup, abs(generic))
         agree_sup = max(agree_sup, abs(generic - stable))
 
@@ -565,17 +562,15 @@ def build_mss_counterexample(
         raise InputError(f"need T > 0, got {T}")
     abs_tol = rel_tol * 1e-2 if abs_tol is None else float(abs_tol)
     span = max(T, radius + 1.0)
+    m, step = _quadrature_grid(span, rel_tol)
 
     dense = _two_sided(_mss_rhs, [s0, phi0], span, rel_tol, abs_tol, "mss_ode", "x")
-    h = _quadrature_step(rel_tol)
-    m = int(math.ceil(span / h))
-    step = span / m
     ts = step * (np.arange(2 * m + 1) - m)
     svals, pvals = np.ascontiguousarray(dense.evaluate(ts).T)
     fp = np.tanh(svals)
     with np.errstate(over="ignore"):  # cosh overflows past |s| = 710, where sech^2 is 0
         fpp = (1.0 / np.cosh(svals)) ** 2 * pvals
-    cs = cumulative_simpson(fp, dx=step, initial=0.0)
+    cs = cumulative_simpson(fp, step)
     fvals = -2.0 * phi0 + (cs - cs[m])
 
     table = Table1DField(ts, fvals, fp, fpp)

@@ -1,6 +1,6 @@
 """Self-contained numerical kernels: symmetric eigenvalues (LAPACK through
-numpy), finite differences, monotone inversion, adaptive Runge-Kutta
-integration with dense output.
+numpy), finite differences, monotone inversion, cumulative Simpson
+quadrature, adaptive Runge-Kutta integration with dense output.
 
 Everything here is a pure function of its inputs; matrices are small and dense
 (n <= 10 throughout the package), so simplicity and determinism win over
@@ -27,6 +27,7 @@ __all__ = [
     "fd_gradient",
     "fd_hessian",
     "invert_monotone",
+    "cumulative_simpson",
     "Trajectory",
     "integrate_ode",
     "hermite_value",
@@ -122,13 +123,8 @@ def default_fd_step(x):
     return 1e-4 * max(1.0, r)
 
 
-def _as_eval(f):
-    return f.value if hasattr(f, "value") else f
-
-
-def fd_gradient(f, x, h=None):
-    """Central-difference gradient, second order in h."""
-    fn = _as_eval(f)
+def fd_gradient(fn, x, h=None):
+    """Central-difference gradient of the callable ``fn``, second order in h."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     h = default_fd_step(x) if h is None else float(h)
     if not h > 0:
@@ -141,13 +137,13 @@ def fd_gradient(f, x, h=None):
     return g
 
 
-def fd_hessian(f, x, h=None):
-    """Central-difference Hessian, second order; exactly symmetric output.
+def fd_hessian(fn, x, h=None):
+    """Central-difference Hessian of the callable ``fn``, second order; exactly
+    symmetric output.
 
     The mixed-derivative stencil is evaluated once per (i, j) pair with i < j
     and mirrored, so H[i, j] == H[j, i] bit for bit.
     """
-    fn = _as_eval(f)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     h = default_fd_step(x) if h is None else float(h)
     if not h > 0:
@@ -243,6 +239,31 @@ def invert_monotone(fn, y, lo, hi, dfn=None, seed=None, resid_tol=None, max_iter
     if abs(fx) <= 100.0 * resid_tol:
         return x
     raise InputError(f"monotone inversion stalled: |f(x)-y| = {abs(fx):.3e}")
+
+
+def cumulative_simpson(y, dx):
+    """Antiderivative of samples ``y`` at spacing ``dx``, 0.0 at the first node.
+
+    Interval i gets the three-point Simpson part dx/3 (5 f1/4 + 2 f2 - f3/4)
+    (Cartwright 2017, eqn 10): f1, f2 are its ends and f3 the next node,
+    rightwards for even i, leftwards for odd i and the last interval.  The
+    order of operations is the usual equal-interval cumulative Simpson's, which
+    the tests match bit for bit; ``+= 0.0`` turns a -0.0 sum into 0.0."""
+    y = np.asarray(y, dtype=float)
+    if len(y) < 3:
+        raise InputError(f"Simpson quadrature needs at least 3 samples, got {len(y)}")
+
+    def ahead(v):
+        return dx / 3 * (5 * v[:-2] / 4 + 2 * v[1:-1] - v[2:] / 4)
+
+    behind = ahead(y[::-1])[::-1]
+    parts = np.empty(len(y) - 1)
+    parts[:-1:2] = ahead(y)[::2]
+    parts[1::2] = behind[::2]
+    parts[-1] = behind[-1]
+    res = np.cumsum(parts)
+    res += 0.0
+    return np.concatenate(([0.0], res))
 
 
 def hermite_value(t, t0, t1, y0, y1, d0, d1):

@@ -4,7 +4,6 @@ certification, plus admissible-matrix sampling used by sweeps and tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 

@@ -71,28 +71,19 @@ class RadialProfile:
     ups: np.ndarray
     upps: np.ndarray
     event: ShotEvent
-    _state_fn: object = None  # r -> (u, u')
+    state: object  # r -> (u, u')
 
     def u(self, r):
-        return self._state(r)[0]
+        return self.state(float(r))[0]
 
     def du(self, r):
-        return self._state(r)[1]
+        return self.state(float(r))[1]
 
     def d2u(self, r):
-        u, up = self._state(r)
+        u, up = self.state(float(r))
         s = self.upps[0] if r < _R_SERIES else up / r
         arg = (-u + 0.5 * r * up) - (self.n - 1) * f_value(self.tp, s)
         return f_inverse(self.tp, arg)
-
-    def _state(self, r):
-        r = float(r)
-        if self._state_fn is not None:
-            return self._state_fn(r)
-        # fall back to sampled arrays (reference profiles override u/du anyway)
-        u = float(np.interp(r, self.rs, self.us))
-        up = float(np.interp(r, self.rs, self.ups))
-        return u, up
 
     @property
     def field(self):
@@ -116,11 +107,10 @@ def radial_quadratic_reference(tp, n, c, r_max=10.0, n_samples=401):
     us = 0.5 * c * rs**2 + const
     ups = c * rs
     upps = np.full_like(rs, c)
-    prof = RadialProfile(
-        tp, int(n), float(const), rs, us, ups, upps, ShotEvent("completed", float(r_max))
+    return RadialProfile(
+        tp, int(n), float(const), rs, us, ups, upps, ShotEvent("completed", float(r_max)),
+        lambda r: (0.5 * c * r * r + const, c * r),
     )
-    prof._state_fn = lambda r: (0.5 * c * r * r + const, c * r)
-    return prof
 
 
 def _shoot_float(tp, n, u0, upp0, r_max, rel_tol, abs_tol):
@@ -312,6 +302,6 @@ def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, abs_tol=1e-12, dps=None, 
     if truncate is not None:
         rs, us, ups, upps = rs[:truncate], us[:truncate], ups[:truncate], upps[:truncate]
 
-    prof = RadialProfile(tp, n, u0, rs, us, ups, upps, event)
-    prof._state_fn = lambda r: (state(r) if r > 0 else (u0, 0.0))
-    return prof
+    return RadialProfile(
+        tp, n, u0, rs, us, ups, upps, event, lambda r: (state(r) if r > 0 else (u0, 0.0))
+    )

@@ -548,8 +548,9 @@ def growth_ratio(tp, field, theta, r, h=None):
     return GrowthRatio(q, dq_dr, dq_dr - 2.0 * F / r**3)
 
 
-def weighted_p_laplace_residual(field, p, K, x, h=None):
-    """div(|Dh|^{p-2} Dh) - K <x, Dh> |Dh|^{p-2}, divergence expanded via FD.
+def weighted_p_laplace_residual(field, p, K, x):
+    """div(|Dh|^{p-2} Dh) - K <x, Dh> |Dh|^{p-2}, divergence expanded from the
+    field's gradient and Hessian.
 
     The weight is singular at critical points for p < 2; that is reported as
     an error rather than evaluated.
@@ -559,9 +560,8 @@ def weighted_p_laplace_residual(field, p, K, x, h=None):
     if not K > 0:
         raise InputError(f"need K > 0, got {K}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    h = default_fd_step(x) if h is None else float(h)
-    g = fd_gradient(field, x, h) if not hasattr(field, "gradient") else field.gradient(x)
-    H = fd_hessian(field, x, h) if not hasattr(field, "hessian") else field.hessian(x)
+    g = field.gradient(x)
+    H = field.hessian(x)
     gn2 = float(g @ g)
     if gn2 == 0.0:
         if p < 2.0:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -172,14 +173,37 @@ class TestExitCodes:
         assert run(tmp_path, *argv) == 64
         assert not (tmp_path / f"{argv[0]}.json").exists()
 
-    @pytest.mark.parametrize(
-        "argv",
-        # --tol 1e-6 keeps the span of 650 that --tau -1e-3 needs to a second
-        [("--a0", "40"), ("--tau", "-1e-3", "--tol", "1e-6"), ("--tol", "100", "--a1", "10"), ("--a1", "40")],
-    )
+    @pytest.mark.parametrize("argv", [("--a0", "40")])
     def test_domain_error_is_construction_failure(self, tmp_path, capsys, argv):
         assert run(tmp_path, "build-counterexample", *argv) == 3
         assert "construction failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        # --tol 1e-6 keeps the span of 650 that --tau -1e-3 needs to a second
+        [("--a1", "40"), ("--tau", "-1e-3", "--tol", "1e-6"), ("--tol", "100", "--a1", "10")],
+    )
+    def test_cone_edge_in_cross_check_leaves_the_certificate_to_decide(self, tmp_path, capsys, argv):
+        # an inner spectrum rounds onto the cone edge: the generic route goes
+        # unread, and the certificate's own checks set the exit code
+        code = run(tmp_path, "build-counterexample", *argv)
+        assert capsys.readouterr().err == ""
+        results = json.loads((tmp_path / "build-counterexample.json").read_text())["results"]
+        assert code == (0 if results["passed"] else 3)
+        assert results["cross_checks"]["generic_route_inner_sup"] is None
+        assert results["cross_checks"]["route_agreement_inner_sup"] is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--span", "1e10"), ("--mss", "--span", "1e10"), ("--rmax", "1e7"), ("--mss", "--rmax", "1e7"),
+         ("--tau", "-1e-3"), ("--mss", "--span", "8000", "--tol", "1e-3")],
+    )
+    def test_oversized_construction_is_parameter_error(self, tmp_path, capsys, argv):
+        start = time.perf_counter()
+        assert run(tmp_path, "build-counterexample", *argv) == 65
+        assert time.perf_counter() - start < 1.0
+        assert "more than 1000000 points" in capsys.readouterr().err
+        assert not (tmp_path / "build-counterexample.json").exists()
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(argv=cli_argv())

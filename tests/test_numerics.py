@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -13,6 +16,7 @@ from shrinker_lab.numerics import (
     RhsEvaluationError,
     Trajectory,
     as_sym_matrix,
+    cumulative_simpson,
     eig_sym,
     eig_sym_full,
     fd_gradient,
@@ -158,6 +162,45 @@ class TestFiniteDifferences:
     def test_bad_step(self):
         with pytest.raises(InputError):
             fd_gradient(lambda x: x[0], [1.0], h=0.0)
+
+
+class TestCumulativeSimpson:
+    def test_matches_scipy_bit_for_bit(self, rng):
+        ref = pytest.importorskip("scipy.integrate").cumulative_simpson
+        lengths = list(range(3, 61)) + [801, 2001, 20_001, 53_335]
+        for length in lengths:
+            y = rng.standard_normal(length) * 10.0 ** rng.uniform(-6, 6)
+            dx = float(rng.uniform(1e-4, 0.1))
+            assert same_bits(cumulative_simpson(y, dx), ref(y, dx=dx, initial=0.0)), length
+        # sub-integrals that are all -0.0 sum to +0.0, as a 0.0 initial value makes them
+        y = -np.zeros(7)
+        assert same_bits(cumulative_simpson(y, 0.1), ref(y, dx=0.1, initial=0.0))
+
+    @pytest.mark.parametrize("length", [3, 4, 5, 10, 101, 1000])
+    def test_exact_on_cubics(self, length):
+        # each pair of intervals is a composite Simpson panel, exact on cubics;
+        # a node inside a panel is exact on quadratics only
+        xs = np.linspace(-1.5, 2.5, length)
+        dx = xs[1] - xs[0]
+        for c in ([0.7, -1.3, 2.1, 0.0], [0.7, -1.3, 2.1, -0.4]):
+            y = c[0] + c[1] * xs + c[2] * xs**2 + c[3] * xs**3
+            F = c[0] * xs + c[1] * xs**2 / 2 + c[2] * xs**3 / 3 + c[3] * xs**4 / 4
+            err = np.abs(cumulative_simpson(y, dx) - (F - F[0]))
+            assert err[0] == 0.0
+            assert np.max(err if c[3] == 0.0 else err[::2]) < 1e-13 * length
+
+    def test_too_few_samples(self):
+        with pytest.raises(InputError):
+            cumulative_simpson([1.0, 2.0], 0.1)
+
+    def test_package_import_leaves_scipy_out(self):
+        import shrinker_lab
+
+        src = os.path.dirname(os.path.dirname(shrinker_lab.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, shrinker_lab.cli; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestInvertMonotone:
