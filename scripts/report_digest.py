@@ -14,7 +14,8 @@ value, a CSV cell or an exit code:
 The list covers every subcommand, two sweeps at their default sizes, and
 seven builds: three tolerances, two spacelike (``--mss``) profiles, and two
 whose cone margins are below the rounding of ``1 - x`` (taken from the
-log-odds and from s, they stay positive and both builds exit 0).
+log-odds and from s, they stay positive and both builds exit 0).  The script
+exits 1, after printing every line, if any command raised.
 """
 
 import argparse
@@ -58,6 +59,7 @@ def main(argv=None):
     sys.path.insert(0, os.path.abspath(args.src))
     from shrinker_lab.cli import main as cli_main
 
+    raised = False
     for command in COMMANDS:
         with tempfile.TemporaryDirectory() as out:
             sink = io.StringIO()
@@ -66,10 +68,12 @@ def main(argv=None):
                     status = f"exit {cli_main([*command, '--out', out])}"
             except Exception as exc:  # noqa: BLE001 - an escaped exception is a result here
                 status = f"raised {type(exc).__name__}"
+                raised = True
             print(f"{status}  {' '.join(command)}")
             for name in sorted(os.listdir(out)):
                 print(f"  {digest(os.path.join(out, name))}  {name}")
+    return 1 if raised else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

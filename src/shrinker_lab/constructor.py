@@ -374,7 +374,9 @@ def build_counterexample(
         if abs(stable) > sup:
             sup, sup_at = abs(stable), z.copy()
     cone_margin = _neg_cone_margin(b, float(phis.min()), float(phis.max()), n)
-    cone_ok = cone_margin > 0.0
+    # sigmoid(phi) lies in (0, 1) for every finite phi, though the margin
+    # underflows to 0 once |phi| passes about 745
+    cone_ok = bool(np.isfinite(phis).all())
 
     # generic eigenvalue-route cross-check where it is well-conditioned
     is_inner = np.linalg.norm(pts, axis=1) <= 0.5 * radius

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .numerics import DomainError, InputError, as_sym_matrix, eig_sym, fd_gradient, default_fd_step
+from .numerics import DomainError, InputError, as_sym_matrix, eig_sym, fd_gradient
 from .tau import Branch, admissible, operator_gradient_matrix, operator_value
 
 __all__ = [
@@ -85,7 +85,7 @@ def normal_project(tp, H, V):
     return V - E @ beta
 
 
-def mean_curvature(tp, field, x, h=None):
+def mean_curvature(tp, field, x, h):
     """Mean curvature vector of the gradient graph at (x, Du(x)).
 
     The ambient divergence reduces to the normal projection of
@@ -94,7 +94,6 @@ def mean_curvature(tp, field, x, h=None):
     derivatives at eigenvalue crossings.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    h = default_fd_step(x) if h is None else float(h)
 
     def F_of_x(p):
         return operator_value(tp, eig_sym(field.hessian(p)))
@@ -104,7 +103,7 @@ def mean_curvature(tp, field, x, h=None):
     return normal_project(tp, field.hessian(x), V)
 
 
-def shrinker_defect(tp, field, x, h=None):
+def shrinker_defect(tp, field, x, h):
     """Norm of  H + (1/2) X^perp  at the graph point over x.
 
     Vanishes along self-shrinkers.  For branches whose ambient form is

@@ -123,10 +123,10 @@ def default_fd_step(x):
     return 1e-4 * max(1.0, r)
 
 
-def fd_gradient(fn, x, h=None):
+def fd_gradient(fn, x, h):
     """Central-difference gradient of the callable ``fn``, second order in h."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    h = default_fd_step(x) if h is None else float(h)
+    h = float(h)
     if not h > 0:
         raise InputError(f"fd step must be positive, got {h}")
     g = np.empty(len(x))
@@ -137,7 +137,7 @@ def fd_gradient(fn, x, h=None):
     return g
 
 
-def fd_hessian(fn, x, h=None):
+def fd_hessian(fn, x, h):
     """Central-difference Hessian of the callable ``fn``, second order; exactly
     symmetric output.
 
@@ -145,7 +145,7 @@ def fd_hessian(fn, x, h=None):
     and mirrored, so H[i, j] == H[j, i] bit for bit.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    h = default_fd_step(x) if h is None else float(h)
+    h = float(h)
     if not h > 0:
         raise InputError(f"fd step must be positive, got {h}")
     n = len(x)
@@ -166,41 +166,19 @@ def fd_hessian(fn, x, h=None):
     return H
 
 
-def invert_monotone(fn, y, lo, hi, dfn=None, seed=None, resid_tol=None, max_iter=120):
-    """Solve fn(x) = y for a strictly increasing fn on (lo, hi).
+def invert_monotone(fn, y, lo, hi, dfn=None, seed=None):
+    """Solve fn(x) = y, to |fn(x) - y| <= 1e-12 (1 + |y|), for a strictly
+    increasing fn on the finite [lo, hi].
 
-    Bisection with Newton acceleration when a derivative (or secant estimate)
-    is making progress inside the bracket.  Infinite bracket ends are expanded
-    geometrically from ``seed`` until the root is enclosed.
-
-    Stops when |fn(x) - y| <= resid_tol (default 1e-12 * (1 + |y|)).
+    Newton steps (given ``dfn``) while they stay inside the bracket, else
+    Illinois secant steps (an end kept twice in a row has its residual halved,
+    so the secant does not stall as regula falsi does), else bisection.
     """
     y = float(y)
-    if resid_tol is None:
-        resid_tol = 1e-12 * (1.0 + abs(y))
-
+    resid_tol = 1e-12 * (1.0 + abs(y))
     a, b = float(lo), float(hi)
-    x0 = seed if seed is not None else None
-
-    # expand unbounded bracket ends
-    if not math.isfinite(a) or not math.isfinite(b):
-        c = 0.0 if x0 is None else float(x0)
-        if not math.isfinite(a):
-            step = 1.0
-            a = min(c, b - 1.0 if math.isfinite(b) else c) - step
-            while fn(a) > y:
-                step *= 4.0
-                a -= step
-                if step > 1e30:
-                    raise InputError("could not bracket root from below")
-        if not math.isfinite(b):
-            step = 1.0
-            b = max(c, a + 1.0) + step
-            while fn(b) < y:
-                step *= 4.0
-                b += step
-                if step > 1e30:
-                    raise InputError("could not bracket root from above")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise InputError(f"bracket [{a}, {b}] must be finite")
 
     fa = fn(a) - y
     fb = fn(b) - y
@@ -211,15 +189,20 @@ def invert_monotone(fn, y, lo, hi, dfn=None, seed=None, resid_tol=None, max_iter
     if fb == 0.0:
         return b
 
-    x = float(x0) if (x0 is not None and a < x0 < b) else 0.5 * (a + b)
+    x = float(seed) if (seed is not None and a < seed < b) else 0.5 * (a + b)
     fx = fn(x) - y
-    for _ in range(max_iter):
+    moved = 0  # the end the last iterate replaced: -1 for a, +1 for b
+    for _ in range(120):
         if abs(fx) <= resid_tol:
             return x
         if fx > 0:
-            b, fb = x, fx
+            if moved > 0:
+                fa *= 0.5
+            b, fb, moved = x, fx, 1
         else:
-            a, fa = x, fx
+            if moved < 0:
+                fb *= 0.5
+            a, fa, moved = x, fx, -1
         step_ok = False
         if dfn is not None:
             d = dfn(x)
@@ -229,7 +212,6 @@ def invert_monotone(fn, y, lo, hi, dfn=None, seed=None, resid_tol=None, max_iter
                     x = xn
                     step_ok = True
         if not step_ok:
-            # secant fallback inside the bracket, else bisection
             denom = fb - fa
             xn = a - fa * (b - a) / denom if denom != 0 else 0.5 * (a + b)
             x = xn if a < xn < b else 0.5 * (a + b)

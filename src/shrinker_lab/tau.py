@@ -13,12 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
 
 from . import jets
-from .numerics import DomainError, InputError, default_fd_step, eig_sym, eig_sym_full, fd_gradient, fd_hessian
+from .numerics import DomainError, InputError, eig_sym, eig_sym_full, fd_gradient, fd_hessian
 
 __all__ = [
     "Branch",
@@ -58,12 +60,13 @@ class Branch(str, Enum):
 
 @dataclass(frozen=True)
 class ConeSpec:
-    """Open set of admissible eigenvalues for one component."""
+    """One open component of the admissible eigenvalues, with the tag
+    :func:`admissible` reports for it."""
 
+    tag: str           # upper | lower | all | inside-interval
     kind: str          # halfline_above | halfline_below | interval | all_reals
     lo: float
     hi: float
-    description: str
 
     def contains(self, lam):
         return self.lo < lam < self.hi
@@ -154,6 +157,23 @@ class TauParams:
     def special_lagrangian(cls):
         return cls(math.pi / 2, 0.0, 1.0, Branch.SLAG)
 
+    @cached_property
+    def components(self):
+        """The open admissible components (:class:`ConeSpec`) of the scalar
+        summand, the one ``cone_side`` selects first.  Every cone test reads
+        them; a non-finite eigenvalue lies in none."""
+        br, a, b = self.branch, self.a, self.b
+        if br is Branch.MA:
+            return (ConeSpec("upper", "halfline_above", 0.0, math.inf),)
+        if br is Branch.NEG:
+            return (ConeSpec("inside-interval", "interval", -(b + a), b - a),)
+        if br in (Branch.ATAN, Branch.SLAG):
+            return (ConeSpec("all", "all_reals", -math.inf, math.inf),)
+        edge_upper, edge_lower = (-(a - b), -(a + b)) if br is Branch.LOG else (-1.0, -1.0)
+        upper = ConeSpec("upper", "halfline_above", edge_upper, math.inf)
+        lower = ConeSpec("lower", "halfline_below", -math.inf, edge_lower)
+        return (upper, lower) if self.cone_side == "upper" else (lower, upper)
+
     @classmethod
     def log_branch(cls, tau, cone_side="upper"):
         tp = cls.from_tau(tau, cone_side)
@@ -198,65 +218,94 @@ class TauParams:
 
 def cone_spec(tp):
     """Admissibility component selected by ``tp.cone_side``."""
-    br, a, b = tp.branch, tp.a, tp.b
-    if br is Branch.MA:
-        return ConeSpec("halfline_above", 0.0, math.inf, "all eigenvalues positive")
-    if br is Branch.LOG:
-        if tp.cone_side == "upper":
-            return ConeSpec("halfline_above", -(a - b), math.inf, "eigenvalues above b - a")
-        return ConeSpec("halfline_below", -math.inf, -(a + b), "eigenvalues below -(a + b)")
-    if br is Branch.HARM:
-        if tp.cone_side == "upper":
-            return ConeSpec("halfline_above", -1.0, math.inf, "eigenvalues above -1")
-        return ConeSpec("halfline_below", -math.inf, -1.0, "eigenvalues below -1")
-    if br is Branch.NEG:
-        return ConeSpec("interval", -(b + a), b - a, "eigenvalues in the bounded interval")
-    return ConeSpec("all_reals", -math.inf, math.inf, "no constraint")
+    return tp.components[0]
 
 
-def _in_domain(tp, lam):
-    """Union of admissible components for the scalar function itself."""
-    br, a, b = tp.branch, tp.a, tp.b
+def _eigenvalue(tp, lam):
+    """``lam`` as a float, or DomainError outside every admissible component."""
+    lam = float(lam)
+    for spec in tp.components:
+        if spec.lo < lam < spec.hi:
+            return lam
+    raise DomainError(f"eigenvalue {lam} outside the {tp.branch.value} admissibility set", value=lam)
+
+
+def _sigmoid(s):
+    if s >= 0:
+        return 1.0 / (1.0 + math.exp(-s))
+    e = math.exp(s)
+    return e / (1.0 + e)
+
+
+def _mp_consts(tp):
+    a, b = mp.mpf(repr(tp.a)), mp.mpf(repr(tp.b))
+    return a, b, mp.sqrt(a * a + 1)
+
+
+def _arithmetic(fns, pi, consts, sigmoid=None):
+    """Namespace the closed forms are evaluated in: log/atan/exp/tan/tanh from
+    ``fns``, pi, ``consts(tp)`` = (a, b, sqrt(a^2 + 1)) and a logistic sigmoid."""
+    return SimpleNamespace(
+        log=fns.log, atan=fns.atan, exp=fns.exp, tan=fns.tan, tanh=fns.tanh, pi=pi, consts=consts,
+        sigmoid=sigmoid or (lambda s: 1 / (1 + fns.exp(-s))),
+    )
+
+
+_FLOAT = _arithmetic(math, math.pi, lambda tp: (tp.a, tp.b, tp.sqrt_a2p1), sigmoid=_sigmoid)
+_MP = _arithmetic(mp, mp.pi, _mp_consts)
+_JETS = _arithmetic(jets, mp.pi, _mp_consts)
+
+
+def _f_closed(tp, lam, ops):
+    """Closed form of f, evaluated in the arithmetic ``ops``.
+
+    The groupings lam + (a -+ b) and (b - a) - lam are exact near the cone
+    edges, where the left-to-right sums round the small factor to zero; the
+    smooth ATAN form avoids the quotient arctangent's jump by pi across
+    lam = -(a + b).
+    """
+    br = tp.branch
     if br is Branch.MA:
-        return lam > 0.0
-    if br is Branch.LOG:
-        return lam > -(a - b) or lam < -(a + b)
+        return ops.log(lam) / 2
+    if br is Branch.SLAG:
+        return ops.atan(lam)
+    a, b, root = ops.consts(tp)
     if br is Branch.HARM:
-        return lam != -1.0
-    if br is Branch.NEG:
-        return -(b + a) < lam < (b - a)
-    return True
+        return -root / (1 + lam)  # root = sqrt(2)
+    if br is Branch.LOG:
+        return root / (2 * b) * ops.log((lam + (a - b)) / (lam + (a + b)))
+    if br is Branch.ATAN:
+        return root / b * (ops.atan((lam + a) / b) - ops.pi / 4)
+    return root / (2 * b) * ops.log((lam + (b + a)) / ((b - a) - lam))
+
+
+def _f_inverse_closed(tp, y, ops):
+    """Closed form of f^{-1} on the upper component (the lower one for
+    LOG/HARM targets y > 0), evaluated in the arithmetic ``ops``."""
+    br = tp.branch
+    if br is Branch.MA:
+        return ops.exp(2 * y)
+    if br is Branch.SLAG:
+        return ops.tan(y)
+    a, b, root = ops.consts(tp)
+    if br is Branch.HARM:
+        return -root / y - 1
+    if br is Branch.LOG:
+        # (1+E)/(1-E) with E = exp(2by/sqrt(a^2+1)) equals -coth(by/sqrt(a^2+1))
+        return -a - b / ops.tanh(b * y / root)
+    if br is Branch.ATAN:
+        return -a + b * ops.tan(y * b / root + ops.pi / 4)
+    return -(a + b) + 2 * b * ops.sigmoid(2 * b * y / root)
 
 
 def f_value(tp, lam):
     """The single-eigenvalue summand of the operator."""
-    lam = float(lam)
-    if not _in_domain(tp, lam):
-        raise DomainError(f"eigenvalue {lam} outside the {tp.branch.value} admissibility set", value=lam)
-    br, a, b = tp.branch, tp.a, tp.b
-    if br is Branch.MA:
-        return 0.5 * math.log(lam)
-    if br is Branch.LOG:
-        # group as lam + (a -+ b): exact near the cone edge, where the naive
-        # left-to-right sum rounds the small factor to zero
-        return tp.sqrt_a2p1 / (2.0 * b) * math.log((lam + (a - b)) / (lam + (a + b)))
-    if br is Branch.HARM:
-        return -SQRT2 / (1.0 + lam)
-    if br is Branch.ATAN:
-        # smooth form of the quotient arctangent; the raw quotient form jumps
-        # by pi across lam = -(a + b)
-        return tp.sqrt_a2p1 / b * (math.atan((lam + a) / b) - math.pi / 4.0)
-    if br is Branch.SLAG:
-        return math.atan(lam)
-    # NEG
-    return tp.sqrt_a2p1 / (2.0 * b) * math.log((lam + (b + a)) / ((b - a) - lam))
+    return _f_closed(tp, _eigenvalue(tp, lam), _FLOAT)
 
 
 def f_derivative(tp, lam):
     """Closed-form derivative of the scalar summand; strictly positive."""
-    lam = float(lam)
-    if not _in_domain(tp, lam):
-        raise DomainError(f"eigenvalue {lam} outside the {tp.branch.value} admissibility set", value=lam)
+    lam = _eigenvalue(tp, lam)
     br, a, b = tp.branch, tp.a, tp.b
     if br is Branch.MA:
         return 0.5 / lam
@@ -284,13 +333,6 @@ def f_range(tp):
     return (-math.pi / 2.0, math.pi / 2.0)
 
 
-def _sigmoid(s):
-    if s >= 0:
-        return 1.0 / (1.0 + math.exp(-s))
-    e = math.exp(s)
-    return e / (1.0 + e)
-
-
 def f_inverse(tp, y):
     """Unique admissible lam with f(lam) = y on the selected cone component.
 
@@ -301,31 +343,18 @@ def f_inverse(tp, y):
     lo, hi = f_range(tp)
     if not (lo < y < hi):
         raise InputError(f"target {y} outside attainable range ({lo}, {hi})")
-    br, a, b = tp.branch, tp.a, tp.b
-    if br is Branch.MA:
-        try:
-            lam = math.exp(2.0 * y)
-        except OverflowError:
-            return math.inf  # preimage beyond double range; MA cone is unbounded
-    elif br is Branch.LOG:
-        # (1+E)/(1-E) with E = exp(2by/sqrt(a^2+1)) equals -coth(by/sqrt(a^2+1))
-        lam = -a - b / math.tanh(b * y / tp.sqrt_a2p1)
-    elif br is Branch.HARM:
-        lam = -SQRT2 / y - 1.0
-    elif br is Branch.ATAN:
-        lam = -a + b * math.tan(y * b / tp.sqrt_a2p1 + math.pi / 4.0)
-    elif br is Branch.SLAG:
-        lam = math.tan(y)
-    else:  # NEG
-        lam = -(a + b) + 2.0 * b * _sigmoid(2.0 * b * y / tp.sqrt_a2p1)
+    try:
+        lam = _f_inverse_closed(tp, y, _FLOAT)
+    except OverflowError:
+        return math.inf  # MA's preimage beyond double range; its cone is unbounded
     # clamp into the open component: for extreme targets the closed form can
     # round onto (or past) a cone endpoint, where the nearest interior double
     # is the correctly rounded preimage
-    spec = cone_spec(tp)
+    spec = tp.components[0]
     if math.isfinite(spec.lo):
-        lam = max(lam, float(np.nextafter(spec.lo, math.inf)))
+        lam = max(lam, math.nextafter(spec.lo, math.inf))
     if math.isfinite(spec.hi):
-        lam = min(lam, float(np.nextafter(spec.hi, -math.inf)))
+        lam = min(lam, math.nextafter(spec.hi, -math.inf))
     if not math.isfinite(lam):
         return lam
     # short guarded Newton polish
@@ -347,64 +376,24 @@ def f_inverse(tp, y):
     return lam
 
 
-def _mp_consts(tp):
-    a = mp.mpf(repr(tp.a))
-    b = mp.mpf(repr(tp.b))
-    return a, b, mp.sqrt(a * a + 1)
-
-
-def _f_closed(tp, lam, ops):
-    """Closed form of f with ``ops`` supplying log/atan: mpmath, or :mod:`.jets`."""
-    br = tp.branch
-    if br is Branch.MA:
-        return ops.log(lam) / 2
-    if br is Branch.SLAG:
-        return ops.atan(lam)
-    if br is Branch.HARM:
-        return -mp.sqrt(2) / (1 + lam)
-    a, b, root = _mp_consts(tp)
-    if br is Branch.LOG:
-        return root / (2 * b) * ops.log((lam + a - b) / (lam + a + b))
-    if br is Branch.ATAN:
-        return root / b * (ops.atan((lam + a) / b) - mp.pi / 4)
-    return root / (2 * b) * ops.log((b + a + lam) / (b - a - lam))
-
-
-def _f_inverse_closed(tp, y, ops):
-    """Closed form of f^{-1} with ``ops`` supplying exp/tan/tanh."""
-    br = tp.branch
-    if br is Branch.MA:
-        return ops.exp(2 * y)
-    if br is Branch.SLAG:
-        return ops.tan(y)
-    if br is Branch.HARM:
-        return -mp.sqrt(2) / y - 1
-    a, b, root = _mp_consts(tp)
-    if br is Branch.LOG:
-        return -a - b / ops.tanh(b * y / root)
-    if br is Branch.ATAN:
-        return -a + b * ops.tan(y * b / root + mp.pi / 4)
-    return -(a + b) + 2 * b / (1 + ops.exp(-2 * b * y / root))
-
-
 def f_value_mp(tp, lam):
-    """mpmath twin of :func:`f_value` for high-precision shooting."""
-    return _f_closed(tp, lam, mp)
+    """:func:`f_value`'s closed form in mpmath, for high-precision shooting."""
+    return _f_closed(tp, lam, _MP)
 
 
 def f_inverse_mp(tp, y):
-    """mpmath twin of :func:`f_inverse` (closed forms only)."""
-    return _f_inverse_closed(tp, y, mp)
+    """:func:`f_inverse`'s closed form in mpmath (no polish)."""
+    return _f_inverse_closed(tp, y, _MP)
 
 
 def f_value_jet(tp, lam):
     """Taylor jet of :func:`f_value_mp` along the series ``lam`` (a :class:`.jets.Jet`)."""
-    return _f_closed(tp, lam, jets)
+    return _f_closed(tp, lam, _JETS)
 
 
 def f_inverse_jet(tp, y):
     """Taylor jet of :func:`f_inverse_mp` along the series ``y``."""
-    return _f_inverse_closed(tp, y, jets)
+    return _f_inverse_closed(tp, y, _JETS)
 
 
 def admissible(tp, eigenvalues):
@@ -414,19 +403,9 @@ def admissible(tp, eigenvalues):
     treated separately; a spectrum mixing them is inadmissible.
     """
     lams = np.atleast_1d(np.asarray(eigenvalues, dtype=float))
-    br, a, b = tp.branch, tp.a, tp.b
-    if br in (Branch.ATAN, Branch.SLAG):
-        return "all"
-    if br is Branch.MA:
-        return "upper" if np.all(lams > 0.0) else None
-    if br is Branch.NEG:
-        return "inside-interval" if np.all((lams > -(b + a)) & (lams < b - a)) else None
-    edge_upper = -(a - b) if br is Branch.LOG else -1.0
-    edge_lower = -(a + b) if br is Branch.LOG else -1.0
-    if np.all(lams > edge_upper):
-        return "upper"
-    if np.all(lams < edge_lower):
-        return "lower"
+    for spec in tp.components:
+        if np.all((lams > spec.lo) & (lams < spec.hi)):
+            return spec.tag
     return None
 
 
@@ -499,7 +478,7 @@ def shrinker_residual(tp, field, x):
     return float(operator_value(tp, eigs) - phase(field, x))
 
 
-def drift_residual(tp, field, x, h=None):
+def drift_residual(tp, field, x, h):
     """Residual of the zeroth-order-free drift equation satisfied by the phase.
 
     a^{ij} phi_ij - <x, D phi>/2, with a^{ij} the operator linearization at
@@ -507,7 +486,6 @@ def drift_residual(tp, field, x, h=None):
     scalar map  x -> -u + <x, Du>/2.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    h = default_fd_step(x) if h is None else float(h)
     coeff = operator_gradient_matrix(tp, field.hessian(x))
 
     def phi(p):
@@ -525,7 +503,7 @@ class GrowthRatio:
     defect: float
 
 
-def growth_ratio(tp, field, theta, r, h=None):
+def growth_ratio(tp, field, theta, r):
     """Radial growth diagnostic q(r) = u(r theta)/r^2 and its derivative defect.
 
     Along any solution, dq/dr equals 2 F(lambda(D^2 u(r theta))) / r^3; the
@@ -538,8 +516,7 @@ def growth_ratio(tp, field, theta, r, h=None):
     r = float(r)
     if r <= 0:
         raise InputError(f"radius must be positive, got {r}")
-    if h is None:
-        h = min(1e-4 * max(1.0, r), 0.45 * r)
+    h = min(1e-4 * max(1.0, r), 0.45 * r)
     q = field.value(r * theta) / r**2
     qp = field.value((r + h) * theta) / (r + h) ** 2
     qm = field.value((r - h) * theta) / (r - h) ** 2

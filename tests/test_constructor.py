@@ -248,6 +248,15 @@ class TestBuildCounterexample:
         assert cert.passed and cert.cone_ok
         assert 0.0 < cert.cone_margin < 1e-19
 
+    def test_underflowing_margin_still_certifies(self):
+        # phi reaches +-927 on the cloud: the margin 2b e^-927 underflows to
+        # 0.0, yet every curvature sigmoid(phi) of a finite phi is inside
+        tp = TauParams.neg_branch(a=-2.0)
+        _, _, cert = build_counterexample(tp, 0.0, 40.0, 2, T=20.0)
+        assert cert.cone_margin == 0.0
+        assert cert.cone_ok and cert.passed
+        assert cert.residual_sup <= cert.residual_target
+
     def test_margin_matches_high_precision(self):
         b = TauParams.neg_branch(a=-2.0).b
         phis = np.concatenate([-np.geomspace(700.0, 1e-3, 25), [0.0], np.geomspace(1e-3, 700.0, 25)])

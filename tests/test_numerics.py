@@ -207,16 +207,21 @@ class TestInvertMonotone:
     @given(st.floats(-20.0, 20.0))
     @settings(max_examples=60, deadline=None)
     def test_cubic_roundtrip(self, y):
-        x = invert_monotone(lambda t: t**3 + t, y, -math.inf, math.inf)
+        x = invert_monotone(lambda t: t**3 + t, y, -3.0, 3.0)
         assert abs(x**3 + x - y) <= 1e-12 * (1 + abs(y))
 
     def test_with_derivative(self):
-        x = invert_monotone(math.atan, 1.2, -math.inf, math.inf, dfn=lambda t: 1 / (1 + t * t))
+        x = invert_monotone(math.atan, 1.2, -10.0, 10.0, dfn=lambda t: 1 / (1 + t * t))
         assert abs(math.atan(x) - 1.2) < 1e-12 * 2.2
 
     def test_not_bracketed(self):
         with pytest.raises(InputError):
             invert_monotone(math.tanh, 2.0, -5.0, 5.0)
+
+    @pytest.mark.parametrize("lo, hi", [(-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0)])
+    def test_non_finite_bracket_rejected(self, lo, hi):
+        with pytest.raises(InputError, match="must be finite"):
+            invert_monotone(math.atan, 0.5, lo, hi)
 
 
 class TestIntegrateOde:

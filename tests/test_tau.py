@@ -30,7 +30,7 @@ from shrinker_lab.tau import (
     minkowski_residual,
     weighted_p_laplace_residual,
 )
-from shrinker_lab.quadratics import random_admissible_matrix
+from shrinker_lab.quadratics import _eigenvalue_window, random_admissible_matrix
 from conftest import branch_params, same_bits
 
 SQRT2 = math.sqrt(2.0)
@@ -219,6 +219,42 @@ class TestInverse:
         assert str(sl.tau.f_range(tp)) in str(exc.value)
         with pytest.raises(InputError, match="outside attainable range"):
             f_inverse(all_branches["HARM"], 0.5)  # upper component range is (-inf, 0)
+
+
+def _with_lower_cones():
+    tps = branch_params()
+    tps["HARM-lower"] = TauParams.harmonic("lower")
+    tps["LOG-lower"] = TauParams.log_branch(math.pi / 6, "lower")
+    return tps
+
+
+class TestNonFiniteEigenvalues:
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", list(_with_lower_cones()))
+    def test_domain_error(self, name, lam):
+        tp = _with_lower_cones()[name]
+        for fn in (f_value, f_derivative):
+            with pytest.raises(DomainError, match="admissibility"):
+                fn(tp, lam)
+        interior = sum(_eigenvalue_window(tp, 0.15, 4.0)) / 2
+        for spectrum in ([lam], [interior, lam]):
+            with pytest.raises(DomainError, match="cone component"):
+                operator_value(tp, spectrum)
+        assert admissible(tp, [lam]) is None
+
+
+class TestFloatAgainstHighPrecision:
+    @pytest.mark.parametrize("name", list(_with_lower_cones()))
+    def test_f_and_inverse_match_closed_forms_at_50_digits(self, name, rng):
+        tp = _with_lower_cones()[name]
+        lo, hi = _eigenvalue_window(tp, 0.15, 4.0)
+        with mp.workdps(50):
+            for lam in rng.uniform(lo, hi, size=300):
+                y = f_value(tp, lam)
+                ref = float(f_value_mp(tp, mp.mpf(lam)))
+                assert abs(y - ref) <= 1e-13 * (1 + abs(ref))
+                ref = float(f_inverse_mp(tp, mp.mpf(y)))
+                assert abs(f_inverse(tp, y) - ref) <= 1e-13 * (1 + abs(ref))
 
 
 class TestJets:
