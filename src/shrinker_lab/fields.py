@@ -55,11 +55,11 @@ class ScalarField:
 class QuadraticField(ScalarField):
     """u(x) = 0.5 <x, A x> + c with exact derivatives.
 
-    Each method also takes an (m, n) cloud and returns (m,), (m, n) or
-    (m, n, n), every row bit for bit the single-point result: the stacked
+    ``value`` and ``gradient`` also take an (m, n) cloud and return (m,) or
+    (m, n), every row bit for bit the single-point result: the stacked
     products ``(X[:, None, :] @ A) @ X[:, :, None]`` and ``A @ X[:, :, None]``
     run the kernel of the single-point products row by row, where ``X @ A``
-    would not.
+    would not.  ``hessian`` takes one point: it is A everywhere.
     """
 
     def __init__(self, A, c=0.0):
@@ -91,9 +91,7 @@ class QuadraticField(ScalarField):
         return self.A @ x
 
     def hessian(self, x):
-        x = self._points(x)
-        if x.ndim == 2:
-            return np.repeat(self.A[None], len(x), axis=0)
+        self._point(x)
         return self.A.copy()
 
 

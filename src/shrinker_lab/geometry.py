@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .numerics import DomainError, InputError, as_sym_matrix, eig_sym, fd_gradient
-from .tau import Branch, admissible, operator_gradient_matrix, operator_value
+from .tau import Branch, operator_gradient_matrix, operator_value
 
 __all__ = [
     "ambient_metric",
@@ -50,17 +50,17 @@ def metric_duality_defect(tp, H):
 
     Both are diagonal in the Hessian eigenbasis with entries
     1/(sin (1+lam^2) + 2 cos lam) and f'(lam); the identity is exact, so the
-    defect measures eigensolver and inversion error only.
+    defect measures eigensolver and inversion error only.  The one eigen-solve,
+    in :func:`operator_gradient_matrix`, comes first: an inadmissible H
+    raises there, before its metric is inverted.
     """
     H = as_sym_matrix(H)
-    if admissible(tp, eig_sym(H)) is None:
-        raise DomainError(f"Hessian spectrum inadmissible for {tp.branch.value}")
-    g = induced_metric(tp, H)
+    dF = operator_gradient_matrix(tp, H)
     try:
-        ginv = np.linalg.inv(g)
+        ginv = np.linalg.inv(induced_metric(tp, H))
     except np.linalg.LinAlgError as exc:
         raise DomainError(f"induced metric degenerate: {exc}") from exc
-    return float(np.max(np.abs(ginv - operator_gradient_matrix(tp, H))))
+    return float(np.max(np.abs(ginv - dF)))
 
 
 def normal_project(tp, H, V):

@@ -83,31 +83,23 @@ class DivergenceEvent:
 
 
 def as_sym_matrix(M):
-    """Validate and return a symmetric float matrix, or a stack ``(..., n, n)``
-    of them checked one by one (no copy if already valid)."""
+    """Validate and return one symmetric float matrix (no copy if already
+    valid).  Asymmetry up to 1e-12 times the largest entry (at least 1) is
+    finite-difference noise and is averaged away; more is an InputError."""
     A = np.asarray(M, dtype=float)
-    if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.shape[-1] < 1:
-        raise InputError(f"expected a square matrix or a stack of them, got shape {A.shape}")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
+        raise InputError(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise InputError("matrix has non-finite entries")
-    AT = np.swapaxes(A, -1, -2)
-    skew = (A != AT).any(axis=(-2, -1))
-    if skew.any():
-        # tolerate FD-era asymmetry only if it is exactly representable noise
-        noise = np.abs(A - AT).max(axis=(-2, -1))
-        if np.any(noise > 1e-12 * np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))):
+    if not np.array_equal(A, A.T):
+        if np.max(np.abs(A - A.T)) > 1e-12 * max(1.0, np.max(np.abs(A))):
             raise InputError("matrix is not symmetric")
-        A = A.copy()
-        A[skew] = 0.5 * (A[skew] + AT[skew])
+        A = 0.5 * (A + A.T)
     return A
 
 
 def eig_sym(M):
-    """All eigenvalues of a symmetric matrix, ascending (LAPACK ``syevd``).
-
-    A stack ``(..., n, n)`` gives ``(..., n)`` in one gufunc call, each row
-    bit for bit the eigenvalues of its matrix alone.
-    """
+    """All eigenvalues of one symmetric matrix, ascending (LAPACK ``syevd``)."""
     return np.linalg.eigvalsh(as_sym_matrix(M))
 
 

@@ -4,6 +4,7 @@ certification, plus admissible-matrix sampling used by sweeps and tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from .fields import QuadraticField
 from .numerics import DomainError, as_sym_matrix, eig_sym
-from .tau import admissible, cone_spec, operator_value, shrinker_residual
+from .tau import admissible, cone_spec, operator_value, phase
 
 __all__ = [
     "QuadraticSolution",
@@ -39,10 +40,6 @@ class QuadraticSolution:
     def field(self):
         return QuadraticField(self.A, self.c)
 
-    @cached_property
-    def eigenvalues(self):
-        return eig_sym(self.A)
-
     @property
     def dim(self):
         return self.A.shape[0]
@@ -61,9 +58,13 @@ def build_quadratic(tp, A):
 
 def verify_quadratic(tp, A, points):
     """Max |shrinker residual| of the built solution over an (m, n) cloud of
-    sample points, evaluated as one cloud."""
+    sample points.
+
+    D^2u = A everywhere, so F(lambda(D^2u)) is -sol.c, read from
+    ``build_quadratic``'s one eigen-solve; the cloud costs one ``phase`` call.
+    """
     sol = build_quadratic(tp, A)
-    return float(np.max(np.abs(shrinker_residual(tp, sol.field, points)), initial=0.0))
+    return float(np.max(np.abs(-sol.c - phase(sol.field, points)), initial=0.0))
 
 
 def random_orthogonal(n, rng):
@@ -74,12 +75,13 @@ def random_orthogonal(n, rng):
 
 def _eigenvalue_window(tp, margin, spread):
     spec = cone_spec(tp)
-    if spec.kind == "interval":
+    lo_finite, hi_finite = math.isfinite(spec.lo), math.isfinite(spec.hi)
+    if lo_finite and hi_finite:
         width = spec.hi - spec.lo
         return spec.lo + margin * width, spec.hi - margin * width
-    if spec.kind == "halfline_above":
+    if lo_finite:
         return spec.lo + margin, spec.lo + margin + spread
-    if spec.kind == "halfline_below":
+    if hi_finite:
         return spec.hi - margin - spread, spec.hi - margin
     return -spread / 2.0, spread / 2.0
 

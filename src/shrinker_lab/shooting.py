@@ -81,9 +81,7 @@ class RadialProfile:
 
     def d2u(self, r):
         u, up = self.state(float(r))
-        s = self.upps[0] if r < _R_SERIES else up / r
-        arg = (-u + 0.5 * r * up) - (self.n - 1) * f_value(self.tp, s)
-        return f_inverse(self.tp, arg)
+        return f_inverse(self.tp, _radial_target(self.tp, self.n, r, u, up, self.upps[0]))
 
     @property
     def field(self):
@@ -91,6 +89,18 @@ class RadialProfile:
 
     def rows(self):
         return np.column_stack([self.rs, self.us, self.ups, self.upps])
+
+
+def _radial_target(tp, n, r, u, up, upp0):
+    """Target (-u + r u'/2) - (n-1) f(s) of the radial equation u'' = f^{-1}(target).
+
+    The transverse eigenvalue s is ``upp0`` = u''(0) below _R_SERIES and u'/r
+    beyond; DomainError when s has left the selected cone component.
+    """
+    s = upp0 if r < _R_SERIES else up / r
+    if not cone_spec(tp).contains(s):
+        raise DomainError(f"transverse eigenvalue {s} left the cone", value=s)
+    return (-u + 0.5 * r * up) - (n - 1) * f_value(tp, s)
 
 
 def _series_state(u0, upp0, r):
@@ -114,15 +124,14 @@ def radial_quadratic_reference(tp, n, c, r_max=10.0, n_samples=401):
 
 
 def _shoot_float(tp, n, u0, upp0, r_max, rel_tol, abs_tol):
-    spec = cone_spec(tp)
     lo_y, hi_y = f_range(tp)
 
     def rhs(r, y):
         u, up = y
-        s = upp0 if r < _R_SERIES else up / r
-        if not spec.contains(s):
-            raise RhsEvaluationError("cone_exit", f"transverse eigenvalue {s} left the cone")
-        arg = (-u + 0.5 * r * up) - (n - 1) * f_value(tp, s)
+        try:
+            arg = _radial_target(tp, n, r, u, up, upp0)
+        except DomainError as exc:
+            raise RhsEvaluationError("cone_exit", str(exc)) from None
         if not (lo_y < arg < hi_y):
             raise RhsEvaluationError("inversion_failure", f"operator target {arg} out of range")
         return np.array([up, f_inverse(tp, arg)])
@@ -261,8 +270,8 @@ def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, abs_tol=1e-12, dps=None, 
     Raises
     ------
     InputError
-        If -u0/n is not attainable on the selected cone component (no valid
-        initial curvature exists).
+        If -u0/n is not attainable on the selected cone component, or its
+        preimage u''(0) is not finite (no valid initial curvature exists).
     """
     n = int(n)
     if n < 1:
@@ -273,6 +282,8 @@ def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, abs_tol=1e-12, dps=None, 
     u0_raw = u0
     u0 = float(u0)
     upp0 = f_inverse(tp, -u0 / n)
+    if not math.isfinite(upp0):
+        raise InputError(f"u''(0) = f^-1(-u0/n) = {upp0} at u0 = {u0}: no finite initial curvature")
 
     if dps is not None:
         state, r_end, event = _shoot_mp(tp, n, u0_raw, float(r_max), int(dps))
@@ -283,15 +294,16 @@ def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, abs_tol=1e-12, dps=None, 
     us = np.empty_like(rs)
     ups = np.empty_like(rs)
     upps = np.empty_like(rs)
-    spec = cone_spec(tp)
     lo_y, hi_y = f_range(tp)
     truncate = None
     for i, r in enumerate(rs):
         u, up = state(r) if r > 0 else (u0, 0.0)
         us[i], ups[i] = u, up
-        s = upp0 if r < _R_SERIES else up / r
-        arg = (-u + 0.5 * r * up) - (n - 1) * (f_value(tp, s) if spec.contains(s) else math.nan)
-        if not (lo_y < arg < hi_y) or not spec.contains(s):
+        try:
+            arg = _radial_target(tp, n, r, u, up, upp0)
+        except DomainError:
+            arg = math.nan
+        if not (lo_y < arg < hi_y):
             upps[i] = math.nan
             if truncate is None:
                 truncate = i

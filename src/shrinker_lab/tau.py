@@ -64,7 +64,6 @@ class ConeSpec:
     :func:`admissible` reports for it."""
 
     tag: str           # upper | lower | all | inside-interval
-    kind: str          # halfline_above | halfline_below | interval | all_reals
     lo: float
     hi: float
 
@@ -128,7 +127,8 @@ class TauParams:
 
     @classmethod
     def from_cot(cls, a, cone_side="upper"):
-        """Construct from a = cot(tau); rejects a in [-1, 0] and (0, ...]=... seams by value."""
+        """Construct from a = cot(tau); rejects a in [-1, 0).  The seams are
+        matched by value: a = +-inf is MA, a = 0 SLAG and a = 1 HARM."""
         a = float(a)
         if math.isinf(a):
             return cls.monge_ampere(cone_side)
@@ -164,14 +164,14 @@ class TauParams:
         them; a non-finite eigenvalue lies in none."""
         br, a, b = self.branch, self.a, self.b
         if br is Branch.MA:
-            return (ConeSpec("upper", "halfline_above", 0.0, math.inf),)
+            return (ConeSpec("upper", 0.0, math.inf),)
         if br is Branch.NEG:
-            return (ConeSpec("inside-interval", "interval", -(b + a), b - a),)
+            return (ConeSpec("inside-interval", -(b + a), b - a),)
         if br in (Branch.ATAN, Branch.SLAG):
-            return (ConeSpec("all", "all_reals", -math.inf, math.inf),)
+            return (ConeSpec("all", -math.inf, math.inf),)
         edge_upper, edge_lower = (-(a - b), -(a + b)) if br is Branch.LOG else (-1.0, -1.0)
-        upper = ConeSpec("upper", "halfline_above", edge_upper, math.inf)
-        lower = ConeSpec("lower", "halfline_below", -math.inf, edge_lower)
+        upper = ConeSpec("upper", edge_upper, math.inf)
+        lower = ConeSpec("lower", -math.inf, edge_lower)
         return (upper, lower) if self.cone_side == "upper" else (lower, upper)
 
     @classmethod
@@ -343,14 +343,16 @@ def f_inverse(tp, y):
     lo, hi = f_range(tp)
     if not (lo < y < hi):
         raise InputError(f"target {y} outside attainable range ({lo}, {hi})")
+    spec = tp.components[0]
     try:
         lam = _f_inverse_closed(tp, y, _FLOAT)
-    except OverflowError:
-        return math.inf  # MA's preimage beyond double range; its cone is unbounded
+    except (OverflowError, ZeroDivisionError):
+        # MA's exp(2y) past double range, or LOG's tanh(b y / root) underflowing
+        # to 0 at a denormal y: the preimage is the component's infinite end
+        return spec.hi if spec.hi == math.inf else spec.lo
     # clamp into the open component: for extreme targets the closed form can
     # round onto (or past) a cone endpoint, where the nearest interior double
     # is the correctly rounded preimage
-    spec = tp.components[0]
     if math.isfinite(spec.lo):
         lam = max(lam, math.nextafter(spec.lo, math.inf))
     if math.isfinite(spec.hi):
@@ -447,29 +449,14 @@ def phase(field, x):
 def shrinker_residual(tp, field, x):
     """Pointwise defect of the self-shrinker potential equation at x.
 
-    Zero iff  F(lambda(D^2 u)) = -u + <x, Du>/2  holds at x.  An (m, n)
-    cloud, for a field that evaluates clouds, gives (m,) defects, each bit
-    for bit its point's defect: the Hessians are solved in one stacked call,
-    and F is taken once per distinct spectrum by the scalar summands.  The
-    first point with an inadmissible spectrum is the ``location`` of the
-    DomainError.
+    Zero iff  F(lambda(D^2 u)) = -u + <x, Du>/2  holds at x.  ``x`` is one
+    point: a cloud would solve one Hessian per point, and on a quadratic,
+    whose Hessian is constant, the defect is F(lambda(A)) - phase (see
+    ``quadratics.verify_quadratic``).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.ndim == 2:
-        x = np.ascontiguousarray(x)
-        eigs = eig_sym(field.hessian(x))
-        _, first, inverse = np.unique(
-            eigs.view(np.int64), axis=0, return_index=True, return_inverse=True
-        )
-        for k in sorted(first):
-            if admissible(tp, eigs[k]) is None:
-                raise DomainError(
-                    f"inadmissible Hessian spectrum {eigs[k]} at x = {x[k]}",
-                    value=float(eigs[k][0]),
-                    location=x[k],
-                )
-        F = np.array([operator_value(tp, eigs[k]) for k in first])
-        return F[inverse.reshape(-1)] - phase(field, x)
+    if x.ndim != 1:
+        raise InputError(f"shrinker_residual takes one point, got shape {x.shape}")
     eigs = eig_sym(field.hessian(x))
     if admissible(tp, eigs) is None:
         raise DomainError(

@@ -133,6 +133,7 @@ class TestExitCodes:
             ("shoot", "--u0", "-1", "--dps", "-3"),
             ("shoot", "--u0", "-1", "--dps", "0"),
             ("shoot", "--u0", "-1", "--dps", "10"),
+            ("shoot", "--tau", "0.78", "--n", "1", "--u0", "5e-324"),
             ("flow-check", "--seed", "-1"),
             ("verify-quadratic", "--seed", "-1"),
             ("defect", "--seed", "-1"),

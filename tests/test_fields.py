@@ -55,7 +55,6 @@ class TestQuadraticField:
         for cloud in (X, np.asfortranarray(X)):
             assert same_bits(f.value(cloud), [f.value(x) for x in X])
             assert same_bits(f.gradient(cloud), [f.gradient(x) for x in X])
-            assert same_bits(f.hessian(cloud), [f.hessian(x) for x in X])
 
 
 class TestCallableField:

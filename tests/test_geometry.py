@@ -106,6 +106,9 @@ class TestDegenerateMetric:
         tp = TauParams.monge_ampere()
         with pytest.raises(sl.DomainError, match="induced metric degenerate"):
             normal_project(tp, np.diag([0.0, 1.0]), np.array([1.0, 0.0, 0.0, 0.0]))
+        # the duality defect checks the spectrum before it inverts the metric
+        with pytest.raises(sl.DomainError, match="inadmissible"):
+            metric_duality_defect(tp, np.diag([0.0, 1.0]))
 
 
 class TestMeanCurvature:

@@ -15,7 +15,6 @@ from shrinker_lab.numerics import (
     InputError,
     RhsEvaluationError,
     Trajectory,
-    as_sym_matrix,
     cumulative_simpson,
     eig_sym,
     eig_sym_full,
@@ -104,28 +103,6 @@ class TestEigSym:
     def test_asymmetric_rejected(self):
         with pytest.raises(InputError):
             eig_sym([[1.0, 2.0], [0.5, 1.0]])
-
-    @given(n=st.integers(1, 4), m=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=80, deadline=None)
-    def test_stack_equals_single_solves_bit_for_bit(self, n, m, seed):
-        rng = np.random.default_rng(seed)
-        H = rng.standard_normal((m, n, n))
-        H = H + np.swapaxes(H, -1, -2)
-        assert same_bits(eig_sym(H), [eig_sym(h) for h in H])
-
-    def test_stack_checked_matrix_by_matrix(self):
-        # the asymmetry allowance scales with each matrix's own entries
-        big = 1e6 * np.eye(2)
-        big[0, 1] = 1e-7
-        small = np.eye(2)
-        small[0, 1] = 1e-7
-        assert same_bits(as_sym_matrix(np.stack([np.eye(2), big])), [np.eye(2), as_sym_matrix(big)])
-        with pytest.raises(InputError):
-            eig_sym(np.stack([big, small]))
-        with pytest.raises(InputError):
-            eig_sym(np.stack([np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]]))
-        with pytest.raises(InputError):
-            eig_sym(np.ones((3, 2, 3)))
 
 
 class TestFiniteDifferences:
