@@ -27,6 +27,9 @@ EXIT_CONSTRUCT_FAIL = 3
 EXIT_USAGE = 64
 EXIT_PARAMETER = 65
 
+MAX_DIMENSION = 10  # the n <= 10 that numerics is written for
+MAX_DPS = 100
+
 BRANCH_DEFAULTS = {
     "MA": lambda: TauParams.monge_ampere(),
     "LOG": lambda: TauParams.log_branch(math.pi / 6),
@@ -95,7 +98,20 @@ def _check_sizes(args):
     """--rmax, --grid-step, --span and --tol, where the command has them and
     they are given, must be finite and positive; --seed must be at least 0;
     and --grid-step, where the command samples it, may put at most
-    MAX_GRID_POINTS points on [-span, span]."""
+    MAX_GRID_POINTS points on [-span, span].  Sizes past what the front end
+    runs are usage errors: --n above MAX_DIMENSION, --dps above MAX_DPS, and
+    --trials (times --points, where the command has it) above
+    MAX_GRID_POINTS."""
+    if args.n > MAX_DIMENSION:
+        raise UsageError(f"--n {args.n} is above {MAX_DIMENSION}, the largest dimension supported")
+    dps = getattr(args, "dps", None)
+    if dps is not None and dps > MAX_DPS:
+        raise UsageError(f"--dps {dps} is above {MAX_DPS}")
+    trials = getattr(args, "trials", 0)
+    points = max(getattr(args, "points", 1), 1)  # --points below 1 is refused with the sweep's sizes
+    if trials * points > MAX_GRID_POINTS:
+        what = f"--trials {trials} x --points {points}" if hasattr(args, "points") else f"--trials {trials}"
+        raise UsageError(f"{what} is above {MAX_GRID_POINTS}")
     for name in ("rmax", "grid_step", "span", "tol"):
         value = getattr(args, name, None)
         if value is not None and not (math.isfinite(value) and value > 0):

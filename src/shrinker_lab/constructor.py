@@ -45,20 +45,24 @@ MAX_GRID_POINTS = 10**6
 
 def sigmoid(s):
     """Logistic e^s / (1 + e^s) without overflow on either tail; a float for a
-    scalar.  ``np.exp`` rounds a float as it rounds an array element, so both
-    forms agree bit for bit (``math.exp`` does not)."""
-    if np.ndim(s) == 0:
+    scalar, an array for an array.  A float skips numpy's shape dispatch and
+    is rounded in Python floats, but its exponential is still ``np.exp``,
+    which rounds a float as it rounds an array element, so both forms agree
+    bit for bit (``math.exp`` does not)."""
+    if isinstance(s, float) or np.ndim(s) == 0:
         s = float(s)
-        e = np.exp(-abs(s))
-        return float(1.0 / (1.0 + e) if s >= 0.0 else e / (1.0 + e))
+        e = float(np.exp(-abs(s)))
+        return 1.0 / (1.0 + e) if s >= 0.0 else e / (1.0 + e)
     s = np.asarray(s, dtype=float)
     e = np.exp(-np.abs(s))
     return np.where(s >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _phase_rhs(t, y):
-    sig = sigmoid(y[0])
-    return np.array([y[1], 0.5 * sig * (1.0 - sig) * t * y[1]])
+    """(phi', phi'') of the phase ODE at t, on the float list y = [phi, phi']."""
+    phi, dphi = y
+    sig = sigmoid(phi)
+    return [dphi, 0.5 * sig * (1.0 - sig) * t * dphi]
 
 
 @dataclass
@@ -145,7 +149,7 @@ def solve_phase_ode(a0, a1, T, rel_tol=1e-10, abs_tol=None):
         )
     abs_tol = rel_tol * 1e-2 if abs_tol is None else float(abs_tol)
 
-    rhs0 = _phase_rhs(0.0, np.array([a0, a1]))
+    rhs0 = _phase_rhs(0.0, [a0, a1])
     assert rhs0[1] == 0.0  # phi''(0) vanishes identically
 
     dense = _two_sided(_phase_rhs, [a0, a1], T, rel_tol, abs_tol, "phase_ode", "t")
@@ -367,7 +371,7 @@ def build_counterexample(
     pts = np.vstack([pts, probes])
 
     phis = traj.phi_array(pts[:, 0] / c2)[:, 0]
-    stables = (1.0 / k) * phis - np.array([phase(ufield, z) for z in pts])
+    stables = (1.0 / k) * phis - phase(ufield, pts)
     sup = 0.0
     sup_at = None
     for z, stable in zip(pts, stables):
@@ -470,6 +474,8 @@ class MinkowskiProfile(ScalarField):
     takes an (m, 1) cloud, read in one ``Trajectory.evaluate`` call, and
     returns (m,), (m, 1) or (m, 1, 1), every row bit for bit the point call:
     tanh and cosh are ``math``'s per element (numpy's round differently).
+    The last cloud read is kept, so the methods a residual calls on one cloud
+    read the trajectory once between them.
     """
 
     dim = 1
@@ -477,14 +483,20 @@ class MinkowskiProfile(ScalarField):
     def __init__(self, table, dense):
         self._table = table
         self._dense = dense    # (s, phi), ascending
+        self._last_cloud = (None, None)    # (bytes of the cloud, its (s, phi) lists)
 
     def _pairs(self, x):
         """(s, phi) lists at a point or an (m, 1) cloud, clamped to the
         integrated span, and whether x is a cloud."""
         x = np.asarray(x, dtype=float)
-        cloud = x.ndim == 2 and x.shape[1] == 1
-        s, p = self._dense.evaluate(x[:, 0] if cloud else self._point(x)).T.tolist()
-        return s, p, cloud
+        if not (x.ndim == 2 and x.shape[1] == 1):
+            s, p = self._dense.evaluate(self._point(x)).T.tolist()
+            return s, p, False
+        key = x.tobytes()
+        if self._last_cloud[0] != key:
+            self._last_cloud = (key, self._dense.evaluate(x[:, 0]).T.tolist())
+        s, p = self._last_cloud[1]
+        return s, p, True
 
     def rows(self, xs):
         """Profile table (x, s, phi, f, f', f''), shape (m, 6), at an array of
@@ -525,8 +537,9 @@ def _sech2(s):
 
 
 def _mss_rhs(x, y):
+    """(s', phi') of the spacelike system at x, on the float list y = [s, phi]."""
     s, p = y
-    return np.array([p, 0.5 * x * _sech2(s) * p])
+    return [p, 0.5 * x * _sech2(s) * p]
 
 
 def _spacelike_margin(max_abs_s):
@@ -582,7 +595,8 @@ def build_mss_counterexample(
     residuals = np.abs(minkowski_residual(fld, xs[:, None]))
     sup = float(np.max(residuals, initial=0.0))  # a NaN residual propagates
     sup_at = float(xs[np.argmax(residuals)]) if sup > 0.0 else 0.0
-    max_abs_s = float(np.max(np.abs(dense.evaluate(xs)[:, 0]), initial=0.0))
+    cloud_s = fld._pairs(xs[:, None])[0]  # the residual's own read of the cloud
+    max_abs_s = float(np.max(np.abs(cloud_s), initial=0.0))
 
     witness_val = _sech2(s0) * phi0
     witness = {

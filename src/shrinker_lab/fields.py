@@ -51,6 +51,22 @@ class ScalarField:
             raise InputError(f"expected point of dimension {self.dim}, got shape {p.shape}")
         return p
 
+    def _points(self, x):
+        """One point (dim,), or a row-major (m, dim) cloud."""
+        p = np.asarray(x, dtype=float)
+        if p.ndim == 2 and p.shape[1] == self.dim:
+            return np.ascontiguousarray(p)  # strided rows take another kernel
+        return self._point(p)
+
+
+def _dot_self(x):
+    """<x, x> of one point as a float, or row by row of a cloud as (m,): the
+    stacked product ``x[:, None, :] @ x[:, :, None]`` runs the kernel of the
+    single-point ``x @ x`` on each row, so each row rounds as its point does."""
+    if x.ndim == 2:
+        return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+    return float(x @ x)
+
 
 class QuadraticField(ScalarField):
     """u(x) = 0.5 <x, A x> + c with exact derivatives.
@@ -70,13 +86,6 @@ class QuadraticField(ScalarField):
             raise InputError("A must be symmetric")
         self.c = float(c)
         self.dim = self.A.shape[0]
-
-    def _points(self, x):
-        """One point (dim,), or a row-major (m, dim) cloud."""
-        p = np.asarray(x, dtype=float)
-        if p.ndim == 2 and p.shape[1] == self.dim:
-            return np.ascontiguousarray(p)  # strided rows take another kernel
-        return self._point(p)
 
     def value(self, x):
         x = self._points(x)
@@ -131,6 +140,9 @@ class AffineScaledField(ScalarField):
     flatten into a single layer; in particular an exact involution composed
     with itself collapses to the identity coefficients (1, 1, 0, 0) and
     evaluates bit-for-bit as the base.
+
+    ``value`` and ``gradient`` also take an (m, n) cloud, when the base does,
+    and return (m,) or (m, n), every row bit for bit the single-point result.
     """
 
     def __init__(self, base, outer=1.0, inner=1.0, quad=0.0, offset=0.0):
@@ -149,15 +161,15 @@ class AffineScaledField(ScalarField):
         self.dim = base.dim
 
     def value(self, x):
-        x = self._point(x)
+        x = self._points(x)
         return (
             self.outer * self.base.value(self.inner * x)
-            + 0.5 * self.quad * float(x @ x)
+            + 0.5 * self.quad * _dot_self(x)
             + self.offset
         )
 
     def gradient(self, x):
-        x = self._point(x)
+        x = self._points(x)
         return self.outer * self.inner * self.base.gradient(self.inner * x) + self.quad * x
 
     def hessian(self, x):
@@ -204,6 +216,10 @@ class Table1DField(ScalarField):
     Value uses the two-point quintic Hermite; the slope uses the cubic Hermite
     of (slope, curvature); the curvature is interpolated by a local cubic, or
     supplied exactly by ``curvature_fn`` when the backing relation is known.
+
+    ``value`` and ``gradient`` also take an (m, 1) cloud and return (m,) or
+    (m, 1) in one batch, every row bit for bit its point's result (both
+    Hermites are elementwise).
     """
 
     dim = 1
@@ -231,12 +247,15 @@ class Table1DField(ScalarField):
     def _point_t(self, x):
         return self._t(float(self._point(x)[0]))
 
-    def value(self, x):
-        """Value at a point, or (m,) values at an (m, 1) cloud in one batch,
-        each bit for bit its point's value (the quintic is elementwise)."""
+    def _points_t(self, x):
+        """(t, cloud): t of a point as a float, or of an (m, 1) cloud as (m,)."""
         x = np.asarray(x, dtype=float)
-        cloud = x.ndim == 2 and x.shape[1] == 1
-        t = self._t(x[:, 0]) if cloud else self._point_t(x)
+        if x.ndim == 2 and x.shape[1] == 1:
+            return self._t(x[:, 0]), True
+        return self._point_t(x), False
+
+    def value(self, x):
+        t, cloud = self._points_t(x)
         k = _bracket_index(self.ts, t)
         v = hermite_quintic_value(
             t,
@@ -252,18 +271,18 @@ class Table1DField(ScalarField):
         return v if cloud else float(v)
 
     def slope(self, t):
+        """Slope at a float t, or elementwise at an array of t."""
         k = _bracket_index(self.ts, t)
-        return float(
-            hermite_value(
-                t,
-                self.ts[k],
-                self.ts[k + 1],
-                self.slopes[k],
-                self.slopes[k + 1],
-                self.curvs[k],
-                self.curvs[k + 1],
-            )
+        v = hermite_value(
+            t,
+            self.ts[k],
+            self.ts[k + 1],
+            self.slopes[k],
+            self.slopes[k + 1],
+            self.curvs[k],
+            self.curvs[k + 1],
         )
+        return v if isinstance(t, np.ndarray) else float(v)
 
     def curvature(self, t):
         if self._curv_fn is not None:
@@ -271,14 +290,20 @@ class Table1DField(ScalarField):
         return float(_local_cubic(self.ts, self.curvs, t))
 
     def gradient(self, x):
-        return np.array([self.slope(self._point_t(x))])
+        t, cloud = self._points_t(x)
+        return self.slope(t)[:, None] if cloud else np.array([self.slope(t)])
 
     def hessian(self, x):
         return np.array([[self.curvature(self._point_t(x))]])
 
 
 class SeparableExtensionField(ScalarField):
-    """n-D extension  w(x) = w1(x_1) + (|x|^2 - x_1^2)/4  of a 1-D profile."""
+    """n-D extension  w(x) = w1(x_1) + (|x|^2 - x_1^2)/4  of a 1-D profile.
+
+    ``value`` and ``gradient`` also take an (m, n) cloud, when the profile
+    takes an (m, 1) one, and return (m,) or (m, n), every row bit for bit the
+    single-point result.
+    """
 
     def __init__(self, profile_1d, n):
         if n < 1:
@@ -289,14 +314,15 @@ class SeparableExtensionField(ScalarField):
         self.dim = int(n)
 
     def value(self, x):
-        x = self._point(x)
-        rest = float(x @ x) - x[0] * x[0]
-        return self.base.value(x[:1]) + 0.25 * rest
+        x = self._points(x)
+        x1 = x[..., 0]
+        rest = _dot_self(x) - x1 * x1
+        return self.base.value(x[..., :1]) + 0.25 * rest
 
     def gradient(self, x):
-        x = self._point(x)
+        x = self._points(x)
         g = 0.5 * x
-        g[0] = self.base.gradient(x[:1])[0]
+        g[..., 0] = self.base.gradient(x[..., :1])[..., 0]
         return g
 
     def hessian(self, x):

@@ -384,26 +384,28 @@ def integrate_ode(
 
     Each step runs on Python floats: the state, the stages and the error
     estimate are float lists, and each stage sum is formed left to right over
-    its tableau row.  On states of a few components this costs a fraction of
-    the per-call overhead of numpy's small-array operations.
+    its tableau row.  The right-hand side takes and returns such lists too, so
+    no stage builds an ndarray: on states of a few components numpy's
+    per-call overhead would cost more than the arithmetic.
 
     Parameters
     ----------
     rhs : callable
-        ``rhs(t, y) -> dy/dt``, with y an ndarray and dy/dt an ndarray of the
-        same shape (checked on every call).  May raise :class:`RhsEvaluationError` to signal
+        ``rhs(t, y) -> dy/dt``, with y the state as a list of floats, which
+        rhs must not modify, and dy/dt a list of the same length (checked on
+        every call).  May raise :class:`RhsEvaluationError` to signal
         that (t, y) left the domain; the step is then shrunk and, on underflow,
         the failure becomes a :class:`DivergenceEvent` on the trajectory.
     y0 : array_like
-        Initial state.
+        Initial state, one-dimensional.
     t_span : (t0, t1)
         Integration span; t1 < t0 integrates backwards.
     rel_tol, abs_tol : float
         Per-step local error control (RMS-weighted).
     stop_condition : callable, optional
         ``stop_condition(t, y) -> str | None`` checked after each accepted
-        step (y an ndarray); a non-None label halts integration with that
-        event.
+        step (y a list of floats, as rhs gets it); a non-None label halts
+        integration with that event.
 
     Returns
     -------
@@ -416,19 +418,21 @@ def integrate_ode(
     if not (rel_tol > 0 and abs_tol > 0):
         raise InputError("tolerances must be positive")
     t0, t1 = float(t_span[0]), float(t_span[1])
-    y_arr = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
+    y_arr = np.atleast_1d(np.asarray(y0, dtype=float))
+    if y_arr.ndim != 1:
+        raise InputError(f"initial state must be one-dimensional, got shape {y_arr.shape}")
     if not np.isfinite(y_arr).all():
         raise InputError("non-finite initial state")
-    shape = y_arr.shape
+    dim = len(y_arr)
 
     def stage(ti, yi):
-        """rhs at a stage point, as a float list; every result is checked."""
+        """rhs at a stage point; every result is checked."""
         if not all(map(math.isfinite, yi)):
             raise _NonFiniteStage
-        k = rhs(ti, np.array(yi))
-        if not isinstance(k, np.ndarray) or k.shape != shape:
-            raise InputError(f"rhs must return an ndarray of the state's shape {shape}, got {k!r}")
-        return k.tolist()
+        k = rhs(ti, yi)
+        if not isinstance(k, list) or len(k) != dim:
+            raise InputError(f"rhs must return a list of the state's length {dim}, got {k!r}")
+        return k
 
     y = y_arr.tolist()
     f = stage(t0, y)
@@ -525,7 +529,7 @@ def integrate_ode(
             fs.append(f)
             n_steps += 1
             if stop_condition is not None:
-                label = stop_condition(t, np.array(y))
+                label = stop_condition(t, y)
                 if label:
                     event = DivergenceEvent(label, t, np.array(y))
                     break

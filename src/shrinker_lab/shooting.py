@@ -134,14 +134,14 @@ def _shoot_float(tp, n, u0, upp0, r_max, rel_tol, abs_tol):
             raise RhsEvaluationError("cone_exit", str(exc)) from None
         if not (lo_y < arg < hi_y):
             raise RhsEvaluationError("inversion_failure", f"operator target {arg} out of range")
-        return np.array([up, f_inverse(tp, arg)])
+        return [up, f_inverse(tp, arg)]
 
     def stop(r, y):
         if abs(y[0]) > _BLOW_UP_MAG or abs(y[1]) > _BLOW_UP_MAG:
             return "blow_up"
         return None
 
-    y0 = np.array(_series_state(u0, upp0, _R_START))
+    y0 = _series_state(u0, upp0, _R_START)
     traj = integrate_ode(rhs, y0, (_R_START, float(r_max)), rel_tol, abs_tol, stop_condition=stop)
 
     if traj.event is None:

@@ -206,6 +206,29 @@ class TestExitCodes:
         assert "more than 1000000 points" in capsys.readouterr().err
         assert not (tmp_path / "build-counterexample.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        # each is refused before any work, so none of them allocates its size
+        [
+            ("verify-quadratic", "--n", "11"),
+            ("build-counterexample", "--n", "1000000000"),
+            ("shoot", "--u0", "-1", "--n", "11"),
+            ("shoot", "--u0", "-1", "--dps", "101"),
+            ("shoot", "--u0", "-1", "--dps", "1000000000"),
+            ("flow-check", "--trials", "1000001"),
+            ("defect", "--trials", "1000000000"),
+            ("verify-quadratic", "--trials", "1000001", "--points", "1"),
+            ("verify-quadratic", "--trials", "50001"),  # at the default 20 points
+            ("verify-quadratic", "--trials", "1001", "--points", "1000"),
+        ],
+    )
+    def test_oversized_run_is_usage_error(self, tmp_path, capsys, argv):
+        start = time.perf_counter()
+        assert run(tmp_path, *argv) == 64
+        assert time.perf_counter() - start < 1.0
+        assert "is above" in capsys.readouterr().err
+        assert not (tmp_path / f"{argv[0]}.json").exists()
+
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(argv=cli_argv())
     def test_every_input_exits_with_a_documented_code(self, argv):

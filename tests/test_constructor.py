@@ -8,6 +8,7 @@ import shrinker_lab as sl
 from shrinker_lab import TauParams
 from shrinker_lab.constructor import (
     _neg_cone_margin,
+    _phase_rhs,
     _spacelike_margin,
     assemble_nd,
     assemble_w1,
@@ -17,7 +18,7 @@ from shrinker_lab.constructor import (
     solve_phase_ode,
 )
 from shrinker_lab.numerics import DomainError, InputError
-from shrinker_lab.tau import minkowski_residual
+from shrinker_lab.tau import minkowski_residual, phase
 from shrinker_lab.transforms import logit_equation_residual
 
 from conftest import same_bits
@@ -42,6 +43,23 @@ def rk4_fixed(rhs, y0, t_end, h):
 def phase_rhs(t, y):
     sig = sigmoid(y[0])
     return np.array([y[1], 0.5 * sig * (1.0 - sig) * t * y[1]])
+
+
+class TestPhaseRhs:
+    def test_list_rhs_equals_array_formula_bit_for_bit(self, rng):
+        # the integrator's float-list right-hand side against the same formula
+        # on arrays, through the array branch of sigmoid
+        phis = np.concatenate([[0.0, -0.0, 745.5, -745.5, 800.0, -800.0, 1e4, -1e4],
+                               rng.normal(0.0, 3.0, 200), rng.uniform(-40.0, 40.0, 200)])
+        dphis = rng.uniform(0.0, 5.0, len(phis))
+        ts = rng.uniform(-25.0, 25.0, len(phis))
+        ts[:4] = [0.0, -0.0, -1.5, -20.0]
+        sig = sigmoid(phis)
+        expected = 0.5 * sig * (1.0 - sig) * ts * dphis
+        got = [_phase_rhs(t, [p, d]) for t, p, d in zip(ts.tolist(), phis.tolist(), dphis.tolist())]
+        assert all(type(k) is list and len(k) == 2 for k in got)
+        assert same_bits([k[0] for k in got], dphis)
+        assert same_bits([k[1] for k in got], expected)
 
 
 class TestSolvePhaseOde:
@@ -276,6 +294,14 @@ class TestBuildCounterexample:
         _, _, c2 = build_counterexample(tp, 0.0, 1.0, 2, T=12.0, radius=4.0, samples=100, seed=5)
         assert c1.to_dict() == c2.to_dict()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cloud_phase_equals_point_loop_bit_for_bit(self, n, rng):
+        # the certificate reads the phase of its whole cloud in one call
+        ufield, _, _ = build_counterexample(TauParams.neg_branch(a=-2.0), 0.3, 0.7, n, rel_tol=1e-6, seed=n)
+        pts = rng.uniform(-10.0, 10.0, (300, n))
+        pts[0] = 0.0
+        assert same_bits(phase(ufield, pts), [phase(ufield, z) for z in pts])
+
 
 class TestMssCounterexample:
     def test_certified_run(self):
@@ -372,6 +398,20 @@ class TestMssCounterexample:
         assert cert.residual_sup == max(point)
         assert cert.cross_checks["worst_sample"] == xs[int(np.argmax(point))]
         assert cert.bounds["sup_abs_slope"] == max(abs(float(fld.gradient([x])[0])) for x in xs)
+
+    def test_certificate_reads_its_cloud_once(self, monkeypatch):
+        # gradient, weight and Hessian of the residual and the slope bound
+        # share one read of the trajectory on the 2001-point cloud
+        reads = []
+        evaluate = sl.Trajectory.evaluate
+
+        def counted(self, tq):
+            reads.append(len(tq))
+            return evaluate(self, tq)
+
+        monkeypatch.setattr(sl.Trajectory, "evaluate", counted)
+        build_mss_counterexample(1.2, 0.1, rel_tol=1e-8, samples=2001)
+        assert reads.count(2001) == 1
 
     def test_negative_phase_profile(self):
         fld, cert = build_mss_counterexample(-1.0, 0.0, T=10.0, radius=5.0)

@@ -126,6 +126,33 @@ class TestSeparableExtensionField:
         assert np.allclose(np.diag(H), [1.0, 0.5, 0.5], atol=1e-12)
 
 
+class TestCloudViews:
+    @given(n=st.integers(1, 4), m=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_cloud_equals_points_bit_for_bit(self, n, m, seed):
+        # the profile, its extension and an affine view of that, as a build
+        # chains them; inner <= 1 keeps inner * x inside the table
+        rng = np.random.default_rng(seed)
+        ts = np.linspace(-4.0, 4.0, 161)
+        base = Table1DField(ts, np.sin(ts), np.cos(ts), -np.sin(ts))
+        ext = SeparableExtensionField(base, n)
+        view = AffineScaledField(ext, outer=rng.uniform(0.5, 2.0), inner=rng.uniform(0.5, 1.0),
+                                 quad=rng.standard_normal(), offset=rng.standard_normal())
+        X = rng.uniform(-4.0, 4.0, (m, n))
+        for f in (ext, view):
+            for cloud in (X, np.asfortranarray(X)):
+                assert same_bits(f.value(cloud), [f.value(x) for x in X])
+                assert same_bits(f.gradient(cloud), [f.gradient(x) for x in X])
+        column = X[:, :1]
+        assert same_bits(base.value(column), [base.value(x) for x in column])
+        assert same_bits(base.gradient(column), [base.gradient(x) for x in column])
+
+    def test_view_of_a_point_field_refuses_a_cloud(self):
+        f = AffineScaledField(CallableField(2, lambda x: float(x @ x)), outer=2.0)
+        with pytest.raises(InputError):
+            f.value(np.zeros((3, 2)))
+
+
 class TestRadialProfileField:
     def test_matches_quadratic(self, rng):
         c = 0.7

@@ -209,12 +209,12 @@ class TestIntegrateOde:
 
     def test_zero_rhs_exact(self):
         c = 0.7315
-        traj = integrate_ode(lambda t, y: 0.0 * y, [c], (0.0, 5.0), 1e-8, 1e-10)
+        traj = integrate_ode(lambda t, y: [0.0 * v for v in y], [c], (0.0, 5.0), 1e-8, 1e-10)
         assert traj(3.1)[0] == c
 
     def test_sine(self):
         traj = integrate_ode(
-            lambda t, y: np.array([y[1], -y[0]]), [0.0, 1.0], (0.0, math.pi), 1e-10, 1e-12
+            lambda t, y: [y[1], -y[0]], [0.0, 1.0], (0.0, math.pi), 1e-10, 1e-12
         )
         end = traj(math.pi)
         assert abs(end[0] - 0.0) < 1e-7
@@ -225,7 +225,7 @@ class TestIntegrateOde:
         for k in range(4):
             rt = 1e-6 / 2**k
             traj = integrate_ode(
-                lambda t, y: np.array([y[1], -y[0]]), [0.0, 1.0], (0.0, math.pi), rt, rt * 1e-2
+                lambda t, y: [y[1], -y[0]], [0.0, 1.0], (0.0, math.pi), rt, rt * 1e-2
             )
             errs.append(abs(traj(math.pi)[0]))
         assert all(errs[i + 1] < errs[i] for i in range(3))
@@ -236,7 +236,7 @@ class TestIntegrateOde:
 
     def test_blow_up_event(self):
         # y' = y^2 from y(0)=1 blows up at t=1
-        traj = integrate_ode(lambda t, y: y * y, [1.0], (0.0, 2.0), 1e-8, 1e-10)
+        traj = integrate_ode(lambda t, y: [y[0] * y[0]], [1.0], (0.0, 2.0), 1e-8, 1e-10)
         assert not traj.completed
         assert isinstance(traj.event, DivergenceEvent)
         assert 0.9 < traj.event.t <= 1.01
@@ -245,7 +245,7 @@ class TestIntegrateOde:
         def rhs(t, y):
             if t > 0.5:
                 raise RhsEvaluationError("left_domain")
-            return np.ones_like(y)
+            return [1.0] * len(y)
 
         traj = integrate_ode(rhs, [0.0], (0.0, 1.0), 1e-8, 1e-10)
         assert not traj.completed
@@ -253,12 +253,12 @@ class TestIntegrateOde:
         assert abs(traj.event.t - 0.5) < 1e-6
 
     def test_dense_output_between_knots(self):
-        traj = integrate_ode(lambda t, y: np.array([math.cos(t)]), [0.0], (0.0, 6.0), 1e-10, 1e-12, max_step=0.05)
+        traj = integrate_ode(lambda t, y: [math.cos(t)], [0.0], (0.0, 6.0), 1e-10, 1e-12, max_step=0.05)
         for t in np.linspace(0.1, 5.9, 37):
             assert abs(traj(t)[0] - math.sin(t)) < 1e-7
 
     def test_zero_span_returns_initial_state(self):
-        traj = integrate_ode(lambda t, y: -y, [2.0, -1.0], (0.5, 0.5))
+        traj = integrate_ode(lambda t, y: [-v for v in y], [2.0, -1.0], (0.5, 0.5))
         assert traj.completed and len(traj.ts) == 1
         assert np.array_equal(traj(0.5), [2.0, -1.0])
 
@@ -267,22 +267,27 @@ class TestIntegrateOde:
         with pytest.raises(InputError):
             traj(2.0)
 
+    def test_state_must_be_one_dimensional(self):
+        with pytest.raises(InputError):
+            integrate_ode(lambda t, y: y, [[1.0, 0.0]], (0.0, 1.0))
+
     @pytest.mark.parametrize("bad_from", [-1.0, 0.3])
     def test_every_rhs_result_checked(self, bad_from):
-        # a short array or a list is an error on any call, not only the first
+        # a short list or an ndarray is an error on any call, not only the first
         def short(t, y):
-            return np.array([y[1], -y[0]])[: 1 if t > bad_from else 2]
+            return [y[1], -y[0]][: 1 if t > bad_from else 2]
 
-        def listed(t, y):
-            return [y[1], -y[0]] if t > bad_from else np.array([y[1], -y[0]])
+        def arrayed(t, y):
+            return np.array([y[1], -y[0]]) if t > bad_from else [y[1], -y[0]]
 
-        for rhs in (short, listed):
+        for rhs in (short, arrayed):
             with pytest.raises(InputError):
                 integrate_ode(rhs, [0.0, 1.0], (0.0, 1.0), 1e-8, 1e-10)
 
 
 # The numpy-array Dormand-Prince loop that the float kernel replaced: the same
-# tableau and step control, each stage sum a BLAS product over the stages.
+# tableau and step control, each stage sum a BLAS product over the stages.  It
+# calls an ndarray right-hand side; ``_listed`` adapts one to integrate_ode.
 _REF_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _REF_A = [
     np.array([]),
@@ -353,6 +358,11 @@ def _reference_integrate_ode(rhs, y0, t_span, rel_tol, abs_tol, max_step=math.in
     return np.array(ts), np.array(ys), event, n_steps, n_rejected
 
 
+def _listed(rhs):
+    """An ndarray right-hand side as integrate_ode calls one: on float lists."""
+    return lambda t, y: rhs(t, np.array(y)).tolist()
+
+
 def _coupled_system(n, domain_end=math.inf):
     """A nonlinear, forced n-component system; it leaves its domain past
     |t| = domain_end."""
@@ -376,7 +386,7 @@ class TestFloatKernelAgainstNumpyReference:
         # the knots differ only by the stage sums' rounding; the domain end
         # adds a run of rejections before the event
         rhs, y0 = _coupled_system(n, domain_end=5.0)
-        traj = integrate_ode(rhs, y0, t_span, 1e-6, 1e-8, max_step=0.01)
+        traj = integrate_ode(_listed(rhs), y0, t_span, 1e-6, 1e-8, max_step=0.01)
         ts, ys, event, n_steps, n_rejected = _reference_integrate_ode(
             rhs, y0, t_span, 1e-6, 1e-8, max_step=0.01
         )
@@ -394,7 +404,7 @@ class TestFloatKernelAgainstNumpyReference:
         # cancellation, so the stage sums' rounding moves the step sizes and
         # with them the knots; the accept/reject decisions stay the same
         rhs, y0 = _coupled_system(n)
-        traj = integrate_ode(rhs, y0, (0.0, 8.0), rel_tol, rel_tol * 1e-2, first_step=first_step)
+        traj = integrate_ode(_listed(rhs), y0, (0.0, 8.0), rel_tol, rel_tol * 1e-2, first_step=first_step)
         ts, ys, event, n_steps, n_rejected = _reference_integrate_ode(
             rhs, y0, (0.0, 8.0), rel_tol, rel_tol * 1e-2, first_step=first_step
         )
@@ -406,7 +416,7 @@ class TestFloatKernelAgainstNumpyReference:
 
 
 def _oscillator(t, y):
-    return np.array([y[1], -y[0] + 0.1 * t])
+    return [y[1], -y[0] + 0.1 * t]
 
 
 def _merged_trajectory():
