@@ -11,10 +11,11 @@ value, a CSV cell or an exit code:
     python3 scripts/report_digest.py --src /path/to/other/checkout/src > before.txt
     diff before.txt after.txt
 
-The list covers every subcommand, two sweeps at their default sizes, and
-seven builds: three tolerances, two spacelike (``--mss``) profiles, and two
-whose cone margins are below the rounding of ``1 - x`` (taken from the
-log-odds and from s, they stay positive and both builds exit 0).  The script
+The list covers every subcommand, two sweeps at their default sizes, one
+sweep each on a branch chosen by ``--tau`` and by ``--a``, and seven builds:
+three tolerances, two spacelike (``--mss``) profiles, and two whose cone
+margins are below the rounding of ``1 - x`` (taken from the log-odds and
+from s, they stay positive and both builds exit 0).  The script
 exits 1, after printing every line, if any command raised.
 """
 
@@ -32,6 +33,8 @@ COMMANDS = [
     ["defect", "--n", "3", "--trials", "10", "--seed", "3"],
     ["verify-quadratic", "--n", "4", "--seed", "3"],  # default sizes: 2,000 points a branch
     ["defect", "--n", "4", "--seed", "4"],
+    ["verify-quadratic", "--tau", "0.5", "--n", "3", "--trials", "10", "--points", "5", "--seed", "8"],  # TauParams.from_tau
+    ["defect", "--a", "-3", "--n", "3", "--trials", "10", "--seed", "9"],  # TauParams.from_cot
     ["legendre-check", "--grid-step", "0.02"],
     ["shoot", "--branch", "SLAG", "--n", "2", "--u0", "-1.4707963267948966"],
     ["shoot", "--branch", "MA", "--n", "2", "--u0", "0", "--rmax", "2", "--dps", "30"],

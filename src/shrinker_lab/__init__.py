@@ -41,7 +41,7 @@ from .tau import (
     operator_value,
     phase,
     shrinker_residual,
-    weighted_p_laplace_residual,
+    weighted_laplace_residual,
 )
 from .geometry import (
     ambient_metric,
@@ -58,15 +58,11 @@ from .transforms import (
     legendre_dual_residual,
     logit_equation_residual,
     normalize_counterexample_branch,
-    reduce_to_special_lagrangian,
     self_similar_extension,
-    shifted_equation_residual,
-    symmetry_negate,
 )
 from .constructor import (
     Certificate,
     PhaseTrajectory,
-    assemble_nd,
     assemble_w1,
     build_counterexample,
     build_mss_counterexample,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import geometry, quadratics, reports, shooting, transforms
 from .constructor import MAX_GRID_POINTS, build_counterexample, build_mss_counterexample
-from .fields import CallableField
+from .fields import QuadraticField
 from .numerics import ConstructionError, DomainError, InputError
 from .tau import TauParams
 
@@ -180,7 +180,7 @@ def cmd_verify_quadratic(args):
             if k % defect_every == 0:
                 x = rng.uniform(-2.0, 2.0, size=len(A))
                 sol = quadratics.build_quadratic(tp, A)
-                defects.append(geometry.shrinker_defect(tp, sol.field, x, h=1e-3))
+                defects.append(geometry.shrinker_defect(tp, sol.field, x))
         return {
             "max_residual": max(residuals),
             "defect_max": max(defects),
@@ -266,10 +266,7 @@ def cmd_legendre_check(args):
     num = int(round(2 * span / step)) + 1
     results = {}
 
-    quad = CallableField(1, lambda x: 0.5 * x[0] ** 2,
-                         grad=lambda x: np.array([x[0]]),
-                         hess=lambda x: np.array([[1.0]]))
-    res = transforms.legendre_1d(quad, -span, span, num=num)
+    res = transforms.legendre_1d(QuadraticField(np.eye(1)), -span, span, num=num)
     results["self_dual_involution"] = res.involution_defect
 
     lam = 0.8
@@ -299,7 +296,7 @@ def cmd_defect(args):
         for _, A in trials:
             sol = quadratics.build_quadratic(tp, A)
             x = rng.uniform(-2.0, 2.0, size=len(A))
-            m = max(m, geometry.shrinker_defect(tp, sol.field, x, h=1e-3))
+            m = max(m, geometry.shrinker_defect(tp, sol.field, x))
         return {"max_defect": m}
 
     return _branch_sweep(args, "defect", 1e-7, "max_defect", measure)

@@ -32,7 +32,6 @@ __all__ = [
     "solve_phase_ode",
     "W1Profile",
     "assemble_w1",
-    "assemble_nd",
     "Certificate",
     "build_counterexample",
     "MinkowskiProfile",
@@ -41,6 +40,7 @@ __all__ = [
 
 
 MAX_GRID_POINTS = 10**6
+RESIDUAL_TARGET = 1e-6  # the residual sup each construction certifies against
 
 
 def sigmoid(s):
@@ -121,7 +121,7 @@ class PhaseTrajectory:
         return 0.5 * self.bound * math.exp(-abs(phi_end)) * (abs(t_end) / rate + 1.0 / (rate * rate))
 
 
-def solve_phase_ode(a0, a1, T, rel_tol=1e-10, abs_tol=None):
+def solve_phase_ode(a0, a1, T, rel_tol=1e-10):
     """Integrate the phase ODE on [-T, T] from phi(0)=a0, phi'(0)=a1 > 0.
 
     a1 = 0 forces the constant phase (a trivial solution) and is rejected, as
@@ -147,7 +147,7 @@ def solve_phase_ode(a0, a1, T, rel_tol=1e-10, abs_tol=None):
         raise InputError(
             f"the a-priori ceiling a1 exp(exp(-a0)/a1^2) on phi' overflows at a0 = {a0}, a1 = {a1}"
         )
-    abs_tol = rel_tol * 1e-2 if abs_tol is None else float(abs_tol)
+    abs_tol = rel_tol * 1e-2
 
     rhs0 = _phase_rhs(0.0, [a0, a1])
     assert rhs0[1] == 0.0  # phi''(0) vanishes identically
@@ -268,17 +268,6 @@ def assemble_w1(traj, span=None):
     return W1Profile(traj, ts, w1, w1p, w1pp, fld, defect)
 
 
-def assemble_nd(profile, n):
-    """Product extension  w(x) = w1(x_1) + (|x|^2 - x_1^2)/4  to dimension n.
-
-    The transverse Hessian eigenvalues are exactly 1/2, which contribute
-    nothing to either side of the logit equation, so the n-D residual at x
-    equals the 1-D residual at x_1.
-    """
-    base = profile.field if isinstance(profile, W1Profile) else profile
-    return SeparableExtensionField(base, n)
-
-
 @dataclass
 class Certificate:
     """Machine-checkable record attached to a constructed solution."""
@@ -325,11 +314,9 @@ def build_counterexample(
     n,
     T=20.0,
     rel_tol=1e-10,
-    abs_tol=None,
     radius=10.0,
     samples=800,
     seed=0,
-    residual_target=1e-6,
 ):
     """Entire non-quadratic admissible solution on the bounded-cone branch.
 
@@ -351,17 +338,16 @@ def build_counterexample(
     n = int(n)
     if n < 1:
         raise InputError(f"dimension must be >= 1, got {n}")
-    a, b, k, c2, s_quad = _neg_constants(tp)
+    a, b, k, c2 = _neg_constants(tp)
 
     # integrate at least as far as the certificate evaluates: the linear tail
     # extension is only valid once the forcing is exponentially dead, which a
     # small phase slope postpones past any fixed window
     span_needed = radius / c2 * 1.02 + 1.0
-    traj = solve_phase_ode(a0, a1, max(T, span_needed), rel_tol=rel_tol, abs_tol=abs_tol)
+    traj = solve_phase_ode(a0, a1, max(T, span_needed), rel_tol=rel_tol)
 
     prof = assemble_w1(traj, span=span_needed)
-    wfield = assemble_nd(prof, n)
-    ufield = normalize_counterexample_branch(tp, "to_u", wfield)
+    ufield = normalize_counterexample_branch(tp, SeparableExtensionField(prof.field, n))
 
     rng = np.random.default_rng(seed)
     pts = _ball_samples(rng, n, radius, samples)
@@ -408,8 +394,7 @@ def build_counterexample(
         "nonzero": abs(witness_val) > 1e-12,
     }
 
-    abs_tol_v = traj.abs_tol
-    bound_slack = 100.0 * (rel_tol * traj.bound + abs_tol_v)
+    bound_slack = 100.0 * (rel_tol * traj.bound + traj.abs_tol)
     dphi_T = traj.dphi(T)
     bounds = {
         "phi_prime_at_T": dphi_T,
@@ -436,13 +421,13 @@ def build_counterexample(
         "n": n,
         "T": float(T),
         "rel_tol": float(rel_tol),
-        "abs_tol": abs_tol_v,
+        "abs_tol": traj.abs_tol,
         "radius": float(radius),
         "samples": int(samples),
         "seed": int(seed),
     }
     passed = (
-        sup <= residual_target
+        sup <= RESIDUAL_TARGET
         and cone_ok
         and witness["nonzero"]
         and bounds["phi_prime_within_ceiling"]
@@ -450,7 +435,7 @@ def build_counterexample(
     cert = Certificate(
         equation="bounded-cone self-shrinker potential equation",
         residual_sup=float(sup),
-        residual_target=float(residual_target),
+        residual_target=RESIDUAL_TARGET,
         sample_count=int(len(pts)),
         sample_radius=float(radius),
         cone_ok=cone_ok,
@@ -554,10 +539,8 @@ def build_mss_counterexample(
     s0=0.0,
     T=20.0,
     rel_tol=1e-10,
-    abs_tol=None,
     radius=10.0,
     samples=2001,
-    residual_target=1e-6,
 ):
     """Entire non-trivial solution of the spacelike graph equation.
 
@@ -575,7 +558,7 @@ def build_mss_counterexample(
         raise InputError("phi(0) = 0 yields a linear profile: trivial solution")
     if not T > 0:
         raise InputError(f"need T > 0, got {T}")
-    abs_tol = rel_tol * 1e-2 if abs_tol is None else float(abs_tol)
+    abs_tol = rel_tol * 1e-2
     span = max(T, radius + 1.0)
     m, step = _quadrature_grid(span, rel_tol)
 
@@ -619,15 +602,15 @@ def build_mss_counterexample(
         "s0": s0,
         "T": T,
         "rel_tol": float(rel_tol),
-        "abs_tol": float(abs_tol),
+        "abs_tol": abs_tol,
         "radius": float(radius),
         "samples": int(samples),
     }
-    passed = sup <= residual_target and bounds["spacelike"] and witness["nonzero"]
+    passed = sup <= RESIDUAL_TARGET and bounds["spacelike"] and witness["nonzero"]
     cert = Certificate(
         equation="spacelike graph self-shrinker equation",
         residual_sup=float(sup),
-        residual_target=float(residual_target),
+        residual_target=RESIDUAL_TARGET,
         sample_count=int(len(xs)),
         sample_radius=float(radius),
         cone_ok=bounds["spacelike"],

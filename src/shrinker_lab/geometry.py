@@ -22,6 +22,8 @@ __all__ = [
     "shrinker_defect",
 ]
 
+FD_STEP = 1e-3  # central-difference step of D_x F(lambda(D^2 u)) in mean_curvature
+
 
 def ambient_metric(tp, n):
     """2n x 2n block quadratic form  [[sin I, cos I], [cos I, sin I]]."""
@@ -85,7 +87,7 @@ def normal_project(tp, H, V):
     return V - E @ beta
 
 
-def mean_curvature(tp, field, x, h):
+def mean_curvature(tp, field, x):
     """Mean curvature vector of the gradient graph at (x, Du(x)).
 
     The ambient divergence reduces to the normal projection of
@@ -98,12 +100,12 @@ def mean_curvature(tp, field, x, h):
     def F_of_x(p):
         return operator_value(tp, eig_sym(field.hessian(p)))
 
-    dF = fd_gradient(F_of_x, x, h)
+    dF = fd_gradient(F_of_x, x, FD_STEP)
     V = np.concatenate([np.zeros(len(x)), dF])
     return normal_project(tp, field.hessian(x), V)
 
 
-def shrinker_defect(tp, field, x, h):
+def shrinker_defect(tp, field, x):
     """Norm of  H + (1/2) X^perp  at the graph point over x.
 
     Vanishes along self-shrinkers.  For branches whose ambient form is
@@ -113,7 +115,7 @@ def shrinker_defect(tp, field, x, h):
     invariant under constant shifts of the potential.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    H_vec = mean_curvature(tp, field, x, h)
+    H_vec = mean_curvature(tp, field, x)
     Hmat = field.hessian(x)
     X = np.concatenate([x, field.gradient(x)])
     W = H_vec + 0.5 * normal_project(tp, Hmat, X)

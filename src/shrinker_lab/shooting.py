@@ -7,12 +7,14 @@ equation reduces to
 
 integrated outward from the series start u'(0) = 0, u''(0) = f^{-1}(-u0/n).
 
-Termination events are data, not errors: the construction's scientific output
-for perturbed initial values IS the cone exit / inversion failure / blow-up,
-which the rigidity statements predict.  Exact quadratic initial data lies on
-an exponentially unstable trajectory (deviations grow like exp(r^2/(4 f'(c))),
-which is the numerical face of rigidity), so reproducing the closed form to
-large radius requires the high-precision Taylor path (``dps=...``): a
+Termination events are data, not errors.  Every attainable u0 is the exact
+data of the quadratic  lambda r^2/2 + u0,  lambda = f^{-1}(-u0/n), whose
+trajectory is exponentially unstable: deviations grow like
+exp(r^2/(4 f'(lambda))).  Rounding alone drives a shot off it, so a cone exit,
+inversion failure or blow-up marks the radius where the working precision
+runs out (r^2 grows by about 4 f'(lambda) ln 10 per decimal digit), not a
+perturbation that rigidity rules out.  Reproducing the closed form to large
+radius requires the high-precision Taylor path (``dps=...``): a
 degree-20 Taylor series method whose coefficients are Taylor-mode jets of the
 branch closed forms (:mod:`.jets`, ``tau.f_value_jet``/``f_inverse_jet``),
 with the same termination events as the float path.

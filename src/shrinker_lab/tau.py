@@ -42,7 +42,7 @@ __all__ = [
     "shrinker_residual",
     "drift_residual",
     "growth_ratio",
-    "weighted_p_laplace_residual",
+    "weighted_laplace_residual",
     "minkowski_residual",
 ]
 
@@ -512,32 +512,13 @@ def growth_ratio(tp, field, theta, r):
     return GrowthRatio(q, dq_dr, dq_dr - 2.0 * F / r**3)
 
 
-def weighted_p_laplace_residual(field, p, K, x):
-    """div(|Dh|^{p-2} Dh) - K <x, Dh> |Dh|^{p-2}, divergence expanded from the
-    field's gradient and Hessian.
-
-    The weight is singular at critical points for p < 2; that is reported as
-    an error rather than evaluated.
-    """
-    if not p > 1:
-        raise InputError(f"need p > 1, got {p}")
+def weighted_laplace_residual(field, K, x):
+    """Drift residual  tr D^2 h - K <x, Dh>  from the field's gradient and
+    Hessian."""
     if not K > 0:
         raise InputError(f"need K > 0, got {K}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    g = field.gradient(x)
-    H = field.hessian(x)
-    gn2 = float(g @ g)
-    if gn2 == 0.0:
-        if p < 2.0:
-            raise DomainError(f"weight singular: |Dh| = 0 at x = {x} with p = {p} < 2", location=x)
-        if p == 2.0:
-            return float(np.trace(H))
-        return 0.0
-    gn = math.sqrt(gn2)
-    lap = float(np.trace(H))
-    ghg = float(g @ H @ g)
-    div = gn ** (p - 2.0) * lap + (p - 2.0) * gn ** (p - 4.0) * ghg
-    return float(div - K * float(x @ g) * gn ** (p - 2.0))
+    return float(np.trace(field.hessian(x))) - K * float(x @ field.gradient(x))
 
 
 def minkowski_residual(field, x):

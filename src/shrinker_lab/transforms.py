@@ -1,8 +1,7 @@
 """Solution-pipeline transforms as numerical operations: one-dimensional
-Legendre duality, the cone-swapping negation, convexifying shifts, the
-arctangent-branch reduction to the pure arctangent operator, the bounded-cone
-normalization used by the counterexample construction, and parabolic
-self-similar extension in time.
+Legendre duality, convexifying shifts, the bounded-cone normalization used by
+the counterexample construction, and parabolic self-similar extension in
+time.
 
 All transforms are lazy views over the backing field (exact chain rule), so
 pipelines do not accumulate interpolation error.
@@ -17,18 +16,15 @@ import numpy as np
 
 from .fields import AffineScaledField, CallableField, Table1DField
 from .numerics import DomainError, InputError, eig_sym, invert_monotone
-from .tau import Branch, phase, operator_value, weighted_p_laplace_residual
+from .tau import Branch, phase, operator_value, weighted_laplace_residual
 
 __all__ = [
     "Transform1DResult",
     "legendre_1d",
     "DualEquationCheck",
     "legendre_dual_residual",
-    "symmetry_negate",
     "convexify_shift",
-    "shifted_equation_residual",
     "logit_equation_residual",
-    "reduce_to_special_lagrangian",
     "normalize_counterexample_branch",
     "SelfSimilarSample",
     "self_similar_extension",
@@ -120,8 +116,8 @@ def legendre_dual_residual(w_field, t0, t1, grid_step=1e-2):
 
     The dual must satisfy  sqrt(2) w*'' = <y, Dw*>/2 - w*; its Hessian must be
     the reciprocal of the primal one (verified against a central difference of
-    the inverse map); and its phase must satisfy the p = 2 drift equation with
-    coefficient sqrt(2)/4.
+    the inverse map); and its phase h must satisfy the drift equation
+    tr D^2 h = K <y, Dh> with K = sqrt(2)/4.
     """
     num = int(round((float(t1) - float(t0)) / grid_step)) + 1
     res = legendre_1d(w_field, t0, t1, num=num, check_involution=False)
@@ -138,24 +134,9 @@ def legendre_dual_residual(w_field, t0, t1, grid_step=1e-2):
     margin = max(4, int(math.ceil(4 * 1e-3 / dy)) + 2)
     drift_sup = 0.0
     for y in ys[margin:-margin]:
-        r = weighted_p_laplace_residual(phi_field, 2.0, math.sqrt(2.0) / 4.0, [y])
+        r = weighted_laplace_residual(phi_field, math.sqrt(2.0) / 4.0, [y])
         drift_sup = max(drift_sup, abs(r))
     return DualEquationCheck(dual_equation_sup, hessian_inverse_defect, drift_sup, res)
-
-
-def symmetry_negate(tp, field):
-    """Cone-swapping involution  u -> -k|x|^2 - u  (k = 1 or a per branch).
-
-    Maps the lower admissibility component onto the upper one and preserves
-    the equation; applying it twice is the identity exactly.
-    """
-    if tp.branch is Branch.HARM:
-        k = 1.0
-    elif tp.branch is Branch.LOG:
-        k = tp.a
-    else:
-        raise InputError(f"negation symmetry defined for HARM and LOG only, not {tp.branch.value}")
-    return AffineScaledField(field, outer=-1.0, inner=1.0, quad=-2.0 * k, offset=0.0)
 
 
 def convexify_shift(tp, field):
@@ -166,7 +147,7 @@ def convexify_shift(tp, field):
     Hessian spectrum translates by k.
     """
     if tp.cone_side != "upper":
-        raise DomainError("lower-cone input: apply symmetry_negate first")
+        raise DomainError("lower-cone input: the shift convexifies upper-cone solutions only; negate first (u -> -k|x|^2 - u)")
     if tp.branch is Branch.HARM:
         k = 1.0
     elif tp.branch is Branch.LOG:
@@ -174,26 +155,6 @@ def convexify_shift(tp, field):
     else:
         raise InputError(f"convexifying shift defined for HARM and LOG only, not {tp.branch.value}")
     return AffineScaledField(field, outer=1.0, inner=1.0, quad=k, offset=0.0)
-
-
-def shifted_equation_residual(tp, w_field, x):
-    """Residual of the shifted equation satisfied by w = convexify_shift(u).
-
-    HARM:  -sqrt(2) sum 1/mu_i = phase;  LOG:  the log-quotient in the shifted
-    eigenvalues mu_i against mu_i + 2b.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    mus = eig_sym(w_field.hessian(x))
-    if np.any(mus <= 0.0):
-        raise DomainError(f"shifted Hessian not positive definite at {x}", value=float(mus[0]), location=x)
-    if tp.branch is Branch.HARM:
-        lhs = -math.sqrt(2.0) * float(np.sum(1.0 / mus))
-    elif tp.branch is Branch.LOG:
-        b = tp.b
-        lhs = tp.sqrt_a2p1 / (2.0 * b) * float(np.sum(np.log(mus / (mus + 2.0 * b))))
-    else:
-        raise InputError(f"no shifted equation for {tp.branch.value}")
-    return float(lhs - phase(w_field, x))
 
 
 def logit_equation_residual(field, x):
@@ -206,51 +167,28 @@ def logit_equation_residual(field, x):
     return float(lhs - phase(field, x))
 
 
-def reduce_to_special_lagrangian(tp, field):
-    """Map an arctangent-quotient-branch potential to a pure arctangent one.
-
-    w(x) = (b/sqrt(a^2+1)) u(((a^2+1)^{1/4}/b) x) + (a/2b)|x|^2 - n pi/4;
-    the Hessian spectra relate by mu = (lam + a)/b at the mapped point.
-    """
-    if tp.branch is not Branch.ATAN:
-        raise InputError(f"reduction defined on the ATAN branch, not {tp.branch.value}")
-    a, b = tp.a, tp.b
-    root = tp.sqrt_a2p1
-    return AffineScaledField(
-        field,
-        outer=b / root,
-        inner=root ** 0.5 / b,
-        quad=a / b,
-        offset=-field.dim * math.pi / 4.0,
-    )
-
-
 def _neg_constants(tp):
     if tp.branch is not Branch.NEG:
         raise InputError(f"normalization defined on the NEG branch, not {tp.branch.value}")
     a, b = tp.a, tp.b
     k = 2.0 * b / tp.sqrt_a2p1
     c2 = tp.sqrt_a2p1 ** 0.5 / (2.0 * b)
-    s = (a + b) / (2.0 * b)
-    return a, b, k, c2, s
+    return a, b, k, c2
 
 
-def normalize_counterexample_branch(tp, direction, field):
-    """Exact affine normalization between the bounded-cone equation and its
-    logit form with Hessian in (0, 1).
+def normalize_counterexample_branch(tp, field):
+    """Exact affine map from the logit form, with Hessian in (0, 1), back to
+    the bounded-cone equation.
 
-    ``to_w``:  w(x) = k u(c2 x) + (s/2)|x|^2  with k = 2b/sqrt(a^2+1),
-    c2 = (a^2+1)^{1/4}/(2b), s = (a+b)/(2b); ``to_u`` is its exact inverse.
+    It inverts  w(x) = k u(c2 x) + (s/2)|x|^2  with k = 2b/sqrt(a^2+1),
+    c2 = (a^2+1)^{1/4}/(2b), s = (a+b)/(2b), so
+    u(y) = w(y/c2)/k - ((a+b)/2)|y|^2.
     """
-    a, b, k, c2, s = _neg_constants(tp)
-    if direction == "to_w":
-        return AffineScaledField(field, outer=k, inner=c2, quad=s, offset=0.0)
-    if direction == "to_u":
-        mus = eig_sym(field.hessian(np.zeros(field.dim)))
-        if np.any(mus <= 0.0) or np.any(mus >= 1.0):
-            raise DomainError(f"input Hessian spectrum {mus} not inside (0, 1)")
-        return AffineScaledField(field, outer=1.0 / k, inner=1.0 / c2, quad=-(a + b), offset=0.0)
-    raise InputError(f"direction must be 'to_w' or 'to_u', got {direction!r}")
+    a, b, k, c2 = _neg_constants(tp)
+    mus = eig_sym(field.hessian(np.zeros(field.dim)))
+    if np.any(mus <= 0.0) or np.any(mus >= 1.0):
+        raise DomainError(f"input Hessian spectrum {mus} not inside (0, 1)")
+    return AffineScaledField(field, outer=1.0 / k, inner=1.0 / c2, quad=-(a + b), offset=0.0)
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,13 @@ from shrinker_lab.constructor import (
     _neg_cone_margin,
     _phase_rhs,
     _spacelike_margin,
-    assemble_nd,
     assemble_w1,
     build_counterexample,
     build_mss_counterexample,
     sigmoid,
     solve_phase_ode,
 )
+from shrinker_lab.fields import SeparableExtensionField
 from shrinker_lab.numerics import DomainError, InputError
 from shrinker_lab.tau import minkowski_residual, phase
 from shrinker_lab.transforms import logit_equation_residual
@@ -184,15 +184,15 @@ class TestAssembleW1:
 class TestAssembleNd:
     def test_identity_wrapper_in_1d(self):
         prof = assemble_w1(solve_phase_ode(0.0, 1.0, 8.0))
-        field = assemble_nd(prof, 1)
+        field = SeparableExtensionField(prof.field, 1)
         t = np.array([1.3])
         assert field.value(t) == prof.field.value(t)
         assert field.hessian(t)[0, 0] == prof.field.hessian(t)[0, 0]
 
     def test_residual_additivity(self):
         prof = assemble_w1(solve_phase_ode(0.0, 1.0, 10.0))
-        field3 = assemble_nd(prof, 3)
-        field1 = assemble_nd(prof, 1)
+        field3 = SeparableExtensionField(prof.field, 3)
+        field1 = SeparableExtensionField(prof.field, 1)
         for t in (-2.0, 0.4, 1.7):
             r3 = logit_equation_residual(field3, np.array([t, 5.0, -2.0]))
             r1 = logit_equation_residual(field1, np.array([t]))
@@ -200,7 +200,7 @@ class TestAssembleNd:
 
     def test_spectrum_structure(self):
         prof = assemble_w1(solve_phase_ode(0.0, 1.0, 8.0))
-        field = assemble_nd(prof, 4)
+        field = SeparableExtensionField(prof.field, 4)
         x = np.array([0.9, 1.0, -2.0, 0.3])
         w = sl.eig_sym(field.hessian(x))
         assert np.sum(np.abs(w - 0.5) < 1e-14) >= 3

@@ -116,14 +116,14 @@ class TestMeanCurvature:
         for name, tp in all_branches.items():
             A = sl.random_admissible_matrix(tp, 2, rng)
             sol = sl.build_quadratic(tp, A)
-            H = mean_curvature(tp, sol.field, rng.uniform(-2, 2, 2), h=1e-3)
+            H = mean_curvature(tp, sol.field, rng.uniform(-2, 2, 2))
             assert np.max(np.abs(H)) < 1e-10
 
     def test_output_is_normal(self, rng):
         tp = TauParams.neg_branch(a=-2.0)
         u, prof, cert = sl.build_counterexample(tp, 0.0, 1.0, 2, T=10.0, radius=2.0, samples=50)
         x = np.array([0.4, -0.3])
-        Hv = mean_curvature(tp, u, x, h=1e-3)
+        Hv = mean_curvature(tp, u, x)
         E = tangent_frame(u.hessian(x))
         G = ambient_metric(tp, 2)
         assert np.max(np.abs(E.T @ G @ Hv)) < 1e-10
@@ -131,7 +131,7 @@ class TestMeanCurvature:
     def test_nonzero_for_counterexample(self):
         tp = TauParams.neg_branch(a=-2.0)
         u, prof, cert = sl.build_counterexample(tp, 0.0, 1.0, 1, T=10.0, radius=2.0, samples=50)
-        Hv = mean_curvature(tp, u, np.array([0.0]), h=1e-3)
+        Hv = mean_curvature(tp, u, np.array([0.0]))
         assert np.linalg.norm(Hv) > 1e-3  # third derivative does not vanish
 
 
@@ -141,7 +141,7 @@ class TestShrinkerDefect:
             A = sl.random_admissible_matrix(tp, 3, rng)
             sol = sl.build_quadratic(tp, A)
             for _ in range(5):
-                d = shrinker_defect(tp, sol.field, rng.uniform(-2, 2, 3), h=1e-3)
+                d = shrinker_defect(tp, sol.field, rng.uniform(-2, 2, 3))
                 assert d <= 1e-7, f"{name}: {d}"
 
     def test_slag_explicit(self, rng):
@@ -149,7 +149,7 @@ class TestShrinkerDefect:
         n = 2
         field = QuadraticField(np.eye(n), -n * math.pi / 4)
         for _ in range(5):
-            assert shrinker_defect(tp, field, rng.uniform(-2, 2, n), h=1e-3) <= 1e-8
+            assert shrinker_defect(tp, field, rng.uniform(-2, 2, n)) <= 1e-8
 
     def test_constant_shift_invariance_exact(self, rng):
         tp = TauParams.harmonic()
@@ -157,4 +157,4 @@ class TestShrinkerDefect:
         sol = sl.build_quadratic(tp, A)
         shifted = AffineScaledField(sol.field, offset=1.0)
         x = rng.uniform(-2, 2, 2)
-        assert shrinker_defect(tp, sol.field, x, h=1e-3) == shrinker_defect(tp, shifted, x, h=1e-3)
+        assert shrinker_defect(tp, sol.field, x) == shrinker_defect(tp, shifted, x)

@@ -13,8 +13,10 @@ from shrinker_lab.tau import f_value, f_value_mp
 def quad_initial_value(tp, n, c, dps):
     """u0 = -n f(c) carried at full working precision.
 
-    Shooting from the float64 rounding of quadratic data means shooting from
-    genuinely perturbed data, which diverges at finite radius by rigidity.
+    The float64 rounding of u0 is itself the exact data of a nearby
+    quadratic, but every shot is exponentially unstable: rounding errors grow
+    like exp(r^2/(4 f'(c))), so a shot held to large radius needs data and
+    arithmetic at the working precision.
     """
     with mp.workdps(dps):
         return -n * f_value_mp(tp, mp.mpf(repr(float(c))))

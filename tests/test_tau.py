@@ -28,7 +28,7 @@ from shrinker_lab.tau import (
     f_value_jet,
     f_value_mp,
     minkowski_residual,
-    weighted_p_laplace_residual,
+    weighted_laplace_residual,
 )
 from shrinker_lab.quadratics import _eigenvalue_window, random_admissible_matrix
 from conftest import branch_params, same_bits
@@ -493,35 +493,26 @@ class TestGrowthRatio:
             sl.growth_ratio(tp, field, np.array([2.0, 0.0]), 1.0)
 
 
-class TestWeightedPLaplace:
+class TestWeightedLaplace:
     def test_constant_is_zero(self):
         field = QuadraticField(np.zeros((3, 3)), 4.0)
-        assert weighted_p_laplace_residual(field, 2.0, 1.0, np.array([1.0, 0.5, -0.2])) == 0.0
+        assert weighted_laplace_residual(field, 1.0, np.array([1.0, 0.5, -0.2])) == 0.0
 
     def test_radial_closed_form(self, rng):
-        # h = |x|^2/2: residual (n + p - 2)|x|^{p-2} - K |x|^p
+        # h = |x|^2/2: residual n - K |x|^2
         n = 3
         field = QuadraticField(np.eye(n), 0.0)
         for _ in range(20):
-            p = float(rng.uniform(1.2, 4.0))
             K = float(rng.uniform(0.1, 3.0))
             x = rng.uniform(-2, 2, n)
             r = float(np.linalg.norm(x))
-            got = weighted_p_laplace_residual(field, p, K, x)
-            want = (n + p - 2.0) * r ** (p - 2.0) - K * r**p
-            assert got == pytest.approx(want, abs=1e-9 * max(1.0, abs(want)))
-
-    def test_singular_weight(self):
-        field = QuadraticField(np.eye(2), 0.0)
-        with pytest.raises(DomainError, match="weight singular"):
-            weighted_p_laplace_residual(field, 1.5, 1.0, np.zeros(2))
+            want = n - K * r**2
+            assert weighted_laplace_residual(field, K, x) == pytest.approx(want, abs=1e-12 * max(1.0, abs(want)))
 
     def test_parameter_validation(self):
         field = QuadraticField(np.eye(2), 0.0)
         with pytest.raises(InputError):
-            weighted_p_laplace_residual(field, 1.0, 1.0, np.ones(2))
-        with pytest.raises(InputError):
-            weighted_p_laplace_residual(field, 2.0, 0.0, np.ones(2))
+            weighted_laplace_residual(field, 0.0, np.ones(2))
 
 
 class _CloudHessianQuadratic(QuadraticField):

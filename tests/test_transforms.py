@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -14,10 +13,8 @@ from shrinker_lab.transforms import (
     legendre_dual_residual,
     logit_equation_residual,
     normalize_counterexample_branch,
-    reduce_to_special_lagrangian,
     self_similar_extension,
-    shifted_equation_residual,
-    symmetry_negate,
+    _neg_constants,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -103,37 +100,6 @@ class TestDualResidual:
         assert np.allclose(res.dual_hessian, 1.0 / 2.7, atol=1e-10)
 
 
-class TestSymmetryNegate:
-    def test_harm_cone_swap(self):
-        tp = TauParams.harmonic("lower")
-        field = QuadraticField(np.diag([-3.0]), 0.0)
-        neg = symmetry_negate(tp, field)
-        assert neg.hessian(np.zeros(1))[0, 0] == pytest.approx(1.0, abs=1e-15)
-
-    def test_maps_solutions_to_solutions(self, rng):
-        for tp in (TauParams.harmonic("lower"), TauParams.log_branch(math.pi / 6, "lower")):
-            A = sl.random_admissible_matrix(tp, 2, rng)
-            sol = sl.build_quadratic(tp, A)
-            neg = symmetry_negate(tp, sol.field)
-            up = dataclasses.replace(tp, cone_side="upper")
-            for _ in range(5):
-                x = rng.uniform(-2, 2, 2)
-                assert abs(sl.shrinker_residual(up, neg, x)) <= 1e-10
-
-    def test_involution_exact(self, rng):
-        tp = TauParams.harmonic()
-        A = sl.random_admissible_matrix(tp, 2, rng)
-        sol = sl.build_quadratic(tp, A)
-        twice = symmetry_negate(tp, symmetry_negate(tp, sol.field))
-        x = rng.uniform(-2, 2, 2)
-        assert twice.value(x) == sol.field.value(x)
-        assert np.array_equal(twice.gradient(x), sol.field.gradient(x))
-
-    def test_unsupported_branch(self):
-        with pytest.raises(InputError, match="defined for HARM and LOG only"):
-            symmetry_negate(TauParams.special_lagrangian(), QuadraticField(np.zeros((1, 1))))
-
-
 class TestConvexifyShift:
     def test_harm_constant_solution(self):
         tp = TauParams.harmonic()
@@ -163,110 +129,45 @@ class TestConvexifyShift:
             sl.eig_sym(w.hessian(x)), sl.eig_sym(sol.field.hessian(x)) + k, atol=1e-13
         )
 
-    def test_shifted_equation_residual(self, rng):
-        for tp in (TauParams.harmonic(), TauParams.log_branch(math.pi / 6)):
-            A = sl.random_admissible_matrix(tp, 2, rng)
-            sol = sl.build_quadratic(tp, A)
-            w = convexify_shift(tp, sol.field)
-            for _ in range(5):
-                assert abs(shifted_equation_residual(tp, w, rng.uniform(-2, 2, 2))) <= 1e-11
-
     def test_lower_cone_instructs_negation(self):
         tp = TauParams.harmonic("lower")
-        with pytest.raises(DomainError, match="symmetry_negate"):
+        with pytest.raises(DomainError, match="negate first"):
             convexify_shift(tp, QuadraticField(np.diag([-3.0])))
-
-
-class TestReduceToSpecialLagrangian:
-    def test_quadratic_maps_to_solution(self, rng):
-        tp = TauParams.atan_branch(math.pi / 3)
-        slag = TauParams.special_lagrangian()
-        A = sl.random_admissible_matrix(tp, 3, rng)
-        sol = sl.build_quadratic(tp, A)
-        w = reduce_to_special_lagrangian(tp, sol.field)
-        for _ in range(10):
-            x = rng.uniform(-2, 2, 3)
-            assert abs(sl.shrinker_residual(slag, w, x)) <= 1e-10
-
-    def test_constant_solution_chase(self):
-        # n = 1, A = 0: the image must be the pure-arctangent quadratic with
-        # curvature a/b, whose residual vanishes identically
-        tp = TauParams.atan_branch(math.pi / 3)
-        slag = TauParams.special_lagrangian()
-        sol = sl.build_quadratic(tp, np.zeros((1, 1)))
-        w = reduce_to_special_lagrangian(tp, sol.field)
-        ref_c = -math.atan(tp.a / tp.b)
-        assert w.hessian(np.zeros(1))[0, 0] == pytest.approx(tp.a / tp.b, abs=1e-14)
-        assert w.value(np.zeros(1)) == pytest.approx(ref_c, abs=1e-13)
-        for x in np.linspace(-2, 2, 7):
-            assert abs(sl.shrinker_residual(slag, w, np.array([x]))) <= 1e-12
-
-    def test_spectrum_straddling_the_quotient_jump(self, rng):
-        # the raw quotient form jumps by pi across lam = -(a + b); the smooth
-        # form keeps spectra straddling that line exact (no Hessian constraint
-        # on this branch at all)
-        tp = TauParams.atan_branch(math.pi / 3)
-        slag = TauParams.special_lagrangian()
-        jump = -(tp.a + tp.b)
-        A = np.diag([jump - 1.5, jump + 2.0, 0.4])
-        sol = sl.build_quadratic(tp, A)
-        w = reduce_to_special_lagrangian(tp, sol.field)
-        for _ in range(10):
-            x = rng.uniform(-2, 2, 3)
-            assert abs(sl.shrinker_residual(tp, sol.field, x)) <= 1e-12
-            assert abs(sl.shrinker_residual(slag, w, x)) <= 1e-10
-
-    def test_spectrum_map(self, rng):
-        tp = TauParams.atan_branch(math.pi / 3)
-        A = sl.random_admissible_matrix(tp, 2, rng)
-        sol = sl.build_quadratic(tp, A)
-        w = reduce_to_special_lagrangian(tp, sol.field)
-        x = rng.uniform(-1, 1, 2)
-        lam = sl.eig_sym(sol.field.hessian(tp.sqrt_a2p1**0.5 / tp.b * x))
-        mu = sl.eig_sym(w.hessian(x))
-        assert np.max(np.abs(mu - (lam + tp.a) / tp.b)) < 1e-10
-
-    def test_wrong_branch(self):
-        with pytest.raises(InputError, match="defined on the ATAN branch"):
-            reduce_to_special_lagrangian(TauParams.harmonic(), QuadraticField(np.zeros((1, 1))))
 
 
 class TestNormalizeCounterexampleBranch:
     def test_round_trip_exact(self, rng):
+        # w(x) = k u(c2 x) + (s/2)|x|^2 is the forward map the normalization inverts
         tp = TauParams.neg_branch(a=-2.0)
         A = sl.random_admissible_matrix(tp, 2, rng)
         sol = sl.build_quadratic(tp, A)
-        w = normalize_counterexample_branch(tp, "to_w", sol.field)
-        u = normalize_counterexample_branch(tp, "to_u", w)
+        a, b, k, c2 = _neg_constants(tp)
+        w = sl.AffineScaledField(sol.field, outer=k, inner=c2, quad=(a + b) / (2.0 * b), offset=0.0)
+        u = normalize_counterexample_branch(tp, w)
         for _ in range(10):
             x = rng.uniform(-3, 3, 2)
             assert u.value(x) == pytest.approx(sol.field.value(x), abs=1e-12)
 
-    def test_quadratic_maps_into_unit_window(self, rng):
+    def test_logit_quadratic_maps_to_solution(self, rng):
+        # w = <x, M x>/2 + c with 0 < M < I has phase -c, so it solves the
+        # logit equation iff c = -sum logit(mu_i)
         tp = TauParams.neg_branch(a=-2.0)
-        A = sl.random_admissible_matrix(tp, 2, rng)
-        sol = sl.build_quadratic(tp, A)
-        w = normalize_counterexample_branch(tp, "to_w", sol.field)
-        mus = sl.eig_sym(w.hessian(np.zeros(2)))
-        assert np.all(mus > 0.0) and np.all(mus < 1.0)
+        mus = rng.uniform(0.05, 0.95, 2)
+        w = QuadraticField(np.diag(mus), -float(np.sum(np.log(mus / (1.0 - mus)))))
+        u = normalize_counterexample_branch(tp, w)
         for _ in range(5):
-            assert abs(logit_equation_residual(w, rng.uniform(-2, 2, 2))) <= 1e-10
+            x = rng.uniform(-2, 2, 2)
+            assert abs(logit_equation_residual(w, x)) <= 1e-12
+            assert abs(sl.shrinker_residual(tp, u, x)) <= 1e-10
 
     def test_out_of_window_rejected(self):
         tp = TauParams.neg_branch(a=-2.0)
         with pytest.raises(DomainError, match="not inside"):
-            normalize_counterexample_branch(tp, "to_u", QuadraticField(np.diag([1.5])))
-
-    def test_unknown_direction_rejected(self):
-        tp = TauParams.neg_branch(a=-2.0)
-        with pytest.raises(InputError, match="direction"):
-            normalize_counterexample_branch(tp, "sideways", QuadraticField(np.diag([0.5])))
+            normalize_counterexample_branch(tp, QuadraticField(np.diag([1.5])))
 
     def test_wrong_branch_rejected(self):
         with pytest.raises(InputError, match="defined on the NEG branch"):
-            normalize_counterexample_branch(
-                TauParams.harmonic(), "to_w", QuadraticField(np.diag([0.5]))
-            )
+            normalize_counterexample_branch(TauParams.harmonic(), QuadraticField(np.diag([0.5])))
 
 
 class TestSelfSimilarExtension:
