@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -129,10 +130,47 @@ class TestConvexifyShift:
             sl.eig_sym(w.hessian(x)), sl.eig_sym(sol.field.hessian(x)) + k, atol=1e-13
         )
 
+    def test_solves_the_shifted_equation(self, rng):
+        # w = u + k|x|^2/2 solves the equation in the shifted eigenvalues mu:
+        # HARM  -sqrt(2) sum 1/mu = phase;  LOG  sqrt(a^2+1)/(2b) sum ln(mu/(mu+2b)) = phase
+        def shifted_lhs(tp, mus):
+            if tp.branch is sl.Branch.HARM:
+                return -SQRT2 * float(np.sum(1.0 / mus))
+            b = tp.b
+            return tp.sqrt_a2p1 / (2.0 * b) * float(np.sum(np.log(mus / (mus + 2.0 * b))))
+
+        for tp in (TauParams.harmonic(), TauParams.log_branch(math.pi / 6)):
+            A = sl.random_admissible_matrix(tp, 2, rng)
+            sol = sl.build_quadratic(tp, A)
+            w = convexify_shift(tp, sol.field)
+            for _ in range(5):
+                x = rng.uniform(-2, 2, 2)
+                mus = sl.eig_sym(w.hessian(x))
+                assert np.all(mus > 0.0)
+                assert abs(shifted_lhs(tp, mus) - sl.phase(w, x)) <= 1e-11
+
     def test_lower_cone_instructs_negation(self):
         tp = TauParams.harmonic("lower")
         with pytest.raises(DomainError, match="negate first"):
             convexify_shift(tp, QuadraticField(np.diag([-3.0])))
+
+
+class TestSymmetryNegate:
+    def test_maps_solutions_to_solutions(self, rng):
+        # the negation u -> -k|x|^2 - u (k = 1 on HARM, a on LOG) that the
+        # lower-cone error of convexify_shift asks for maps lower-cone
+        # solutions to upper-cone ones, which the shift then accepts
+        for tp in (TauParams.harmonic("lower"), TauParams.log_branch(math.pi / 6, "lower")):
+            k = 1.0 if tp.branch is sl.Branch.HARM else tp.a
+            A = sl.random_admissible_matrix(tp, 2, rng)
+            sol = sl.build_quadratic(tp, A)
+            neg = sl.AffineScaledField(sol.field, outer=-1.0, inner=1.0, quad=-2.0 * k, offset=0.0)
+            up = dataclasses.replace(tp, cone_side="upper")
+            w = convexify_shift(up, neg)
+            for _ in range(5):
+                x = rng.uniform(-2, 2, 2)
+                assert abs(sl.shrinker_residual(up, neg, x)) <= 1e-10
+                assert np.all(sl.eig_sym(w.hessian(x)) > 0.0)
 
 
 class TestNormalizeCounterexampleBranch:
@@ -147,6 +185,19 @@ class TestNormalizeCounterexampleBranch:
         for _ in range(10):
             x = rng.uniform(-3, 3, 2)
             assert u.value(x) == pytest.approx(sol.field.value(x), abs=1e-12)
+
+    def test_quadratic_maps_into_unit_window(self, rng):
+        # the forward map w(x) = k u(c2 x) + (s/2)|x|^2 takes a bounded-cone
+        # solution to a logit-equation solution with 0 < D^2 w < I
+        tp = TauParams.neg_branch(a=-2.0)
+        A = sl.random_admissible_matrix(tp, 2, rng)
+        sol = sl.build_quadratic(tp, A)
+        a, b, k, c2 = _neg_constants(tp)
+        w = sl.AffineScaledField(sol.field, outer=k, inner=c2, quad=(a + b) / (2.0 * b), offset=0.0)
+        mus = sl.eig_sym(w.hessian(np.zeros(2)))
+        assert np.all(mus > 0.0) and np.all(mus < 1.0)
+        for _ in range(5):
+            assert abs(logit_equation_residual(w, rng.uniform(-2, 2, 2))) <= 1e-10
 
     def test_logit_quadratic_maps_to_solution(self, rng):
         # w = <x, M x>/2 + c with 0 < M < I has phase -c, so it solves the
