@@ -12,7 +12,9 @@ value, a CSV cell or an exit code:
     diff before.txt after.txt
 
 The list covers every subcommand, two sweeps at their default sizes, one
-sweep each on a branch chosen by ``--tau`` and by ``--a``, and seven builds:
+sweep each on a branch chosen by ``--tau`` and by ``--a``, three shots (one
+float shot, and two Taylor shots: one completes, one ends in ``blow_up``,
+so the Taylor path's naming and placing of an event is seen), and seven builds:
 three tolerances, two spacelike (``--mss``) profiles, and two whose cone
 margins are below the rounding of ``1 - x`` (taken from the log-odds and
 from s, they stay positive and both builds exit 0).  The script
@@ -38,6 +40,7 @@ COMMANDS = [
     ["legendre-check", "--grid-step", "0.02"],
     ["shoot", "--branch", "SLAG", "--n", "2", "--u0", "-1.4707963267948966"],
     ["shoot", "--branch", "MA", "--n", "2", "--u0", "0", "--rmax", "2", "--dps", "30"],
+    ["shoot", "--branch", "SLAG", "--n", "2", "--u0", "-1.4707963267948966", "--dps", "15"],  # Taylor blow_up
     ["build-counterexample", "--a0", "0.3", "--a1", "0.7", "--n", "2", "--tol", "1e-6", "--seed", "5"],
     ["build-counterexample", "--a0", "-0.4", "--a1", "0.9", "--n", "3", "--tol", "1e-8", "--seed", "6"],
     ["build-counterexample", "--a0", "0.3", "--a1", "0.7", "--n", "4", "--tol", "1e-10", "--seed", "7"],

@@ -23,7 +23,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .fields import ScalarField, SeparableExtensionField, Table1DField
-from .numerics import ConstructionError, DomainError, InputError, Trajectory, cumulative_simpson, integrate_ode
+from .numerics import (
+    ABS_PER_REL_TOL, ConstructionError, DomainError, InputError, Trajectory, cumulative_simpson, integrate_ode,
+)
 from .tau import Branch, minkowski_residual, phase, shrinker_residual
 from .transforms import normalize_counterexample_branch, _neg_constants
 
@@ -147,12 +149,12 @@ def solve_phase_ode(a0, a1, T, rel_tol=1e-10):
         raise InputError(
             f"the a-priori ceiling a1 exp(exp(-a0)/a1^2) on phi' overflows at a0 = {a0}, a1 = {a1}"
         )
-    abs_tol = rel_tol * 1e-2
+    abs_tol = rel_tol * ABS_PER_REL_TOL  # the one integrate_ode derives
 
     rhs0 = _phase_rhs(0.0, [a0, a1])
     assert rhs0[1] == 0.0  # phi''(0) vanishes identically
 
-    dense = _two_sided(_phase_rhs, [a0, a1], T, rel_tol, abs_tol, "phase_ode", "t")
+    dense = _two_sided(_phase_rhs, [a0, a1], T, rel_tol, "phase_ode", "t")
     right = dense.ys[dense.ts >= 0.0, 1]
     slack = 10.0 * (rel_tol * bound + abs_tol)
     monotone = bool(np.all(np.diff(right) >= -slack))
@@ -175,7 +177,7 @@ def solve_phase_ode(a0, a1, T, rel_tol=1e-10):
     return traj
 
 
-def _two_sided(rhs, y0, span, rel_tol, abs_tol, stage, var):
+def _two_sided(rhs, y0, span, rel_tol, stage, var):
     """Integrate from 0 to +span and to -span and join the legs into one
     ascending Trajectory on [-span, span] that holds the origin knot once."""
     # cubic Hermite dense output is a full order below the integrator, so cap
@@ -183,7 +185,7 @@ def _two_sided(rhs, y0, span, rel_tol, abs_tol, stage, var):
     max_step = _dense_step_cap(rel_tol)
     legs = []
     for t_end in (span, -span):
-        leg = integrate_ode(rhs, y0, (0.0, t_end), rel_tol, abs_tol, max_step=max_step)
+        leg = integrate_ode(rhs, y0, (0.0, t_end), rel_tol, max_step=max_step)
         if not leg.completed:
             raise ConstructionError(
                 stage,
@@ -226,6 +228,7 @@ class W1Profile:
 
     traj: PhaseTrajectory
     ts: np.ndarray
+    phis: np.ndarray  # (phi, phi') at ts, shape (m, 2)
     w1: np.ndarray
     w1p: np.ndarray
     w1pp: np.ndarray
@@ -240,7 +243,7 @@ class W1Profile:
 
     def rows(self):
         """Trajectory table (t, phi, phi', w1, w1', w1'')."""
-        return np.column_stack([self.ts, self.traj.phi_array(self.ts), self.w1, self.w1p, self.w1pp])
+        return np.column_stack([self.ts, self.phis, self.w1, self.w1p, self.w1pp])
 
 
 def assemble_w1(traj, span=None):
@@ -255,7 +258,8 @@ def assemble_w1(traj, span=None):
     m, step = _quadrature_grid(S, traj.rel_tol)
     ts = step * (np.arange(2 * m + 1) - m)  # exact 0 at index m
 
-    phis = traj.phi_array(ts)[:, 0]
+    pairs = traj.phi_array(ts)
+    phis = pairs[:, 0]
     w1pp = sigmoid(phis)
     cs = cumulative_simpson(w1pp, step)
     w1p = -2.0 * traj.a1 + (cs - cs[m])
@@ -265,7 +269,7 @@ def assemble_w1(traj, span=None):
     defect = float(np.max(np.abs(phis - (0.5 * ts * w1p - w1))))
 
     fld = Table1DField(ts, w1, w1p, w1pp, curvature_fn=lambda t: sigmoid(traj.phi(t)))
-    return W1Profile(traj, ts, w1, w1p, w1pp, fld, defect)
+    return W1Profile(traj, ts, pairs, w1, w1p, w1pp, fld, defect)
 
 
 @dataclass
@@ -558,11 +562,10 @@ def build_mss_counterexample(
         raise InputError("phi(0) = 0 yields a linear profile: trivial solution")
     if not T > 0:
         raise InputError(f"need T > 0, got {T}")
-    abs_tol = rel_tol * 1e-2
     span = max(T, radius + 1.0)
     m, step = _quadrature_grid(span, rel_tol)
 
-    dense = _two_sided(_mss_rhs, [s0, phi0], span, rel_tol, abs_tol, "mss_ode", "x")
+    dense = _two_sided(_mss_rhs, [s0, phi0], span, rel_tol, "mss_ode", "x")
     ts = step * (np.arange(2 * m + 1) - m)
     svals, pvals = np.ascontiguousarray(dense.evaluate(ts).T)
     fp = np.tanh(svals)
@@ -602,7 +605,7 @@ def build_mss_counterexample(
         "s0": s0,
         "T": T,
         "rel_tol": float(rel_tol),
-        "abs_tol": abs_tol,
+        "abs_tol": rel_tol * ABS_PER_REL_TOL,
         "radius": float(radius),
         "samples": int(samples),
     }

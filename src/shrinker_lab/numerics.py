@@ -59,8 +59,9 @@ class ConstructionError(RuntimeError):
         self.stage = stage
 
 
-class RhsEvaluationError(Exception):
-    """Raised by an ODE right-hand side that cannot be evaluated at (t, y).
+class RhsEvaluationError(DomainError):
+    """Raised by an ODE right-hand side that cannot be evaluated at (t, y):
+    the state left the equation's domain.
 
     The integrator treats this as a soft failure: it shrinks the step and,
     if the step underflows, records an event labelled with ``self.label``.
@@ -370,12 +371,17 @@ class _NonFiniteStage(Exception):
     """A stage point left the finite numbers: the step is retried shorter."""
 
 
+# every integration's absolute tolerance is rel_tol * ABS_PER_REL_TOL: one
+# mixed error-control rule (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4)
+ABS_PER_REL_TOL = 1e-2
+
+
 def integrate_ode(
     rhs,
     y0,
     t_span,
     rel_tol=1e-10,
-    abs_tol=1e-12,
+    *,
     max_step=math.inf,
     first_step=None,
     stop_condition=None,
@@ -400,8 +406,9 @@ def integrate_ode(
         Initial state, one-dimensional.
     t_span : (t0, t1)
         Integration span; t1 < t0 integrates backwards.
-    rel_tol, abs_tol : float
-        Per-step local error control (RMS-weighted).
+    rel_tol : float
+        Per-step local error control (RMS-weighted), mixed with the absolute
+        tolerance rel_tol * ABS_PER_REL_TOL.
     stop_condition : callable, optional
         ``stop_condition(t, y) -> str | None`` checked after each accepted
         step (y a list of floats, as rhs gets it); a non-None label halts
@@ -415,8 +422,9 @@ def integrate_ode(
         (summed steps can round a few ulp short of t1, and the last knot
         then stays there).
     """
+    abs_tol = rel_tol * ABS_PER_REL_TOL
     if not (rel_tol > 0 and abs_tol > 0):
-        raise InputError("tolerances must be positive")
+        raise InputError(f"tolerances must be positive: rel_tol {rel_tol}, abs_tol {abs_tol}")
     t0, t1 = float(t_span[0]), float(t_span[1])
     y_arr = np.atleast_1d(np.asarray(y0, dtype=float))
     if y_arr.ndim != 1:

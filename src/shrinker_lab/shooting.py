@@ -16,8 +16,16 @@ runs out (r^2 grows by about 4 f'(lambda) ln 10 per decimal digit), not a
 perturbation that rigidity rules out.  Reproducing the closed form to large
 radius requires the high-precision Taylor path (``dps=...``): a
 degree-20 Taylor series method whose coefficients are Taylor-mode jets of the
-branch closed forms (:mod:`.jets`, ``tau.f_value_jet``/``f_inverse_jet``),
-with the same termination events as the float path.
+branch closed forms (:mod:`.jets`, ``tau.f_value_jet``/``f_inverse_jet``).
+
+One step rule, ``_radial_target``, checks every state either path reaches:
+the float right-hand side, each Taylor expansion point, each profile sample
+and ``RadialProfile.d2u``.  So the two paths name a cone exit and an
+inversion failure the same way by construction.  Their blow-up tests differ:
+both stop past |(u, u')| = _BLOW_UP_MAG, but the Taylor path also stops when
+its step radius falls below _MIN_STEP, where the float path's integrator
+shrinks its step to its own floor.  A profile is defined up to the shot's
+end; reading it past there is an InputError.
 """
 
 from __future__ import annotations
@@ -32,16 +40,7 @@ import numpy as np
 from . import jets
 from .fields import RadialProfileField
 from .numerics import DomainError, InputError, RhsEvaluationError, integrate_ode
-from .tau import (
-    cone_spec,
-    f_inverse,
-    f_inverse_jet,
-    f_inverse_mp,
-    f_range,
-    f_value,
-    f_value_jet,
-    f_value_mp,
-)
+from .tau import cone_spec, f_inverse, f_inverse_jet, f_inverse_mp, f_value, f_value_jet, f_value_mp
 
 __all__ = ["ShotEvent", "RadialProfile", "shoot_radial", "radial_quadratic_reference"]
 
@@ -93,16 +92,24 @@ class RadialProfile:
         return np.column_stack([self.rs, self.us, self.ups, self.upps])
 
 
-def _radial_target(tp, n, r, u, up, upp0):
-    """Target (-u + r u'/2) - (n-1) f(s) of the radial equation u'' = f^{-1}(target).
+def _radial_target(tp, n, r, u, up, upp0, f=f_value):
+    """Target (-u + r u'/2) - (n-1) f(s) of the radial equation u'' = f^{-1}(target):
+    the one step rule of both shooting paths.
 
     The transverse eigenvalue s is ``upp0`` = u''(0) below _R_SERIES and u'/r
-    beyond; DomainError when s has left the selected cone component.
+    beyond.  ``f`` is ``f_value``, or ``f_value_mp`` on mpf states.  Raises
+    RhsEvaluationError ``cone_exit`` when s has left the selected cone
+    component, and ``inversion_failure`` when the target is outside the range
+    of f on it.
     """
+    spec = cone_spec(tp)
     s = upp0 if r < _R_SERIES else up / r
-    if not cone_spec(tp).contains(s):
-        raise DomainError(f"transverse eigenvalue {s} left the cone", value=s)
-    return (-u + 0.5 * r * up) - (n - 1) * f_value(tp, s)
+    if not spec.contains(s):
+        raise RhsEvaluationError("cone_exit", f"transverse eigenvalue {s} left the cone")
+    target = (-u + 0.5 * r * up) - (n - 1) * f(tp, s)
+    if not (spec.f_lo < target < spec.f_hi):
+        raise RhsEvaluationError("inversion_failure", f"operator target {target} out of range")
+    return target
 
 
 def _series_state(u0, upp0, r):
@@ -125,18 +132,10 @@ def radial_quadratic_reference(tp, n, c, r_max=10.0, n_samples=401):
     )
 
 
-def _shoot_float(tp, n, u0, upp0, r_max, rel_tol, abs_tol):
-    lo_y, hi_y = f_range(tp)
-
+def _shoot_float(tp, n, u0, upp0, r_max, rel_tol):
     def rhs(r, y):
         u, up = y
-        try:
-            arg = _radial_target(tp, n, r, u, up, upp0)
-        except DomainError as exc:
-            raise RhsEvaluationError("cone_exit", str(exc)) from None
-        if not (lo_y < arg < hi_y):
-            raise RhsEvaluationError("inversion_failure", f"operator target {arg} out of range")
-        return [up, f_inverse(tp, arg)]
+        return [up, f_inverse(tp, _radial_target(tp, n, r, u, up, upp0))]
 
     def stop(r, y):
         if abs(y[0]) > _BLOW_UP_MAG or abs(y[1]) > _BLOW_UP_MAG:
@@ -144,7 +143,7 @@ def _shoot_float(tp, n, u0, upp0, r_max, rel_tol, abs_tol):
         return None
 
     y0 = _series_state(u0, upp0, _R_START)
-    traj = integrate_ode(rhs, y0, (_R_START, float(r_max)), rel_tol, abs_tol, stop_condition=stop)
+    traj = integrate_ode(rhs, y0, (_R_START, float(r_max)), rel_tol, stop_condition=stop)
 
     if traj.event is None:
         event = ShotEvent("completed", float(r_max))
@@ -157,7 +156,7 @@ def _shoot_float(tp, n, u0, upp0, r_max, rel_tol, abs_tol):
     def state(r):
         if r < _R_START:
             return _series_state(u0, upp0, r)
-        return tuple(traj(min(r, traj.t_end)))
+        return tuple(traj(r))
 
     return state, float(traj.t_end), event
 
@@ -197,13 +196,10 @@ def _shoot_mp(tp, n, u0, r_max, dps):
     tol = 10^-(dps-10)): radius min(1, (tol'/|c_d|)^(1/d))/2 over both series,
     tol' = 2^-(floor(log2 10^(dps-10)) + 10).  Steps are joined, and the
     profile evaluated, at 40 extra bits.  Every expansion
-    point is checked as the float path checks its RHS: ``cone_exit`` when s
-    leaves the cone, ``inversion_failure`` when the operator target leaves
-    ``f_range``; ``blow_up`` when |u| or |u'| passes _BLOW_UP_MAG or the step
-    radius falls below _MIN_STEP (a singularity ahead).
+    point goes through the float path's step rule ``_radial_target``, whose
+    error names the event; ``blow_up`` when |u| or |u'| passes _BLOW_UP_MAG
+    or the step radius falls below _MIN_STEP (a singularity ahead).
     """
-    spec = cone_spec(tp)
-    lo_y, hi_y = f_range(tp)
     with mp.workdps(int(dps)):
         if isinstance(u0, str) or isinstance(u0, mp.mpf):
             u0_mp = mp.mpf(u0)
@@ -212,21 +208,17 @@ def _shoot_mp(tp, n, u0, r_max, dps):
         upp0_mp = f_inverse_mp(tp, -u0_mp / n)
         fine_prec = mp.mp.prec + 40
         tol = mp.ldexp(1, -(int((int(dps) - 10) * math.log2(10.0)) + 10))
+        f_s0 = f_value_mp(tp, upp0_mp)  # f(s) while s is frozen at u''(0)
         r0 = mp.mpf(_R_START)
-        u, p = u0_mp + upp0_mp * r0 * r0 / 2, upp0_mp * r0
+        u, p = _series_state(u0_mp, upp0_mp, r0)
         starts, polys = [], []  # expansion points; (u, u') coefficients, highest first
         while True:
-            frozen = r0 < _R_SERIES
-            s = upp0_mp if frozen else p / r0
-            if not spec.contains(s):
-                event = ShotEvent("cone_exit", float(r0), f"transverse eigenvalue {mp.nstr(s, 8)} left the cone")
+            try:
+                _radial_target(tp, n, r0, u, p, upp0_mp, f=f_value_mp)
+            except RhsEvaluationError as exc:
+                event = ShotEvent(exc.label, float(r0), exc.detail)
                 break
-            f_s = f_value_mp(tp, s)
-            arg = (-u + r0 * p / 2) - (n - 1) * f_s
-            if not (lo_y < arg < hi_y):
-                event = ShotEvent("inversion_failure", float(r0), f"operator target {mp.nstr(arg, 8)} out of range")
-                break
-            us, ps = _taylor_step(tp, n, r0, u, p, f_s if frozen else None)
+            us, ps = _taylor_step(tp, n, r0, u, p, f_s0 if r0 < _R_SERIES else None)
             radius = min([mp.mpf(1)] + [mp.root(tol / abs(c[-1]), _DEGREE) for c in (us, ps) if c[-1]]) / 2
             if radius < _MIN_STEP:
                 event = ShotEvent("blow_up", float(r0), f"Taylor step {mp.nstr(radius, 3)} below {_MIN_STEP:g}")
@@ -245,9 +237,12 @@ def _shoot_mp(tp, n, u0, r_max, dps):
         r_end = event.r
 
         def state(r):
+            r = float(r)
+            if r > r_end + 1e-12 * (1 + r_end):  # Trajectory.__call__'s slack
+                raise InputError(f"r={r} past the shot's end at {r_end}")
             if r < _R_START or not polys:
                 return _series_state(float(u0_mp), float(upp0_mp), r)
-            r = min(float(r), r_end)
+            r = min(r, r_end)
             i = max(bisect.bisect(starts, r) - 1, 0)
             with mp.workprec(fine_prec):
                 h = mp.mpf(r) - starts[i]
@@ -256,7 +251,7 @@ def _shoot_mp(tp, n, u0, r_max, dps):
     return state, r_end, event
 
 
-def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, abs_tol=1e-12, dps=None, n_samples=401):
+def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, *, dps=None, n_samples=401):
     """Integrate the radial equation outward from u(0) = u0.
 
     Parameters
@@ -290,31 +285,23 @@ def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, abs_tol=1e-12, dps=None, 
     if dps is not None:
         state, r_end, event = _shoot_mp(tp, n, u0_raw, float(r_max), int(dps))
     else:
-        state, r_end, event = _shoot_float(tp, n, u0, upp0, float(r_max), rel_tol, abs_tol)
+        state, r_end, event = _shoot_float(tp, n, u0, upp0, float(r_max), rel_tol)
 
     rs = np.linspace(0.0, r_end, n_samples)
     us = np.empty_like(rs)
     ups = np.empty_like(rs)
     upps = np.empty_like(rs)
-    lo_y, hi_y = f_range(tp)
-    truncate = None
     for i, r in enumerate(rs):
         u, up = state(r) if r > 0 else (u0, 0.0)
-        us[i], ups[i] = u, up
         try:
-            arg = _radial_target(tp, n, r, u, up, upp0)
-        except DomainError:
-            arg = math.nan
-        if not (lo_y < arg < hi_y):
-            upps[i] = math.nan
-            if truncate is None:
-                truncate = i
-        else:
-            upps[i] = f_inverse(tp, arg)
-    if truncate is not None and event.completed:
-        event = ShotEvent("cone_exit", float(rs[truncate]))
-    if truncate is not None:
-        rs, us, ups, upps = rs[:truncate], us[:truncate], ups[:truncate], upps[:truncate]
+            upps[i] = f_inverse(tp, _radial_target(tp, n, r, u, up, upp0))
+        except RhsEvaluationError:
+            # the profile ends at the first sample the step rule rejects
+            if event.completed:
+                event = ShotEvent("cone_exit", float(r))
+            rs, us, ups, upps = rs[:i], us[:i], ups[:i], upps[:i]
+            break
+        us[i], ups[i] = u, up
 
     return RadialProfile(
         tp, n, u0, rs, us, ups, upps, event, lambda r: (state(r) if r > 0 else (u0, 0.0))

@@ -60,12 +60,15 @@ class Branch(str, Enum):
 
 @dataclass(frozen=True)
 class ConeSpec:
-    """One open component of the admissible eigenvalues, with the tag
-    :func:`admissible` reports for it."""
+    """One open component (lo, hi) of the admissible eigenvalues, with the tag
+    :func:`admissible` reports for it and the open range (f_lo, f_hi) of the
+    scalar summand on it."""
 
     tag: str           # upper | lower | all | inside-interval
     lo: float
     hi: float
+    f_lo: float
+    f_hi: float
 
     def contains(self, lam):
         return self.lo < lam < self.hi
@@ -160,18 +163,22 @@ class TauParams:
     @cached_property
     def components(self):
         """The open admissible components (:class:`ConeSpec`) of the scalar
-        summand, the one ``cone_side`` selects first.  Every cone test reads
-        them; a non-finite eigenvalue lies in none."""
-        br, a, b = self.branch, self.a, self.b
+        summand, each with the range of f on it, the one ``cone_side`` selects
+        first.  Every cone and range test reads them; a non-finite eigenvalue
+        lies in none."""
+        br, a, b, inf = self.branch, self.a, self.b, math.inf
         if br is Branch.MA:
-            return (ConeSpec("upper", 0.0, math.inf),)
+            return (ConeSpec("upper", 0.0, inf, -inf, inf),)
         if br is Branch.NEG:
-            return (ConeSpec("inside-interval", -(b + a), b - a),)
-        if br in (Branch.ATAN, Branch.SLAG):
-            return (ConeSpec("all", -math.inf, math.inf),)
+            return (ConeSpec("inside-interval", -(b + a), b - a, -inf, inf),)
+        if br is Branch.ATAN:
+            c = self.sqrt_a2p1 / b
+            return (ConeSpec("all", -inf, inf, -0.75 * math.pi * c, 0.25 * math.pi * c),)
+        if br is Branch.SLAG:
+            return (ConeSpec("all", -inf, inf, -math.pi / 2.0, math.pi / 2.0),)
         edge_upper, edge_lower = (-(a - b), -(a + b)) if br is Branch.LOG else (-1.0, -1.0)
-        upper = ConeSpec("upper", edge_upper, math.inf)
-        lower = ConeSpec("lower", -math.inf, edge_lower)
+        upper = ConeSpec("upper", edge_upper, inf, -inf, 0.0)
+        lower = ConeSpec("lower", -inf, edge_lower, 0.0, inf)
         return (upper, lower) if self.cone_side == "upper" else (lower, upper)
 
     @classmethod
@@ -322,15 +329,8 @@ def f_derivative(tp, lam):
 
 def f_range(tp):
     """Open range of the scalar summand on the component picked by cone_side."""
-    br = tp.branch
-    if br is Branch.MA or br is Branch.NEG:
-        return (-math.inf, math.inf)
-    if br in (Branch.LOG, Branch.HARM):
-        return (-math.inf, 0.0) if tp.cone_side == "upper" else (0.0, math.inf)
-    if br is Branch.ATAN:
-        c = tp.sqrt_a2p1 / tp.b
-        return (-0.75 * math.pi * c, 0.25 * math.pi * c)
-    return (-math.pi / 2.0, math.pi / 2.0)
+    spec = tp.components[0]
+    return spec.f_lo, spec.f_hi
 
 
 def f_inverse(tp, y):
@@ -340,10 +340,9 @@ def f_inverse(tp, y):
     enforces |f(lam) - y| <= 1e-12 * (1 + |y|).
     """
     y = float(y)
-    lo, hi = f_range(tp)
-    if not (lo < y < hi):
-        raise InputError(f"target {y} outside attainable range ({lo}, {hi})")
     spec = tp.components[0]
+    if not (spec.f_lo < y < spec.f_hi):
+        raise InputError(f"target {y} outside attainable range ({spec.f_lo}, {spec.f_hi})")
     try:
         lam = _f_inverse_closed(tp, y, _FLOAT)
     except (OverflowError, ZeroDivisionError):

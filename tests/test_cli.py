@@ -130,6 +130,8 @@ class TestExitCodes:
             ("verify-quadratic", "--tol", "0"),
             ("flow-check", "--tol", "-1"),
             ("shoot", "--u0", "-1", "--tol", "inf"),
+            ("shoot", "--u0", "-1", "--tol", "1e-323"),  # positive, but tol/100 underflows to 0
+            ("build-counterexample", "--tol", "1e-323"),
             ("shoot", "--u0", "-1", "--dps", "-3"),
             ("shoot", "--u0", "-1", "--dps", "0"),
             ("shoot", "--u0", "-1", "--dps", "10"),

@@ -203,18 +203,18 @@ class TestInvertMonotone:
 
 class TestIntegrateOde:
     def test_exponential(self):
-        traj = integrate_ode(lambda t, y: y, [1.0], (0.0, 1.0), 1e-10, 1e-12)
+        traj = integrate_ode(lambda t, y: y, [1.0], (0.0, 1.0), 1e-10)
         assert traj.completed
         assert abs(traj(1.0)[0] - math.e) < 1e-8
 
     def test_zero_rhs_exact(self):
         c = 0.7315
-        traj = integrate_ode(lambda t, y: [0.0 * v for v in y], [c], (0.0, 5.0), 1e-8, 1e-10)
+        traj = integrate_ode(lambda t, y: [0.0 * v for v in y], [c], (0.0, 5.0), 1e-8)
         assert traj(3.1)[0] == c
 
     def test_sine(self):
         traj = integrate_ode(
-            lambda t, y: [y[1], -y[0]], [0.0, 1.0], (0.0, math.pi), 1e-10, 1e-12
+            lambda t, y: [y[1], -y[0]], [0.0, 1.0], (0.0, math.pi), 1e-10
         )
         end = traj(math.pi)
         assert abs(end[0] - 0.0) < 1e-7
@@ -225,18 +225,18 @@ class TestIntegrateOde:
         for k in range(4):
             rt = 1e-6 / 2**k
             traj = integrate_ode(
-                lambda t, y: [y[1], -y[0]], [0.0, 1.0], (0.0, math.pi), rt, rt * 1e-2
+                lambda t, y: [y[1], -y[0]], [0.0, 1.0], (0.0, math.pi), rt
             )
             errs.append(abs(traj(math.pi)[0]))
         assert all(errs[i + 1] < errs[i] for i in range(3))
 
     def test_backwards(self):
-        traj = integrate_ode(lambda t, y: y, [1.0], (0.0, -1.0), 1e-10, 1e-12)
+        traj = integrate_ode(lambda t, y: y, [1.0], (0.0, -1.0), 1e-10)
         assert abs(traj(-1.0)[0] - math.exp(-1.0)) < 1e-8
 
     def test_blow_up_event(self):
         # y' = y^2 from y(0)=1 blows up at t=1
-        traj = integrate_ode(lambda t, y: [y[0] * y[0]], [1.0], (0.0, 2.0), 1e-8, 1e-10)
+        traj = integrate_ode(lambda t, y: [y[0] * y[0]], [1.0], (0.0, 2.0), 1e-8)
         assert not traj.completed
         assert isinstance(traj.event, DivergenceEvent)
         assert 0.9 < traj.event.t <= 1.01
@@ -247,13 +247,13 @@ class TestIntegrateOde:
                 raise RhsEvaluationError("left_domain")
             return [1.0] * len(y)
 
-        traj = integrate_ode(rhs, [0.0], (0.0, 1.0), 1e-8, 1e-10)
+        traj = integrate_ode(rhs, [0.0], (0.0, 1.0), 1e-8)
         assert not traj.completed
         assert traj.event.label == "left_domain"
         assert abs(traj.event.t - 0.5) < 1e-6
 
     def test_dense_output_between_knots(self):
-        traj = integrate_ode(lambda t, y: [math.cos(t)], [0.0], (0.0, 6.0), 1e-10, 1e-12, max_step=0.05)
+        traj = integrate_ode(lambda t, y: [math.cos(t)], [0.0], (0.0, 6.0), 1e-10, max_step=0.05)
         for t in np.linspace(0.1, 5.9, 37):
             assert abs(traj(t)[0] - math.sin(t)) < 1e-7
 
@@ -263,7 +263,7 @@ class TestIntegrateOde:
         assert np.array_equal(traj(0.5), [2.0, -1.0])
 
     def test_outside_span_rejected(self):
-        traj = integrate_ode(lambda t, y: y, [1.0], (0.0, 1.0), 1e-8, 1e-10)
+        traj = integrate_ode(lambda t, y: y, [1.0], (0.0, 1.0), 1e-8)
         with pytest.raises(InputError):
             traj(2.0)
 
@@ -282,7 +282,7 @@ class TestIntegrateOde:
 
         for rhs in (short, arrayed):
             with pytest.raises(InputError):
-                integrate_ode(rhs, [0.0, 1.0], (0.0, 1.0), 1e-8, 1e-10)
+                integrate_ode(rhs, [0.0, 1.0], (0.0, 1.0), 1e-8)
 
 
 # The numpy-array Dormand-Prince loop that the float kernel replaced: the same
@@ -386,7 +386,7 @@ class TestFloatKernelAgainstNumpyReference:
         # the knots differ only by the stage sums' rounding; the domain end
         # adds a run of rejections before the event
         rhs, y0 = _coupled_system(n, domain_end=5.0)
-        traj = integrate_ode(_listed(rhs), y0, t_span, 1e-6, 1e-8, max_step=0.01)
+        traj = integrate_ode(_listed(rhs), y0, t_span, 1e-6, max_step=0.01)
         ts, ys, event, n_steps, n_rejected = _reference_integrate_ode(
             rhs, y0, t_span, 1e-6, 1e-8, max_step=0.01
         )
@@ -404,7 +404,7 @@ class TestFloatKernelAgainstNumpyReference:
         # cancellation, so the stage sums' rounding moves the step sizes and
         # with them the knots; the accept/reject decisions stay the same
         rhs, y0 = _coupled_system(n)
-        traj = integrate_ode(_listed(rhs), y0, (0.0, 8.0), rel_tol, rel_tol * 1e-2, first_step=first_step)
+        traj = integrate_ode(_listed(rhs), y0, (0.0, 8.0), rel_tol, first_step=first_step)
         ts, ys, event, n_steps, n_rejected = _reference_integrate_ode(
             rhs, y0, (0.0, 8.0), rel_tol, rel_tol * 1e-2, first_step=first_step
         )
@@ -421,8 +421,8 @@ def _oscillator(t, y):
 
 def _merged_trajectory():
     """Both legs of a two-sided integration joined into one ascending trajectory."""
-    pos = integrate_ode(_oscillator, [1.0, 0.2], (0.0, 4.0), 1e-7, 1e-9)
-    neg = integrate_ode(_oscillator, [1.0, 0.2], (0.0, -4.0), 1e-7, 1e-9)
+    pos = integrate_ode(_oscillator, [1.0, 0.2], (0.0, 4.0), 1e-7)
+    neg = integrate_ode(_oscillator, [1.0, 0.2], (0.0, -4.0), 1e-7)
     return Trajectory(
         np.concatenate([neg.ts[:0:-1], pos.ts]),
         np.concatenate([neg.ys[:0:-1], pos.ys]),
@@ -436,8 +436,8 @@ class TestTrajectoryEvaluate:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: integrate_ode(_oscillator, [1.0, 0.2], (0.0, 7.3), 1e-7, 1e-9),
-            lambda: integrate_ode(_oscillator, [1.0, 0.2], (0.0, -7.3), 1e-7, 1e-9),
+            lambda: integrate_ode(_oscillator, [1.0, 0.2], (0.0, 7.3), 1e-7),
+            lambda: integrate_ode(_oscillator, [1.0, 0.2], (0.0, -7.3), 1e-7),
             _merged_trajectory,
             lambda: integrate_ode(_oscillator, [1.0, 0.2], (0.5, 0.5)),
         ],
@@ -453,7 +453,7 @@ class TestTrajectoryEvaluate:
         assert np.array_equal(batch.view(np.int64), scalar.view(np.int64))
 
     def test_clamps_to_covered_span(self):
-        for traj in (_merged_trajectory(), integrate_ode(_oscillator, [1.0, 0.2], (0.0, -3.0), 1e-7, 1e-9)):
+        for traj in (_merged_trajectory(), integrate_ode(_oscillator, [1.0, 0.2], (0.0, -3.0), 1e-7)):
             lo, hi = sorted((traj.ts[0], traj.ts[-1]))
             got = traj.evaluate([lo - 5.0, hi + 5.0, -np.inf, np.inf])
             assert np.array_equal(got, [traj(lo), traj(hi), traj(lo), traj(hi)])

@@ -6,8 +6,18 @@ import pytest
 
 import shrinker_lab as sl
 from shrinker_lab import InputError, TauParams
-from shrinker_lab.shooting import radial_quadratic_reference, shoot_radial
-from shrinker_lab.tau import f_value, f_value_mp
+from shrinker_lab.numerics import RhsEvaluationError
+from shrinker_lab.shooting import _radial_target, radial_quadratic_reference, shoot_radial
+from shrinker_lab.tau import cone_spec, f_range, f_value, f_value_mp
+
+from conftest import branch_params
+
+# the six default branches and the lower components of LOG and HARM
+RULE_BRANCHES = {
+    **branch_params(),
+    "LOG-lower": TauParams.log_branch(math.pi / 6, "lower"),
+    "HARM-lower": TauParams.harmonic("lower"),
+}
 
 
 def quad_initial_value(tp, n, c, dps):
@@ -112,7 +122,7 @@ class TestProfileStructure:
         # coefficient to vanish, so the true rate is even faster)
         tp = all_branches["NEG"]
         u0 = -3 * f_value(tp, 2.2) + 0.05
-        prof = shoot_radial(tp, 3, u0, r_max=1.0, rel_tol=1e-12, abs_tol=1e-14)
+        prof = shoot_radial(tp, 3, u0, r_max=1.0, rel_tol=1e-12)
         assert prof.event.completed
         for r in (0.4, 0.2, 0.1, 0.05):
             gap = abs(prof.du(r) / r - prof.d2u(r))
@@ -131,3 +141,83 @@ class TestProfileStructure:
         prof = radial_quadratic_reference(TauParams.special_lagrangian(), 2, 0.5, r_max=3.0)
         rows = prof.rows()
         assert rows.shape[1] == 4
+
+
+def _inside(spec):
+    """An eigenvalue inside the open component ``spec``."""
+    if math.isfinite(spec.lo) and math.isfinite(spec.hi):
+        return 0.5 * (spec.lo + spec.hi)
+    if math.isfinite(spec.lo):
+        return spec.lo + 1.0
+    return spec.hi - 1.0 if math.isfinite(spec.hi) else 0.0
+
+
+def _outside(spec):
+    """Eigenvalues one ulp beyond each finite edge of ``spec``, or +-inf for
+    a component that is the whole line."""
+    out = [math.nextafter(edge, step) for edge, step in ((spec.lo, -math.inf), (spec.hi, math.inf))
+           if math.isfinite(edge)]
+    return out or [math.inf, -math.inf]
+
+
+class TestStepRule:
+    """``_radial_target`` is the one check of a shot's state on both paths."""
+
+    @pytest.mark.parametrize("name", sorted(RULE_BRANCHES))
+    @pytest.mark.parametrize("precision", ["float", "mp"])
+    def test_transverse_eigenvalue_outside_cone_is_cone_exit(self, name, precision):
+        tp = RULE_BRANCHES[name]
+        spec = cone_spec(tp)
+        for s in _outside(spec):
+            # r = 1 is past the series start, so s = u'/r = u'
+            if precision == "float":
+                args, f = (1.0, 0.0, s, _inside(spec)), f_value
+            else:
+                args, f = (mp.mpf(1), mp.mpf(0), mp.mpf(s), mp.mpf(_inside(spec))), f_value_mp
+            with mp.workdps(30), pytest.raises(sl.DomainError) as exc:
+                _radial_target(tp, 2, *args, f=f)
+            assert isinstance(exc.value, RhsEvaluationError)
+            assert exc.value.label == "cone_exit"
+
+    @pytest.mark.parametrize("name", sorted(RULE_BRANCHES))
+    def test_target_at_or_beyond_range_end_is_inversion_failure(self, name):
+        tp = RULE_BRANCHES[name]
+        upp0 = _inside(cone_spec(tp))
+        lo, hi = f_range(tp)
+        targets = [lo, hi] + [end + step for end, step in ((lo, -1e-3), (hi, 1e-3)) if math.isfinite(end)]
+        for y in targets:
+            # n = 1 and r = 0: the target is -u exactly
+            with pytest.raises(sl.DomainError) as exc:
+                _radial_target(tp, 1, 0.0, -y, 0.0, upp0)
+            assert isinstance(exc.value, RhsEvaluationError)
+            assert exc.value.label == "inversion_failure"
+        assert _radial_target(tp, 1, 0.0, -f_value(tp, upp0), 0.0, upp0) == f_value(tp, upp0)
+
+    def test_f_range_per_component(self):
+        c = RULE_BRANCHES["ATAN"].sqrt_a2p1 / RULE_BRANCHES["ATAN"].b
+        expected = {
+            "MA": (-math.inf, math.inf),
+            "LOG": (-math.inf, 0.0),
+            "LOG-lower": (0.0, math.inf),
+            "HARM": (-math.inf, 0.0),
+            "HARM-lower": (0.0, math.inf),
+            "ATAN": (-0.75 * math.pi * c, 0.25 * math.pi * c),
+            "SLAG": (-math.pi / 2.0, math.pi / 2.0),
+            "NEG": (-math.inf, math.inf),
+        }
+        assert {name: f_range(tp) for name, tp in RULE_BRANCHES.items()} == expected
+
+
+class TestReadsPastTheEnd:
+    @pytest.mark.parametrize("dps, kind", [(None, "inversion_failure"), (15, "blow_up")])
+    def test_profile_is_defined_up_to_the_event_only(self, dps, kind):
+        tp = TauParams.special_lagrangian()
+        prof = shoot_radial(tp, 2, -math.pi / 2 + 0.1, r_max=50.0, dps=dps)
+        assert prof.event.kind == kind
+        r_end = prof.event.r
+        assert prof.rs[-1] == r_end
+        assert prof.u(r_end) == prof.us[-1]
+        past = r_end + 1.0
+        for read in (prof.u, prof.du, prof.d2u, lambda r: prof.field.value([r, 0.0])):
+            with pytest.raises(InputError, match="past|outside"):
+                read(past)
