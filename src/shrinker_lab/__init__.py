@@ -44,7 +44,6 @@ from .tau import (
     weighted_laplace_residual,
 )
 from .geometry import (
-    ambient_metric,
     induced_metric,
     mean_curvature,
     metric_duality_defect,

@@ -176,10 +176,10 @@ def cmd_verify_quadratic(args):
         residuals, defects = [], []
         for k, A in trials:
             pts = rng.uniform(-3.0, 3.0, size=(args.points, len(A)))
-            residuals.append(quadratics.verify_quadratic(tp, A, pts))
+            sol = quadratics.build_quadratic(tp, A)
+            residuals.append(quadratics.verify_quadratic(sol, pts))
             if k % defect_every == 0:
                 x = rng.uniform(-2.0, 2.0, size=len(A))
-                sol = quadratics.build_quadratic(tp, A)
                 defects.append(geometry.shrinker_defect(tp, sol.field, x))
         return {
             "max_residual": max(residuals),

@@ -1,6 +1,10 @@
 """Geometry of gradient graphs {(x, Du(x))} in the doubled space with the
-interpolating ambient metric: induced metric, normal projection, mean
-curvature, and the self-shrinker defect as a vector equation.
+interpolating ambient form G = [[sin I, cos I], [cos I, sin I]]: induced
+metric, normal projection, mean curvature, and the self-shrinker defect as a
+vector equation.
+
+G is never built: every product with it is written in n x n blocks, so the
+normal projection is one n x n solve against the induced metric.
 """
 
 from __future__ import annotations
@@ -13,8 +17,6 @@ from .numerics import DomainError, InputError, as_sym_matrix, eig_sym, fd_gradie
 from .tau import Branch, operator_gradient_matrix, operator_value
 
 __all__ = [
-    "ambient_metric",
-    "tangent_frame",
     "induced_metric",
     "metric_duality_defect",
     "normal_project",
@@ -23,20 +25,6 @@ __all__ = [
 ]
 
 FD_STEP = 1e-3  # central-difference step of D_x F(lambda(D^2 u)) in mean_curvature
-
-
-def ambient_metric(tp, n):
-    """2n x 2n block quadratic form  [[sin I, cos I], [cos I, sin I]]."""
-    s, c = tp.sin_cos
-    eye = np.eye(n)
-    return np.block([[s * eye, c * eye], [c * eye, s * eye]])
-
-
-def tangent_frame(H):
-    """Columns span the tangent space of the gradient graph: E_i = (e_i, H e_i)."""
-    H = as_sym_matrix(H)
-    n = H.shape[0]
-    return np.vstack([np.eye(n), H])
 
 
 def induced_metric(tp, H):
@@ -69,22 +57,24 @@ def normal_project(tp, H, V):
     """Component of an ambient vector orthogonal (w.r.t. the ambient form) to
     the graph tangent space at Hessian H.
 
-    Characterized by <result, E_i> = 0 for every tangent frame vector.
+    With the tangent frame E = (I, H), V = (v1, v2) splits exactly as
+    E v1 + (0, w), w = v2 - H v1, and the tangent part E v1 drops out.  The
+    rest is projected by one n x n solve: the induced metric E^T G E times
+    beta equals E^T G (0, w) = (cos I + sin H) w, and the normal part is
+    (0, w) - E beta.  Along a quadratic, X = (x, A x) gives w = 0 exactly.
     """
     H = as_sym_matrix(H)
     V = np.asarray(V, dtype=float)
     n = H.shape[0]
     if V.shape != (2 * n,):
         raise InputError(f"expected an ambient vector of length {2 * n}, got {V.shape}")
-    E = tangent_frame(H)
-    G = ambient_metric(tp, n)
-    g = E.T @ G @ E
-    rhs = E.T @ (G @ V)
+    s, c = tp.sin_cos
+    w = V[n:] - H @ V[:n]
     try:
-        beta = np.linalg.solve(g, rhs)
+        beta = np.linalg.solve(induced_metric(tp, H), c * w + s * (H @ w))
     except np.linalg.LinAlgError as exc:
         raise DomainError(f"induced metric degenerate: {exc}") from exc
-    return V - E @ beta
+    return np.concatenate([-beta, w - H @ beta])
 
 
 def mean_curvature(tp, field, x):
@@ -109,10 +99,14 @@ def shrinker_defect(tp, field, x):
     """Norm of  H + (1/2) X^perp  at the graph point over x.
 
     Vanishes along self-shrinkers.  For branches whose ambient form is
-    positive definite the ambient norm is used; on the indefinite branches the
+    positive definite the ambient norm sqrt(sin (|w1|^2 + |w2|^2) +
+    2 cos w1.w2) of W = (w1, w2) is used; on the indefinite branches the
     Euclidean norm of the defect vector is reported (a residual must vanish
     iff the vector does).  The value never reads u itself, so it is exactly
-    invariant under constant shifts of the potential.
+    invariant under constant shifts of the potential.  On a quadratic both
+    terms are exactly 0: X is tangent, split off exactly by
+    :func:`normal_project`, and F(lambda(D^2 u)) is constant, so its central
+    difference is 0.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     H_vec = mean_curvature(tp, field, x)
@@ -120,6 +114,7 @@ def shrinker_defect(tp, field, x):
     X = np.concatenate([x, field.gradient(x)])
     W = H_vec + 0.5 * normal_project(tp, Hmat, X)
     if tp.branch in (Branch.ATAN, Branch.SLAG):
-        G = ambient_metric(tp, len(x))
-        return float(math.sqrt(max(0.0, float(W @ G @ W))))
+        s, c = tp.sin_cos
+        w1, w2 = W[: len(x)], W[len(x):]
+        return float(math.sqrt(max(0.0, s * float(w1 @ w1 + w2 @ w2) + 2.0 * c * float(w1 @ w2))))
     return float(np.linalg.norm(W))

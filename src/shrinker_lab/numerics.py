@@ -383,7 +383,6 @@ def integrate_ode(
     rel_tol=1e-10,
     *,
     max_step=math.inf,
-    first_step=None,
     stop_condition=None,
 ):
     """Adaptive Dormand-Prince 5(4) with dense output.
@@ -457,7 +456,7 @@ def integrate_ode(
     if span == 0.0:
         return Trajectory(np.array(ts), np.array(ys), np.array(fs), t0, t1)
 
-    h = first_step if first_step is not None else min(span / 100.0, 1.0, max_step)
+    h = min(span / 100.0, 1.0, max_step)
     h = max(h, 1e-12 * span)
     t = t0
     min_h_floor = 1e-14

@@ -11,8 +11,8 @@ from functools import cached_property
 import numpy as np
 
 from .fields import QuadraticField
-from .numerics import DomainError, as_sym_matrix, eig_sym
-from .tau import admissible, cone_spec, operator_value, phase
+from .numerics import as_sym_matrix, eig_sym
+from .tau import cone_spec, operator_value, phase
 
 __all__ = [
     "QuadraticSolution",
@@ -46,24 +46,19 @@ class QuadraticSolution:
 
 
 def build_quadratic(tp, A):
-    """Construct the quadratic solution with Hessian A (A must be admissible)."""
+    """Construct the quadratic solution with Hessian A (A must be admissible;
+    ``operator_value`` raises the "inadmissible" DomainError otherwise)."""
     A = as_sym_matrix(A)
-    eigs = eig_sym(A)
-    if admissible(tp, eigs) is None:
-        raise DomainError(
-            f"matrix spectrum {eigs} inadmissible for branch {tp.branch.value}", value=float(eigs[0])
-        )
-    return QuadraticSolution(tp, A, -operator_value(tp, eigs))
+    return QuadraticSolution(tp, A, -operator_value(tp, eig_sym(A)))
 
 
-def verify_quadratic(tp, A, points):
-    """Max |shrinker residual| of the built solution over an (m, n) cloud of
+def verify_quadratic(sol, points):
+    """Max |shrinker residual| of a built solution over an (m, n) cloud of
     sample points.
 
     D^2u = A everywhere, so F(lambda(D^2u)) is -sol.c, read from
     ``build_quadratic``'s one eigen-solve; the cloud costs one ``phase`` call.
     """
-    sol = build_quadratic(tp, A)
     return float(np.max(np.abs(-sol.c - phase(sol.field, points)), initial=0.0))
 
 

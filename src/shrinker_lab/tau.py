@@ -411,13 +411,18 @@ def admissible(tp, eigenvalues):
 
 
 def operator_value(tp, eigenvalues):
-    """Sum of the scalar summand over the spectrum (the operator itself)."""
+    """Sum of the scalar summand over the spectrum (the operator itself).
+
+    The spectrum's one cone check is here; each summand is then ``f_value``'s
+    closed form without its per-eigenvalue check, bit for bit.
+    """
     lams = np.atleast_1d(np.asarray(eigenvalues, dtype=float))
     if admissible(tp, lams) is None:
         raise DomainError(
-            f"spectrum {lams} not inside a single {tp.branch.value} cone component", value=float(lams[0])
+            f"spectrum {lams} inadmissible: not inside a single {tp.branch.value} cone component",
+            value=float(lams[0]),
         )
-    return float(sum(f_value(tp, lam) for lam in lams))
+    return float(sum(_f_closed(tp, lam, _FLOAT) for lam in lams.tolist()))
 
 
 def operator_gradient_matrix(tp, H):
@@ -456,12 +461,7 @@ def shrinker_residual(tp, field, x):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim != 1:
         raise InputError(f"shrinker_residual takes one point, got shape {x.shape}")
-    eigs = eig_sym(field.hessian(x))
-    if admissible(tp, eigs) is None:
-        raise DomainError(
-            f"inadmissible Hessian spectrum {eigs} at x = {x}", value=float(eigs[0]), location=x
-        )
-    return float(operator_value(tp, eigs) - phase(field, x))
+    return float(operator_value(tp, eig_sym(field.hessian(x))) - phase(field, x))
 
 
 def drift_residual(tp, field, x, h):

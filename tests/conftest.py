@@ -17,6 +17,14 @@ def branch_params():
     }
 
 
+def with_lower_cones():
+    """branch_params() plus the lower components of LOG and HARM."""
+    tps = branch_params()
+    tps["HARM-lower"] = TauParams.harmonic("lower")
+    tps["LOG-lower"] = TauParams.log_branch(math.pi / 6, "lower")
+    return tps
+
+
 @pytest.fixture
 def all_branches():
     return branch_params()

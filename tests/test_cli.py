@@ -255,6 +255,13 @@ class TestExitCodes:
     def test_negative_literal_is_a_value(self, tmp_path, argv, code):
         assert run(tmp_path, *argv) == code
 
+    @pytest.mark.parametrize("a", ["-1.0000000001", "-1.000000001"])
+    def test_near_degenerate_bounded_cone_defect_passes(self, tmp_path, a):
+        # the metric is nearly singular this close to a = -1, but a quadratic
+        # graph's position vector is tangent and splits off exactly
+        assert run(tmp_path, "defect", "--a", a) == 0
+        assert json.loads((tmp_path / "defect.json").read_text())["results"]["max_defect"] == 0.0
+
     def test_spacelike_violation_is_construction_failure(self, tmp_path, capsys):
         code = run(tmp_path, "build-counterexample", "--mss", "--phi0", "100")
         assert code == 3

@@ -5,18 +5,38 @@ import pytest
 
 import shrinker_lab as sl
 from shrinker_lab import TauParams
-from shrinker_lab.fields import AffineScaledField, QuadraticField
+from shrinker_lab.fields import AffineScaledField, CallableField, QuadraticField
 from shrinker_lab.geometry import (
-    ambient_metric,
+    FD_STEP,
     induced_metric,
     mean_curvature,
     metric_duality_defect,
     normal_project,
     shrinker_defect,
-    tangent_frame,
 )
+from shrinker_lab.numerics import eig_sym, fd_gradient
+from shrinker_lab.tau import operator_value
+
+from conftest import with_lower_cones
 
 SQRT2 = math.sqrt(2.0)
+
+
+# the 2n x 2n reference: the ambient form as a block matrix, the tangent
+# frame E = (I, H) as columns, and the projection V - E (E^T G E)^-1 E^T G V
+def ambient_metric(tp, n):
+    s, c = tp.sin_cos
+    eye = np.eye(n)
+    return np.block([[s * eye, c * eye], [c * eye, s * eye]])
+
+
+def tangent_frame(H):
+    return np.vstack([np.eye(len(H)), H])
+
+
+def reference_normal_project(tp, H, V):
+    E, G = tangent_frame(H), ambient_metric(tp, len(H))
+    return V - E @ np.linalg.solve(E.T @ G @ E, E.T @ (G @ V))
 
 
 class TestInducedMetric:
@@ -98,6 +118,25 @@ class TestNormalProject:
             G = ambient_metric(tp, 3)
             assert np.max(np.abs(E.T @ G @ out)) < 1e-10
 
+    def test_agrees_with_block_reference(self):
+        rng = np.random.default_rng(14)
+        for name, tp in with_lower_cones().items():
+            worst = 0.0
+            for _ in range(2000):
+                n = int(rng.integers(1, 5))
+                H = sl.random_admissible_matrix(tp, n, rng)
+                V = rng.standard_normal(2 * n)
+                gap = normal_project(tp, H, V) - reference_normal_project(tp, H, V)
+                worst = max(worst, np.max(np.abs(gap)))
+            assert worst <= 1e-11, f"{name}: {worst}"
+
+    def test_tangent_vector_maps_to_exact_zero(self, rng):
+        for name, tp in with_lower_cones().items():
+            for n in range(1, 5):
+                H = sl.random_admissible_matrix(tp, n, rng)
+                v = rng.standard_normal(n)
+                assert not np.any(normal_project(tp, H, np.concatenate([v, H @ v]))), name
+
 
 class TestDegenerateMetric:
     def test_singular_projection_reported(self):
@@ -150,6 +189,48 @@ class TestShrinkerDefect:
         field = QuadraticField(np.eye(n), -n * math.pi / 4)
         for _ in range(5):
             assert shrinker_defect(tp, field, rng.uniform(-2, 2, n)) <= 1e-8
+
+    def test_quadratics_exactly_zero(self, rng):
+        # X = (x, Ax) is tangent and F(lambda(A)) is constant: both terms are
+        # exactly 0, for the shifted view too
+        for name, tp in with_lower_cones().items():
+            for n in range(1, 5):
+                sol = sl.build_quadratic(tp, sl.random_admissible_matrix(tp, n, rng))
+                for field in (sol.field, AffineScaledField(sol.field, offset=1.0)):
+                    for _ in range(5):
+                        assert shrinker_defect(tp, field, rng.uniform(-2, 2, n)) == 0.0, name
+
+    def test_counterexample_matches_block_reference(self):
+        # the 2n x 2n formula on the same central difference of F(lambda(D^2 u))
+        tp = TauParams.neg_branch(a=-2.0)
+        u, prof, cert = sl.build_counterexample(tp, 0.0, 1.0, 1, T=10.0, radius=2.0, samples=50)
+        for x in ([0.0], [0.7], [-1.3]):
+            x = np.array(x)
+            H = u.hessian(x)
+            dF = fd_gradient(lambda p: operator_value(tp, eig_sym(u.hessian(p))), x, FD_STEP)
+            Hv = reference_normal_project(tp, H, np.concatenate([np.zeros(1), dF]))
+            W = Hv + 0.5 * reference_normal_project(tp, H, np.concatenate([x, u.gradient(x)]))
+            assert np.max(np.abs(mean_curvature(tp, u, x) - Hv)) <= 1e-12
+            assert abs(shrinker_defect(tp, u, x) - np.linalg.norm(W)) <= 1e-12
+
+    def test_ambient_norm_matches_block_form(self, rng):
+        # ATAN and SLAG report sqrt(W^T G W); a cubic term makes W nonzero
+        for tp in (TauParams.atan_branch(math.pi / 3), TauParams.special_lagrangian()):
+            A = sl.random_admissible_matrix(tp, 2, rng)
+            field = CallableField(
+                2,
+                lambda p: 0.5 * p @ A @ p + 0.01 * p[0] ** 3,
+                grad=lambda p: A @ p + np.array([0.03 * p[0] ** 2, 0.0]),
+                hess=lambda p: A + np.diag([0.06 * p[0], 0.0]),
+            )
+            x = rng.uniform(-1, 1, 2)
+            H = field.hessian(x)
+            W = mean_curvature(tp, field, x) + 0.5 * reference_normal_project(
+                tp, H, np.concatenate([x, field.gradient(x)])
+            )
+            want = math.sqrt(W @ ambient_metric(tp, 2) @ W)
+            assert want > 1e-3
+            assert shrinker_defect(tp, field, x) == pytest.approx(want, rel=1e-12)
 
     def test_constant_shift_invariance_exact(self, rng):
         tp = TauParams.harmonic()

@@ -32,7 +32,7 @@ class TestBuild:
 
     def test_neg_identity(self, rng):
         tp = TauParams.neg_branch(a=-2.0)
-        assert verify_quadratic(tp, np.eye(2), rng.uniform(-3, 3, (50, 2))) <= 1e-10
+        assert verify_quadratic(build_quadratic(tp, np.eye(2)), rng.uniform(-3, 3, (50, 2))) <= 1e-10
 
     def test_inadmissible_rejected(self):
         with pytest.raises(DomainError, match="inadmissible"):
@@ -49,7 +49,7 @@ class TestVerify:
                 n = int(rng.integers(1, 5))
                 A = sl.random_admissible_matrix(tp, n, rng)
                 pts = rng.uniform(-3.0, 3.0, size=(20, n))
-                worst = max(worst, verify_quadratic(tp, A, pts))
+                worst = max(worst, verify_quadratic(build_quadratic(tp, A), pts))
             assert worst <= 1e-10, f"{name}: {worst}"
 
     def test_cloud_equals_pointwise_loop(self, all_branches, rng):
@@ -57,14 +57,14 @@ class TestVerify:
             for n in range(1, 5):
                 A = sl.random_admissible_matrix(tp, n, rng)
                 pts = rng.uniform(-3.0, 3.0, size=(20, n))
-                field = build_quadratic(tp, A).field
-                loop = max(abs(sl.shrinker_residual(tp, field, x)) for x in pts)
-                assert verify_quadratic(tp, A, pts) == loop
+                sol = build_quadratic(tp, A)
+                loop = max(abs(sl.shrinker_residual(tp, sol.field, x)) for x in pts)
+                assert verify_quadratic(sol, pts) == loop
 
     def test_lower_cone_sweep(self, rng):
         for tp in (TauParams.harmonic("lower"), TauParams.log_branch(math.pi / 6, "lower")):
             A = sl.random_admissible_matrix(tp, 3, rng)
-            assert verify_quadratic(tp, A, rng.uniform(-3, 3, (30, 3))) <= 1e-10
+            assert verify_quadratic(build_quadratic(tp, A), rng.uniform(-3, 3, (30, 3))) <= 1e-10
 
     def test_constant_invariant_under_conjugation(self, all_branches, rng):
         for name, tp in all_branches.items():

@@ -31,7 +31,7 @@ from shrinker_lab.tau import (
     weighted_laplace_residual,
 )
 from shrinker_lab.quadratics import _eigenvalue_window, random_admissible_matrix
-from conftest import branch_params, same_bits
+from conftest import branch_params, same_bits, with_lower_cones
 
 SQRT2 = math.sqrt(2.0)
 
@@ -226,18 +226,11 @@ class TestInverse:
         assert f_inverse(TauParams.log_branch(math.pi / 6, cone_side), y) == end
 
 
-def _with_lower_cones():
-    tps = branch_params()
-    tps["HARM-lower"] = TauParams.harmonic("lower")
-    tps["LOG-lower"] = TauParams.log_branch(math.pi / 6, "lower")
-    return tps
-
-
 class TestNonFiniteEigenvalues:
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("name", list(_with_lower_cones()))
+    @pytest.mark.parametrize("name", list(with_lower_cones()))
     def test_domain_error(self, name, lam):
-        tp = _with_lower_cones()[name]
+        tp = with_lower_cones()[name]
         for fn in (f_value, f_derivative):
             with pytest.raises(DomainError, match="admissibility"):
                 fn(tp, lam)
@@ -249,9 +242,9 @@ class TestNonFiniteEigenvalues:
 
 
 class TestFloatAgainstHighPrecision:
-    @pytest.mark.parametrize("name", list(_with_lower_cones()))
+    @pytest.mark.parametrize("name", list(with_lower_cones()))
     def test_f_and_inverse_match_closed_forms_at_50_digits(self, name, rng):
-        tp = _with_lower_cones()[name]
+        tp = with_lower_cones()[name]
         lo, hi = _eigenvalue_window(tp, 0.15, 4.0)
         with mp.workdps(50):
             for lam in rng.uniform(lo, hi, size=300):
