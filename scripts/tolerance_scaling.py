@@ -2,10 +2,12 @@
 """Convergence study: certified residual of the entire non-quadratic
 construction versus integrator tolerance.
 
-The composite error (adaptive steps + dense output + Simpson quadrature, all
-tied to the tolerance) should track the tolerance roughly linearly; the
-acceptance gate demands a factor >= 5 per decade.  Writes a CSV and prints
-the observed decade ratios.
+The composite error (adaptive steps at ``constructor.ODE_TOL_PER_TOL`` times
+the tolerance, quintic dense output of the integrator's order, Simpson
+quadrature on a grid whose h^4 tracks the tolerance) should track the
+tolerance roughly linearly until it meets the rounding floor, about 2e-12,
+near tolerance 1e-9; the acceptance gate demands a factor >= 5 per decade
+from 1e-6 to 1e-7.  Writes a CSV and prints the observed decade ratios.
 """
 
 import argparse

@@ -11,8 +11,10 @@ constructed solution carries a machine-checkable certificate.
 Each ODE is integrated from 0 in both directions and the two legs are joined
 into one ascending ``numerics.Trajectory``.  Quadrature nodes, certificate
 clouds and CSV tables read it in one ``Trajectory.evaluate`` call; scalar
-reads go through ``Trajectory.__call__``.  Both apply the same cubic Hermite,
-so a batch read equals the scalar reads bit for bit.
+reads go through ``Trajectory.__call__``.  Both apply the same quintic
+Hermite, from each knot's state, its derivative and the derivative's time
+derivative taken from the ODE, so a batch read equals the scalar reads bit for
+bit, and the dense output has the integrator's order: no step cap.
 """
 
 from __future__ import annotations
@@ -43,6 +45,13 @@ __all__ = [
 
 MAX_GRID_POINTS = 10**6
 RESIDUAL_TARGET = 1e-6  # the residual sup each construction certifies against
+# The construction ODEs run at ODE_TOL_PER_TOL times the construction's
+# tolerance; with dense output of the integrator's order the certified residual
+# is about 10-30 times the integrator's tolerance (scripts/tolerance_scaling.py).
+# 1e-4 is the largest power of ten that keeps criterion 05's build (1e-10) at
+# its rounding floor, 2.3e-12 (1e-3: 3.3e-12); at 1e-5 the integrator's 1e-15 is
+# a few ulp, and the rounding of the extra steps lifts it to 2.5e-12.
+ODE_TOL_PER_TOL = 1e-4
 
 
 def sigmoid(s):
@@ -65,6 +74,17 @@ def _phase_rhs(t, y):
     phi, dphi = y
     sig = sigmoid(phi)
     return [dphi, 0.5 * sig * (1.0 - sig) * t * dphi]
+
+
+def _phase_rhs_dot(ts, ys, fs):
+    """(phi'', phi''') at the knots ts, from their states and right-hand sides:
+    with g = sigma(1 - sigma) t / 2, phi''' = g_t phi' + g phi'', where
+    g_t = sigma(1 - sigma) ((1 - 2 sigma) phi' t + 1) / 2."""
+    dphi, d2phi = ys[:, 1], fs[:, 1]
+    sig = sigmoid(ys[:, 0])
+    half_slope = 0.5 * sig * (1.0 - sig)
+    g_t = half_slope * ((1.0 - 2.0 * sig) * dphi * ts + 1.0)
+    return np.column_stack([d2phi, g_t * dphi + half_slope * ts * d2phi])
 
 
 @dataclass
@@ -149,12 +169,12 @@ def solve_phase_ode(a0, a1, T, rel_tol=1e-10):
         raise InputError(
             f"the a-priori ceiling a1 exp(exp(-a0)/a1^2) on phi' overflows at a0 = {a0}, a1 = {a1}"
         )
-    abs_tol = rel_tol * ABS_PER_REL_TOL  # the one integrate_ode derives
+    abs_tol = rel_tol * ABS_PER_REL_TOL  # at the construction's tolerance: the checks' slack
 
     rhs0 = _phase_rhs(0.0, [a0, a1])
     assert rhs0[1] == 0.0  # phi''(0) vanishes identically
 
-    dense = _two_sided(_phase_rhs, [a0, a1], T, rel_tol, "phase_ode", "t")
+    dense = _two_sided(_phase_rhs, _phase_rhs_dot, [a0, a1], T, rel_tol, "phase_ode", "t")
     right = dense.ys[dense.ts >= 0.0, 1]
     slack = 10.0 * (rel_tol * bound + abs_tol)
     monotone = bool(np.all(np.diff(right) >= -slack))
@@ -177,15 +197,15 @@ def solve_phase_ode(a0, a1, T, rel_tol=1e-10):
     return traj
 
 
-def _two_sided(rhs, y0, span, rel_tol, stage, var):
-    """Integrate from 0 to +span and to -span and join the legs into one
-    ascending Trajectory on [-span, span] that holds the origin knot once."""
-    # cubic Hermite dense output is a full order below the integrator, so cap
-    # the step with the tolerance to keep interpolated values on budget
-    max_step = _dense_step_cap(rel_tol)
+def _two_sided(rhs, rhs_dot, y0, span, rel_tol, stage, var):
+    """Integrate from 0 to +span and to -span at ODE_TOL_PER_TOL times the
+    construction's tolerance, and join the legs into one ascending Trajectory
+    on [-span, span] that holds the origin knot once.  ``rhs_dot(ts, ys, fs)``
+    is the time derivative of ``rhs`` along the solution at the knots, the
+    third datum of the quintic dense output."""
     legs = []
     for t_end in (span, -span):
-        leg = integrate_ode(rhs, y0, (0.0, t_end), rel_tol, max_step=max_step)
+        leg = integrate_ode(rhs, y0, (0.0, t_end), rel_tol * ODE_TOL_PER_TOL)
         if not leg.completed:
             raise ConstructionError(
                 stage,
@@ -194,32 +214,22 @@ def _two_sided(rhs, y0, span, rel_tol, stage, var):
             )
         legs.append(leg)
     pos, neg = legs
-    return Trajectory(
-        np.concatenate([neg.ts[:0:-1], pos.ts]),
-        np.concatenate([neg.ys[:0:-1], pos.ys]),
-        np.concatenate([neg.fs[:0:-1], pos.fs]),
-        neg.t_end,
-        pos.t_end,
-        n_steps=pos.n_steps + neg.n_steps,
-        n_rejected=pos.n_rejected + neg.n_rejected,
-    )
+    ts, ys, fs = (np.concatenate([a[:0:-1], b]) for a, b in ((neg.ts, pos.ts), (neg.ys, pos.ys), (neg.fs, pos.fs)))
+    return Trajectory(ts, ys, fs, neg.t_end, pos.t_end, n_steps=pos.n_steps + neg.n_steps,
+                      n_rejected=pos.n_rejected + neg.n_rejected, dfs=rhs_dot(ts, ys, fs))
 
 
 def _quadrature_grid(span, rel_tol):
     """Half-count m and step of the quadrature grid step * (-m..m) on
-    [-span, span].  The step tracks the integrator tolerance, so the composite
-    error keeps scaling as tolerances tighten (the h^4 term tracks tol).  A grid
-    of more than MAX_GRID_POINTS nodes is refused before any work; the ODE
-    steps are never finer, so this also bounds the integration."""
+    [-span, span].  The step tracks the construction's tolerance, so the
+    composite error keeps scaling as tolerances tighten (the h^4 term tracks
+    tol).  A grid of more than MAX_GRID_POINTS nodes is refused before any
+    work, and with it a span too long to integrate."""
     h = min(2e-2, max(7.5e-4, 0.35 * rel_tol**0.25))
     if not span / h <= (MAX_GRID_POINTS - 1) // 2:  # NaN and inf fail too
         raise InputError(f"half-span {span} at tolerance {rel_tol} needs more than {MAX_GRID_POINTS} points")
     m = math.ceil(span / h)
     return m, span / m
-
-
-def _dense_step_cap(rel_tol):
-    return max(2e-3, 2.0 * rel_tol**0.25)
 
 
 @dataclass
@@ -531,6 +541,16 @@ def _mss_rhs(x, y):
     return [p, 0.5 * x * _sech2(s) * p]
 
 
+def _mss_rhs_dot(xs, ys, fs):
+    """(phi', phi'') at the knots xs, from their states and right-hand sides:
+    with E = sech^2 s, E' = -2 E tanh(s) phi, so
+    phi'' = E phi / 2 - x E tanh(s) phi^2 + x E phi' / 2."""
+    s, p, dp = ys[:, 0], ys[:, 1], fs[:, 1]
+    with np.errstate(over="ignore"):  # cosh overflows past |s| = 710, where sech^2 is 0
+        E = (1.0 / np.cosh(s)) ** 2
+    return np.column_stack([dp, 0.5 * E * p - xs * E * np.tanh(s) * p * p + 0.5 * xs * E * dp])
+
+
 def _spacelike_margin(max_abs_s):
     """1 - sup|f'| = 1 - tanh(max|s|) as 2 e^{-2|s|} / (1 + e^{-2|s|}): the
     rounded difference is 0 once |s| passes about 19."""
@@ -565,7 +585,7 @@ def build_mss_counterexample(
     span = max(T, radius + 1.0)
     m, step = _quadrature_grid(span, rel_tol)
 
-    dense = _two_sided(_mss_rhs, [s0, phi0], span, rel_tol, "mss_ode", "x")
+    dense = _two_sided(_mss_rhs, _mss_rhs_dot, [s0, phi0], span, rel_tol, "mss_ode", "x")
     ts = step * (np.arange(2 * m + 1) - m)
     svals, pvals = np.ascontiguousarray(dense.evaluate(ts).T)
     fp = np.tanh(svals)

@@ -283,15 +283,21 @@ def hermite_quintic_value(t, t0, t1, y0, y1, d0, d1, s0, s1):
     )
 
 
+_READ_BLOCK = 4096  # query times a Trajectory.evaluate block reads
+
+
 @dataclass
 class Trajectory:
     """Dense solution of an ODE system on the span actually covered.
 
-    Values between accepted steps come from cubic Hermite interpolation of the
-    endpoint states and derivatives, which keeps downstream quadrature
-    consistent with a single trajectory.  ``__call__`` reads one time and
-    ``evaluate`` a batch; both apply ``hermite_value``, so they agree bit for
-    bit.
+    Values between accepted steps come from Hermite interpolation on the
+    bracketing step, which keeps downstream quadrature consistent with a
+    single trajectory: the cubic ``hermite_value`` from the states ``ys`` and
+    derivatives ``fs`` at both knots, or, where ``dfs`` holds the time
+    derivative of the right-hand side at each knot, the quintic
+    ``hermite_quintic_value`` from (y, f, f'), of the integrator's order.
+    ``__call__`` reads one time and ``evaluate`` a batch; both apply the same
+    interpolant, so they agree bit for bit.
     """
 
     ts: np.ndarray
@@ -302,6 +308,7 @@ class Trajectory:
     event: DivergenceEvent | None = None
     n_steps: int = 0
     n_rejected: int = 0
+    dfs: np.ndarray | None = None
 
     @property
     def completed(self):
@@ -322,9 +329,7 @@ class Trajectory:
         else:
             k = int(np.searchsorted(-ts, -tq, side="right") - 1)
         k = min(max(k, 0), len(ts) - 2)
-        return hermite_value(
-            tq, ts[k], ts[k + 1], self.ys[k], self.ys[k + 1], self.fs[k], self.fs[k + 1]
-        )
+        return self._hermite(tq, ts[k], ts[k + 1], k)
 
     def evaluate(self, tq):
         """States at a 1-D array of times, shape (m, dim); times outside the
@@ -340,10 +345,21 @@ class Trajectory:
             tq = np.clip(tq, ts[-1], ts[0])
             k = np.searchsorted(-ts, -tq, side="right") - 1
         k = np.clip(k, 0, len(ts) - 2)
-        c = k[:, None]
-        return hermite_value(
-            tq[:, None], ts[c], ts[c + 1], self.ys[k], self.ys[k + 1], self.fs[k], self.fs[k + 1]
-        )
+        # times as (m, 1) columns, so the basis is formed once a query point, in
+        # blocks that bound the temporaries of a long batch
+        out = np.empty((len(tq), self.ys.shape[1]))
+        for lo in range(0, len(tq), _READ_BLOCK):
+            kb = k[lo : lo + _READ_BLOCK]
+            c = kb[:, None]
+            out[lo : lo + _READ_BLOCK] = self._hermite(tq[lo : lo + _READ_BLOCK, None], ts[c], ts[c + 1], kb)
+        return out
+
+    def _hermite(self, t, t0, t1, k):
+        """The interpolant on the steps k from t0 to t1, read at t."""
+        ys, fs, dfs = self.ys, self.fs, self.dfs
+        if dfs is None:
+            return hermite_value(t, t0, t1, ys[k], ys[k + 1], fs[k], fs[k + 1])
+        return hermite_quintic_value(t, t0, t1, ys[k], ys[k + 1], fs[k], fs[k + 1], dfs[k], dfs[k + 1])
 
 
 # Dormand-Prince 5(4) pair, FSAL (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -382,7 +398,6 @@ def integrate_ode(
     t_span,
     rel_tol=1e-10,
     *,
-    max_step=math.inf,
     stop_condition=None,
 ):
     """Adaptive Dormand-Prince 5(4) with dense output.
@@ -456,8 +471,7 @@ def integrate_ode(
     if span == 0.0:
         return Trajectory(np.array(ts), np.array(ys), np.array(fs), t0, t1)
 
-    h = min(span / 100.0, 1.0, max_step)
-    h = max(h, 1e-12 * span)
+    h = max(min(span / 100.0, 1.0), 1e-12 * span)
     t = t0
     min_h_floor = 1e-14
 
@@ -473,7 +487,7 @@ def integrate_ode(
     _, c1, c2, c3, c4, c5, c6 = _DP_C
 
     while (t1 - t) * direction > 0:
-        h = min(h, abs(t1 - t), max_step)
+        h = min(h, abs(t1 - t))
         floor = min_h_floor * max(1.0, abs(t))
         if h < floor:
             if abs(t1 - t) < floor:

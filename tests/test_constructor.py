@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import shrinker_lab as sl
-from shrinker_lab import TauParams
+from shrinker_lab import TauParams, jets
 from shrinker_lab.constructor import (
+    _mss_rhs,
     _neg_cone_margin,
     _phase_rhs,
     _spacelike_margin,
@@ -115,14 +116,14 @@ class TestSolvePhaseOde:
         # the integrator's steps and rejections on both legs of the phase ODE
         traj = solve_phase_ode(0.3, 0.7, 24.63, rel_tol=1e-8)
         dense = traj.dense
-        assert dense.n_steps == 2464
-        assert dense.n_rejected == 0
-        assert np.sum(dense.ts > 0.0) == np.sum(dense.ts < 0.0) == 1232
+        assert dense.n_steps == 354
+        assert dense.n_rejected == 5
+        assert np.sum(dense.ts > 0.0) == 163
+        assert np.sum(dense.ts < 0.0) == 191
 
     def test_every_span_reaches_its_end(self):
-        # the capped steps' sums can stop a few ulp short of +-T (36 of these
-        # spans, e.g. T = 4.2), a remainder below the step floor that ends
-        # the leg rather than failing as step_underflow
+        # every leg ends at +-T, none as step_underflow; no leg here has steps
+        # that sum a few ulp short of +-T (test_numerics has such a span)
         for k in range(10, 301):
             T = k / 10
             ts = solve_phase_ode(0.3, 0.7, T, rel_tol=1e-8).dense.ts
@@ -141,6 +142,68 @@ class TestSolvePhaseOde:
         traj = solve_phase_ode(a0, a1, 15.0)
         for t in np.linspace(0.0, 15.0, 61):
             assert traj.phi(t) >= a1 * t + a0 - 1e-9
+
+
+def _phase_reference(a0, a1, times, dps=30, degree=24, step=0.25):
+    """(phi, phi') of the phase ODE at the ascending times >= 0, from Taylor
+    jets of degree ``degree`` at ``dps`` digits, expanded every ``step``."""
+    out = []
+    with mp.workdps(dps):
+        t, phi, dphi = mp.mpf(0), mp.mpf(a0), mp.mpf(a1)
+        times = iter(times)
+        want = next(times, None)
+        while want is not None:
+            tape = jets.Tape()
+            p, dp = tape.input([phi]), tape.input([dphi])
+            e = jets.exp(p)
+            g = e / ((1 + e) * (1 + e)) * tape.input([t, 1] + [0] * degree) * dp / 2
+            for k in range(degree):
+                tape.advance(k)
+                p.c.append(dp.c[k] / (k + 1))
+                dp.c.append(g.c[k] / (k + 1))
+            pc, dc = p.c[::-1], dp.c[::-1]
+            while want is not None and want <= t + step:
+                x = mp.mpf(want) - t
+                out.append((mp.polyval(pc, x), mp.polyval(dc, x)))
+                want = next(times, None)
+            t, phi, dphi = t + step, mp.polyval(pc, mp.mpf(step)), mp.polyval(dc, mp.mpf(step))
+    return out
+
+
+class TestQuinticDenseOutput:
+    @pytest.mark.parametrize("ode", ["phase", "mss"])
+    def test_rhs_dot_is_the_time_derivative_of_rhs(self, ode):
+        # each knot's f' against a central difference of rhs along the read
+        if ode == "phase":
+            dense, rhs = solve_phase_ode(0.3, 0.7, 10.0, rel_tol=1e-8).dense, _phase_rhs
+        else:
+            fld, _ = build_mss_counterexample(1.2, s0=0.1, T=8.0, rel_tol=1e-8, radius=5.0)
+            dense, rhs = fld._dense, _mss_rhs
+        h = 1e-4
+        inner = (dense.ts > dense.ts[0] + h) & (dense.ts < dense.ts[-1] - h)
+        fd = np.array([
+            (np.array(rhs(t + h, dense(t + h).tolist())) - np.array(rhs(t - h, dense(t - h).tolist()))) / (2 * h)
+            for t in dense.ts[inner]
+        ])
+        dfs = dense.dfs[inner]
+        assert len(dfs) > 100
+        assert np.all(np.abs(fd - dfs) <= 1e-7 * (1.0 + np.abs(dfs)))
+
+    def test_step_midpoints_against_30_digits(self):
+        # criterion 05's phase data (a0 = 0, a1 = 1, T = 20, tolerance 1e-10)
+        # at every step midpoint, against 30-digit Taylor jets; phi(-t) solves
+        # the ODE from (a0, -a1), so the left leg is the reference run forwards
+        dense = solve_phase_ode(0.0, 1.0, 20.0).dense
+        mids = 0.5 * (dense.ts[:-1] + dense.ts[1:])
+        worst = 0.0
+        for sign in (1.0, -1.0):
+            ts = np.sort(sign * mids[sign * mids > 0.0])
+            ref = _phase_reference(0.0, sign, ts.tolist())
+            for t, (phi, dphi) in zip(ts, ref):
+                got = dense(sign * t)
+                for want, have in ((phi, got[0]), (sign * dphi, got[1])):
+                    worst = max(worst, float(abs(want - mp.mpf(float(have))) / (1 + abs(want))))
+        assert worst <= 5e-14
 
 
 class TestAssembleW1:
