@@ -14,10 +14,11 @@ value, a CSV cell or an exit code:
 The list covers every subcommand, two sweeps at their default sizes, one
 sweep each on a branch chosen by ``--tau`` and by ``--a``, three shots (one
 float shot, and two Taylor shots: one completes, one ends in ``blow_up``,
-so the Taylor path's naming and placing of an event is seen), and seven builds:
-three tolerances, two spacelike (``--mss``) profiles, and two whose cone
-margins are below the rounding of ``1 - x`` (taken from the log-odds and
-from s, they stay positive and both builds exit 0).  The script
+so the Taylor path's naming and placing of an event is seen), and eight builds:
+three tolerances, two spacelike (``--mss``) profiles, two whose cone margins
+are below the rounding of ``1 - x`` (taken from the log-odds and from s, they
+stay positive and both builds exit 0), and one whose certificate reach is
+below ``--span``, at a tolerance the integrator's floor caps.  The script
 exits 1, after printing every line, if any command raised.
 """
 
@@ -45,6 +46,9 @@ COMMANDS = [
     ["build-counterexample", "--a0", "-0.4", "--a1", "0.9", "--n", "3", "--tol", "1e-8", "--seed", "6"],
     ["build-counterexample", "--a0", "0.3", "--a1", "0.7", "--n", "4", "--tol", "1e-10", "--seed", "7"],
     ["build-counterexample", "--a0", "0.0", "--a1", "1.9", "--n", "2", "--tol", "1e-8"],  # 1 - sigmoid(phi_max) rounds to 0
+    # reach 8.09 below --span: the CSV grid covers the reach; --tol 1e-12 meets the integrator's floor
+    ["build-counterexample", "--a0", "0.2", "--a1", "0.8", "--n", "2", "--tol", "1e-12", "--rmax", "3",
+     "--grid-step", "0.05", "--seed", "8"],
     ["build-counterexample", "--mss", "--phi0", "1.2", "--s0", "0.1", "--tol", "1e-8"],
     ["build-counterexample", "--mss", "--phi0", "-0.7", "--s0", "0.2", "--tol", "1e-10"],
     ["build-counterexample", "--mss", "--phi0", "1.9", "--s0", "0.2", "--tol", "1e-8"],  # |f'| rounds to 1

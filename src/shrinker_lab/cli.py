@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import geometry, quadratics, reports, shooting, transforms
-from .constructor import MAX_GRID_POINTS, build_counterexample, build_mss_counterexample
+from .constructor import MAX_GRID_POINTS, build_counterexample, build_mss_counterexample, profile_grid
 from .fields import QuadraticField
 from .numerics import ConstructionError, DomainError, InputError
 from .tau import TauParams
@@ -96,12 +96,11 @@ def _out_path(args, name):
 
 def _check_sizes(args):
     """--rmax, --grid-step, --span and --tol, where the command has them and
-    they are given, must be finite and positive; --seed must be at least 0;
-    and --grid-step, where the command samples it, may put at most
-    MAX_GRID_POINTS points on [-span, span].  Sizes past what the front end
-    runs are usage errors: --n above MAX_DIMENSION, --dps above MAX_DPS, and
-    --trials (times --points, where the command has it) above
-    MAX_GRID_POINTS."""
+    they are given, must be finite and positive; --seed must be at least 0.
+    The points --grid-step puts on a grid are counted where the grid's
+    half-span is known.  Sizes past what the front end runs are usage errors:
+    --n above MAX_DIMENSION, --dps above MAX_DPS, and --trials (times
+    --points, where the command has it) above MAX_GRID_POINTS."""
     if args.n > MAX_DIMENSION:
         raise UsageError(f"--n {args.n} is above {MAX_DIMENSION}, the largest dimension supported")
     dps = getattr(args, "dps", None)
@@ -118,17 +117,12 @@ def _check_sizes(args):
             raise InputError(f"--{name.replace('_', '-')} must be finite and positive, got {value}")
     if args.seed < 0:
         raise InputError(f"--seed must be at least 0, got {args.seed}")
-    step = getattr(args, "grid_step", None)
-    if step is not None and getattr(args, "mss", True) and 2 * args.span / step + 1 > MAX_GRID_POINTS:
-        raise InputError(f"--grid-step {step} puts more than {MAX_GRID_POINTS} points on --span {args.span}")
 
 
 def _emit(args, command, config, results, passed):
     text = reports.json_report(command, config, results, passed)
-    path = _out_path(args, f"{command}.json")
-    reports.write_json(path, text)
+    reports.write_json(_out_path(args, f"{command}.json"), text)
     sys.stdout.write(text)
-    return path
 
 
 def _branch_sweep(args, command, default_tol, key, measure, **extra_config):
@@ -193,31 +187,18 @@ def cmd_verify_quadratic(args):
 def cmd_build_counterexample(args):
     tol = args.tol if args.tol is not None else 1e-10
     if args.mss:
-        fld, cert = build_mss_counterexample(
-            phi0=args.phi0, s0=args.s0, T=args.span, rel_tol=tol, radius=args.rmax
-        )
-        reports.write_csv(
-            _out_path(args, "mss-profile.csv"),
-            ["x", "s", "phi", "f", "f_prime", "f_second"],
-            fld.rows(np.arange(-args.span, args.span + args.grid_step / 2, args.grid_step)),
-        )
-        config = {"mss": True, "phi0": args.phi0, "s0": args.s0, "span": args.span,
-                  "tol": tol, "rmax": args.rmax, "seed": args.seed}
-        _emit(args, "build-counterexample", config, cert.to_dict(), cert.passed)
-        return EXIT_PASS if cert.passed else EXIT_CONSTRUCT_FAIL
-
-    tp = _resolve_tp(args, fallback="NEG")
-    ufield, prof, cert = build_counterexample(
-        tp, a0=args.a0, a1=args.a1, n=args.n, T=args.span,
-        rel_tol=tol, radius=args.rmax, seed=args.seed,
-    )
-    reports.write_csv(
-        _out_path(args, "counterexample-trajectory.csv"),
-        ["t", "phi", "phi_prime", "w1", "w1_prime", "w1_second"],
-        prof.rows(),
-    )
-    config = {"a": tp.a, "a0": args.a0, "a1": args.a1, "n": args.n, "span": args.span,
-              "tol": tol, "rmax": args.rmax, "seed": args.seed}
+        prof, cert = build_mss_counterexample(args.phi0, args.s0, T=args.span, rel_tol=tol, radius=args.rmax)
+        name, header = "mss-profile.csv", ["x", "s", "phi", "f", "f_prime", "f_second"]
+        config = {"mss": True, "phi0": args.phi0, "s0": args.s0}
+    else:
+        tp = _resolve_tp(args, fallback="NEG")
+        _, prof, cert = build_counterexample(tp, args.a0, args.a1, args.n, T=args.span, rel_tol=tol,
+                                             radius=args.rmax, seed=args.seed)
+        name, header = "counterexample-trajectory.csv", ["t", "phi", "phi_prime", "w1", "w1_prime", "w1_second"]
+        config = {"a": tp.a, "a0": args.a0, "a1": args.a1, "n": args.n}
+    rows = prof.rows(profile_grid(prof.span, args.grid_step))
+    reports.write_csv(_out_path(args, name), header, rows)
+    config.update(span=args.span, tol=tol, rmax=args.rmax, seed=args.seed)
     _emit(args, "build-counterexample", config, cert.to_dict(), cert.passed)
     return EXIT_PASS if cert.passed else EXIT_CONSTRUCT_FAIL
 
@@ -263,6 +244,8 @@ def cmd_flow_check(args):
 
 def cmd_legendre_check(args):
     step, span = args.grid_step, args.span
+    if not 2 * span / step + 1 <= MAX_GRID_POINTS:
+        raise InputError(f"--grid-step {step} puts more than {MAX_GRID_POINTS} points on --span {span}")
     num = int(round(2 * span / step)) + 1
     results = {}
 
@@ -330,7 +313,8 @@ def build_parser():
     p.add_argument("--s0", type=float, default=0.0, help="spacelike construction: slope parameter at 0")
     p.add_argument("--span", type=float, default=20.0, help="integration half-span T")
     p.add_argument("--rmax", type=float, default=10.0, help="certification radius")
-    p.add_argument("--grid-step", type=float, default=0.01, help="CSV sampling step of --mss")
+    p.add_argument("--grid-step", type=float, default=0.01,
+                   help="CSV sampling step, over the half-span the build tabulates its profile on")
     p.add_argument("--mss", action="store_true", help="build the spacelike graph profile instead")
     p.set_defaults(func=cmd_build_counterexample)
 

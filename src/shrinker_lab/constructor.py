@@ -52,6 +52,9 @@ RESIDUAL_TARGET = 1e-6  # the residual sup each construction certifies against
 # its rounding floor, 2.3e-12 (1e-3: 3.3e-12); at 1e-5 the integrator's 1e-15 is
 # a few ulp, and the rounding of the extra steps lifts it to 2.5e-12.
 ODE_TOL_PER_TOL = 1e-4
+# Never below criterion 05's 1e-14: finer steps resolve less than the doubles
+# do, and a build at 1e-16 took 25 times as long as at 1e-12 for one residual.
+ODE_TOL_FLOOR = 1e-14
 
 
 def sigmoid(s):
@@ -199,13 +202,13 @@ def solve_phase_ode(a0, a1, T, rel_tol=1e-10):
 
 def _two_sided(rhs, rhs_dot, y0, span, rel_tol, stage, var):
     """Integrate from 0 to +span and to -span at ODE_TOL_PER_TOL times the
-    construction's tolerance, and join the legs into one ascending Trajectory
-    on [-span, span] that holds the origin knot once.  ``rhs_dot(ts, ys, fs)``
-    is the time derivative of ``rhs`` along the solution at the knots, the
-    third datum of the quintic dense output."""
+    construction's tolerance, floored at ODE_TOL_FLOOR, and join the legs into
+    one ascending Trajectory on [-span, span] that holds the origin knot once.
+    ``rhs_dot(ts, ys, fs)`` is the time derivative of ``rhs`` along the
+    solution at the knots, the third datum of the quintic dense output."""
     legs = []
     for t_end in (span, -span):
-        leg = integrate_ode(rhs, y0, (0.0, t_end), rel_tol * ODE_TOL_PER_TOL)
+        leg = integrate_ode(rhs, y0, (0.0, t_end), max(rel_tol * ODE_TOL_PER_TOL, ODE_TOL_FLOOR))
         if not leg.completed:
             raise ConstructionError(
                 stage,
@@ -223,8 +226,10 @@ def _quadrature_grid(span, rel_tol):
     """Half-count m and step of the quadrature grid step * (-m..m) on
     [-span, span].  The step tracks the construction's tolerance, so the
     composite error keeps scaling as tolerances tighten (the h^4 term tracks
-    tol).  A grid of more than MAX_GRID_POINTS nodes is refused before any
-    work, and with it a span too long to integrate."""
+    tol).  Refused before any work: a tolerance whose absolute part, the checks'
+    slack, is not positive, and a grid of more than MAX_GRID_POINTS nodes."""
+    if not rel_tol * ABS_PER_REL_TOL > 0:  # NaN fails too
+        raise InputError(f"tolerances must be positive: rel_tol {rel_tol}, abs_tol {rel_tol * ABS_PER_REL_TOL}")
     h = min(2e-2, max(7.5e-4, 0.35 * rel_tol**0.25))
     if not span / h <= (MAX_GRID_POINTS - 1) // 2:  # NaN and inf fail too
         raise InputError(f"half-span {span} at tolerance {rel_tol} needs more than {MAX_GRID_POINTS} points")
@@ -232,16 +237,23 @@ def _quadrature_grid(span, rel_tol):
     return m, span / m
 
 
+def profile_grid(span, step):
+    """-span + k step for k = 0, 1, ... up to span, past it only by the rounding
+    ``Table1DField`` forgives: the CSV rows of a profile tabulated on [-span,
+    span].  More than MAX_GRID_POINTS points are refused before any is formed."""
+    if not 2 * span / step + 1 <= MAX_GRID_POINTS:  # NaN and inf fail too
+        raise InputError(f"grid step {step} puts more than {MAX_GRID_POINTS} points on [-{span}, {span}]")
+    xs = np.arange(-span, span + step / 2, step)
+    return xs[xs <= span + 1e-9 * (1 + span)]
+
+
 @dataclass
 class W1Profile:
-    """1-D profile with curvature e^phi/(1+e^phi), built by double quadrature."""
+    """1-D profile with curvature e^phi/(1+e^phi), built by double quadrature
+    and tabulated in ``field`` on [-span, span]."""
 
     traj: PhaseTrajectory
-    ts: np.ndarray
-    phis: np.ndarray  # (phi, phi') at ts, shape (m, 2)
-    w1: np.ndarray
-    w1p: np.ndarray
-    w1pp: np.ndarray
+    span: float
     field: Table1DField
     identity_defect: float
 
@@ -251,13 +263,18 @@ class W1Profile:
         sig = sigmoid(p)
         return float(sig * (1.0 - sig) * dp)
 
-    def rows(self):
-        """Trajectory table (t, phi, phi', w1, w1', w1'')."""
-        return np.column_stack([self.ts, self.phis, self.w1, self.w1p, self.w1pp])
+    def rows(self, xs):
+        """Trajectory table (t, phi, phi', w1, w1', w1''), shape (m, 6), at an
+        array of times; each row equals the point reads ``traj.phi_pair``,
+        ``field.value``, ``field.gradient``, ``field.hessian`` bit for bit."""
+        x = np.asarray(xs, dtype=float)[:, None]  # the times as an (m, 1) cloud
+        pairs = self.traj.phi_array(x[:, 0])
+        return np.column_stack([x, pairs, self.field.value(x), self.field.gradient(x), sigmoid(pairs[:, 0])])
 
 
 def assemble_w1(traj, span=None):
-    """Profile w1 with w1'' = e^phi/(1+e^phi), w1(0) = -a0, w1'(0) = -2 a1.
+    """Profile w1 with w1'' = e^phi/(1+e^phi), w1(0) = -a0, w1'(0) = -2 a1,
+    tabulated on [-span, span] (by default the trajectory's span).
 
     Simpson quadrature on the integrator's dense output at a fixed fine step
     keeps all derivative relations consistent with one trajectory.  The
@@ -268,8 +285,7 @@ def assemble_w1(traj, span=None):
     m, step = _quadrature_grid(S, traj.rel_tol)
     ts = step * (np.arange(2 * m + 1) - m)  # exact 0 at index m
 
-    pairs = traj.phi_array(ts)
-    phis = pairs[:, 0]
+    phis = traj.phi_array(ts)[:, 0]
     w1pp = sigmoid(phis)
     cs = cumulative_simpson(w1pp, step)
     w1p = -2.0 * traj.a1 + (cs - cs[m])
@@ -279,7 +295,7 @@ def assemble_w1(traj, span=None):
     defect = float(np.max(np.abs(phis - (0.5 * ts * w1p - w1))))
 
     fld = Table1DField(ts, w1, w1p, w1pp, curvature_fn=lambda t: sigmoid(traj.phi(t)))
-    return W1Profile(traj, ts, pairs, w1, w1p, w1pp, fld, defect)
+    return W1Profile(traj, S, fld, defect)
 
 
 @dataclass
@@ -482,6 +498,7 @@ class MinkowskiProfile(ScalarField):
     def __init__(self, table, dense):
         self._table = table
         self._dense = dense    # (s, phi), ascending
+        self.span = dense.t_end    # the half-span of the trajectory and the table
         self._last_cloud = (None, None)    # (bytes of the cloud, its (s, phi) lists)
 
     def _pairs(self, x):
@@ -499,13 +516,11 @@ class MinkowskiProfile(ScalarField):
 
     def rows(self, xs):
         """Profile table (x, s, phi, f, f', f''), shape (m, 6), at an array of
-        points; each row equals the point reads ``_pairs``, ``value``,
-        ``gradient``, ``hessian`` bit for bit."""
-        xs = np.asarray(xs, dtype=float)
-        s, p, _ = self._pairs(xs[:, None])
-        fp = [math.tanh(v) for v in s]
-        fpp = [_sech2(v) * w for v, w in zip(s, p)]
-        return np.column_stack([xs, s, p, self.value(xs[:, None]), fp, fpp])
+        points, read as one cloud by ``_pairs``, ``value``, ``gradient`` and
+        ``hessian``, so each row equals their point reads bit for bit."""
+        x = np.asarray(xs, dtype=float)[:, None]  # the points as an (m, 1) cloud
+        s, p, _ = self._pairs(x)
+        return np.column_stack([x, s, p, self.value(x), self.gradient(x), self.hessian(x)[:, 0]])
 
     def value(self, x):
         return self._table.value(x)

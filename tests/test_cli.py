@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from shrinker_lab.cli import BRANCH_DEFAULTS, main
 from shrinker_lab import reports
 from shrinker_lab.reports import write_csv
+from shrinker_lab.transforms import _neg_constants
 
 
 def run(tmp_path, *argv):
@@ -144,6 +145,7 @@ class TestExitCodes:
             ("legendre-check", "--grid-step", "5e-324", "--span", "1e-3"),
             ("legendre-check", "--span", "1e10"),
             ("build-counterexample", "--mss", "--grid-step", "1e-20"),
+            ("build-counterexample", "--grid-step", "1e-20"),
         ],
     )
     def test_bad_size_is_parameter_error(self, tmp_path, argv):
@@ -317,6 +319,19 @@ class TestReports:
         assert report["results"]["residual_sup"] <= 1e-6
         header = (tmp_path / "counterexample-trajectory.csv").read_text().splitlines()[0]
         assert header == "t,phi,phi_prime,w1,w1_prime,w1_second"
+
+    @pytest.mark.parametrize("mss", [False, True])
+    def test_csv_rows_on_grid_step_over_the_table(self, tmp_path, mss):
+        # the table's half-span S: --rmax / c2 * 1.02 + 1 on the bounded cone
+        # (24.63 at the defaults: the last point below S + step/2 is past S),
+        # max(--span, --rmax + 1) = 20 with --mss
+        c2 = _neg_constants(BRANCH_DEFAULTS["NEG"]())[3]
+        span, name = (20.0, "mss-profile.csv") if mss else (10 / c2 * 1.02 + 1, "counterexample-trajectory.csv")
+        argv = ("--mss",) if mss else ()
+        assert run(tmp_path, "build-counterexample", *argv, "--tol", "1e-6", "--grid-step", "0.5") == 0
+        with open(tmp_path / name, newline="") as fh:
+            ts = [float(row[0]) for row in list(csv.reader(fh))[1:]]
+        assert ts == [-span + 0.5 * k for k in range(int(2 * span / 0.5) + 1)]
 
     def test_mss_flag(self, tmp_path):
         code = run(tmp_path, "build-counterexample", "--mss", "--phi0", "1")

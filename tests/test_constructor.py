@@ -14,6 +14,7 @@ from shrinker_lab.constructor import (
     assemble_w1,
     build_counterexample,
     build_mss_counterexample,
+    profile_grid,
     sigmoid,
     solve_phase_ode,
 )
@@ -129,6 +130,11 @@ class TestSolvePhaseOde:
             ts = solve_phase_ode(0.3, 0.7, T, rel_tol=1e-8).dense.ts
             assert abs(ts[0] + T) < 1e-14 * T and abs(ts[-1] - T) < 1e-14 * T
 
+    def test_integrator_tolerance_has_a_floor(self):
+        # 1e-16 and 1e-14 both ask the integrator for less than ODE_TOL_FLOOR
+        ts = [solve_phase_ode(0.3, 0.7, 10.0, rel_tol=tol).dense.ts for tol in (1e-16, 1e-14)]
+        assert same_bits(*ts)
+
     def test_phi_array_equals_phi_pair_bit_for_bit(self):
         traj = solve_phase_ode(0.3, 0.7, 24.63, rel_tol=1e-8)
         ts = np.concatenate([np.linspace(-28.0, 28.0, 1201), traj.dense.ts])
@@ -219,20 +225,23 @@ class TestAssembleW1:
 
     def test_curvature_in_unit_window(self):
         prof = assemble_w1(solve_phase_ode(0.0, 1.0, 20.0), span=23.0)
-        assert np.all(prof.w1pp > 0.0)
-        assert np.all(prof.w1pp < 1.0)
+        assert np.all(prof.field.curvs > 0.0)
+        assert np.all(prof.field.curvs < 1.0)
 
     def test_identity_defect(self):
         prof = assemble_w1(solve_phase_ode(0.0, 1.0, 20.0))
         assert prof.identity_defect <= 1e-7
 
     def test_rows_equal_scalar_reads_bit_for_bit(self):
-        prof = assemble_w1(solve_phase_ode(0.3, 0.7, 10.0, rel_tol=1e-8))
-        scalar = np.array([
-            [t, prof.traj.phi(t), prof.traj.dphi(t), w, wp, wpp]
-            for t, w, wp, wpp in zip(prof.ts, prof.w1, prof.w1p, prof.w1pp)
-        ])
-        assert np.array_equal(prof.rows().view(np.int64), scalar.view(np.int64))
+        prof = assemble_w1(solve_phase_ode(0.3, 0.7, 10.0, rel_tol=1e-8), span=8.33)
+        xs = np.append(profile_grid(prof.span, 0.05), prof.span)  # from -S, and S itself
+        assert xs[0] == -8.33 and xs[-1] == 8.33
+        scalar = []
+        for t in xs:
+            phi, dphi = prof.traj.phi_pair(t)
+            fld = prof.field
+            scalar.append([t, phi, dphi, fld.value([t]), fld.gradient([t])[0], fld.hessian([t])[0, 0]])
+        assert same_bits(prof.rows(xs), scalar)
 
     def test_third_derivative_witness(self):
         # d/dt [e^phi/(1+e^phi)] at 0 equals a1 e^{a0}/(1+e^{a0})^2
