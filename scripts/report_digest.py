@@ -14,11 +14,13 @@ value, a CSV cell or an exit code:
 The list covers every subcommand, two sweeps at their default sizes, one
 sweep each on a branch chosen by ``--tau`` and by ``--a``, three shots (one
 float shot, and two Taylor shots: one completes, one ends in ``blow_up``,
-so the Taylor path's naming and placing of an event is seen), and eight builds:
+so the Taylor path's naming and placing of an event is seen), and ten builds:
 three tolerances, two spacelike (``--mss``) profiles, two whose cone margins
 are below the rounding of ``1 - x`` (taken from the log-odds and from s, they
-stay positive and both builds exit 0), and one whose certificate reach is
-below ``--span``, at a tolerance the integrator's floor caps.  The script
+stay positive and both builds exit 0), one whose certificate reach is below
+``--span``, at a tolerance the integrator's floor caps, one in dimension 1,
+whose generic-route cross-check reads the largest inner cloud, and one whose
+cross-check meets the cone edge and reports null sups.  The script
 exits 1, after printing every line, if any command raised.
 """
 
@@ -46,6 +48,9 @@ COMMANDS = [
     ["build-counterexample", "--a0", "-0.4", "--a1", "0.9", "--n", "3", "--tol", "1e-8", "--seed", "6"],
     ["build-counterexample", "--a0", "0.3", "--a1", "0.7", "--n", "4", "--tol", "1e-10", "--seed", "7"],
     ["build-counterexample", "--a0", "0.0", "--a1", "1.9", "--n", "2", "--tol", "1e-8"],  # 1 - sigmoid(phi_max) rounds to 0
+    # n = 1: 392 inner points, the largest cloud the generic-route cross-check reads
+    ["build-counterexample", "--a0", "0.1", "--a1", "0.6", "--n", "1", "--tol", "1e-10", "--seed", "9"],
+    ["build-counterexample", "--a1", "5", "--n", "2", "--tol", "1e-8", "--seed", "1"],  # null cross-check sups
     # reach 8.09 below --span: the CSV grid covers the reach; --tol 1e-12 meets the integrator's floor
     ["build-counterexample", "--a0", "0.2", "--a1", "0.8", "--n", "2", "--tol", "1e-12", "--rmax", "3",
      "--grid-step", "0.05", "--seed", "8"],

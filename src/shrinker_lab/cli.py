@@ -16,7 +16,9 @@ import sys
 import numpy as np
 
 from . import geometry, quadratics, reports, shooting, transforms
-from .constructor import MAX_GRID_POINTS, build_counterexample, build_mss_counterexample, profile_grid
+from .constructor import (
+    MAX_GRID_POINTS, build_counterexample, build_mss_counterexample, profile_grid, profile_span,
+)
 from .fields import QuadraticField
 from .numerics import ConstructionError, DomainError, InputError
 from .tau import TauParams
@@ -186,17 +188,18 @@ def cmd_verify_quadratic(args):
 
 def cmd_build_counterexample(args):
     tol = args.tol if args.tol is not None else 1e-10
+    tp = None if args.mss else _resolve_tp(args, fallback="NEG")
+    xs = profile_grid(profile_span(tp, args.rmax, args.span), args.grid_step)  # refused before the build
     if args.mss:
         prof, cert = build_mss_counterexample(args.phi0, args.s0, T=args.span, rel_tol=tol, radius=args.rmax)
         name, header = "mss-profile.csv", ["x", "s", "phi", "f", "f_prime", "f_second"]
         config = {"mss": True, "phi0": args.phi0, "s0": args.s0}
     else:
-        tp = _resolve_tp(args, fallback="NEG")
         _, prof, cert = build_counterexample(tp, args.a0, args.a1, args.n, T=args.span, rel_tol=tol,
                                              radius=args.rmax, seed=args.seed)
         name, header = "counterexample-trajectory.csv", ["t", "phi", "phi_prime", "w1", "w1_prime", "w1_second"]
         config = {"a": tp.a, "a0": args.a0, "a1": args.a1, "n": args.n}
-    rows = prof.rows(profile_grid(prof.span, args.grid_step))
+    rows = prof.rows(xs)
     reports.write_csv(_out_path(args, name), header, rows)
     config.update(span=args.span, tol=tol, rmax=args.rmax, seed=args.seed)
     _emit(args, "build-counterexample", config, cert.to_dict(), cert.passed)

@@ -122,7 +122,8 @@ class PhaseTrajectory:
         return float(y[0]), float(y[1])
 
     def phi(self, t):
-        return self.phi_pair(t)[0]
+        """phi at a float t, or at each of an array of times."""
+        return self.phi_array(t)[:, 0] if isinstance(t, np.ndarray) else self.phi_pair(t)[0]
 
     def dphi(self, t):
         return self.phi_pair(t)[1]
@@ -235,6 +236,18 @@ def _quadrature_grid(span, rel_tol):
         raise InputError(f"half-span {span} at tolerance {rel_tol} needs more than {MAX_GRID_POINTS} points")
     m = math.ceil(span / h)
     return m, span / m
+
+
+def profile_span(tp, radius, T):
+    """Half-span of a build's profile table and CSV rows: max(T, radius + 1) for
+    the spacelike build (``tp`` None); radius / c2 * 1.02 + 1 on the bounded
+    cone, whose linear tail extension holds only once the forcing is
+    exponentially dead, which a small phase slope postpones past any window."""
+    if tp is None:
+        return max(T, radius + 1.0)
+    if tp.branch is not Branch.NEG:
+        raise InputError(f"branch {tp.branch.value} is not the bounded-cone branch (a < -1)")
+    return radius / _neg_constants(tp)[3] * 1.02 + 1.0
 
 
 def profile_grid(span, step):
@@ -363,17 +376,11 @@ def build_counterexample(
     null if a spectrum there rounds onto the cone edge, and the certificate
     rests on the stable form alone.
     """
-    if tp.branch is not Branch.NEG:
-        raise InputError(f"branch {tp.branch.value} is not the bounded-cone branch (a < -1)")
+    span_needed = profile_span(tp, radius, T)  # refuses a branch other than NEG
     n = int(n)
     if n < 1:
         raise InputError(f"dimension must be >= 1, got {n}")
     a, b, k, c2 = _neg_constants(tp)
-
-    # integrate at least as far as the certificate evaluates: the linear tail
-    # extension is only valid once the forcing is exponentially dead, which a
-    # small phase slope postpones past any fixed window
-    span_needed = radius / c2 * 1.02 + 1.0
     traj = solve_phase_ode(a0, a1, max(T, span_needed), rel_tol=rel_tol)
 
     prof = assemble_w1(traj, span=span_needed)
@@ -388,11 +395,8 @@ def build_counterexample(
 
     phis = traj.phi_array(pts[:, 0] / c2)[:, 0]
     stables = (1.0 / k) * phis - phase(ufield, pts)
-    sup = 0.0
-    sup_at = None
-    for z, stable in zip(pts, stables):
-        if abs(stable) > sup:
-            sup, sup_at = abs(stable), z.copy()
+    sup = float(np.max(np.abs(stables)))  # a NaN residual propagates
+    sup_at = pts[np.argmax(np.abs(stables))] if sup != 0.0 else None  # the first worst, or the first NaN
     cone_margin = _neg_cone_margin(b, float(phis.min()), float(phis.max()), n)
     # sigmoid(phi) lies in (0, 1) for every finite phi, though the margin
     # underflows to 0 once |phi| passes about 745
@@ -401,15 +405,13 @@ def build_counterexample(
     # generic eigenvalue-route cross-check where it is well-conditioned
     is_inner = np.linalg.norm(pts, axis=1) <= 0.5 * radius
     inner = pts[is_inner]
-    cross_sup = agree_sup = 0.0
-    for z, stable in zip(inner, stables[is_inner]):
-        try:
-            generic = shrinker_residual(tp, ufield, z)
-        except DomainError:
-            cross_sup = agree_sup = None
-            break
-        cross_sup = max(cross_sup, abs(generic))
-        agree_sup = max(agree_sup, abs(generic - stable))
+    try:
+        generic = shrinker_residual(tp, ufield, inner)
+    except DomainError:
+        cross_sup = agree_sup = None
+    else:
+        cross_sup = float(np.max(np.abs(generic), initial=0.0))
+        agree_sup = float(np.max(np.abs(generic - stables[is_inner]), initial=0.0))
 
     sig0 = float(sigmoid(traj.phi(0.0)))
     witness_val = prof.third_derivative(0.0)
@@ -597,7 +599,7 @@ def build_mss_counterexample(
         raise InputError("phi(0) = 0 yields a linear profile: trivial solution")
     if not T > 0:
         raise InputError(f"need T > 0, got {T}")
-    span = max(T, radius + 1.0)
+    span = profile_span(None, radius, T)
     m, step = _quadrature_grid(span, rel_tol)
 
     dense = _two_sided(_mss_rhs, _mss_rhs_dot, [s0, phi0], span, rel_tol, "mss_ode", "x")

@@ -141,8 +141,8 @@ class AffineScaledField(ScalarField):
     with itself collapses to the identity coefficients (1, 1, 0, 0) and
     evaluates bit-for-bit as the base.
 
-    ``value`` and ``gradient`` also take an (m, n) cloud, when the base does,
-    and return (m,) or (m, n), every row bit for bit the single-point result.
+    Each method also takes an (m, n) cloud, when the base does, and returns
+    (m,), (m, n) or (m, n, n), every row bit for bit the single-point result.
     """
 
     def __init__(self, base, outer=1.0, inner=1.0, quad=0.0, offset=0.0):
@@ -173,7 +173,7 @@ class AffineScaledField(ScalarField):
         return self.outer * self.inner * self.base.gradient(self.inner * x) + self.quad * x
 
     def hessian(self, x):
-        x = self._point(x)
+        x = self._points(x)
         return (
             self.outer * self.inner ** 2 * self.base.hessian(self.inner * x)
             + self.quad * np.eye(self.dim)
@@ -217,9 +217,9 @@ class Table1DField(ScalarField):
     of (slope, curvature); the curvature is interpolated by a local cubic, or
     supplied exactly by ``curvature_fn`` when the backing relation is known.
 
-    ``value`` and ``gradient`` also take an (m, 1) cloud and return (m,) or
-    (m, 1) in one batch, every row bit for bit its point's result (both
-    Hermites are elementwise).
+    Each method also takes an (m, 1) cloud in one batch, ``hessian`` when
+    ``curvature_fn`` takes arrays, and returns (m,), (m, 1) or (m, 1, 1),
+    every row bit for bit its point's (both Hermites are elementwise).
     """
 
     dim = 1
@@ -285,24 +285,26 @@ class Table1DField(ScalarField):
         return v if isinstance(t, np.ndarray) else float(v)
 
     def curvature(self, t):
-        if self._curv_fn is not None:
-            return float(self._curv_fn(t))
-        return float(_local_cubic(self.ts, self.curvs, t))
+        """Curvature at a float t, or from ``curvature_fn`` at an array of t."""
+        if self._curv_fn is None:
+            return float(_local_cubic(self.ts, self.curvs, t))
+        return self._curv_fn(t) if isinstance(t, np.ndarray) else float(self._curv_fn(t))
 
     def gradient(self, x):
         t, cloud = self._points_t(x)
         return self.slope(t)[:, None] if cloud else np.array([self.slope(t)])
 
     def hessian(self, x):
-        return np.array([[self.curvature(self._point_t(x))]])
+        t, cloud = self._points_t(x) if self._curv_fn is not None else (self._point_t(x), False)
+        return self.curvature(t)[:, None, None] if cloud else np.array([[self.curvature(t)]])
 
 
 class SeparableExtensionField(ScalarField):
     """n-D extension  w(x) = w1(x_1) + (|x|^2 - x_1^2)/4  of a 1-D profile.
 
-    ``value`` and ``gradient`` also take an (m, n) cloud, when the profile
-    takes an (m, 1) one, and return (m,) or (m, n), every row bit for bit the
-    single-point result.
+    ``value``, ``gradient`` and ``hessian`` also take an (m, n) cloud, when
+    the profile takes an (m, 1) one, and return (m,), (m, n) or (m, n, n),
+    every row bit for bit the single-point result.
     """
 
     def __init__(self, profile_1d, n):
@@ -326,9 +328,9 @@ class SeparableExtensionField(ScalarField):
         return g
 
     def hessian(self, x):
-        x = self._point(x)
-        H = 0.5 * np.eye(self.dim)
-        H[0, 0] = self.base.hessian(x[:1])[0, 0]
+        x = self._points(x)
+        H = 0.5 * np.broadcast_to(np.eye(self.dim), x.shape[:-1] + (self.dim, self.dim))
+        H[..., 0, 0] = self.base.hessian(x[..., :1])[..., 0, 0]
         return H
 
 

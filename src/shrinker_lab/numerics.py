@@ -84,23 +84,27 @@ class DivergenceEvent:
 
 
 def as_sym_matrix(M):
-    """Validate and return one symmetric float matrix (no copy if already
-    valid).  Asymmetry up to 1e-12 times the largest entry (at least 1) is
-    finite-difference noise and is averaged away; more is an InputError."""
+    """Validate and return a symmetric float matrix, or a (..., n, n) stack of
+    them checked matrix by matrix (no copy if already valid).  Asymmetry up to
+    1e-12 times the matrix's largest entry (at least 1) is finite-difference
+    noise and is averaged away in that matrix alone; more is an InputError."""
     A = np.asarray(M, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.shape[-1] < 1:
         raise InputError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise InputError("matrix has non-finite entries")
-    if not np.array_equal(A, A.T):
-        if np.max(np.abs(A - A.T)) > 1e-12 * max(1.0, np.max(np.abs(A))):
+    At = A.swapaxes(-1, -2)
+    same = A == At
+    if not same.all():
+        if (np.abs(A - At).max(axis=(-2, -1)) > 1e-12 * np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))).any():
             raise InputError("matrix is not symmetric")
-        A = 0.5 * (A + A.T)
+        A = np.where(same.all(axis=(-2, -1))[..., None, None], A, 0.5 * (A + At))
     return A
 
 
 def eig_sym(M):
-    """All eigenvalues of one symmetric matrix, ascending (LAPACK ``syevd``)."""
+    """All eigenvalues, ascending, of a symmetric matrix, or of each matrix of a
+    (..., n, n) stack in one call: LAPACK ``syevd`` matrix by matrix, bit for bit."""
     return np.linalg.eigvalsh(as_sym_matrix(M))
 
 

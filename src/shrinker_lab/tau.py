@@ -403,26 +403,26 @@ def admissible(tp, eigenvalues):
     Tags: 'upper' | 'lower' | 'all' | 'inside-interval'.  Components are
     treated separately; a spectrum mixing them is inadmissible.
     """
-    lams = np.atleast_1d(np.asarray(eigenvalues, dtype=float))
-    for spec in tp.components:
-        if np.all((lams > spec.lo) & (lams < spec.hi)):
-            return spec.tag
-    return None
+    lams = np.atleast_1d(np.asarray(eigenvalues, dtype=float)).tolist()
+    return next((spec.tag for spec in tp.components if all(spec.lo < lam < spec.hi for lam in lams)), None)
 
 
 def operator_value(tp, eigenvalues):
-    """Sum of the scalar summand over the spectrum (the operator itself).
+    """Sum of the scalar summand over a spectrum (the operator itself), or over
+    each row of an (m, n) stack of spectra, as (m,).
 
-    The spectrum's one cone check is here; each summand is then ``f_value``'s
-    closed form without its per-eigenvalue check, bit for bit.
+    Each spectrum's one cone check is here, and the first inadmissible row
+    raises DomainError; each summand is then ``f_value``'s closed form without
+    its per-eigenvalue check, summed left to right row by row, bit for bit.
     """
-    lams = np.atleast_1d(np.asarray(eigenvalues, dtype=float))
-    if admissible(tp, lams) is None:
-        raise DomainError(
-            f"spectrum {lams} inadmissible: not inside a single {tp.branch.value} cone component",
-            value=float(lams[0]),
-        )
-    return float(sum(_f_closed(tp, lam, _FLOAT) for lam in lams.tolist()))
+    lams = np.asarray(eigenvalues, dtype=float)
+    sums = []
+    for row in np.atleast_2d(lams).tolist():
+        if admissible(tp, row) is None:
+            raise DomainError(f"spectrum {np.array(row)} inadmissible: not inside a single "
+                              f"{tp.branch.value} cone component", value=row[0])
+        sums.append(float(sum(_f_closed(tp, lam, _FLOAT) for lam in row)))
+    return np.array(sums) if lams.ndim == 2 else sums[0]
 
 
 def operator_gradient_matrix(tp, H):
@@ -451,17 +451,14 @@ def phase(field, x):
 
 
 def shrinker_residual(tp, field, x):
-    """Pointwise defect of the self-shrinker potential equation at x.
-
-    Zero iff  F(lambda(D^2 u)) = -u + <x, Du>/2  holds at x.  ``x`` is one
-    point: a cloud would solve one Hessian per point, and on a quadratic,
-    whose Hessian is constant, the defect is F(lambda(A)) - phase (see
-    ``quadratics.verify_quadratic``).
+    """Defect of the self-shrinker potential equation at x, zero iff
+    F(lambda(D^2 u)) = -u + <x, Du>/2 holds there.  ``x`` is one point, or an
+    (m, n) cloud for a field whose Hessian takes one, solved as one stack: (m,)
+    defects, each bit for bit its point's.  On a quadratic, whose Hessian is
+    constant, the defect is F(lambda(A)) - phase (``quadratics.verify_quadratic``).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.ndim != 1:
-        raise InputError(f"shrinker_residual takes one point, got shape {x.shape}")
-    return float(operator_value(tp, eig_sym(field.hessian(x))) - phase(field, x))
+    return operator_value(tp, eig_sym(field.hessian(x))) - phase(field, x)
 
 
 def drift_residual(tp, field, x, h):

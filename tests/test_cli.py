@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shrinker_lab.cli import BRANCH_DEFAULTS, main
-from shrinker_lab import reports
+from shrinker_lab import constructor, reports
 from shrinker_lab.reports import write_csv
 from shrinker_lab.transforms import _neg_constants
 
@@ -186,7 +186,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         # --tol 1e-6 keeps the span of 650 that --tau -1e-3 needs to a second
-        [("--a1", "40"), ("--tau", "-1e-3", "--tol", "1e-6"), ("--tol", "100", "--a1", "10")],
+        [("--a1", "40"), ("--tau", "-1e-3", "--tol", "1e-6"), ("--tol", "100", "--a1", "10"),
+         ("--a1", "5", "--n", "1")],
     )
     def test_cone_edge_in_cross_check_leaves_the_certificate_to_decide(self, tmp_path, capsys, argv):
         # an inner spectrum rounds onto the cone edge: the generic route goes
@@ -200,10 +201,16 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "argv",
+        # the last three by their CSV grid, --grid-step over the half-span of the table
         [("--span", "1e10"), ("--mss", "--span", "1e10"), ("--rmax", "1e7"), ("--mss", "--rmax", "1e7"),
-         ("--tau", "-1e-3"), ("--mss", "--span", "8000", "--tol", "1e-3")],
+         ("--tau", "-1e-3"), ("--mss", "--span", "8000", "--tol", "1e-3"),
+         ("--rmax", "200", "--grid-step", "1e-4"), ("--mss", "--grid-step", "1e-6")],
     )
-    def test_oversized_construction_is_parameter_error(self, tmp_path, capsys, argv):
+    def test_oversized_construction_is_parameter_error(self, tmp_path, capsys, monkeypatch, argv):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated before the sizes were checked")
+
+        monkeypatch.setattr(constructor, "integrate_ode", no_integration)
         start = time.perf_counter()
         assert run(tmp_path, "build-counterexample", *argv) == 65
         assert time.perf_counter() - start < 1.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import shrinker_lab as sl
-from shrinker_lab import TauParams, jets
+from shrinker_lab import TauParams, constructor, jets
 from shrinker_lab.constructor import (
     _mss_rhs,
     _neg_cone_margin,
@@ -20,7 +20,7 @@ from shrinker_lab.constructor import (
 )
 from shrinker_lab.fields import SeparableExtensionField
 from shrinker_lab.numerics import DomainError, InputError
-from shrinker_lab.tau import minkowski_residual, phase
+from shrinker_lab.tau import minkowski_residual, phase, shrinker_residual
 from shrinker_lab.transforms import logit_equation_residual
 
 from conftest import same_bits
@@ -373,6 +373,33 @@ class TestBuildCounterexample:
         pts = rng.uniform(-10.0, 10.0, (300, n))
         pts[0] = 0.0
         assert same_bits(phase(ufield, pts), [phase(ufield, z) for z in pts])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cloud_residual_equals_point_loop_bit_for_bit(self, n, rng):
+        # the generic-route cross-check reads its inner cloud in one call
+        tp = TauParams.neg_branch(a=-2.0)
+        ufield, _, cert = build_counterexample(tp, 0.3, 0.7, n, rel_tol=1e-6, seed=n)
+        pts = rng.uniform(-5.0, 5.0, (200, n))
+        pts[0] = 0.0
+        assert same_bits(ufield.hessian(pts), [ufield.hessian(z) for z in pts])
+        assert same_bits(shrinker_residual(tp, ufield, pts), [shrinker_residual(tp, ufield, z) for z in pts])
+        assert cert.cross_checks["generic_route_inner_sup"] <= 1e-6
+
+    def test_nan_residual_fails_the_certificate(self, monkeypatch):
+        # a NaN at one sample is the sup, and the worst sample is where it is
+        def phase_with_nan(field, x):
+            out = phase(field, x)
+            if np.ndim(out):
+                out[37] = math.nan
+            return out
+
+        monkeypatch.setattr(constructor, "phase", phase_with_nan)
+        tp = TauParams.neg_branch(a=-2.0)
+        _, _, cert = build_counterexample(tp, 0.0, 1.0, 2, rel_tol=1e-6, seed=3)
+        pts = constructor._ball_samples(np.random.default_rng(3), 2, 10.0, 800)
+        assert math.isnan(cert.residual_sup)
+        assert not cert.passed
+        assert cert.cross_checks["worst_sample"] == pts[37].tolist()
 
 
 class TestMssCounterexample:

@@ -147,6 +147,27 @@ class TestCloudViews:
         assert same_bits(base.value(column), [base.value(x) for x in column])
         assert same_bits(base.gradient(column), [base.gradient(x) for x in column])
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cloud_hessian_equals_points_bit_for_bit(self, n, rng):
+        # a curvature_fn of IEEE operations alone rounds a float as it rounds
+        # an array element; the affine view flattens onto the extension
+        ts = np.linspace(-4.0, 4.0, 161)
+        base = Table1DField(ts, np.sin(ts), np.cos(ts), -np.sin(ts), curvature_fn=lambda t: 1.0 / (1.0 + t * t))
+        ext = SeparableExtensionField(base, n)
+        view = AffineScaledField(ext, outer=rng.uniform(0.5, 2.0), inner=rng.uniform(0.5, 1.0),
+                                 quad=rng.standard_normal(), offset=rng.standard_normal())
+        X = rng.uniform(-4.0, 4.0, (40, n))
+        for f, cloud in ((base, X[:, :1]), (ext, X), (view, X), (view, np.asfortranarray(X))):
+            H = f.hessian(cloud)
+            assert H.shape == (40, f.dim, f.dim)
+            assert same_bits(H, [f.hessian(x) for x in cloud])
+
+    def test_interpolated_curvature_refuses_a_cloud(self):
+        ts = np.linspace(-4.0, 4.0, 161)
+        base = Table1DField(ts, np.sin(ts), np.cos(ts), -np.sin(ts))
+        with pytest.raises(InputError):
+            base.hessian(np.zeros((3, 1)))
+
     def test_view_of_a_point_field_refuses_a_cloud(self):
         f = AffineScaledField(CallableField(2, lambda x: float(x @ x)), outer=2.0)
         with pytest.raises(InputError):

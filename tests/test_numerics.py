@@ -15,6 +15,7 @@ from shrinker_lab.numerics import (
     InputError,
     RhsEvaluationError,
     Trajectory,
+    as_sym_matrix,
     cumulative_simpson,
     eig_sym,
     eig_sym_full,
@@ -99,6 +100,32 @@ class TestEigSym:
     def test_non_finite_rejected(self):
         with pytest.raises(InputError):
             eig_sym([[np.nan, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stack_equals_single_solves_bit_for_bit(self, n, rng):
+        A = rng.standard_normal((2, 15, n, n))
+        A = A + np.swapaxes(A, -1, -2)
+        w = eig_sym(A)
+        assert w.shape == (2, 15, n)
+        assert same_bits(w, [[eig_sym(M) for M in row] for row in A])
+
+    def test_stack_averages_noise_in_its_own_matrix(self, rng):
+        A = rng.standard_normal((5, 3, 3))
+        A = A + np.swapaxes(A, -1, -2)
+        noisy = A.copy()
+        noisy[2, 0, 1] += 1e-14
+        S = as_sym_matrix(noisy)
+        assert same_bits(S[2], as_sym_matrix(noisy[2]))
+        assert same_bits(np.delete(S, 2, axis=0), np.delete(A, 2, axis=0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e-3])
+    def test_stack_with_one_bad_matrix_rejected(self, bad, rng):
+        # 1e-3 breaks one matrix's symmetry past its noise allowance
+        A = rng.standard_normal((6, 3, 3))
+        A = A + np.swapaxes(A, -1, -2)
+        A[4, 0, 2] += bad
+        with pytest.raises(InputError):
+            eig_sym(A)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(InputError):

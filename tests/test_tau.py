@@ -309,6 +309,25 @@ class TestOperator:
         with pytest.raises(DomainError, match="cone component"):
             operator_value(all_branches["HARM"], [-3.0, 0.0])
 
+    @pytest.mark.parametrize("name", list(with_lower_cones()))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stacked_spectra_equal_row_calls_bit_for_bit(self, name, n, rng):
+        tp = with_lower_cones()[name]
+        spectra = rng.uniform(*_eigenvalue_window(tp, 0.15, 4.0), size=(30, n))
+        values = operator_value(tp, spectra)
+        assert values.shape == (30,)
+        assert same_bits(values, [operator_value(tp, row) for row in spectra])
+
+    @pytest.mark.parametrize("name", list(with_lower_cones()))
+    def test_one_inadmissible_row_rejects_the_stack(self, name, rng):
+        tp = with_lower_cones()[name]
+        spectra = rng.uniform(*_eigenvalue_window(tp, 0.15, 4.0), size=(20, 3))
+        spectra[13, 1] = math.nan  # in no component on any branch
+        spectra[17, 0] = math.nan
+        with pytest.raises(DomainError, match="cone component") as err:
+            operator_value(tp, spectra)
+        assert err.value.value == spectra[13, 0]
+
 
 class TestAdmissible:
     def test_tagged_components(self, all_branches):
@@ -401,9 +420,9 @@ class TestResiduals:
         assert same_bits(phase(field, X), [phase(field, x) for x in X])
 
     def test_cloud_is_input_error(self, rng):
-        # one point at a time: a cloud would solve one Hessian per point
+        # a cloud is read where the field's Hessian takes one: a quadratic's takes one point
         tp = TauParams.monge_ampere()
-        with pytest.raises(InputError, match="one point"):
+        with pytest.raises(InputError, match="expected point"):
             sl.shrinker_residual(tp, QuadraticField(np.eye(2)), rng.uniform(-3, 3, (5, 2)))
 
 
