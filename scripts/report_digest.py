@@ -12,9 +12,10 @@ value, a CSV cell or an exit code:
     diff before.txt after.txt
 
 The list covers every subcommand, two sweeps at their default sizes, one
-sweep each on a branch chosen by ``--tau`` and by ``--a``, three shots (one
-float shot, and two Taylor shots: one completes, one ends in ``blow_up``,
-so the Taylor path's naming and placing of an event is seen), and ten builds:
+sweep each on a branch chosen by ``--tau`` and by ``--a``, seven shots (one
+float shot, and six Taylor shots, one on each branch: five complete, one ends
+in ``blow_up``, so the Taylor path's naming and placing of an event is seen),
+and ten builds:
 three tolerances, two spacelike (``--mss``) profiles, two whose cone margins
 are below the rounding of ``1 - x`` (taken from the log-odds and from s, they
 stay positive and both builds exit 0), one whose certificate reach is below
@@ -44,6 +45,12 @@ COMMANDS = [
     ["shoot", "--branch", "SLAG", "--n", "2", "--u0", "-1.4707963267948966"],
     ["shoot", "--branch", "MA", "--n", "2", "--u0", "0", "--rmax", "2", "--dps", "30"],
     ["shoot", "--branch", "SLAG", "--n", "2", "--u0", "-1.4707963267948966", "--dps", "15"],  # Taylor blow_up
+    # Taylor shots to r = 10 on the other branches: u0 = -2 f(c) at the top of
+    # criterion 09's curvature range, dps as that criterion sizes it
+    ["shoot", "--branch", "LOG", "--n", "2", "--u0", "1.7838516734293206", "--rmax", "10", "--dps", "36"],  # c = 0.8
+    ["shoot", "--branch", "HARM", "--n", "2", "--u0", "1.663780661615406", "--rmax", "10", "--dps", "35"],  # c = 0.7
+    ["shoot", "--branch", "ATAN", "--n", "2", "--u0", "-0.7079208192920894", "--rmax", "10", "--dps", "37"],  # c = 0.8
+    ["shoot", "--branch", "NEG", "--n", "2", "--u0", "-2.5154398278034003", "--rmax", "10", "--dps", "30"],  # c = 3.3
     ["build-counterexample", "--a0", "0.3", "--a1", "0.7", "--n", "2", "--tol", "1e-6", "--seed", "5"],
     ["build-counterexample", "--a0", "-0.4", "--a1", "0.9", "--n", "3", "--tol", "1e-8", "--seed", "6"],
     ["build-counterexample", "--a0", "0.3", "--a1", "0.7", "--n", "4", "--tol", "1e-10", "--seed", "7"],

@@ -10,6 +10,16 @@ multiplications at the current mpmath precision.  Feeding outputs back into
 inputs (x_{k+1} = g_k / (k + 1) for x' = g(x)) yields the Taylor coefficients
 of an ODE solution.
 
+Coefficients are held twice: ``Jet.c`` is the list of mpf values a caller
+reads (and, for an input, appends to), ``Jet.m`` the same values as raw libmp
+tuples, which the recurrences read and write.  Each rule makes the libmp calls
+that mpf operators and ``mp.fdot`` would make, at the ``(prec, rounding)`` the
+tape read from the context when it was made: exact products summed once by
+``mpf_sum``, integers through ``from_int``, every other operation rounded.  So
+a series is bit for bit what the same recurrences give on mpf objects, and
+each new coefficient is wrapped as an mpf once.  An input's coefficients enter
+exactly, whatever their precision.
+
 :func:`log`, :func:`exp`, :func:`atan`, :func:`tan` and :func:`tanh` take a
 :class:`Jet`; together with the operators they form the namespace in which
 ``tau`` evaluates its closed forms on series.
@@ -18,34 +28,50 @@ of an ODE solution.
 from __future__ import annotations
 
 import mpmath as mp
+from mpmath.libmp import fzero, from_int, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_neg, mpf_sub, mpf_sum
 
 __all__ = ["Tape", "Jet", "log", "exp", "atan", "tan", "tanh"]
+
+
+def _dot(xs, ys, prec, rnd):
+    """``mp.fdot``: exact products, one rounded sum."""
+    return mpf_sum(map(mpf_mul, xs, ys), prec, rnd)
 
 
 class Tape:
     """The series derived from some inputs, in evaluation order."""
 
     def __init__(self):
+        self.inputs = []
         self.nodes = []
+        self.prec, self.rnd = mp.mp._prec_rounding
 
     def input(self, coeffs):
         """A series whose coefficients the caller supplies (and may append to)."""
-        return Jet(self, None, list(coeffs))
+        x = Jet(self, None, list(coeffs))
+        self.inputs.append(x)
+        return x
 
     def advance(self, k):
+        for x in self.inputs:  # coefficients appended since, unrounded
+            x.m += [mp.convert(v)._mpf_ for v in x.c[len(x.m) :]]
         for node in self.nodes:
-            node.c.append(node.rule(k))
+            v = node.rule(k)
+            node.m.append(v)
+            node.c.append(mp.make_mpf(v))
 
 
 class Jet:
-    """Truncated power series; ``c[k]`` is the k-th Taylor coefficient."""
+    """Truncated power series; ``c[k]`` is the k-th Taylor coefficient, ``m[k]``
+    its libmp tuple."""
 
-    __slots__ = ("tape", "rule", "c")
+    __slots__ = ("tape", "rule", "c", "m")
 
     def __init__(self, tape, rule, c=None):
         self.tape = tape
         self.rule = rule
         self.c = [] if c is None else c
+        self.m = []
         if rule is not None:
             tape.nodes.append(self)
 
@@ -53,18 +79,18 @@ class Jet:
         return Jet(self.tape, rule)
 
     def __add__(self, other):
-        a = self.c
+        a, prec, rnd = self.m, self.tape.prec, self.tape.rnd
         if isinstance(other, Jet):
-            b = other.c
-            return self._derive(lambda k: a[k] + b[k])
-        x = mp.mpf(other)
-        return self._derive(lambda k: a[k] + x if k == 0 else a[k])
+            b = other.m
+            return self._derive(lambda k: mpf_add(a[k], b[k], prec, rnd))
+        x = mp.mpf(other)._mpf_
+        return self._derive(lambda k: mpf_add(a[k], x, prec, rnd) if k == 0 else a[k])
 
     __radd__ = __add__
 
     def __neg__(self):
-        a = self.c
-        return self._derive(lambda k: -a[k])
+        a, prec, rnd = self.m, self.tape.prec, self.tape.rnd
+        return self._derive(lambda k: mpf_neg(a[k], prec, rnd))
 
     def __sub__(self, other):
         return self + (-other)
@@ -73,68 +99,69 @@ class Jet:
         return (-self) + other
 
     def __mul__(self, other):
-        a = self.c
+        a, prec, rnd = self.m, self.tape.prec, self.tape.rnd
         if isinstance(other, Jet):
-            b = other.c
-            return self._derive(lambda k: mp.fdot(a[: k + 1], b[k::-1]))
-        x = mp.mpf(other)
-        return self._derive(lambda k: a[k] * x)
+            b = other.m
+            return self._derive(lambda k: _dot(a[: k + 1], b[k::-1], prec, rnd))
+        x = mp.mpf(other)._mpf_
+        return self._derive(lambda k: mpf_mul(a[k], x, prec, rnd))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
-            return _quotient(self.c.__getitem__, other)
-        x = mp.mpf(other)
-        a = self.c
-        return self._derive(lambda k: a[k] / x)
+            return _quotient(self.m.__getitem__, other)
+        a, prec, rnd = self.m, self.tape.prec, self.tape.rnd
+        x = mp.mpf(other)._mpf_
+        return self._derive(lambda k: mpf_div(a[k], x, prec, rnd))
 
     def __rtruediv__(self, other):
-        x = mp.mpf(other)
-        return _quotient(lambda k: x if k == 0 else 0, self)
+        x = mp.mpf(other)._mpf_
+        return _quotient(lambda k: x if k == 0 else fzero, self)
 
 
 def _quotient(top, den):
     """w = top / den, ``top(k)`` giving the numerator's coefficients:
     w_k = (top_k - sum_{j=1..k} den_j w_{k-j}) / den_0."""
-    b = den.c
+    b, prec, rnd = den.m, den.tape.prec, den.tape.rnd
     w = []
 
     def rule(k):
-        return (top(k) - mp.fdot(b[1 : k + 1], w[::-1])) / b[0]
+        return mpf_div(mpf_sub(top(k), _dot(b[1 : k + 1], w[::-1], prec, rnd), prec, rnd), b[0], prec, rnd)
 
     node = den._derive(rule)
-    w = node.c
+    w = node.m
     return node
 
 
 def _chain(x, w0, v_of):
     """w with w' = v x' and w_0 = w0, where v = v_of(w) is built after w."""
-    a = x.c
+    a, prec, rnd = x.m, x.tape.prec, x.tape.rnd
     da = []  # j a_j, j = 1..k
     v = []
 
     def rule(k):
         if k == 0:
-            return w0(a[0])
-        da.append(k * a[k])
-        return mp.fdot(da, v[k - 1 :: -1]) / k
+            return w0(x.c[0])._mpf_
+        da.append(mpf_mul_int(a[k], k, prec, rnd))
+        return mpf_div(_dot(da, v[k - 1 :: -1], prec, rnd), from_int(k), prec, rnd)
 
     node = x._derive(rule)
-    v = v_of(node).c
+    v = v_of(node).m
     return node
 
 
 def _quotient_chain(x, w0, v):
     """w with w' = x' / v and w_0 = w0, where v is built before w."""
-    a, b = x.c, v.c
+    a, b, prec, rnd = x.m, v.m, x.tape.prec, x.tape.rnd
     dw = []  # j w_j, j = 1..k-1
 
     def rule(k):
         if k == 0:
-            return w0(a[0])
-        wk = (a[k] - mp.fdot(dw, b[k - 1 : 0 : -1]) / k) / b[0]
-        dw.append(k * wk)
+            return w0(x.c[0])._mpf_
+        t = mpf_div(_dot(dw, b[k - 1 : 0 : -1], prec, rnd), from_int(k), prec, rnd)
+        wk = mpf_div(mpf_sub(a[k], t, prec, rnd), b[0], prec, rnd)
+        dw.append(mpf_mul_int(wk, k, prec, rnd))
         return wk
 
     return x._derive(rule)

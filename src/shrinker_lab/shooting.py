@@ -16,7 +16,13 @@ runs out (r^2 grows by about 4 f'(lambda) ln 10 per decimal digit), not a
 perturbation that rigidity rules out.  Reproducing the closed form to large
 radius requires the high-precision Taylor path (``dps=...``): a
 degree-20 Taylor series method whose coefficients are Taylor-mode jets of the
-branch closed forms (:mod:`.jets`, ``tau.f_value_jet``/``f_inverse_jet``).
+branch closed forms (:mod:`.jets`, ``tau.f_value_jet``/``f_inverse_jet``),
+computed on libmp tuples at the working precision and handed back as mpf
+values.  Steps are joined in mpmath at 40 extra bits.  The profile is read
+in fixed point: each step's coefficients are held as integers on one
+power-of-two scale, 72 bits past the working precision relative to a bound
+on the step's largest term, and each sample is rounded once to float
+(``_shoot_mp``).
 
 One step rule, ``_radial_target``, checks every state either path reaches:
 the float right-hand side, each Taylor expansion point, each profile sample
@@ -36,6 +42,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import from_float, from_man_exp, mpf_gt, mpf_sub, round_nearest, to_float
 
 from . import jets
 from .fields import RadialProfileField
@@ -163,6 +170,7 @@ def _shoot_float(tp, n, u0, upp0, r_max, rel_tol):
 
 _DEGREE = 20
 _MIN_STEP = 1e-12
+_GUARD = 32  # bits the profile reader's fixed point keeps below fine_prec
 
 
 def _taylor_step(tp, n, r0, u0, p0, f_s_frozen):
@@ -183,6 +191,52 @@ def _taylor_step(tp, n, r0, u0, p0, f_s_frozen):
     return u.c, p.c
 
 
+def _step_index(starts_f, starts, r):
+    """max(bisect.bisect(starts, r) - 1, 0) for the exact starts (libmp tuples)
+    and a float r, from their floats ``starts_f``: the float of a start orders
+    it against every float but itself, where the exact test settles it."""
+    i = bisect.bisect(starts_f, r)
+    while i > 0 and starts_f[i - 1] == r and mpf_gt(starts[i - 1], from_float(r)):
+        i -= 1
+    return max(i - 1, 0)
+
+
+def _fixed_point(us, ps, radius, prec):
+    """A step's two series (lowest first, mpf) as integers on one scale 2^-S,
+    highest first: S = prec - M, M >= log2 max_j |c_j| radius^j over both."""
+    _, _, exp, bc = radius._mpf_  # radius < 2^(exp + bc)
+    top = max((c._mpf_[2] + c._mpf_[3] + j * (exp + bc) for cs in (us, ps) for j, c in enumerate(cs) if c),
+              default=0)
+    scale = prec - top
+
+    def ints(cs):
+        out = []
+        for c in reversed(cs):
+            sign, man, e, _ = c._mpf_
+            v = man << (e + scale) if e + scale >= 0 else man >> -(e + scale)
+            out.append(-v if sign else v)
+        return out
+
+    return scale, ints(us), ints(ps)
+
+
+def _horner(coeffs, hm, e):
+    """Horner's rule for integer coefficients (highest first) on a scale 2^-S
+    at h = hm 2^-e: the value on the same scale, each product floored."""
+    acc = 0
+    for c in coeffs:
+        acc = c + (acc * hm >> e)
+    return acc
+
+
+def _to_float(acc, scale):
+    """acc 2^-scale rounded once to the nearest float, as ``float(mpf)`` rounds."""
+    try:
+        return math.ldexp(acc, -scale)
+    except OverflowError:  # acc past the double range: scales above about 1000 bits
+        return to_float(from_man_exp(acc, -scale), rnd=round_nearest)
+
+
 def _shoot_mp(tp, n, u0, r_max, dps):
     """Arbitrary-precision Taylor path: Taylor-mode jets of the radial system.
 
@@ -194,11 +248,22 @@ def _shoot_mp(tp, n, u0, r_max, dps):
     Each step expands (u, p = u') to degree _DEGREE at the working precision
     and takes the step of mpmath's ``ode_taylor`` (as ``odefun`` calls it with
     tol = 10^-(dps-10)): radius min(1, (tol'/|c_d|)^(1/d))/2 over both series,
-    tol' = 2^-(floor(log2 10^(dps-10)) + 10).  Steps are joined, and the
-    profile evaluated, at 40 extra bits.  Every expansion
-    point goes through the float path's step rule ``_radial_target``, whose
-    error names the event; ``blow_up`` when |u| or |u'| passes _BLOW_UP_MAG
-    or the step radius falls below _MIN_STEP (a singularity ahead).
+    tol' = 2^-(floor(log2 10^(dps-10)) + 10).  Steps are joined with mpmath's
+    Horner at fine_prec = prec + 40 bits.  Every expansion point goes through
+    the float path's step rule ``_radial_target``, whose error names the
+    event; ``blow_up`` when |u| or |u'| passes _BLOW_UP_MAG or the step radius
+    falls below _MIN_STEP (a singularity ahead).
+
+    The profile reader works in fixed point.  Each step's two series are held
+    as integers on one scale 2^-S, S = fine_prec + _GUARD - M, where M is an
+    upper bound of log2 max_j |c_j| rho^j over both series and rho is the step
+    radius (bounding |c_j| alone would leave no bits for the low orders once
+    rho is small).  A read picks the step ``bisect.bisect`` picks on the exact
+    starts, forms h = r - start at fine_prec as hm 2^-e, runs Horner on the
+    integers, shifting each product right by e bits, and rounds once to float.
+    Its error, a few units of 2^-S, is under 2^(M - fine_prec) like the
+    rounding of mpmath's Horner at fine_prec, far below a float's last bit:
+    each sample is the float of mpmath's value there.
     """
     with mp.workdps(int(dps)):
         if isinstance(u0, str) or isinstance(u0, mp.mpf):
@@ -207,11 +272,13 @@ def _shoot_mp(tp, n, u0, r_max, dps):
             u0_mp = mp.mpf(float(u0))  # exact binary conversion
         upp0_mp = f_inverse_mp(tp, -u0_mp / n)
         fine_prec = mp.mp.prec + 40
+        rnd = mp.mp._prec_rounding[1]
         tol = mp.ldexp(1, -(int((int(dps) - 10) * math.log2(10.0)) + 10))
         f_s0 = f_value_mp(tp, upp0_mp)  # f(s) while s is frozen at u''(0)
         r0 = mp.mpf(_R_START)
         u, p = _series_state(u0_mp, upp0_mp, r0)
-        starts, polys = [], []  # expansion points; (u, u') coefficients, highest first
+        # per step: the start as a float and exactly, and (S, u and u' on 2^-S)
+        starts_f, starts, steps = [], [], []
         while True:
             try:
                 _radial_target(tp, n, r0, u, p, upp0_mp, f=f_value_mp)
@@ -223,11 +290,12 @@ def _shoot_mp(tp, n, u0, r_max, dps):
             if radius < _MIN_STEP:
                 event = ShotEvent("blow_up", float(r0), f"Taylor step {mp.nstr(radius, 3)} below {_MIN_STEP:g}")
                 break
-            starts.append(r0)
-            polys.append((us[::-1], ps[::-1]))
+            starts_f.append(float(r0))
+            starts.append(r0._mpf_)
+            steps.append(_fixed_point(us, ps, radius, fine_prec + _GUARD))
             r0 = r0 + radius
             with mp.workprec(fine_prec):
-                u, p = mp.polyval(polys[-1][0], radius), mp.polyval(polys[-1][1], radius)
+                u, p = mp.polyval(us[::-1], radius), mp.polyval(ps[::-1], radius)
             if r0 >= r_max:
                 event = ShotEvent("completed", float(r_max))
                 break
@@ -240,13 +308,17 @@ def _shoot_mp(tp, n, u0, r_max, dps):
             r = float(r)
             if r > r_end + 1e-12 * (1 + r_end):  # Trajectory.__call__'s slack
                 raise InputError(f"r={r} past the shot's end at {r_end}")
-            if r < _R_START or not polys:
+            if r < _R_START or not steps:
                 return _series_state(float(u0_mp), float(upp0_mp), r)
             r = min(r, r_end)
-            i = max(bisect.bisect(starts, r) - 1, 0)
-            with mp.workprec(fine_prec):
-                h = mp.mpf(r) - starts[i]
-                return float(mp.polyval(polys[i][0], h)), float(mp.polyval(polys[i][1], h))
+            i = _step_index(starts_f, starts, r)
+            sign, hm, exp, _ = mpf_sub(from_float(r), starts[i], fine_prec, rnd)
+            if sign:
+                hm = -hm
+            if exp > 0:
+                hm, exp = hm << exp, 0
+            scale, us, ps = steps[i]
+            return _to_float(_horner(us, hm, -exp), scale), _to_float(_horner(ps, hm, -exp), scale)
 
     return state, r_end, event
 
@@ -258,11 +330,13 @@ def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, *, dps=None, n_samples=40
     ----------
     dps : int, optional
         When given, integrate with degree-20 Taylor steps whose coefficients
-        are Taylor-mode jets of the equation at that many digits (40 guard
-        bits for joining steps and sampling).  Required to hold the (exponentially
-        unstable) quadratic trajectories to large radius; the float path is
-        the event-recording experimental tool.  Both paths end in the same
-        event kinds.
+        are Taylor-mode jets of the equation at that many digits.  Steps are
+        joined at 40 extra bits; samples are read in fixed point, 72 bits past
+        that precision relative to each step's largest term, and rounded once
+        to float.
+        Required to hold the (exponentially unstable) quadratic trajectories
+        to large radius; the float path is the event-recording experimental
+        tool.  Both paths end in the same event kinds.
 
     Raises
     ------

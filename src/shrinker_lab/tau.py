@@ -407,20 +407,31 @@ def admissible(tp, eigenvalues):
     return next((spec.tag for spec in tp.components if all(spec.lo < lam < spec.hi for lam in lams)), None)
 
 
+def _first_outside(tp, row):
+    """The first eigenvalue of an inadmissible spectrum that lies outside the
+    component of its first admissible one (its first, if none is admissible)."""
+    spec = next((s for lam in row for s in tp.components if s.lo < lam < s.hi), None)
+    if spec is None:
+        return row[0]
+    return next(lam for lam in row if not spec.lo < lam < spec.hi)
+
+
 def operator_value(tp, eigenvalues):
     """Sum of the scalar summand over a spectrum (the operator itself), or over
     each row of an (m, n) stack of spectra, as (m,).
 
     Each spectrum's one cone check is here, and the first inadmissible row
-    raises DomainError; each summand is then ``f_value``'s closed form without
-    its per-eigenvalue check, summed left to right row by row, bit for bit.
+    raises DomainError, whose ``value`` is that row's first eigenvalue outside
+    the component of its first admissible one; each summand is then
+    ``f_value``'s closed form without its per-eigenvalue check, summed left to
+    right row by row, bit for bit.
     """
     lams = np.asarray(eigenvalues, dtype=float)
     sums = []
     for row in np.atleast_2d(lams).tolist():
         if admissible(tp, row) is None:
             raise DomainError(f"spectrum {np.array(row)} inadmissible: not inside a single "
-                              f"{tp.branch.value} cone component", value=row[0])
+                              f"{tp.branch.value} cone component", value=_first_outside(tp, row))
         sums.append(float(sum(_f_closed(tp, lam, _FLOAT) for lam in row)))
     return np.array(sums) if lams.ndim == 2 else sums[0]
 

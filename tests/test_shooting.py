@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import mpmath as mp
@@ -5,12 +6,12 @@ import numpy as np
 import pytest
 
 import shrinker_lab as sl
-from shrinker_lab import InputError, TauParams
+from shrinker_lab import InputError, TauParams, shooting
 from shrinker_lab.numerics import RhsEvaluationError
 from shrinker_lab.shooting import _radial_target, radial_quadratic_reference, shoot_radial
 from shrinker_lab.tau import cone_spec, f_range, f_value, f_value_mp
 
-from conftest import branch_params
+from conftest import branch_params, same_bits
 
 # the six default branches and the lower components of LOG and HARM
 RULE_BRANCHES = {
@@ -221,3 +222,83 @@ class TestReadsPastTheEnd:
         for read in (prof.u, prof.du, prof.d2u, lambda r: prof.field.value([r, 0.0])):
             with pytest.raises(InputError, match="past|outside"):
                 read(past)
+
+
+class TestProfileReader:
+    """The fixed-point reader of the Taylor path against the mpmath one: on
+    the step ``bisect.bisect`` picks on the exact starts, each sample is
+    ``float(mp.polyval(poly, h))`` at 40 bits past the working precision."""
+
+    SLAG_BLOW_UP = (TauParams.special_lagrangian(), -1.4707963267948966, 50.0, 15)
+
+    @staticmethod
+    def _shot(monkeypatch, tp, u0, r_max, dps):
+        """A Taylor shot's reader, its end, and the start and (u, u')
+        polynomials (highest first) of each step, recorded as they are made."""
+        steps = []
+        taylor_step = shooting._taylor_step
+
+        def recording(*args):
+            us, ps = taylor_step(*args)
+            steps.append((args[2], us[::-1], ps[::-1]))
+            return us, ps
+
+        monkeypatch.setattr(shooting, "_taylor_step", recording)
+        state, r_end, event = shooting._shoot_mp(tp, 2, u0, r_max, dps)
+        if event.detail.startswith("Taylor step"):  # the last expansion was refused
+            steps.pop()
+        return state, r_end, event, steps
+
+    @staticmethod
+    def _radii(starts, r_end):
+        """shoot_radial's samples, each start's float and the floats either side."""
+        rs = np.linspace(0.0, r_end, 401).tolist()
+        for s in starts:
+            f = float(s)
+            rs += [math.nextafter(f, -math.inf), f, math.nextafter(f, math.inf)]
+        return [r for r in rs if shooting._R_START <= r <= r_end]
+
+    def _check(self, monkeypatch, tp, u0, r_max, dps):
+        state, r_end, event, steps = self._shot(monkeypatch, tp, u0, r_max, dps)
+        starts = [s for s, _, _ in steps]
+        with mp.workdps(dps):
+            fine = mp.mp.prec + 40
+        picked = set()
+        for r in self._radii(starts, r_end):
+            i = max(bisect.bisect(starts, r) - 1, 0)
+            picked.add(i)
+            with mp.workprec(fine):
+                h = mp.mpf(r) - starts[i]
+                want = float(mp.polyval(steps[i][1], h)), float(mp.polyval(steps[i][2], h))
+            assert same_bits(state(r), want), r
+            assert shooting._step_index([float(s) for s in starts], [s._mpf_ for s in starts], r) == i, r
+        assert picked == set(range(len(steps)))
+        return event
+
+    @pytest.mark.parametrize("branch", list(branch_params()))
+    def test_completed_shot(self, branch, monkeypatch):
+        tp = branch_params()[branch]
+        c = {"MA": 0.6, "LOG": 0.4, "HARM": 0.3, "ATAN": 0.4, "SLAG": 0.5, "NEG": 1.2}[branch]
+        event = self._check(monkeypatch, tp, quad_initial_value(tp, 2, c, 30), 10.0, 30)
+        assert event.completed
+
+    def test_blow_up_shot(self, monkeypatch):
+        # the step radius falls to ~1e-12 before the event, where bounding the
+        # coefficients without the radius loses the low orders
+        event = self._check(monkeypatch, *self.SLAG_BLOW_UP)
+        assert event.kind == "blow_up"
+
+    def test_step_index_settles_float_ties_exactly(self):
+        with mp.workprec(113):
+            starts = [mp.mpf(shooting._R_START), mp.mpf(0.5) - mp.ldexp(1, -80), mp.mpf(0.75) + mp.ldexp(1, -80)]
+        floats, exact = [float(s) for s in starts], [s._mpf_ for s in starts]
+        assert floats[1:] == [0.5, 0.75]  # one start rounds up to its float, one down
+        for r in (1e-8, 0.25, 0.5, 0.6, 0.75, 0.9, math.nextafter(0.5, 0), math.nextafter(0.75, 1)):
+            assert shooting._step_index(floats, exact, r) == max(bisect.bisect(starts, r) - 1, 0), r
+
+    def test_to_float_rounds_as_float_of_mpf(self):
+        # ties to even; the last three are integers too large for a float, as
+        # the fixed point's are above dps ~ 280
+        for acc, scale in ((2**60 + 2**7, 60), (2**60 + 3 * 2**7, 60), (-(3**40), 70),
+                           (3**700 + 1, 1100), (-(3**700), 1105), (2**1100 + 2**1047, 1100)):
+            assert shooting._to_float(acc, scale) == float(mp.ldexp(acc, -scale))

@@ -326,7 +326,18 @@ class TestOperator:
         spectra[17, 0] = math.nan
         with pytest.raises(DomainError, match="cone component") as err:
             operator_value(tp, spectra)
-        assert err.value.value == spectra[13, 0]
+        # the offending eigenvalue of the first bad row, not its admissible first entry
+        assert math.isnan(err.value.value)
+
+    def test_value_is_the_eigenvalue_that_leaves_the_component(self):
+        neg = TauParams.neg_branch(a=-2.0)  # the interval (0.268, 3.732)
+        log = TauParams.log_branch(math.pi / 6)  # upper: lam > -0.30, lower: lam < -3.36
+        for tp, row, bad in ((neg, [0.5, 10.0], 10.0), (neg, [0.5, 1.0, -1.0, 20.0], -1.0),
+                             (neg, [10.0, 0.5, 20.0], 10.0), (neg, [10.0, 20.0], 10.0),
+                             (log, [1.0, -5.0], -5.0), (log, [-5.0, 1.0], 1.0), (log, [-1.0, 2.0, -4.0], -1.0)):
+            with pytest.raises(DomainError, match="cone component") as err:
+                operator_value(tp, row)
+            assert err.value.value == bad, (tp.branch, row)
 
 
 class TestAdmissible:
