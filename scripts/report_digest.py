@@ -12,10 +12,11 @@ value, a CSV cell or an exit code:
     diff before.txt after.txt
 
 The list covers every subcommand, two sweeps at their default sizes, one
-sweep each on a branch chosen by ``--tau`` and by ``--a``, seven shots (one
-float shot, and six Taylor shots, one on each branch: five complete, one ends
-in ``blow_up``, so the Taylor path's naming and placing of an event is seen),
-and ten builds:
+sweep each on a branch chosen by ``--tau`` and by ``--a``, eight shots (one
+float shot and seven Taylor shots: one on each branch, five complete and one
+ending in ``blow_up``, so the Taylor path's naming and placing of an event is
+seen, and a second ``blow_up`` at a working precision below a double's), and
+ten builds:
 three tolerances, two spacelike (``--mss``) profiles, two whose cone margins
 are below the rounding of ``1 - x`` (taken from the log-odds and from s, they
 stay positive and both builds exit 0), one whose certificate reach is below
@@ -45,6 +46,8 @@ COMMANDS = [
     ["shoot", "--branch", "SLAG", "--n", "2", "--u0", "-1.4707963267948966"],
     ["shoot", "--branch", "MA", "--n", "2", "--u0", "0", "--rmax", "2", "--dps", "30"],
     ["shoot", "--branch", "SLAG", "--n", "2", "--u0", "-1.4707963267948966", "--dps", "15"],  # Taylor blow_up
+    # dps 12: the Taylor path at 43 bits, below a double's 53
+    ["shoot", "--branch", "SLAG", "--n", "2", "--u0", "-1.6207963267948966", "--rmax", "20", "--dps", "12"],
     # Taylor shots to r = 10 on the other branches: u0 = -2 f(c) at the top of
     # criterion 09's curvature range, dps as that criterion sizes it
     ["shoot", "--branch", "LOG", "--n", "2", "--u0", "1.7838516734293206", "--rmax", "10", "--dps", "36"],  # c = 0.8

@@ -252,14 +252,14 @@ def cmd_legendre_check(args):
     num = int(round(2 * span / step)) + 1
     results = {}
 
-    res = transforms.legendre_1d(QuadraticField(np.eye(1)), -span, span, num=num)
-    results["self_dual_involution"] = res.involution_defect
-
-    lam = 0.8
     tp = TauParams.harmonic()
-    sol = quadratics.build_quadratic(tp, np.array([[lam]]))
-    w = transforms.convexify_shift(tp, sol.field)
-    check = transforms.legendre_dual_residual(w, -span, span, grid_step=step)
+    w = transforms.convexify_shift(tp, quadratics.build_quadratic(tp, np.array([[0.8]])).field)
+    try:  # a grid too coarse for either check leaves it no sample
+        res = transforms.legendre_1d(QuadraticField(np.eye(1)), -span, span, num=num)
+        check = transforms.legendre_dual_residual(w, -span, span, grid_step=step)
+    except InputError as exc:
+        raise InputError(f"--grid-step {step} on --span {span}: {exc}") from exc
+    results["self_dual_involution"] = res.involution_defect
     results["dual_equation_sup"] = check.dual_equation_sup
     results["hessian_inverse_defect"] = check.hessian_inverse_defect
     results["phase_drift_sup"] = check.phase_drift_sup

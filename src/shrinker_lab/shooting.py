@@ -17,12 +17,11 @@ perturbation that rigidity rules out.  Reproducing the closed form to large
 radius requires the high-precision Taylor path (``dps=...``): a
 degree-20 Taylor series method whose coefficients are Taylor-mode jets of the
 branch closed forms (:mod:`.jets`, ``tau.f_value_jet``/``f_inverse_jet``),
-computed on libmp tuples at the working precision and handed back as mpf
-values.  Steps are joined in mpmath at 40 extra bits.  The profile is read
-in fixed point: each step's coefficients are held as integers on one
-power-of-two scale, 72 bits past the working precision relative to a bound
-on the step's largest term, and each sample is rounded once to float
-(``_shoot_mp``).
+computed and handed back as libmp tuples at the working precision.  Steps
+are joined in mpmath at 40 extra bits.  The profile is read in fixed point:
+each step's coefficients are held as integers on one power-of-two scale, 72
+bits past the working precision relative to a bound on the step's largest
+term, and each sample is rounded once to float (``_shoot_mp``).
 
 One step rule, ``_radial_target``, checks every state either path reaches:
 the float right-hand side, each Taylor expansion point, each profile sample
@@ -42,7 +41,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import from_float, from_man_exp, mpf_gt, mpf_sub, round_nearest, to_float
+from mpmath.libmp import from_float, from_int, from_man_exp, fzero, mpf_div, mpf_gt, mpf_sub, round_nearest, to_float
 
 from . import jets
 from .fields import RadialProfileField
@@ -177,17 +176,18 @@ def _taylor_step(tp, n, r0, u0, p0, f_s_frozen):
     """Degree-_DEGREE jets of (u, p) at r0 for u' = p, p' = f^{-1}(-u + r p/2 - (n-1) f(s)).
 
     s is p/r; at the series start, where p/r has a pole at r = 0 next to the
-    expansion point, f(s) is the constant ``f_s_frozen`` instead.
+    expansion point, f(s) is the constant ``f_s_frozen`` instead.  The
+    coefficients are libmp tuples, each u_{k+1}, p_{k+1} rounded as ``mpf / int``.
     """
     tape = jets.Tape()
-    u, p = tape.input([u0]), tape.input([p0])
-    r = tape.input([r0, 1] + [0] * (_DEGREE - 1))
+    u, p, r = tape.input([u0]), tape.input([p0]), tape.input([r0])
+    r.c += [from_int(1)] + [fzero] * (_DEGREE - 1)  # the series of r itself
     f_s = f_s_frozen if f_s_frozen is not None else f_value_jet(tp, p / r)
     g = f_inverse_jet(tp, (-u + r * p / 2) - (n - 1) * f_s)
     for k in range(_DEGREE):
         tape.advance(k)
-        u.c.append(p.c[k] / (k + 1))
-        p.c.append(g.c[k] / (k + 1))
+        u.c.append(mpf_div(p.c[k], from_int(k + 1), tape.prec, tape.rnd))
+        p.c.append(mpf_div(g.c[k], from_int(k + 1), tape.prec, tape.rnd))
     return u.c, p.c
 
 
@@ -202,17 +202,16 @@ def _step_index(starts_f, starts, r):
 
 
 def _fixed_point(us, ps, radius, prec):
-    """A step's two series (lowest first, mpf) as integers on one scale 2^-S,
-    highest first: S = prec - M, M >= log2 max_j |c_j| radius^j over both."""
+    """A step's two series (lowest first, libmp tuples) as integers on one scale
+    2^-S, highest first: S = prec - M, M >= log2 max_j |c_j| radius^j over both."""
     _, _, exp, bc = radius._mpf_  # radius < 2^(exp + bc)
-    top = max((c._mpf_[2] + c._mpf_[3] + j * (exp + bc) for cs in (us, ps) for j, c in enumerate(cs) if c),
+    top = max((c[2] + c[3] + j * (exp + bc) for cs in (us, ps) for j, c in enumerate(cs) if c != fzero),
               default=0)
     scale = prec - top
 
     def ints(cs):
         out = []
-        for c in reversed(cs):
-            sign, man, e, _ = c._mpf_
+        for sign, man, e, _ in reversed(cs):
             v = man << (e + scale) if e + scale >= 0 else man >> -(e + scale)
             out.append(-v if sign else v)
         return out
@@ -245,11 +244,13 @@ def _shoot_mp(tp, n, u0, r_max, dps):
     rigidity mechanism blows up near finite radius no matter the working
     precision.
 
-    Each step expands (u, p = u') to degree _DEGREE at the working precision
-    and takes the step of mpmath's ``ode_taylor`` (as ``odefun`` calls it with
-    tol = 10^-(dps-10)): radius min(1, (tol'/|c_d|)^(1/d))/2 over both series,
+    Each step expands (u, p = u') to degree _DEGREE at the working precision,
+    as libmp tuples, and takes the step of mpmath's ``ode_taylor`` (as
+    ``odefun`` calls it with tol = 10^-(dps-10)): radius
+    min(1, (tol'/|c_d|)^(1/d))/2 over both series,
     tol' = 2^-(floor(log2 10^(dps-10)) + 10).  Steps are joined with mpmath's
-    Horner at fine_prec = prec + 40 bits.  Every expansion point goes through
+    Horner at fine_prec = prec + 40 bits; only c_d and the joins' coefficients
+    are wrapped as mpf values.  Every expansion point goes through
     the float path's step rule ``_radial_target``, whose error names the
     event; ``blow_up`` when |u| or |u'| passes _BLOW_UP_MAG or the step radius
     falls below _MIN_STEP (a singularity ahead).
@@ -286,7 +287,8 @@ def _shoot_mp(tp, n, u0, r_max, dps):
                 event = ShotEvent(exc.label, float(r0), exc.detail)
                 break
             us, ps = _taylor_step(tp, n, r0, u, p, f_s0 if r0 < _R_SERIES else None)
-            radius = min([mp.mpf(1)] + [mp.root(tol / abs(c[-1]), _DEGREE) for c in (us, ps) if c[-1]]) / 2
+            radius = min([mp.mpf(1)] + [mp.root(tol / abs(mp.make_mpf(c[-1])), _DEGREE)
+                                        for c in (us, ps) if c[-1] != fzero]) / 2
             if radius < _MIN_STEP:
                 event = ShotEvent("blow_up", float(r0), f"Taylor step {mp.nstr(radius, 3)} below {_MIN_STEP:g}")
                 break
@@ -295,7 +297,7 @@ def _shoot_mp(tp, n, u0, r_max, dps):
             steps.append(_fixed_point(us, ps, radius, fine_prec + _GUARD))
             r0 = r0 + radius
             with mp.workprec(fine_prec):
-                u, p = mp.polyval(us[::-1], radius), mp.polyval(ps[::-1], radius)
+                u, p = (mp.polyval([mp.make_mpf(c) for c in reversed(cs)], radius) for cs in (us, ps))
             if r0 >= r_max:
                 event = ShotEvent("completed", float(r_max))
                 break

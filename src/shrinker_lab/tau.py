@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -245,6 +245,13 @@ def _sigmoid(s):
 
 
 def _mp_consts(tp):
+    return _mp_consts_at(tp, *mp.mp._prec_rounding)
+
+
+@lru_cache(maxsize=256)
+def _mp_consts_at(tp, prec, rounding):
+    """(a, b, sqrt(a^2 + 1)) as mpf values at the context's precision and
+    rounding, which are passed only to key the cache."""
     a, b = mp.mpf(repr(tp.a)), mp.mpf(repr(tp.b))
     return a, b, mp.sqrt(a * a + 1)
 

@@ -53,13 +53,16 @@ def legendre_1d(field, t0, t1, num=801, check_involution=True):
 
     y = w'(x),  w*(y) = x y - w(x); the inverse map comes from monotone
     inversion of w' per dual sample.  The involution defect re-transforms the
-    dual and reports the sup gap to the input over interior samples.
+    dual and reports the sup gap to the input over interior samples; it needs
+    ``num`` >= 5, so that one exists.
     """
     if field.dim != 1:
         raise InputError("legendre_1d expects a one-dimensional field")
     t0, t1 = float(t0), float(t1)
     if not t1 > t0:
         raise InputError(f"need t1 > t0, got [{t0}, {t1}]")
+    if check_involution and num < 5:
+        raise InputError(f"{num} samples leave the involution check no interior sample")
     xs = np.linspace(t0, t1, num)
     curv = np.array([field.hessian([x])[0, 0] for x in xs])
     bad = np.where(curv <= 0.0)[0]
@@ -117,7 +120,9 @@ def legendre_dual_residual(w_field, t0, t1, grid_step=1e-2):
     The dual must satisfy  sqrt(2) w*'' = <y, Dw*>/2 - w*; its Hessian must be
     the reciprocal of the primal one (verified against a central difference of
     the inverse map); and its phase h must satisfy the drift equation
-    tr D^2 h = K <y, Dh> with K = sqrt(2)/4.
+    tr D^2 h = K <y, Dh> with K = sqrt(2)/4, on the dual samples past a margin
+    of max(4, ceil(4e-3 / dy) + 2) samples at either end (dy the dual step); a
+    grid that leaves none is an InputError.
     """
     num = int(round((float(t1) - float(t0)) / grid_step)) + 1
     res = legendre_1d(w_field, t0, t1, num=num, check_involution=False)
@@ -132,6 +137,8 @@ def legendre_dual_residual(w_field, t0, t1, grid_step=1e-2):
 
     phi_field = CallableField(1, lambda y: phase(res.field, y), fd_step=min(1e-3, dy))
     margin = max(4, int(math.ceil(4 * 1e-3 / dy)) + 2)
+    if not len(ys) > 2 * margin:
+        raise InputError(f"{len(ys)} samples leave the drift check no sample {margin} from either end")
     drift_sup = 0.0
     for y in ys[margin:-margin]:
         r = weighted_laplace_residual(phi_field, math.sqrt(2.0) / 4.0, [y])

@@ -152,6 +152,16 @@ class TestExitCodes:
         assert run(tmp_path, *argv) == 65
         assert not (tmp_path / f"{argv[0]}.json").exists()
 
+    # 0.8 leaves the drift check no sample, 3 the involution check too; on a
+    # span of 1e-3 the drift check's 4e-3 margin leaves none at any step
+    @pytest.mark.parametrize("argv", [("--grid-step", "0.8"), ("--grid-step", "3"),
+                                      ("--span", "1e-3", "--grid-step", "1e-4")])
+    def test_empty_legendre_sweep_is_parameter_error(self, tmp_path, capsys, argv):
+        assert run(tmp_path, "legendre-check", *argv) == 65
+        err = capsys.readouterr().err
+        assert "--grid-step" in err and "--span" in err and "check no" in err
+        assert not (tmp_path / "legendre-check.json").exists()
+
     @pytest.mark.parametrize("flag, value", [("--a0", "nan"), ("--a1", "inf"), ("--a1", "nan")])
     def test_non_finite_phase_data_is_parameter_error(self, tmp_path, flag, value):
         assert run(tmp_path, "build-counterexample", flag, value) == 65

@@ -1,15 +1,17 @@
 """Taylor-mode jets on libmp tuples against the same recurrences on mpf operators.
 
 ``_RefTape`` and ``_RefJet`` below are the jets written with mpf objects:
-every coefficient an ``mpf`` operator or an ``mp.fdot``.  ``jets`` must give
-every coefficient bit for bit as they do, through ``tau``'s closed forms and
-through one shooting Taylor step.
+every coefficient an ``mpf`` operator or an ``mp.fdot``, and
+``_RefTape.taylor_step`` is a shooting Taylor step on them.  ``jets`` must
+give every coefficient's libmp tuple bit for bit as they do, through ``tau``'s
+closed forms and through one shooting Taylor step.
 """
 
 from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import fzero
 
 from shrinker_lab import jets, shooting, tau
 from shrinker_lab.tau import f_inverse_jet, f_inverse_mp, f_value_jet, f_value_mp
@@ -31,6 +33,20 @@ class _RefTape:
     def advance(self, k):
         for node in self.nodes:
             node.c.append(node.rule(k))
+
+    @classmethod
+    def taylor_step(cls, tp, n, r0, u0, p0, f_s_frozen):
+        """``shooting._taylor_step`` with mpf operators."""
+        tape = cls()
+        u, p = tape.input([u0]), tape.input([p0])
+        r = tape.input([r0, 1] + [0] * (DEGREE - 1))
+        f_s = f_s_frozen if f_s_frozen is not None else ref_f_value_jet(tp, p / r)
+        g = ref_f_inverse_jet(tp, (-u + r * p / 2) - (n - 1) * f_s)
+        for k in range(DEGREE):
+            tape.advance(k)
+            u.c.append(p.c[k] / (k + 1))
+            p.c.append(g.c[k] / (k + 1))
+        return u.c, p.c
 
 
 class _RefJet:
@@ -184,12 +200,12 @@ class TestAgainstMpfOperators:
             for new, ref, x0 in ((f_value_jet, ref_f_value_jet, lam), (f_inverse_jet, ref_f_inverse_jet, y)):
                 for x0_, rest in ((x0, unit), (guarded(x0), full)):
                     want = bits(series(REF, ref, tp, x0_, rest))
-                    got = bits(series(jets, new, tp, x0_, rest))
+                    got = series(jets, new, tp, x0_, rest)
                     assert got == want, (new.__name__, dps)
 
     @pytest.mark.parametrize("frozen", [False, True])
     @pytest.mark.parametrize("branch", list(POINTS))
-    def test_taylor_step_bit_for_bit(self, branch, frozen, monkeypatch):
+    def test_taylor_step_bit_for_bit(self, branch, frozen):
         tp = branch_params()[branch]
         with mp.workdps(30):
             c = mp.mpf(POINTS[branch])
@@ -199,15 +215,17 @@ class TestAgainstMpfOperators:
             p0 = guarded(c * r0 * (1 + mp.mpf("1e-3")))
             f_s = f_value_mp(tp, f_inverse_mp(tp, -u0 / 2)) if frozen else None
             got = shooting._taylor_step(tp, 2, r0, u0, p0, f_s)
-            monkeypatch.setattr(shooting, "jets", REF)
-            monkeypatch.setattr(shooting, "f_value_jet", ref_f_value_jet)
-            monkeypatch.setattr(shooting, "f_inverse_jet", ref_f_inverse_jet)
-            want = shooting._taylor_step(tp, 2, r0, u0, p0, f_s)
+            want = _RefTape.taylor_step(tp, 2, r0, u0, p0, f_s)
         assert len(got[0]) == len(got[1]) == DEGREE + 1
-        assert bits(got[0]) == bits(want[0]) and bits(got[1]) == bits(want[1])
+        assert got[0] == bits(want[0]) and got[1] == bits(want[1])
 
-    def test_coefficients_are_mpf(self):
-        # callers read Jet.c as mpf values, inputs' integers included
+    def test_coefficients_are_libmp_tuples(self):
+        # one step of the HARM constant profile (n = 1, u = sqrt(2)): every
+        # coefficient past u_0 is an exact zero, held as a libmp tuple too
+        tp = branch_params()["HARM"]
         with mp.workdps(30):
-            c = series(jets, f_value_jet, branch_params()["HARM"], mp.mpf("0.2"), [1] + [0] * (DEGREE - 1))
-        assert all(type(x) is mp.mpf for x in c)
+            steps = shooting._taylor_step(tp, 1, mp.mpf(0.5), -f_value_mp(tp, mp.mpf(0)), mp.mpf(0), None)
+        us, ps = steps
+        assert len(us) == len(ps) == DEGREE + 1
+        assert us[1:] == [fzero] * DEGREE and ps == [fzero] * (DEGREE + 1)
+        assert all(type(x) is tuple and len(x) == 4 for cs in steps for x in cs)

@@ -4,6 +4,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from mpmath.libmp import from_man_exp, fzero
 
 import shrinker_lab as sl
 from shrinker_lab import InputError, TauParams, shooting
@@ -240,7 +241,7 @@ class TestProfileReader:
 
         def recording(*args):
             us, ps = taylor_step(*args)
-            steps.append((args[2], us[::-1], ps[::-1]))
+            steps.append((args[2], [mp.make_mpf(c) for c in us[::-1]], [mp.make_mpf(c) for c in ps[::-1]]))
             return us, ps
 
         monkeypatch.setattr(shooting, "_taylor_step", recording)
@@ -302,3 +303,10 @@ class TestProfileReader:
         for acc, scale in ((2**60 + 2**7, 60), (2**60 + 3 * 2**7, 60), (-(3**40), 70),
                            (3**700 + 1, 1100), (-(3**700), 1105), (2**1100 + 2**1047, 1100)):
             assert shooting._to_float(acc, scale) == float(mp.ldexp(acc, -scale))
+
+    def test_fixed_point_scale_skips_exact_zeros(self):
+        # a libmp tuple is truthy even when it is zero; only 2^-100 may set M
+        tiny = from_man_exp(1, -100)
+        scale, us, ps = shooting._fixed_point([tiny] + [fzero] * 20, [fzero] * 21, mp.mpf(0.5), 200)
+        assert scale == 200 - (-100 + 1)
+        assert us == [0] * 20 + [1 << 199] and ps == [0] * 21
