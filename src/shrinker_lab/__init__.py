@@ -41,7 +41,6 @@ from .tau import (
     operator_value,
     phase,
     shrinker_residual,
-    weighted_laplace_residual,
 )
 from .geometry import (
     induced_metric,

@@ -19,7 +19,6 @@ from . import geometry, quadratics, reports, shooting, transforms
 from .constructor import (
     MAX_GRID_POINTS, build_counterexample, build_mss_counterexample, profile_grid, profile_span,
 )
-from .fields import QuadraticField
 from .numerics import ConstructionError, DomainError, InputError
 from .tau import TauParams
 
@@ -249,17 +248,15 @@ def cmd_legendre_check(args):
     step, span = args.grid_step, args.span
     if not 2 * span / step + 1 <= MAX_GRID_POINTS:
         raise InputError(f"--grid-step {step} puts more than {MAX_GRID_POINTS} points on --span {span}")
-    num = int(round(2 * span / step)) + 1
     results = {}
 
     tp = TauParams.harmonic()
     w = transforms.convexify_shift(tp, quadratics.build_quadratic(tp, np.array([[0.8]])).field)
     try:  # a grid too coarse for either check leaves it no sample
-        res = transforms.legendre_1d(QuadraticField(np.eye(1)), -span, span, num=num)
         check = transforms.legendre_dual_residual(w, -span, span, grid_step=step)
     except InputError as exc:
         raise InputError(f"--grid-step {step} on --span {span}: {exc}") from exc
-    results["self_dual_involution"] = res.involution_defect
+    results["self_dual_involution"] = check.transform.involution_defect
     results["dual_equation_sup"] = check.dual_equation_sup
     results["hessian_inverse_defect"] = check.hessian_inverse_defect
     results["phase_drift_sup"] = check.phase_drift_sup

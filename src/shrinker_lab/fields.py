@@ -211,7 +211,7 @@ def _local_cubic(ts, vals, t):
 
 
 class Table1DField(ScalarField):
-    """1-D field from tabulated (value, slope, curvature) on a uniform grid.
+    """1-D field from (value, slope, curvature) on strictly increasing nodes of any spacing.
 
     Value uses the two-point quintic Hermite; the slope uses the cubic Hermite
     of (slope, curvature); the curvature is interpolated by a local cubic, or

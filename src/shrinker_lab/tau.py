@@ -42,7 +42,6 @@ __all__ = [
     "shrinker_residual",
     "drift_residual",
     "growth_ratio",
-    "weighted_laplace_residual",
     "minkowski_residual",
 ]
 
@@ -524,15 +523,6 @@ def growth_ratio(tp, field, theta, r):
     dq_dr = (qp - qm) / (2.0 * h)
     F = operator_value(tp, eig_sym(field.hessian(r * theta)))
     return GrowthRatio(q, dq_dr, dq_dr - 2.0 * F / r**3)
-
-
-def weighted_laplace_residual(field, K, x):
-    """Drift residual  tr D^2 h - K <x, Dh>  from the field's gradient and
-    Hessian."""
-    if not K > 0:
-        raise InputError(f"need K > 0, got {K}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(np.trace(field.hessian(x))) - K * float(x @ field.gradient(x))
 
 
 def minkowski_residual(field, x):

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import AffineScaledField, CallableField, Table1DField
-from .numerics import DomainError, InputError, eig_sym, invert_monotone
-from .tau import Branch, phase, operator_value, weighted_laplace_residual
+from .fields import AffineScaledField, Table1DField
+from .numerics import DomainError, InputError, eig_sym
+from .tau import Branch, phase, operator_value
 
 __all__ = [
     "Transform1DResult",
@@ -33,11 +33,12 @@ __all__ = [
 
 @dataclass
 class Transform1DResult:
-    """Legendre dual of a strictly convex 1-D potential on a grid.
+    """Legendre dual of a strictly convex 1-D potential, tabulated on the
+    primal nodes.
 
-    ``inverse_map[i]`` is the point x with w'(x) = y_grid[i]; the dual field
-    carries exact-at-sample values, slopes (= inverse map), and curvatures
-    (= 1/w''(x(y))).
+    ``inverse_map[i]`` is the primal node x_i, and ``y_grid[i]`` = w'(x_i) its
+    dual node; the dual field carries exact-at-sample values, slopes (= the
+    primal nodes) and curvatures (= 1/w''(x_i)).
     """
 
     y_grid: np.ndarray
@@ -51,56 +52,44 @@ class Transform1DResult:
 def legendre_1d(field, t0, t1, num=801, check_involution=True):
     """Legendre transform of a strictly convex 1-D field on [t0, t1].
 
-    y = w'(x),  w*(y) = x y - w(x); the inverse map comes from monotone
-    inversion of w' per dual sample.  The involution defect re-transforms the
-    dual and reports the sup gap to the input over interior samples; it needs
-    ``num`` >= 5, so that one exists.
+    Reads w, w' and w'' once at each of ``num`` uniform nodes x_i and stores
+    y_i = w'(x_i), w*(y_i) = x_i y_i - w(x_i), slope x_i and curvature
+    1/w''(x_i); no inversion is needed.  A w'' that is not positive, or a w'
+    that does not strictly increase from node to node, is a DomainError.  The
+    involution defect re-transforms the dual on ``num`` uniform dual nodes and
+    reports the sup gap to the input at the midpoints of the primal cells from
+    x_2 to x_{num-3}, between the nodes of both tables; it needs ``num`` >= 6,
+    so that one exists.
     """
     if field.dim != 1:
         raise InputError("legendre_1d expects a one-dimensional field")
     t0, t1 = float(t0), float(t1)
     if not t1 > t0:
         raise InputError(f"need t1 > t0, got [{t0}, {t1}]")
-    if check_involution and num < 5:
+    if check_involution and num < 6:
         raise InputError(f"{num} samples leave the involution check no interior sample")
     xs = np.linspace(t0, t1, num)
+    vals = np.array([field.value([x]) for x in xs])
+    ys = np.array([field.gradient([x])[0] for x in xs])
     curv = np.array([field.hessian([x])[0, 0] for x in xs])
-    bad = np.where(curv <= 0.0)[0]
+    bad = np.flatnonzero(curv <= 0.0)
     if len(bad):
         x, c = float(xs[bad[0]]), float(curv[bad[0]])
         raise DomainError(f"w''({x}) = {c} <= 0: not strictly convex", value=c, location=x)
-
-    def wprime(x):
-        return float(field.gradient([x])[0])
-
-    y0, y1 = wprime(t0), wprime(t1)
-    ys = np.linspace(y0, y1, num)
-    x_of_y = np.empty(num)
-    x_of_y[0] = t0
-    x_of_y[-1] = t1
-    seed = t0
-    for i in range(1, num - 1):
-        seed = invert_monotone(
-            wprime,
-            ys[i],
-            t0,
-            t1,
-            dfn=lambda x: float(field.hessian([x])[0, 0]),
-            seed=seed,
-        )
-        x_of_y[i] = seed
-    dual_vals = np.array([x_of_y[i] * ys[i] - field.value([x_of_y[i]]) for i in range(num)])
-    dual_hess = np.array([1.0 / float(field.hessian([x])[0, 0]) for x in x_of_y])
-    dual_field = Table1DField(ys, dual_vals, x_of_y, dual_hess)
-    result = Transform1DResult(ys, dual_vals, x_of_y, dual_hess, dual_field)
+    rise = np.diff(ys)
+    bad = np.flatnonzero(rise <= 0.0)
+    if len(bad):
+        x, r = float(xs[bad[0] + 1]), float(rise[bad[0]])
+        raise DomainError(f"w' rises by {r} <= 0 into x = {x}: not strictly convex", value=r, location=x)
+    dual_vals = xs * ys - vals
+    dual_hess = 1.0 / curv
+    result = Transform1DResult(ys, dual_vals, xs, dual_hess, Table1DField(ys, dual_vals, xs, dual_hess))
 
     if check_involution:
-        back = legendre_1d(dual_field, y0, y1, num=num, check_involution=False)
-        interior = slice(2, num - 2)
-        defect = 0.0
-        for x in xs[interior]:
-            defect = max(defect, abs(back.field.value([x]) - field.value([x])))
-        result.involution_defect = float(defect)
+        back = legendre_1d(result.field, ys[0], ys[-1], num=num, check_involution=False)
+        mids = 0.5 * (xs[2 : num - 3] + xs[3 : num - 2])
+        want = np.array([field.value([x]) for x in mids])
+        result.involution_defect = float(np.max(np.abs(back.field.value(mids[:, None]) - want)))
     return result
 
 
@@ -117,33 +106,37 @@ class DualEquationCheck:
 def legendre_dual_residual(w_field, t0, t1, grid_step=1e-2):
     """Check the dual of a 1-D solution of the reciprocal-sum equation.
 
-    The dual must satisfy  sqrt(2) w*'' = <y, Dw*>/2 - w*; its Hessian must be
-    the reciprocal of the primal one (verified against a central difference of
-    the inverse map); and its phase h must satisfy the drift equation
-    tr D^2 h = K <y, Dh> with K = sqrt(2)/4, on the dual samples past a margin
-    of max(4, ceil(4e-3 / dy) + 2) samples at either end (dy the dual step); a
-    grid that leaves none is an InputError.
+    One ``legendre_1d`` call on the nodes ``grid_step`` apart (a step that is
+    not finite and positive is an InputError) gives the dual and its
+    involution defect.  The dual must satisfy  sqrt(2) w*'' = <y, Dw*>/2 - w*;
+    its Hessian must be the reciprocal of the primal one (checked against
+    (x_{i+1} - x_{i-1}) / (y_{i+1} - y_{i-1})); and its phase h must satisfy
+    the drift equation  tr D^2 h = K <y, Dh>  with K = sqrt(2)/4.  The drift
+    check takes central differences of step h = min(1e-3, dy), dy the smallest
+    dual spacing, from three phase reads of the dual table at y - h, y and
+    y + h, on the dual nodes past a margin of max(4, ceil(4e-3 / dy) + 2)
+    nodes at either end; a grid that leaves none is an InputError.
     """
+    if not 0.0 < grid_step < math.inf:
+        raise InputError(f"grid_step must be finite and positive, got {grid_step}")
     num = int(round((float(t1) - float(t0)) / grid_step)) + 1
-    res = legendre_1d(w_field, t0, t1, num=num, check_involution=False)
+    res = legendre_1d(w_field, t0, t1, num=num)
     ys, vals, xs, hess = res.y_grid, res.dual_values, res.inverse_map, res.dual_hessian
 
-    dual_eq = np.abs(math.sqrt(2.0) * hess - (0.5 * ys * xs - vals))
-    dual_equation_sup = float(np.max(dual_eq))
+    dual_equation_sup = float(np.max(np.abs(math.sqrt(2.0) * hess - (0.5 * ys * xs - vals))))
 
-    dy = ys[1] - ys[0]
-    fd_hess = (xs[2:] - xs[:-2]) / (2.0 * dy)
+    fd_hess = (xs[2:] - xs[:-2]) / (ys[2:] - ys[:-2])
     hessian_inverse_defect = float(np.max(np.abs(fd_hess - hess[1:-1])))
 
-    phi_field = CallableField(1, lambda y: phase(res.field, y), fd_step=min(1e-3, dy))
+    dy = float(np.min(np.diff(ys)))
+    h = min(1e-3, dy)
     margin = max(4, int(math.ceil(4 * 1e-3 / dy)) + 2)
     if not len(ys) > 2 * margin:
         raise InputError(f"{len(ys)} samples leave the drift check no sample {margin} from either end")
-    drift_sup = 0.0
-    for y in ys[margin:-margin]:
-        r = weighted_laplace_residual(phi_field, math.sqrt(2.0) / 4.0, [y])
-        drift_sup = max(drift_sup, abs(r))
-    return DualEquationCheck(dual_equation_sup, hessian_inverse_defect, drift_sup, res)
+    y = ys[margin:-margin, None]
+    lo, mid, hi = phase(res.field, y - h), phase(res.field, y), phase(res.field, y + h)
+    drift = (hi - 2.0 * mid + lo) / (h * h) - math.sqrt(2.0) / 4.0 * (y[:, 0] * ((hi - lo) / (2.0 * h)))
+    return DualEquationCheck(dual_equation_sup, hessian_inverse_defect, float(np.max(np.abs(drift))), res)
 
 
 def convexify_shift(tp, field):

@@ -28,7 +28,6 @@ from shrinker_lab.tau import (
     f_value_jet,
     f_value_mp,
     minkowski_residual,
-    weighted_laplace_residual,
 )
 from shrinker_lab.quadratics import _eigenvalue_window, random_admissible_matrix
 from conftest import branch_params, same_bits, with_lower_cones
@@ -514,28 +513,6 @@ class TestGrowthRatio:
             sl.growth_ratio(tp, field, np.array([1.0, 0.0]), 0.0)
         with pytest.raises(InputError):
             sl.growth_ratio(tp, field, np.array([2.0, 0.0]), 1.0)
-
-
-class TestWeightedLaplace:
-    def test_constant_is_zero(self):
-        field = QuadraticField(np.zeros((3, 3)), 4.0)
-        assert weighted_laplace_residual(field, 1.0, np.array([1.0, 0.5, -0.2])) == 0.0
-
-    def test_radial_closed_form(self, rng):
-        # h = |x|^2/2: residual n - K |x|^2
-        n = 3
-        field = QuadraticField(np.eye(n), 0.0)
-        for _ in range(20):
-            K = float(rng.uniform(0.1, 3.0))
-            x = rng.uniform(-2, 2, n)
-            r = float(np.linalg.norm(x))
-            want = n - K * r**2
-            assert weighted_laplace_residual(field, K, x) == pytest.approx(want, abs=1e-12 * max(1.0, abs(want)))
-
-    def test_parameter_validation(self):
-        field = QuadraticField(np.eye(2), 0.0)
-        with pytest.raises(InputError):
-            weighted_laplace_residual(field, 0.0, np.ones(2))
 
 
 class _CloudHessianQuadratic(QuadraticField):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import shrinker_lab as sl
-from shrinker_lab import TauParams
+from shrinker_lab import TauParams, transforms
 from shrinker_lab.fields import CallableField, QuadraticField
-from shrinker_lab.numerics import DomainError, InputError
+from shrinker_lab.numerics import DomainError, InputError, fd_gradient, fd_hessian
 from shrinker_lab.transforms import (
     convexify_shift,
     legendre_1d,
@@ -66,6 +66,23 @@ class TestLegendre:
         res = legendre_1d(w, -2.0, 2.0, num=801)
         assert res.involution_defect <= 1e-9
 
+    def test_involution_read_between_nodes(self):
+        # value x^2/2 and slope x agree at every node, but a curvature of 1.1
+        # bends the Hermite interpolants between them: h^2 (1.1 - 1)/32 at a
+        # midpoint, 1.25e-6 on this grid, and 0 at the nodes themselves
+        w = CallableField(
+            1,
+            lambda p: 0.5 * p[0] ** 2,
+            grad=lambda p: np.array([p[0]]),
+            hess=lambda p: np.array([[1.1]]),
+        )
+        assert legendre_1d(w, -2.0, 2.0, num=201).involution_defect > 1e-9
+
+    def test_involution_needs_an_interior_cell(self):
+        with pytest.raises(InputError, match="involution"):
+            legendre_1d(quad_1d(), -1.0, 1.0, num=5)
+        assert legendre_1d(quad_1d(), -1.0, 1.0, num=6).involution_defect <= 1e-15
+
     def test_one_dimensional_only(self):
         with pytest.raises(InputError):
             legendre_1d(QuadraticField(np.eye(2)), -1.0, 1.0)
@@ -82,6 +99,19 @@ class TestLegendre:
         assert -1.0 <= exc.value.location <= 1.0
         assert exc.value.value <= 0.0
 
+    def test_decreasing_slope_located(self):
+        # a positive w'' with a w' that falls from node to node
+        w = CallableField(
+            1,
+            lambda p: -0.5 * p[0] ** 2,
+            grad=lambda p: np.array([-p[0]]),
+            hess=lambda p: np.array([[1.0]]),
+        )
+        with pytest.raises(DomainError, match="not strictly convex") as exc:
+            legendre_1d(w, -1.0, 1.0, num=11)
+        assert exc.value.location == pytest.approx(-0.8)
+        assert exc.value.value < 0.0
+
 
 class TestDualResidual:
     def test_harm_quadratic_dual(self):
@@ -92,6 +122,47 @@ class TestDualResidual:
         assert chk.dual_equation_sup <= 1e-8
         assert chk.hessian_inverse_defect <= 1e-8
         assert chk.phase_drift_sup <= 1e-5
+
+    @pytest.mark.parametrize("lam", [0.3, 0.8, 1.7])
+    def test_drift_is_the_per_sample_central_difference(self, lam, monkeypatch):
+        # criterion 07's quadratics: the drift residuals, taken here one dual
+        # sample at a time from fd_hessian and fd_gradient of the phase, at
+        # the check's own step and margin, give its sup bit for bit; the
+        # check reads the phase at exactly those samples, shifted by -h, 0, h
+        clouds = []
+
+        def spy(field, x):
+            clouds.append(tuple(x[:, 0]))
+            return sl.phase(field, x)
+
+        monkeypatch.setattr(transforms, "phase", spy)
+        tp = TauParams.harmonic()
+        w = convexify_shift(tp, sl.build_quadratic(tp, np.array([[lam]])).field)
+        chk = legendre_dual_residual(w, -2.0, 2.0, grid_step=1e-2)
+        ys = chk.transform.y_grid
+        dy = float(np.min(np.diff(ys)))
+        h = min(1e-3, dy)
+        margin = max(4, int(math.ceil(4 * 1e-3 / dy)) + 2)
+        inner = ys[margin:-margin]
+        assert sorted(clouds) == sorted(tuple(inner + s) for s in (-h, 0.0, h))
+
+        def phi(p):
+            return sl.phase(chk.transform.field, p)
+
+        want = 0.0
+        for y in ys[margin:-margin]:
+            x = np.array([y])
+            r = float(fd_hessian(phi, x, h)[0, 0]) - SQRT2 / 4.0 * float(x @ fd_gradient(phi, x, h))
+            want = max(want, abs(r))
+        assert chk.phase_drift_sup == want
+        assert 0.0 < want <= 5e-9
+
+    @pytest.mark.parametrize("step", [0.0, -0.01, math.nan])
+    def test_grid_step_must_be_finite_and_positive(self, step):
+        tp = TauParams.harmonic()
+        w = convexify_shift(tp, sl.build_quadratic(tp, np.array([[0.8]])).field)
+        with pytest.raises(InputError, match="grid_step must be finite and positive"):
+            legendre_dual_residual(w, -2.0, 2.0, grid_step=step)
 
     def test_dual_hessian_is_reciprocal(self):
         tp = TauParams.harmonic()
