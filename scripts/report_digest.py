@@ -12,11 +12,13 @@ value, a CSV cell or an exit code:
     diff before.txt after.txt
 
 The list covers every subcommand, two sweeps at their default sizes, one
-sweep each on a branch chosen by ``--tau`` and by ``--a``, eight shots (one
-float shot and seven Taylor shots: one on each branch, five complete and one
-ending in ``blow_up``, so the Taylor path's naming and placing of an event is
-seen, and a second ``blow_up`` at a working precision below a double's), and
-ten builds:
+sweep each on a branch chosen by ``--tau`` and by ``--a``, thirteen shots
+(six float shots from perturbed quadratic data, one on each branch, four
+ending in an event and two complete, so every branch's float f, f^-1 and
+profile sampler is seen; and seven Taylor shots: one on each branch, five
+complete and one ending in ``blow_up``, so the Taylor path's naming and
+placing of an event is seen, and a second ``blow_up`` at a working precision
+below a double's), and ten builds:
 three tolerances, two spacelike (``--mss``) profiles, two whose cone margins
 are below the rounding of ``1 - x`` (taken from the log-odds and from s, they
 stay positive and both builds exit 0), one whose certificate reach is below
@@ -44,6 +46,13 @@ COMMANDS = [
     ["defect", "--a", "-3", "--n", "3", "--trials", "10", "--seed", "9"],  # TauParams.from_cot
     ["legendre-check", "--grid-step", "0.02"],
     ["shoot", "--branch", "SLAG", "--n", "2", "--u0", "-1.4707963267948966"],
+    # float shots from perturbed quadratic data on the other branches: u0 =
+    # -2 f(c) + du0 with scripts/rigidity_events.py's (tp, c, du0)
+    ["shoot", "--branch", "MA", "--n", "2", "--u0", "0.4231435513142097", "--rmax", "50"],  # du0 = +0.2
+    ["shoot", "--branch", "LOG", "--n", "2", "--u0", "2.4807800636465043", "--rmax", "50"],  # +0.05, event
+    ["shoot", "--branch", "HARM", "--n", "2", "--u0", "2.62842712474619", "--rmax", "50"],  # -0.2, event
+    ["shoot", "--branch", "ATAN", "--n", "2", "--u0", "0.4306019663449764", "--rmax", "50"],  # -0.05, event
+    ["shoot", "--branch", "NEG", "--n", "2", "--u0", "0.2", "--rmax", "50"],  # +0.2
     ["shoot", "--branch", "MA", "--n", "2", "--u0", "0", "--rmax", "2", "--dps", "30"],
     ["shoot", "--branch", "SLAG", "--n", "2", "--u0", "-1.4707963267948966", "--dps", "15"],  # Taylor blow_up
     # dps 12: the Taylor path at 43 bits, below a double's 53

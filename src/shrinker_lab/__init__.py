@@ -32,7 +32,6 @@ from .tau import (
     TauParams,
     admissible,
     cone_spec,
-    drift_residual,
     f_derivative,
     f_inverse,
     f_value,

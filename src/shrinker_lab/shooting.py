@@ -21,7 +21,9 @@ computed and handed back as libmp tuples at the working precision.  Steps
 are joined in mpmath at 40 extra bits.  The profile is read in fixed point:
 each step's coefficients are held as integers on one power-of-two scale, 72
 bits past the working precision relative to a bound on the step's largest
-term, and each sample is rounded once to float (``_shoot_mp``).
+term, and each sample is rounded once to float (``_shoot_mp``).  The float
+path samples its profile in one batched ``Trajectory.evaluate`` read, bit for
+bit the per-radius reads of the profile it returns (``_shoot_float``).
 
 One step rule, ``_radial_target``, checks every state either path reaches:
 the float right-hand side, each Taylor expansion point, each profile sample
@@ -38,6 +40,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import mpmath as mp
 import numpy as np
@@ -73,6 +76,7 @@ class RadialProfile:
     tp: object
     n: int
     u0: float
+    upp0: float  # u''(0): the step rule's transverse eigenvalue below _R_SERIES
     rs: np.ndarray
     us: np.ndarray
     ups: np.ndarray
@@ -88,7 +92,7 @@ class RadialProfile:
 
     def d2u(self, r):
         u, up = self.state(float(r))
-        return f_inverse(self.tp, _radial_target(self.tp, self.n, r, u, up, self.upps[0]))
+        return f_inverse(self.tp, _radial_target(self.tp, self.n, r, u, up, self.upp0))
 
     @property
     def field(self):
@@ -129,12 +133,9 @@ def radial_quadratic_reference(tp, n, c, r_max=10.0, n_samples=401):
         raise DomainError(f"curvature {c} outside the selected cone component", value=c)
     const = -n * f_value(tp, c)
     rs = np.linspace(0.0, float(r_max), n_samples)
-    us = 0.5 * c * rs**2 + const
-    ups = c * rs
-    upps = np.full_like(rs, c)
     return RadialProfile(
-        tp, int(n), float(const), rs, us, ups, upps, ShotEvent("completed", float(r_max)),
-        lambda r: (0.5 * c * r * r + const, c * r),
+        tp, int(n), float(const), c, rs, 0.5 * c * rs**2 + const, c * rs, np.full_like(rs, c),
+        ShotEvent("completed", float(r_max)), lambda r: (0.5 * c * r * r + const, c * r),
     )
 
 
@@ -144,9 +145,7 @@ def _shoot_float(tp, n, u0, upp0, r_max, rel_tol):
         return [up, f_inverse(tp, _radial_target(tp, n, r, u, up, upp0))]
 
     def stop(r, y):
-        if abs(y[0]) > _BLOW_UP_MAG or abs(y[1]) > _BLOW_UP_MAG:
-            return "blow_up"
-        return None
+        return "blow_up" if abs(y[0]) > _BLOW_UP_MAG or abs(y[1]) > _BLOW_UP_MAG else None
 
     y0 = _series_state(u0, upp0, _R_START)
     traj = integrate_ode(rhs, y0, (_R_START, float(r_max)), rel_tol, stop_condition=stop)
@@ -164,7 +163,13 @@ def _shoot_float(tp, n, u0, upp0, r_max, rel_tol):
             return _series_state(u0, upp0, r)
         return tuple(traj(r))
 
-    return state, float(traj.t_end), event
+    def states(rs):  # one batched read, row i bit for bit state(rs[i])
+        out = traj.evaluate(rs)
+        for i in np.flatnonzero(rs < _R_START):
+            out[i] = _series_state(u0, upp0, rs[i])
+        return out
+
+    return state, float(traj.t_end), event, states
 
 
 _DEGREE = 20
@@ -360,15 +365,14 @@ def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, *, dps=None, n_samples=40
 
     if dps is not None:
         state, r_end, event = _shoot_mp(tp, n, u0_raw, float(r_max), int(dps))
+        states = partial(map, state)  # the fixed-point reader, sample by sample
     else:
-        state, r_end, event = _shoot_float(tp, n, u0, upp0, float(r_max), rel_tol)
+        state, r_end, event, states = _shoot_float(tp, n, u0, upp0, float(r_max), rel_tol)
 
     rs = np.linspace(0.0, r_end, n_samples)
-    us = np.empty_like(rs)
-    ups = np.empty_like(rs)
-    upps = np.empty_like(rs)
-    for i, r in enumerate(rs):
-        u, up = state(r) if r > 0 else (u0, 0.0)
+    us, ups, upps = (np.empty_like(rs) for _ in range(3))
+    for i, (r, sample) in enumerate(zip(rs, states(rs))):
+        u, up = sample if r > 0 else (u0, 0.0)
         try:
             upps[i] = f_inverse(tp, _radial_target(tp, n, r, u, up, upp0))
         except RhsEvaluationError:
@@ -380,5 +384,5 @@ def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, *, dps=None, n_samples=40
         us[i], ups[i] = u, up
 
     return RadialProfile(
-        tp, n, u0, rs, us, ups, upps, event, lambda r: (state(r) if r > 0 else (u0, 0.0))
+        tp, n, u0, upp0, rs, us, ups, upps, event, lambda r: (state(r) if r > 0 else (u0, 0.0))
     )

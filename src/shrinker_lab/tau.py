@@ -20,7 +20,7 @@ import mpmath as mp
 import numpy as np
 
 from . import jets
-from .numerics import DomainError, InputError, eig_sym, eig_sym_full, fd_gradient, fd_hessian
+from .numerics import DomainError, InputError, eig_sym, eig_sym_full
 
 __all__ = [
     "Branch",
@@ -40,7 +40,6 @@ __all__ = [
     "admissible",
     "phase",
     "shrinker_residual",
-    "drift_residual",
     "growth_ratio",
     "minkowski_residual",
 ]
@@ -104,6 +103,9 @@ class TauParams:
         if self.branch in (Branch.LOG, Branch.NEG) and not self.b < abs(self.a):
             # the cone edge -(a - b) on LOG, or -(b + a) on NEG, would be 0
             raise InputError(f"a = {self.a} rounds b = sqrt(a^2 - 1) to |a|: the cone edge is lost")
+
+    def __reduce__(self):  # pickled by its fields: the cached float forms are closures
+        return type(self), (self.tau, self.a, self.b, self.branch, self.cone_side)
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -202,9 +204,14 @@ class TauParams:
         return tp
 
     # -- derived constants -------------------------------------------------
-    @property
+    @cached_property
     def sqrt_a2p1(self):
         return math.sqrt(self.a * self.a + 1.0) if not math.isinf(self.a) else math.inf
+
+    # the float closed forms of f and f^-1, built once: f_value and f_inverse
+    # add the domain check, the range check, the clamp and the polish
+    f_form = cached_property(lambda self: _f_form(self, _FLOAT))
+    f_inverse_form = cached_property(lambda self: _f_inverse_form(self, _FLOAT))
 
     @property
     def sin_cos(self):
@@ -269,51 +276,58 @@ _MP = _arithmetic(mp, mp.pi, _mp_consts)
 _JETS = _arithmetic(jets, mp.pi, _mp_consts)
 
 
-def _f_closed(tp, lam, ops):
-    """Closed form of f, evaluated in the arithmetic ``ops``.
+def _f_form(tp, ops):
+    """Closed form of f, lam -> f(lam), in the arithmetic ``ops``; each bound
+    constant is a subexpression the formula rounds first anyway.
 
     The groupings lam + (a -+ b) and (b - a) - lam are exact near the cone
     edges, where the left-to-right sums round the small factor to zero; the
     smooth ATAN form avoids the quotient arctangent's jump by pi across
     lam = -(a + b).
     """
-    br = tp.branch
+    br, log = tp.branch, ops.log
     if br is Branch.MA:
-        return ops.log(lam) / 2
+        return lambda lam: log(lam) / 2
     if br is Branch.SLAG:
-        return ops.atan(lam)
+        return ops.atan
     a, b, root = ops.consts(tp)
     if br is Branch.HARM:
-        return -root / (1 + lam)  # root = sqrt(2)
-    if br is Branch.LOG:
-        return root / (2 * b) * ops.log((lam + (a - b)) / (lam + (a + b)))
+        return lambda lam: -root / (1 + lam)  # root = sqrt(2)
     if br is Branch.ATAN:
-        return root / b * (ops.atan((lam + a) / b) - ops.pi / 4)
-    return root / (2 * b) * ops.log((lam + (b + a)) / ((b - a) - lam))
+        atan, scale, quarter = ops.atan, root / b, ops.pi / 4
+        return lambda lam: scale * (atan((lam + a) / b) - quarter)
+    scale = root / (2 * b)
+    if br is Branch.LOG:
+        a_m_b, a_p_b = a - b, a + b
+        return lambda lam: scale * log((lam + a_m_b) / (lam + a_p_b))
+    b_p_a, b_m_a = b + a, b - a
+    return lambda lam: scale * log((lam + b_p_a) / (b_m_a - lam))
 
 
-def _f_inverse_closed(tp, y, ops):
-    """Closed form of f^{-1} on the upper component (the lower one for
-    LOG/HARM targets y > 0), evaluated in the arithmetic ``ops``."""
-    br = tp.branch
+def _f_inverse_form(tp, ops):
+    """Closed form of f^{-1}, y -> lam, on the upper component (the lower one
+    for LOG/HARM targets y > 0), in the arithmetic ``ops``, as ``_f_form``."""
+    br, exp, tan, tanh = tp.branch, ops.exp, ops.tan, ops.tanh
     if br is Branch.MA:
-        return ops.exp(2 * y)
+        return lambda y: exp(2 * y)
     if br is Branch.SLAG:
-        return ops.tan(y)
+        return tan
     a, b, root = ops.consts(tp)
     if br is Branch.HARM:
-        return -root / y - 1
+        return lambda y: -root / y - 1
     if br is Branch.LOG:
         # (1+E)/(1-E) with E = exp(2by/sqrt(a^2+1)) equals -coth(by/sqrt(a^2+1))
-        return -a - b / ops.tanh(b * y / root)
+        return lambda y: -a - b / tanh(b * y / root)
     if br is Branch.ATAN:
-        return -a + b * ops.tan(y * b / root + ops.pi / 4)
-    return -(a + b) + 2 * b * ops.sigmoid(2 * b * y / root)
+        quarter = ops.pi / 4
+        return lambda y: -a + b * tan(y * b / root + quarter)
+    sigmoid, edge, width = ops.sigmoid, -(a + b), 2 * b
+    return lambda y: edge + width * sigmoid(width * y / root)
 
 
 def f_value(tp, lam):
     """The single-eigenvalue summand of the operator."""
-    return _f_closed(tp, _eigenvalue(tp, lam), _FLOAT)
+    return tp.f_form(_eigenvalue(tp, lam))
 
 
 def f_derivative(tp, lam):
@@ -350,7 +364,7 @@ def f_inverse(tp, y):
     if not (spec.f_lo < y < spec.f_hi):
         raise InputError(f"target {y} outside attainable range ({spec.f_lo}, {spec.f_hi})")
     try:
-        lam = _f_inverse_closed(tp, y, _FLOAT)
+        lam = tp.f_inverse_form(y)
     except (OverflowError, ZeroDivisionError):
         # MA's exp(2y) past double range, or LOG's tanh(b y / root) underflowing
         # to 0 at a denormal y: the preimage is the component's infinite end
@@ -365,9 +379,9 @@ def f_inverse(tp, y):
     if not math.isfinite(lam):
         return lam
     # short guarded Newton polish
-    tol = 1e-12 * (1.0 + abs(y))
+    tol, f = 1e-12 * (1.0 + abs(y)), tp.f_form
     for _ in range(4):
-        r = f_value(tp, lam) - y
+        r = f(_eigenvalue(tp, lam)) - y
         if not math.isfinite(r) or abs(r) <= tol:
             break
         step = r / f_derivative(tp, lam)
@@ -385,22 +399,22 @@ def f_inverse(tp, y):
 
 def f_value_mp(tp, lam):
     """:func:`f_value`'s closed form in mpmath, for high-precision shooting."""
-    return _f_closed(tp, lam, _MP)
+    return _f_form(tp, _MP)(lam)
 
 
 def f_inverse_mp(tp, y):
     """:func:`f_inverse`'s closed form in mpmath (no polish)."""
-    return _f_inverse_closed(tp, y, _MP)
+    return _f_inverse_form(tp, _MP)(y)
 
 
 def f_value_jet(tp, lam):
     """Taylor jet of :func:`f_value_mp` along the series ``lam`` (a :class:`.jets.Jet`)."""
-    return _f_closed(tp, lam, _JETS)
+    return _f_form(tp, _JETS)(lam)
 
 
 def f_inverse_jet(tp, y):
     """Taylor jet of :func:`f_inverse_mp` along the series ``y``."""
-    return _f_inverse_closed(tp, y, _JETS)
+    return _f_inverse_form(tp, _JETS)(y)
 
 
 def admissible(tp, eigenvalues):
@@ -438,7 +452,7 @@ def operator_value(tp, eigenvalues):
         if admissible(tp, row) is None:
             raise DomainError(f"spectrum {np.array(row)} inadmissible: not inside a single "
                               f"{tp.branch.value} cone component", value=_first_outside(tp, row))
-        sums.append(float(sum(_f_closed(tp, lam, _FLOAT) for lam in row)))
+        sums.append(float(sum(map(tp.f_form, row))))
     return np.array(sums) if lams.ndim == 2 else sums[0]
 
 
@@ -476,24 +490,6 @@ def shrinker_residual(tp, field, x):
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     return operator_value(tp, eig_sym(field.hessian(x))) - phase(field, x)
-
-
-def drift_residual(tp, field, x, h):
-    """Residual of the zeroth-order-free drift equation satisfied by the phase.
-
-    a^{ij} phi_ij - <x, D phi>/2, with a^{ij} the operator linearization at
-    D^2 u(x) and the phase derivatives taken by central differences of the
-    scalar map  x -> -u + <x, Du>/2.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    coeff = operator_gradient_matrix(tp, field.hessian(x))
-
-    def phi(p):
-        return phase(field, p)
-
-    dphi = fd_gradient(phi, x, h)
-    d2phi = fd_hessian(phi, x, h)
-    return float(np.sum(coeff * d2phi) - 0.5 * float(x @ dphi))
 
 
 @dataclass(frozen=True)

@@ -156,11 +156,11 @@ REF_OPS = tau._arithmetic(REF, mp.pi, tau._mp_consts)
 
 
 def ref_f_value_jet(tp, lam):
-    return tau._f_closed(tp, lam, REF_OPS)
+    return tau._f_form(tp, REF_OPS)(lam)
 
 
 def ref_f_inverse_jet(tp, y):
-    return tau._f_inverse_closed(tp, y, REF_OPS)
+    return tau._f_inverse_form(tp, REF_OPS)(y)
 
 
 def bits(coeffs):

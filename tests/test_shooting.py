@@ -145,6 +145,31 @@ class TestProfileStructure:
         assert rows.shape[1] == 4
 
 
+# scripts/rigidity_events.py's curvatures: u0 = -2 f(c) + du0 is perturbed quadratic data
+EVENT_CURVATURES = {"MA": 0.8, "LOG": 0.3, "HARM": 0.0, "ATAN": 0.0, "SLAG": 1.0, "NEG": 2.0}
+
+
+class TestFloatSampler:
+    """The float path samples its profile in one batched read of the
+    trajectory; each row is the profile's own per-radius read, bit for bit."""
+
+    @pytest.mark.parametrize("du0", [-0.05, 0.05])
+    @pytest.mark.parametrize("branch", list(EVENT_CURVATURES))
+    def test_rows_are_per_sample_reads(self, branch, du0, all_branches):
+        tp = all_branches[branch]
+        prof = shoot_radial(tp, 2, -2 * f_value(tp, EVENT_CURVATURES[branch]) + du0, r_max=50.0)
+        if branch in ("LOG", "ATAN", "SLAG"):
+            assert not prof.event.completed and len(prof.rs) == 401
+        assert same_bits(prof.rows(), [(r, *prof.state(r), prof.d2u(r)) for r in prof.rs])
+
+    def test_samples_below_the_series_start(self, all_branches):
+        # samples at 0.75e-8 and below come from the series, the rest from the trajectory
+        tp = all_branches["LOG"]
+        prof = shoot_radial(tp, 2, -2 * f_value(tp, 0.3) + 0.05, r_max=3e-8, n_samples=5)
+        assert prof.event.completed and prof.rs[1] < shooting._R_START < prof.rs[2]
+        assert same_bits(prof.rows(), [(r, *prof.state(r), prof.d2u(r)) for r in prof.rs])
+
+
 def _inside(spec):
     """An eigenvalue inside the open component ``spec``."""
     if math.isfinite(spec.lo) and math.isfinite(spec.hi):

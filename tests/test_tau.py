@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import mpmath as mp
 import numpy as np
@@ -225,6 +227,42 @@ class TestInverse:
         assert f_inverse(TauParams.log_branch(math.pi / 6, cone_side), y) == end
 
 
+class TestCachedForms:
+    """The float closed forms and sqrt(a^2 + 1) are cached on each TauParams
+    instance: a replaced instance reads its own, never its source's."""
+
+    @pytest.mark.parametrize("branch", ["LOG", "HARM"])
+    def test_lower_component_of_a_replaced_instance(self, branch, all_branches):
+        upper = all_branches[branch]
+        f_inverse(upper, f_value(upper, 0.5))  # fill the upper instance's caches
+        lower = dataclasses.replace(upper, cone_side="lower")
+        fresh = with_lower_cones()[f"{branch}-lower"]
+        assert lower.components == fresh.components and lower.components[0].tag == "lower"
+        edge = cone_spec(lower).hi
+        for lam in (edge - 0.5, edge - 3.0):
+            y = f_value(lower, lam)
+            assert y > 0.0 and same_bits(y, f_value(fresh, lam))
+            back = f_inverse(lower, y)
+            assert back < edge and same_bits(back, f_inverse(fresh, y))
+            with pytest.raises(InputError, match="outside attainable range"):
+                f_inverse(upper, y)  # the upper component's range is (-inf, 0)
+
+    def test_replaced_constants(self, all_branches):
+        tp = all_branches["LOG"]
+        before = [f_value(tp, 0.5), f_inverse(tp, -0.3), tp.sqrt_a2p1]
+        other = TauParams.log_branch(0.4)
+        moved = dataclasses.replace(tp, tau=other.tau, a=other.a, b=other.b)
+        after = [f_value(moved, 0.5), f_inverse(moved, -0.3), moved.sqrt_a2p1]
+        assert same_bits(after, [f_value(other, 0.5), f_inverse(other, -0.3), other.sqrt_a2p1])
+        assert all(x != y for x, y in zip(before, after))
+
+    def test_pickles_after_use(self, all_branches):
+        for tp in all_branches.values():
+            y = f_value(tp, 0.5)
+            back = pickle.loads(pickle.dumps(tp))
+            assert back == tp and same_bits(f_inverse(back, y), f_inverse(tp, y))
+
+
 class TestNonFiniteEigenvalues:
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", list(with_lower_cones()))
@@ -434,39 +472,6 @@ class TestResiduals:
         tp = TauParams.monge_ampere()
         with pytest.raises(InputError, match="expected point"):
             sl.shrinker_residual(tp, QuadraticField(np.eye(2)), rng.uniform(-3, 3, (5, 2)))
-
-
-class TestDrift:
-    def test_quadratic_solution_vanishes(self, all_branches, rng):
-        for name, tp in all_branches.items():
-            A = sl.random_admissible_matrix(tp, 2, rng)
-            sol = sl.build_quadratic(tp, A)
-            for _ in range(3):
-                x = rng.uniform(-2, 2, 2)
-                assert abs(sl.drift_residual(tp, sol.field, x, h=1e-3)) < 1e-8
-
-    def test_counterexample_profile(self):
-        # 1-D construction, sampled over the trajectory parameter range [-5, 5]
-        tp = TauParams.neg_branch(a=-2.0)
-        u, prof, cert = sl.build_counterexample(tp, 0.0, 1.0, 1, T=12.0, radius=3.0, samples=50)
-        c2 = tp.sqrt_a2p1**0.5 / (2.0 * tp.b)
-        worst = 0.0
-        for t in np.linspace(-5.0, 5.0, 41):
-            worst = max(worst, abs(sl.drift_residual(tp, u, np.array([c2 * t]), h=1e-3)))
-        assert worst <= 5e-5
-
-    def test_non_solution_control(self):
-        # deliberately perturbed non-solution has drift bounded away from zero
-        tp = TauParams.monge_ampere()
-        ctl = CallableField(
-            2,
-            lambda p: 0.5 * float(p @ p) + 0.1 * p[0] ** 3,
-            grad=lambda p: p + np.array([0.3 * p[0] ** 2, 0.0]),
-            hess=lambda p: np.eye(2) + np.array([[0.6 * p[0], 0.0], [0.0, 0.0]]),
-        )
-        val = sl.drift_residual(tp, ctl, np.array([1.0, 0.0]), h=1e-3)
-        assert abs(val - 0.01875) < 1e-5  # hand-computed linearization value
-        assert abs(val) > 1e-2
 
 
 class TestGrowthRatio:
