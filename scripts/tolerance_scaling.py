@@ -3,11 +3,12 @@
 construction versus integrator tolerance.
 
 The composite error (adaptive steps at ``constructor.ODE_TOL_PER_TOL`` times
-the tolerance, quintic dense output of the integrator's order, Simpson
-quadrature on a grid whose h^4 tracks the tolerance) should track the
-tolerance roughly linearly until it meets the rounding floor, about 2e-12,
-near tolerance 1e-9; the acceptance gate demands a factor >= 5 per decade
-from 1e-6 to 1e-7.  Writes a CSV and prints the observed decade ratios.
+the tolerance, quintic dense output of the integrator's order, Gauss-Legendre
+quadrature of the profile on the integrator's own steps) should track the
+tolerance roughly linearly down to about 2e-13 at tolerance 1e-10, where
+``constructor.ODE_TOL_FLOOR`` holds the steps; the acceptance gate demands a
+factor >= 5 per decade from 1e-6 to 1e-7.  Writes a CSV and prints the
+observed decade ratios.
 """
 
 import argparse

@@ -19,7 +19,6 @@ from .numerics import (
 )
 from .fields import (
     AffineScaledField,
-    CallableField,
     QuadraticField,
     RadialProfileField,
     ScalarField,
@@ -53,7 +52,6 @@ from .transforms import (
     convexify_shift,
     legendre_1d,
     legendre_dual_residual,
-    logit_equation_residual,
     normalize_counterexample_branch,
     self_similar_extension,
 )

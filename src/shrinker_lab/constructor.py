@@ -9,12 +9,12 @@ analogous spacelike construction in the flat-signature graph equation.  Every
 constructed solution carries a machine-checkable certificate.
 
 Each ODE is integrated from 0 in both directions and the two legs are joined
-into one ascending ``numerics.Trajectory``.  Quadrature nodes, certificate
-clouds and CSV tables read it in one ``Trajectory.evaluate`` call; scalar
-reads go through ``Trajectory.__call__``.  Both apply the same quintic
-Hermite, from each knot's state, its derivative and the derivative's time
-derivative taken from the ODE, so a batch read equals the scalar reads bit for
-bit, and the dense output has the integrator's order: no step cap.
+into one ascending ``numerics.Trajectory``, on whose steps both profiles are
+integrated (``fields.StepIntegralField``).  Clouds and CSV tables read it in
+one ``Trajectory.evaluate`` call, scalar reads through ``Trajectory.__call__``:
+the same quintic Hermite, from each knot's state, its derivative and the
+derivative's time derivative taken from the ODE, so a batch read equals the
+scalar reads bit for bit, and the dense output has the integrator's order.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .fields import ScalarField, SeparableExtensionField, Table1DField
-from .numerics import (
-    ABS_PER_REL_TOL, ConstructionError, DomainError, InputError, Trajectory, cumulative_simpson, integrate_ode,
-)
+from .fields import ScalarField, SeparableExtensionField, StepIntegralField
+from .numerics import ABS_PER_REL_TOL, ConstructionError, DomainError, InputError, Trajectory, integrate_ode
+from .numerics import cumulative_simpson  # noqa: F401  unused; perfbench/tracing.py wraps it by this name
 from .tau import Branch, minkowski_residual, phase, shrinker_residual
 from .transforms import normalize_counterexample_branch, _neg_constants
 
@@ -49,8 +48,8 @@ RESIDUAL_TARGET = 1e-6  # the residual sup each construction certifies against
 # tolerance; with dense output of the integrator's order the certified residual
 # is about 10-30 times the integrator's tolerance (scripts/tolerance_scaling.py).
 # 1e-4 is the largest power of ten that keeps criterion 05's build (1e-10) at
-# its rounding floor, 2.3e-12 (1e-3: 3.3e-12); at 1e-5 the integrator's 1e-15 is
-# a few ulp, and the rounding of the extra steps lifts it to 2.5e-12.
+# its rounding floor, 2.4e-13 (1e-3: 1.75e-12); 1e-5 asks the integrator for
+# 1e-15, which ODE_TOL_FLOOR lifts to 1e-14: the same 787 knots as 1e-4.
 ODE_TOL_PER_TOL = 1e-4
 # Never below criterion 05's 1e-14: finer steps resolve less than the doubles
 # do, and a build at 1e-16 took 25 times as long as at 1e-12 for one residual.
@@ -122,8 +121,7 @@ class PhaseTrajectory:
         return float(y[0]), float(y[1])
 
     def phi(self, t):
-        """phi at a float t, or at each of an array of times."""
-        return self.phi_array(t)[:, 0] if isinstance(t, np.ndarray) else self.phi_pair(t)[0]
+        return self.phi_pair(t)[0]
 
     def dphi(self, t):
         return self.phi_pair(t)[1]
@@ -164,7 +162,7 @@ def solve_phase_ode(a0, a1, T, rel_tol=1e-10):
         raise InputError("phi'(0) must be positive (negate t to flip the sign)")
     if not T > 0:
         raise InputError(f"need T > 0, got {T}")
-    _quadrature_grid(T, rel_tol)
+    _check_size(T, rel_tol)
     try:
         bound = a1 * math.exp(math.exp(-a0) / (a1 * a1))
     except (OverflowError, ZeroDivisionError):
@@ -223,19 +221,17 @@ def _two_sided(rhs, rhs_dot, y0, span, rel_tol, stage, var):
                       n_rejected=pos.n_rejected + neg.n_rejected, dfs=rhs_dot(ts, ys, fs))
 
 
-def _quadrature_grid(span, rel_tol):
-    """Half-count m and step of the quadrature grid step * (-m..m) on
-    [-span, span].  The step tracks the construction's tolerance, so the
-    composite error keeps scaling as tolerances tighten (the h^4 term tracks
-    tol).  Refused before any work: a tolerance whose absolute part, the checks'
-    slack, is not positive, and a grid of more than MAX_GRID_POINTS nodes."""
+def _check_size(span, rel_tol):
+    """Refuse, before any work, a tolerance whose absolute part, the checks'
+    slack, is not positive, and a half-span that a step of
+    min(2e-2, max(7.5e-4, 0.35 tol^(1/4))) covers in more than MAX_GRID_POINTS
+    points: the bound on a construction's size, which also keeps the
+    integrator off spans it would cross in a few huge steps."""
     if not rel_tol * ABS_PER_REL_TOL > 0:  # NaN fails too
         raise InputError(f"tolerances must be positive: rel_tol {rel_tol}, abs_tol {rel_tol * ABS_PER_REL_TOL}")
     h = min(2e-2, max(7.5e-4, 0.35 * rel_tol**0.25))
     if not span / h <= (MAX_GRID_POINTS - 1) // 2:  # NaN and inf fail too
         raise InputError(f"half-span {span} at tolerance {rel_tol} needs more than {MAX_GRID_POINTS} points")
-    m = math.ceil(span / h)
-    return m, span / m
 
 
 def profile_span(tp, radius, T):
@@ -252,8 +248,8 @@ def profile_span(tp, radius, T):
 
 def profile_grid(span, step):
     """-span + k step for k = 0, 1, ... up to span, past it only by the rounding
-    ``Table1DField`` forgives: the CSV rows of a profile tabulated on [-span,
-    span].  More than MAX_GRID_POINTS points are refused before any is formed."""
+    a profile's read forgives: the CSV rows of a profile on [-span, span].
+    More than MAX_GRID_POINTS points are refused before any is formed."""
     if not 2 * span / step + 1 <= MAX_GRID_POINTS:  # NaN and inf fail too
         raise InputError(f"grid step {step} puts more than {MAX_GRID_POINTS} points on [-{span}, {span}]")
     xs = np.arange(-span, span + step / 2, step)
@@ -262,12 +258,12 @@ def profile_grid(span, step):
 
 @dataclass
 class W1Profile:
-    """1-D profile with curvature e^phi/(1+e^phi), built by double quadrature
-    and tabulated in ``field`` on [-span, span]."""
+    """1-D profile with curvature e^phi/(1+e^phi) on [-span, span], integrated
+    twice on the phase trajectory's steps in ``field``."""
 
     traj: PhaseTrajectory
     span: float
-    field: Table1DField
+    field: StepIntegralField
     identity_defect: float
 
     def third_derivative(self, t):
@@ -281,34 +277,27 @@ class W1Profile:
         array of times; each row equals the point reads ``traj.phi_pair``,
         ``field.value``, ``field.gradient``, ``field.hessian`` bit for bit."""
         x = np.asarray(xs, dtype=float)[:, None]  # the times as an (m, 1) cloud
-        pairs = self.traj.phi_array(x[:, 0])
-        return np.column_stack([x, pairs, self.field.value(x), self.field.gradient(x), sigmoid(pairs[:, 0])])
+        fld = self.field
+        return np.column_stack([x, self.traj.phi_array(x[:, 0]), fld.value(x), fld.gradient(x), fld.hessian(x)[:, 0]])
 
 
 def assemble_w1(traj, span=None):
-    """Profile w1 with w1'' = e^phi/(1+e^phi), w1(0) = -a0, w1'(0) = -2 a1,
-    tabulated on [-span, span] (by default the trajectory's span).
+    """Profile w1 with w1'' = sigma(phi), w1(0) = -a0, w1'(0) = -2 a1 on
+    [-span, span] (by default, and at most, the trajectory's span).
 
-    Simpson quadrature on the integrator's dense output at a fixed fine step
-    keeps all derivative relations consistent with one trajectory.  The
-    defining identity  phi = t w1'/2 - w1  is re-verified at every node and
-    its sup defect stored.
+    Gauss-Legendre on phi's dense output, step by step (``StepIntegralField``),
+    keeps w1, w1' and w1'' = sigma(phi(t)) consistent with one trajectory up
+    to quadrature and rounding.  The defining identity  phi = t w1'/2 - w1  is
+    re-verified at every knot in the span and its sup defect stored.
     """
     S = float(span) if span is not None else traj.span
-    m, step = _quadrature_grid(S, traj.rel_tol)
-    ts = step * (np.arange(2 * m + 1) - m)  # exact 0 at index m
-
-    phis = traj.phi_array(ts)[:, 0]
-    w1pp = sigmoid(phis)
-    cs = cumulative_simpson(w1pp, step)
-    w1p = -2.0 * traj.a1 + (cs - cs[m])
-    cs2 = cumulative_simpson(w1p, step)
-    w1 = -traj.a0 + (cs2 - cs2[m])
-
-    defect = float(np.max(np.abs(phis - (0.5 * ts * w1p - w1))))
-
-    fld = Table1DField(ts, w1, w1p, w1pp, curvature_fn=lambda t: sigmoid(traj.phi(t)))
-    return W1Profile(traj, S, fld, defect)
+    if not S <= traj.span:
+        raise InputError(f"profile half-span {S} exceeds the integrated half-span {traj.span}")
+    fld = StepIntegralField(traj.dense, sigmoid, -traj.a0, -2.0 * traj.a1, S)
+    ts = traj.dense.ts
+    inside = np.abs(ts) <= S
+    identity = traj.dense.ys[:, 0] - (0.5 * ts * fld.slopes - fld.vals)
+    return W1Profile(traj, S, fld, float(np.max(np.abs(identity[inside]))))
 
 
 @dataclass
@@ -487,8 +476,9 @@ class MinkowskiProfile(ScalarField):
 
     ``gradient_complement`` evaluates 1 - f'^2 = sech^2(s) without the
     catastrophic cancellation of forming it from a rounded f'.  (s, phi) come
-    from the integrated ``Trajectory``, clamped to its span.  Each method also
-    takes an (m, 1) cloud, read in one ``Trajectory.evaluate`` call, and
+    from the integrated ``Trajectory``, clamped to its span; f is the slope of
+    ``integral``, a ``StepIntegralField`` with F'' = tanh(s).  Each method
+    also takes an (m, 1) cloud, read in one ``Trajectory.evaluate`` call, and
     returns (m,), (m, 1) or (m, 1, 1), every row bit for bit the point call:
     tanh and cosh are ``math``'s per element (numpy's round differently).
     The last cloud read is kept, so the methods a residual calls on one cloud
@@ -497,10 +487,10 @@ class MinkowskiProfile(ScalarField):
 
     dim = 1
 
-    def __init__(self, table, dense):
-        self._table = table
+    def __init__(self, integral, dense):
+        self._integral = integral
         self._dense = dense    # (s, phi), ascending
-        self.span = dense.t_end    # the half-span of the trajectory and the table
+        self.span = dense.t_end    # the half-span of the trajectory and of f
         self._last_cloud = (None, None)    # (bytes of the cloud, its (s, phi) lists)
 
     def _pairs(self, x):
@@ -525,7 +515,7 @@ class MinkowskiProfile(ScalarField):
         return np.column_stack([x, s, p, self.value(x), self.gradient(x), self.hessian(x)[:, 0]])
 
     def value(self, x):
-        return self._table.value(x)
+        return self._integral.read(x)[1]
 
     def gradient(self, x):
         s, _, cloud = self._pairs(x)
@@ -587,7 +577,8 @@ def build_mss_counterexample(
 
     With  phi = (x f' - f)/2  the 1-D equation reads  f''/(1 - f'^2) = phi;
     substituting  s = artanh(f')  gives the first-order system integrated
-    here, with  f(0) = -2 phi(0)  and f recovered by quadrature of tanh(s).
+    here, with  f(0) = -2 phi(0)  and f recovered by quadrature of tanh(s) on
+    the integrator's steps.
     The certificate checks the equation residual (via the independent
     residual operator, on the sample cloud in one call), strict spacelikeness
     (|f'| = |tanh s| < 1 wherever s is finite, with margin 1 - sup|f'| taken
@@ -600,19 +591,10 @@ def build_mss_counterexample(
     if not T > 0:
         raise InputError(f"need T > 0, got {T}")
     span = profile_span(None, radius, T)
-    m, step = _quadrature_grid(span, rel_tol)
+    _check_size(span, rel_tol)
 
     dense = _two_sided(_mss_rhs, _mss_rhs_dot, [s0, phi0], span, rel_tol, "mss_ode", "x")
-    ts = step * (np.arange(2 * m + 1) - m)
-    svals, pvals = np.ascontiguousarray(dense.evaluate(ts).T)
-    fp = np.tanh(svals)
-    with np.errstate(over="ignore"):  # cosh overflows past |s| = 710, where sech^2 is 0
-        fpp = (1.0 / np.cosh(svals)) ** 2 * pvals
-    cs = cumulative_simpson(fp, step)
-    fvals = -2.0 * phi0 + (cs - cs[m])
-
-    table = Table1DField(ts, fvals, fp, fpp)
-    fld = MinkowskiProfile(table, dense)
+    fld = MinkowskiProfile(StepIntegralField(dense, np.tanh, 0.0, -2.0 * phi0, span), dense)
 
     xs = np.linspace(-radius, radius, int(samples))
     residuals = np.abs(minkowski_residual(fld, xs[:, None]))

@@ -1,7 +1,7 @@
 """Potential fields with value / gradient / Hessian evaluation: closed-form
-derivatives (quadratics, callables with supplied gradient/Hessian, affine-scaled
-views), central differences (callables without them), and one-dimensional
-profiles backed by an ODE trajectory plus quadrature tables.
+derivatives (quadratics, affine-scaled views), one-dimensional profiles
+integrated on the steps of an ODE trajectory or read from tables, and their
+separable and radial extensions.
 
 Views compose lazily (chain rule on exact derivatives), so transform pipelines
 do not accumulate interpolation error.
@@ -11,21 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import (
-    InputError,
-    default_fd_step,
-    fd_gradient,
-    fd_hessian,
-    hermite_value,
-    hermite_quintic_value,
-)
+from .numerics import _READ_BLOCK, InputError, hermite_value, hermite_quintic_value
 
 __all__ = [
     "ScalarField",
     "QuadraticField",
-    "CallableField",
     "AffineScaledField",
     "Table1DField",
+    "StepIntegralField",
     "SeparableExtensionField",
     "RadialProfileField",
 ]
@@ -102,34 +95,6 @@ class QuadraticField(ScalarField):
     def hessian(self, x):
         self._point(x)
         return self.A.copy()
-
-
-class CallableField(ScalarField):
-    """Wraps plain callables; derivatives fall back to central differences."""
-
-    def __init__(self, dim, fn, grad=None, hess=None, fd_step=None):
-        self.dim = int(dim)
-        self._fn = fn
-        self._grad = grad
-        self._hess = hess
-        self._fd_step = fd_step
-
-    def value(self, x):
-        return float(self._fn(self._point(x)))
-
-    def gradient(self, x):
-        x = self._point(x)
-        if self._grad is not None:
-            return np.atleast_1d(np.asarray(self._grad(x), dtype=float))
-        h = self._fd_step if self._fd_step is not None else default_fd_step(x)
-        return fd_gradient(self._fn, x, h)
-
-    def hessian(self, x):
-        x = self._point(x)
-        if self._hess is not None:
-            return np.asarray(self._hess(x), dtype=float)
-        h = self._fd_step if self._fd_step is not None else default_fd_step(x)
-        return fd_hessian(self._fn, x, h)
 
 
 class AffineScaledField(ScalarField):
@@ -210,93 +175,162 @@ def _local_cubic(ts, vals, t):
     return d0 + (t - t0) * (d1 + (t - t1) * (d2 + (t - t2) * d3))
 
 
+def _span_t(field, x, lo, hi):
+    """(t, cloud) of a 1-D field's point, t a float, or of its (m, 1) cloud, t
+    (m,), clamped into [lo, hi]; InputError if any t lies outside it by more
+    than rounding."""
+    x = np.asarray(x, dtype=float)
+    cloud = x.ndim == 2 and x.shape[1] == 1
+    t = x[:, 0] if cloud else float(field._point(x)[0])
+    outside = (t < lo - 1e-9 * (1 + abs(lo))) | (t > hi + 1e-9 * (1 + abs(hi)))
+    if outside.any() if cloud else outside:
+        bad = t[outside][0] if cloud else t
+        raise InputError(f"evaluation point {bad} outside the span [{lo}, {hi}]")
+    return (np.clip(t, lo, hi) if cloud else min(max(t, lo), hi)), cloud
+
+
 class Table1DField(ScalarField):
     """1-D field from (value, slope, curvature) on strictly increasing nodes of any spacing.
 
     Value uses the two-point quintic Hermite; the slope uses the cubic Hermite
-    of (slope, curvature); the curvature is interpolated by a local cubic, or
-    supplied exactly by ``curvature_fn`` when the backing relation is known.
+    of (slope, curvature); the curvature is interpolated by a local cubic.
 
-    Each method also takes an (m, 1) cloud in one batch, ``hessian`` when
-    ``curvature_fn`` takes arrays, and returns (m,), (m, 1) or (m, 1, 1),
-    every row bit for bit its point's (both Hermites are elementwise).
+    ``value`` and ``gradient`` also take an (m, 1) cloud in one batch and
+    return (m,) or (m, 1), every row bit for bit its point's (both Hermites
+    are elementwise); ``hessian`` takes one point.
     """
 
     dim = 1
 
-    def __init__(self, ts, vals, slopes, curvatures, curvature_fn=None):
+    def __init__(self, ts, vals, slopes, curvatures):
         self.ts = np.asarray(ts, dtype=float)
         self.vals = np.asarray(vals, dtype=float)
         self.slopes = np.asarray(slopes, dtype=float)
         self.curvs = np.asarray(curvatures, dtype=float)
         if not (len(self.ts) >= 4 and len(self.ts) == len(self.vals) == len(self.slopes) == len(self.curvs)):
             raise InputError("need >= 4 aligned samples")
-        self._curv_fn = curvature_fn
-
-    def _t(self, t):
-        """t, a float or an array, clamped into the table span; InputError if
-        any t lies outside it by more than rounding."""
-        lo, hi = self.ts[0], self.ts[-1]
-        outside = (t < lo - 1e-9 * (1 + abs(lo))) | (t > hi + 1e-9 * (1 + abs(hi)))
-        cloud = isinstance(t, np.ndarray)
-        if outside.any() if cloud else outside:
-            bad = t[outside][0] if cloud else t
-            raise InputError(f"evaluation point {bad} outside table span [{lo}, {hi}]")
-        return np.clip(t, lo, hi) if cloud else min(max(t, lo), hi)
-
-    def _point_t(self, x):
-        return self._t(float(self._point(x)[0]))
 
     def _points_t(self, x):
-        """(t, cloud): t of a point as a float, or of an (m, 1) cloud as (m,)."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 2 and x.shape[1] == 1:
-            return self._t(x[:, 0]), True
-        return self._point_t(x), False
+        return _span_t(self, x, self.ts[0], self.ts[-1])
 
     def value(self, x):
         t, cloud = self._points_t(x)
-        k = _bracket_index(self.ts, t)
-        v = hermite_quintic_value(
-            t,
-            self.ts[k],
-            self.ts[k + 1],
-            self.vals[k],
-            self.vals[k + 1],
-            self.slopes[k],
-            self.slopes[k + 1],
-            self.curvs[k],
-            self.curvs[k + 1],
-        )
+        ts, vals, slopes, curvs, k = self.ts, self.vals, self.slopes, self.curvs, _bracket_index(self.ts, t)
+        v = hermite_quintic_value(t, ts[k], ts[k + 1], vals[k], vals[k + 1], slopes[k], slopes[k + 1],
+                                  curvs[k], curvs[k + 1])
         return v if cloud else float(v)
 
     def slope(self, t):
         """Slope at a float t, or elementwise at an array of t."""
-        k = _bracket_index(self.ts, t)
-        v = hermite_value(
-            t,
-            self.ts[k],
-            self.ts[k + 1],
-            self.slopes[k],
-            self.slopes[k + 1],
-            self.curvs[k],
-            self.curvs[k + 1],
-        )
+        ts, slopes, curvs, k = self.ts, self.slopes, self.curvs, _bracket_index(self.ts, t)
+        v = hermite_value(t, ts[k], ts[k + 1], slopes[k], slopes[k + 1], curvs[k], curvs[k + 1])
         return v if isinstance(t, np.ndarray) else float(v)
-
-    def curvature(self, t):
-        """Curvature at a float t, or from ``curvature_fn`` at an array of t."""
-        if self._curv_fn is None:
-            return float(_local_cubic(self.ts, self.curvs, t))
-        return self._curv_fn(t) if isinstance(t, np.ndarray) else float(self._curv_fn(t))
 
     def gradient(self, x):
         t, cloud = self._points_t(x)
         return self.slope(t)[:, None] if cloud else np.array([self.slope(t)])
 
     def hessian(self, x):
-        t, cloud = self._points_t(x) if self._curv_fn is not None else (self._point_t(x), False)
-        return self.curvature(t)[:, None, None] if cloud else np.array([[self.curvature(t)]])
+        t, _ = self._points_t(self._point(x))
+        return np.array([[float(_local_cubic(self.ts, self.curvs, t))]])
+
+
+# 4-point Gauss-Legendre on [0, 1] for a StepIntegralField's steps (6 and 8
+# move the certificates only at rounding): nodes u, weights w, and w (1 - u)
+_GL_NODES = np.array([0.06943184420297371, 0.33000947820757187, 0.6699905217924281, 0.9305681557970263])
+_GL_WEIGHTS = (0.17392742256872692, 0.32607257743127305, 0.32607257743127305, 0.17392742256872692)
+_GL_WEIGHTS_TAIL = (0.1618513208623103, 0.21846553629538057, 0.1076070411358925, 0.012076101706416622)
+
+
+class StepIntegralField(ScalarField):
+    """1-D profile F with F'' = g(y(t)) on [-span, span], y the first state
+    component of a two-sided ``Trajectory`` (ascending, with ``dfs`` and a
+    knot at t = 0), integrated on the trajectory's own steps.
+
+    On each step, Gauss-Legendre on the quintic dense output (the
+    trajectory's own interpolant, on y alone) gives I1 = int g and
+    I2 = int (t_out - s) g ds from the step's knot nearer the origin, t_in,
+    to its other knot t_out.  F' and F at the knots are summed outward from
+    F'(0) = ``slope0``, F(0) = ``value0`` on each leg: F'_out = F'_in + I1,
+    F_out = F_in + (h F'_in + I2), h = t_out - t_in.  A read at t takes the
+    same rule from the inner knot of t's step to t: ``value`` is F,
+    ``gradient`` F' and ``hessian`` g(y(t)).
+
+    Each method also takes an (m, 1) cloud and returns (m,), (m, 1) or
+    (m, 1, 1), every row bit for bit its point's (a point is a cloud of one;
+    the nodes are summed left to right).  The last cloud read is kept, so the
+    methods called on one cloud read it once between them.  A read outside
+    [-span, span] by more than rounding is an InputError.
+    """
+
+    dim = 1
+
+    def __init__(self, dense, g, value0, slope0, span):
+        self._ts = dense.ts
+        self._knots = (dense.ys[:, 0].copy(), dense.fs[:, 0].copy(), dense.dfs[:, 0].copy())
+        self._g = g    # elementwise on an array of first components
+        self.span = float(span)
+        self._last_cloud = (None, None)    # (bytes of the cloud's times, its reads)
+        ts = self._ts
+        steps = np.arange(len(ts) - 1)
+        inner = steps + (ts[:-1] < 0.0)    # on the left leg a step's inner knot is its right end
+        h = ts[2 * steps + 1 - inner] - ts[inner]
+        i1, i2, _ = self._rule(steps, inner, h)
+        h, i1, i2 = h.tolist(), i1.tolist(), i2.tolist()
+        origin = int(np.searchsorted(ts, 0.0))
+        vals, slopes = [float(value0)] * len(ts), [float(slope0)] * len(ts)
+        for k in [*range(origin, len(ts) - 1), *range(origin - 1, -1, -1)]:  # outward on each leg
+            i, j = (k, k + 1) if k >= origin else (k + 1, k)
+            slopes[j] = slopes[i] + i1[k]
+            vals[j] = vals[i] + (h[k] * slopes[i] + i2[k])
+        self.vals, self.slopes = np.array(vals), np.array(slopes)    # F and F' at the knots
+
+    def _rule(self, k, inner, d, t=None):
+        """I1 = int g and I2 = int (t_in + d - s) g ds from t_in = ts[inner]
+        over d on the steps k, and g(y(t)) when t is given, in one read."""
+        ts, (y, f, df) = self._ts, self._knots
+        times = ts[inner] + _GL_NODES[:, None] * d
+        if t is not None:
+            times = np.vstack([times, t])
+        g = self._g(hermite_quintic_value(times, ts[k], ts[k + 1], y[k], y[k + 1], f[k], f[k + 1], df[k], df[k + 1]))
+        i1 = sum(w * gj for w, gj in zip(_GL_WEIGHTS, g))
+        i2 = sum(w * gj for w, gj in zip(_GL_WEIGHTS_TAIL, g))
+        return d * i1, d * d * i2, g[-1]
+
+    def read(self, x):
+        """(F, F', g(y(t)), cloud): floats at a point, (m,) arrays at an
+        (m, 1) cloud, read in blocks that bound the temporaries."""
+        t, cloud = _span_t(self, x, -self.span, self.span)
+        t = np.atleast_1d(t)
+        key = t.tobytes()
+        if cloud and self._last_cloud[0] == key:
+            return (*self._last_cloud[1], True)
+        ts = self._ts
+        reads = np.empty((3, len(t)))
+        for lo in range(0, len(t), _READ_BLOCK):
+            tb = t[lo : lo + _READ_BLOCK]
+            k = _bracket_index(ts, tb)
+            inner = k + (ts[k] < 0.0)
+            d = tb - ts[inner]
+            i1, i2, g = self._rule(k, inner, d, tb)
+            reads[:, lo : lo + _READ_BLOCK] = (self.vals[inner] + (d * self.slopes[inner] + i2),
+                                               self.slopes[inner] + i1, g)
+        if not cloud:
+            return (*reads[:, 0].tolist(), False)
+        reads.flags.writeable = False    # shared by every read of this cloud
+        self._last_cloud = (key, reads)
+        return (*reads, True)
+
+    def value(self, x):
+        return self.read(x)[0]
+
+    def gradient(self, x):
+        _, dF, _, cloud = self.read(x)
+        return dF[:, None] if cloud else np.array([dF])
+
+    def hessian(self, x):
+        *_, g, cloud = self.read(x)
+        return g[:, None, None] if cloud else np.array([[g]])
 
 
 class SeparableExtensionField(ScalarField):

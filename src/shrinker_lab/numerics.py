@@ -23,7 +23,6 @@ __all__ = [
     "as_sym_matrix",
     "eig_sym",
     "eig_sym_full",
-    "default_fd_step",
     "fd_gradient",
     "fd_hessian",
     "invert_monotone",
@@ -112,12 +111,6 @@ def eig_sym_full(M):
     """Eigenvalues (ascending) and the corresponding orthonormal eigenvectors."""
     w, Q = np.linalg.eigh(as_sym_matrix(M))
     return w, Q
-
-
-def default_fd_step(x):
-    """Step balancing truncation vs rounding for second-order differences."""
-    r = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
-    return 1e-4 * max(1.0, r)
 
 
 def fd_gradient(fn, x, h):

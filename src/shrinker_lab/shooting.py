@@ -102,12 +102,13 @@ class RadialProfile:
         return np.column_stack([self.rs, self.us, self.ups, self.upps])
 
 
-def _radial_target(tp, n, r, u, up, upp0, f=f_value):
+def _radial_target(tp, n, r, u, up, upp0, f=None):
     """Target (-u + r u'/2) - (n-1) f(s) of the radial equation u'' = f^{-1}(target):
     the one step rule of both shooting paths.
 
     The transverse eigenvalue s is ``upp0`` = u''(0) below _R_SERIES and u'/r
-    beyond.  ``f`` is ``f_value``, or ``f_value_mp`` on mpf states.  Raises
+    beyond.  ``f`` is ``f_value`` (looked up at each call, so a wrapper
+    installed over it sees every step), or ``f_value_mp`` on mpf states.  Raises
     RhsEvaluationError ``cone_exit`` when s has left the selected cone
     component, and ``inversion_failure`` when the target is outside the range
     of f on it.
@@ -116,7 +117,7 @@ def _radial_target(tp, n, r, u, up, upp0, f=f_value):
     s = upp0 if r < _R_SERIES else up / r
     if not spec.contains(s):
         raise RhsEvaluationError("cone_exit", f"transverse eigenvalue {s} left the cone")
-    target = (-u + 0.5 * r * up) - (n - 1) * f(tp, s)
+    target = (-u + 0.5 * r * up) - (n - 1) * (f or f_value)(tp, s)
     if not (spec.f_lo < target < spec.f_hi):
         raise RhsEvaluationError("inversion_failure", f"operator target {target} out of range")
     return target

@@ -24,7 +24,6 @@ __all__ = [
     "DualEquationCheck",
     "legendre_dual_residual",
     "convexify_shift",
-    "logit_equation_residual",
     "normalize_counterexample_branch",
     "SelfSimilarSample",
     "self_similar_extension",
@@ -155,16 +154,6 @@ def convexify_shift(tp, field):
     else:
         raise InputError(f"convexifying shift defined for HARM and LOG only, not {tp.branch.value}")
     return AffineScaledField(field, outer=1.0, inner=1.0, quad=k, offset=0.0)
-
-
-def logit_equation_residual(field, x):
-    """Residual of  sum ln(mu_i / (1 - mu_i)) = phase  for 0 < D^2 w < I."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    mus = eig_sym(field.hessian(x))
-    if np.any(mus <= 0.0) or np.any(mus >= 1.0):
-        raise DomainError(f"Hessian spectrum {mus} outside (0, 1) at {x}", location=x)
-    lhs = float(np.sum(np.log(mus) - np.log1p(-mus)))
-    return float(lhs - phase(field, x))
 
 
 def _neg_constants(tp):

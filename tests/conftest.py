@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from shrinker_lab import TauParams
+from shrinker_lab.fields import ScalarField
+from shrinker_lab.numerics import DomainError, eig_sym, fd_gradient, fd_hessian
+from shrinker_lab.tau import phase
 
 
 def branch_params():
@@ -40,3 +43,47 @@ def same_bits(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def default_fd_step(x):
+    """Step balancing truncation vs rounding for second-order differences."""
+    r = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
+    return 1e-4 * max(1.0, r)
+
+
+class CallableField(ScalarField):
+    """Wraps plain callables; derivatives fall back to central differences."""
+
+    def __init__(self, dim, fn, grad=None, hess=None, fd_step=None):
+        self.dim = int(dim)
+        self._fn = fn
+        self._grad = grad
+        self._hess = hess
+        self._fd_step = fd_step
+
+    def value(self, x):
+        return float(self._fn(self._point(x)))
+
+    def gradient(self, x):
+        x = self._point(x)
+        if self._grad is not None:
+            return np.atleast_1d(np.asarray(self._grad(x), dtype=float))
+        h = self._fd_step if self._fd_step is not None else default_fd_step(x)
+        return fd_gradient(self._fn, x, h)
+
+    def hessian(self, x):
+        x = self._point(x)
+        if self._hess is not None:
+            return np.asarray(self._hess(x), dtype=float)
+        h = self._fd_step if self._fd_step is not None else default_fd_step(x)
+        return fd_hessian(self._fn, x, h)
+
+
+def logit_equation_residual(field, x):
+    """Residual of  sum ln(mu_i / (1 - mu_i)) = phase  for 0 < D^2 w < I."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    mus = eig_sym(field.hessian(x))
+    if np.any(mus <= 0.0) or np.any(mus >= 1.0):
+        raise DomainError(f"Hessian spectrum {mus} outside (0, 1) at {x}", location=x)
+    lhs = float(np.sum(np.log(mus) - np.log1p(-mus)))
+    return float(lhs - phase(field, x))

@@ -21,12 +21,11 @@ import shrinker_lab as sl
 from shrinker_lab import TauParams
 from shrinker_lab.cli import main
 from shrinker_lab.constructor import build_counterexample, build_mss_counterexample
-from shrinker_lab.fields import CallableField
 from shrinker_lab.shooting import radial_quadratic_reference, shoot_radial
 from shrinker_lab.tau import f_derivative, f_value_mp
 from shrinker_lab.transforms import convexify_shift, legendre_1d, legendre_dual_residual
 
-from conftest import branch_params
+from conftest import CallableField, branch_params
 
 
 def report(num, name, value, bound, elapsed, limit, extra=""):

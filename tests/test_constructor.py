@@ -21,9 +21,8 @@ from shrinker_lab.constructor import (
 from shrinker_lab.fields import SeparableExtensionField
 from shrinker_lab.numerics import DomainError, InputError
 from shrinker_lab.tau import minkowski_residual, phase, shrinker_residual
-from shrinker_lab.transforms import logit_equation_residual
 
-from conftest import same_bits
+from conftest import logit_equation_residual, same_bits
 
 
 def rk4_fixed(rhs, y0, t_end, h):
@@ -224,9 +223,20 @@ class TestAssembleW1:
         assert prof.field.gradient(np.zeros(1))[0] == pytest.approx(-2 * a1, abs=1e-12)
 
     def test_curvature_in_unit_window(self):
-        prof = assemble_w1(solve_phase_ode(0.0, 1.0, 20.0), span=23.0)
-        assert np.all(prof.field.curvs > 0.0)
-        assert np.all(prof.field.curvs < 1.0)
+        traj = solve_phase_ode(0.0, 1.0, 20.0)
+        curvs = assemble_w1(traj).field.hessian(traj.dense.ts[:, None])[:, 0, 0]
+        assert np.all(curvs > 0.0)
+        assert np.all(curvs < 1.0)
+
+    def test_span_past_the_trajectory_rejected(self):
+        with pytest.raises(InputError, match="exceeds the integrated"):
+            assemble_w1(solve_phase_ode(0.0, 1.0, 20.0), span=23.0)
+
+    def test_read_outside_the_span_rejected(self):
+        fld = assemble_w1(solve_phase_ode(0.0, 1.0, 10.0), span=8.0).field
+        for x in ([8.1], [[0.0], [-8.1]]):
+            with pytest.raises(InputError, match="outside the span"):
+                fld.value(x)
 
     def test_identity_defect(self):
         prof = assemble_w1(solve_phase_ode(0.0, 1.0, 20.0))
@@ -251,6 +261,47 @@ class TestAssembleW1:
         prof2 = assemble_w1(solve_phase_ode(a0, a1, 5.0))
         want = a1 * math.exp(a0) / (1.0 + math.exp(a0)) ** 2
         assert prof2.third_derivative(0.0) == pytest.approx(want, abs=1e-8)
+
+
+class TestStepIntegrals:
+    """The profiles' step rule against 40-digit quadrature of the same quintic
+    interpolant, on the first and last step of each leg and the two steps at
+    the origin."""
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10])
+    @pytest.mark.parametrize("ode", ["sigma", "tanh"])
+    def test_against_40_digit_quadrature(self, ode, tol):
+        if ode == "sigma":
+            prof = assemble_w1(solve_phase_ode(0.0, 1.0, 20.0, rel_tol=tol))
+            fld, dense, g = prof.field, prof.traj.dense, lambda y: 1 / (1 + mp.exp(-y))
+        else:
+            mss = build_mss_counterexample(1.0, 0.0, T=20.0, rel_tol=tol)[0]
+            fld, dense, g = mss._integral, mss._dense, mp.tanh
+        ts, ys, fs, dfs = dense.ts, dense.ys[:, 0], dense.fs[:, 0], dense.dfs[:, 0]
+        origin = int(np.searchsorted(ts, 0.0))
+        assert ts[origin] == 0.0
+        steps = np.array([0, origin - 1, origin, len(ts) - 2])
+        inner = steps + (ts[steps] < 0.0)
+        outer = 2 * steps + 1 - inner
+        i1, i2, _ = fld._rule(steps, inner, ts[outer] - ts[inner])
+        with mp.workdps(40):
+            for k, a, b, got1, got2 in zip(steps, inner, outer, i1, i2):
+                args = [mp.mpf(float(v)) for v in (ts[k], ts[k + 1], ys[k], ys[k + 1], fs[k], fs[k + 1],
+                                                    dfs[k], dfs[k + 1])]
+
+                def gk(s, args=args):
+                    return g(sl.numerics.hermite_quintic_value(s, *args))
+
+                t_in, t_out = mp.mpf(float(ts[a])), mp.mpf(float(ts[b]))
+                ref1 = mp.quad(gk, [t_in, t_out])
+                ref2 = mp.quad(lambda s: (t_out - s) * gk(s), [t_in, t_out])
+                assert abs(got1 - ref1) <= 1e-13 and abs(got2 - ref2) <= 1e-13
+
+    def test_reads_at_the_knots_are_the_knot_sums(self):
+        prof = assemble_w1(solve_phase_ode(0.3, 0.7, 10.0, rel_tol=1e-8))
+        fld, knots = prof.field, prof.traj.dense.ts[:, None]
+        assert same_bits(fld.value(knots), fld.vals)
+        assert same_bits(fld.gradient(knots)[:, 0], fld.slopes)
 
 
 class TestAssembleNd:
@@ -312,6 +363,15 @@ class TestBuildCounterexample:
             _, _, cert = build_counterexample(tp, 0.0, 1.0, 2, T=20.0, seed=3, rel_tol=rel)
             sups.append(cert.residual_sup)
         assert sups[0] >= 5.0 * sups[1]
+
+    def test_tighter_tolerance_keeps_the_certificate(self):
+        # criterion 05's build: past 1e-10 the integrator's floor fixes the
+        # steps, and the certificate stays where it was (a second quadrature
+        # grid that kept refining read 6.5 times worse at 1e-11)
+        tp = TauParams.neg_branch(a=-2.0)
+        sups = [build_counterexample(tp, 0.0, 1.0, 2, T=20.0, seed=105, rel_tol=rel)[2].residual_sup
+                for rel in (1e-10, 1e-11, 1e-12)]
+        assert max(sups[1:]) <= 1.5 * sups[0]
 
     def test_trivial_slope_rejected(self):
         tp = TauParams.neg_branch(a=-2.0)

@@ -7,16 +7,16 @@ from hypothesis import strategies as st
 
 from shrinker_lab.fields import (
     AffineScaledField,
-    CallableField,
     QuadraticField,
     RadialProfileField,
     SeparableExtensionField,
     Table1DField,
 )
+from shrinker_lab.constructor import assemble_w1, solve_phase_ode
 from shrinker_lab.numerics import InputError
 from shrinker_lab.quadratics import random_admissible_matrix
 
-from conftest import branch_params, same_bits
+from conftest import CallableField, branch_params, same_bits
 
 
 class TestQuadraticField:
@@ -102,11 +102,6 @@ class TestTable1DField:
             assert abs(f.gradient([x])[0] - math.cos(x)) < 1e-9
             assert abs(f.hessian([x])[0, 0] + math.sin(x)) < 1e-6
 
-    def test_exact_curvature_hook(self):
-        ts = np.linspace(-1, 1, 11)
-        f = Table1DField(ts, ts**2 / 2, ts, np.ones_like(ts), curvature_fn=lambda t: 1.0)
-        assert f.hessian([0.123])[0, 0] == 1.0
-
     def test_span_enforced(self):
         ts = np.linspace(0, 1, 11)
         f = Table1DField(ts, ts, np.ones_like(ts), np.zeros_like(ts))
@@ -149,10 +144,9 @@ class TestCloudViews:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_cloud_hessian_equals_points_bit_for_bit(self, n, rng):
-        # a curvature_fn of IEEE operations alone rounds a float as it rounds
-        # an array element; the affine view flattens onto the extension
-        ts = np.linspace(-4.0, 4.0, 161)
-        base = Table1DField(ts, np.sin(ts), np.cos(ts), -np.sin(ts), curvature_fn=lambda t: 1.0 / (1.0 + t * t))
+        # the step-rule profile of a build, read as a cloud of one per point;
+        # the affine view flattens onto the extension
+        base = assemble_w1(solve_phase_ode(0.3, 0.7, 4.0, rel_tol=1e-8)).field
         ext = SeparableExtensionField(base, n)
         view = AffineScaledField(ext, outer=rng.uniform(0.5, 2.0), inner=rng.uniform(0.5, 1.0),
                                  quad=rng.standard_normal(), offset=rng.standard_normal())

@@ -5,7 +5,7 @@ import pytest
 
 import shrinker_lab as sl
 from shrinker_lab import TauParams
-from shrinker_lab.fields import AffineScaledField, CallableField, QuadraticField
+from shrinker_lab.fields import AffineScaledField, QuadraticField
 from shrinker_lab.geometry import (
     FD_STEP,
     induced_metric,
@@ -17,7 +17,7 @@ from shrinker_lab.geometry import (
 from shrinker_lab.numerics import eig_sym, fd_gradient
 from shrinker_lab.tau import operator_value
 
-from conftest import with_lower_cones
+from conftest import CallableField, with_lower_cones
 
 SQRT2 = math.sqrt(2.0)
 

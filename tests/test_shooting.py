@@ -149,6 +149,35 @@ class TestProfileStructure:
 EVENT_CURVATURES = {"MA": 0.8, "LOG": 0.3, "HARM": 0.0, "ATAN": 0.0, "SLAG": 1.0, "NEG": 2.0}
 
 
+def test_float_shot_reads_f_value_at_call_time(monkeypatch, all_branches):
+    # a wrapper over shooting.f_value, as a tracer installs one, sees the
+    # step rule's f in every right-hand-side call of a float shot
+    calls = {"rhs": 0, "f": 0, "inside": False}
+    f_value_, integrate_ode = shooting.f_value, shooting.integrate_ode
+
+    def counted_f(*args):
+        calls["f"] += calls["inside"]
+        return f_value_(*args)
+
+    def counting_integrate(rhs, *args, **kwargs):
+        def counted_rhs(r, y):
+            calls["rhs"] += 1
+            calls["inside"] = True
+            try:
+                return rhs(r, y)
+            finally:
+                calls["inside"] = False
+
+        return integrate_ode(counted_rhs, *args, **kwargs)
+
+    monkeypatch.setattr(shooting, "f_value", counted_f)
+    monkeypatch.setattr(shooting, "integrate_ode", counting_integrate)
+    tp = all_branches["MA"]
+    prof = shoot_radial(tp, 2, -2 * f_value(tp, EVENT_CURVATURES["MA"]) + 0.05, r_max=10.0)
+    assert prof.event.completed
+    assert calls["rhs"] > 100 and calls["f"] == calls["rhs"]
+
+
 class TestFloatSampler:
     """The float path samples its profile in one batched read of the
     trajectory; each row is the profile's own per-radius read, bit for bit."""

@@ -23,7 +23,7 @@ from shrinker_lab import (
     phase,
 )
 from shrinker_lab import jets
-from shrinker_lab.fields import CallableField, QuadraticField
+from shrinker_lab.fields import QuadraticField
 from shrinker_lab.tau import (
     f_inverse_jet,
     f_inverse_mp,
@@ -32,7 +32,7 @@ from shrinker_lab.tau import (
     minkowski_residual,
 )
 from shrinker_lab.quadratics import _eigenvalue_window, random_admissible_matrix
-from conftest import branch_params, same_bits, with_lower_cones
+from conftest import CallableField, branch_params, same_bits, with_lower_cones
 
 SQRT2 = math.sqrt(2.0)
 

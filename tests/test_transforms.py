@@ -6,17 +6,18 @@ import pytest
 
 import shrinker_lab as sl
 from shrinker_lab import TauParams, transforms
-from shrinker_lab.fields import CallableField, QuadraticField
+from shrinker_lab.fields import QuadraticField
 from shrinker_lab.numerics import DomainError, InputError, fd_gradient, fd_hessian
 from shrinker_lab.transforms import (
     convexify_shift,
     legendre_1d,
     legendre_dual_residual,
-    logit_equation_residual,
     normalize_counterexample_branch,
     self_similar_extension,
     _neg_constants,
 )
+
+from conftest import CallableField, logit_equation_residual
 
 SQRT2 = math.sqrt(2.0)
 
