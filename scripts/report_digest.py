@@ -12,7 +12,9 @@ value, a CSV cell or an exit code:
     diff before.txt after.txt
 
 The list covers every subcommand, two sweeps at their default sizes, one
-sweep each on a branch chosen by ``--tau`` and by ``--a``, thirteen shots
+sweep each on a branch chosen by ``--tau`` and by ``--a``, three Legendre
+checks (grid steps 0.02, the default 0.01, and 0.005 on a span of 1, each
+reading the dual table across its clamped end windows), thirteen shots
 (six float shots from perturbed quadratic data, one on each branch, four
 ending in an event and two complete, so every branch's float f, f^-1 and
 profile sampler is seen; and seven Taylor shots: one on each branch, five
@@ -45,6 +47,8 @@ COMMANDS = [
     ["verify-quadratic", "--tau", "0.5", "--n", "3", "--trials", "10", "--points", "5", "--seed", "8"],  # TauParams.from_tau
     ["defect", "--a", "-3", "--n", "3", "--trials", "10", "--seed", "9"],  # TauParams.from_cot
     ["legendre-check", "--grid-step", "0.02"],
+    ["legendre-check"],  # the default step, 0.01
+    ["legendre-check", "--span", "1", "--grid-step", "0.005"],
     ["shoot", "--branch", "SLAG", "--n", "2", "--u0", "-1.4707963267948966"],
     # float shots from perturbed quadratic data on the other branches: u0 =
     # -2 f(c) + du0 with scripts/rigidity_events.py's (tp, c, du0)

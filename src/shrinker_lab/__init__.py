@@ -12,10 +12,7 @@ from .numerics import (
     Trajectory,
     eig_sym,
     eig_sym_full,
-    fd_gradient,
-    fd_hessian,
     integrate_ode,
-    invert_monotone,
 )
 from .fields import (
     AffineScaledField,

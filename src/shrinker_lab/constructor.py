@@ -10,11 +10,10 @@ constructed solution carries a machine-checkable certificate.
 
 Each ODE is integrated from 0 in both directions and the two legs are joined
 into one ascending ``numerics.Trajectory``, on whose steps both profiles are
-integrated (``fields.StepIntegralField``).  Clouds and CSV tables read it in
-one ``Trajectory.evaluate`` call, scalar reads through ``Trajectory.__call__``:
-the same quintic Hermite, from each knot's state, its derivative and the
-derivative's time derivative taken from the ODE, so a batch read equals the
-scalar reads bit for bit, and the dense output has the integrator's order.
+integrated (``fields.StepIntegralField``).  Clouds, CSV tables and single
+times read it through ``Trajectory.evaluate``: the quintic Hermite from each
+knot's state, its derivative and the derivative's time derivative taken
+from the ODE, so the dense output has the integrator's order.
 """
 
 from __future__ import annotations
@@ -110,15 +109,9 @@ class PhaseTrajectory:
     positive_slope: bool
 
     def phi_pair(self, t):
-        """(phi, phi') at scalar t, tail-extended outside the integrated span."""
-        ts, ys = self.dense.ts, self.dense.ys
-        t = float(t)
-        if t > ts[-1]:
-            return ys[-1, 0] + ys[-1, 1] * (t - ts[-1]), ys[-1, 1]
-        if t < ts[0]:
-            return ys[0, 0] + ys[0, 1] * (t - ts[0]), ys[0, 1]
-        y = self.dense(t)
-        return float(y[0]), float(y[1])
+        """(phi, phi') at t: ``phi_array`` on a batch of one."""
+        phi, dphi = self.phi_array([float(t)])[0].tolist()
+        return phi, dphi
 
     def phi(self, t):
         return self.phi_pair(t)[0]
@@ -127,7 +120,8 @@ class PhaseTrajectory:
         return self.phi_pair(t)[1]
 
     def phi_array(self, ts):
-        """``phi_pair`` at each of an array of times, shape (m, 2)."""
+        """(phi, phi') at each of an array of times, shape (m, 2), extended
+        linearly outside the integrated span."""
         ts = np.asarray(ts, dtype=float)
         knots, ys = self.dense.ts, self.dense.ys
         out = self.dense.evaluate(ts)
@@ -223,15 +217,17 @@ def _two_sided(rhs, rhs_dot, y0, span, rel_tol, stage, var):
 
 def _check_size(span, rel_tol):
     """Refuse, before any work, a tolerance whose absolute part, the checks'
-    slack, is not positive, and a half-span that a step of
-    min(2e-2, max(7.5e-4, 0.35 tol^(1/4))) covers in more than MAX_GRID_POINTS
-    points: the bound on a construction's size, which also keeps the
-    integrator off spans it would cross in a few huge steps."""
+    slack, is not positive, and a half-span longer than the integrator's span
+    at that tolerance: (MAX_GRID_POINTS - 1) // 2 steps of
+    min(2e-2, max(7.5e-4, 0.35 tol^(1/4))).  It bounds a construction's size
+    and keeps the integrator off spans it would cross in a few huge steps."""
     if not rel_tol * ABS_PER_REL_TOL > 0:  # NaN fails too
         raise InputError(f"tolerances must be positive: rel_tol {rel_tol}, abs_tol {rel_tol * ABS_PER_REL_TOL}")
     h = min(2e-2, max(7.5e-4, 0.35 * rel_tol**0.25))
-    if not span / h <= (MAX_GRID_POINTS - 1) // 2:  # NaN and inf fail too
-        raise InputError(f"half-span {span} at tolerance {rel_tol} needs more than {MAX_GRID_POINTS} points")
+    steps = (MAX_GRID_POINTS - 1) // 2
+    if not span / h <= steps:  # NaN and inf fail too
+        raise InputError(f"half-span {span} exceeds the integrator's span at tolerance {rel_tol}: "
+                         f"{steps * h:.6g} ({steps} steps of {h:.4g})")
 
 
 def profile_span(tp, radius, T):
@@ -274,8 +270,7 @@ class W1Profile:
 
     def rows(self, xs):
         """Trajectory table (t, phi, phi', w1, w1', w1''), shape (m, 6), at an
-        array of times; each row equals the point reads ``traj.phi_pair``,
-        ``field.value``, ``field.gradient``, ``field.hessian`` bit for bit."""
+        array of times, read as one cloud by ``traj.phi_array`` and ``field``."""
         x = np.asarray(xs, dtype=float)[:, None]  # the times as an (m, 1) cloud
         fld = self.field
         return np.column_stack([x, self.traj.phi_array(x[:, 0]), fld.value(x), fld.gradient(x), fld.hessian(x)[:, 0]])
@@ -477,12 +472,11 @@ class MinkowskiProfile(ScalarField):
     ``gradient_complement`` evaluates 1 - f'^2 = sech^2(s) without the
     catastrophic cancellation of forming it from a rounded f'.  (s, phi) come
     from the integrated ``Trajectory``, clamped to its span; f is the slope of
-    ``integral``, a ``StepIntegralField`` with F'' = tanh(s).  Each method
-    also takes an (m, 1) cloud, read in one ``Trajectory.evaluate`` call, and
-    returns (m,), (m, 1) or (m, 1, 1), every row bit for bit the point call:
-    tanh and cosh are ``math``'s per element (numpy's round differently).
-    The last cloud read is kept, so the methods a residual calls on one cloud
-    read the trajectory once between them.
+    ``integral``, a ``StepIntegralField`` with F'' = tanh(s).  A cloud is
+    read in one ``Trajectory.evaluate`` call; tanh and cosh are ``math``'s
+    per element (numpy's differ in the last bit).  The last cloud read is
+    kept, so the methods a residual calls on one cloud read the trajectory
+    once between them.
     """
 
     dim = 1
@@ -494,43 +488,33 @@ class MinkowskiProfile(ScalarField):
         self._last_cloud = (None, None)    # (bytes of the cloud, its (s, phi) lists)
 
     def _pairs(self, x):
-        """(s, phi) lists at a point or an (m, 1) cloud, clamped to the
-        integrated span, and whether x is a cloud."""
-        x = np.asarray(x, dtype=float)
-        if not (x.ndim == 2 and x.shape[1] == 1):
-            s, p = self._dense.evaluate(self._point(x)).T.tolist()
-            return s, p, False
+        """(s, phi) lists at an (m, 1) cloud, clamped to the integrated span."""
         key = x.tobytes()
         if self._last_cloud[0] != key:
             self._last_cloud = (key, self._dense.evaluate(x[:, 0]).T.tolist())
-        s, p = self._last_cloud[1]
-        return s, p, True
+        return self._last_cloud[1]
 
     def rows(self, xs):
         """Profile table (x, s, phi, f, f', f''), shape (m, 6), at an array of
         points, read as one cloud by ``_pairs``, ``value``, ``gradient`` and
-        ``hessian``, so each row equals their point reads bit for bit."""
+        ``hessian``."""
         x = np.asarray(xs, dtype=float)[:, None]  # the points as an (m, 1) cloud
-        s, p, _ = self._pairs(x)
+        s, p = self._pairs(x)
         return np.column_stack([x, s, p, self.value(x), self.gradient(x), self.hessian(x)[:, 0]])
 
-    def value(self, x):
+    def _value(self, x):
         return self._integral.read(x)[1]
 
-    def gradient(self, x):
-        s, _, cloud = self._pairs(x)
-        g = np.array([[math.tanh(v)] for v in s])
-        return g if cloud else g[0]
+    def _gradient(self, x):
+        return np.array([[math.tanh(v)] for v in self._pairs(x)[0]])
 
-    def hessian(self, x):
-        s, p, cloud = self._pairs(x)
-        H = np.array([[[_sech2(v) * w]] for v, w in zip(s, p)])
-        return H if cloud else H[0]
+    def _hessian(self, x):
+        s, p = self._pairs(x)
+        return np.array([[[_sech2(v) * w]] for v, w in zip(s, p)])
 
     def gradient_complement(self, x):
-        s, _, cloud = self._pairs(x)
-        c = [_sech2(v) for v in s]
-        return np.array(c) if cloud else c[0]
+        """1 - f'^2 = sech^2(s) at an (m, 1) cloud, as (m,)."""
+        return np.array([_sech2(v) for v in self._pairs(x)[0]])
 
 
 def _sech2(s):

@@ -3,8 +3,12 @@ derivatives (quadratics, affine-scaled views), one-dimensional profiles
 integrated on the steps of an ODE trajectory or read from tables, and their
 separable and radial extensions.
 
-Views compose lazily (chain rule on exact derivatives), so transform pipelines
-do not accumulate interpolation error.
+Every field reads a row-major (m, dim) cloud with one kernel a derivative,
+and a point as a cloud of one, so each row of a cloud read is its point's
+read bit for bit; ``QuadraticField`` alone keeps point kernels beside its
+cloud kernels (its docstring says why).  Views compose lazily (chain rule on
+exact derivatives), so transform pipelines do not accumulate interpolation
+error.
 """
 
 from __future__ import annotations
@@ -25,50 +29,61 @@ __all__ = [
 
 
 class ScalarField:
-    """Base interface: a potential u with u(x), Du(x), D^2u(x)."""
+    """Base interface: a potential u with u(x), Du(x), D^2u(x).
+
+    ``value``, ``gradient`` and ``hessian`` read one point (dim,) as a float,
+    (dim,) or (dim, dim), or an (m, dim) cloud as (m,), (m, dim) or
+    (m, dim, dim).  Subclasses implement ``_value``, ``_gradient`` and
+    ``_hessian`` on row-major clouds; a point is read as a cloud of one.
+    """
 
     dim: int
 
     def value(self, x):
-        raise NotImplementedError
+        x, point = self._cloud(x)
+        v = self._value(x)
+        return float(v[0]) if point else v
 
     def gradient(self, x):
-        raise NotImplementedError
+        x, point = self._cloud(x)
+        g = self._gradient(x)
+        return g[0] if point else g
 
     def hessian(self, x):
-        raise NotImplementedError
+        x, point = self._cloud(x)
+        H = self._hessian(x)
+        return H[0] if point else H
 
-    def _point(self, x):
-        p = np.atleast_1d(np.asarray(x, dtype=float))
-        if p.shape != (self.dim,):
-            raise InputError(f"expected point of dimension {self.dim}, got shape {p.shape}")
-        return p
-
-    def _points(self, x):
-        """One point (dim,), or a row-major (m, dim) cloud."""
+    def _cloud(self, x):
+        """(row-major (m, dim) cloud, whether x is one point (dim,), read as a
+        cloud of one); strided rows would take another kernel."""
         p = np.asarray(x, dtype=float)
+        if p.ndim < 2 and p.size == self.dim:    # a float is a point of dimension 1
+            return np.ascontiguousarray(p.reshape(1, self.dim)), True
         if p.ndim == 2 and p.shape[1] == self.dim:
-            return np.ascontiguousarray(p)  # strided rows take another kernel
-        return self._point(p)
+            return np.ascontiguousarray(p), False
+        raise InputError(f"expected point of dimension {self.dim}, got shape {p.shape}")
 
 
 def _dot_self(x):
-    """<x, x> of one point as a float, or row by row of a cloud as (m,): the
-    stacked product ``x[:, None, :] @ x[:, :, None]`` runs the kernel of the
-    single-point ``x @ x`` on each row, so each row rounds as its point does."""
-    if x.ndim == 2:
-        return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
-    return float(x @ x)
+    """<x, x> row by row of a cloud, as (m,): the stacked product
+    ``x[:, None, :] @ x[:, :, None]`` runs the kernel of the single-point
+    ``x @ x`` on each row, so each row rounds as its point does."""
+    return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
 
 
 class QuadraticField(ScalarField):
     """u(x) = 0.5 <x, A x> + c with exact derivatives.
 
-    ``value`` and ``gradient`` also take an (m, n) cloud and return (m,) or
-    (m, n), every row bit for bit the single-point result: the stacked
-    products ``(X[:, None, :] @ A) @ X[:, :, None]`` and ``A @ X[:, :, None]``
-    run the kernel of the single-point products row by row, where ``X @ A``
-    would not.  ``hessian`` takes one point: it is A everywhere.
+    On a cloud the stacked products ``(X[:, None, :] @ A) @ X[:, :, None]``
+    and ``A @ X[:, :, None]`` run the kernel of the single-point products row
+    by row, where ``X @ A`` would not, and the Hessian is A repeated m times.
+    A point keeps its own kernels, ``x @ A @ x``, ``A @ x`` and ``A.copy()``,
+    bit for bit a cloud of one: criterion 01 reads 60,000 point residuals on
+    quadratics, and through a cloud of one a point ``shrinker_residual`` cost
+    46 us instead of 36 us and the criterion's loop 2.8-3.0 s instead of
+    2.2-2.4 s (2-core x86-64, Python 3.11).  This is the one field whose
+    point traffic pays for a second kernel.
     """
 
     def __init__(self, A, c=0.0):
@@ -81,20 +96,28 @@ class QuadraticField(ScalarField):
         self.dim = self.A.shape[0]
 
     def value(self, x):
-        x = self._points(x)
-        if x.ndim == 2:
-            return 0.5 * ((x[:, None, :] @ self.A) @ x[:, :, None])[:, 0, 0] + self.c
-        return 0.5 * float(x @ self.A @ x) + self.c
+        x, point = self._cloud(x)
+        if point:
+            p = x[0]
+            return 0.5 * float(p @ self.A @ p) + self.c
+        return self._value(x)
 
     def gradient(self, x):
-        x = self._points(x)
-        if x.ndim == 2:
-            return (self.A @ x[:, :, None])[:, :, 0]
-        return self.A @ x
+        x, point = self._cloud(x)
+        return self.A @ x[0] if point else self._gradient(x)
 
     def hessian(self, x):
-        self._point(x)
-        return self.A.copy()
+        x, point = self._cloud(x)
+        return self.A.copy() if point else self._hessian(x)
+
+    def _value(self, x):
+        return 0.5 * ((x[:, None, :] @ self.A) @ x[:, :, None])[:, 0, 0] + self.c
+
+    def _gradient(self, x):
+        return (self.A @ x[:, :, None])[:, :, 0]
+
+    def _hessian(self, x):
+        return np.repeat(self.A[None], len(x), axis=0)
 
 
 class AffineScaledField(ScalarField):
@@ -105,9 +128,6 @@ class AffineScaledField(ScalarField):
     flatten into a single layer; in particular an exact involution composed
     with itself collapses to the identity coefficients (1, 1, 0, 0) and
     evaluates bit-for-bit as the base.
-
-    Each method also takes an (m, n) cloud, when the base does, and returns
-    (m,), (m, n) or (m, n, n), every row bit for bit the single-point result.
     """
 
     def __init__(self, base, outer=1.0, inner=1.0, quad=0.0, offset=0.0):
@@ -125,68 +145,48 @@ class AffineScaledField(ScalarField):
         self.offset = offset
         self.dim = base.dim
 
-    def value(self, x):
-        x = self._points(x)
-        return (
-            self.outer * self.base.value(self.inner * x)
-            + 0.5 * self.quad * _dot_self(x)
-            + self.offset
-        )
+    def _value(self, x):
+        return self.outer * self.base.value(self.inner * x) + 0.5 * self.quad * _dot_self(x) + self.offset
 
-    def gradient(self, x):
-        x = self._points(x)
+    def _gradient(self, x):
         return self.outer * self.inner * self.base.gradient(self.inner * x) + self.quad * x
 
-    def hessian(self, x):
-        x = self._points(x)
-        return (
-            self.outer * self.inner ** 2 * self.base.hessian(self.inner * x)
-            + self.quad * np.eye(self.dim)
-        )
+    def _hessian(self, x):
+        return self.outer * self.inner ** 2 * self.base.hessian(self.inner * x) + self.quad * np.eye(self.dim)
 
 
 def _bracket_index(ts, t):
-    """Index k of the grid cell [ts[k], ts[k+1]] holding t, clamped to the
-    table; elementwise for an array of t."""
-    k = np.searchsorted(ts, t, side="right") - 1
-    if isinstance(k, np.ndarray):
-        return np.clip(k, 0, len(ts) - 2)
-    return min(max(int(k), 0), len(ts) - 2)
+    """Index k of the grid cell [ts[k], ts[k+1]] holding each of an array of
+    t, clamped to the table."""
+    return np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
 
 
 def _local_cubic(ts, vals, t):
-    """Value at t of the interpolating cubic through the 4 nearest samples.
+    """Value at each of an array of t of the interpolating cubic through the
+    4 nearest samples.
 
     Interior windows are symmetric around t; within one cell of the boundary
-    the window is clamped.
+    the window is clamped.  Every operation is elementwise, so each t rounds
+    as it would alone.
     """
-    n = len(ts)
-    k = _bracket_index(ts, t)
-    i0 = min(max(k - 1, 0), n - 4)
-    idx = slice(i0, i0 + 4)
-    tw = ts[idx]
-    vw = vals[idx]
+    i0 = np.clip(_bracket_index(ts, t) - 1, 0, len(ts) - 4)
+    window = i0[:, None] + np.arange(4)
+    tw, c = ts[window], vals[window]
     # Newton divided differences, evaluated in nested form
-    c = vw.astype(float).copy()
     for j in range(1, 4):
-        c[j:] = (c[j:] - c[j - 1 : -1]) / (tw[j:] - tw[: 4 - j])
-    d0, d1, d2, d3 = c
-    t0, t1, t2 = tw[0], tw[1], tw[2]
-    return d0 + (t - t0) * (d1 + (t - t1) * (d2 + (t - t2) * d3))
+        c[:, j:] = (c[:, j:] - c[:, j - 1 : -1]) / (tw[:, j:] - tw[:, : 4 - j])
+    d0, d1, d2, d3 = c.T
+    return d0 + (t - tw[:, 0]) * (d1 + (t - tw[:, 1]) * (d2 + (t - tw[:, 2]) * d3))
 
 
-def _span_t(field, x, lo, hi):
-    """(t, cloud) of a 1-D field's point, t a float, or of its (m, 1) cloud, t
-    (m,), clamped into [lo, hi]; InputError if any t lies outside it by more
-    than rounding."""
-    x = np.asarray(x, dtype=float)
-    cloud = x.ndim == 2 and x.shape[1] == 1
-    t = x[:, 0] if cloud else float(field._point(x)[0])
+def _span_t(x, lo, hi):
+    """Times of an (m, 1) cloud, as (m,), clamped into [lo, hi]; InputError
+    if any lies outside it by more than rounding."""
+    t = x[:, 0]
     outside = (t < lo - 1e-9 * (1 + abs(lo))) | (t > hi + 1e-9 * (1 + abs(hi)))
-    if outside.any() if cloud else outside:
-        bad = t[outside][0] if cloud else t
-        raise InputError(f"evaluation point {bad} outside the span [{lo}, {hi}]")
-    return (np.clip(t, lo, hi) if cloud else min(max(t, lo), hi)), cloud
+    if outside.any():
+        raise InputError(f"evaluation point {t[outside][0]} outside the span [{lo}, {hi}]")
+    return np.clip(t, lo, hi)
 
 
 class Table1DField(ScalarField):
@@ -194,10 +194,7 @@ class Table1DField(ScalarField):
 
     Value uses the two-point quintic Hermite; the slope uses the cubic Hermite
     of (slope, curvature); the curvature is interpolated by a local cubic.
-
-    ``value`` and ``gradient`` also take an (m, 1) cloud in one batch and
-    return (m,) or (m, 1), every row bit for bit its point's (both Hermites
-    are elementwise); ``hessian`` takes one point.
+    All three are elementwise in the times of a cloud.
     """
 
     dim = 1
@@ -210,29 +207,21 @@ class Table1DField(ScalarField):
         if not (len(self.ts) >= 4 and len(self.ts) == len(self.vals) == len(self.slopes) == len(self.curvs)):
             raise InputError("need >= 4 aligned samples")
 
-    def _points_t(self, x):
-        return _span_t(self, x, self.ts[0], self.ts[-1])
+    def _cells(self, x):
+        t = _span_t(x, self.ts[0], self.ts[-1])
+        return t, _bracket_index(self.ts, t)
 
-    def value(self, x):
-        t, cloud = self._points_t(x)
-        ts, vals, slopes, curvs, k = self.ts, self.vals, self.slopes, self.curvs, _bracket_index(self.ts, t)
-        v = hermite_quintic_value(t, ts[k], ts[k + 1], vals[k], vals[k + 1], slopes[k], slopes[k + 1],
-                                  curvs[k], curvs[k + 1])
-        return v if cloud else float(v)
+    def _value(self, x):
+        (t, k), ts, vals, slopes, curvs = self._cells(x), self.ts, self.vals, self.slopes, self.curvs
+        return hermite_quintic_value(t, ts[k], ts[k + 1], vals[k], vals[k + 1], slopes[k], slopes[k + 1],
+                                     curvs[k], curvs[k + 1])
 
-    def slope(self, t):
-        """Slope at a float t, or elementwise at an array of t."""
-        ts, slopes, curvs, k = self.ts, self.slopes, self.curvs, _bracket_index(self.ts, t)
-        v = hermite_value(t, ts[k], ts[k + 1], slopes[k], slopes[k + 1], curvs[k], curvs[k + 1])
-        return v if isinstance(t, np.ndarray) else float(v)
+    def _gradient(self, x):
+        (t, k), ts, slopes, curvs = self._cells(x), self.ts, self.slopes, self.curvs
+        return hermite_value(t, ts[k], ts[k + 1], slopes[k], slopes[k + 1], curvs[k], curvs[k + 1])[:, None]
 
-    def gradient(self, x):
-        t, cloud = self._points_t(x)
-        return self.slope(t)[:, None] if cloud else np.array([self.slope(t)])
-
-    def hessian(self, x):
-        t, _ = self._points_t(self._point(x))
-        return np.array([[float(_local_cubic(self.ts, self.curvs, t))]])
+    def _hessian(self, x):
+        return _local_cubic(self.ts, self.curvs, _span_t(x, self.ts[0], self.ts[-1]))[:, None, None]
 
 
 # 4-point Gauss-Legendre on [0, 1] for a StepIntegralField's steps (6 and 8
@@ -256,11 +245,10 @@ class StepIntegralField(ScalarField):
     same rule from the inner knot of t's step to t: ``value`` is F,
     ``gradient`` F' and ``hessian`` g(y(t)).
 
-    Each method also takes an (m, 1) cloud and returns (m,), (m, 1) or
-    (m, 1, 1), every row bit for bit its point's (a point is a cloud of one;
-    the nodes are summed left to right).  The last cloud read is kept, so the
-    methods called on one cloud read it once between them.  A read outside
-    [-span, span] by more than rounding is an InputError.
+    The nodes are summed left to right, not through ``@``, so each row rounds
+    as it would alone.  The last cloud read is kept, so the methods called on
+    one cloud read it once between them.  A read outside [-span, span] by
+    more than rounding is an InputError.
     """
 
     dim = 1
@@ -298,13 +286,12 @@ class StepIntegralField(ScalarField):
         return d * i1, d * d * i2, g[-1]
 
     def read(self, x):
-        """(F, F', g(y(t)), cloud): floats at a point, (m,) arrays at an
-        (m, 1) cloud, read in blocks that bound the temporaries."""
-        t, cloud = _span_t(self, x, -self.span, self.span)
-        t = np.atleast_1d(t)
+        """(F, F', g(y(t))) at an (m, 1) cloud, as a (3, m) array, read in
+        blocks that bound the temporaries."""
+        t = _span_t(x, -self.span, self.span)
         key = t.tobytes()
-        if cloud and self._last_cloud[0] == key:
-            return (*self._last_cloud[1], True)
+        if self._last_cloud[0] == key:
+            return self._last_cloud[1]
         ts = self._ts
         reads = np.empty((3, len(t)))
         for lo in range(0, len(t), _READ_BLOCK):
@@ -315,31 +302,22 @@ class StepIntegralField(ScalarField):
             i1, i2, g = self._rule(k, inner, d, tb)
             reads[:, lo : lo + _READ_BLOCK] = (self.vals[inner] + (d * self.slopes[inner] + i2),
                                                self.slopes[inner] + i1, g)
-        if not cloud:
-            return (*reads[:, 0].tolist(), False)
         reads.flags.writeable = False    # shared by every read of this cloud
         self._last_cloud = (key, reads)
-        return (*reads, True)
+        return reads
 
-    def value(self, x):
+    def _value(self, x):
         return self.read(x)[0]
 
-    def gradient(self, x):
-        _, dF, _, cloud = self.read(x)
-        return dF[:, None] if cloud else np.array([dF])
+    def _gradient(self, x):
+        return self.read(x)[1][:, None]
 
-    def hessian(self, x):
-        *_, g, cloud = self.read(x)
-        return g[:, None, None] if cloud else np.array([[g]])
+    def _hessian(self, x):
+        return self.read(x)[2][:, None, None]
 
 
 class SeparableExtensionField(ScalarField):
-    """n-D extension  w(x) = w1(x_1) + (|x|^2 - x_1^2)/4  of a 1-D profile.
-
-    ``value``, ``gradient`` and ``hessian`` also take an (m, n) cloud, when
-    the profile takes an (m, 1) one, and return (m,), (m, n) or (m, n, n),
-    every row bit for bit the single-point result.
-    """
+    """n-D extension  w(x) = w1(x_1) + (|x|^2 - x_1^2)/4  of a 1-D profile."""
 
     def __init__(self, profile_1d, n):
         if n < 1:
@@ -349,27 +327,24 @@ class SeparableExtensionField(ScalarField):
         self.base = profile_1d
         self.dim = int(n)
 
-    def value(self, x):
-        x = self._points(x)
-        x1 = x[..., 0]
-        rest = _dot_self(x) - x1 * x1
-        return self.base.value(x[..., :1]) + 0.25 * rest
+    def _value(self, x):
+        x1 = x[:, 0]
+        return self.base.value(x[:, :1]) + 0.25 * (_dot_self(x) - x1 * x1)
 
-    def gradient(self, x):
-        x = self._points(x)
+    def _gradient(self, x):
         g = 0.5 * x
-        g[..., 0] = self.base.gradient(x[..., :1])[..., 0]
+        g[:, 0] = self.base.gradient(x[:, :1])[:, 0]
         return g
 
-    def hessian(self, x):
-        x = self._points(x)
-        H = 0.5 * np.broadcast_to(np.eye(self.dim), x.shape[:-1] + (self.dim, self.dim))
-        H[..., 0, 0] = self.base.hessian(x[..., :1])[..., 0, 0]
+    def _hessian(self, x):
+        H = 0.5 * np.broadcast_to(np.eye(self.dim), (len(x), self.dim, self.dim))
+        H[:, 0, 0] = self.base.hessian(x[:, :1])[:, 0, 0]
         return H
 
 
 class RadialProfileField(ScalarField):
-    """n-D radial potential u(|x|) from 1-D profile evaluators.
+    """n-D radial potential u(|x|) from 1-D profile evaluators, each called on
+    one float radius.
 
     The Hessian is u'' along the ray and u'/r on the orthogonal complement;
     the removable singularity at the origin is filled with u''(0) I.
@@ -382,23 +357,24 @@ class RadialProfileField(ScalarField):
         self._d2u = d2u_fn
         self._r0 = float(r_origin)
 
-    def value(self, x):
-        x = self._point(x)
-        return float(self._u(float(np.linalg.norm(x))))
+    def _radii(self, x):
+        return np.sqrt(_dot_self(x))
 
-    def gradient(self, x):
-        x = self._point(x)
-        r = float(np.linalg.norm(x))
-        if r < self._r0:
-            return float(self._d2u(0.0)) * x
-        return float(self._du(r)) / r * x
+    def _tangent(self, r):
+        """u'(r)/r, filled with u''(0) within r_origin of the origin."""
+        return [float(self._d2u(0.0)) if v < self._r0 else float(self._du(v)) / v for v in r.tolist()]
 
-    def hessian(self, x):
-        x = self._point(x)
-        r = float(np.linalg.norm(x))
-        if r < self._r0:
-            return float(self._d2u(0.0)) * np.eye(self.dim)
-        xh = x / r
-        radial = float(self._d2u(r))
-        tangent = float(self._du(r)) / r
-        return tangent * np.eye(self.dim) + (radial - tangent) * np.outer(xh, xh)
+    def _value(self, x):
+        return np.array([float(self._u(v)) for v in self._radii(x).tolist()])
+
+    def _gradient(self, x):
+        return np.array(self._tangent(self._radii(x)))[:, None] * x
+
+    def _hessian(self, x):
+        r = self._radii(x)
+        near = r < self._r0
+        tangent = np.array(self._tangent(r))
+        radial = np.array([float(self._d2u(v)) for v in np.where(near, 0.0, r).tolist()])
+        xh = x / np.where(near, 1.0, r)[:, None]    # at the origin radial - tangent is 0
+        return (tangent[:, None, None] * np.eye(self.dim)
+                + (radial - tangent)[:, None, None] * (xh[:, :, None] * xh[:, None, :]))

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .numerics import DomainError, InputError, as_sym_matrix, eig_sym, fd_gradient
+from .numerics import DomainError, InputError, as_sym_matrix, eig_sym
 from .tau import Branch, operator_gradient_matrix, operator_value
 
 __all__ = [
@@ -83,15 +83,15 @@ def mean_curvature(tp, field, x):
     The ambient divergence reduces to the normal projection of
     (0, D_x[F(lambda(D^2 u))]); the derivative of the composite scalar is taken
     by central differences, which avoids ill-conditioned eigenvector
-    derivatives at eigenvalue crossings.
+    derivatives at eigenvalue crossings.  The 2n stencil points
+    x +- FD_STEP e_i are read as one cloud, one stacked eigen-solve and one
+    ``operator_value``: the points and arithmetic of ``numerics.fd_gradient``.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-
-    def F_of_x(p):
-        return operator_value(tp, eig_sym(field.hessian(p)))
-
-    dF = fd_gradient(F_of_x, x, FD_STEP)
-    V = np.concatenate([np.zeros(len(x)), dF])
+    n = len(x)
+    steps = FD_STEP * np.eye(n)
+    F = operator_value(tp, eig_sym(field.hessian(np.vstack([x + steps, x - steps]))))
+    V = np.concatenate([np.zeros(n), (F[:n] - F[n:]) / (2.0 * FD_STEP)])
     return normal_project(tp, field.hessian(x), V)
 
 

@@ -293,8 +293,8 @@ class Trajectory:
     derivatives ``fs`` at both knots, or, where ``dfs`` holds the time
     derivative of the right-hand side at each knot, the quintic
     ``hermite_quintic_value`` from (y, f, f'), of the integrator's order.
-    ``__call__`` reads one time and ``evaluate`` a batch; both apply the same
-    interpolant, so they agree bit for bit.
+    ``evaluate`` reads a batch of times, and ``__call__`` one time as a batch
+    of one.
     """
 
     ts: np.ndarray
@@ -312,21 +312,14 @@ class Trajectory:
         return self.event is None
 
     def __call__(self, t):
-        """State vector at time t (t inside the covered span)."""
+        """State vector at time t (t inside the covered span): ``evaluate`` on
+        a batch of one."""
         ts = self.ts
         lo, hi = (ts[0], ts[-1]) if ts[0] <= ts[-1] else (ts[-1], ts[0])
         tq = float(t)
         if tq < lo - 1e-12 * (1 + abs(lo)) or tq > hi + 1e-12 * (1 + abs(hi)):
             raise InputError(f"t={t} outside covered span [{lo}, {hi}]")
-        if len(ts) == 1:  # zero-span trajectory: the initial state
-            return self.ys[0].copy()
-        tq = min(max(tq, lo), hi)
-        if ts[0] <= ts[-1]:
-            k = int(np.searchsorted(ts, tq, side="right") - 1)
-        else:
-            k = int(np.searchsorted(-ts, -tq, side="right") - 1)
-        k = min(max(k, 0), len(ts) - 2)
-        return self._hermite(tq, ts[k], ts[k + 1], k)
+        return self.evaluate([tq])[0]
 
     def evaluate(self, tq):
         """States at a 1-D array of times, shape (m, dim); times outside the

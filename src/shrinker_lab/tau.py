@@ -471,8 +471,9 @@ def operator_gradient_matrix(tp, H):
 def phase(field, x):
     """-u(x) + <x, Du(x)>/2; constant along exact quadratic solutions.
 
-    ``x`` is one point, or an (m, n) cloud for a field that evaluates clouds;
-    a cloud gives (m,) values, each bit for bit its point's value.
+    ``x`` is one point or an (m, n) cloud; a cloud gives (m,) values, each bit
+    for bit its point's value.  The point branch is kept for criterion 01's
+    60,000 point residuals on quadratics (``fields.QuadraticField``).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim == 2:
@@ -484,8 +485,8 @@ def phase(field, x):
 def shrinker_residual(tp, field, x):
     """Defect of the self-shrinker potential equation at x, zero iff
     F(lambda(D^2 u)) = -u + <x, Du>/2 holds there.  ``x`` is one point, or an
-    (m, n) cloud for a field whose Hessian takes one, solved as one stack: (m,)
-    defects, each bit for bit its point's.  On a quadratic, whose Hessian is
+    (m, n) cloud solved as one stack: (m,) defects, each bit for bit its
+    point's.  On a quadratic, whose Hessian is
     constant, the defect is F(lambda(A)) - phase (``quadratics.verify_quadratic``).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -525,35 +526,28 @@ def minkowski_residual(field, x):
     """Residual of the spacelike self-shrinker graph equation in flat signature.
 
     (delta_ij + f_i f_j / (1 - |Df|^2)) f_ij + f/2 - <x, Df>/2.  When the field
-    exposes ``gradient_complement`` (a stable evaluation of 1 - |Df|^2), that
-    is used for the weight and trusted: the direct expression loses precision
-    once |Df| is within a few ulp of 1, and rounds to 0 beyond.  The graph is
-    spacelike where the weight's denominator is positive.
+    exposes ``gradient_complement`` (a stable evaluation of 1 - |Df|^2 on a
+    cloud), that is used for the weight and trusted: the direct expression
+    loses precision once |Df| is within a few ulp of 1, and rounds to 0
+    beyond.  The graph is spacelike where the weight's denominator is positive.
 
-    ``x`` is one point, or an (m, n) cloud for a field that evaluates clouds;
-    a cloud gives (m,) residuals, each bit for bit its point's residual, and
-    the first point that is not spacelike is the one reported.
+    ``x`` is an (m, n) cloud, giving (m,) residuals, or one point, read as a
+    cloud of one; the first point that is not spacelike is the one reported.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    point = x.ndim == 1
+    x = np.ascontiguousarray(x[None] if point else x)
     comp_fn = getattr(field, "gradient_complement", None)
     g = field.gradient(x)
-    if x.ndim == 2:
-        x = np.ascontiguousarray(x)
-        comp = comp_fn(x) if comp_fn is not None else 1.0 - (g[:, None, :] @ g[:, :, None])[:, 0, 0]
-        bad = np.flatnonzero(comp <= 0.0)
-        if len(bad):
-            k = bad[0]
-            raise DomainError(
-                f"not spacelike: 1 - |Df|^2 = {comp[k]} <= 0 at x = {x[k]}", value=comp[k], location=x[k]
-            )
-        H = field.hessian(x)
-        lhs = np.trace(H, axis1=1, axis2=2) + ((g[:, None, :] @ H) @ g[:, :, None])[:, 0, 0] / comp
-        rhs = -0.5 * field.value(x) + 0.5 * (x[:, None, :] @ g[:, :, None])[:, 0, 0]
-        return lhs - rhs
-    comp = float(comp_fn(x)) if comp_fn is not None else 1.0 - float(g @ g)
-    if comp <= 0.0:
-        raise DomainError(f"not spacelike: 1 - |Df|^2 = {comp} <= 0 at x = {x}", value=comp, location=x)
+    comp = comp_fn(x) if comp_fn is not None else 1.0 - (g[:, None, :] @ g[:, :, None])[:, 0, 0]
+    bad = np.flatnonzero(comp <= 0.0)
+    if len(bad):
+        k = bad[0]
+        raise DomainError(
+            f"not spacelike: 1 - |Df|^2 = {comp[k]} <= 0 at x = {x[k]}", value=comp[k], location=x[k]
+        )
     H = field.hessian(x)
-    lhs = float(np.trace(H)) + float(g @ H @ g) / comp
-    rhs = -0.5 * field.value(x) + 0.5 * float(x @ g)
-    return float(lhs - rhs)
+    lhs = np.trace(H, axis1=1, axis2=2) + ((g[:, None, :] @ H) @ g[:, :, None])[:, 0, 0] / comp
+    rhs = -0.5 * field.value(x) + 0.5 * (x[:, None, :] @ g[:, :, None])[:, 0, 0]
+    residual = lhs - rhs
+    return float(residual[0]) if point else residual

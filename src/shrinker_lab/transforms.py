@@ -51,7 +51,7 @@ class Transform1DResult:
 def legendre_1d(field, t0, t1, num=801, check_involution=True):
     """Legendre transform of a strictly convex 1-D field on [t0, t1].
 
-    Reads w, w' and w'' once at each of ``num`` uniform nodes x_i and stores
+    Reads w, w' and w'' on the ``num`` uniform nodes x_i, one cloud each, and stores
     y_i = w'(x_i), w*(y_i) = x_i y_i - w(x_i), slope x_i and curvature
     1/w''(x_i); no inversion is needed.  A w'' that is not positive, or a w'
     that does not strictly increase from node to node, is a DomainError.  The
@@ -68,9 +68,8 @@ def legendre_1d(field, t0, t1, num=801, check_involution=True):
     if check_involution and num < 6:
         raise InputError(f"{num} samples leave the involution check no interior sample")
     xs = np.linspace(t0, t1, num)
-    vals = np.array([field.value([x]) for x in xs])
-    ys = np.array([field.gradient([x])[0] for x in xs])
-    curv = np.array([field.hessian([x])[0, 0] for x in xs])
+    nodes = xs[:, None]  # one cloud read of each derivative
+    vals, ys, curv = field.value(nodes), field.gradient(nodes)[:, 0], field.hessian(nodes)[:, 0, 0]
     bad = np.flatnonzero(curv <= 0.0)
     if len(bad):
         x, c = float(xs[bad[0]]), float(curv[bad[0]])
@@ -86,9 +85,8 @@ def legendre_1d(field, t0, t1, num=801, check_involution=True):
 
     if check_involution:
         back = legendre_1d(result.field, ys[0], ys[-1], num=num, check_involution=False)
-        mids = 0.5 * (xs[2 : num - 3] + xs[3 : num - 2])
-        want = np.array([field.value([x]) for x in mids])
-        result.involution_defect = float(np.max(np.abs(back.field.value(mids[:, None]) - want)))
+        mids = (0.5 * (xs[2 : num - 3] + xs[3 : num - 2]))[:, None]
+        result.involution_defect = float(np.max(np.abs(back.field.value(mids) - field.value(mids))))
     return result
 
 

@@ -52,7 +52,8 @@ def default_fd_step(x):
 
 
 class CallableField(ScalarField):
-    """Wraps plain callables; derivatives fall back to central differences."""
+    """Wraps plain callables of one point; derivatives fall back to central
+    differences.  The cloud kernels call them row by row."""
 
     def __init__(self, dim, fn, grad=None, hess=None, fd_step=None):
         self.dim = int(dim)
@@ -61,22 +62,21 @@ class CallableField(ScalarField):
         self._hess = hess
         self._fd_step = fd_step
 
-    def value(self, x):
-        return float(self._fn(self._point(x)))
+    def _step(self, p):
+        return self._fd_step if self._fd_step is not None else default_fd_step(p)
 
-    def gradient(self, x):
-        x = self._point(x)
+    def _value(self, x):
+        return np.array([float(self._fn(p)) for p in x])
+
+    def _gradient(self, x):
         if self._grad is not None:
-            return np.atleast_1d(np.asarray(self._grad(x), dtype=float))
-        h = self._fd_step if self._fd_step is not None else default_fd_step(x)
-        return fd_gradient(self._fn, x, h)
+            return np.array([np.atleast_1d(np.asarray(self._grad(p), dtype=float)) for p in x])
+        return np.array([fd_gradient(self._fn, p, self._step(p)) for p in x])
 
-    def hessian(self, x):
-        x = self._point(x)
+    def _hessian(self, x):
         if self._hess is not None:
-            return np.asarray(self._hess(x), dtype=float)
-        h = self._fd_step if self._fd_step is not None else default_fd_step(x)
-        return fd_hessian(self._fn, x, h)
+            return np.array([np.asarray(self._hess(p), dtype=float) for p in x])
+        return np.array([fd_hessian(self._fn, p, self._step(p)) for p in x])
 
 
 def logit_equation_residual(field, x):

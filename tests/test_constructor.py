@@ -512,7 +512,7 @@ class TestMssCounterexample:
         xs = np.arange(-10.0, 10.0 + 0.0125, 0.025)
         scalar = []
         for x in xs:
-            (s,), (p,), _ = fld._pairs([x])
+            (s,), (p,) = fld._pairs(np.array([[x]]))
             scalar.append([x, s, p, fld.value([x]), float(fld.gradient([x])[0]), float(fld.hessian([x])[0, 0])])
         assert np.array_equal(np.array(fld.rows(xs)).view(np.int64), np.array(scalar).view(np.int64))
 

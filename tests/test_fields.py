@@ -15,8 +15,20 @@ from shrinker_lab.fields import (
 from shrinker_lab.constructor import assemble_w1, solve_phase_ode
 from shrinker_lab.numerics import InputError
 from shrinker_lab.quadratics import random_admissible_matrix
+from shrinker_lab.tau import shrinker_residual
 
 from conftest import CallableField, branch_params, same_bits
+
+
+def _cubic_reference(ts, vals, t):
+    """The cubic through the 4 samples nearest one t, the window clamped at
+    the table's ends: Newton divided differences in nested form."""
+    k = min(max(int(np.searchsorted(ts, t, side="right")) - 1, 0), len(ts) - 2)
+    i0 = min(max(k - 1, 0), len(ts) - 4)
+    tw, c = ts[i0 : i0 + 4], vals[i0 : i0 + 4].copy()
+    for j in range(1, 4):
+        c[j:] = (c[j:] - c[j - 1 : -1]) / (tw[j:] - tw[: 4 - j])
+    return c[0] + (t - tw[0]) * (c[1] + (t - tw[1]) * (c[2] + (t - tw[2]) * c[3]))
 
 
 class TestQuadraticField:
@@ -55,6 +67,25 @@ class TestQuadraticField:
         for cloud in (X, np.asfortranarray(X)):
             assert same_bits(f.value(cloud), [f.value(x) for x in X])
             assert same_bits(f.gradient(cloud), [f.gradient(x) for x in X])
+
+    @given(
+        branch=st.sampled_from(sorted(branch_params())),
+        n=st.integers(1, 4),
+        m=st.integers(1, 50),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cloud_hessian_and_residual_equal_points_bit_for_bit(self, branch, n, m, seed):
+        # a point keeps its own kernels (A.copy(), 1-D products); a cloud
+        # repeats A and solves one stack
+        tp = branch_params()[branch]
+        rng = np.random.default_rng(seed)
+        f = QuadraticField(random_admissible_matrix(tp, n, rng), rng.standard_normal())
+        X = rng.uniform(-3.0, 3.0, (m, n))
+        H = f.hessian(X)
+        assert H.shape == (m, n, n)
+        assert same_bits(H, [f.hessian(x) for x in X])
+        assert same_bits(shrinker_residual(tp, f, X), [shrinker_residual(tp, f, x) for x in X])
 
 
 class TestCallableField:
@@ -101,6 +132,19 @@ class TestTable1DField:
             assert abs(f.value([x]) - math.sin(x)) < 1e-12
             assert abs(f.gradient([x])[0] - math.cos(x)) < 1e-9
             assert abs(f.hessian([x])[0, 0] + math.sin(x)) < 1e-6
+
+    def test_cloud_hessian_equals_points_and_reference_bit_for_bit(self, rng):
+        # uneven nodes; the first and last cells clamp their 4-sample windows,
+        # and a time past either end by rounding reads the end
+        ts = np.cumsum(rng.uniform(0.05, 0.15, 60)) - 4.0
+        f = Table1DField(ts, np.sin(ts), np.cos(ts), -np.sin(ts))
+        ends = [ts[0], ts[0] - 1e-12, 0.5 * (ts[0] + ts[1]), ts[1], ts[-2], 0.5 * (ts[-2] + ts[-1]), ts[-1],
+                ts[-1] + 1e-12]
+        t = np.concatenate([ends, rng.uniform(ts[0], ts[-1], 40), ts[2:-2]])
+        H = f.hessian(t[:, None])
+        assert H.shape == (len(t), 1, 1)
+        assert same_bits(H, [f.hessian([v]) for v in t])
+        assert same_bits(H[:, 0, 0], [_cubic_reference(ts, f.curvs, v) for v in np.clip(t, ts[0], ts[-1])])
 
     def test_span_enforced(self):
         ts = np.linspace(0, 1, 11)
@@ -155,17 +199,6 @@ class TestCloudViews:
             H = f.hessian(cloud)
             assert H.shape == (40, f.dim, f.dim)
             assert same_bits(H, [f.hessian(x) for x in cloud])
-
-    def test_interpolated_curvature_refuses_a_cloud(self):
-        ts = np.linspace(-4.0, 4.0, 161)
-        base = Table1DField(ts, np.sin(ts), np.cos(ts), -np.sin(ts))
-        with pytest.raises(InputError):
-            base.hessian(np.zeros((3, 1)))
-
-    def test_view_of_a_point_field_refuses_a_cloud(self):
-        f = AffineScaledField(CallableField(2, lambda x: float(x @ x)), outer=2.0)
-        with pytest.raises(InputError):
-            f.value(np.zeros((3, 2)))
 
 
 class TestRadialProfileField:

@@ -17,7 +17,7 @@ from shrinker_lab.geometry import (
 from shrinker_lab.numerics import eig_sym, fd_gradient
 from shrinker_lab.tau import operator_value
 
-from conftest import CallableField, with_lower_cones
+from conftest import CallableField, same_bits, with_lower_cones
 
 SQRT2 = math.sqrt(2.0)
 
@@ -166,6 +166,24 @@ class TestMeanCurvature:
         E = tangent_frame(u.hessian(x))
         G = ambient_metric(tp, 2)
         assert np.max(np.abs(E.T @ G @ Hv)) < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stencil_cloud_equals_fd_gradient_bit_for_bit(self, n, all_branches, rng):
+        # the 2n stencil points read as one cloud: fd_gradient's points and
+        # arithmetic, on a Hessian that varies (u = <x, A x>/2 - 0.01 sum cos x_i)
+        for name, tp in all_branches.items():
+            A = sl.random_admissible_matrix(tp, n, rng)
+            field = CallableField(
+                n,
+                lambda p: 0.5 * p @ A @ p - 0.01 * np.sum(np.cos(p)),
+                grad=lambda p: A @ p + 0.01 * np.sin(p),
+                hess=lambda p: A + np.diag(0.01 * np.cos(p)),
+            )
+            x = rng.uniform(-1, 1, n)
+            dF = fd_gradient(lambda p: operator_value(tp, eig_sym(field.hessian(p))), x, FD_STEP)
+            assert np.any(dF != 0.0), name
+            want = normal_project(tp, field.hessian(x), np.concatenate([np.zeros(n), dF]))
+            assert same_bits(mean_curvature(tp, field, x), want), name
 
     def test_nonzero_for_counterexample(self):
         tp = TauParams.neg_branch(a=-2.0)

@@ -467,12 +467,6 @@ class TestResiduals:
         X = rng.uniform(-3.0, 3.0, (m, n))
         assert same_bits(phase(field, X), [phase(field, x) for x in X])
 
-    def test_cloud_is_input_error(self, rng):
-        # a cloud is read where the field's Hessian takes one: a quadratic's takes one point
-        tp = TauParams.monge_ampere()
-        with pytest.raises(InputError, match="expected point"):
-            sl.shrinker_residual(tp, QuadraticField(np.eye(2)), rng.uniform(-3, 3, (5, 2)))
-
 
 class TestGrowthRatio:
     def test_quadratic_identity(self, rng):
@@ -520,18 +514,6 @@ class TestGrowthRatio:
             sl.growth_ratio(tp, field, np.array([2.0, 0.0]), 1.0)
 
 
-class _CloudHessianQuadratic(QuadraticField):
-    """A quadratic whose Hessian also reads an (m, n) cloud, as the
-    construction's ``MinkowskiProfile`` does; ``QuadraticField`` reads one
-    point."""
-
-    def hessian(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            return np.repeat(self.A[None], len(x), axis=0)
-        return super().hessian(x)
-
-
 class TestMinkowskiResidual:
     def test_zero_field(self):
         field = QuadraticField(np.zeros((2, 2)), 0.0)
@@ -572,7 +554,7 @@ class TestMinkowskiResidual:
         for n in range(1, 5):
             for _ in range(10):
                 A = 0.02 * rng.standard_normal((n, n))
-                field = _CloudHessianQuadratic(A + A.T, float(rng.standard_normal()))
+                field = QuadraticField(A + A.T, float(rng.standard_normal()))
                 X = rng.uniform(-1.0, 1.0, (60, n))
                 assert same_bits(minkowski_residual(field, X), [minkowski_residual(field, x) for x in X])
 
@@ -588,7 +570,7 @@ class TestMinkowskiResidual:
             field = CallableField(
                 1, lambda p: 0.0, grad=lambda p: np.array([1.0]), hess=lambda p: np.zeros((1, 1))
             )
-            field.gradient_complement = lambda p, comp=comp: comp
+            field.gradient_complement = lambda x, comp=comp: np.full(len(x), comp)
             if spacelike:
                 assert minkowski_residual(field, np.array([0.0])) == 0.0
             else:

@@ -6,7 +6,7 @@ import pytest
 
 import shrinker_lab as sl
 from shrinker_lab import TauParams, transforms
-from shrinker_lab.fields import QuadraticField
+from shrinker_lab.fields import AffineScaledField, QuadraticField, Table1DField
 from shrinker_lab.numerics import DomainError, InputError, fd_gradient, fd_hessian
 from shrinker_lab.transforms import (
     convexify_shift,
@@ -17,7 +17,7 @@ from shrinker_lab.transforms import (
     _neg_constants,
 )
 
-from conftest import CallableField, logit_equation_residual
+from conftest import CallableField, logit_equation_residual, same_bits
 
 SQRT2 = math.sqrt(2.0)
 
@@ -31,7 +31,35 @@ def quad_1d(alpha=1.0, c=0.0):
     )
 
 
+_TS = np.linspace(-3.0, 3.0, 121)
+
+
+def _legendre_reference(field, t0, t1, num):
+    """legendre_1d's arrays (x, y, w*, 1/w'') from point reads, one node at a time."""
+    xs = np.linspace(t0, t1, num)
+    vals = np.array([field.value([x]) for x in xs])
+    ys = np.array([field.gradient([x])[0] for x in xs])
+    curv = np.array([field.hessian([x])[0, 0] for x in xs])
+    return xs, ys, xs * ys - vals, 1.0 / curv
+
+
 class TestLegendre:
+    @pytest.mark.parametrize("field", [
+        convexify_shift(TauParams.harmonic(), QuadraticField(np.array([[0.8]]))),  # legendre-check's
+        AffineScaledField(Table1DField(_TS, np.cosh(_TS), np.sinh(_TS), np.cosh(_TS)), outer=0.7, quad=0.2),
+    ])
+    def test_arrays_equal_point_reads_bit_for_bit(self, field):
+        res = legendre_1d(field, -2.0, 2.0, num=161)
+        xs, ys, dual, dual_hess = _legendre_reference(field, -2.0, 2.0, 161)
+        for got, want in ((res.inverse_map, xs), (res.y_grid, ys), (res.dual_values, dual),
+                          (res.dual_hessian, dual_hess)):
+            assert same_bits(got, want)
+        # the involution: the dual table transformed back, read between the primal nodes
+        back = _legendre_reference(Table1DField(ys, dual, xs, dual_hess), ys[0], ys[-1], 161)
+        again = Table1DField(back[1], back[2], back[0], back[3])
+        mids = 0.5 * (xs[2:158] + xs[3:159])
+        defect = max(abs(again.value([m]) - field.value([m])) for m in mids)
+        assert res.involution_defect == defect
     def test_self_dual(self):
         res = legendre_1d(quad_1d(), -2.0, 2.0, num=401)
         assert res.involution_defect <= 1e-9
