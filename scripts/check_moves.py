@@ -1,22 +1,20 @@
 #!/usr/bin/env python3
-"""Compare the reports of two checkouts against a committed list of moves.
+"""Compare the digests of two checkouts against a committed list of moves.
 
-A change that moves a report on purpose names what it moves in
-``.github/report-moves.txt``, one key a line (``#`` starts a comment):
+``report_digest.py`` prints one status line a run (a CLI command or an
+experiment script) and one digest line a file the run writes.  A change that
+moves a report on purpose names what it moves in ``.github/report-moves.txt``,
+one key a line (``#`` starts a comment):
 
-    <command> :: <file>    the digest line of a file the command writes
-    <command>              the command's status line (its exit code)
-    <name>.csv             an experiment CSV
+    <run> :: <file>    the digest line of a file, such as
+                       rigidity_events.py :: rigidity_events.csv
+    <run>              the run's status line (its exit code)
 
 The check fails if a key that is not listed differs, and also if a listed key
-does not, so a list left over from an earlier change fails too:
+does not or neither digest has it, so a list left over from an earlier change
+fails too.  Exits 1 with one line a fault, 0 otherwise:
 
-    python3 scripts/check_moves.py digest base-digest.txt head-digest.txt
-    python3 scripts/check_moves.py csv base-dir head-dir rigidity_events.csv tolerance_scaling.csv
-
-``digest`` compares two outputs of ``report_digest.py`` and ``csv`` the named
-files of two directories, byte for byte.  A key of the other kind is left to
-the other comparison.  Exits 1 with one line a fault, 0 otherwise.
+    python3 scripts/check_moves.py base-digest.txt head-digest.txt
 """
 
 import argparse
@@ -33,33 +31,25 @@ def read_moves(path):
 
 
 def digest_entries(path):
-    """{key: value} of one ``report_digest.py`` output: a command's status
-    line under the command, each file's SHA-256 under "command :: file"."""
+    """{key: value} of one ``report_digest.py`` output: a run's status line
+    under the run, each file's SHA-256 under "run :: file"."""
     entries = {}
-    command = None
+    run = None
     with open(path) as fh:
         for line in fh:
             line = line.rstrip("\n")
             if line.startswith("  "):
                 sha, name = line.split()
-                entries[f"{command} :: {name}"] = sha
+                entries[f"{run} :: {name}"] = sha
             elif line:
-                status, command = line.split("  ", 1)
-                entries[command] = status
-    return entries
-
-
-def csv_entries(directory, names):
-    entries = {}
-    for name in names:
-        with open(os.path.join(directory, name), "rb") as fh:
-            entries[name] = fh.read()
+                status, run = line.split("  ", 1)
+                entries[run] = status
     return entries
 
 
 def faults(base, head, moves):
-    """Every unlisted key that differs and every listed key of this
-    comparison that does not."""
+    """Every unlisted key that differs, every listed key that does not, and
+    every listed key that neither side produced."""
     out = []
     for key in sorted(base.keys() | head.keys()):
         moved = base.get(key) != head.get(key)
@@ -67,30 +57,15 @@ def faults(base, head, moves):
             out.append(f"moved, not listed: {key}")
         elif not moved and key in moves:
             out.append(f"listed, not moved: {key}")
-    return out
+    return out + [f"listed, not produced: {key}" for key in sorted(moves - base.keys() - head.keys())]
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = ap.add_subparsers(dest="kind", required=True)
-    dig = sub.add_parser("digest")
-    dig.add_argument("base")
-    dig.add_argument("head")
-    csv = sub.add_parser("csv")
-    csv.add_argument("base")
-    csv.add_argument("head")
-    csv.add_argument("names", nargs="+")
+    ap.add_argument("base", help="report_digest.py output of the base commit")
+    ap.add_argument("head", help="report_digest.py output of this checkout")
     args = ap.parse_args(argv)
-
-    moves = read_moves(MOVES)
-    if args.kind == "digest":
-        base, head = digest_entries(args.base), digest_entries(args.head)
-        own = {key for key in moves if not key.endswith(".csv") or " :: " in key}
-    else:
-        base, head = csv_entries(args.base, args.names), csv_entries(args.head, args.names)
-        own = {key for key in moves if key.endswith(".csv") and " :: " not in key}
-    found = faults(base, head, moves)
-    found += [f"listed, not produced: {key}" for key in sorted(own - base.keys() - head.keys())]
+    found = faults(digest_entries(args.base), digest_entries(args.head), read_moves(MOVES))
     for line in found:
         print(line)
     return 1 if found else 0

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""SHA-256 of every JSON report and CSV written by a fixed list of CLI commands.
+"""SHA-256 of every JSON report and CSV written by a fixed list of CLI commands
+and by the experiment scripts.
 
-Each command runs in-process into its own temporary directory; the script
-prints the exit code (or the exception that escaped ``main``) and the digest
-of each file written.  Reports are byte-identical for a given config and
-seed, so two checkouts print the same lines unless a change moved a reported
-value, a CSV cell or an exit code:
+Each run goes in-process into its own temporary directory, a script through
+its ``main(["--out", <dir>/<name>.csv])``; the script prints the exit code (or
+the exception that escaped ``main``) and the digest of each file written.
+Reports are byte-identical for a given config and seed, so two checkouts
+print the same lines unless a change moved a reported value, a CSV cell or an
+exit code (both runs use this checkout's scripts, on the package --src picks):
 
     python3 scripts/report_digest.py > after.txt
     python3 scripts/report_digest.py --src /path/to/other/checkout/src > before.txt
@@ -26,8 +28,10 @@ are below the rounding of ``1 - x`` (taken from the log-odds and from s, they
 stay positive and both builds exit 0), one whose certificate reach is below
 ``--span``, at a tolerance the integrator's floor caps, one in dimension 1,
 whose generic-route cross-check reads the largest inner cloud, and one whose
-cross-check meets the cone edge and reports null sups.  The script
-exits 1, after printing every line, if any command raised.
+cross-check meets the cone edge and reports null sups.  Then come both
+experiment scripts at their default sizes: ``rigidity_events.py`` (24 float
+shots) and ``tolerance_scaling.py`` (six builds).  The script exits 1, after
+printing every line, if any run raised.
 """
 
 import argparse
@@ -35,8 +39,10 @@ import contextlib
 import hashlib
 import io
 import os
+import runpy
 import sys
 import tempfile
+from functools import partial
 
 COMMANDS = [
     ["verify-quadratic", "--n", "3", "--trials", "20", "--points", "5", "--seed", "1"],
@@ -81,11 +87,17 @@ COMMANDS = [
     ["build-counterexample", "--mss", "--phi0", "-0.7", "--s0", "0.2", "--tol", "1e-10"],
     ["build-counterexample", "--mss", "--phi0", "1.9", "--s0", "0.2", "--tol", "1e-8"],  # |f'| rounds to 1
 ]
+SCRIPTS = ["rigidity_events", "tolerance_scaling"]  # each writes <name>.csv
 
 
 def digest(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def run_script(directory, name, out):
+    """The exit code of ``<directory>/<name>.py``'s ``main``, its CSV written to ``<out>/<name>.csv``."""
+    return runpy.run_path(os.path.join(directory, f"{name}.py"))["main"](["--out", os.path.join(out, f"{name}.csv")])
 
 
 def main(argv=None):
@@ -97,17 +109,19 @@ def main(argv=None):
     sys.path.insert(0, os.path.abspath(args.src))
     from shrinker_lab.cli import main as cli_main
 
+    runs = [(" ".join(argv), lambda out, argv=argv: cli_main([*argv, "--out", out])) for argv in COMMANDS]
+    runs += [(f"{name}.py", partial(run_script, here, name)) for name in SCRIPTS]
     raised = False
-    for command in COMMANDS:
+    for label, call in runs:
         with tempfile.TemporaryDirectory() as out:
             sink = io.StringIO()
             try:
                 with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-                    status = f"exit {cli_main([*command, '--out', out])}"
+                    status = f"exit {call(out)}"
             except Exception as exc:  # noqa: BLE001 - an escaped exception is a result here
                 status = f"raised {type(exc).__name__}"
                 raised = True
-            print(f"{status}  {' '.join(command)}")
+            print(f"{status}  {label}")
             for name in sorted(os.listdir(out)):
                 print(f"  {digest(os.path.join(out, name))}  {name}")
     return 1 if raised else 0

@@ -5,6 +5,8 @@ transform pipeline, non-quadratic entire constructions with certificates,
 and radial shooting experiments.
 """
 
+__version__ = "0.1.0"  # before the imports: reports reads it
+
 from .numerics import (
     ConstructionError,
     DomainError,
@@ -61,5 +63,3 @@ from .constructor import (
     solve_phase_ode,
 )
 from .shooting import RadialProfile, ShotEvent, radial_quadratic_reference, shoot_radial
-
-__version__ = "0.1.0"

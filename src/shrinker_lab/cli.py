@@ -96,13 +96,13 @@ def _out_path(args, name):
 
 
 def _check_sizes(args):
-    """--rmax, --grid-step, --span and --tol, where the command has them and
-    they are given, must be finite and positive; --seed must be at least 0.
-    The points --grid-step puts on a grid are counted where the grid's
-    half-span is known.  Sizes past what the front end runs are usage errors:
-    --n above MAX_DIMENSION, --dps above MAX_DPS, and --trials (times
-    --points, where the command has it) above MAX_GRID_POINTS."""
-    if args.n > MAX_DIMENSION:
+    """Each flag is checked where the command has it.  --rmax, --grid-step,
+    --span and --tol, where given, must be finite and positive; --seed must be
+    at least 0.  The points --grid-step puts on a grid are counted where the
+    grid's half-span is known.  Sizes past what the front end runs are usage
+    errors: --n above MAX_DIMENSION, --dps above MAX_DPS, and --trials (times
+    --points) above MAX_GRID_POINTS."""
+    if getattr(args, "n", 1) > MAX_DIMENSION:
         raise UsageError(f"--n {args.n} is above {MAX_DIMENSION}, the largest dimension supported")
     dps = getattr(args, "dps", None)
     if dps is not None and dps > MAX_DPS:
@@ -116,7 +116,7 @@ def _check_sizes(args):
         value = getattr(args, name, None)
         if value is not None and not (math.isfinite(value) and value > 0):
             raise InputError(f"--{name.replace('_', '-')} must be finite and positive, got {value}")
-    if args.seed < 0:
+    if getattr(args, "seed", 0) < 0:
         raise InputError(f"--seed must be at least 0, got {args.seed}")
 
 
@@ -220,7 +220,7 @@ def cmd_shoot(args):
         prof.rows(),
     )
     config = {"branch": tp.branch.value, "tau": tp.tau, "n": args.n, "u0": args.u0,
-              "rmax": args.rmax, "tol": args.tol, "dps": args.dps, "seed": args.seed}
+              "rmax": args.rmax, "tol": args.tol, "dps": args.dps}
     results = {
         "event": {"kind": prof.event.kind, "r": prof.event.r},
         "samples": int(len(prof.rs)),
@@ -268,7 +268,7 @@ def cmd_legendre_check(args):
         and results["dual_equation_sup"] <= 1e-5
         and results["phase_drift_sup"] <= 1e-5
     )
-    config = {"grid_step": step, "span": span, "seed": args.seed}
+    config = {"grid_step": step, "span": span}
     _emit(args, "legendre-check", config, results, passed)
     return EXIT_PASS if passed else EXIT_VERIFY_FAIL
 
@@ -285,13 +285,14 @@ def cmd_defect(args):
     return _branch_sweep(args, "defect", 1e-7, "max_defect", measure)
 
 
-def _add_common(p):
+def _add_common(p, tol_and_seed=True):
     p.add_argument("--branch", choices=sorted(BRANCH_DEFAULTS), help="operator branch")
     p.add_argument("--tau", type=float, help="metric angle in (-pi/4, pi/2]")
     p.add_argument("--a", type=float, help="cot(tau); a < -1 selects the bounded-cone branch")
     p.add_argument("--n", type=int, default=2, help="spatial dimension (default 2)")
-    p.add_argument("--tol", type=float, default=None, help="tolerance / integrator tolerance")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (reports are byte-stable per seed)")
+    if tol_and_seed:
+        p.add_argument("--tol", type=float, default=None, help="tolerance / integrator tolerance")
+        p.add_argument("--seed", type=int, default=0, help="RNG seed (reports are byte-stable per seed)")
     p.add_argument("--out", type=str, default=None, help="output directory (default .)")
 
 
@@ -319,10 +320,12 @@ def build_parser():
     p.set_defaults(func=cmd_build_counterexample)
 
     p = sub.add_parser("shoot", help="radial shooting experiment (events are data)")
-    _add_common(p)
+    _add_common(p, tol_and_seed=False)
     p.add_argument("--u0", type=float, default=None, help="potential value at the origin")
     p.add_argument("--rmax", type=float, default=50.0, help="target radius")
-    p.add_argument("--dps", type=int, default=None, help="decimal digits for the high-precision path")
+    path = p.add_mutually_exclusive_group()  # --tol sets the float path, --dps the Taylor path
+    path.add_argument("--tol", type=float, default=None, help="float integrator tolerance")
+    path.add_argument("--dps", type=int, default=None, help="decimal digits for the high-precision path")
     p.set_defaults(func=cmd_shoot)
 
     p = sub.add_parser("flow-check", help="self-similar time extension defect sweep")
@@ -331,7 +334,7 @@ def build_parser():
     p.set_defaults(func=cmd_flow_check)
 
     p = sub.add_parser("legendre-check", help="dual-pipeline residuals on convex tests")
-    _add_common(p)
+    p.add_argument("--out", type=str, default=None, help="output directory (default .)")
     p.add_argument("--grid-step", type=float, default=1e-2)
     p.add_argument("--span", type=float, default=2.0)
     p.set_defaults(func=cmd_legendre_check)

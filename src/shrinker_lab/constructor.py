@@ -47,8 +47,8 @@ RESIDUAL_TARGET = 1e-6  # the residual sup each construction certifies against
 # tolerance; with dense output of the integrator's order the certified residual
 # is about 10-30 times the integrator's tolerance (scripts/tolerance_scaling.py).
 # 1e-4 is the largest power of ten that keeps criterion 05's build (1e-10) at
-# its rounding floor, 2.4e-13 (1e-3: 1.75e-12); 1e-5 asks the integrator for
-# 1e-15, which ODE_TOL_FLOOR lifts to 1e-14: the same 787 knots as 1e-4.
+# its rounding floor, 1.990e-13 (1e-3: 1.755e-12).  1e-5 asks for 1e-15, which
+# ODE_TOL_FLOOR lifts to 1e-14, a hair below 1e-10 * 1e-4, and gives 2.736e-13.
 ODE_TOL_PER_TOL = 1e-4
 # Never below criterion 05's 1e-14: finer steps resolve less than the doubles
 # do, and a build at 1e-16 took 25 times as long as at 1e-12 for one residual.

@@ -7,9 +7,9 @@ import json
 
 import numpy as np
 
-__all__ = ["json_report", "write_json", "write_csv"]
+from . import __version__
 
-TOOL_VERSION = "0.1.0"
+__all__ = ["json_report", "write_json", "write_csv"]
 
 
 def json_report(command, config, results, passed):
@@ -22,7 +22,7 @@ def json_report(command, config, results, passed):
         "config": config,
         "results": results,
         "pass": bool(passed),
-        "version": TOOL_VERSION,
+        "version": __version__,
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 

@@ -22,15 +22,15 @@ def check_moves():
 
 @pytest.fixture
 def compare(tmp_path, check_moves, monkeypatch, capsys):
-    """Exit code and printed faults of ``check_moves.py digest`` on two
-    digests, with the given keys listed as moves."""
+    """Exit code and printed faults of ``check_moves.py`` on two digests, with
+    the given keys listed as moves."""
 
     def run(base, head, *moves):
         (tmp_path / "moves.txt").write_text("# moves\n" + "".join(f"{key}  # why\n" for key in moves))
         monkeypatch.setattr(check_moves, "MOVES", str(tmp_path / "moves.txt"))
         (tmp_path / "base.txt").write_text(base)
         (tmp_path / "head.txt").write_text(head)
-        code = check_moves.main(["digest", str(tmp_path / "base.txt"), str(tmp_path / "head.txt")])
+        code = check_moves.main([str(tmp_path / "base.txt"), str(tmp_path / "head.txt")])
         return code, capsys.readouterr().out.splitlines()
 
     return run
@@ -67,16 +67,9 @@ def test_listed_key_that_neither_side_produced_fails(compare):
     assert (code, out) == (1, [f"listed, not produced: {key}"])
 
 
-def test_csv_mode_ignores_digest_keys(tmp_path, check_moves, monkeypatch, capsys):
-    (tmp_path / "moves.txt").write_text(f"{KEY}\nrigidity_events.csv\n")
-    monkeypatch.setattr(check_moves, "MOVES", str(tmp_path / "moves.txt"))
-    for side, events in (("base", b"r\r\n1\r\n"), ("head", b"r\r\n2\r\n")):
-        (tmp_path / side).mkdir()
-        (tmp_path / side / "rigidity_events.csv").write_bytes(events)
-        (tmp_path / side / "tolerance_scaling.csv").write_bytes(b"tol\r\n")
-    argv = ["csv", str(tmp_path / "base"), str(tmp_path / "head"), "rigidity_events.csv", "tolerance_scaling.csv"]
-    assert check_moves.main(argv) == 0
-    assert capsys.readouterr().out == ""
-    (tmp_path / "head" / "tolerance_scaling.csv").write_bytes(b"tol\r\n1\r\n")
-    assert check_moves.main(argv) == 1
-    assert capsys.readouterr().out.splitlines() == ["moved, not listed: tolerance_scaling.csv"]
+def test_script_csv_is_a_digest_key(compare):
+    base = BASE + "exit 0  rigidity_events.py\n  dddd  rigidity_events.csv\n"
+    head = base.replace("dddd", "eeee")
+    key = "rigidity_events.py :: rigidity_events.csv"
+    assert compare(base, head) == (1, [f"moved, not listed: {key}"])
+    assert compare(base, head, key) == (0, [])

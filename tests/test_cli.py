@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from shrinker_lab.cli import BRANCH_DEFAULTS, main
 from shrinker_lab import constructor, reports
+from shrinker_lab.numerics import RhsEvaluationError
 from shrinker_lab.reports import write_csv
 from shrinker_lab.transforms import _neg_constants
 
@@ -36,19 +37,21 @@ FUZZ_INTS = _literals(-1, 0, 1, 2, 3)
 # the flags that set how much work a command does draw only from small values
 SMALL_FLOATS = _literals(-1.0, 0.0, 5e-324, 1e-3, 1.0, math.inf, math.nan)
 SMALL_INTS = _literals(-1, 0, 1, 2)
-COMMON_FLAGS = {"--branch": st.sampled_from(sorted(BRANCH_DEFAULTS)), "--tau": FUZZ_FLOATS,
-                "--a": FUZZ_FLOATS, "--tol": FUZZ_FLOATS, "--n": FUZZ_INTS, "--seed": FUZZ_INTS}
+BRANCH_FLAGS = {"--branch": st.sampled_from(sorted(BRANCH_DEFAULTS)), "--tau": FUZZ_FLOATS,
+                "--a": FUZZ_FLOATS, "--n": FUZZ_INTS}
+SWEEP_FLAGS = {**BRANCH_FLAGS, "--tol": FUZZ_FLOATS, "--seed": FUZZ_INTS}
 # per subcommand: (flags an example may give, flags every example gives)
 FUZZ_COMMANDS = {
-    "verify-quadratic": ({"--points": FUZZ_INTS}, {"--trials": SMALL_INTS}),
-    "flow-check": ({}, {"--trials": SMALL_INTS}),
-    "defect": ({}, {"--trials": SMALL_INTS}),
+    "verify-quadratic": ({**SWEEP_FLAGS, "--points": FUZZ_INTS}, {"--trials": SMALL_INTS}),
+    "flow-check": (SWEEP_FLAGS, {"--trials": SMALL_INTS}),
+    "defect": (SWEEP_FLAGS, {"--trials": SMALL_INTS}),
     "build-counterexample": (
-        {"--a0": FUZZ_FLOATS, "--a1": FUZZ_FLOATS, "--phi0": FUZZ_FLOATS, "--s0": FUZZ_FLOATS,
+        {**SWEEP_FLAGS, "--a0": FUZZ_FLOATS, "--a1": FUZZ_FLOATS, "--phi0": FUZZ_FLOATS, "--s0": FUZZ_FLOATS,
          "--grid-step": FUZZ_FLOATS, "--mss": st.none()},
         {"--span": SMALL_FLOATS, "--rmax": SMALL_FLOATS},
     ),
-    "shoot": ({"--u0": FUZZ_FLOATS, "--dps": _literals(-1, 0, 1, 11, 20)}, {"--rmax": SMALL_FLOATS}),
+    "shoot": ({**BRANCH_FLAGS, "--u0": FUZZ_FLOATS, "--tol": FUZZ_FLOATS, "--dps": _literals(-1, 0, 1, 11, 20)},
+              {"--rmax": SMALL_FLOATS}),
     "legendre-check": ({"--grid-step": FUZZ_FLOATS}, {"--span": SMALL_FLOATS}),
 }
 
@@ -57,7 +60,6 @@ FUZZ_COMMANDS = {
 def cli_argv(draw):
     command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
     optional, sized = FUZZ_COMMANDS[command]
-    optional = {**COMMON_FLAGS, **optional}
     argv = [command]
     for flag in draw(st.lists(st.sampled_from(sorted(optional)), max_size=5, unique=True)):
         value = draw(optional[flag])
@@ -84,6 +86,27 @@ class TestExitCodes:
 
     def test_wrong_branch_for_construction(self, tmp_path):
         assert run(tmp_path, "build-counterexample", "--a", "0.5") == 65
+
+    @pytest.mark.parametrize(
+        "argv",
+        # legendre-check checks one fixed quadratic; shoot draws nothing, and
+        # its Taylor path (--dps) sets its own step tolerance
+        [
+            ("legendre-check", "--branch", "LOG"),
+            ("legendre-check", "--tau", "5"),
+            ("legendre-check", "--a", "-2"),
+            ("legendre-check", "--n", "3"),
+            ("legendre-check", "--tol", "1e-3"),
+            ("legendre-check", "--seed", "1"),
+            ("shoot", "--u0", "-1", "--seed", "1"),
+            ("shoot", "--u0", "-1", "--dps", "15", "--tol", "1e-3"),
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_usage_error(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, *argv)
+        assert exc.value.code == 64
+        assert not (tmp_path / f"{argv[0]}.json").exists()
 
     def test_shoot_requires_u0(self, tmp_path):
         assert run(tmp_path, "shoot", "--branch", "SLAG") == 64
@@ -193,6 +216,20 @@ class TestExitCodes:
     def test_domain_error_is_construction_failure(self, tmp_path, capsys, argv):
         assert run(tmp_path, "build-counterexample", *argv) == 3
         assert "construction failed" in capsys.readouterr().err
+
+    def test_construction_error_is_construction_failure(self, tmp_path, capsys, monkeypatch):
+        phase_rhs = constructor._phase_rhs
+
+        def walled(t, y):  # the phase ODE leaves its domain past |t| = 1
+            if abs(t) > 1.0:
+                raise RhsEvaluationError("wall", f"t = {t}")
+            return phase_rhs(t, y)
+
+        monkeypatch.setattr(constructor, "_phase_rhs", walled)
+        assert run(tmp_path, "build-counterexample", "--tol", "1e-6") == 3
+        err = capsys.readouterr().err
+        assert re.search(r"construction failed: \[phase_ode\] divergence event wall at t = 0\.9999999999999", err)
+        assert not (tmp_path / "build-counterexample.json").exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -279,6 +279,20 @@ class TestIntegrateOde:
         assert traj.event.label == "left_domain"
         assert abs(traj.event.t - 0.5) < 1e-6
 
+    def test_non_finite_stage_is_retried_shorter(self):
+        # y' = y^3 from 1e100: the first stage's derivative overflows to inf,
+        # so each try stops at the second stage point and retries a quarter as
+        # long, until the step falls below the floor
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return [y[0] * y[0] * y[0]]
+
+        traj = integrate_ode(rhs, [1e100], (0.0, 1.0), 1e-10)
+        assert traj.event.label == "step_underflow" and traj.event.t == 0.0
+        assert (traj.n_steps, traj.n_rejected, len(calls)) == (0, 20, 21)
+
     def test_dense_output_between_knots(self):
         # uncapped steps: the read between knots is the quintic, from the
         # right-hand side's time derivative -sin t at each knot

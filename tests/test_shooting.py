@@ -111,6 +111,33 @@ class TestEvents:
         prof = shoot_radial(tp, 2, -math.pi / 2 + 0.1, r_max=50.0)
         assert len(prof.rs) > 10  # profile sampled up to the event
 
+    @pytest.mark.parametrize("dps, r_event", [(None, 3.4914), (30, 3.5000)])
+    def test_blow_up_past_the_magnitude_bound(self, monkeypatch, dps, r_event):
+        # quadratic data, whose |(u, u')| passes 5 near r = 3.5: both paths
+        # stop at the first state past the bound, the Taylor path at a step end
+        monkeypatch.setattr(shooting, "_BLOW_UP_MAG", 5)
+        tp = TauParams.monge_ampere()
+        prof = shoot_radial(tp, 2, -2 * f_value(tp, 0.8), r_max=10.0, dps=dps)
+        assert prof.event.kind == "blow_up" and round(prof.event.r, 4) == r_event
+        assert len(prof.rs) == 401 and prof.rs[-1] == prof.event.r
+        assert max(abs(prof.us[-1]), abs(prof.ups[-1])) > 5
+
+    def test_taylor_path_checks_each_expansion_point(self, monkeypatch):
+        # the step rule fails on mpf states past r = 2: the shot ends at the
+        # first expansion point there, 1e-8 plus four steps of 0.5
+        radial_target = shooting._radial_target
+
+        def walled(tp, n, r, u, up, upp0, f=None):
+            if f is f_value_mp and r > 2:
+                raise RhsEvaluationError("inversion_failure", f"r = {r}")
+            return radial_target(tp, n, r, u, up, upp0, f)
+
+        monkeypatch.setattr(shooting, "_radial_target", walled)
+        tp = TauParams.special_lagrangian()
+        prof = shoot_radial(tp, 2, -2 * f_value(tp, 1.0), r_max=10.0, dps=30)
+        assert prof.event.kind == "inversion_failure" and prof.event.r == 2.00000001
+        assert prof.rs[-1] == prof.event.r
+
     def test_unreachable_initial_value(self):
         # HARM upper component has range (-inf, 0): -u0/n must be negative
         with pytest.raises(InputError, match="outside attainable range"):
