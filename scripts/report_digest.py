@@ -16,10 +16,12 @@ exit code (both runs use this checkout's scripts, on the package --src picks):
 The list covers every subcommand, two sweeps at their default sizes, one
 sweep each on a branch chosen by ``--tau`` and by ``--a``, three Legendre
 checks (grid steps 0.02, the default 0.01, and 0.005 on a span of 1, each
-reading the dual table across its clamped end windows), thirteen shots
+reading the dual table across its clamped end windows), fourteen shots
 (six float shots from perturbed quadratic data, one on each branch, four
 ending in an event and two complete, so every branch's float f, f^-1 and
-profile sampler is seen; and seven Taylor shots: one on each branch, five
+profile sampler is seen; a seventh float shot, NEG's run on to r = 1e6,
+whose ``blow_up`` ends where |u| crosses the step rule's bound 1e10; and
+seven Taylor shots: one on each branch, five
 complete and one ending in ``blow_up``, so the Taylor path's naming and
 placing of an event is seen, and a second ``blow_up`` at a working precision
 below a double's), and ten builds:
@@ -63,6 +65,8 @@ COMMANDS = [
     ["shoot", "--branch", "HARM", "--n", "2", "--u0", "2.62842712474619", "--rmax", "50"],  # -0.2, event
     ["shoot", "--branch", "ATAN", "--n", "2", "--u0", "0.4306019663449764", "--rmax", "50"],  # -0.05, event
     ["shoot", "--branch", "NEG", "--n", "2", "--u0", "0.2", "--rmax", "50"],  # +0.2
+    # the same shot on to r = 1e6: the step rule's blow_up, where |u| crosses 1e10
+    ["shoot", "--branch", "NEG", "--n", "2", "--u0", "0.2", "--rmax", "1e6"],
     ["shoot", "--branch", "MA", "--n", "2", "--u0", "0", "--rmax", "2", "--dps", "30"],
     ["shoot", "--branch", "SLAG", "--n", "2", "--u0", "-1.4707963267948966", "--dps", "15"],  # Taylor blow_up
     # dps 12: the Taylor path at 43 bits, below a double's 53

@@ -74,7 +74,8 @@ EXIT_CODES = {
 
 
 def _resolve_tp(args, fallback=None):
-    """TauParams from --branch / --tau / --a; None means 'all branches'."""
+    """TauParams from --branch, --tau or --a (argparse lets at most one
+    through); None means 'all branches'."""
     try:
         if args.tau is not None:
             return TauParams.from_tau(args.tau)
@@ -286,9 +287,10 @@ def cmd_defect(args):
 
 
 def _add_common(p, tol_and_seed=True):
-    p.add_argument("--branch", choices=sorted(BRANCH_DEFAULTS), help="operator branch")
-    p.add_argument("--tau", type=float, help="metric angle in (-pi/4, pi/2]")
-    p.add_argument("--a", type=float, help="cot(tau); a < -1 selects the bounded-cone branch")
+    branch = p.add_mutually_exclusive_group()  # each names the operator branch
+    branch.add_argument("--branch", choices=sorted(BRANCH_DEFAULTS), help="operator branch")
+    branch.add_argument("--tau", type=float, help="metric angle in (-pi/4, pi/2]")
+    branch.add_argument("--a", type=float, help="cot(tau); a < -1 selects the bounded-cone branch")
     p.add_argument("--n", type=int, default=2, help="spatial dimension (default 2)")
     if tol_and_seed:
         p.add_argument("--tol", type=float, default=None, help="tolerance / integrator tolerance")

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .fields import ScalarField, SeparableExtensionField, StepIntegralField
+from .fields import ScalarField, SeparableExtensionField, StepIntegralField, _span_t
 from .numerics import ABS_PER_REL_TOL, ConstructionError, DomainError, InputError, Trajectory, integrate_ode
 from .numerics import cumulative_simpson  # noqa: F401  unused; perfbench/tracing.py wraps it by this name
 from .tau import Branch, minkowski_residual, phase, shrinker_residual
@@ -211,7 +211,7 @@ def _two_sided(rhs, rhs_dot, y0, span, rel_tol, stage, var):
         legs.append(leg)
     pos, neg = legs
     ts, ys, fs = (np.concatenate([a[:0:-1], b]) for a, b in ((neg.ts, pos.ts), (neg.ys, pos.ys), (neg.fs, pos.fs)))
-    return Trajectory(ts, ys, fs, neg.t_end, pos.t_end, n_steps=pos.n_steps + neg.n_steps,
+    return Trajectory(ts, ys, fs, n_steps=pos.n_steps + neg.n_steps,
                       n_rejected=pos.n_rejected + neg.n_rejected, dfs=rhs_dot(ts, ys, fs))
 
 
@@ -471,7 +471,7 @@ class MinkowskiProfile(ScalarField):
 
     ``gradient_complement`` evaluates 1 - f'^2 = sech^2(s) without the
     catastrophic cancellation of forming it from a rounded f'.  (s, phi) come
-    from the integrated ``Trajectory``, clamped to its span; f is the slope of
+    from the integrated ``Trajectory`` on its span; f is the slope of
     ``integral``, a ``StepIntegralField`` with F'' = tanh(s).  A cloud is
     read in one ``Trajectory.evaluate`` call; tanh and cosh are ``math``'s
     per element (numpy's differ in the last bit).  The last cloud read is
@@ -488,10 +488,11 @@ class MinkowskiProfile(ScalarField):
         self._last_cloud = (None, None)    # (bytes of the cloud, its (s, phi) lists)
 
     def _pairs(self, x):
-        """(s, phi) lists at an (m, 1) cloud, clamped to the integrated span."""
+        """(s, phi) lists at an (m, 1) cloud; a point outside [-span, span] by
+        more than rounding is an InputError, as in ``value``."""
         key = x.tobytes()
         if self._last_cloud[0] != key:
-            self._last_cloud = (key, self._dense.evaluate(x[:, 0]).T.tolist())
+            self._last_cloud = (key, self._dense.evaluate(_span_t(x, -self.span, self.span)).T.tolist())
         return self._last_cloud[1]
 
     def rows(self, xs):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import _READ_BLOCK, InputError, hermite_value, hermite_quintic_value
+from .numerics import _READ_BLOCK, InputError, Trajectory
 
 __all__ = [
     "ScalarField",
@@ -192,9 +192,10 @@ def _span_t(x, lo, hi):
 class Table1DField(ScalarField):
     """1-D field from (value, slope, curvature) on strictly increasing nodes of any spacing.
 
-    Value uses the two-point quintic Hermite; the slope uses the cubic Hermite
-    of (slope, curvature); the curvature is interpolated by a local cubic.
-    All three are elementwise in the times of a cloud.
+    Value and slope are read through two ``Trajectory`` objects on the nodes:
+    the quintic Hermite of (value, slope, curvature) and the cubic Hermite of
+    (slope, curvature).  The curvature is interpolated by a local cubic.  All
+    three are elementwise in the times of a cloud.
     """
 
     dim = 1
@@ -206,19 +207,14 @@ class Table1DField(ScalarField):
         self.curvs = np.asarray(curvatures, dtype=float)
         if not (len(self.ts) >= 4 and len(self.ts) == len(self.vals) == len(self.slopes) == len(self.curvs)):
             raise InputError("need >= 4 aligned samples")
-
-    def _cells(self, x):
-        t = _span_t(x, self.ts[0], self.ts[-1])
-        return t, _bracket_index(self.ts, t)
+        self._value_read = Trajectory(self.ts, self.vals[:, None], self.slopes[:, None], dfs=self.curvs[:, None])
+        self._slope_read = Trajectory(self.ts, self.slopes[:, None], self.curvs[:, None])
 
     def _value(self, x):
-        (t, k), ts, vals, slopes, curvs = self._cells(x), self.ts, self.vals, self.slopes, self.curvs
-        return hermite_quintic_value(t, ts[k], ts[k + 1], vals[k], vals[k + 1], slopes[k], slopes[k + 1],
-                                     curvs[k], curvs[k + 1])
+        return self._value_read.evaluate(_span_t(x, self.ts[0], self.ts[-1]))[:, 0]
 
     def _gradient(self, x):
-        (t, k), ts, slopes, curvs = self._cells(x), self.ts, self.slopes, self.curvs
-        return hermite_value(t, ts[k], ts[k + 1], slopes[k], slopes[k + 1], curvs[k], curvs[k + 1])[:, None]
+        return self._slope_read.evaluate(_span_t(x, self.ts[0], self.ts[-1]))
 
     def _hessian(self, x):
         return _local_cubic(self.ts, self.curvs, _span_t(x, self.ts[0], self.ts[-1]))[:, None, None]
@@ -237,7 +233,7 @@ class StepIntegralField(ScalarField):
     knot at t = 0), integrated on the trajectory's own steps.
 
     On each step, Gauss-Legendre on the quintic dense output (the
-    trajectory's own interpolant, on y alone) gives I1 = int g and
+    trajectory's own interpolant, read on y alone) gives I1 = int g and
     I2 = int (t_out - s) g ds from the step's knot nearer the origin, t_in,
     to its other knot t_out.  F' and F at the knots are summed outward from
     F'(0) = ``slope0``, F(0) = ``value0`` on each leg: F'_out = F'_in + I1,
@@ -255,7 +251,7 @@ class StepIntegralField(ScalarField):
 
     def __init__(self, dense, g, value0, slope0, span):
         self._ts = dense.ts
-        self._knots = (dense.ys[:, 0].copy(), dense.fs[:, 0].copy(), dense.dfs[:, 0].copy())
+        self._y = Trajectory(dense.ts, dense.ys[:, :1], dense.fs[:, :1], dfs=dense.dfs[:, :1])
         self._g = g    # elementwise on an array of first components
         self.span = float(span)
         self._last_cloud = (None, None)    # (bytes of the cloud's times, its reads)
@@ -276,11 +272,10 @@ class StepIntegralField(ScalarField):
     def _rule(self, k, inner, d, t=None):
         """I1 = int g and I2 = int (t_in + d - s) g ds from t_in = ts[inner]
         over d on the steps k, and g(y(t)) when t is given, in one read."""
-        ts, (y, f, df) = self._ts, self._knots
-        times = ts[inner] + _GL_NODES[:, None] * d
+        times = self._ts[inner] + _GL_NODES[:, None] * d
         if t is not None:
             times = np.vstack([times, t])
-        g = self._g(hermite_quintic_value(times, ts[k], ts[k + 1], y[k], y[k + 1], f[k], f[k + 1], df[k], df[k + 1]))
+        g = self._g(self._y.interpolate(k, times)[..., 0])
         i1 = sum(w * gj for w, gj in zip(_GL_WEIGHTS, g))
         i2 = sum(w * gj for w, gj in zip(_GL_WEIGHTS_TAIL, g))
         return d * i1, d * d * i2, g[-1]

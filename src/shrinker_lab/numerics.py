@@ -285,23 +285,22 @@ _READ_BLOCK = 4096  # query times a Trajectory.evaluate block reads
 
 @dataclass
 class Trajectory:
-    """Dense solution of an ODE system on the span actually covered.
+    """Dense solution of an ODE system on the span actually covered, and the
+    one reader of piecewise Hermite data.
 
-    Values between accepted steps come from Hermite interpolation on the
-    bracketing step, which keeps downstream quadrature consistent with a
-    single trajectory: the cubic ``hermite_value`` from the states ``ys`` and
+    Values between knots come from Hermite interpolation on the bracketing
+    step, which keeps downstream quadrature consistent with a single
+    trajectory: the cubic ``hermite_value`` from the states ``ys`` and
     derivatives ``fs`` at both knots, or, where ``dfs`` holds the time
-    derivative of the right-hand side at each knot, the quintic
-    ``hermite_quintic_value`` from (y, f, f'), of the integrator's order.
-    ``evaluate`` reads a batch of times, and ``__call__`` one time as a batch
+    derivative of ``fs`` at each knot, the quintic ``hermite_quintic_value``
+    from (y, f, f'), of the integrator's order.  ``interpolate`` reads given
+    steps, ``evaluate`` a batch of times, and ``__call__`` one time as a batch
     of one.
     """
 
     ts: np.ndarray
     ys: np.ndarray
     fs: np.ndarray
-    t_start: float
-    t_end: float
     event: DivergenceEvent | None = None
     n_steps: int = 0
     n_rejected: int = 0
@@ -310,6 +309,11 @@ class Trajectory:
     @property
     def completed(self):
         return self.event is None
+
+    @property
+    def t_end(self):
+        """The last knot: where the integration stopped."""
+        return float(self.ts[-1])
 
     def __call__(self, t):
         """State vector at time t (t inside the covered span): ``evaluate`` on
@@ -335,18 +339,19 @@ class Trajectory:
             tq = np.clip(tq, ts[-1], ts[0])
             k = np.searchsorted(-ts, -tq, side="right") - 1
         k = np.clip(k, 0, len(ts) - 2)
-        # times as (m, 1) columns, so the basis is formed once a query point, in
-        # blocks that bound the temporaries of a long batch
+        # in blocks that bound the temporaries of a long batch
         out = np.empty((len(tq), self.ys.shape[1]))
         for lo in range(0, len(tq), _READ_BLOCK):
-            kb = k[lo : lo + _READ_BLOCK]
-            c = kb[:, None]
-            out[lo : lo + _READ_BLOCK] = self._hermite(tq[lo : lo + _READ_BLOCK, None], ts[c], ts[c + 1], kb)
+            out[lo : lo + _READ_BLOCK] = self.interpolate(k[lo : lo + _READ_BLOCK], tq[lo : lo + _READ_BLOCK])
         return out
 
-    def _hermite(self, t, t0, t1, k):
-        """The interpolant on the steps k from t0 to t1, read at t."""
-        ys, fs, dfs = self.ys, self.fs, self.dfs
+    def interpolate(self, k, t):
+        """The interpolant of step k[j], from ts[k[j]] to ts[k[j] + 1], read at
+        t[..., j], shape t.shape + (dim,): no search and no clamp.  Each
+        element rounds as the scalar kernel rounds it."""
+        ts, ys, fs, dfs = self.ts, self.ys, self.fs, self.dfs
+        c = k[:, None]
+        t, t0, t1 = np.asarray(t)[..., None], ts[c], ts[c + 1]
         if dfs is None:
             return hermite_value(t, t0, t1, ys[k], ys[k + 1], fs[k], fs[k + 1])
         return hermite_quintic_value(t, t0, t1, ys[k], ys[k + 1], fs[k], fs[k + 1], dfs[k], dfs[k + 1])
@@ -382,14 +387,7 @@ class _NonFiniteStage(Exception):
 ABS_PER_REL_TOL = 1e-2
 
 
-def integrate_ode(
-    rhs,
-    y0,
-    t_span,
-    rel_tol=1e-10,
-    *,
-    stop_condition=None,
-):
+def integrate_ode(rhs, y0, t_span, rel_tol=1e-10):
     """Adaptive Dormand-Prince 5(4) with dense output.
 
     Each step runs on Python floats: the state, the stages and the error
@@ -413,10 +411,6 @@ def integrate_ode(
     rel_tol : float
         Per-step local error control (RMS-weighted), mixed with the absolute
         tolerance rel_tol * ABS_PER_REL_TOL.
-    stop_condition : callable, optional
-        ``stop_condition(t, y) -> str | None`` checked after each accepted
-        step (y a list of floats, as rhs gets it); a non-None label halts
-        integration with that event.
 
     Returns
     -------
@@ -459,7 +453,7 @@ def integrate_ode(
     n_rejected = 0
 
     if span == 0.0:
-        return Trajectory(np.array(ts), np.array(ys), np.array(fs), t0, t1)
+        return Trajectory(np.array(ts), np.array(ys), np.array(fs))
 
     h = max(min(span / 100.0, 1.0), 1e-12 * span)
     t = t0
@@ -539,24 +533,10 @@ def integrate_ode(
             ys.append(y)
             fs.append(f)
             n_steps += 1
-            if stop_condition is not None:
-                label = stop_condition(t, y)
-                if label:
-                    event = DivergenceEvent(label, t, np.array(y))
-                    break
             fac = 0.9 * err ** -0.2 if err > 0 else 5.0
             h *= min(5.0, max(0.2, fac))
         else:
             n_rejected += 1
             h *= min(1.0, max(0.1, 0.9 * err ** -0.2))
 
-    return Trajectory(
-        np.array(ts),
-        np.array(ys),
-        np.array(fs),
-        t0,
-        t,
-        event=event,
-        n_steps=n_steps,
-        n_rejected=n_rejected,
-    )
+    return Trajectory(np.array(ts), np.array(ys), np.array(fs), event=event, n_steps=n_steps, n_rejected=n_rejected)

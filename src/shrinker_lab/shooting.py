@@ -27,11 +27,12 @@ bit the per-radius reads of the profile it returns (``_shoot_float``).
 
 One step rule, ``_radial_target``, checks every state either path reaches:
 the float right-hand side, each Taylor expansion point, each profile sample
-and ``RadialProfile.d2u``.  So the two paths name a cone exit and an
-inversion failure the same way by construction.  Their blow-up tests differ:
-both stop past |(u, u')| = _BLOW_UP_MAG, but the Taylor path also stops when
-its step radius falls below _MIN_STEP, where the float path's integrator
-shrinks its step to its own floor.  A profile is defined up to the shot's
+and ``RadialProfile.d2u``.  So the two paths name a cone exit, an inversion
+failure and a blow-up past |(u, u')| = _BLOW_UP_MAG the same way, and at the
+state where the rule first fails.  The one exit outside the rule is the
+Taylor path's ``blow_up`` when its step radius falls below _MIN_STEP, where
+the float path's integrator shrinks its step to its own floor.  A profile
+ends at the last sample the rule accepts, and is defined up to the shot's
 end; reading it past there is an InputError.
 """
 
@@ -110,8 +111,8 @@ def _radial_target(tp, n, r, u, up, upp0, f=None):
     beyond.  ``f`` is ``f_value`` (looked up at each call, so a wrapper
     installed over it sees every step), or ``f_value_mp`` on mpf states.  Raises
     RhsEvaluationError ``cone_exit`` when s has left the selected cone
-    component, and ``inversion_failure`` when the target is outside the range
-    of f on it.
+    component, ``inversion_failure`` when the target is outside the range of f
+    on it, and then ``blow_up`` when |u| or |u'| passes _BLOW_UP_MAG.
     """
     spec = cone_spec(tp)
     s = upp0 if r < _R_SERIES else up / r
@@ -120,6 +121,8 @@ def _radial_target(tp, n, r, u, up, upp0, f=None):
     target = (-u + 0.5 * r * up) - (n - 1) * (f or f_value)(tp, s)
     if not (spec.f_lo < target < spec.f_hi):
         raise RhsEvaluationError("inversion_failure", f"operator target {target} out of range")
+    if abs(u) > _BLOW_UP_MAG or abs(up) > _BLOW_UP_MAG:
+        raise RhsEvaluationError("blow_up", f"|(u, u')| passed {_BLOW_UP_MAG:g}")
     return target
 
 
@@ -145,11 +148,8 @@ def _shoot_float(tp, n, u0, upp0, r_max, rel_tol):
         u, up = y
         return [up, f_inverse(tp, _radial_target(tp, n, r, u, up, upp0))]
 
-    def stop(r, y):
-        return "blow_up" if abs(y[0]) > _BLOW_UP_MAG or abs(y[1]) > _BLOW_UP_MAG else None
-
     y0 = _series_state(u0, upp0, _R_START)
-    traj = integrate_ode(rhs, y0, (_R_START, float(r_max)), rel_tol, stop_condition=stop)
+    traj = integrate_ode(rhs, y0, (_R_START, float(r_max)), rel_tol)
 
     if traj.event is None:
         event = ShotEvent("completed", float(r_max))
@@ -170,7 +170,7 @@ def _shoot_float(tp, n, u0, upp0, r_max, rel_tol):
             out[i] = _series_state(u0, upp0, rs[i])
         return out
 
-    return state, float(traj.t_end), event, states
+    return state, traj.t_end, event, states
 
 
 _DEGREE = 20
@@ -258,8 +258,8 @@ def _shoot_mp(tp, n, u0, r_max, dps):
     Horner at fine_prec = prec + 40 bits; only c_d and the joins' coefficients
     are wrapped as mpf values.  Every expansion point goes through
     the float path's step rule ``_radial_target``, whose error names the
-    event; ``blow_up`` when |u| or |u'| passes _BLOW_UP_MAG or the step radius
-    falls below _MIN_STEP (a singularity ahead).
+    event; the one other exit is ``blow_up`` when the step radius falls below
+    _MIN_STEP (a singularity ahead).
 
     The profile reader works in fixed point.  Each step's two series are held
     as integers on one scale 2^-S, S = fine_prec + _GUARD - M, where M is an
@@ -306,9 +306,6 @@ def _shoot_mp(tp, n, u0, r_max, dps):
                 u, p = (mp.polyval([mp.make_mpf(c) for c in reversed(cs)], radius) for cs in (us, ps))
             if r0 >= r_max:
                 event = ShotEvent("completed", float(r_max))
-                break
-            if abs(u) > _BLOW_UP_MAG or abs(p) > _BLOW_UP_MAG:
-                event = ShotEvent("blow_up", float(r0), f"|(u, u')| passed {_BLOW_UP_MAG:g}")
                 break
         r_end = event.r
 
@@ -376,10 +373,10 @@ def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, *, dps=None, n_samples=40
         u, up = sample if r > 0 else (u0, 0.0)
         try:
             upps[i] = f_inverse(tp, _radial_target(tp, n, r, u, up, upp0))
-        except RhsEvaluationError:
-            # the profile ends at the first sample the step rule rejects
+        except RhsEvaluationError as exc:
+            # the profile ends at the last sample the step rule accepts
             if event.completed:
-                event = ShotEvent("cone_exit", float(r))
+                event = ShotEvent(exc.label, float(r), exc.detail)
             rs, us, ups, upps = rs[:i], us[:i], ups[:i], upps[:i]
             break
         us[i], ups[i] = u, up

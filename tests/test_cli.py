@@ -108,6 +108,14 @@ class TestExitCodes:
         assert exc.value.code == 64
         assert not (tmp_path / f"{argv[0]}.json").exists()
 
+    @pytest.mark.parametrize("flags", [("--branch", "LOG", "--a", "-2"), ("--branch", "LOG", "--tau", "0.5"),
+                                       ("--tau", "0.5", "--a", "-2")])
+    def test_two_branch_flags_are_usage_error(self, tmp_path, flags):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "shoot", "--u0", "0.2", "--rmax", "1", *flags)
+        assert exc.value.code == 64
+        assert not (tmp_path / "shoot.json").exists()
+
     def test_shoot_requires_u0(self, tmp_path):
         assert run(tmp_path, "shoot", "--branch", "SLAG") == 64
 

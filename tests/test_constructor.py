@@ -242,6 +242,15 @@ class TestAssembleW1:
         prof = assemble_w1(solve_phase_ode(0.0, 1.0, 20.0))
         assert prof.identity_defect <= 1e-7
 
+    def test_reads_past_the_span_are_refused(self):
+        # x = 25 on a span of 20: value, gradient, hessian and the complement
+        # all refuse it, as they read the same clamp-free trajectory
+        fld, _ = build_mss_counterexample(1.2, 0.1, rel_tol=1e-8)
+        assert fld.span == 20.0
+        for read in (fld.value, fld.gradient, fld.hessian, fld.gradient_complement):
+            with pytest.raises(InputError, match="outside the span"):
+                read(np.array([[25.0]]))
+
     def test_rows_equal_scalar_reads_bit_for_bit(self):
         prof = assemble_w1(solve_phase_ode(0.3, 0.7, 10.0, rel_tol=1e-8), span=8.33)
         xs = np.append(profile_grid(prof.span, 0.05), prof.span)  # from -S, and S itself
@@ -506,6 +515,15 @@ class TestMssCounterexample:
     def test_trivial_phase_rejected(self):
         with pytest.raises(InputError, match="trivial"):
             build_mss_counterexample(0.0)
+
+    def test_reads_past_the_span_are_refused(self):
+        # x = 25 on a span of 20: value, gradient, hessian and the complement
+        # all refuse it, as they read the same clamp-free trajectory
+        fld, _ = build_mss_counterexample(1.2, 0.1, rel_tol=1e-8)
+        assert fld.span == 20.0
+        for read in (fld.value, fld.gradient, fld.hessian, fld.gradient_complement):
+            with pytest.raises(InputError, match="outside the span"):
+                read(np.array([[25.0]]))
 
     def test_rows_equal_scalar_reads_bit_for_bit(self):
         fld, _ = build_mss_counterexample(1.2, 0.1, T=10.0, rel_tol=1e-8, radius=5.0, samples=11)

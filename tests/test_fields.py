@@ -13,7 +13,7 @@ from shrinker_lab.fields import (
     Table1DField,
 )
 from shrinker_lab.constructor import assemble_w1, solve_phase_ode
-from shrinker_lab.numerics import InputError
+from shrinker_lab.numerics import InputError, hermite_quintic_value, hermite_value
 from shrinker_lab.quadratics import random_admissible_matrix
 from shrinker_lab.tau import shrinker_residual
 
@@ -133,14 +133,32 @@ class TestTable1DField:
             assert abs(f.gradient([x])[0] - math.cos(x)) < 1e-9
             assert abs(f.hessian([x])[0, 0] + math.sin(x)) < 1e-6
 
-    def test_cloud_hessian_equals_points_and_reference_bit_for_bit(self, rng):
-        # uneven nodes; the first and last cells clamp their 4-sample windows,
-        # and a time past either end by rounding reads the end
+    @staticmethod
+    def _uneven(rng):
+        """A table on uneven nodes and times that read it: at and next to both
+        ends, past either end by rounding, at random and at the inner nodes."""
         ts = np.cumsum(rng.uniform(0.05, 0.15, 60)) - 4.0
         f = Table1DField(ts, np.sin(ts), np.cos(ts), -np.sin(ts))
         ends = [ts[0], ts[0] - 1e-12, 0.5 * (ts[0] + ts[1]), ts[1], ts[-2], 0.5 * (ts[-2] + ts[-1]), ts[-1],
                 ts[-1] + 1e-12]
-        t = np.concatenate([ends, rng.uniform(ts[0], ts[-1], 40), ts[2:-2]])
+        return ts, f, np.concatenate([ends, rng.uniform(ts[0], ts[-1], 40), ts[2:-2]])
+
+    def test_value_and_slope_are_the_hermite_kernels_bit_for_bit(self, rng):
+        # the quintic of (value, slope, curvature) and the cubic of (slope,
+        # curvature) on the bracketing cell; a time past either end reads the end
+        ts, f, t = self._uneven(rng)
+        tc = np.clip(t, ts[0], ts[-1])
+        k = np.clip(np.searchsorted(ts, tc, side="right") - 1, 0, len(ts) - 2)
+        v, s, c = f.vals, f.slopes, f.curvs
+        cell = (tc, ts[k], ts[k + 1])
+        assert same_bits(f.value(t[:, None]), hermite_quintic_value(*cell, v[k], v[k + 1], s[k], s[k + 1],
+                                                                    c[k], c[k + 1]))
+        assert same_bits(f.gradient(t[:, None]), hermite_value(*cell, s[k], s[k + 1], c[k], c[k + 1])[:, None])
+
+    def test_cloud_hessian_equals_points_and_reference_bit_for_bit(self, rng):
+        # uneven nodes; the first and last cells clamp their 4-sample windows,
+        # and a time past either end by rounding reads the end
+        ts, f, t = self._uneven(rng)
         H = f.hessian(t[:, None])
         assert H.shape == (len(t), 1, 1)
         assert same_bits(H, [f.hessian([v]) for v in t])

@@ -474,8 +474,6 @@ def _merged_trajectory():
         np.concatenate([neg.ts[:0:-1], pos.ts]),
         np.concatenate([neg.ys[:0:-1], pos.ys]),
         np.concatenate([neg.fs[:0:-1], pos.fs]),
-        -4.0,
-        4.0,
     )
 
 

@@ -111,16 +111,51 @@ class TestEvents:
         prof = shoot_radial(tp, 2, -math.pi / 2 + 0.1, r_max=50.0)
         assert len(prof.rs) > 10  # profile sampled up to the event
 
-    @pytest.mark.parametrize("dps, r_event", [(None, 3.4914), (30, 3.5000)])
+    @pytest.mark.parametrize("dps, r_event", [(None, 3.4557), (30, 3.5000)])
     def test_blow_up_past_the_magnitude_bound(self, monkeypatch, dps, r_event):
-        # quadratic data, whose |(u, u')| passes 5 near r = 3.5: both paths
-        # stop at the first state past the bound, the Taylor path at a step end
+        # quadratic data, whose |u| passes 5 near r = 3.46: the step rule names
+        # the blow-up, the float path where the bound is crossed and the Taylor
+        # path at the first expansion point past it; either profile holds only
+        # samples the rule accepts
         monkeypatch.setattr(shooting, "_BLOW_UP_MAG", 5)
         tp = TauParams.monge_ampere()
         prof = shoot_radial(tp, 2, -2 * f_value(tp, 0.8), r_max=10.0, dps=dps)
         assert prof.event.kind == "blow_up" and round(prof.event.r, 4) == r_event
-        assert len(prof.rs) == 401 and prof.rs[-1] == prof.event.r
-        assert max(abs(prof.us[-1]), abs(prof.ups[-1])) > 5
+        assert np.all(np.abs(prof.us) <= 5) and np.all(np.abs(prof.ups) <= 5)
+        if dps is None:
+            assert len(prof.rs) == 401 and prof.rs[-1] == prof.event.r
+            assert prof.us[-1] == pytest.approx(5, rel=1e-12)
+        else:
+            # the profile ends at the last sample the rule accepts: the next
+            # sample of the grid to the event is past the bound
+            grid = np.linspace(0.0, prof.event.r, 401)
+            assert len(prof.rs) < 401 and prof.rs[-1] == grid[len(prof.rs) - 1]
+            assert max(map(abs, prof.state(grid[len(prof.rs)]))) > 5
+
+    def test_completed_shot_ends_with_the_label_of_its_first_rejected_sample(self, monkeypatch):
+        # the step rule accepts the whole float shot to r = 10, then rejects
+        # its samples past r = 5 as inversion failures: the event takes that
+        # rejection's label and detail
+        integrated = []
+        integrate_ode, radial_target = shooting.integrate_ode, shooting._radial_target
+
+        def flagged(*args, **kwargs):
+            traj = integrate_ode(*args, **kwargs)
+            integrated.append(True)
+            return traj
+
+        def walled(tp, n, r, u, up, upp0, f=None):
+            if integrated and r > 5:
+                raise RhsEvaluationError("inversion_failure", f"r = {r}")
+            return radial_target(tp, n, r, u, up, upp0, f)
+
+        monkeypatch.setattr(shooting, "integrate_ode", flagged)
+        monkeypatch.setattr(shooting, "_radial_target", walled)
+        tp = TauParams.monge_ampere()
+        prof = shoot_radial(tp, 2, -2 * f_value(tp, 0.8), r_max=10.0)
+        assert prof.event.kind == "inversion_failure" and round(prof.event.r, 12) == 5.025
+        assert prof.event.detail == f"r = {prof.event.r}"
+        assert len(prof.rs) == 201
 
     def test_taylor_path_checks_each_expansion_point(self, monkeypatch):
         # the step rule fails on mpf states past r = 2: the shot ends at the
