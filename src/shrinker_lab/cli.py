@@ -96,6 +96,23 @@ def _out_path(args, name):
     return os.path.join(out, name)
 
 
+# build-counterexample's flags that one construction reads and the other
+# refuses, with their defaults: the bounded build's, then --mss's
+_BOUNDED_FLAGS = {"branch": None, "tau": None, "a": None, "n": 2, "a0": 0.0, "a1": 1.0, "seed": 0}
+_MSS_FLAGS = {"phi0": 1.0, "s0": 0.0}
+
+
+def _construction_flags(parser, args):
+    """Refuse a build-counterexample flag that the construction --mss picks
+    does not read, then give each flag not given (None) its default."""
+    given = [f"--{name}" for name in (_BOUNDED_FLAGS if args.mss else _MSS_FLAGS) if getattr(args, name) is not None]
+    if given:
+        parser.error(f"build-counterexample {'with' if args.mss else 'without'} --mss does not read {', '.join(given)}")
+    for name, default in {**_BOUNDED_FLAGS, **_MSS_FLAGS}.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+
+
 def _check_sizes(args):
     """Each flag is checked where the command has it.  --rmax, --grid-step,
     --span and --tol, where given, must be finite and positive; --seed must be
@@ -310,16 +327,16 @@ def build_parser():
 
     p = sub.add_parser("build-counterexample", help="construct and certify a non-quadratic entire solution")
     _add_common(p)
-    p.add_argument("--a0", type=float, default=0.0, help="phase value at 0")
-    p.add_argument("--a1", type=float, default=1.0, help="phase slope at 0 (> 0)")
-    p.add_argument("--phi0", type=float, default=1.0, help="spacelike construction: phase at 0")
-    p.add_argument("--s0", type=float, default=0.0, help="spacelike construction: slope parameter at 0")
+    p.add_argument("--a0", type=float, help="phase value at 0 (default 0)")
+    p.add_argument("--a1", type=float, help="phase slope at 0 (> 0; default 1)")
+    p.add_argument("--phi0", type=float, help="spacelike construction: phase at 0 (default 1)")
+    p.add_argument("--s0", type=float, help="spacelike construction: slope parameter at 0 (default 0)")
     p.add_argument("--span", type=float, default=20.0, help="integration half-span T")
     p.add_argument("--rmax", type=float, default=10.0, help="certification radius")
     p.add_argument("--grid-step", type=float, default=0.01,
                    help="CSV sampling step, over the half-span the build tabulates its profile on")
     p.add_argument("--mss", action="store_true", help="build the spacelike graph profile instead")
-    p.set_defaults(func=cmd_build_counterexample)
+    p.set_defaults(func=cmd_build_counterexample, n=None, seed=None)  # resolved by _construction_flags
 
     p = sub.add_parser("shoot", help="radial shooting experiment (events are data)")
     _add_common(p, tol_and_seed=False)
@@ -350,7 +367,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "build-counterexample":
+        _construction_flags(parser, args)
     try:
         _check_sizes(args)
         return args.func(args)

@@ -23,8 +23,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .fields import ScalarField, SeparableExtensionField, StepIntegralField, _span_t
-from .numerics import ABS_PER_REL_TOL, ConstructionError, DomainError, InputError, Trajectory, integrate_ode
+from .fields import ScalarField, SeparableExtensionField, StepIntegralField
+from .numerics import ABS_PER_REL_TOL, READ_SLACK, ConstructionError, DomainError, InputError, Trajectory
+from .numerics import integrate_ode
 from .numerics import cumulative_simpson  # noqa: F401  unused; perfbench/tracing.py wraps it by this name
 from .tau import Branch, minkowski_residual, phase, shrinker_residual
 from .transforms import normalize_counterexample_branch, _neg_constants
@@ -90,12 +91,11 @@ def _phase_rhs_dot(ts, ys, fs):
 
 @dataclass
 class PhaseTrajectory:
-    """Dense (phi, phi') on [-T, T] with a linear tail extension beyond.
+    """Dense (phi, phi') on [-T, T], read on it alone (``numerics.read_span``).
 
-    Beyond the integrated span the forcing e^phi/(2(1+e^phi)^2) is below the
-    recorded tail bound, so phi' is frozen and phi extended linearly; the
-    certificate carries that bound.  ``bound`` is the a-priori ceiling
-    a1 * exp(e^{-a0}/a1^2) on phi' for t >= 0.
+    Beyond it the forcing e^phi/(2(1+e^phi)^2) is below the tail bound the
+    certificate records, so phi' changes by at most that bound.  ``bound`` is
+    the a-priori ceiling a1 * exp(e^{-a0}/a1^2) on phi' for t >= 0.
     """
 
     a0: float
@@ -120,19 +120,13 @@ class PhaseTrajectory:
         return self.phi_pair(t)[1]
 
     def phi_array(self, ts):
-        """(phi, phi') at each of an array of times, shape (m, 2), extended
-        linearly outside the integrated span."""
-        ts = np.asarray(ts, dtype=float)
-        knots, ys = self.dense.ts, self.dense.ys
-        out = self.dense.evaluate(ts)
-        for end, outside in ((0, ts < knots[0]), (-1, ts > knots[-1])):
-            if outside.any():
-                out[outside, 0] = ys[end, 0] + ys[end, 1] * (ts[outside] - knots[end])
-                out[outside, 1] = ys[end, 1]
-        return out
+        """(phi, phi') at each of an array of times on the integrated span,
+        shape (m, 2)."""
+        return self.dense.evaluate(ts)
 
     def tail_bound(self, side=1):
-        """Ceiling on the phi' change neglected by the tail extension."""
+        """Ceiling on the change of phi' past the integrated span, at the end
+        of ``side``'s sign."""
         t_end = self.dense.ts[-1] if side > 0 else self.dense.ts[0]
         phi_end, dphi_end = self.phi_pair(t_end)
         rate = max(self.a1, dphi_end, 1e-30)
@@ -233,8 +227,9 @@ def _check_size(span, rel_tol):
 def profile_span(tp, radius, T):
     """Half-span of a build's profile table and CSV rows: max(T, radius + 1) for
     the spacelike build (``tp`` None); radius / c2 * 1.02 + 1 on the bounded
-    cone, whose linear tail extension holds only once the forcing is
-    exponentially dead, which a small phase slope postpones past any window."""
+    cone, whose phase is read on the span it is integrated on and not past it:
+    the reported tail bound is small only once the forcing is exponentially
+    dead, which a small phase slope postpones past any window."""
     if tp is None:
         return max(T, radius + 1.0)
     if tp.branch is not Branch.NEG:
@@ -243,13 +238,13 @@ def profile_span(tp, radius, T):
 
 
 def profile_grid(span, step):
-    """-span + k step for k = 0, 1, ... up to span, past it only by the rounding
-    a profile's read forgives: the CSV rows of a profile on [-span, span].
+    """-span + k step for k = 0, 1, ... up to span, past it by at most the
+    slack of ``numerics.read_span``: the CSV rows of a profile on [-span, span].
     More than MAX_GRID_POINTS points are refused before any is formed."""
     if not 2 * span / step + 1 <= MAX_GRID_POINTS:  # NaN and inf fail too
         raise InputError(f"grid step {step} puts more than {MAX_GRID_POINTS} points on [-{span}, {span}]")
     xs = np.arange(-span, span + step / 2, step)
-    return xs[xs <= span + 1e-9 * (1 + span)]
+    return xs[xs <= span + READ_SLACK * (1 + span)]
 
 
 @dataclass
@@ -488,11 +483,11 @@ class MinkowskiProfile(ScalarField):
         self._last_cloud = (None, None)    # (bytes of the cloud, its (s, phi) lists)
 
     def _pairs(self, x):
-        """(s, phi) lists at an (m, 1) cloud; a point outside [-span, span] by
-        more than rounding is an InputError, as in ``value``."""
+        """(s, phi) lists at an (m, 1) cloud, read by ``Trajectory.evaluate``
+        on the trajectory's span."""
         key = x.tobytes()
         if self._last_cloud[0] != key:
-            self._last_cloud = (key, self._dense.evaluate(_span_t(x, -self.span, self.span)).T.tolist())
+            self._last_cloud = (key, self._dense.evaluate(x[:, 0]).T.tolist())
         return self._last_cloud[1]
 
     def rows(self, xs):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import _READ_BLOCK, InputError, Trajectory
+from .numerics import _READ_BLOCK, InputError, Trajectory, read_span
 
 __all__ = [
     "ScalarField",
@@ -155,21 +155,17 @@ class AffineScaledField(ScalarField):
         return self.outer * self.inner ** 2 * self.base.hessian(self.inner * x) + self.quad * np.eye(self.dim)
 
 
-def _bracket_index(ts, t):
-    """Index k of the grid cell [ts[k], ts[k+1]] holding each of an array of
-    t, clamped to the table."""
-    return np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
-
-
-def _local_cubic(ts, vals, t):
-    """Value at each of an array of t of the interpolating cubic through the
-    4 nearest samples.
+def _local_cubic(read, vals, t):
+    """Value at each of an array of t, read on the span of ``read`` (a
+    ``Trajectory`` on the sample nodes), of the interpolating cubic through
+    the 4 nearest of the samples ``vals``.
 
     Interior windows are symmetric around t; within one cell of the boundary
     the window is clamped.  Every operation is elementwise, so each t rounds
     as it would alone.
     """
-    i0 = np.clip(_bracket_index(ts, t) - 1, 0, len(ts) - 4)
+    ts, t = read.ts, read_span(t, read.ts[0], read.ts[-1])
+    i0 = np.clip(read.bracket(t) - 1, 0, len(ts) - 4)
     window = i0[:, None] + np.arange(4)
     tw, c = ts[window], vals[window]
     # Newton divided differences, evaluated in nested form
@@ -179,23 +175,13 @@ def _local_cubic(ts, vals, t):
     return d0 + (t - tw[:, 0]) * (d1 + (t - tw[:, 1]) * (d2 + (t - tw[:, 2]) * d3))
 
 
-def _span_t(x, lo, hi):
-    """Times of an (m, 1) cloud, as (m,), clamped into [lo, hi]; InputError
-    if any lies outside it by more than rounding."""
-    t = x[:, 0]
-    outside = (t < lo - 1e-9 * (1 + abs(lo))) | (t > hi + 1e-9 * (1 + abs(hi)))
-    if outside.any():
-        raise InputError(f"evaluation point {t[outside][0]} outside the span [{lo}, {hi}]")
-    return np.clip(t, lo, hi)
-
-
 class Table1DField(ScalarField):
     """1-D field from (value, slope, curvature) on strictly increasing nodes of any spacing.
 
     Value and slope are read through two ``Trajectory`` objects on the nodes:
     the quintic Hermite of (value, slope, curvature) and the cubic Hermite of
     (slope, curvature).  The curvature is interpolated by a local cubic.  All
-    three are elementwise in the times of a cloud.
+    three read a cloud's times through ``read_span``, element by element.
     """
 
     dim = 1
@@ -211,13 +197,13 @@ class Table1DField(ScalarField):
         self._slope_read = Trajectory(self.ts, self.slopes[:, None], self.curvs[:, None])
 
     def _value(self, x):
-        return self._value_read.evaluate(_span_t(x, self.ts[0], self.ts[-1]))[:, 0]
+        return self._value_read.evaluate(x[:, 0])[:, 0]
 
     def _gradient(self, x):
-        return self._slope_read.evaluate(_span_t(x, self.ts[0], self.ts[-1]))
+        return self._slope_read.evaluate(x[:, 0])
 
     def _hessian(self, x):
-        return _local_cubic(self.ts, self.curvs, _span_t(x, self.ts[0], self.ts[-1]))[:, None, None]
+        return _local_cubic(self._value_read, self.curvs, x[:, 0])[:, None, None]
 
 
 # 4-point Gauss-Legendre on [0, 1] for a StepIntegralField's steps (6 and 8
@@ -243,19 +229,18 @@ class StepIntegralField(ScalarField):
 
     The nodes are summed left to right, not through ``@``, so each row rounds
     as it would alone.  The last cloud read is kept, so the methods called on
-    one cloud read it once between them.  A read outside [-span, span] by
-    more than rounding is an InputError.
+    one cloud read it once between them.  Times are read through
+    ``numerics.read_span`` on [-span, span] cut to the trajectory's knots.
     """
 
     dim = 1
 
     def __init__(self, dense, g, value0, slope0, span):
-        self._ts = dense.ts
         self._y = Trajectory(dense.ts, dense.ys[:, :1], dense.fs[:, :1], dfs=dense.dfs[:, :1])
         self._g = g    # elementwise on an array of first components
         self.span = float(span)
         self._last_cloud = (None, None)    # (bytes of the cloud's times, its reads)
-        ts = self._ts
+        ts = dense.ts
         steps = np.arange(len(ts) - 1)
         inner = steps + (ts[:-1] < 0.0)    # on the left leg a step's inner knot is its right end
         h = ts[2 * steps + 1 - inner] - ts[inner]
@@ -272,7 +257,7 @@ class StepIntegralField(ScalarField):
     def _rule(self, k, inner, d, t=None):
         """I1 = int g and I2 = int (t_in + d - s) g ds from t_in = ts[inner]
         over d on the steps k, and g(y(t)) when t is given, in one read."""
-        times = self._ts[inner] + _GL_NODES[:, None] * d
+        times = self._y.ts[inner] + _GL_NODES[:, None] * d
         if t is not None:
             times = np.vstack([times, t])
         g = self._g(self._y.interpolate(k, times)[..., 0])
@@ -283,15 +268,15 @@ class StepIntegralField(ScalarField):
     def read(self, x):
         """(F, F', g(y(t))) at an (m, 1) cloud, as a (3, m) array, read in
         blocks that bound the temporaries."""
-        t = _span_t(x, -self.span, self.span)
+        ts = self._y.ts
+        t = read_span(x[:, 0], max(-self.span, ts[0]), min(self.span, ts[-1]))
         key = t.tobytes()
         if self._last_cloud[0] == key:
             return self._last_cloud[1]
-        ts = self._ts
         reads = np.empty((3, len(t)))
         for lo in range(0, len(t), _READ_BLOCK):
             tb = t[lo : lo + _READ_BLOCK]
-            k = _bracket_index(ts, tb)
+            k = self._y.bracket(tb)
             inner = k + (ts[k] < 0.0)
             d = tb - ts[inner]
             i1, i2, g = self._rule(k, inner, d, tb)

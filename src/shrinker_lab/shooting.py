@@ -32,8 +32,9 @@ failure and a blow-up past |(u, u')| = _BLOW_UP_MAG the same way, and at the
 state where the rule first fails.  The one exit outside the rule is the
 Taylor path's ``blow_up`` when its step radius falls below _MIN_STEP, where
 the float path's integrator shrinks its step to its own floor.  A profile
-ends at the last sample the rule accepts, and is defined up to the shot's
-end; reading it past there is an InputError.
+ends at the last sample the rule accepts, and ``u``, ``du``, ``d2u`` and
+``field`` read it on [0, that sample] through ``numerics.read_span``; a read
+past there is an InputError.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from mpmath.libmp import from_float, from_int, from_man_exp, fzero, mpf_div, mpf
 
 from . import jets
 from .fields import RadialProfileField
-from .numerics import DomainError, InputError, RhsEvaluationError, integrate_ode
+from .numerics import DomainError, InputError, RhsEvaluationError, integrate_ode, read_span
 from .tau import cone_spec, f_inverse, f_inverse_jet, f_inverse_mp, f_value, f_value_jet, f_value_mp
 
 __all__ = ["ShotEvent", "RadialProfile", "shoot_radial", "radial_quadratic_reference"]
@@ -83,16 +84,22 @@ class RadialProfile:
     ups: np.ndarray
     upps: np.ndarray
     event: ShotEvent
-    state: object  # r -> (u, u')
+    state: object  # r -> (u, u'), the shot's own reader, up to the shot's end
+
+    def _read(self, r):
+        """(r, u, u') at r read on [0, rs[-1]], up to the last sample the step
+        rule accepted (a NaN end, past which every read lies, if none)."""
+        r = float(read_span(r, 0.0, self.rs[-1] if len(self.rs) else math.nan))
+        return (r, *self.state(r))
 
     def u(self, r):
-        return self.state(float(r))[0]
+        return self._read(r)[1]
 
     def du(self, r):
-        return self.state(float(r))[1]
+        return self._read(r)[2]
 
     def d2u(self, r):
-        u, up = self.state(float(r))
+        r, u, up = self._read(r)
         return f_inverse(self.tp, _radial_target(self.tp, self.n, r, u, up, self.upp0))
 
     @property
@@ -159,18 +166,15 @@ def _shoot_float(tp, n, u0, upp0, r_max, rel_tol):
             kind = "blow_up"
         event = ShotEvent(kind, float(traj.event.t), traj.event.detail)
 
-    def state(r):
-        if r < _R_START:
-            return _series_state(u0, upp0, r)
-        return tuple(traj(r))
-
-    def states(rs):  # one batched read, row i bit for bit state(rs[i])
-        out = traj.evaluate(rs)
-        for i in np.flatnonzero(rs < _R_START):
+    def states(rs):  # one batched read: the series below _R_START, the trajectory beyond
+        out = np.empty((len(rs), 2))
+        near = rs < _R_START
+        out[~near] = traj.evaluate(rs[~near])
+        for i in np.flatnonzero(near):
             out[i] = _series_state(u0, upp0, rs[i])
         return out
 
-    return state, traj.t_end, event, states
+    return states, traj.t_end, event
 
 
 _DEGREE = 20
@@ -310,12 +314,9 @@ def _shoot_mp(tp, n, u0, r_max, dps):
         r_end = event.r
 
         def state(r):
-            r = float(r)
-            if r > r_end + 1e-12 * (1 + r_end):  # Trajectory.__call__'s slack
-                raise InputError(f"r={r} past the shot's end at {r_end}")
+            r = float(read_span(r, 0.0, r_end))
             if r < _R_START or not steps:
                 return _series_state(float(u0_mp), float(upp0_mp), r)
-            r = min(r, r_end)
             i = _step_index(starts_f, starts, r)
             sign, hm, exp, _ = mpf_sub(from_float(r), starts[i], fine_prec, rnd)
             if sign:
@@ -365,7 +366,10 @@ def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, *, dps=None, n_samples=40
         state, r_end, event = _shoot_mp(tp, n, u0_raw, float(r_max), int(dps))
         states = partial(map, state)  # the fixed-point reader, sample by sample
     else:
-        state, r_end, event, states = _shoot_float(tp, n, u0, upp0, float(r_max), rel_tol)
+        states, r_end, event = _shoot_float(tp, n, u0, upp0, float(r_max), rel_tol)
+
+        def state(r):  # a batch of one
+            return tuple(states(np.array([r], dtype=float))[0])
 
     rs = np.linspace(0.0, r_end, n_samples)
     us, ups, upps = (np.empty_like(rs) for _ in range(3))
@@ -382,5 +386,5 @@ def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, *, dps=None, n_samples=40
         us[i], ups[i] = u, up
 
     return RadialProfile(
-        tp, n, u0, upp0, rs, us, ups, upps, event, lambda r: (state(r) if r > 0 else (u0, 0.0))
+        tp, n, u0, upp0, rs, us, ups, upps, event, lambda r: (u0, 0.0) if r == 0 else state(r)
     )

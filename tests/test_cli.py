@@ -100,6 +100,16 @@ class TestExitCodes:
             ("legendre-check", "--seed", "1"),
             ("shoot", "--u0", "-1", "--seed", "1"),
             ("shoot", "--u0", "-1", "--dps", "15", "--tol", "1e-3"),
+            # build-counterexample's two constructions read different flags
+            ("build-counterexample", "--mss", "--branch", "NEG"),
+            ("build-counterexample", "--mss", "--tau", "2"),
+            ("build-counterexample", "--mss", "--a", "-2"),
+            ("build-counterexample", "--mss", "--a0", "0"),
+            ("build-counterexample", "--mss", "--a1", "1"),
+            ("build-counterexample", "--mss", "--n", "2"),
+            ("build-counterexample", "--mss", "--seed", "0"),
+            ("build-counterexample", "--phi0", "1"),
+            ("build-counterexample", "--s0", "0"),
         ],
     )
     def test_flag_the_command_does_not_read_is_usage_error(self, tmp_path, argv):

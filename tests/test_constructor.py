@@ -136,7 +136,7 @@ class TestSolvePhaseOde:
 
     def test_phi_array_equals_phi_pair_bit_for_bit(self):
         traj = solve_phase_ode(0.3, 0.7, 24.63, rel_tol=1e-8)
-        ts = np.concatenate([np.linspace(-28.0, 28.0, 1201), traj.dense.ts])
+        ts = np.concatenate([np.linspace(-24.63, 24.63, 1201), traj.dense.ts])
         batch = traj.phi_array(ts)
         scalar = np.array([traj.phi_pair(t) for t in ts])
         assert np.array_equal(batch.view(np.int64), scalar.view(np.int64))

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shrinker_lab.numerics import (
+    READ_SLACK,
     DivergenceEvent,
     InputError,
     RhsEvaluationError,
@@ -505,7 +506,13 @@ class TestTrajectoryEvaluate:
         assert np.array_equal(batch.view(np.int64), scalar.view(np.int64))
 
     def test_clamps_to_covered_span(self):
+        # within the slack past an end a read is the read at the end; past
+        # the slack, at an infinity or at NaN it is refused
         for traj in (_merged_trajectory(), integrate_ode(_oscillator, [1.0, 0.2], (0.0, -3.0), 1e-7)):
             lo, hi = sorted((traj.ts[0], traj.ts[-1]))
-            got = traj.evaluate([lo - 5.0, hi + 5.0, -np.inf, np.inf])
-            assert np.array_equal(got, [traj(lo), traj(hi), traj(lo), traj(hi)])
+            slack_lo, slack_hi = (READ_SLACK * (1 + abs(end)) for end in (lo, hi))
+            got = traj.evaluate([lo - 0.5 * slack_lo, hi + 0.5 * slack_hi])
+            assert np.array_equal(got, [traj(lo), traj(hi)])
+            for t in (lo - 2 * slack_lo, hi + 2 * slack_hi, -np.inf, np.inf, np.nan):
+                with pytest.raises(InputError, match="outside the span"):
+                    traj.evaluate([0.5 * (lo + hi), t])

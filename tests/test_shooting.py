@@ -340,6 +340,35 @@ class TestReadsPastTheEnd:
             with pytest.raises(InputError, match="past|outside"):
                 read(past)
 
+    def test_reads_end_at_the_last_accepted_sample(self, monkeypatch):
+        # the Taylor blow-up profile's last sample, 3.4475, is short of its
+        # event at 3.5000: u, du, d2u and the field read up to that sample and
+        # refuse past it and at NaN, where the raw state still reads the shot
+        monkeypatch.setattr(shooting, "_BLOW_UP_MAG", 5)
+        tp = TauParams.monge_ampere()
+        prof = shoot_radial(tp, 2, -2 * f_value(tp, 0.8), r_max=10.0, dps=30)
+        end = prof.rs[-1]
+        assert round(end, 4) == 3.4475 and round(prof.event.r, 4) == 3.5
+        assert (prof.u(end), prof.du(end), prof.d2u(end)) == (prof.us[-1], prof.ups[-1], prof.upps[-1])
+        field = prof.field
+        at_end = [field.value([end, 0.0]), *field.gradient([0.0, end]), *field.hessian([end, 0.0]).ravel()]
+        assert np.isfinite(at_end).all()
+        reads = (prof.u, prof.du, prof.d2u, lambda r: field.value([r, 0.0]), lambda r: field.gradient([0.0, r]),
+                 lambda r: field.hessian([r, 0.0]))
+        for r in (3.47, math.nan):
+            for read in reads:
+                with pytest.raises(InputError, match="outside the span"):
+                    read(r)
+        assert prof.state(3.47)[0] == pytest.approx(5.04, abs=5e-3)
+
+    def test_profile_without_samples_refuses_every_read(self):
+        # the step rule rejects this Taylor shot's first sample, at r = 0
+        prof = shoot_radial(TauParams.neg_branch(a=-2.0), 2, 2e10, r_max=1.0, dps=15)
+        assert len(prof.rs) == 0
+        for read in (prof.u, prof.du, prof.d2u):
+            with pytest.raises(InputError, match="outside the span"):
+                read(0.0)
+
 
 class TestProfileReader:
     """The fixed-point reader of the Taylor path against the mpmath one: on
