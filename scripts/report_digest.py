@@ -16,15 +16,16 @@ exit code (both runs use this checkout's scripts, on the package --src picks):
 The list covers every subcommand, two sweeps at their default sizes, one
 sweep each on a branch chosen by ``--tau`` and by ``--a``, three Legendre
 checks (grid steps 0.02, the default 0.01, and 0.005 on a span of 1, each
-reading the dual table across its clamped end windows), fourteen shots
+reading the dual table across its clamped end windows), sixteen shots
 (six float shots from perturbed quadratic data, one on each branch, four
 ending in an event and two complete, so every branch's float f, f^-1 and
 profile sampler is seen; a seventh float shot, NEG's run on to r = 1e6,
 whose ``blow_up`` ends where |u| crosses the step rule's bound 1e10; and
-seven Taylor shots: one on each branch, five
+nine Taylor shots: one on each branch, five
 complete and one ending in ``blow_up``, so the Taylor path's naming and
-placing of an event is seen, and a second ``blow_up`` at a working precision
-below a double's), and ten builds:
+placing of an event is seen, a second ``blow_up`` at a working precision
+below a double's, and two complete shots at dps 50, 169 bits, the widest
+jets), and ten builds:
 three tolerances, two spacelike (``--mss``) profiles, two whose cone margins
 are below the rounding of ``1 - x`` (taken from the log-odds and from s, they
 stay positive and both builds exit 0), one whose certificate reach is below
@@ -77,6 +78,9 @@ COMMANDS = [
     ["shoot", "--branch", "HARM", "--n", "2", "--u0", "1.663780661615406", "--rmax", "10", "--dps", "35"],  # c = 0.7
     ["shoot", "--branch", "ATAN", "--n", "2", "--u0", "-0.7079208192920894", "--rmax", "10", "--dps", "37"],  # c = 0.8
     ["shoot", "--branch", "NEG", "--n", "2", "--u0", "-2.5154398278034003", "--rmax", "10", "--dps", "30"],  # c = 3.3
+    # the LOG and ATAN shots at dps 50: the jets at 169 bits
+    ["shoot", "--branch", "LOG", "--n", "2", "--u0", "1.7838516734293206", "--rmax", "10", "--dps", "50"],
+    ["shoot", "--branch", "ATAN", "--n", "2", "--u0", "-0.7079208192920894", "--rmax", "10", "--dps", "50"],
     ["build-counterexample", "--a0", "0.3", "--a1", "0.7", "--n", "2", "--tol", "1e-6", "--seed", "5"],
     ["build-counterexample", "--a0", "-0.4", "--a1", "0.9", "--n", "3", "--tol", "1e-8", "--seed", "6"],
     ["build-counterexample", "--a0", "0.3", "--a1", "0.7", "--n", "4", "--tol", "1e-10", "--seed", "7"],

@@ -11,13 +11,15 @@ inputs (x_{k+1} = g_k / (k + 1) for x' = g(x)) yields the Taylor coefficients
 of an ODE solution.
 
 Coefficients are raw libmp tuples: ``Jet.c`` holds them, and each rule
-makes the libmp calls that mpf operators and ``mp.fdot`` would make, at the
-``(prec, rounding)`` the tape read from the context when it was made: exact
-products summed once by ``mpf_sum``, integers through ``from_int``, every
-other operation rounded.  So a series is bit for bit what the same
-recurrences give on mpf objects, with no mpf made per coefficient.  An
-input's coefficients enter exactly, whatever their precision: ``Tape.input``
-converts the ones it is given, and a caller appends tuples after that.
+gives what mpf operators and ``mp.fdot`` would give, at the
+``(prec, rounding)`` the tape read from the context when it was made.  A
+Cauchy sum's exact products are accumulated as one signed integer, as
+``mpf_sum`` adds ``mpf_mul`` products, and rounded once (``_dot``); integers
+enter through ``from_int``; every other operation is the libmp call the mpf
+operator makes.  So a series is bit for bit what the same recurrences give
+on mpf objects, with no mpf made per coefficient.  An input's coefficients
+enter exactly, whatever their precision: ``Tape.input`` converts the ones it
+is given, and a caller appends tuples after that.
 
 :func:`log`, :func:`exp`, :func:`atan`, :func:`tan` and :func:`tanh` take a
 :class:`Jet`; together with the operators they form the namespace in which
@@ -27,14 +29,40 @@ converts the ones it is given, and a caller appends tuples after that.
 from __future__ import annotations
 
 import mpmath as mp
-from mpmath.libmp import fzero, from_int, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_neg, mpf_sub, mpf_sum
+from mpmath.libmp import fzero, from_int, from_man_exp, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_neg, mpf_sub
 
 __all__ = ["Tape", "Jet", "log", "exp", "atan", "tan", "tanh"]
 
 
 def _dot(xs, ys, prec, rnd):
-    """``mp.fdot``: exact products, one rounded sum."""
-    return mpf_sum(map(mpf_mul, xs, ys), prec, rnd)
+    """``mp.fdot``, i.e. ``mpf_sum(map(mpf_mul, xs, ys), prec, rnd)``, on integers.
+
+    Each exact product is a signed int on 2^exp, added to the running sum as
+    ``mpf_sum`` adds it: aligned to the lower exponent, except that a product
+    more than 2 prec bits below a nonzero sum is dropped and one that far
+    above the sum replaces it.  The sum is rounded once.  Operands are
+    finite: no tape holds inf or nan.
+    """
+    man = exp = 0
+    cap = 2 * prec
+    for (xsign, xman, xexp, _), (ysign, yman, yexp, _) in zip(xs, ys):
+        pman = xman * yman
+        if pman:
+            if xsign != ysign:
+                pman = -pman
+            delta = xexp + yexp - exp
+            if delta >= 0:
+                if delta > cap and (not man or delta - man.bit_length() > cap):
+                    man, exp = pman, exp + delta
+                else:
+                    man += pman << delta
+            elif -delta - pman.bit_length() > cap:
+                if not man:
+                    man, exp = pman, exp + delta
+            else:
+                man = (man << -delta) + pman
+                exp += delta
+    return from_man_exp(man, exp, prec, rnd)
 
 
 class Tape:

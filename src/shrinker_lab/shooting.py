@@ -18,7 +18,8 @@ radius requires the high-precision Taylor path (``dps=...``): a
 degree-20 Taylor series method whose coefficients are Taylor-mode jets of the
 branch closed forms (:mod:`.jets`, ``tau.f_value_jet``/``f_inverse_jet``),
 computed and handed back as libmp tuples at the working precision.  Steps
-are joined in mpmath at 40 extra bits.  The profile is read in fixed point:
+are joined on those tuples at 40 extra bits, as mpmath's ``polyval`` joins
+them.  The profile is read in fixed point:
 each step's coefficients are held as integers on one power-of-two scale, 72
 bits past the working precision relative to a bound on the step's largest
 term, and each sample is rounded once to float (``_shoot_mp``).  The float
@@ -26,15 +27,15 @@ path samples its profile in one batched ``Trajectory.evaluate`` read, bit for
 bit the per-radius reads of the profile it returns (``_shoot_float``).
 
 One step rule, ``_radial_target``, checks every state either path reaches:
-the float right-hand side, each Taylor expansion point, each profile sample
-and ``RadialProfile.d2u``.  So the two paths name a cone exit, an inversion
-failure and a blow-up past |(u, u')| = _BLOW_UP_MAG the same way, and at the
-state where the rule first fails.  The one exit outside the rule is the
-Taylor path's ``blow_up`` when its step radius falls below _MIN_STEP, where
-the float path's integrator shrinks its step to its own floor.  A profile
-ends at the last sample the rule accepts, and ``u``, ``du``, ``d2u`` and
-``field`` read it on [0, that sample] through ``numerics.read_span``; a read
-past there is an InputError.
+the float path's initial state and right-hand side, each Taylor expansion
+point, each profile sample and ``RadialProfile.d2u``.  So the two paths name
+a cone exit, an inversion failure and a blow-up past |(u, u')| = _BLOW_UP_MAG
+the same way, and at the state where the rule first fails.  The one exit
+outside the rule is the Taylor path's ``blow_up`` when its step radius falls
+below _MIN_STEP, where the float path's integrator shrinks its step to its
+own floor.  A profile ends at the last sample the rule accepts, and ``u``,
+``du``, ``d2u`` and ``field`` read it on [0, that sample] through
+``numerics.read_span``; a read past there is an InputError.
 """
 
 from __future__ import annotations
@@ -46,7 +47,9 @@ from functools import partial
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import from_float, from_int, from_man_exp, fzero, mpf_div, mpf_gt, mpf_sub, round_nearest, to_float
+from mpmath.libmp import (
+    from_float, from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_sub, round_nearest, to_float,
+)
 
 from . import jets
 from .fields import RadialProfileField
@@ -156,6 +159,11 @@ def _shoot_float(tp, n, u0, upp0, r_max, rel_tol):
         return [up, f_inverse(tp, _radial_target(tp, n, r, u, up, upp0))]
 
     y0 = _series_state(u0, upp0, _R_START)
+    try:  # the initial state, as _shoot_mp checks each expansion point
+        _radial_target(tp, n, _R_START, *y0, upp0)
+    except RhsEvaluationError as exc:  # no step: the series is the whole shot
+        event = ShotEvent(exc.label, _R_START, exc.detail)
+        return (lambda rs: [_series_state(u0, upp0, r) for r in rs]), _R_START, event
     traj = integrate_ode(rhs, y0, (_R_START, float(r_max)), rel_tol)
 
     if traj.event is None:
@@ -238,6 +246,16 @@ def _horner(coeffs, hm, e):
     return acc
 
 
+def _join(cs, x, prec, rnd):
+    """``mp.polyval`` of a series (lowest first, libmp tuples) at x under
+    ``mp.workprec(prec)``: Horner from the top coefficient, unrounded, each
+    step ``c + x * acc`` rounded twice as the mpf operators round it."""
+    acc = cs[-1]
+    for c in reversed(cs[:-1]):
+        acc = mpf_add(c, mpf_mul(x, acc, prec, rnd), prec, rnd)
+    return acc
+
+
 def _to_float(acc, scale):
     """acc 2^-scale rounded once to the nearest float, as ``float(mpf)`` rounds."""
     try:
@@ -258,9 +276,10 @@ def _shoot_mp(tp, n, u0, r_max, dps):
     as libmp tuples, and takes the step of mpmath's ``ode_taylor`` (as
     ``odefun`` calls it with tol = 10^-(dps-10)): radius
     min(1, (tol'/|c_d|)^(1/d))/2 over both series,
-    tol' = 2^-(floor(log2 10^(dps-10)) + 10).  Steps are joined with mpmath's
-    Horner at fine_prec = prec + 40 bits; only c_d and the joins' coefficients
-    are wrapped as mpf values.  Every expansion point goes through
+    tol' = 2^-(floor(log2 10^(dps-10)) + 10).  Steps are joined at
+    fine_prec = prec + 40 bits by ``_join``, the libmp calls of mpmath's
+    ``polyval`` on the tuples; only c_d and each joined state are wrapped as
+    mpf values.  Every expansion point goes through
     the float path's step rule ``_radial_target``, whose error names the
     event; the one other exit is ``blow_up`` when the step radius falls below
     _MIN_STEP (a singularity ahead).
@@ -306,8 +325,7 @@ def _shoot_mp(tp, n, u0, r_max, dps):
             starts.append(r0._mpf_)
             steps.append(_fixed_point(us, ps, radius, fine_prec + _GUARD))
             r0 = r0 + radius
-            with mp.workprec(fine_prec):
-                u, p = (mp.polyval([mp.make_mpf(c) for c in reversed(cs)], radius) for cs in (us, ps))
+            u, p = (mp.make_mpf(_join(cs, radius._mpf_, fine_prec, rnd)) for cs in (us, ps))
             if r0 >= r_max:
                 event = ShotEvent("completed", float(r_max))
                 break

@@ -4,14 +4,19 @@
 every coefficient an ``mpf`` operator or an ``mp.fdot``, and
 ``_RefTape.taylor_step`` is a shooting Taylor step on them.  ``jets`` must
 give every coefficient's libmp tuple bit for bit as they do, through ``tau``'s
-closed forms and through one shooting Taylor step.
+closed forms and through one shooting Taylor step.  ``jets._dot`` itself must
+give ``mpf_sum(map(mpf_mul, xs, ys), prec, rnd)`` bit for bit.
 """
 
 from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
-from mpmath.libmp import fzero
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import (
+    from_man_exp, fzero, mpf_mul, mpf_sum, round_ceiling, round_down, round_floor, round_nearest, round_up,
+)
 
 from shrinker_lab import jets, shooting, tau
 from shrinker_lab.tau import f_inverse_jet, f_inverse_mp, f_value_jet, f_value_mp
@@ -229,3 +234,72 @@ class TestAgainstMpfOperators:
         assert len(us) == len(ps) == DEGREE + 1
         assert us[1:] == [fzero] * DEGREE and ps == [fzero] * (DEGREE + 1)
         assert all(type(x) is tuple and len(x) == 4 for cs in steps for x in cs)
+
+
+ROUNDINGS = [round_nearest, round_floor, round_ceiling, round_down, round_up]
+
+
+def ref_dot(xs, ys, prec, rnd):
+    return mpf_sum(map(mpf_mul, xs, ys), prec, rnd)
+
+
+def raw(man, exp):
+    """man 2^exp as a libmp tuple."""
+    return from_man_exp(man, exp)
+
+
+class TestFusedDot:
+    """``jets._dot`` against the ``mpf_sum`` of ``mpf_mul`` products it replaces."""
+
+    # each case names the branch of mpf_sum's loop it reaches at prec <= 200,
+    # where 2 prec <= 400 bits is the widest gap the sum keeps
+    CASES = {
+        "empty": ([], []),
+        "zeros": ([fzero, raw(3, -2), fzero], [raw(5, 1), fzero, fzero]),
+        "mixed signs": ([raw(3, -2), raw(-7, 5), raw(-11, -40)], [raw(-5, 1), raw(-9, -3), raw(13, 7)]),
+        "cancels to zero": ([raw(3, -2), raw(3, -2)], [raw(5, 1), raw(-5, 1)]),
+        "cancels, then far above": ([raw(3, -2), raw(3, -2), raw(1, 1000)], [raw(5, 1), raw(-5, 1), raw(7, 0)]),
+        "cancels, then far below": ([raw(3, -2), raw(3, -2), raw(1, -1000)], [raw(5, 1), raw(-5, 1), raw(7, 0)]),
+        "restart far above": ([raw(3, 0), raw(-5, 900), raw(7, 880)], [raw(1, 0), raw(1, 0), raw(-1, 0)]),
+        "drop far below": ([raw(3, 900), raw(-5, 0), raw(7, 880)], [raw(1, 0), raw(1, 0), raw(1, 0)]),
+        "start far below": ([raw(-3, -900), raw(5, -880)], [raw(1, 0), raw(1, 0)]),
+        "gap at the edge": ([raw(1, 0), raw(1, -402), raw(1, 401)], [raw(1, 0), raw(1, 0), raw(-(2**200 - 1), 0)]),
+        "long mantissas": ([raw(3**130, -300), raw(-(7**70), -100)], [raw(5**80, -90), raw(11**60, -250)]),
+    }
+
+    @pytest.mark.parametrize("rnd", ROUNDINGS)
+    @pytest.mark.parametrize("prec", [43, 53, 113, 200])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_cases_bit_for_bit(self, case, prec, rnd):
+        xs, ys = self.CASES[case]
+        assert jets._dot(xs, ys, prec, rnd) == ref_dot(xs, ys, prec, rnd)
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    @pytest.mark.parametrize("rnd", ROUNDINGS)
+    @pytest.mark.parametrize("prec", [43, 53, 113, 200])
+    def test_gaps_at_2prec_bit_for_bit(self, prec, rnd, shift):
+        # gaps one bit either side of 2 prec, where mpf_sum starts dropping
+        # or restarting; a directed rounding shows a term kept or dropped
+        gap, one = 2 * prec + shift, raw(1, 0)
+        cases = [
+            ([one, raw(1, -gap - 1)], [one, one]),  # a product below a sum of 1
+            ([one, raw(3, -gap - 2)], [one, raw(-1, 0)]),
+            ([raw(1, gap), raw(1, -5)], [one, one]),  # a product above the zero sum at 2^0, then one below
+            ([one, raw(1, gap + 1)], [one, raw(-1, 0)]),  # a product above a sum of 1
+        ]
+        for xs, ys in cases:
+            assert jets._dot(xs, ys, prec, rnd) == ref_dot(xs, ys, prec, rnd), (xs, ys)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(*[st.builds(raw, st.one_of(st.just(0), st.integers(-(2**220), 2**220)),
+                                  st.one_of(st.integers(-40, 40), st.integers(-1500, 1500)))] * 2),
+            max_size=24,
+        ),
+        prec=st.integers(43, 200),
+        rnd=st.sampled_from(ROUNDINGS),
+    )
+    def test_random_sums_bit_for_bit(self, pairs, prec, rnd):
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        assert jets._dot(xs, ys, prec, rnd) == ref_dot(xs, ys, prec, rnd)

@@ -1,10 +1,11 @@
 import bisect
 import math
+import random
 
 import mpmath as mp
 import numpy as np
 import pytest
-from mpmath.libmp import from_man_exp, fzero
+from mpmath.libmp import from_man_exp, fzero, round_nearest
 
 import shrinker_lab as sl
 from shrinker_lab import InputError, TauParams, shooting
@@ -361,13 +362,60 @@ class TestReadsPastTheEnd:
                     read(r)
         assert prof.state(3.47)[0] == pytest.approx(5.04, abs=5e-3)
 
-    def test_profile_without_samples_refuses_every_read(self):
-        # the step rule rejects this Taylor shot's first sample, at r = 0
-        prof = shoot_radial(TauParams.neg_branch(a=-2.0), 2, 2e10, r_max=1.0, dps=15)
+    @pytest.mark.parametrize("dps, kind", [(None, "blow_up"), (15, "cone_exit")])
+    def test_profile_without_samples_refuses_every_read(self, dps, kind):
+        # the step rule rejects this shot's initial state, at _R_START, on
+        # either path; the kinds differ because f_inverse_mp(-1e10) rounds
+        # onto NEG's cone edge where f_inverse stays inside the component
+        prof = shoot_radial(TauParams.neg_branch(a=-2.0), 2, 2e10, r_max=1.0, dps=dps)
+        assert (prof.event.kind, prof.event.r) == (kind, shooting._R_START)
         assert len(prof.rs) == 0
         for read in (prof.u, prof.du, prof.d2u):
             with pytest.raises(InputError, match="outside the span"):
                 read(0.0)
+
+
+class TestStepJoin:
+    """``_join`` against ``mp.polyval`` at fine_prec, the join it replaces."""
+
+    @pytest.mark.parametrize("du0", ["0", "0.01"])
+    @pytest.mark.parametrize("branch", list(branch_params()))
+    def test_join_is_polyval_at_fine_prec(self, branch, du0, monkeypatch):
+        # every step of a shot is joined as mp.polyval joins it at fine_prec:
+        # on quadratic data, whose high coefficients are mostly exact zeros,
+        # and on perturbed data, whose coefficients are not
+        tp = branch_params()[branch]
+        c = {"MA": 0.6, "LOG": 0.4, "HARM": 0.3, "ATAN": 0.4, "SLAG": 0.5, "NEG": 1.2}[branch]
+        joins = []
+        join = shooting._join
+
+        def recording(cs, x, prec, rnd):
+            joins.append((cs, x, prec, rnd, join(cs, x, prec, rnd)))
+            return joins[-1][-1]
+
+        monkeypatch.setattr(shooting, "_join", recording)
+        with mp.workdps(30):
+            fine = mp.mp.prec + 40
+            u0 = quad_initial_value(tp, 2, c, 30) + mp.mpf(du0)
+        shooting._shoot_mp(tp, 2, u0, 10.0, 30)
+        assert len(joins) >= 20
+        for cs, x, prec, rnd, got in joins:
+            assert (prec, rnd) == (fine, round_nearest)
+            with mp.workprec(prec):
+                want = mp.polyval([mp.make_mpf(a) for a in reversed(cs)], mp.make_mpf(x))
+            assert got == want._mpf_
+
+    def test_join_is_polyval_on_random_series(self):
+        # terms of like size, where every rounding of Horner's rule shows
+        rng = random.Random(27)
+        for _ in range(300):
+            prec = rng.randint(43, 300)
+            cs = [from_man_exp(rng.randint(-(2**prec), 2**prec), rng.randint(-prec - 4, -prec + 4))
+                  for _ in range(rng.randint(1, 21))]
+            x = from_man_exp(rng.randint(-(2**prec), 2**prec), rng.randint(-prec - 2, -prec + 2))
+            with mp.workprec(prec):
+                want = mp.polyval([mp.make_mpf(a) for a in reversed(cs)], mp.make_mpf(x))
+            assert shooting._join(cs, x, prec, round_nearest) == want._mpf_
 
 
 class TestProfileReader:
