@@ -14,7 +14,10 @@ exit code (both runs use this checkout's scripts, on the package --src picks):
     diff before.txt after.txt
 
 The list covers every subcommand, two sweeps at their default sizes, one
-sweep each on a branch chosen by ``--tau`` and by ``--a``, three Legendre
+sweep each on a branch chosen by ``--tau`` and by ``--a``, one ``flow-check``
+of 519 trials in dimensions 1 to 4, which crosses two seams of the sweeps'
+256-trial blocks (the trials are drawn a block at a time, then certified as
+stacks, one dimension at a time), three Legendre
 checks (grid steps 0.02, the default 0.01, and 0.005 on a span of 1, each
 reading the dual table across its clamped end windows), sixteen shots
 (six float shots from perturbed quadratic data, one on each branch, four
@@ -55,6 +58,7 @@ COMMANDS = [
     ["defect", "--n", "4", "--seed", "4"],
     ["verify-quadratic", "--tau", "0.5", "--n", "3", "--trials", "10", "--points", "5", "--seed", "8"],  # TauParams.from_tau
     ["defect", "--a", "-3", "--n", "3", "--trials", "10", "--seed", "9"],  # TauParams.from_cot
+    ["flow-check", "--n", "4", "--trials", "519", "--seed", "10"],  # 2 x 256 + 7 trials: two block seams
     ["legendre-check", "--grid-step", "0.02"],
     ["legendre-check"],  # the default step, 0.01
     ["legendre-check", "--span", "1", "--grid-step", "0.005"],

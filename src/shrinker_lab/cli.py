@@ -8,6 +8,8 @@ Exit codes: 0 pass, 2 verification failure, 3 construction failure,
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import math
 import os
 import re
@@ -19,6 +21,7 @@ from . import geometry, quadratics, reports, shooting, transforms
 from .constructor import (
     MAX_GRID_POINTS, build_counterexample, build_mss_counterexample, profile_grid, profile_span,
 )
+from .fields import QuadraticField
 from .numerics import ConstructionError, DomainError, InputError
 from .tau import TauParams
 
@@ -144,16 +147,22 @@ def _emit(args, command, config, results, passed):
     sys.stdout.write(text)
 
 
-def _branch_sweep(args, command, default_tol, key, measure, **extra_config):
+# trials drawn, then certified as stacks, a block at a time: memory stays flat in --trials
+_SWEEP_BLOCK = 256
+
+
+def _branch_sweep(args, command, default_tol, key, draw, measure, summarize, **extra_config):
     """Sweep random quadratic solutions, then write the report; returns the exit code.
 
     The sweep covers the branch chosen by --branch/--tau/--a, or all six in
     sorted order.  One RNG seeded by --seed draws everything, so reports are
-    byte-stable per seed: for each branch, ``measure(tp, trials, rng)``
-    consumes ``trials``, which draws a dimension in [1, --n] and an admissible
-    matrix A just before yielding ``(k, A)`` for trial k, draws whatever else
-    it needs from ``rng`` and returns the branch's results.  The sweep passes
-    iff the worst ``results[key]`` over the branches is <= tol.
+    byte-stable per seed: for each branch, trial k draws a dimension n in
+    [1, --n], its matrix's ``quadratics.admissible_draw``, then
+    ``draw(k, n, rng)``.  The sweep draws ``_SWEEP_BLOCK`` trials, then
+    certifies them as stacks, one dimension at a time: one matrix stack, one
+    ``build_quadratic``, and ``measure(tp, sol, draws)``, a value per trial.
+    ``summarize`` reads the values in trial order and returns the branch's
+    results; the sweep passes iff the worst ``results[key]`` is <= tol.
     """
     sizes = {"n": args.n, "trials": args.trials, **extra_config}
     for name, value in sizes.items():
@@ -166,15 +175,24 @@ def _branch_sweep(args, command, default_tol, key, measure, **extra_config):
     rng = np.random.default_rng(args.seed)
     tol = args.tol if args.tol is not None else default_tol
 
-    def trials(tp):
-        for k in range(args.trials):
-            n = int(rng.integers(1, args.n + 1))
-            yield k, quadratics.random_admissible_matrix(tp, n, rng)
+    def values(tp):
+        for start in range(0, args.trials, _SWEEP_BLOCK):
+            block = []
+            for k in range(start, min(start + _SWEEP_BLOCK, args.trials)):
+                n = int(rng.integers(1, args.n + 1))
+                block.append((n, quadratics.admissible_draw(tp, n, rng), draw(k, n, rng)))
+            out = {}
+            for n in sorted({trial[0] for trial in block}):
+                idx = [i for i, trial in enumerate(block) if trial[0] == n]
+                spectra, gaussians = (np.array(v) for v in zip(*(block[i][1] for i in idx)))
+                sol = quadratics.build_quadratic(tp, quadratics.admissible_matrix(spectra, gaussians))
+                out.update(zip(idx, measure(tp, sol, [block[i][2] for i in idx])))
+            yield from (out[i] for i in range(len(block)))
 
     per_branch = {}
     worst = 0.0
     for name, tp in sorted(tps.items()):
-        per_branch[name] = measure(tp, trials(tp), rng)
+        per_branch[name] = summarize(values(tp))
         worst = max(worst, per_branch[name][key])
     passed = worst <= tol
     config = {"branches": sorted(tps), **sizes, "tol": tol, "seed": args.seed}
@@ -182,25 +200,30 @@ def _branch_sweep(args, command, default_tol, key, measure, **extra_config):
     return EXIT_PASS if passed else EXIT_VERIFY_FAIL
 
 
+def _max_defect(values):
+    return {"max_defect": max(itertools.chain([0.0], values))}
+
+
 def cmd_verify_quadratic(args):
     defect_every = max(1, args.trials // 5)
 
-    def measure(tp, trials, rng):
-        residuals, defects = [], []
-        for k, A in trials:
-            pts = rng.uniform(-3.0, 3.0, size=(args.points, len(A)))
-            sol = quadratics.build_quadratic(tp, A)
-            residuals.append(quadratics.verify_quadratic(sol, pts))
-            if k % defect_every == 0:
-                x = rng.uniform(-2.0, 2.0, size=len(A))
-                defects.append(geometry.shrinker_defect(tp, sol.field, x))
-        return {
-            "max_residual": max(residuals),
-            "defect_max": max(defects),
-            "defect_mean": float(np.mean(defects)),
-        }
+    def draw(k, n, rng):
+        pts = rng.uniform(-3.0, 3.0, size=(args.points, n))
+        return pts, rng.uniform(-2.0, 2.0, size=n) if k % defect_every == 0 else None
 
-    return _branch_sweep(args, "verify-quadratic", 1e-10, "max_residual", measure, points=args.points)
+    def measure(tp, sol, draws):
+        pts, xs = zip(*draws)
+        residuals = quadratics.verify_quadratic(sol, np.array(pts)).tolist()
+        return [(r, None if x is None else geometry.shrinker_defect(tp, QuadraticField(A, c), x))
+                for r, A, c, x in zip(residuals, sol.A, sol.c, xs)]
+
+    def summarize(values):
+        residuals, defects = zip(*values)
+        defects = [d for d in defects if d is not None]
+        return {"max_residual": max(residuals), "defect_max": max(defects), "defect_mean": float(np.mean(defects))}
+
+    return _branch_sweep(args, "verify-quadratic", 1e-10, "max_residual", draw, measure, summarize,
+                         points=args.points)
 
 
 def cmd_build_counterexample(args):
@@ -250,16 +273,14 @@ def cmd_shoot(args):
 
 
 def cmd_flow_check(args):
-    def measure(tp, trials, rng):
-        m = 0.0
-        for _, A in trials:
-            x = rng.uniform(-3.0, 3.0, size=len(A))
-            t = -float(rng.uniform(0.1, 10.0))
-            sol = quadratics.build_quadratic(tp, A)
-            m = max(m, abs(transforms.self_similar_extension(tp, sol.field, x, t).defect))
-        return {"max_defect": m}
+    def draw(k, n, rng):
+        return rng.uniform(-3.0, 3.0, size=n), -float(rng.uniform(0.1, 10.0))
 
-    return _branch_sweep(args, "flow-check", 1e-10, "max_defect", measure)
+    def measure(tp, sol, draws):
+        xs, ts = (np.array(v) for v in zip(*draws))
+        return np.abs(transforms.self_similar_extension(tp, sol.field, xs, ts).defect).tolist()
+
+    return _branch_sweep(args, "flow-check", 1e-10, "max_defect", draw, measure, _max_defect)
 
 
 def cmd_legendre_check(args):
@@ -292,15 +313,11 @@ def cmd_legendre_check(args):
 
 
 def cmd_defect(args):
-    def measure(tp, trials, rng):
-        m = 0.0
-        for _, A in trials:
-            sol = quadratics.build_quadratic(tp, A)
-            x = rng.uniform(-2.0, 2.0, size=len(A))
-            m = max(m, geometry.shrinker_defect(tp, sol.field, x))
-        return {"max_defect": m}
+    def measure(tp, sol, xs):
+        return [geometry.shrinker_defect(tp, QuadraticField(A, c), x) for A, c, x in zip(sol.A, sol.c, xs)]
 
-    return _branch_sweep(args, "defect", 1e-7, "max_defect", measure)
+    return _branch_sweep(args, "defect", 1e-7, "max_defect",
+                         lambda k, n, rng: rng.uniform(-2.0, 2.0, size=n), measure, _max_defect)
 
 
 def _add_common(p, tol_and_seed=True):
@@ -315,6 +332,7 @@ def _add_common(p, tol_and_seed=True):
     p.add_argument("--out", type=str, default=None, help="output directory (default .)")
 
 
+@functools.cache  # built by the first main call, not at import, and reused by every later one
 def build_parser():
     parser = _Parser(prog="shrinker-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

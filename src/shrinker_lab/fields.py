@@ -73,10 +73,12 @@ def _dot_self(x):
 
 
 class QuadraticField(ScalarField):
-    """u(x) = 0.5 <x, A x> + c with exact derivatives.
+    """u(x) = 0.5 <x, A x> + c with exact derivatives; with a (k, n, n) stack
+    A and (k,) constants c, the stack of k such fields, which reads a
+    (k, m, n) stack of clouds, one cloud a field.
 
-    On a cloud the stacked products ``(X[:, None, :] @ A) @ X[:, :, None]``
-    and ``A @ X[:, :, None]`` run the kernel of the single-point products row
+    On a cloud the stacked products ``(X[..., None, :] @ A) @ X[..., :, None]``
+    and ``A @ X[..., :, None]`` run the kernel of the single-point products row
     by row, where ``X @ A`` would not, and the Hessian is A repeated m times.
     A point keeps its own kernels, ``x @ A @ x``, ``A @ x`` and ``A.copy()``,
     bit for bit a cloud of one: criterion 01 reads 60,000 point residuals on
@@ -88,12 +90,18 @@ class QuadraticField(ScalarField):
 
     def __init__(self, A, c=0.0):
         self.A = np.asarray(A, dtype=float)
-        if self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1]:
+        if self.A.ndim < 2 or self.A.shape[-1] != self.A.shape[-2]:
             raise InputError("A must be square")
-        if not np.array_equal(self.A, self.A.T):
+        if not np.array_equal(self.A, self.A.swapaxes(-1, -2)):
             raise InputError("A must be symmetric")
-        self.c = float(c)
-        self.dim = self.A.shape[0]
+        self.c = float(c) if self.A.ndim == 2 else np.asarray(c, dtype=float)
+        self.dim = self.A.shape[-1]
+
+    def _cloud(self, x):
+        stack, p = self.A.shape[:-2], np.asarray(x, dtype=float)
+        if stack and (p.shape[:-2] != stack or p.shape[-1:] != (self.dim,)):
+            raise InputError(f"expected a stack {stack} of clouds of dimension {self.dim}, got shape {p.shape}")
+        return (np.ascontiguousarray(p), False) if stack else super()._cloud(x)
 
     def value(self, x):
         x, point = self._cloud(x)
@@ -111,13 +119,14 @@ class QuadraticField(ScalarField):
         return self.A.copy() if point else self._hessian(x)
 
     def _value(self, x):
-        return 0.5 * ((x[:, None, :] @ self.A) @ x[:, :, None])[:, 0, 0] + self.c
+        quad = (x[..., None, :] @ self.A[..., None, :, :]) @ x[..., :, None]
+        return 0.5 * quad[..., 0, 0] + np.expand_dims(self.c, -1)
 
     def _gradient(self, x):
-        return (self.A @ x[:, :, None])[:, :, 0]
+        return (self.A[..., None, :, :] @ x[..., :, None])[..., 0]
 
     def _hessian(self, x):
-        return np.repeat(self.A[None], len(x), axis=0)
+        return np.repeat(self.A[..., None, :, :], x.shape[-2], axis=-3)
 
 
 class AffineScaledField(ScalarField):

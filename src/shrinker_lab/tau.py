@@ -471,14 +471,15 @@ def operator_gradient_matrix(tp, H):
 def phase(field, x):
     """-u(x) + <x, Du(x)>/2; constant along exact quadratic solutions.
 
-    ``x`` is one point or an (m, n) cloud; a cloud gives (m,) values, each bit
-    for bit its point's value.  The point branch is kept for criterion 01's
-    60,000 point residuals on quadratics (``fields.QuadraticField``).
+    ``x`` is one point or an (m, n) cloud, or a (k, m, n) stack of clouds on
+    a stack of k quadratic fields; a cloud gives (m,) values, each bit for bit
+    its point's value.  The point branch is kept for criterion 01's 60,000
+    point residuals on quadratics (``fields.QuadraticField``).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.ndim == 2:
+    if x.ndim >= 2:
         x = np.ascontiguousarray(x)
-        return -field.value(x) + 0.5 * (x[:, None, :] @ field.gradient(x)[:, :, None])[:, 0, 0]
+        return -field.value(x) + 0.5 * (x[..., None, :] @ field.gradient(x)[..., :, None])[..., 0, 0]
     return float(-field.value(x) + 0.5 * float(x @ field.gradient(x)))
 
 

@@ -191,15 +191,16 @@ def self_similar_extension(tp, field, x, t):
     v_t follows the closed form  -u + <Du, x/sqrt(-t)>/2, and the defect
     v_t - F(lambda(D^2 v)) equals minus the equation residual of u at the
     rescaled point; the Hessian spectrum is invariant under the scaling.
+    ``x`` is one point and ``t`` one time, or (k, n) points and (k,) times
+    on a stack of k quadratic fields, giving (k,) values; each point is read
+    as a cloud of one, so a stack costs one value, gradient and eigen read.
     """
-    t = float(t)
-    if t >= 0.0:
+    t = np.asarray(t, dtype=float)
+    if (t >= 0.0).any():
         raise InputError(f"self-similar extension needs t < 0, got {t}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xi = x / math.sqrt(-t)
-    u_val = field.value(xi)
-    grad = field.gradient(xi)
-    v = -t * u_val
-    v_t = -u_val + 0.5 * float(grad @ xi)
-    F = operator_value(tp, eig_sym(field.hessian(xi)))
-    return SelfSimilarSample(v=float(v), v_t=float(v_t), defect=float(v_t - F))
+    xi = np.atleast_1d(np.asarray(x, dtype=float)) / np.sqrt(-t)[..., None]
+    cloud = xi[..., None, :]
+    u_val, grad = field.value(cloud)[..., 0], field.gradient(cloud)[..., 0, :]
+    v_t = -u_val + 0.5 * (grad[..., None, :] @ xi[..., :, None])[..., 0, 0]
+    sample = (-t * u_val, v_t, v_t - operator_value(tp, eig_sym(field.hessian(cloud)[..., 0, :, :])))
+    return SelfSimilarSample(*(sample if t.ndim else map(float, sample)))

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -13,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shrinker_lab.cli import BRANCH_DEFAULTS, main
-from shrinker_lab import constructor, reports
+from shrinker_lab.cli import BRANCH_DEFAULTS, build_parser, main
+from shrinker_lab import cli, constructor, reports
 from shrinker_lab.numerics import RhsEvaluationError
 from shrinker_lab.reports import write_csv
 from shrinker_lab.transforms import _neg_constants
@@ -367,6 +369,32 @@ class TestExitCodes:
         rows = (tmp_path / "radial-profile.csv").read_text().splitlines()
         last = rows[-1].split(",")
         assert abs(float(last[1]) - 0.5 * float(last[0]) ** 2) < 1e-6
+
+
+def _written(out):
+    return {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+
+
+class TestParserReuse:
+    # each reads flags the one before it refuses or takes with other defaults
+    RUNS = [
+        ("build-counterexample", "--mss", "--phi0", "1.2", "--tol", "1e-6"),
+        ("build-counterexample", "--a1", "0.7", "--tol", "1e-6"),
+        ("flow-check", "--n", "3", "--trials", "9"),
+        ("build-counterexample", "--mss", "--tol", "1e-6"),
+    ]
+
+    def test_one_parser_serves_every_call(self):
+        assert build_parser() is build_parser()
+
+    def test_runs_back_to_back_write_what_each_writes_alone(self, tmp_path):
+        src = Path(cli.__file__).resolve().parents[1]
+        for k, argv in enumerate(self.RUNS):
+            alone, shared = tmp_path / f"alone{k}", tmp_path / f"shared{k}"
+            proc = subprocess.run([sys.executable, "-m", "shrinker_lab.cli", *argv, "--out", str(alone)],
+                                  env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True)
+            assert main([*argv, "--out", str(shared)]) == proc.returncode == 0
+            assert _written(shared) == _written(alone), argv
 
 
 class TestReports:

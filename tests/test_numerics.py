@@ -25,7 +25,7 @@ from shrinker_lab.numerics import (
     integrate_ode,
     invert_monotone,
 )
-from shrinker_lab.quadratics import random_orthogonal
+from shrinker_lab.quadratics import admissible_matrix
 from shrinker_lab.tau import admissible, cone_spec
 
 from conftest import branch_params, same_bits
@@ -81,9 +81,7 @@ class TestEigSym:
                 depth = 10.0 ** rng.uniform(-14.0, -12.0)
                 far = rng.uniform(0.1, min(3.0, 0.9 * (spec.hi - spec.lo)), size=n - 1)
                 lams = edge + inward * np.concatenate([[depth], far])
-                Q = random_orthogonal(n, rng)
-                A = (Q * lams) @ Q.T
-                A = 0.5 * (A + A.T)
+                A = admissible_matrix(lams, rng.standard_normal((n, n)))
                 with mp.workdps(40):
                     exact = sorted(float(e) for e in mp.eigsy(mp.matrix(A.tolist()), eigvals_only=True))
                 w = eig_sym(A)

@@ -485,9 +485,7 @@ class TestGrowthRatio:
         n = 3
         for _ in range(20):
             lams = rng.uniform(-0.95, 0.95, n)
-            Q = sl.quadratics.random_orthogonal(n, rng)
-            A = (Q * lams) @ Q.T
-            sol = sl.build_quadratic(tp, 0.5 * (A + A.T))
+            sol = sl.build_quadratic(tp, sl.quadratics.admissible_matrix(lams, rng.standard_normal((n, n))))
             theta = rng.standard_normal(n)
             theta /= np.linalg.norm(theta)
             r = float(rng.uniform(0.5, 5.0))
