@@ -14,7 +14,9 @@ exit code (both runs use this checkout's scripts, on the package --src picks):
     diff before.txt after.txt
 
 The list covers every subcommand, two sweeps at their default sizes, one
-sweep each on a branch chosen by ``--tau`` and by ``--a``, one ``flow-check``
+sweep each on a branch chosen by ``--tau`` and by ``--a``, one ``defect``
+sweep next to a = -1 whose induced metric is singular (it exits 3 and
+writes no report, wherever in a stack the singular matrix is), one ``flow-check``
 of 519 trials in dimensions 1 to 4, which crosses two seams of the sweeps'
 256-trial blocks (the trials are drawn a block at a time, then certified as
 stacks, one dimension at a time), three Legendre
@@ -58,6 +60,8 @@ COMMANDS = [
     ["defect", "--n", "4", "--seed", "4"],
     ["verify-quadratic", "--tau", "0.5", "--n", "3", "--trials", "10", "--points", "5", "--seed", "8"],  # TauParams.from_tau
     ["defect", "--a", "-3", "--n", "3", "--trials", "10", "--seed", "9"],  # TauParams.from_cot
+    # a = -1 - 2^-52: an admissible spectrum whose induced metric rounds to singular, exit 3, no report
+    ["defect", "--a", "-1.0000000000000002", "--n", "1", "--trials", "7", "--seed", "3"],
     ["flow-check", "--n", "4", "--trials", "519", "--seed", "10"],  # 2 x 256 + 7 trials: two block seams
     ["legendre-check", "--grid-step", "0.02"],
     ["legendre-check"],  # the default step, 0.01

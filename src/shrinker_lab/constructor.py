@@ -469,7 +469,8 @@ class MinkowskiProfile(ScalarField):
     from the integrated ``Trajectory`` on its span; f is the slope of
     ``integral``, a ``StepIntegralField`` with F'' = tanh(s).  A cloud is
     read in one ``Trajectory.evaluate`` call; tanh and cosh are ``math``'s
-    per element (numpy's differ in the last bit).  The last cloud read is
+    per element, mapped into flat arrays (numpy's differ in the last bit),
+    and sech^2(s) phi is one numpy product.  The last cloud read is
     kept, so the methods a residual calls on one cloud read the trajectory
     once between them.
     """
@@ -502,15 +503,15 @@ class MinkowskiProfile(ScalarField):
         return self._integral.read(x)[1]
 
     def _gradient(self, x):
-        return np.array([[math.tanh(v)] for v in self._pairs(x)[0]])
+        return np.array(list(map(math.tanh, self._pairs(x)[0])))[:, None]
 
     def _hessian(self, x):
         s, p = self._pairs(x)
-        return np.array([[[_sech2(v) * w]] for v, w in zip(s, p)])
+        return (np.array(list(map(_sech2, s))) * np.array(p))[:, None, None]
 
     def gradient_complement(self, x):
         """1 - f'^2 = sech^2(s) at an (m, 1) cloud, as (m,)."""
-        return np.array([_sech2(v) for v in self._pairs(x)[0]])
+        return np.array(list(map(_sech2, self._pairs(x)[0])))
 
 
 def _sech2(s):

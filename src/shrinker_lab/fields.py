@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import _READ_BLOCK, InputError, Trajectory, read_span
+from .numerics import _READ_BLOCK, InputError, Trajectory, read_span, row_dot
 
 __all__ = [
     "ScalarField",
@@ -63,13 +63,6 @@ class ScalarField:
         if p.ndim == 2 and p.shape[1] == self.dim:
             return np.ascontiguousarray(p), False
         raise InputError(f"expected point of dimension {self.dim}, got shape {p.shape}")
-
-
-def _dot_self(x):
-    """<x, x> row by row of a cloud, as (m,): the stacked product
-    ``x[:, None, :] @ x[:, :, None]`` runs the kernel of the single-point
-    ``x @ x`` on each row, so each row rounds as its point does."""
-    return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
 
 
 class QuadraticField(ScalarField):
@@ -155,7 +148,7 @@ class AffineScaledField(ScalarField):
         self.dim = base.dim
 
     def _value(self, x):
-        return self.outer * self.base.value(self.inner * x) + 0.5 * self.quad * _dot_self(x) + self.offset
+        return self.outer * self.base.value(self.inner * x) + 0.5 * self.quad * row_dot(x, x) + self.offset
 
     def _gradient(self, x):
         return self.outer * self.inner * self.base.gradient(self.inner * x) + self.quad * x
@@ -318,7 +311,7 @@ class SeparableExtensionField(ScalarField):
 
     def _value(self, x):
         x1 = x[:, 0]
-        return self.base.value(x[:, :1]) + 0.25 * (_dot_self(x) - x1 * x1)
+        return self.base.value(x[:, :1]) + 0.25 * (row_dot(x, x) - x1 * x1)
 
     def _gradient(self, x):
         g = 0.5 * x
@@ -347,7 +340,7 @@ class RadialProfileField(ScalarField):
         self._r0 = float(r_origin)
 
     def _radii(self, x):
-        return np.sqrt(_dot_self(x))
+        return np.sqrt(row_dot(x, x))
 
     def _tangent(self, r):
         """u'(r)/r, filled with u''(0) within r_origin of the origin."""

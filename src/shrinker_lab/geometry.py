@@ -5,16 +5,21 @@ vector equation.
 
 G is never built: every product with it is written in n x n blocks, so the
 normal projection is one n x n solve against the induced metric.
+
+Each function reads one point, an (m, n) cloud on one field, or a (k, m, n)
+stack of clouds on a stack of k ``fields.QuadraticField``s (Hessians and
+ambient vectors stacked alike), and a point is a stack of one.  The products
+are stacked matrix-vector and row-dot products and the solves stacked LAPACK
+solves, each running the kernel of the single-point product on each row, so
+every row of a stacked read is its point's read bit for bit.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .numerics import DomainError, InputError, as_sym_matrix, eig_sym
-from .tau import Branch, operator_gradient_matrix, operator_value
+from .numerics import DomainError, InputError, as_sym_matrix, eig_sym, row_dot
+from .tau import Branch, _gradient_matrix, operator_value
 
 __all__ = [
     "induced_metric",
@@ -27,12 +32,53 @@ __all__ = [
 FD_STEP = 1e-3  # central-difference step of D_x F(lambda(D^2 u)) in mean_curvature
 
 
+def _matvec(H, v):
+    """H v row by row of stacked (..., n, n) matrices and (..., n) vectors."""
+    return (H @ v[..., None])[..., 0]
+
+
+def _metric(tp, H):
+    """The induced metric of validated (..., n, n) Hessians."""
+    s, c = tp.sin_cos
+    return s * (np.eye(H.shape[-1]) + H @ H) + 2.0 * c * H
+
+
+def _normal(tp, H, V):
+    """Normal parts of (..., 2n) ambient vectors at validated Hessians; a
+    singular metric anywhere in the stack is a DomainError."""
+    n = H.shape[-1]
+    s, c = tp.sin_cos
+    w = V[..., n:] - _matvec(H, V[..., :n])
+    try:
+        beta = np.linalg.solve(_metric(tp, H), (c * w + s * _matvec(H, w))[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise DomainError(f"induced metric degenerate: {exc}") from exc
+    return np.concatenate([-beta, w - _matvec(H, beta)], axis=-1)
+
+
+def _points(x):
+    """(x as an (m, n) cloud or a (k, m, n) stack of clouds, whether x is one
+    point, read as a cloud of one)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    point = x.ndim == 1
+    return np.ascontiguousarray(x[None] if point else x), point
+
+
+def _mean_curvature(tp, field, x, H):
+    """Mean curvature vectors at the points x, with H the validated Hessians
+    there: the 2n stencil points of every point are read as one cloud."""
+    n = x.shape[-1]
+    steps = FD_STEP * np.eye(n)
+    stencil = np.concatenate([x[..., None, :] + steps, x[..., None, :] - steps], axis=-2)
+    spectra = eig_sym(field.hessian(stencil.reshape(*x.shape[:-2], -1, n)))
+    F = operator_value(tp, spectra.reshape(-1, n)).reshape(*x.shape[:-1], 2 * n)
+    V = np.concatenate([np.zeros(x.shape), (F[..., :n] - F[..., n:]) / (2.0 * FD_STEP)], axis=-1)
+    return _normal(tp, H, V)
+
+
 def induced_metric(tp, H):
     """Pullback metric on the graph:  sin (I + H^2) + 2 cos H."""
-    H = as_sym_matrix(H)
-    s, c = tp.sin_cos
-    n = H.shape[0]
-    return s * (np.eye(n) + H @ H) + 2.0 * c * H
+    return _metric(tp, as_sym_matrix(H))
 
 
 def metric_duality_defect(tp, H):
@@ -40,14 +86,14 @@ def metric_duality_defect(tp, H):
 
     Both are diagonal in the Hessian eigenbasis with entries
     1/(sin (1+lam^2) + 2 cos lam) and f'(lam); the identity is exact, so the
-    defect measures eigensolver and inversion error only.  The one eigen-solve,
-    in :func:`operator_gradient_matrix`, comes first: an inadmissible H
-    raises there, before its metric is inverted.
+    defect measures eigensolver and inversion error only.  H is validated
+    once; the eigen-solve comes first, so an inadmissible H raises there,
+    before its metric is inverted.
     """
     H = as_sym_matrix(H)
-    dF = operator_gradient_matrix(tp, H)
+    dF = _gradient_matrix(tp, *np.linalg.eigh(H))
     try:
-        ginv = np.linalg.inv(induced_metric(tp, H))
+        ginv = np.linalg.inv(_metric(tp, H))
     except np.linalg.LinAlgError as exc:
         raise DomainError(f"induced metric degenerate: {exc}") from exc
     return float(np.max(np.abs(ginv - dF)))
@@ -55,7 +101,8 @@ def metric_duality_defect(tp, H):
 
 def normal_project(tp, H, V):
     """Component of an ambient vector orthogonal (w.r.t. the ambient form) to
-    the graph tangent space at Hessian H.
+    the graph tangent space at Hessian H; or of each of a (..., 2n) stack of
+    vectors at its own Hessian of a (..., n, n) stack.
 
     With the tangent frame E = (I, H), V = (v1, v2) splits exactly as
     E v1 + (0, w), w = v2 - H v1, and the tangent part E v1 drops out.  The
@@ -65,38 +112,32 @@ def normal_project(tp, H, V):
     """
     H = as_sym_matrix(H)
     V = np.asarray(V, dtype=float)
-    n = H.shape[0]
-    if V.shape != (2 * n,):
-        raise InputError(f"expected an ambient vector of length {2 * n}, got {V.shape}")
-    s, c = tp.sin_cos
-    w = V[n:] - H @ V[:n]
-    try:
-        beta = np.linalg.solve(induced_metric(tp, H), c * w + s * (H @ w))
-    except np.linalg.LinAlgError as exc:
-        raise DomainError(f"induced metric degenerate: {exc}") from exc
-    return np.concatenate([-beta, w - H @ beta])
+    shape = H.shape[:-2] + (2 * H.shape[-1],)
+    if V.shape != shape:
+        raise InputError(f"expected ambient vectors of shape {shape}, got {V.shape}")
+    return _normal(tp, H, V)
 
 
 def mean_curvature(tp, field, x):
-    """Mean curvature vector of the gradient graph at (x, Du(x)).
+    """Mean curvature vector of the gradient graph at (x, Du(x)), or at each
+    point of a cloud or stack of clouds.
 
     The ambient divergence reduces to the normal projection of
     (0, D_x[F(lambda(D^2 u))]); the derivative of the composite scalar is taken
     by central differences, which avoids ill-conditioned eigenvector
     derivatives at eigenvalue crossings.  The 2n stencil points
-    x +- FD_STEP e_i are read as one cloud, one stacked eigen-solve and one
-    ``operator_value``: the points and arithmetic of ``numerics.fd_gradient``.
+    x +- FD_STEP e_i of every point are read as one cloud, one stacked
+    eigen-solve and one ``operator_value``: the points and arithmetic of
+    ``numerics.fd_gradient``.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    n = len(x)
-    steps = FD_STEP * np.eye(n)
-    F = operator_value(tp, eig_sym(field.hessian(np.vstack([x + steps, x - steps]))))
-    V = np.concatenate([np.zeros(n), (F[:n] - F[n:]) / (2.0 * FD_STEP)])
-    return normal_project(tp, field.hessian(x), V)
+    x, point = _points(x)
+    Hv = _mean_curvature(tp, field, x, as_sym_matrix(field.hessian(x)))
+    return Hv[0] if point else Hv
 
 
 def shrinker_defect(tp, field, x):
-    """Norm of  H + (1/2) X^perp  at the graph point over x.
+    """Norm of  H + (1/2) X^perp  at the graph point over x, or at each point
+    of an (m, n) cloud, (m,), or of a (k, m, n) stack of clouds, (k, m).
 
     Vanishes along self-shrinkers.  For branches whose ambient form is
     positive definite the ambient norm sqrt(sin (|w1|^2 + |w2|^2) +
@@ -106,15 +147,19 @@ def shrinker_defect(tp, field, x):
     invariant under constant shifts of the potential.  On a quadratic both
     terms are exactly 0: X is tangent, split off exactly by
     :func:`normal_project`, and F(lambda(D^2 u)) is constant, so its central
-    difference is 0.
+    difference is 0.  The Hessians at x are read and validated once, for
+    both projections.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    H_vec = mean_curvature(tp, field, x)
-    Hmat = field.hessian(x)
-    X = np.concatenate([x, field.gradient(x)])
-    W = H_vec + 0.5 * normal_project(tp, Hmat, X)
+    x, point = _points(x)
+    n = x.shape[-1]
+    H = as_sym_matrix(field.hessian(x))
+    X = np.concatenate([x, field.gradient(x)], axis=-1)
+    W = _mean_curvature(tp, field, x, H) + 0.5 * _normal(tp, H, X)
     if tp.branch in (Branch.ATAN, Branch.SLAG):
         s, c = tp.sin_cos
-        w1, w2 = W[: len(x)], W[len(x):]
-        return float(math.sqrt(max(0.0, s * float(w1 @ w1 + w2 @ w2) + 2.0 * c * float(w1 @ w2))))
-    return float(np.linalg.norm(W))
+        w1, w2 = W[..., :n], W[..., n:]
+        sq = s * (row_dot(w1, w1) + row_dot(w2, w2)) + 2.0 * c * row_dot(w1, w2)
+        d = np.sqrt(np.where(sq > 0.0, sq, 0.0))
+    else:
+        d = np.sqrt(row_dot(W, W))
+    return float(d[0]) if point else d

@@ -23,6 +23,7 @@ __all__ = [
     "as_sym_matrix",
     "eig_sym",
     "eig_sym_full",
+    "row_dot",
     "fd_gradient",
     "fd_hessian",
     "invert_monotone",
@@ -113,6 +114,13 @@ def eig_sym_full(M):
     """Eigenvalues (ascending) and the corresponding orthonormal eigenvectors."""
     w, Q = np.linalg.eigh(as_sym_matrix(M))
     return w, Q
+
+
+def row_dot(a, b):
+    """<a, b> along the last axis, row by row of stacked vectors: the stacked
+    product ``a[..., None, :] @ b[..., :, None]`` runs the kernel of the
+    single-point ``a @ b`` on each row, so each row rounds as its point does."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def fd_gradient(fn, x, h):

@@ -20,7 +20,7 @@ import mpmath as mp
 import numpy as np
 
 from . import jets
-from .numerics import DomainError, InputError, eig_sym, eig_sym_full
+from .numerics import DomainError, InputError, eig_sym, eig_sym_full, row_dot
 
 __all__ = [
     "Branch",
@@ -181,6 +181,13 @@ class TauParams:
         upper = ConeSpec("upper", edge_upper, inf, -inf, 0.0)
         lower = ConeSpec("lower", -inf, edge_lower, 0.0, inf)
         return (upper, lower) if self.cone_side == "upper" else (lower, upper)
+
+    @cached_property
+    def _cone_bounds(self):
+        """The components' ends as two (c, 1, 1) arrays, lo and hi: the cone
+        check of a stack of spectra compares it with all c at once."""
+        lo, hi = np.array([(spec.lo, spec.hi) for spec in self.components]).T
+        return lo[:, None, None], hi[:, None, None]
 
     @classmethod
     def log_branch(cls, tau, cone_side="upper"):
@@ -440,19 +447,24 @@ def operator_value(tp, eigenvalues):
     """Sum of the scalar summand over a spectrum (the operator itself), or over
     each row of an (m, n) stack of spectra, as (m,).
 
-    Each spectrum's one cone check is here, and the first inadmissible row
+    The stack's cone check is one pair of numpy comparisons against the ends
+    of every cone component at once: a row is admissible when one component
+    holds all of it, and a NaN lies in none.  The first inadmissible row
     raises DomainError, whose ``value`` is that row's first eigenvalue outside
-    the component of its first admissible one; each summand is then
-    ``f_value``'s closed form without its per-eigenvalue check, summed left to
-    right row by row, bit for bit.
+    the component of its first admissible one.  Each summand is then
+    ``f_value``'s closed form without its per-eigenvalue check, summed left
+    to right row by row, bit for bit.
     """
     lams = np.asarray(eigenvalues, dtype=float)
-    sums = []
-    for row in np.atleast_2d(lams).tolist():
-        if admissible(tp, row) is None:
-            raise DomainError(f"spectrum {np.array(row)} inadmissible: not inside a single "
-                              f"{tp.branch.value} cone component", value=_first_outside(tp, row))
-        sums.append(float(sum(map(tp.f_form, row))))
+    rows = np.atleast_2d(lams)
+    lo, hi = tp._cone_bounds
+    inside = ((lo < rows) & (rows < hi)).all(axis=2).any(axis=0)
+    if not inside.all():
+        row = rows[np.argmin(inside)]
+        raise DomainError(f"spectrum {row} inadmissible: not inside a single {tp.branch.value} cone "
+                          f"component", value=_first_outside(tp, row.tolist()))
+    f = tp.f_form
+    sums = [float(sum(map(f, row))) for row in rows.tolist()]
     return np.array(sums) if lams.ndim == 2 else sums[0]
 
 
@@ -461,7 +473,11 @@ def operator_gradient_matrix(tp, H):
 
     Diagonalize H, apply the scalar derivative to each eigenvalue, rotate back.
     """
-    w, Q = eig_sym_full(H)
+    return _gradient_matrix(tp, *eig_sym_full(H))
+
+
+def _gradient_matrix(tp, w, Q):
+    """dF/dH from the eigenvalues w and eigenvectors Q of a validated H."""
     if admissible(tp, w) is None:
         raise DomainError(f"Hessian spectrum {w} inadmissible for {tp.branch.value}")
     d = np.array([f_derivative(tp, lam) for lam in w])
@@ -479,7 +495,7 @@ def phase(field, x):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim >= 2:
         x = np.ascontiguousarray(x)
-        return -field.value(x) + 0.5 * (x[..., None, :] @ field.gradient(x)[..., :, None])[..., 0, 0]
+        return -field.value(x) + 0.5 * row_dot(x, field.gradient(x))
     return float(-field.value(x) + 0.5 * float(x @ field.gradient(x)))
 
 
@@ -540,7 +556,7 @@ def minkowski_residual(field, x):
     x = np.ascontiguousarray(x[None] if point else x)
     comp_fn = getattr(field, "gradient_complement", None)
     g = field.gradient(x)
-    comp = comp_fn(x) if comp_fn is not None else 1.0 - (g[:, None, :] @ g[:, :, None])[:, 0, 0]
+    comp = comp_fn(x) if comp_fn is not None else 1.0 - row_dot(g, g)
     bad = np.flatnonzero(comp <= 0.0)
     if len(bad):
         k = bad[0]
@@ -549,6 +565,6 @@ def minkowski_residual(field, x):
         )
     H = field.hessian(x)
     lhs = np.trace(H, axis1=1, axis2=2) + ((g[:, None, :] @ H) @ g[:, :, None])[:, 0, 0] / comp
-    rhs = -0.5 * field.value(x) + 0.5 * (x[:, None, :] @ g[:, :, None])[:, 0, 0]
+    rhs = -0.5 * field.value(x) + 0.5 * row_dot(x, g)
     residual = lhs - rhs
     return float(residual[0]) if point else residual

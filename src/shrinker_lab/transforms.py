@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import AffineScaledField, Table1DField
-from .numerics import DomainError, InputError, eig_sym
+from .numerics import DomainError, InputError, eig_sym, row_dot
 from .tau import Branch, phase, operator_value
 
 __all__ = [
@@ -201,6 +201,6 @@ def self_similar_extension(tp, field, x, t):
     xi = np.atleast_1d(np.asarray(x, dtype=float)) / np.sqrt(-t)[..., None]
     cloud = xi[..., None, :]
     u_val, grad = field.value(cloud)[..., 0], field.gradient(cloud)[..., 0, :]
-    v_t = -u_val + 0.5 * (grad[..., None, :] @ xi[..., :, None])[..., 0, 0]
+    v_t = -u_val + 0.5 * row_dot(grad, xi)
     sample = (-t * u_val, v_t, v_t - operator_value(tp, eig_sym(field.hessian(cloud)[..., 0, :, :])))
     return SelfSimilarSample(*(sample if t.ndim else map(float, sample)))

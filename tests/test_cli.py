@@ -340,6 +340,13 @@ class TestExitCodes:
         assert run(tmp_path, "defect", "--a", a) == 0
         assert json.loads((tmp_path / "defect.json").read_text())["results"]["max_defect"] == 0.0
 
+    def test_singular_metric_in_a_stack_is_construction_failure(self, tmp_path, capsys):
+        # at a = -1 - 2^-52 an admissible spectrum's induced metric rounds to
+        # singular; the stacked solve reports it as the one-trial solve did
+        assert run(tmp_path, "defect", "--a", "-1.0000000000000002", "--n", "1", "--trials", "7", "--seed", "3") == 3
+        assert "construction failed: induced metric degenerate" in capsys.readouterr().err
+        assert not (tmp_path / "defect.json").exists()
+
     def test_spacelike_violation_is_construction_failure(self, tmp_path, capsys):
         code = run(tmp_path, "build-counterexample", "--mss", "--phi0", "100")
         assert code == 3

@@ -5,7 +5,7 @@ import pytest
 
 import shrinker_lab as sl
 from shrinker_lab import TauParams
-from shrinker_lab.fields import AffineScaledField, QuadraticField
+from shrinker_lab.fields import AffineScaledField, QuadraticField, ScalarField
 from shrinker_lab.geometry import (
     FD_STEP,
     induced_metric,
@@ -17,7 +17,7 @@ from shrinker_lab.geometry import (
 from shrinker_lab.numerics import eig_sym, fd_gradient
 from shrinker_lab.tau import operator_value
 
-from conftest import CallableField, same_bits, with_lower_cones
+from conftest import CallableField, branch_params, same_bits, with_lower_cones
 
 SQRT2 = math.sqrt(2.0)
 
@@ -257,3 +257,127 @@ class TestShrinkerDefect:
         shifted = AffineScaledField(sol.field, offset=1.0)
         x = rng.uniform(-2, 2, 2)
         assert shrinker_defect(tp, sol.field, x) == shrinker_defect(tp, shifted, x)
+
+
+# the one-point kernels the stacked ones replaced, kept as written: every row
+# of a stacked read must give their bits
+def frozen_normal_project(tp, H, V):
+    s, c = tp.sin_cos
+    n = len(H)
+    w = V[n:] - H @ V[:n]
+    beta = np.linalg.solve(s * (np.eye(n) + H @ H) + 2.0 * c * H, c * w + s * (H @ w))
+    return np.concatenate([-beta, w - H @ beta])
+
+
+def frozen_shrinker_defect(tp, field, x):
+    n = len(x)
+    steps = FD_STEP * np.eye(n)
+    F = operator_value(tp, eig_sym(field.hessian(np.vstack([x + steps, x - steps]))))
+    H = field.hessian(x)
+    Hv = frozen_normal_project(tp, H, np.concatenate([np.zeros(n), (F[:n] - F[n:]) / (2.0 * FD_STEP)]))
+    W = Hv + 0.5 * frozen_normal_project(tp, H, np.concatenate([x, field.gradient(x)]))
+    if tp.branch.value in ("ATAN", "SLAG"):
+        s, c = tp.sin_cos
+        w1, w2 = W[:n], W[n:]
+        return float(math.sqrt(max(0.0, s * float(w1 @ w1 + w2 @ w2) + 2.0 * c * float(w1 @ w2))))
+    return float(np.linalg.norm(W))
+
+
+class CosineQuadratics(ScalarField):
+    """u = <x, A x>/2 - 0.01 sum cos x_i, a field whose F(lambda(D^2 u)) is
+    not constant; with a (k, n, n) stack A, the stack of k such fields, which
+    reads a (k, m, n) stack of clouds."""
+
+    def __init__(self, A):
+        self.A = A
+        self.dim = A.shape[-1]
+
+    def _cloud(self, x):
+        return (np.ascontiguousarray(x), False) if self.A.ndim == 3 else super()._cloud(x)
+
+    def _value(self, x):
+        quad = (x[..., None, :] @ self.A[..., None, :, :]) @ x[..., :, None]
+        return 0.5 * quad[..., 0, 0] - 0.01 * np.cos(x).sum(axis=-1)
+
+    def _gradient(self, x):
+        return (self.A[..., None, :, :] @ x[..., :, None])[..., 0] + 0.01 * np.sin(x)
+
+    def _hessian(self, x):
+        return self.A[..., None, :, :] + np.eye(self.dim) * (0.01 * np.cos(x))[..., None, :]
+
+
+def stack_of(tp, k, n, rng):
+    return np.array([sl.random_admissible_matrix(tp, n, rng) for _ in range(k)])
+
+
+class TestStacks:
+    """One point, an (m, n) cloud on one field, or a (k, m, n) stack of clouds
+    on k fields: each row of a stacked read is the one-point kernel's bits."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_normal_project_rows_are_point_calls(self, n, rng):
+        for name, tp in with_lower_cones().items():
+            H, V = stack_of(tp, 150, n, rng).reshape(5, 30, n, n), rng.standard_normal((5, 30, 2 * n))
+            want = [[frozen_normal_project(tp, h, v) for h, v in zip(hs, vs)] for hs, vs in zip(H, V)]
+            assert same_bits(normal_project(tp, H, V), want), name
+            assert same_bits(normal_project(tp, H[0], V[0]), want[0]), name
+            assert same_bits([normal_project(tp, h, v) for h, v in zip(H[1], V[1])], want[1]), name
+            assert same_bits(induced_metric(tp, H), [[induced_metric(tp, h) for h in hs] for hs in H]), name
+
+    def test_projection_shape_mismatch_rejected(self):
+        tp = TauParams.special_lagrangian()
+        with pytest.raises(sl.InputError, match="ambient vectors"):
+            normal_project(tp, np.zeros((3, 2, 2)), np.zeros((3, 2)))
+        with pytest.raises(sl.InputError, match="ambient vectors"):
+            normal_project(tp, np.zeros((2, 2)), np.zeros(3))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_defect_on_clouds_and_stacks_is_the_point_defect(self, n, rng):
+        for name, tp in branch_params().items():
+            A = stack_of(tp, 4, n, rng)
+            xs = rng.uniform(-1.0, 1.0, size=(4, 6, n))
+            want = [[frozen_shrinker_defect(tp, CosineQuadratics(a), x) for x in cloud] for a, cloud in zip(A, xs)]
+            assert np.all(np.array(want) > 0.0), name
+            assert same_bits(shrinker_defect(tp, CosineQuadratics(A), xs), want), name
+            assert same_bits(shrinker_defect(tp, CosineQuadratics(A[0]), xs[0]), want[0]), name
+            assert shrinker_defect(tp, CosineQuadratics(A[1]), xs[1, 2]) == want[1][2], name
+            Hv = mean_curvature(tp, CosineQuadratics(A), xs)
+            assert same_bits(Hv[2], [mean_curvature(tp, CosineQuadratics(A[2]), x) for x in xs[2]]), name
+            # quadratics: the exact zeros of the point calls, stacked
+            sol = sl.build_quadratic(tp, A)
+            zeros = shrinker_defect(tp, sol.field, xs)
+            assert same_bits(zeros, [[frozen_shrinker_defect(tp, QuadraticField(a, c), x) for x in cloud]
+                                     for a, c, cloud in zip(A, sol.c, xs)]), name
+            assert not zeros.any(), name
+
+    def test_counterexample_cloud_is_the_point_defect(self):
+        tp = TauParams.neg_branch(a=-2.0)
+        u, prof, cert = sl.build_counterexample(tp, 0.0, 1.0, 1, T=10.0, radius=2.0, samples=50)
+        xs = np.linspace(-2.0, 2.0, 200)[:, None]
+        want = [frozen_shrinker_defect(tp, u, x) for x in xs]
+        assert np.all(np.array(want) != 0.0)
+        assert same_bits(shrinker_defect(tp, u, xs), want)
+        assert same_bits(mean_curvature(tp, u, xs), [mean_curvature(tp, u, x) for x in xs])
+
+    @pytest.mark.parametrize("tp", [TauParams.atan_branch(math.pi / 3), TauParams.special_lagrangian()])
+    def test_ambient_norm_on_a_cloud_of_a_cubic(self, tp, rng):
+        # the ambient-norm path on a non-quadratic field read row by row
+        for n in range(1, 5):
+            A = sl.random_admissible_matrix(tp, n, rng)
+            field = CallableField(
+                n,
+                lambda p: 0.5 * p @ A @ p + 0.01 * p[0] ** 3,
+                grad=lambda p: A @ p + 0.03 * p[0] ** 2 * np.eye(n)[0],
+                hess=lambda p: A + 0.06 * p[0] * np.diag(np.eye(n)[0]),
+            )
+            xs = rng.uniform(-1.0, 1.0, size=(25, n))
+            want = [frozen_shrinker_defect(tp, field, x) for x in xs]
+            assert np.all(np.array(want) > 0.0)
+            assert same_bits(shrinker_defect(tp, field, xs), want)
+
+    def test_singular_metric_anywhere_in_a_stack_is_a_domain_error(self, rng):
+        tp = TauParams.monge_ampere()
+        H = stack_of(tp, 6, 2, rng)
+        H[4] = np.diag([0.0, 1.0])  # a zero eigenvalue degenerates the MA metric exactly
+        with pytest.raises(sl.DomainError, match="induced metric degenerate: Singular matrix"):
+            normal_project(tp, H, rng.standard_normal((6, 4)))

@@ -25,6 +25,7 @@ from shrinker_lab import (
 from shrinker_lab import jets
 from shrinker_lab.fields import QuadraticField
 from shrinker_lab.tau import (
+    _first_outside,
     f_inverse_jet,
     f_inverse_mp,
     f_value_jet,
@@ -375,6 +376,37 @@ class TestOperator:
             with pytest.raises(DomainError, match="cone component") as err:
                 operator_value(tp, row)
             assert err.value.value == bad, (tp.branch, row)
+
+
+    @pytest.mark.parametrize("name", list(with_lower_cones()))
+    def test_stacked_check_raises_the_row_loops_error(self, name, rng):
+        # the per-row loop the one comparison per component replaced, as written
+        def first_error(tp, spectra):
+            for row in spectra.tolist():
+                if admissible(tp, row) is None:
+                    return (f"spectrum {np.array(row)} inadmissible: not inside a single "
+                            f"{tp.branch.value} cone component"), _first_outside(tp, row)
+
+        tp = with_lower_cones()[name]
+        drawn, other = tp.components[0], tp.components[-1]  # the spectra are drawn in the first
+        for k in range(40):
+            n = 1 + k % 4
+            spectra = rng.uniform(*_eigenvalue_window(tp, 0.15, 4.0), size=(12, n))
+            for row in rng.choice(12, size=1 + k % 3, replace=False):
+                col = rng.integers(n)
+                if k % 4 == 0:
+                    spectra[row, col] = math.nan
+                elif k % 4 == 1 and other is not drawn:  # LOG/HARM: a spectrum straddling both components
+                    spectra[row, col] = other.lo + 1.0 if math.isfinite(other.lo) else other.hi - 1.0
+                elif math.isfinite(drawn.lo):
+                    spectra[row, col] = drawn.lo  # a cone edge: in no open component
+                else:
+                    spectra[row, col] = math.inf
+            want = first_error(tp, spectra)
+            with pytest.raises(DomainError) as err:
+                operator_value(tp, spectra)
+            assert str(err.value) == want[0], (name, k)
+            assert same_bits(err.value.value, want[1]), (name, k)
 
 
 class TestAdmissible:
