@@ -4,18 +4,17 @@ integrated on the steps of an ODE trajectory or read from tables, and their
 separable and radial extensions.
 
 Every field reads a row-major (m, dim) cloud with one kernel a derivative,
-and a point as a cloud of one, so each row of a cloud read is its point's
-read bit for bit; ``QuadraticField`` alone keeps point kernels beside its
-cloud kernels (its docstring says why).  Views compose lazily (chain rule on
-exact derivatives), so transform pipelines do not accumulate interpolation
-error.
+and a point as a cloud of one, with no exception (``numerics.as_cloud``), so
+each row of a cloud read is its point's read bit for bit.  Views compose
+lazily (chain rule on exact derivatives), so transform pipelines do not
+accumulate interpolation error.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numerics import _READ_BLOCK, InputError, Trajectory, read_span, row_dot
+from .numerics import _READ_BLOCK, InputError, Trajectory, as_cloud, read_span, row_dot
 
 __all__ = [
     "ScalarField",
@@ -33,36 +32,26 @@ class ScalarField:
 
     ``value``, ``gradient`` and ``hessian`` read one point (dim,) as a float,
     (dim,) or (dim, dim), or an (m, dim) cloud as (m,), (m, dim) or
-    (m, dim, dim).  Subclasses implement ``_value``, ``_gradient`` and
-    ``_hessian`` on row-major clouds; a point is read as a cloud of one.
+    (m, dim, dim); a stack of fields reads a (*stack, m, dim) stack of
+    clouds.  Subclasses implement ``_value``, ``_gradient`` and ``_hessian``
+    on row-major clouds; ``numerics.as_cloud`` reads a point as a cloud of
+    one and unwraps its reads.
     """
 
     dim: int
+    stack = ()    # the shape of a stack of fields, which reads a stack of clouds
 
     def value(self, x):
-        x, point = self._cloud(x)
-        v = self._value(x)
-        return float(v[0]) if point else v
+        x, unwrap = as_cloud(x, self.dim, self.stack)
+        return unwrap(self._value(x))
 
     def gradient(self, x):
-        x, point = self._cloud(x)
-        g = self._gradient(x)
-        return g[0] if point else g
+        x, unwrap = as_cloud(x, self.dim, self.stack)
+        return unwrap(self._gradient(x))
 
     def hessian(self, x):
-        x, point = self._cloud(x)
-        H = self._hessian(x)
-        return H[0] if point else H
-
-    def _cloud(self, x):
-        """(row-major (m, dim) cloud, whether x is one point (dim,), read as a
-        cloud of one); strided rows would take another kernel."""
-        p = np.asarray(x, dtype=float)
-        if p.ndim < 2 and p.size == self.dim:    # a float is a point of dimension 1
-            return np.ascontiguousarray(p.reshape(1, self.dim)), True
-        if p.ndim == 2 and p.shape[1] == self.dim:
-            return np.ascontiguousarray(p), False
-        raise InputError(f"expected point of dimension {self.dim}, got shape {p.shape}")
+        x, unwrap = as_cloud(x, self.dim, self.stack)
+        return unwrap(self._hessian(x))
 
 
 class QuadraticField(ScalarField):
@@ -73,12 +62,7 @@ class QuadraticField(ScalarField):
     On a cloud the stacked products ``(X[..., None, :] @ A) @ X[..., :, None]``
     and ``A @ X[..., :, None]`` run the kernel of the single-point products row
     by row, where ``X @ A`` would not, and the Hessian is A repeated m times.
-    A point keeps its own kernels, ``x @ A @ x``, ``A @ x`` and ``A.copy()``,
-    bit for bit a cloud of one: criterion 01 reads 60,000 point residuals on
-    quadratics, and through a cloud of one a point ``shrinker_residual`` cost
-    46 us instead of 36 us and the criterion's loop 2.8-3.0 s instead of
-    2.2-2.4 s (2-core x86-64, Python 3.11).  This is the one field whose
-    point traffic pays for a second kernel.
+    A point is a cloud of one, as on every field.
     """
 
     def __init__(self, A, c=0.0):
@@ -89,27 +73,7 @@ class QuadraticField(ScalarField):
             raise InputError("A must be symmetric")
         self.c = float(c) if self.A.ndim == 2 else np.asarray(c, dtype=float)
         self.dim = self.A.shape[-1]
-
-    def _cloud(self, x):
-        stack, p = self.A.shape[:-2], np.asarray(x, dtype=float)
-        if stack and (p.shape[:-2] != stack or p.shape[-1:] != (self.dim,)):
-            raise InputError(f"expected a stack {stack} of clouds of dimension {self.dim}, got shape {p.shape}")
-        return (np.ascontiguousarray(p), False) if stack else super()._cloud(x)
-
-    def value(self, x):
-        x, point = self._cloud(x)
-        if point:
-            p = x[0]
-            return 0.5 * float(p @ self.A @ p) + self.c
-        return self._value(x)
-
-    def gradient(self, x):
-        x, point = self._cloud(x)
-        return self.A @ x[0] if point else self._gradient(x)
-
-    def hessian(self, x):
-        x, point = self._cloud(x)
-        return self.A.copy() if point else self._hessian(x)
+        self.stack = self.A.shape[:-2]
 
     def _value(self, x):
         quad = (x[..., None, :] @ self.A[..., None, :, :]) @ x[..., :, None]

@@ -6,9 +6,10 @@ vector equation.
 G is never built: every product with it is written in n x n blocks, so the
 normal projection is one n x n solve against the induced metric.
 
-Each function reads one point, an (m, n) cloud on one field, or a (k, m, n)
-stack of clouds on a stack of k ``fields.QuadraticField``s (Hessians and
-ambient vectors stacked alike), and a point is a stack of one.  The products
+Each function reads an (m, n) cloud on one field, or a (k, m, n) stack of
+clouds on a stack of k ``fields.QuadraticField``s (Hessians and ambient
+vectors stacked alike), or one point, read as a cloud of one
+(``numerics.as_cloud``).  The products
 are stacked matrix-vector and row-dot products and the solves stacked LAPACK
 solves, each running the kernel of the single-point product on each row, so
 every row of a stacked read is its point's read bit for bit.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import DomainError, InputError, as_sym_matrix, eig_sym, row_dot
+from .numerics import DomainError, InputError, as_cloud, as_sym_matrix, eig_sym, row_dot
 from .tau import Branch, _gradient_matrix, operator_value
 
 __all__ = [
@@ -56,14 +57,6 @@ def _normal(tp, H, V):
     return np.concatenate([-beta, w - _matvec(H, beta)], axis=-1)
 
 
-def _points(x):
-    """(x as an (m, n) cloud or a (k, m, n) stack of clouds, whether x is one
-    point, read as a cloud of one)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    point = x.ndim == 1
-    return np.ascontiguousarray(x[None] if point else x), point
-
-
 def _mean_curvature(tp, field, x, H):
     """Mean curvature vectors at the points x, with H the validated Hessians
     there: the 2n stencil points of every point are read as one cloud."""
@@ -71,7 +64,7 @@ def _mean_curvature(tp, field, x, H):
     steps = FD_STEP * np.eye(n)
     stencil = np.concatenate([x[..., None, :] + steps, x[..., None, :] - steps], axis=-2)
     spectra = eig_sym(field.hessian(stencil.reshape(*x.shape[:-2], -1, n)))
-    F = operator_value(tp, spectra.reshape(-1, n)).reshape(*x.shape[:-1], 2 * n)
+    F = operator_value(tp, spectra).reshape(*x.shape[:-1], 2 * n)
     V = np.concatenate([np.zeros(x.shape), (F[..., :n] - F[..., n:]) / (2.0 * FD_STEP)], axis=-1)
     return _normal(tp, H, V)
 
@@ -130,9 +123,8 @@ def mean_curvature(tp, field, x):
     eigen-solve and one ``operator_value``: the points and arithmetic of
     ``numerics.fd_gradient``.
     """
-    x, point = _points(x)
-    Hv = _mean_curvature(tp, field, x, as_sym_matrix(field.hessian(x)))
-    return Hv[0] if point else Hv
+    x, unwrap = as_cloud(x, field.dim, field.stack)
+    return unwrap(_mean_curvature(tp, field, x, as_sym_matrix(field.hessian(x))))
 
 
 def shrinker_defect(tp, field, x):
@@ -150,7 +142,7 @@ def shrinker_defect(tp, field, x):
     difference is 0.  The Hessians at x are read and validated once, for
     both projections.
     """
-    x, point = _points(x)
+    x, unwrap = as_cloud(x, field.dim, field.stack)
     n = x.shape[-1]
     H = as_sym_matrix(field.hessian(x))
     X = np.concatenate([x, field.gradient(x)], axis=-1)
@@ -162,4 +154,4 @@ def shrinker_defect(tp, field, x):
         d = np.sqrt(np.where(sq > 0.0, sq, 0.0))
     else:
         d = np.sqrt(row_dot(W, W))
-    return float(d[0]) if point else d
+    return unwrap(d)

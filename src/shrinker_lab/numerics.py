@@ -30,6 +30,7 @@ __all__ = [
     "cumulative_simpson",
     "READ_SLACK",
     "read_span",
+    "as_cloud",
     "Trajectory",
     "integrate_ode",
     "hermite_value",
@@ -309,6 +310,30 @@ def read_span(t, lo, hi):
     if not inside.all():
         raise InputError(f"read at {t[~inside].flat[0]} outside the span [{lo}, {hi}]")
     return np.clip(t, lo, hi)
+
+
+def as_cloud(x, dim, stack=()):
+    """x as a row-major (*stack, m, dim) cloud of floats, with the unwrap of a
+    read on it: the one rule for what a point is.  A point (dim,), or a float
+    in dimension 1, is a cloud of one, and a read on it unwraps to its one
+    row, a Python float for a scalar read; a (*stack, m, dim) cloud is read,
+    and its reads returned, as they are.  Any other shape, a point on a
+    stack among them, is an InputError."""
+    p = np.asarray(x, dtype=float)
+    if not stack and p.ndim < 2 and p.size == dim:
+        return np.ascontiguousarray(p.reshape(1, dim)), _one_row
+    if p.ndim == len(stack) + 2 and p.shape[:-2] == stack and p.shape[-1] == dim:
+        return np.ascontiguousarray(p), _as_is
+    raise InputError(f"expected {f'a stack {stack} of clouds' if stack else 'a point or a cloud'} "
+                     f"of dimension {dim}, got shape {p.shape}")
+
+
+def _one_row(read):
+    return float(read[0]) if read.ndim == 1 else read[0]
+
+
+def _as_is(read):
+    return read
 
 
 _READ_BLOCK = 4096  # query times a Trajectory.evaluate block reads

@@ -20,7 +20,7 @@ import mpmath as mp
 import numpy as np
 
 from . import jets
-from .numerics import DomainError, InputError, eig_sym, eig_sym_full, row_dot
+from .numerics import DomainError, InputError, as_cloud, eig_sym, eig_sym_full, row_dot
 
 __all__ = [
     "Branch",
@@ -444,8 +444,8 @@ def _first_outside(tp, row):
 
 
 def operator_value(tp, eigenvalues):
-    """Sum of the scalar summand over a spectrum (the operator itself), or over
-    each row of an (m, n) stack of spectra, as (m,).
+    """Sum of the scalar summand over a spectrum (n,) (the operator itself),
+    as a float, or over each spectrum of a (..., n) stack, as (...,).
 
     The stack's cone check is one pair of numpy comparisons against the ends
     of every cone component at once: a row is admissible when one component
@@ -456,7 +456,7 @@ def operator_value(tp, eigenvalues):
     to right row by row, bit for bit.
     """
     lams = np.asarray(eigenvalues, dtype=float)
-    rows = np.atleast_2d(lams)
+    rows = lams.reshape(-1, lams.shape[-1] if lams.ndim else 1)
     lo, hi = tp._cone_bounds
     inside = ((lo < rows) & (rows < hi)).all(axis=2).any(axis=0)
     if not inside.all():
@@ -465,7 +465,7 @@ def operator_value(tp, eigenvalues):
                           f"component", value=_first_outside(tp, row.tolist()))
     f = tp.f_form
     sums = [float(sum(map(f, row))) for row in rows.tolist()]
-    return np.array(sums) if lams.ndim == 2 else sums[0]
+    return np.array(sums).reshape(lams.shape[:-1]) if lams.ndim > 1 else sums[0]
 
 
 def operator_gradient_matrix(tp, H):
@@ -487,27 +487,25 @@ def _gradient_matrix(tp, w, Q):
 def phase(field, x):
     """-u(x) + <x, Du(x)>/2; constant along exact quadratic solutions.
 
-    ``x`` is one point or an (m, n) cloud, or a (k, m, n) stack of clouds on
-    a stack of k quadratic fields; a cloud gives (m,) values, each bit for bit
-    its point's value.  The point branch is kept for criterion 01's 60,000
-    point residuals on quadratics (``fields.QuadraticField``).
+    ``x`` is an (m, n) cloud, or a (k, m, n) stack of clouds on a stack of k
+    quadratic fields, giving (m,) or (k, m) values, or one point, read as a
+    cloud of one (``numerics.as_cloud``), so each row is its point's value
+    bit for bit.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.ndim >= 2:
-        x = np.ascontiguousarray(x)
-        return -field.value(x) + 0.5 * row_dot(x, field.gradient(x))
-    return float(-field.value(x) + 0.5 * float(x @ field.gradient(x)))
+    x, unwrap = as_cloud(x, field.dim, field.stack)
+    return unwrap(-field.value(x) + 0.5 * row_dot(x, field.gradient(x)))
 
 
 def shrinker_residual(tp, field, x):
     """Defect of the self-shrinker potential equation at x, zero iff
-    F(lambda(D^2 u)) = -u + <x, Du>/2 holds there.  ``x`` is one point, or an
-    (m, n) cloud solved as one stack: (m,) defects, each bit for bit its
-    point's.  On a quadratic, whose Hessian is
-    constant, the defect is F(lambda(A)) - phase (``quadratics.verify_quadratic``).
+    F(lambda(D^2 u)) = -u + <x, Du>/2 holds there.  ``x`` is an (m, n) cloud
+    solved as one stack, or a (k, m, n) stack of clouds on a stack of k
+    quadratic fields, giving (m,) or (k, m) defects, or one point, read as a
+    cloud of one.  On a quadratic, whose Hessian is constant, the defect is
+    F(lambda(A)) - phase (``quadratics.verify_quadratic``).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return operator_value(tp, eig_sym(field.hessian(x))) - phase(field, x)
+    x, unwrap = as_cloud(x, field.dim, field.stack)
+    return unwrap(operator_value(tp, eig_sym(field.hessian(x))) - phase(field, x))
 
 
 @dataclass(frozen=True)
@@ -551,9 +549,7 @@ def minkowski_residual(field, x):
     ``x`` is an (m, n) cloud, giving (m,) residuals, or one point, read as a
     cloud of one; the first point that is not spacelike is the one reported.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    point = x.ndim == 1
-    x = np.ascontiguousarray(x[None] if point else x)
+    x, unwrap = as_cloud(x, field.dim)
     comp_fn = getattr(field, "gradient_complement", None)
     g = field.gradient(x)
     comp = comp_fn(x) if comp_fn is not None else 1.0 - row_dot(g, g)
@@ -566,5 +562,4 @@ def minkowski_residual(field, x):
     H = field.hessian(x)
     lhs = np.trace(H, axis1=1, axis2=2) + ((g[:, None, :] @ H) @ g[:, :, None])[:, 0, 0] / comp
     rhs = -0.5 * field.value(x) + 0.5 * row_dot(x, g)
-    residual = lhs - rhs
-    return float(residual[0]) if point else residual
+    return unwrap(lhs - rhs)

@@ -291,9 +291,7 @@ class CosineQuadratics(ScalarField):
     def __init__(self, A):
         self.A = A
         self.dim = A.shape[-1]
-
-    def _cloud(self, x):
-        return (np.ascontiguousarray(x), False) if self.A.ndim == 3 else super()._cloud(x)
+        self.stack = A.shape[:-2]
 
     def _value(self, x):
         quad = (x[..., None, :] @ self.A[..., None, :, :]) @ x[..., :, None]

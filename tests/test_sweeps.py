@@ -16,7 +16,7 @@ from shrinker_lab.quadratics import (
     _eigenvalue_window, admissible_draw, admissible_matrix, build_quadratic, random_admissible_matrix,
     verify_quadratic,
 )
-from shrinker_lab.tau import TauParams
+from shrinker_lab.tau import TauParams, shrinker_residual
 from shrinker_lab.transforms import self_similar_extension
 from conftest import branch_params, same_bits, with_lower_cones
 
@@ -119,6 +119,8 @@ class TestStacks:
             assert same_bits(sol.c, [s.c for s in singles])
             clouds = rng.uniform(-3.0, 3.0, size=(9, 6, n))
             assert same_bits(verify_quadratic(sol, clouds), [verify_quadratic(s, c) for s, c in zip(singles, clouds)])
+            residuals = [shrinker_residual(tp, s.field, c) for s, c in zip(singles, clouds)]
+            assert same_bits(shrinker_residual(tp, sol.field, clouds), residuals)
             xs, ts = rng.uniform(-3.0, 3.0, size=(9, n)), -rng.uniform(0.1, 10.0, size=9)
             stacked = self_similar_extension(tp, sol.field, xs, ts)
             for field in ("v", "v_t", "defect"):

@@ -23,7 +23,7 @@ from shrinker_lab import (
     phase,
 )
 from shrinker_lab import jets
-from shrinker_lab.fields import QuadraticField
+from shrinker_lab.fields import QuadraticField, ScalarField
 from shrinker_lab.tau import (
     _first_outside,
     f_inverse_jet,
@@ -426,25 +426,21 @@ class TestAdmissible:
         assert admissible(tp, [spec.hi]) is None
 
 
-class _TwoPieceField:
-    """Quadratic ``neg`` where x_1 < 0 and ``pos`` elsewhere, point by point
-    or on a cloud."""
+class _TwoPieceField(ScalarField):
+    """Quadratic ``neg`` where x_1 < 0 and ``pos`` elsewhere, row by row."""
 
     def __init__(self, neg, pos):
         self.neg, self.pos = neg, pos
         self.dim = neg.dim
 
     def _pick(self, method, x):
-        x = np.asarray(x, dtype=float)
         lo, hi = getattr(self.neg, method)(x), getattr(self.pos, method)(x)
-        if x.ndim == 1:
-            return lo if x[0] < 0 else hi
-        return np.where((x[:, 0] < 0).reshape((-1,) + (1,) * (np.ndim(lo) - 1)), lo, hi)
+        return np.where((x[:, 0] < 0).reshape((-1,) + (1,) * (lo.ndim - 1)), lo, hi)
 
-    def value(self, x):
+    def _value(self, x):
         return self._pick("value", x)
 
-    def gradient(self, x):
+    def _gradient(self, x):
         return self._pick("gradient", x)
 
 
