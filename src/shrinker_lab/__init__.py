@@ -40,7 +40,6 @@ from .tau import (
     shrinker_residual,
 )
 from .geometry import (
-    induced_metric,
     mean_curvature,
     metric_duality_defect,
     normal_project,

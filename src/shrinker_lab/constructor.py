@@ -10,10 +10,12 @@ constructed solution carries a machine-checkable certificate.
 
 Each ODE is integrated from 0 in both directions and the two legs are joined
 into one ascending ``numerics.Trajectory``, on whose steps both profiles are
-integrated (``fields.StepIntegralField``).  Clouds, CSV tables and single
-times read it through ``Trajectory.evaluate``: the quintic Hermite from each
-knot's state, its derivative and the derivative's time derivative taken
-from the ODE, so the dense output has the integrator's order.
+integrated (``fields.StepIntegralField``).  Its dense output is the quintic
+Hermite from each knot's state, its derivative and the derivative's time
+derivative taken from the ODE, so it has the integrator's order.  A profile's
+clouds and CSV tables read the trajectory once, through the step integral's
+cached ``read``, which holds F, F' and the state at each time; the stable
+residual and single times read the phase through ``PhaseTrajectory``.
 """
 
 from __future__ import annotations
@@ -113,12 +115,6 @@ class PhaseTrajectory:
         phi, dphi = self.phi_array([float(t)])[0].tolist()
         return phi, dphi
 
-    def phi(self, t):
-        return self.phi_pair(t)[0]
-
-    def dphi(self, t):
-        return self.phi_pair(t)[1]
-
     def phi_array(self, ts):
         """(phi, phi') at each of an array of times on the integrated span,
         shape (m, 2)."""
@@ -180,10 +176,9 @@ def solve_phase_ode(a0, a1, T, rel_tol=1e-10):
         monotone_on_right=monotone,
         positive_slope=positive,
     )
-    if traj.dphi(T) > bound * (1.0 + 1e-9) + slack:
-        raise ConstructionError(
-            "phase_ode", f"phi'(T) = {traj.dphi(T)} exceeds the a-priori bound {bound}"
-        )
+    dphi_T = traj.phi_pair(T)[1]
+    if dphi_T > bound * (1.0 + 1e-9) + slack:
+        raise ConstructionError("phase_ode", f"phi'(T) = {dphi_T} exceeds the a-priori bound {bound}")
     return traj
 
 
@@ -265,10 +260,10 @@ class W1Profile:
 
     def rows(self, xs):
         """Trajectory table (t, phi, phi', w1, w1', w1''), shape (m, 6), at an
-        array of times, read as one cloud by ``traj.phi_array`` and ``field``."""
+        array of times, all read from one ``field.read`` of the cloud."""
         x = np.asarray(xs, dtype=float)[:, None]  # the times as an (m, 1) cloud
         fld = self.field
-        return np.column_stack([x, self.traj.phi_array(x[:, 0]), fld.value(x), fld.gradient(x), fld.hessian(x)[:, 0]])
+        return np.column_stack([x, fld.read(x)[2:].T, fld.value(x), fld.gradient(x), fld.hessian(x)[:, 0]])
 
 
 def assemble_w1(traj, span=None):
@@ -392,7 +387,7 @@ def build_counterexample(
         cross_sup = float(np.max(np.abs(generic), initial=0.0))
         agree_sup = float(np.max(np.abs(generic - stables[is_inner]), initial=0.0))
 
-    sig0 = float(sigmoid(traj.phi(0.0)))
+    sig0 = float(sigmoid(traj.phi_pair(0.0)[0]))
     witness_val = prof.third_derivative(0.0)
     witness_expected = a1 * math.exp(a0) / (1.0 + math.exp(a0)) ** 2
     witness = {
@@ -406,7 +401,7 @@ def build_counterexample(
     }
 
     bound_slack = 100.0 * (rel_tol * traj.bound + traj.abs_tol)
-    dphi_T = traj.dphi(T)
+    dphi_T = traj.phi_pair(T)[1]
     bounds = {
         "phi_prime_at_T": dphi_T,
         "phi_prime_ceiling": traj.bound,
@@ -465,53 +460,40 @@ class MinkowskiProfile(ScalarField):
     first-order system  s' = phi,  phi' = (x/2) sech^2(s) phi.
 
     ``gradient_complement`` evaluates 1 - f'^2 = sech^2(s) without the
-    catastrophic cancellation of forming it from a rounded f'.  (s, phi) come
-    from the integrated ``Trajectory`` on its span; f is the slope of
-    ``integral``, a ``StepIntegralField`` with F'' = tanh(s).  A cloud is
-    read in one ``Trajectory.evaluate`` call; tanh and cosh are ``math``'s
-    per element, mapped into flat arrays (numpy's differ in the last bit),
-    and sech^2(s) phi is one numpy product.  The last cloud read is
-    kept, so the methods a residual calls on one cloud read the trajectory
-    once between them.
+    catastrophic cancellation of forming it from a rounded f'.  Every read of
+    a cloud is the one cached ``read`` of ``integral``, a
+    ``StepIntegralField`` with F'' = tanh(s) on the integrated (s, phi)
+    trajectory: f is its F', and (s, phi) its state rows.  tanh and cosh are
+    ``math``'s per element, mapped into flat arrays (numpy's differ in the
+    last bit), and sech^2(s) phi is one numpy product.
     """
 
     dim = 1
 
-    def __init__(self, integral, dense):
+    def __init__(self, integral):
         self._integral = integral
-        self._dense = dense    # (s, phi), ascending
-        self.span = dense.t_end    # the half-span of the trajectory and of f
-        self._last_cloud = (None, None)    # (bytes of the cloud, its (s, phi) lists)
-
-    def _pairs(self, x):
-        """(s, phi) lists at an (m, 1) cloud, read by ``Trajectory.evaluate``
-        on the trajectory's span."""
-        key = x.tobytes()
-        if self._last_cloud[0] != key:
-            self._last_cloud = (key, self._dense.evaluate(x[:, 0]).T.tolist())
-        return self._last_cloud[1]
+        self.span = integral.span    # the half-span of the trajectory and of f
 
     def rows(self, xs):
         """Profile table (x, s, phi, f, f', f''), shape (m, 6), at an array of
-        points, read as one cloud by ``_pairs``, ``value``, ``gradient`` and
-        ``hessian``."""
+        points, all read from one ``read`` of the cloud."""
         x = np.asarray(xs, dtype=float)[:, None]  # the points as an (m, 1) cloud
-        s, p = self._pairs(x)
-        return np.column_stack([x, s, p, self.value(x), self.gradient(x), self.hessian(x)[:, 0]])
+        return np.column_stack([x, self._integral.read(x)[2:].T, self.value(x), self.gradient(x),
+                                self.hessian(x)[:, 0]])
 
     def _value(self, x):
         return self._integral.read(x)[1]
 
     def _gradient(self, x):
-        return np.array(list(map(math.tanh, self._pairs(x)[0])))[:, None]
+        return np.array(list(map(math.tanh, self._integral.read(x)[2].tolist())))[:, None]
 
     def _hessian(self, x):
-        s, p = self._pairs(x)
-        return (np.array(list(map(_sech2, s))) * np.array(p))[:, None, None]
+        _, _, s, p = self._integral.read(x)
+        return (np.array(list(map(_sech2, s.tolist()))) * p)[:, None, None]
 
     def gradient_complement(self, x):
         """1 - f'^2 = sech^2(s) at an (m, 1) cloud, as (m,)."""
-        return np.array(list(map(_sech2, self._pairs(x)[0])))
+        return np.array(list(map(_sech2, self._integral.read(x)[2].tolist())))
 
 
 def _sech2(s):
@@ -575,13 +557,14 @@ def build_mss_counterexample(
     _check_size(span, rel_tol)
 
     dense = _two_sided(_mss_rhs, _mss_rhs_dot, [s0, phi0], span, rel_tol, "mss_ode", "x")
-    fld = MinkowskiProfile(StepIntegralField(dense, np.tanh, 0.0, -2.0 * phi0, span), dense)
+    integral = StepIntegralField(dense, np.tanh, 0.0, -2.0 * phi0, span)
+    fld = MinkowskiProfile(integral)
 
     xs = np.linspace(-radius, radius, int(samples))
     residuals = np.abs(minkowski_residual(fld, xs[:, None]))
     sup = float(np.max(residuals, initial=0.0))  # a NaN residual propagates
     sup_at = float(xs[np.argmax(residuals)]) if sup > 0.0 else 0.0
-    cloud_s = fld._pairs(xs[:, None])[0]  # the residual's own read of the cloud
+    cloud_s = integral.read(xs[:, None])[2]  # the residual's own read of the cloud
     max_abs_s = float(np.max(np.abs(cloud_s), initial=0.0))
 
     witness_val = _sech2(s0) * phi0

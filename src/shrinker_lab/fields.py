@@ -193,15 +193,19 @@ class StepIntegralField(ScalarField):
     same rule from the inner knot of t's step to t: ``value`` is F,
     ``gradient`` F' and ``hessian`` g(y(t)).
 
+    ``read`` is the one read of the trajectory at a cloud, for this field and
+    for the construction profile built on it: one ``numerics.read_span`` on
+    [-span, span] cut to the trajectory's knots, one ``Trajectory.bracket``
+    search, and F, F' and the trajectory's whole state at t in one array.
     The nodes are summed left to right, not through ``@``, so each row rounds
     as it would alone.  The last cloud read is kept, so the methods called on
-    one cloud read it once between them.  Times are read through
-    ``numerics.read_span`` on [-span, span] cut to the trajectory's knots.
+    one cloud read it once between them.
     """
 
     dim = 1
 
     def __init__(self, dense, g, value0, slope0, span):
+        self.dense = dense    # the whole state, read at a cloud's times
         self._y = Trajectory(dense.ts, dense.ys[:, :1], dense.fs[:, :1], dfs=dense.dfs[:, :1])
         self._g = g    # elementwise on an array of first components
         self.span = float(span)
@@ -210,7 +214,7 @@ class StepIntegralField(ScalarField):
         steps = np.arange(len(ts) - 1)
         inner = steps + (ts[:-1] < 0.0)    # on the left leg a step's inner knot is its right end
         h = ts[2 * steps + 1 - inner] - ts[inner]
-        i1, i2, _ = self._rule(steps, inner, h)
+        i1, i2 = self._rule(steps, inner, h)
         h, i1, i2 = h.tolist(), i1.tolist(), i2.tolist()
         origin = int(np.searchsorted(ts, 0.0))
         vals, slopes = [float(value0)] * len(ts), [float(slope0)] * len(ts)
@@ -220,34 +224,34 @@ class StepIntegralField(ScalarField):
             vals[j] = vals[i] + (h[k] * slopes[i] + i2[k])
         self.vals, self.slopes = np.array(vals), np.array(slopes)    # F and F' at the knots
 
-    def _rule(self, k, inner, d, t=None):
+    def _rule(self, k, inner, d):
         """I1 = int g and I2 = int (t_in + d - s) g ds from t_in = ts[inner]
-        over d on the steps k, and g(y(t)) when t is given, in one read."""
-        times = self._y.ts[inner] + _GL_NODES[:, None] * d
-        if t is not None:
-            times = np.vstack([times, t])
-        g = self._g(self._y.interpolate(k, times)[..., 0])
+        over d on the steps k."""
+        g = self._g(self._y.interpolate(k, self._y.ts[inner] + _GL_NODES[:, None] * d)[..., 0])
         i1 = sum(w * gj for w, gj in zip(_GL_WEIGHTS, g))
         i2 = sum(w * gj for w, gj in zip(_GL_WEIGHTS_TAIL, g))
-        return d * i1, d * d * i2, g[-1]
+        return d * i1, d * d * i2
 
     def read(self, x):
-        """(F, F', g(y(t))) at an (m, 1) cloud, as a (3, m) array, read in
-        blocks that bound the temporaries."""
-        ts = self._y.ts
+        """F, F' and the trajectory's whole state y(t), one row a component,
+        at an (m, 1) cloud, as a (2 + len(y), m) array, read in blocks that
+        bound the temporaries."""
+        ts = self.dense.ts
         t = read_span(x[:, 0], max(-self.span, ts[0]), min(self.span, ts[-1]))
         key = t.tobytes()
         if self._last_cloud[0] == key:
             return self._last_cloud[1]
-        reads = np.empty((3, len(t)))
+        k = self._y.bracket(t)
+        reads = np.empty((2 + self.dense.ys.shape[1], len(t)))
         for lo in range(0, len(t), _READ_BLOCK):
-            tb = t[lo : lo + _READ_BLOCK]
-            k = self._y.bracket(tb)
-            inner = k + (ts[k] < 0.0)
+            block = slice(lo, lo + _READ_BLOCK)
+            tb, kb = t[block], k[block]
+            inner = kb + (ts[kb] < 0.0)
             d = tb - ts[inner]
-            i1, i2, g = self._rule(k, inner, d, tb)
-            reads[:, lo : lo + _READ_BLOCK] = (self.vals[inner] + (d * self.slopes[inner] + i2),
-                                               self.slopes[inner] + i1, g)
+            i1, i2 = self._rule(kb, inner, d)
+            reads[0, block] = self.vals[inner] + (d * self.slopes[inner] + i2)
+            reads[1, block] = self.slopes[inner] + i1
+            reads[2:, block] = self.dense.interpolate(kb, tb).T
         reads.flags.writeable = False    # shared by every read of this cloud
         self._last_cloud = (key, reads)
         return reads
@@ -259,7 +263,7 @@ class StepIntegralField(ScalarField):
         return self.read(x)[1][:, None]
 
     def _hessian(self, x):
-        return self.read(x)[2][:, None, None]
+        return self._g(self.read(x)[2])[:, None, None]
 
 
 class SeparableExtensionField(ScalarField):

@@ -23,7 +23,6 @@ from .numerics import DomainError, InputError, as_cloud, as_sym_matrix, eig_sym,
 from .tau import Branch, _gradient_matrix, operator_value
 
 __all__ = [
-    "induced_metric",
     "metric_duality_defect",
     "normal_project",
     "mean_curvature",
@@ -39,7 +38,8 @@ def _matvec(H, v):
 
 
 def _metric(tp, H):
-    """The induced metric of validated (..., n, n) Hessians."""
+    """The induced metric sin (I + H^2) + 2 cos H of validated (..., n, n)
+    Hessians: the pullback metric on the graph."""
     s, c = tp.sin_cos
     return s * (np.eye(H.shape[-1]) + H @ H) + 2.0 * c * H
 
@@ -67,11 +67,6 @@ def _mean_curvature(tp, field, x, H):
     F = operator_value(tp, spectra).reshape(*x.shape[:-1], 2 * n)
     V = np.concatenate([np.zeros(x.shape), (F[..., :n] - F[..., n:]) / (2.0 * FD_STEP)], axis=-1)
     return _normal(tp, H, V)
-
-
-def induced_metric(tp, H):
-    """Pullback metric on the graph:  sin (I + H^2) + 2 cos H."""
-    return _metric(tp, as_sym_matrix(H))
 
 
 def metric_duality_defect(tp, H):

@@ -519,19 +519,22 @@ def growth_ratio(tp, field, theta, r):
     """Radial growth diagnostic q(r) = u(r theta)/r^2 and its derivative defect.
 
     Along any solution, dq/dr equals 2 F(lambda(D^2 u(r theta))) / r^3; the
-    returned defect measures the failure of that identity.
+    returned defect measures the failure of that identity.  u is read at
+    r theta and (r +- h) theta as one 3-point cloud.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     nrm = float(np.linalg.norm(theta))
-    if abs(nrm - 1.0) > 1e-10:
+    # each check holds only for finite values: NaN and inf fail it
+    if not abs(nrm - 1.0) <= 1e-10:
         raise InputError(f"theta must be a unit vector, |theta| = {nrm}")
     r = float(r)
-    if r <= 0:
-        raise InputError(f"radius must be positive, got {r}")
+    if not 0.0 < r < math.inf:
+        raise InputError(f"radius must be positive and finite, got {r}")
     h = min(1e-4 * max(1.0, r), 0.45 * r)
-    q = field.value(r * theta) / r**2
-    qp = field.value((r + h) * theta) / (r + h) ** 2
-    qm = field.value((r - h) * theta) / (r - h) ** 2
+    u, up, um = field.value(np.array([r, r + h, r - h])[:, None] * theta).tolist()
+    q = u / r**2
+    qp = up / (r + h) ** 2
+    qm = um / (r - h) ** 2
     dq_dr = (qp - qm) / (2.0 * h)
     F = operator_value(tp, eig_sym(field.hessian(r * theta)))
     return GrowthRatio(q, dq_dr, dq_dr - 2.0 * F / r**3)

@@ -196,8 +196,8 @@ def self_similar_extension(tp, field, x, t):
     as a cloud of one, so a stack costs one value, gradient and eigen read.
     """
     t = np.asarray(t, dtype=float)
-    if (t >= 0.0).any():
-        raise InputError(f"self-similar extension needs t < 0, got {t}")
+    if not ((t < 0.0) & np.isfinite(t)).all():  # NaN and -inf fail too
+        raise InputError(f"self-similar extension needs finite t < 0, got {t}")
     xi = np.atleast_1d(np.asarray(x, dtype=float)) / np.sqrt(-t)[..., None]
     cloud = xi[..., None, :]
     u_val, grad = field.value(cloud)[..., 0], field.gradient(cloud)[..., 0, :]

@@ -66,19 +66,19 @@ class TestPhaseRhs:
 class TestSolvePhaseOde:
     def test_second_derivative_vanishes_at_origin(self):
         traj = solve_phase_ode(0.0, 1.0, 5.0)
-        assert phase_rhs(0.0, np.array([traj.phi(0.0), traj.dphi(0.0)]))[1] == 0.0
-        assert traj.phi(0.0) == 0.0
-        assert traj.dphi(0.0) == 1.0
+        assert phase_rhs(0.0, np.array(traj.phi_pair(0.0)))[1] == 0.0
+        assert traj.phi_pair(0.0)[0] == 0.0
+        assert traj.phi_pair(0.0)[1] == 1.0
 
     def test_slope_bracket_at_one(self):
         # monotone slope from 1, capped by the a-priori ceiling e
         traj = solve_phase_ode(0.0, 1.0, 5.0)
-        assert 1.0 < traj.dphi(1.0) < math.e
+        assert 1.0 < traj.phi_pair(1.0)[1] < math.e
 
     def test_cross_integrator_oracle(self):
         traj = solve_phase_ode(0.0, 1.0, 2.0, rel_tol=1e-10)
         ref = rk4_fixed(phase_rhs, [0.0, 1.0], 1.0, 1e-5)
-        assert abs(traj.phi(1.0) - ref[0]) < 1e-7
+        assert abs(traj.phi_pair(1.0)[0] - ref[0]) < 1e-7
 
     def test_trivial_slope_rejected(self):
         with pytest.raises(InputError, match="trivial"):
@@ -103,13 +103,13 @@ class TestSolvePhaseOde:
         for a0, a1 in ((0.0, 1.0), (0.5, 0.5), (-1.0, 2.0)):
             traj = solve_phase_ode(a0, a1, 20.0)
             B = a1 * math.exp(math.exp(-a0) / a1**2)
-            assert traj.dphi(20.0) <= B * (1 + 1e-9) + 1e-6
+            assert traj.phi_pair(20.0)[1] <= B * (1 + 1e-9) + 1e-6
             assert traj.bound == pytest.approx(B)
 
-    def test_tail_extension_continuity(self):
+    def test_read_within_the_slack_past_the_end_reads_the_end(self):
         traj = solve_phase_ode(0.0, 1.0, 10.0)
         eps = 1e-9
-        assert traj.phi(10.0 + eps) == pytest.approx(traj.phi(10.0 - eps), abs=1e-6)
+        assert traj.phi_pair(10.0 + eps)[0] == pytest.approx(traj.phi_pair(10.0 - eps)[0], abs=1e-6)
         assert traj.tail_bound(+1) < 1e-3
 
     def test_step_counts(self):
@@ -146,7 +146,7 @@ class TestSolvePhaseOde:
         a0, a1 = -0.3, 0.8
         traj = solve_phase_ode(a0, a1, 15.0)
         for t in np.linspace(0.0, 15.0, 61):
-            assert traj.phi(t) >= a1 * t + a0 - 1e-9
+            assert traj.phi_pair(t)[0] >= a1 * t + a0 - 1e-9
 
 
 def _phase_reference(a0, a1, times, dps=30, degree=24, step=0.25):
@@ -183,7 +183,7 @@ class TestQuinticDenseOutput:
             dense, rhs = solve_phase_ode(0.3, 0.7, 10.0, rel_tol=1e-8).dense, _phase_rhs
         else:
             fld, _ = build_mss_counterexample(1.2, s0=0.1, T=8.0, rel_tol=1e-8, radius=5.0)
-            dense, rhs = fld._dense, _mss_rhs
+            dense, rhs = fld._integral.dense, _mss_rhs
         h = 1e-4
         inner = (dense.ts > dense.ts[0] + h) & (dense.ts < dense.ts[-1] - h)
         fd = np.array([
@@ -242,15 +242,6 @@ class TestAssembleW1:
         prof = assemble_w1(solve_phase_ode(0.0, 1.0, 20.0))
         assert prof.identity_defect <= 1e-7
 
-    def test_reads_past_the_span_are_refused(self):
-        # x = 25 on a span of 20: value, gradient, hessian and the complement
-        # all refuse it, as they read the same clamp-free trajectory
-        fld, _ = build_mss_counterexample(1.2, 0.1, rel_tol=1e-8)
-        assert fld.span == 20.0
-        for read in (fld.value, fld.gradient, fld.hessian, fld.gradient_complement):
-            with pytest.raises(InputError, match="outside the span"):
-                read(np.array([[25.0]]))
-
     def test_rows_equal_scalar_reads_bit_for_bit(self):
         prof = assemble_w1(solve_phase_ode(0.3, 0.7, 10.0, rel_tol=1e-8), span=8.33)
         xs = np.append(profile_grid(prof.span, 0.05), prof.span)  # from -S, and S itself
@@ -262,6 +253,16 @@ class TestAssembleW1:
             scalar.append([t, phi, dphi, fld.value([t]), fld.gradient([t])[0], fld.hessian([t])[0, 0]])
         assert same_bits(prof.rows(xs), scalar)
 
+    def test_rows_search_their_grid_once(self, monkeypatch):
+        # phi, phi', w1, w1' and w1'' of a grid longer than one read block
+        # come from one search of the trajectory
+        prof = assemble_w1(solve_phase_ode(0.3, 0.7, 10.0, rel_tol=1e-8), span=8.33)
+        xs = profile_grid(prof.span, 0.002)
+        assert len(xs) > 4096
+        searches = _count_searches(monkeypatch)
+        prof.rows(xs)
+        assert searches == [len(xs)]
+
     def test_third_derivative_witness(self):
         # d/dt [e^phi/(1+e^phi)] at 0 equals a1 e^{a0}/(1+e^{a0})^2
         prof = assemble_w1(solve_phase_ode(0.0, 1.0, 5.0))
@@ -270,6 +271,20 @@ class TestAssembleW1:
         prof2 = assemble_w1(solve_phase_ode(a0, a1, 5.0))
         want = a1 * math.exp(a0) / (1.0 + math.exp(a0)) ** 2
         assert prof2.third_derivative(0.0) == pytest.approx(want, abs=1e-8)
+
+
+def _count_searches(monkeypatch):
+    """The lengths of the time arrays ``Trajectory.bracket`` searches, as it
+    is called from now on."""
+    searches = []
+    bracket = sl.Trajectory.bracket
+
+    def counted(self, t):
+        searches.append(len(t))
+        return bracket(self, t)
+
+    monkeypatch.setattr(sl.Trajectory, "bracket", counted)
+    return searches
 
 
 class TestStepIntegrals:
@@ -285,14 +300,14 @@ class TestStepIntegrals:
             fld, dense, g = prof.field, prof.traj.dense, lambda y: 1 / (1 + mp.exp(-y))
         else:
             mss = build_mss_counterexample(1.0, 0.0, T=20.0, rel_tol=tol)[0]
-            fld, dense, g = mss._integral, mss._dense, mp.tanh
+            fld, dense, g = mss._integral, mss._integral.dense, mp.tanh
         ts, ys, fs, dfs = dense.ts, dense.ys[:, 0], dense.fs[:, 0], dense.dfs[:, 0]
         origin = int(np.searchsorted(ts, 0.0))
         assert ts[origin] == 0.0
         steps = np.array([0, origin - 1, origin, len(ts) - 2])
         inner = steps + (ts[steps] < 0.0)
         outer = 2 * steps + 1 - inner
-        i1, i2, _ = fld._rule(steps, inner, ts[outer] - ts[inner])
+        i1, i2 = fld._rule(steps, inner, ts[outer] - ts[inner])
         with mp.workdps(40):
             for k, a, b, got1, got2 in zip(steps, inner, outer, i1, i2):
                 args = [mp.mpf(float(v)) for v in (ts[k], ts[k + 1], ys[k], ys[k + 1], fs[k], fs[k + 1],
@@ -530,7 +545,7 @@ class TestMssCounterexample:
         xs = np.arange(-10.0, 10.0 + 0.0125, 0.025)
         scalar = []
         for x in xs:
-            (s,), (p,) = fld._pairs(np.array([[x]]))
+            s, p = fld._integral.dense(x)  # the trajectory's own read of (s, phi)
             scalar.append([x, s, p, fld.value([x]), float(fld.gradient([x])[0]), float(fld.hessian([x])[0, 0])])
         assert np.array_equal(np.array(fld.rows(xs)).view(np.int64), np.array(scalar).view(np.int64))
 
@@ -555,12 +570,13 @@ class TestMssCounterexample:
 
     def test_cloud_reads_equal_point_reads_bit_for_bit(self):
         fld, _ = build_mss_counterexample(1.2, 0.1, T=10.0, rel_tol=1e-8, radius=5.0, samples=11)
-        xs = np.concatenate([np.linspace(-10.0, 10.0, 801), [-10.0 - 1e-10, 10.0 + 1e-10], fld._dense.ts])
+        dense = fld._integral.dense
+        xs = np.concatenate([np.linspace(-10.0, 10.0, 801), [-10.0 - 1e-10, 10.0 + 1e-10], dense.ts])
         cloud = xs[:, None]
         # the point reads as written before clouds: one scalar trajectory read
         # each, math.tanh and math.cosh
-        lo, hi = fld._dense.ts[0], fld._dense.ts[-1]
-        s, p = np.array([fld._dense(min(max(x, lo), hi)) for x in xs]).T
+        lo, hi = dense.ts[0], dense.ts[-1]
+        s, p = np.array([dense(min(max(x, lo), hi)) for x in xs]).T
         sech2 = [(1.0 / math.cosh(v)) ** 2 for v in s]
         assert same_bits(fld.gradient(cloud), [[math.tanh(v)] for v in s])
         assert same_bits(fld.hessian(cloud), [[[c * w]] for c, w in zip(sech2, p)])
@@ -578,17 +594,10 @@ class TestMssCounterexample:
 
     def test_certificate_reads_its_cloud_once(self, monkeypatch):
         # gradient, weight and Hessian of the residual and the slope bound
-        # share one read of the trajectory on the 2001-point cloud
-        reads = []
-        evaluate = sl.Trajectory.evaluate
-
-        def counted(self, tq):
-            reads.append(len(tq))
-            return evaluate(self, tq)
-
-        monkeypatch.setattr(sl.Trajectory, "evaluate", counted)
+        # share one search of the trajectory on the 2001-point cloud
+        searches = _count_searches(monkeypatch)
         build_mss_counterexample(1.2, 0.1, rel_tol=1e-8, samples=2001)
-        assert reads.count(2001) == 1
+        assert searches.count(2001) == 1
 
     def test_negative_phase_profile(self):
         fld, cert = build_mss_counterexample(-1.0, 0.0, T=10.0, radius=5.0)

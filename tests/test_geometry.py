@@ -8,13 +8,13 @@ from shrinker_lab import TauParams
 from shrinker_lab.fields import AffineScaledField, QuadraticField, ScalarField
 from shrinker_lab.geometry import (
     FD_STEP,
-    induced_metric,
+    _metric,
     mean_curvature,
     metric_duality_defect,
     normal_project,
     shrinker_defect,
 )
-from shrinker_lab.numerics import eig_sym, fd_gradient
+from shrinker_lab.numerics import as_sym_matrix, eig_sym, fd_gradient
 from shrinker_lab.tau import operator_value
 
 from conftest import CallableField, branch_params, same_bits, with_lower_cones
@@ -43,19 +43,19 @@ class TestInducedMetric:
     def test_slag_diagonal(self):
         tp = TauParams.special_lagrangian()
         lams = np.array([0.5, -1.2, 3.0])
-        g = induced_metric(tp, np.diag(lams))
+        g = _metric(tp, as_sym_matrix(np.diag(lams)))
         assert np.allclose(g, np.diag(1.0 + lams**2), atol=1e-15)
 
     def test_ma_diagonal(self):
         tp = TauParams.monge_ampere()
         lams = np.array([0.7, 2.0])
-        g = induced_metric(tp, np.diag(lams))
+        g = _metric(tp, as_sym_matrix(np.diag(lams)))
         assert np.allclose(g, np.diag(2.0 * lams), atol=1e-15)
 
     def test_harm_diagonal(self):
         tp = TauParams.harmonic()
         lams = np.array([0.2, 1.5])
-        g = induced_metric(tp, np.diag(lams))
+        g = _metric(tp, as_sym_matrix(np.diag(lams)))
         assert np.allclose(g, np.diag(SQRT2 / 2.0 * (1.0 + lams) ** 2), atol=1e-14)
 
     def test_positive_definite_on_admissible(self, all_branches, rng):
@@ -63,7 +63,7 @@ class TestInducedMetric:
             for _ in range(30):
                 n = int(rng.integers(1, 5))
                 H = sl.random_admissible_matrix(tp, n, rng)
-                np.linalg.cholesky(induced_metric(tp, H))  # raises if not SPD
+                np.linalg.cholesky(_metric(tp, as_sym_matrix(H)))  # raises if not SPD
 
 
 class TestDualityDefect:
@@ -320,7 +320,8 @@ class TestStacks:
             assert same_bits(normal_project(tp, H, V), want), name
             assert same_bits(normal_project(tp, H[0], V[0]), want[0]), name
             assert same_bits([normal_project(tp, h, v) for h, v in zip(H[1], V[1])], want[1]), name
-            assert same_bits(induced_metric(tp, H), [[induced_metric(tp, h) for h in hs] for hs in H]), name
+            metrics = [[_metric(tp, as_sym_matrix(h)) for h in hs] for hs in H]
+            assert same_bits(_metric(tp, as_sym_matrix(H)), metrics), name
 
     def test_projection_shape_mismatch_rejected(self):
         tp = TauParams.special_lagrangian()

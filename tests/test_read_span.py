@@ -52,7 +52,7 @@ def _table():
 
 def _step_integral(span):
     fld = assemble_w1(_phase(), span=span).field
-    lo, hi = _ends(fld._y.ts)
+    lo, hi = _ends(fld.dense.ts)
     return lambda t: fld.read(np.array([[t]]))[:, 0], max(-fld.span, lo), min(fld.span, hi)
 
 
@@ -64,7 +64,7 @@ def _phase_read(read):
 def _minkowski():
     fld, _ = build_mss_counterexample(1.2, 0.1, T=10.0, rel_tol=1e-8, radius=5.0, samples=11)
     reads = (fld.value, fld.gradient, fld.hessian, fld.gradient_complement)
-    return lambda t: [np.ravel(read(np.array([[t]]))) for read in reads], *_ends(fld._dense.ts)
+    return lambda t: [np.ravel(read(np.array([[t]]))) for read in reads], *_ends(fld._integral.dense.ts)
 
 
 def _radial(dps):

@@ -540,6 +540,24 @@ class TestGrowthRatio:
             sl.growth_ratio(tp, field, np.array([2.0, 0.0]), 1.0)
 
 
+_UNIT = np.array([1.0, 0.0])
+_STACK = QuadraticField(np.array([np.eye(2)] * 3), np.zeros(3))
+
+
+@pytest.mark.parametrize("read", [
+    lambda tp, f: sl.growth_ratio(tp, f, _UNIT, math.nan),
+    lambda tp, f: sl.growth_ratio(tp, f, _UNIT, math.inf),
+    lambda tp, f: sl.growth_ratio(tp, f, np.array([math.nan, 0.0]), 1.0),
+    lambda tp, f: sl.self_similar_extension(tp, f, _UNIT, math.nan),
+    lambda tp, f: sl.self_similar_extension(tp, f, _UNIT, -math.inf),
+    lambda tp, f: sl.self_similar_extension(tp, _STACK, np.ones((3, 2)), [-1.0, math.nan, -2.0]),
+], ids=["r-nan", "r-inf", "theta-nan", "t-nan", "t-minus-inf", "t-nan-in-a-stack"])
+def test_non_finite_radius_direction_and_time_are_refused(read):
+    # each range check is written so that NaN and inf fail it
+    with pytest.raises(InputError):
+        read(TauParams.special_lagrangian(), QuadraticField(np.eye(2), 0.0))
+
+
 class TestMinkowskiResidual:
     def test_zero_field(self):
         field = QuadraticField(np.zeros((2, 2)), 0.0)
