@@ -1,0 +1,158 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of the benchmark, summarised in ``BENCH_<pr>.json``.
+
+    python3 scripts/bench_pairs.py REF --workload event-shoot precision-shoot --seeds 1-10 --pr 32
+
+REF (a commit, branch or tag) is the parent.  It is exported with
+``git archive`` into a temporary directory; the change is this checkout,
+uncommitted edits included.  For each seed and each workload the script runs
+one pair of ``perfbench/run.py --workload W --seed S --seconds 8 --trace 0``,
+one run on each side, the side that goes first swapping from one pair of a
+workload to the next.
+Each run leaves its record in its side's
+``.perfbench-work/results/W-seedS-trace0.json``; the script reads them all
+and writes ``BENCH_<pr>.json`` at the root of this checkout with sorted keys.
+
+Per workload and end-to-end metric of ``BENCHMARK.json`` the file holds each
+side's runs, median and quartiles, the pairs the change won (ties count for
+neither), whether a gain would hold (won at least nine tenths of the pairs,
+medians apart by more than the parent's interquartile range) and whether the
+change's median is worse than the parent's by more than the metric's bound.
+Per workload it also holds the jobs attempted and failed in each run and each
+side's median reference-kernel time over every job (``ref_s``), the host's
+speed while the runs were made.
+"""
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RUN_ARGS = ("--seconds", "8", "--trace", "0")
+SIDES = ("parent", "change")
+
+
+def parse_seeds(text):
+    """'1-10' or '3,5,8' (or a mix, '1-3,7') as a list of ints."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    if not seeds:
+        raise ValueError(f"no seeds in {text!r}")
+    return seeds
+
+
+def spread(values):
+    """Median and quartiles (inclusive method) of a side's runs."""
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return {"median": med, "q1": q1, "q3": q3, "runs": list(values)}
+
+
+def summarize(pairs, end_to_end):
+    """The summary of one workload's pairs.
+
+    ``pairs`` is a list of (parent, change) run records, each as
+    ``perfbench/run.py`` writes it; ``end_to_end`` is ``BENCHMARK.json``'s list
+    of end-to-end metrics, each with ``name``, ``better`` and ``bound``."""
+    sides = {side: [pair[i] for pair in pairs] for i, side in enumerate(SIDES)}
+    out = {
+        "pairs": len(pairs),
+        "seeds": [rec["seed"] for rec, _ in pairs],
+        "attempted": {side: [rec["result"]["attempted"] for rec in recs] for side, recs in sides.items()},
+        "failed": {side: [rec["result"]["failed"] for rec in recs] for side, recs in sides.items()},
+        "correct": {side: all(rec["result"]["correct"] for rec in recs) for side, recs in sides.items()},
+        "ref_s": {side: statistics.median(job["ref_s"] for rec in recs for job in rec["jobs"])
+                  for side, recs in sides.items()},
+        "metrics": {},
+    }
+    for metric in end_to_end:
+        name, lower = metric["name"], metric["better"] == "lower"
+        values = {side: [rec["result"]["metrics"][name]["value"] for rec in recs] for side, recs in sides.items()}
+        parent, change = spread(values["parent"]), spread(values["change"])
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
+        gap = (parent["median"] - change["median"]) * (1 if lower else -1)  # > 0: the change is better
+        out["metrics"][name] = {
+            "better": metric["better"],
+            "bound": metric["bound"],
+            "parent": parent,
+            "change": change,
+            "change_wins": wins,
+            "relative_change": change["median"] / parent["median"] - 1.0,
+            "gain_holds": 10 * wins >= 9 * len(pairs) and gap > parent["q3"] - parent["q1"],
+            "worse_than_bound": -gap > metric["bound"] * abs(parent["median"]),
+        }
+    return out
+
+
+def run_side(root, workload, seed):
+    """One ``run.py`` run in checkout ``root``; its result record."""
+    subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), *RUN_ARGS],
+                   cwd=root, check=True, stdout=subprocess.DEVNULL)
+    with open(Path(root) / ".perfbench-work" / "results" / f"{workload}-seed{seed}-trace0.json") as fh:
+        return json.load(fh)
+
+
+def git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def export(ref, dest):
+    """The files of commit ``ref`` in ``dest``, through ``git archive``."""
+    archive = subprocess.Popen(["git", "archive", "--format=tar", ref], cwd=ROOT, stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        raise SystemExit(f"git archive {ref} failed")
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("ref", help="the parent commit")
+    ap.add_argument("--workload", nargs="+", required=True)
+    ap.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 1-10")
+    ap.add_argument("--pr", type=int, required=True, help="writes BENCH_<pr>.json")
+    args = ap.parse_args(argv)
+
+    with open(ROOT / "BENCHMARK.json") as fh:
+        end_to_end = json.load(fh)["end_to_end"]
+    parent_commit = git("rev-parse", f"{args.ref}^{{commit}}")
+    records = {w: [] for w in args.workload}
+    parent_root = tempfile.mkdtemp(prefix="bench-parent-")
+    try:
+        export(parent_commit, parent_root)
+        roots = {"parent": parent_root, "change": ROOT}
+        for seed in args.seeds:
+            for workload in args.workload:
+                order = SIDES if len(records[workload]) % 2 == 0 else SIDES[::-1]
+                pair = {side: run_side(roots[side], workload, seed) for side in order}
+                records[workload].append((pair["parent"], pair["change"]))
+                print(f"{workload} seed {seed} ({order[0]} first): job_s.p50 "
+                      + " -> ".join(f"{pair[s]['result']['metrics']['job_s.p50']['value']:.5f}" for s in SIDES),
+                      flush=True)
+    finally:
+        shutil.rmtree(parent_root, ignore_errors=True)
+
+    first = records[args.workload[0]][0][1]
+    bench = {
+        "pr": args.pr,
+        "parent": parent_commit,
+        "change": {"head": git("rev-parse", "HEAD"), "uncommitted_edits": bool(git("status", "--porcelain"))},
+        "command": "python3 perfbench/run.py --workload W --seed S " + " ".join(RUN_ARGS),
+        "environment": first["environment"],
+        "ref_nominal_s": first["ref_nominal_s"],
+        "workloads": {w: summarize(pairs, end_to_end) for w, pairs in records.items()},
+    }
+    out = ROOT / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {out.relative_to(ROOT)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -225,6 +225,8 @@ def profile_span(tp, radius, T):
     cone, whose phase is read on the span it is integrated on and not past it:
     the reported tail bound is small only once the forcing is exponentially
     dead, which a small phase slope postpones past any window."""
+    if not 0.0 < radius < math.inf:  # NaN fails too
+        raise InputError(f"radius must be finite and positive, got {radius}")
     if tp is None:
         return max(T, radius + 1.0)
     if tp.branch is not Branch.NEG:

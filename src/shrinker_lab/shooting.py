@@ -26,15 +26,15 @@ term, and each sample is rounded once to float (``_shoot_mp``).  The float
 path samples its profile in one batched ``Trajectory.evaluate`` read, bit for
 bit the per-radius reads of the profile it returns (``_shoot_float``).
 
-One step rule, ``_radial_target``, checks every state either path reaches:
-the float path's initial state and right-hand side, each Taylor expansion
-point, each profile sample and ``RadialProfile.d2u``.  So the two paths name
-a cone exit, an inversion failure and a blow-up past |(u, u')| = _BLOW_UP_MAG
-the same way, and at the state where the rule first fails.  The one exit
-outside the rule is the Taylor path's ``blow_up`` when its step radius falls
-below _MIN_STEP, where the float path's integrator shrinks its step to its
-own floor.  A profile ends at the last sample the rule accepts, and ``u``,
-``du``, ``d2u`` and ``field`` read it on [0, that sample] through
+One step rule, built once a shot by ``_step_rule``, checks every state either
+path reaches: the float path's initial state and right-hand side, each Taylor
+expansion point, each profile sample and ``RadialProfile.d2u``.  So the two
+paths name a cone exit, an inversion failure and a blow-up past |(u, u')| =
+_BLOW_UP_MAG the same way, and at the state where the rule first fails.  The
+one exit outside the rule is the Taylor path's ``blow_up`` when its step
+radius falls below _MIN_STEP, where the float path's integrator shrinks its
+step to its own floor.  A profile ends at the last sample the rule accepts,
+and ``u``, ``du``, ``d2u`` and ``field`` read it on [0, that sample] through
 ``numerics.read_span``; a read past there is an InputError.
 """
 
@@ -103,7 +103,7 @@ class RadialProfile:
 
     def d2u(self, r):
         r, u, up = self._read(r)
-        return f_inverse(self.tp, _radial_target(self.tp, self.n, r, u, up, self.upp0))
+        return f_inverse(self.tp, _step_rule(self.tp, self.n, self.upp0)(r, u, up))
 
     @property
     def field(self):
@@ -113,27 +113,32 @@ class RadialProfile:
         return np.column_stack([self.rs, self.us, self.ups, self.upps])
 
 
-def _radial_target(tp, n, r, u, up, upp0, f=None):
-    """Target (-u + r u'/2) - (n-1) f(s) of the radial equation u'' = f^{-1}(target):
-    the one step rule of both shooting paths.
+def _step_rule(tp, n, upp0, f=None):
+    """The one step rule of both shooting paths: ``rule(r, u, up)`` returns the
+    target (-u + r u'/2) - (n-1) f(s) of the radial equation u'' = f^{-1}(target).
 
     The transverse eigenvalue s is ``upp0`` = u''(0) below _R_SERIES and u'/r
     beyond.  ``f`` is ``f_value`` (looked up at each call, so a wrapper
-    installed over it sees every step), or ``f_value_mp`` on mpf states.  Raises
-    RhsEvaluationError ``cone_exit`` when s has left the selected cone
-    component, ``inversion_failure`` when the target is outside the range of f
-    on it, and then ``blow_up`` when |u| or |u'| passes _BLOW_UP_MAG.
+    installed over it sees every step), or ``f_value_mp`` on mpf states.  The
+    rule raises RhsEvaluationError ``cone_exit`` when s has left the selected
+    cone component, ``inversion_failure`` when the target is outside the range
+    of f on it, and then ``blow_up`` when |u| or |u'| passes _BLOW_UP_MAG.
     """
     spec = cone_spec(tp)
-    s = upp0 if r < _R_SERIES else up / r
-    if not spec.contains(s):
-        raise RhsEvaluationError("cone_exit", f"transverse eigenvalue {s} left the cone")
-    target = (-u + 0.5 * r * up) - (n - 1) * (f or f_value)(tp, s)
-    if not (spec.f_lo < target < spec.f_hi):
-        raise RhsEvaluationError("inversion_failure", f"operator target {target} out of range")
-    if abs(u) > _BLOW_UP_MAG or abs(up) > _BLOW_UP_MAG:
-        raise RhsEvaluationError("blow_up", f"|(u, u')| passed {_BLOW_UP_MAG:g}")
-    return target
+    lo, hi, f_lo, f_hi, m = spec.lo, spec.hi, spec.f_lo, spec.f_hi, n - 1
+
+    def rule(r, u, up):
+        s = upp0 if r < _R_SERIES else up / r
+        if not lo < s < hi:
+            raise RhsEvaluationError("cone_exit", f"transverse eigenvalue {s} left the cone")
+        target = (-u + 0.5 * r * up) - m * (f or f_value)(tp, s)
+        if not (f_lo < target < f_hi):
+            raise RhsEvaluationError("inversion_failure", f"operator target {target} out of range")
+        if abs(u) > _BLOW_UP_MAG or abs(up) > _BLOW_UP_MAG:
+            raise RhsEvaluationError("blow_up", f"|(u, u')| passed {_BLOW_UP_MAG:g}")
+        return target
+
+    return rule
 
 
 def _series_state(u0, upp0, r):
@@ -154,13 +159,14 @@ def radial_quadratic_reference(tp, n, c, r_max=10.0, n_samples=401):
 
 
 def _shoot_float(tp, n, u0, upp0, r_max, rel_tol):
+    rule = _step_rule(tp, n, upp0)  # bounds, range and n - 1 bound once a shot
     def rhs(r, y):
         u, up = y
-        return [up, f_inverse(tp, _radial_target(tp, n, r, u, up, upp0))]
+        return [up, f_inverse(tp, rule(r, u, up))]
 
     y0 = _series_state(u0, upp0, _R_START)
     try:  # the initial state, as _shoot_mp checks each expansion point
-        _radial_target(tp, n, _R_START, *y0, upp0)
+        rule(_R_START, *y0)
     except RhsEvaluationError as exc:  # no step: the series is the whole shot
         event = ShotEvent(exc.label, _R_START, exc.detail)
         return (lambda rs: [_series_state(u0, upp0, r) for r in rs]), _R_START, event
@@ -180,7 +186,7 @@ def _shoot_float(tp, n, u0, upp0, r_max, rel_tol):
         out[~near] = traj.evaluate(rs[~near])
         for i in np.flatnonzero(near):
             out[i] = _series_state(u0, upp0, rs[i])
-        return out
+        return out.tolist()
 
     return states, traj.t_end, event
 
@@ -280,7 +286,7 @@ def _shoot_mp(tp, n, u0, r_max, dps):
     fine_prec = prec + 40 bits by ``_join``, the libmp calls of mpmath's
     ``polyval`` on the tuples; only c_d and each joined state are wrapped as
     mpf values.  Every expansion point goes through
-    the float path's step rule ``_radial_target``, whose error names the
+    the float path's step rule (``_step_rule``), whose error names the
     event; the one other exit is ``blow_up`` when the step radius falls below
     _MIN_STEP (a singularity ahead).
 
@@ -309,9 +315,10 @@ def _shoot_mp(tp, n, u0, r_max, dps):
         u, p = _series_state(u0_mp, upp0_mp, r0)
         # per step: the start as a float and exactly, and (S, u and u' on 2^-S)
         starts_f, starts, steps = [], [], []
+        rule = _step_rule(tp, n, upp0_mp, f=f_value_mp)
         while True:
             try:
-                _radial_target(tp, n, r0, u, p, upp0_mp, f=f_value_mp)
+                rule(r0, u, p)
             except RhsEvaluationError as exc:
                 event = ShotEvent(exc.label, float(r0), exc.detail)
                 break
@@ -365,12 +372,15 @@ def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, *, dps=None, n_samples=40
     Raises
     ------
     InputError
-        If -u0/n is not attainable on the selected cone component, or its
-        preimage u''(0) is not finite (no valid initial curvature exists).
+        If ``r_max`` is not finite and positive, -u0/n is not attainable on
+        the selected cone component, or its preimage u''(0) is not finite (no
+        valid initial curvature exists).
     """
     n = int(n)
     if n < 1:
         raise InputError(f"dimension must be >= 1, got {n}")
+    if not 0.0 < r_max < math.inf:  # NaN fails too
+        raise InputError(f"r_max must be finite and positive, got {r_max}")
     if dps is not None and dps <= 10:
         # the Taylor steps' tolerance is 10^-(dps-10)
         raise InputError(f"dps must be above 10, got {dps}")
@@ -389,12 +399,13 @@ def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, *, dps=None, n_samples=40
         def state(r):  # a batch of one
             return tuple(states(np.array([r], dtype=float))[0])
 
+    rule = _step_rule(tp, n, upp0)
     rs = np.linspace(0.0, r_end, n_samples)
     us, ups, upps = (np.empty_like(rs) for _ in range(3))
-    for i, (r, sample) in enumerate(zip(rs, states(rs))):
+    for i, (r, sample) in enumerate(zip(rs.tolist(), states(rs))):
         u, up = sample if r > 0 else (u0, 0.0)
         try:
-            upps[i] = f_inverse(tp, _radial_target(tp, n, r, u, up, upp0))
+            upps[i] = f_inverse(tp, rule(r, u, up))
         except RhsEvaluationError as exc:
             # the profile ends at the last sample the step rule accepts
             if event.completed:

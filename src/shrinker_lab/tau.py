@@ -215,10 +215,12 @@ class TauParams:
     def sqrt_a2p1(self):
         return math.sqrt(self.a * self.a + 1.0) if not math.isinf(self.a) else math.inf
 
-    # the float closed forms of f and f^-1, built once: f_value and f_inverse
-    # add the domain check, the range check, the clamp and the polish
+    # the float closed forms of f and f^-1, and f_value's and f_inverse's forms
+    # with their float guards (domain check; range check, clamp and polish), built once
     f_form = cached_property(lambda self: _f_form(self, _FLOAT))
     f_inverse_form = cached_property(lambda self: _f_inverse_form(self, _FLOAT))
+    f_guarded = cached_property(lambda self: _guarded_value(self))
+    f_inverse_polished = cached_property(lambda self: _polished_inverse(self))
 
     @property
     def sin_cos(self):
@@ -332,9 +334,20 @@ def _f_inverse_form(tp, ops):
     return lambda y: edge + width * sigmoid(width * y / root)
 
 
+def _guarded_value(tp):
+    """f behind :func:`_eigenvalue`'s check, tested first on the selected component's bounds."""
+    lo, hi, form = tp.components[0].lo, tp.components[0].hi, tp.f_form
+
+    def value(lam):
+        lam = float(lam)
+        return form(lam if lo < lam < hi else _eigenvalue(tp, lam))
+
+    return value
+
+
 def f_value(tp, lam):
     """The single-eigenvalue summand of the operator."""
-    return tp.f_form(_eigenvalue(tp, lam))
+    return tp.f_guarded(lam)
 
 
 def f_derivative(tp, lam):
@@ -360,48 +373,61 @@ def f_range(tp):
     return spec.f_lo, spec.f_hi
 
 
+def _polished_inverse(tp):
+    """:func:`f_inverse` with its range, clamp ends and forms bound once."""
+    spec, form, f = tp.components[0], tp.f_inverse_form, tp.f_form
+    lo, hi, f_lo, f_hi = spec.lo, spec.hi, spec.f_lo, spec.f_hi
+    # MA's exp(2y) past double range, or LOG's tanh(b y / root) underflowing
+    # to 0 at a denormal y: the preimage is the component's infinite end
+    infinite_end = hi if hi == math.inf else lo
+    # clamp into the open component: for extreme targets the closed form can
+    # round onto (or past) a cone endpoint, where the nearest interior double
+    # is the correctly rounded preimage (an infinite end clamps nothing)
+    floor = math.nextafter(lo, math.inf) if math.isfinite(lo) else -math.inf
+    ceiling = math.nextafter(hi, -math.inf) if math.isfinite(hi) else math.inf
+
+    def inverse(y):
+        y = float(y)
+        if not (f_lo < y < f_hi):
+            raise InputError(f"target {y} outside attainable range ({f_lo}, {f_hi})")
+        try:
+            lam = form(y)
+        except (OverflowError, ZeroDivisionError):
+            return infinite_end
+        if floor > lam:  # max(lam, floor), then min(lam, ceiling), NaN kept
+            lam = floor
+        if ceiling < lam:
+            lam = ceiling
+        if not math.isfinite(lam):
+            return lam
+        # short guarded Newton polish, f_value's domain check inline
+        tol = 1e-12 * (1.0 + abs(y))
+        for _ in range(4):
+            r = f(lam if lo < lam < hi else _eigenvalue(tp, lam)) - y
+            if not math.isfinite(r) or abs(r) <= tol:
+                break
+            step = r / f_derivative(tp, lam)
+            if not math.isfinite(step):
+                break
+            cand = lam - step
+            while not lo < cand < hi:
+                step *= 0.5
+                cand = lam - step
+                if abs(step) < 1e-300:
+                    break
+            lam = cand
+        return lam
+
+    return inverse
+
+
 def f_inverse(tp, y):
     """Unique admissible lam with f(lam) = y on the selected cone component.
 
     A closed-form seed exists on every branch; a short guarded Newton polish
     enforces |f(lam) - y| <= 1e-12 * (1 + |y|).
     """
-    y = float(y)
-    spec = tp.components[0]
-    if not (spec.f_lo < y < spec.f_hi):
-        raise InputError(f"target {y} outside attainable range ({spec.f_lo}, {spec.f_hi})")
-    try:
-        lam = tp.f_inverse_form(y)
-    except (OverflowError, ZeroDivisionError):
-        # MA's exp(2y) past double range, or LOG's tanh(b y / root) underflowing
-        # to 0 at a denormal y: the preimage is the component's infinite end
-        return spec.hi if spec.hi == math.inf else spec.lo
-    # clamp into the open component: for extreme targets the closed form can
-    # round onto (or past) a cone endpoint, where the nearest interior double
-    # is the correctly rounded preimage
-    if math.isfinite(spec.lo):
-        lam = max(lam, math.nextafter(spec.lo, math.inf))
-    if math.isfinite(spec.hi):
-        lam = min(lam, math.nextafter(spec.hi, -math.inf))
-    if not math.isfinite(lam):
-        return lam
-    # short guarded Newton polish
-    tol, f = 1e-12 * (1.0 + abs(y)), tp.f_form
-    for _ in range(4):
-        r = f(_eigenvalue(tp, lam)) - y
-        if not math.isfinite(r) or abs(r) <= tol:
-            break
-        step = r / f_derivative(tp, lam)
-        if not math.isfinite(step):
-            break
-        cand = lam - step
-        while not spec.contains(cand):
-            step *= 0.5
-            cand = lam - step
-            if abs(step) < 1e-300:
-                break
-        lam = cand
-    return lam
+    return tp.f_inverse_polished(y)
 
 
 def f_value_mp(tp, lam):

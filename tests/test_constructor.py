@@ -486,6 +486,17 @@ class TestBuildCounterexample:
         assert cert.cross_checks["worst_sample"] == pts[37].tolist()
 
 
+@pytest.mark.parametrize("radius", [-3.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("build", [
+    lambda radius: build_counterexample(TauParams.from_cot(-2.0), 0.0, 1.0, 2, radius=radius),
+    lambda radius: build_mss_counterexample(1.0, 0.0, 20.0, 1e-8, radius),
+], ids=["bounded", "mss"])
+def test_radius_not_finite_and_positive(build, radius):
+    # refused as the CLI's --rmax is, before any work
+    with pytest.raises(InputError, match="radius must be finite and positive"):
+        build(radius)
+
+
 class TestMssCounterexample:
     def test_certified_run(self):
         fld, cert = build_mss_counterexample(1.0, 0.0, T=20.0)

@@ -10,7 +10,7 @@ from mpmath.libmp import from_man_exp, fzero, round_nearest
 import shrinker_lab as sl
 from shrinker_lab import InputError, TauParams, shooting
 from shrinker_lab.numerics import RhsEvaluationError
-from shrinker_lab.shooting import _radial_target, radial_quadratic_reference, shoot_radial
+from shrinker_lab.shooting import _step_rule, radial_quadratic_reference, shoot_radial
 from shrinker_lab.tau import cone_spec, f_range, f_value, f_value_mp
 
 from conftest import branch_params, same_bits
@@ -138,20 +138,25 @@ class TestEvents:
         # its samples past r = 5 as inversion failures: the event takes that
         # rejection's label and detail
         integrated = []
-        integrate_ode, radial_target = shooting.integrate_ode, shooting._radial_target
+        integrate_ode, step_rule = shooting.integrate_ode, shooting._step_rule
 
         def flagged(*args, **kwargs):
             traj = integrate_ode(*args, **kwargs)
             integrated.append(True)
             return traj
 
-        def walled(tp, n, r, u, up, upp0, f=None):
-            if integrated and r > 5:
-                raise RhsEvaluationError("inversion_failure", f"r = {r}")
-            return radial_target(tp, n, r, u, up, upp0, f)
+        def walled(tp, n, upp0, f=None):
+            rule = step_rule(tp, n, upp0, f)
+
+            def walled_rule(r, u, up):
+                if integrated and r > 5:
+                    raise RhsEvaluationError("inversion_failure", f"r = {r}")
+                return rule(r, u, up)
+
+            return walled_rule
 
         monkeypatch.setattr(shooting, "integrate_ode", flagged)
-        monkeypatch.setattr(shooting, "_radial_target", walled)
+        monkeypatch.setattr(shooting, "_step_rule", walled)
         tp = TauParams.monge_ampere()
         prof = shoot_radial(tp, 2, -2 * f_value(tp, 0.8), r_max=10.0)
         assert prof.event.kind == "inversion_failure" and round(prof.event.r, 12) == 5.025
@@ -161,14 +166,19 @@ class TestEvents:
     def test_taylor_path_checks_each_expansion_point(self, monkeypatch):
         # the step rule fails on mpf states past r = 2: the shot ends at the
         # first expansion point there, 1e-8 plus four steps of 0.5
-        radial_target = shooting._radial_target
+        step_rule = shooting._step_rule
 
-        def walled(tp, n, r, u, up, upp0, f=None):
-            if f is f_value_mp and r > 2:
-                raise RhsEvaluationError("inversion_failure", f"r = {r}")
-            return radial_target(tp, n, r, u, up, upp0, f)
+        def walled(tp, n, upp0, f=None):
+            rule = step_rule(tp, n, upp0, f)
 
-        monkeypatch.setattr(shooting, "_radial_target", walled)
+            def walled_rule(r, u, up):
+                if f is f_value_mp and r > 2:
+                    raise RhsEvaluationError("inversion_failure", f"r = {r}")
+                return rule(r, u, up)
+
+            return walled_rule
+
+        monkeypatch.setattr(shooting, "_step_rule", walled)
         tp = TauParams.special_lagrangian()
         prof = shoot_radial(tp, 2, -2 * f_value(tp, 1.0), r_max=10.0, dps=30)
         assert prof.event.kind == "inversion_failure" and prof.event.r == 2.00000001
@@ -178,6 +188,14 @@ class TestEvents:
         # HARM upper component has range (-inf, 0): -u0/n must be negative
         with pytest.raises(InputError, match="outside attainable range"):
             shoot_radial(TauParams.harmonic(), 2, -1.0, r_max=5.0)
+
+    @pytest.mark.parametrize("dps", [None, 20])
+    @pytest.mark.parametrize("r_max", [-3.0, 0.0, math.nan, math.inf])
+    def test_radius_not_finite_and_positive(self, r_max, dps):
+        # refused as the CLI's --rmax is, on the float and the Taylor path
+        tp = TauParams.special_lagrangian()
+        with pytest.raises(InputError, match="r_max must be finite and positive"):
+            shoot_radial(tp, 2, -2 * f_value(tp, 1.0), r_max=r_max, dps=dps)
 
 
 class TestProfileStructure:
@@ -213,14 +231,19 @@ EVENT_CURVATURES = {"MA": 0.8, "LOG": 0.3, "HARM": 0.0, "ATAN": 0.0, "SLAG": 1.0
 
 
 def test_float_shot_reads_f_value_at_call_time(monkeypatch, all_branches):
-    # a wrapper over shooting.f_value, as a tracer installs one, sees the
-    # step rule's f in every right-hand-side call of a float shot
-    calls = {"rhs": 0, "f": 0, "inside": False}
-    f_value_, integrate_ode = shooting.f_value, shooting.integrate_ode
+    # wrappers over shooting.f_value and shooting.f_inverse, as a tracer
+    # installs them, see the step rule's f and the inverse once in every
+    # right-hand-side call of a float shot
+    calls = {"rhs": 0, "f": 0, "f_inverse": 0, "inside": False}
+    f_value_, f_inverse_, integrate_ode = shooting.f_value, shooting.f_inverse, shooting.integrate_ode
 
     def counted_f(*args):
         calls["f"] += calls["inside"]
         return f_value_(*args)
+
+    def counted_f_inverse(*args):
+        calls["f_inverse"] += calls["inside"]
+        return f_inverse_(*args)
 
     def counting_integrate(rhs, *args, **kwargs):
         def counted_rhs(r, y):
@@ -234,11 +257,12 @@ def test_float_shot_reads_f_value_at_call_time(monkeypatch, all_branches):
         return integrate_ode(counted_rhs, *args, **kwargs)
 
     monkeypatch.setattr(shooting, "f_value", counted_f)
+    monkeypatch.setattr(shooting, "f_inverse", counted_f_inverse)
     monkeypatch.setattr(shooting, "integrate_ode", counting_integrate)
     tp = all_branches["MA"]
     prof = shoot_radial(tp, 2, -2 * f_value(tp, EVENT_CURVATURES["MA"]) + 0.05, r_max=10.0)
     assert prof.event.completed
-    assert calls["rhs"] > 100 and calls["f"] == calls["rhs"]
+    assert calls["rhs"] > 100 and calls["f"] == calls["f_inverse"] == calls["rhs"]
 
 
 class TestFloatSampler:
@@ -280,7 +304,7 @@ def _outside(spec):
 
 
 class TestStepRule:
-    """``_radial_target`` is the one check of a shot's state on both paths."""
+    """The rule ``_step_rule`` builds is the one check of a shot's state on both paths."""
 
     @pytest.mark.parametrize("name", sorted(RULE_BRANCHES))
     @pytest.mark.parametrize("precision", ["float", "mp"])
@@ -290,11 +314,11 @@ class TestStepRule:
         for s in _outside(spec):
             # r = 1 is past the series start, so s = u'/r = u'
             if precision == "float":
-                args, f = (1.0, 0.0, s, _inside(spec)), f_value
+                args, upp0, f = (1.0, 0.0, s), _inside(spec), f_value
             else:
-                args, f = (mp.mpf(1), mp.mpf(0), mp.mpf(s), mp.mpf(_inside(spec))), f_value_mp
+                args, upp0, f = (mp.mpf(1), mp.mpf(0), mp.mpf(s)), mp.mpf(_inside(spec)), f_value_mp
             with mp.workdps(30), pytest.raises(sl.DomainError) as exc:
-                _radial_target(tp, 2, *args, f=f)
+                _step_rule(tp, 2, upp0, f=f)(*args)
             assert isinstance(exc.value, RhsEvaluationError)
             assert exc.value.label == "cone_exit"
 
@@ -304,13 +328,14 @@ class TestStepRule:
         upp0 = _inside(cone_spec(tp))
         lo, hi = f_range(tp)
         targets = [lo, hi] + [end + step for end, step in ((lo, -1e-3), (hi, 1e-3)) if math.isfinite(end)]
+        rule = _step_rule(tp, 1, upp0)
         for y in targets:
             # n = 1 and r = 0: the target is -u exactly
             with pytest.raises(sl.DomainError) as exc:
-                _radial_target(tp, 1, 0.0, -y, 0.0, upp0)
+                rule(0.0, -y, 0.0)
             assert isinstance(exc.value, RhsEvaluationError)
             assert exc.value.label == "inversion_failure"
-        assert _radial_target(tp, 1, 0.0, -f_value(tp, upp0), 0.0, upp0) == f_value(tp, upp0)
+        assert rule(0.0, -f_value(tp, upp0), 0.0) == f_value(tp, upp0)
 
     def test_f_range_per_component(self):
         c = RULE_BRANCHES["ATAN"].sqrt_a2p1 / RULE_BRANCHES["ATAN"].b

@@ -25,6 +25,7 @@ from shrinker_lab import (
 from shrinker_lab import jets
 from shrinker_lab.fields import QuadraticField, ScalarField
 from shrinker_lab.tau import (
+    _eigenvalue,
     _first_outside,
     f_inverse_jet,
     f_inverse_mp,
@@ -262,6 +263,160 @@ class TestCachedForms:
             y = f_value(tp, 0.5)
             back = pickle.loads(pickle.dumps(tp))
             assert back == tp and same_bits(f_inverse(back, y), f_inverse(tp, y))
+
+
+# f_value and f_inverse as they read before their guards were bound once per
+# TauParams, kept verbatim as the references of TestBoundGuards
+
+
+def _reference_f_value(tp, lam):
+    """The single-eigenvalue summand of the operator."""
+    return tp.f_form(_eigenvalue(tp, lam))
+
+
+def _reference_f_inverse(tp, y):
+    """Unique admissible lam with f(lam) = y on the selected cone component.
+
+    A closed-form seed exists on every branch; a short guarded Newton polish
+    enforces |f(lam) - y| <= 1e-12 * (1 + |y|).
+    """
+    y = float(y)
+    spec = tp.components[0]
+    if not (spec.f_lo < y < spec.f_hi):
+        raise InputError(f"target {y} outside attainable range ({spec.f_lo}, {spec.f_hi})")
+    try:
+        lam = tp.f_inverse_form(y)
+    except (OverflowError, ZeroDivisionError):
+        # MA's exp(2y) past double range, or LOG's tanh(b y / root) underflowing
+        # to 0 at a denormal y: the preimage is the component's infinite end
+        return spec.hi if spec.hi == math.inf else spec.lo
+    # clamp into the open component: for extreme targets the closed form can
+    # round onto (or past) a cone endpoint, where the nearest interior double
+    # is the correctly rounded preimage
+    if math.isfinite(spec.lo):
+        lam = max(lam, math.nextafter(spec.lo, math.inf))
+    if math.isfinite(spec.hi):
+        lam = min(lam, math.nextafter(spec.hi, -math.inf))
+    if not math.isfinite(lam):
+        return lam
+    # short guarded Newton polish
+    tol, f = 1e-12 * (1.0 + abs(y)), tp.f_form
+    for _ in range(4):
+        r = f(_eigenvalue(tp, lam)) - y
+        if not math.isfinite(r) or abs(r) <= tol:
+            break
+        step = r / f_derivative(tp, lam)
+        if not math.isfinite(step):
+            break
+        cand = lam - step
+        while not spec.contains(cand):
+            step *= 0.5
+            cand = lam - step
+            if abs(step) < 1e-300:
+                break
+        lam = cand
+    return lam
+
+
+def _outcomes(fn, tp, xs):
+    """fn(tp, x) for each x: the values (NaN where it raised) and, in order,
+    the type and message of each error."""
+    values, errors = [], []
+    for x in xs:
+        try:
+            values.append(fn(tp, x))
+        except (InputError, DomainError) as exc:
+            values.append(math.nan)
+            errors.append((type(exc), str(exc)))
+    return values, errors
+
+
+def _near_ends(lo, hi):
+    """Points within 1e-12 (1 + |end|) of each finite end of (lo, hi), on both
+    sides: the end, its neighbouring doubles and offsets of 1e-16 to 1e-12."""
+    out = []
+    for end in (lo, hi):
+        if math.isfinite(end):
+            out += [end, math.nextafter(end, math.inf), math.nextafter(end, -math.inf)]
+            out += [end + sign * d * (1 + abs(end)) for d in (1e-16, 1e-15, 1e-14, 1e-13, 3e-13, 1e-12)
+                    for sign in (-1.0, 1.0)]
+    return out
+
+
+def _spanning(rng, lo, hi, count, decades):
+    """``count`` points spanning (lo, hi): uniform on a finite interval, and on
+    an infinite side offsets from the finite end (or 0) of log-uniform
+    magnitude 10^decades[0] to 10^decades[1]."""
+    if math.isfinite(lo) and math.isfinite(hi):
+        return rng.uniform(lo, hi, count).tolist()
+    mags = 10.0 ** rng.uniform(*decades, count)
+    if math.isfinite(lo):
+        return (lo + mags).tolist()
+    if math.isfinite(hi):
+        return (hi - mags).tolist()
+    return (mags * rng.choice([-1.0, 1.0], count)).tolist()
+
+
+class TestBoundGuards:
+    """f_value and f_inverse, their guards bound once per TauParams, equal the
+    reference copies above bit for bit, errors and their messages included."""
+
+    NAMES = list(with_lower_cones())
+
+    def _check(self, tp, lams=(), targets=()):
+        for new, ref, xs in ((f_value, _reference_f_value, lams), (f_inverse, _reference_f_inverse, targets)):
+            (got, got_err), (want, want_err) = _outcomes(new, tp, xs), _outcomes(ref, tp, xs)
+            assert same_bits(got, want) and got_err == want_err
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_targets_and_eigenvalues_spanning_each_range(self, name, rng):
+        tp = with_lower_cones()[name]
+        spec = tp.components[0]
+        targets = _spanning(rng, spec.f_lo, spec.f_hi, 10_000, (-320, 3))
+        lams = [lam for lam in map(lambda y: _reference_f_inverse(tp, y), targets) if math.isfinite(lam)]
+        self._check(tp, lams + _spanning(rng, spec.lo, spec.hi, 2_000, (-12, 300)), targets)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_within_1e12_of_every_finite_end(self, name):
+        tp = with_lower_cones()[name]
+        lams, targets = [], []
+        for spec in tp.components:
+            lams += _near_ends(spec.lo, spec.hi)
+            targets += _near_ends(spec.f_lo, spec.f_hi)
+        self._check(tp, lams, targets)
+
+    def test_ma_overflow_and_log_denormal_targets(self):
+        ma, tps = TauParams.monge_ampere(), with_lower_cones()
+        self._check(ma, targets=[354.0, 354.9, 355.0, 400.0, 1e300])
+        assert f_inverse(ma, 355.0) == math.inf
+        for name, y in (("LOG", -5e-324), ("LOG", -1e-320), ("LOG-lower", 5e-324), ("LOG-lower", 1e-320)):
+            self._check(tps[name], targets=[y])
+            assert math.isinf(f_inverse(tps[name], y))
+
+    @pytest.mark.parametrize("name", ["LOG", "LOG-lower", "HARM", "HARM-lower"])
+    def test_eigenvalue_in_the_other_component(self, name, rng):
+        tp = with_lower_cones()[name]
+        other = tp.components[1]
+        lams = _spanning(rng, other.lo, other.hi, 1_000, (-12, 300))
+        assert all(math.isfinite(f_value(tp, lam)) for lam in lams)
+        self._check(tp, lams)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_non_finite_and_out_of_range(self, name):
+        tp = with_lower_cones()[name]
+        spec = tp.components[0]
+        non_finite = [math.nan, math.inf, -math.inf]
+        lams = non_finite + [end + step for end, step in ((spec.lo, -1.0), (spec.hi, 1.0)) if math.isfinite(end)]
+        targets = non_finite + [end + step for end, step in ((spec.f_lo, -1.0), (spec.f_hi, 1.0))
+                                if math.isfinite(end)]
+        self._check(tp, lams, targets)
+        for lam in non_finite:
+            with pytest.raises(DomainError, match="admissibility"):
+                f_value(tp, lam)
+        for y in targets:
+            if not spec.f_lo < y < spec.f_hi:
+                with pytest.raises(InputError, match="outside attainable range"):
+                    f_inverse(tp, y)
 
 
 class TestNonFiniteEigenvalues:
