@@ -15,7 +15,9 @@ Hermite from each knot's state, its derivative and the derivative's time
 derivative taken from the ODE, so it has the integrator's order.  A profile's
 clouds and CSV tables read the trajectory once, through the step integral's
 cached ``read``, which holds F, F' and the state at each time; the stable
-residual and single times read the phase through ``PhaseTrajectory``.
+residual and single times read the phase through ``PhaseTrajectory``.  Both
+profiles' tables, (x, the trajectory's state, f, f', f''), come from one
+reader, ``_table``, and both certificates from one rule, ``Certificate.of``.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .fields import ScalarField, SeparableExtensionField, StepIntegralField
-from .numerics import ABS_PER_REL_TOL, READ_SLACK, ConstructionError, DomainError, InputError, Trajectory
-from .numerics import integrate_ode
+from .numerics import ABS_PER_REL_TOL, MAX_GRID_POINTS, READ_SLACK, ConstructionError, DomainError, InputError
+from .numerics import Trajectory, integrate_ode
 from .numerics import cumulative_simpson  # noqa: F401  unused; perfbench/tracing.py wraps it by this name
 from .tau import Branch, minkowski_residual, phase, shrinker_residual
 from .transforms import normalize_counterexample_branch, _neg_constants
@@ -44,7 +46,6 @@ __all__ = [
 ]
 
 
-MAX_GRID_POINTS = 10**6
 RESIDUAL_TARGET = 1e-6  # the residual sup each construction certifies against
 # The construction ODEs run at ODE_TOL_PER_TOL times the construction's
 # tolerance; with dense output of the integrator's order the certified residual
@@ -103,7 +104,6 @@ class PhaseTrajectory:
     a0: float
     a1: float
     span: float
-    rel_tol: float
     abs_tol: float
     dense: Trajectory          # (phi, phi'), both legs joined, ascending
     bound: float
@@ -165,17 +165,7 @@ def solve_phase_ode(a0, a1, T, rel_tol=1e-10):
     slack = 10.0 * (rel_tol * bound + abs_tol)
     monotone = bool(np.all(np.diff(right) >= -slack))
     positive = bool(np.all(dense.ys[:, 1] > 0.0))
-    traj = PhaseTrajectory(
-        a0=a0,
-        a1=a1,
-        span=T,
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-        dense=dense,
-        bound=bound,
-        monotone_on_right=monotone,
-        positive_slope=positive,
-    )
+    traj = PhaseTrajectory(a0, a1, T, abs_tol, dense, bound, monotone, positive)
     dphi_T = traj.phi_pair(T)[1]
     if dphi_T > bound * (1.0 + 1e-9) + slack:
         raise ConstructionError("phase_ode", f"phi'(T) = {dphi_T} exceeds the a-priori bound {bound}")
@@ -237,7 +227,10 @@ def profile_span(tp, radius, T):
 def profile_grid(span, step):
     """-span + k step for k = 0, 1, ... up to span, past it by at most the
     slack of ``numerics.read_span``: the CSV rows of a profile on [-span, span].
-    More than MAX_GRID_POINTS points are refused before any is formed."""
+    A step that is not finite and positive, or more than MAX_GRID_POINTS
+    points, is refused before any point is formed."""
+    if not 0.0 < step < math.inf:  # NaN fails too
+        raise InputError(f"grid step must be finite and positive, got {step}")
     if not 2 * span / step + 1 <= MAX_GRID_POINTS:  # NaN and inf fail too
         raise InputError(f"grid step {step} puts more than {MAX_GRID_POINTS} points on [-{span}, {span}]")
     xs = np.arange(-span, span + step / 2, step)
@@ -261,11 +254,17 @@ class W1Profile:
         return float(sig * (1.0 - sig) * dp)
 
     def rows(self, xs):
-        """Trajectory table (t, phi, phi', w1, w1', w1''), shape (m, 6), at an
-        array of times, all read from one ``field.read`` of the cloud."""
-        x = np.asarray(xs, dtype=float)[:, None]  # the times as an (m, 1) cloud
-        fld = self.field
-        return np.column_stack([x, fld.read(x)[2:].T, fld.value(x), fld.gradient(x), fld.hessian(x)[:, 0]])
+        """Trajectory table (t, phi, phi', w1, w1', w1'') at an array of times."""
+        return _table(self.field, self.field, xs)
+
+
+def _table(integral, fld, xs):
+    """The profile table of both constructions, (x, the trajectory's state,
+    f, f', f''), shape (m, 6), at an array of points: ``fld`` is read on the
+    points as one (m, 1) cloud, all through one cached ``read`` of
+    ``integral``, the step integral under it."""
+    x = np.asarray(xs, dtype=float)[:, None]
+    return np.column_stack([x, integral.read(x)[2:].T, fld.value(x), fld.gradient(x), fld.hessian(x)[:, 0]])
 
 
 def assemble_w1(traj, span=None):
@@ -289,7 +288,17 @@ def assemble_w1(traj, span=None):
 
 @dataclass
 class Certificate:
-    """Machine-checkable record attached to a constructed solution."""
+    """Machine-checkable record attached to a constructed solution.
+
+    Both constructions make theirs with ``Certificate.of``, which decides
+    once: ``residual_sup`` is max |r| over the samples, a NaN residual being
+    the sup; ``cross_checks["worst_sample"]`` the first sample attaining it
+    (so the first NaN), as its ``tolist()`` (a list on an n-D cloud, a float
+    on a line), or None when the sup is 0; ``witness["nonzero"]`` is
+    |witness["value"]| > 1e-12, the value computed, not a closed form; and
+    ``passed`` needs the sup at most RESIDUAL_TARGET, ``cone_ok``, a nonzero
+    witness and every build-specific check.
+    """
 
     equation: str
     residual_sup: float
@@ -303,6 +312,19 @@ class Certificate:
     cross_checks: dict
     config: dict
     passed: bool
+
+    @classmethod
+    def of(cls, samples, residuals, *, equation, radius, cone_ok, cone_margin, witness, bounds,
+           cross_checks, config, checks=()):
+        """The certificate of ``residuals[i]`` at ``samples[i]``; the build gives
+        the rest, and in ``checks`` its own conditions (bools) for ``passed``."""
+        size = np.abs(residuals)
+        sup = float(np.max(size, initial=0.0))  # a NaN residual propagates
+        worst = np.asarray(samples)[np.argmax(size)].tolist() if sup != 0.0 else None
+        witness = {**witness, "nonzero": bool(abs(witness["value"]) > 1e-12)}
+        passed = sup <= RESIDUAL_TARGET and cone_ok and witness["nonzero"] and all(checks)
+        return cls(equation, sup, RESIDUAL_TARGET, len(samples), float(radius), bool(cone_ok), float(cone_margin),
+                   witness, bounds, {**cross_checks, "worst_sample": worst}, config, bool(passed))
 
     def to_dict(self):
         return asdict(self)
@@ -356,6 +378,8 @@ def build_counterexample(
     n = int(n)
     if n < 1:
         raise InputError(f"dimension must be >= 1, got {n}")
+    if not seed >= 0:
+        raise InputError(f"seed must be at least 0, got {seed}")
     a, b, k, c2 = _neg_constants(tp)
     traj = solve_phase_ode(a0, a1, max(T, span_needed), rel_tol=rel_tol)
 
@@ -371,8 +395,6 @@ def build_counterexample(
 
     phis = traj.phi_array(pts[:, 0] / c2)[:, 0]
     stables = (1.0 / k) * phis - phase(ufield, pts)
-    sup = float(np.max(np.abs(stables)))  # a NaN residual propagates
-    sup_at = pts[np.argmax(np.abs(stables))] if sup != 0.0 else None  # the first worst, or the first NaN
     cone_margin = _neg_cone_margin(b, float(phis.min()), float(phis.max()), n)
     # sigmoid(phi) lies in (0, 1) for every finite phi, though the margin
     # underflows to 0 once |phi| passes about 745
@@ -389,17 +411,14 @@ def build_counterexample(
         cross_sup = float(np.max(np.abs(generic), initial=0.0))
         agree_sup = float(np.max(np.abs(generic - stables[is_inner]), initial=0.0))
 
-    sig0 = float(sigmoid(traj.phi_pair(0.0)[0]))
     witness_val = prof.third_derivative(0.0)
-    witness_expected = a1 * math.exp(a0) / (1.0 + math.exp(a0)) ** 2
     witness = {
         "name": "w1_third_derivative_at_0",
         "location": 0.0,
         "value": witness_val,
-        "expected": witness_expected,
+        "expected": a1 * math.exp(a0) / (1.0 + math.exp(a0)) ** 2,
         "mapped_to_solution": witness_val / (k * c2**3),
-        "curvature_at_0": sig0,
-        "nonzero": abs(witness_val) > 1e-12,
+        "curvature_at_0": float(sigmoid(traj.phi_pair(0.0)[0])),
     }
 
     bound_slack = 100.0 * (rel_tol * traj.bound + traj.abs_tol)
@@ -418,43 +437,15 @@ def build_counterexample(
         "generic_route_inner_sup": cross_sup,
         "route_agreement_inner_sup": agree_sup,
         "inner_sample_count": int(len(inner)),
-        "worst_sample": list(map(float, sup_at)) if sup_at is not None else None,
     }
-    config = {
-        "a": a,
-        "b": b,
-        "tau": tp.tau,
-        "a0": float(a0),
-        "a1": float(a1),
-        "n": n,
-        "T": float(T),
-        "rel_tol": float(rel_tol),
-        "abs_tol": traj.abs_tol,
-        "radius": float(radius),
-        "samples": int(samples),
-        "seed": int(seed),
-    }
-    passed = (
-        sup <= RESIDUAL_TARGET
-        and cone_ok
-        and witness["nonzero"]
-        and bounds["phi_prime_within_ceiling"]
+    config = {"a": a, "b": b, "tau": tp.tau, "a0": float(a0), "a1": float(a1), "n": n, "T": float(T),
+              "rel_tol": float(rel_tol), "abs_tol": traj.abs_tol, "radius": float(radius),
+              "samples": int(samples), "seed": int(seed)}
+    return ufield, prof, Certificate.of(
+        pts, stables, equation="bounded-cone self-shrinker potential equation", radius=radius,
+        cone_ok=cone_ok, cone_margin=cone_margin, witness=witness, bounds=bounds,
+        cross_checks=cross_checks, config=config, checks=[bounds["phi_prime_within_ceiling"]],
     )
-    cert = Certificate(
-        equation="bounded-cone self-shrinker potential equation",
-        residual_sup=float(sup),
-        residual_target=RESIDUAL_TARGET,
-        sample_count=int(len(pts)),
-        sample_radius=float(radius),
-        cone_ok=cone_ok,
-        cone_margin=float(cone_margin),
-        witness=witness,
-        bounds=bounds,
-        cross_checks=cross_checks,
-        config=config,
-        passed=bool(passed),
-    )
-    return ufield, prof, cert
 
 
 class MinkowskiProfile(ScalarField):
@@ -477,11 +468,8 @@ class MinkowskiProfile(ScalarField):
         self.span = integral.span    # the half-span of the trajectory and of f
 
     def rows(self, xs):
-        """Profile table (x, s, phi, f, f', f''), shape (m, 6), at an array of
-        points, all read from one ``read`` of the cloud."""
-        x = np.asarray(xs, dtype=float)[:, None]  # the points as an (m, 1) cloud
-        return np.column_stack([x, self._integral.read(x)[2:].T, self.value(x), self.gradient(x),
-                                self.hessian(x)[:, 0]])
+        """Profile table (x, s, phi, f, f', f'') at an array of points."""
+        return _table(self._integral, self, xs)
 
     def _value(self, x):
         return self._integral.read(x)[1]
@@ -547,8 +535,8 @@ def build_mss_counterexample(
     The certificate checks the equation residual (via the independent
     residual operator, on the sample cloud in one call), strict spacelikeness
     (|f'| = |tanh s| < 1 wherever s is finite, with margin 1 - sup|f'| taken
-    from the largest |s|), and the nonlinearity witness
-    f''(0) = sech^2(s0) phi0 != 0.
+    from the largest |s|), and the nonlinearity witness f''(0) != 0, read
+    from the profile and recorded beside its closed form sech^2(s0) phi0.
     """
     phi0, s0, T = float(phi0), float(s0), float(T)
     if phi0 == 0.0:
@@ -563,19 +551,15 @@ def build_mss_counterexample(
     fld = MinkowskiProfile(integral)
 
     xs = np.linspace(-radius, radius, int(samples))
-    residuals = np.abs(minkowski_residual(fld, xs[:, None]))
-    sup = float(np.max(residuals, initial=0.0))  # a NaN residual propagates
-    sup_at = float(xs[np.argmax(residuals)]) if sup > 0.0 else 0.0
+    residuals = minkowski_residual(fld, xs[:, None])
     cloud_s = integral.read(xs[:, None])[2]  # the residual's own read of the cloud
     max_abs_s = float(np.max(np.abs(cloud_s), initial=0.0))
 
-    witness_val = _sech2(s0) * phi0
     witness = {
         "name": "f_second_derivative_at_0",
         "location": 0.0,
         "value": float(fld.hessian([0.0])[0, 0]),
-        "expected": witness_val,
-        "nonzero": abs(witness_val) > 1e-12,
+        "expected": _sech2(s0) * phi0,
     }
     bounds = {
         "sup_abs_slope": math.tanh(max_abs_s),  # max|f'| = max|tanh s|: tanh is odd and increasing
@@ -585,28 +569,10 @@ def build_mss_counterexample(
         "slope_at_0": float(fld.gradient([0.0])[0]),
         "slope_at_0_expected": math.tanh(s0),
     }
-    config = {
-        "phi0": phi0,
-        "s0": s0,
-        "T": T,
-        "rel_tol": float(rel_tol),
-        "abs_tol": rel_tol * ABS_PER_REL_TOL,
-        "radius": float(radius),
-        "samples": int(samples),
-    }
-    passed = sup <= RESIDUAL_TARGET and bounds["spacelike"] and witness["nonzero"]
-    cert = Certificate(
-        equation="spacelike graph self-shrinker equation",
-        residual_sup=float(sup),
-        residual_target=RESIDUAL_TARGET,
-        sample_count=int(len(xs)),
-        sample_radius=float(radius),
-        cone_ok=bounds["spacelike"],
-        cone_margin=_spacelike_margin(max_abs_s),
-        witness=witness,
-        bounds=bounds,
-        cross_checks={"worst_sample": sup_at},
-        config=config,
-        passed=bool(passed),
+    config = {"phi0": phi0, "s0": s0, "T": T, "rel_tol": float(rel_tol), "abs_tol": rel_tol * ABS_PER_REL_TOL,
+              "radius": float(radius), "samples": int(samples)}
+    return fld, Certificate.of(
+        xs, residuals, equation="spacelike graph self-shrinker equation", radius=radius,
+        cone_ok=bounds["spacelike"], cone_margin=_spacelike_margin(max_abs_s), witness=witness,
+        bounds=bounds, cross_checks={}, config=config,
     )
-    return fld, cert

@@ -28,6 +28,7 @@ __all__ = [
     "fd_hessian",
     "invert_monotone",
     "cumulative_simpson",
+    "MAX_GRID_POINTS",
     "READ_SLACK",
     "read_span",
     "as_cloud",
@@ -296,6 +297,9 @@ def hermite_quintic_value(t, t0, t1, y0, y1, d0, d1, s0, s1):
 # by 3.0e-13 relative at 4,001 rows and 3.7e-13 at 23,801, more with more rows
 READ_SLACK = 1e-9
 
+# the most points a grid of a profile table or a Legendre check may hold
+MAX_GRID_POINTS = 10**6
+
 
 def read_span(t, lo, hi):
     """Times t (an array or a float) on [lo, hi], the one rule for reads at or
@@ -461,7 +465,8 @@ def integrate_ode(rhs, y0, t_span, rel_tol=1e-10):
         Integration span; t1 < t0 integrates backwards.
     rel_tol : float
         Per-step local error control (RMS-weighted), mixed with the absolute
-        tolerance rel_tol * ABS_PER_REL_TOL.
+        tolerance rel_tol * ABS_PER_REL_TOL; both must be finite and positive
+        (an InputError otherwise).
 
     Returns
     -------
@@ -472,8 +477,8 @@ def integrate_ode(rhs, y0, t_span, rel_tol=1e-10):
         then stays there).
     """
     abs_tol = rel_tol * ABS_PER_REL_TOL
-    if not (rel_tol > 0 and abs_tol > 0):
-        raise InputError(f"tolerances must be positive: rel_tol {rel_tol}, abs_tol {abs_tol}")
+    if not (0.0 < rel_tol < math.inf and abs_tol > 0):  # NaN fails too
+        raise InputError(f"tolerances must be finite and positive: rel_tol {rel_tol}, abs_tol {abs_tol}")
     t0, t1 = float(t_span[0]), float(t_span[1])
     y_arr = np.atleast_1d(np.asarray(y0, dtype=float))
     if y_arr.ndim != 1:

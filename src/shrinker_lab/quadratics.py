@@ -64,7 +64,10 @@ def verify_quadratic(sol, points):
     return float(sup) if sup.ndim == 0 else sup
 
 
-def _eigenvalue_window(tp, margin, spread):
+def _eigenvalue_window(tp):
+    """Where sampled spectra lie: the selected cone component less a margin
+    at each finite end (0.15 of a bounded one's width), 4 wide on an unbounded one."""
+    margin, spread = 0.15, 4.0
     spec = cone_spec(tp)
     lo_finite, hi_finite = math.isfinite(spec.lo), math.isfinite(spec.hi)
     if lo_finite and hi_finite:
@@ -77,11 +80,11 @@ def _eigenvalue_window(tp, margin, spread):
     return -spread / 2.0, spread / 2.0
 
 
-def admissible_draw(tp, n, rng, margin=0.15, spread=4.0):
+def admissible_draw(tp, n, rng):
     """What one admissible matrix draws from ``rng``, in order: its spectrum,
     uniform inside the selected cone component with a safety margin (keeps f'
     moderate for tight residual targets), then a Gaussian (n, n) sample."""
-    lo, hi = _eigenvalue_window(tp, margin, spread)
+    lo, hi = _eigenvalue_window(tp)
     return rng.uniform(lo, hi, size=n), rng.standard_normal((n, n))
 
 
@@ -96,7 +99,7 @@ def admissible_matrix(spectrum, gaussian):
     return 0.5 * (A + A.swapaxes(-1, -2))
 
 
-def random_admissible_matrix(tp, n, rng, margin=0.15, spread=4.0):
+def random_admissible_matrix(tp, n, rng):
     """``admissible_matrix`` of one ``admissible_draw``: the sweeps draw
     first, then build a stack of these."""
-    return admissible_matrix(*admissible_draw(tp, n, rng, margin, spread))
+    return admissible_matrix(*admissible_draw(tp, n, rng))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import AffineScaledField, Table1DField
-from .numerics import DomainError, InputError, eig_sym, row_dot
+from .numerics import MAX_GRID_POINTS, DomainError, InputError, eig_sym, row_dot
 from .tau import Branch, phase, operator_value
 
 __all__ = [
@@ -103,9 +103,10 @@ class DualEquationCheck:
 def legendre_dual_residual(w_field, t0, t1, grid_step=1e-2):
     """Check the dual of a 1-D solution of the reciprocal-sum equation.
 
-    One ``legendre_1d`` call on the nodes ``grid_step`` apart (a step that is
-    not finite and positive is an InputError) gives the dual and its
-    involution defect.  The dual must satisfy  sqrt(2) w*'' = <y, Dw*>/2 - w*;
+    One ``legendre_1d`` call on the nodes ``grid_step`` apart gives the dual
+    and its involution defect; an interval that is not finite, a step that is
+    not finite and positive, or more than MAX_GRID_POINTS nodes is an
+    InputError, before any node is formed.  The dual must satisfy  sqrt(2) w*'' = <y, Dw*>/2 - w*;
     its Hessian must be the reciprocal of the primal one (checked against
     (x_{i+1} - x_{i-1}) / (y_{i+1} - y_{i-1})); and its phase h must satisfy
     the drift equation  tr D^2 h = K <y, Dh>  with K = sqrt(2)/4.  The drift
@@ -114,9 +115,14 @@ def legendre_dual_residual(w_field, t0, t1, grid_step=1e-2):
     y + h, on the dual nodes past a margin of max(4, ceil(4e-3 / dy) + 2)
     nodes at either end; a grid that leaves none is an InputError.
     """
+    t0, t1 = float(t0), float(t1)
+    if not (math.isfinite(t0) and t0 < t1 < math.inf):  # NaN fails too
+        raise InputError(f"need a finite interval t0 < t1, got [{t0}, {t1}]")
     if not 0.0 < grid_step < math.inf:
         raise InputError(f"grid_step must be finite and positive, got {grid_step}")
-    num = int(round((float(t1) - float(t0)) / grid_step)) + 1
+    if not (t1 - t0) / grid_step + 1 <= MAX_GRID_POINTS:  # an overflowing width fails too
+        raise InputError(f"grid_step {grid_step} puts more than {MAX_GRID_POINTS} points on [{t0}, {t1}]")
+    num = int(round((t1 - t0) / grid_step)) + 1
     res = legendre_1d(w_field, t0, t1, num=num)
     ys, vals, xs, hess = res.y_grid, res.dual_values, res.inverse_map, res.dual_hessian
 

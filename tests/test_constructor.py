@@ -7,6 +7,7 @@ import pytest
 import shrinker_lab as sl
 from shrinker_lab import TauParams, constructor, jets
 from shrinker_lab.constructor import (
+    Certificate,
     _mss_rhs,
     _neg_cone_margin,
     _phase_rhs,
@@ -495,6 +496,61 @@ def test_radius_not_finite_and_positive(build, radius):
     # refused as the CLI's --rmax is, before any work
     with pytest.raises(InputError, match="radius must be finite and positive"):
         build(radius)
+
+
+def _certificate(samples, residuals, value=1.0, cone_ok=True, checks=()):
+    return Certificate.of(
+        np.array(samples), np.array(residuals), equation="synthetic", radius=2, cone_ok=cone_ok,
+        cone_margin=1, witness={"value": value}, bounds={}, cross_checks={"kept": 1}, config={}, checks=checks,
+    )
+
+
+class TestCertificateRules:
+    @pytest.mark.parametrize("samples, residuals, sup, worst, passed", [
+        ([-1.0, 0.0, 1.0], [0.0, -0.0, 0.0], 0.0, None, True),           # no residual: no worst sample
+        ([-1.0, 0.0, 1.0], [1e-9, math.nan, 2.0], math.nan, 0.0, False),  # a NaN is the sup
+        ([-1.0, 0.0, 1.0], [math.nan, 1e-9, math.nan], math.nan, -1.0, False),  # the first NaN
+        ([-1.0, 0.0, 1.0], [1e-7, -3e-7, 3e-7], 3e-7, 0.0, True),         # a tie: the first
+        ([-1.0, 0.0, 1.0], [0.0, 2e-6, 0.0], 2e-6, 0.0, False),           # above RESIDUAL_TARGET
+        ([[0.0, 1.0], [2.0, 3.0]], [1e-8, -2e-8], 2e-8, [2.0, 3.0], True),  # a row of an n-D cloud
+    ], ids=["zeros", "nan", "first-nan", "tie", "above-target", "n-d"])
+    def test_sup_worst_sample_and_verdict(self, samples, residuals, sup, worst, passed):
+        cert = _certificate(samples, residuals)
+        assert same_bits(cert.residual_sup, sup)
+        assert cert.cross_checks == {"kept": 1, "worst_sample": worst}
+        assert type(cert.cross_checks["worst_sample"]) is type(worst)  # a list on a cloud, a float on a line
+        assert cert.passed is passed
+        assert (cert.sample_count, cert.sample_radius, cert.cone_margin) == (len(samples), 2.0, 1.0)
+        assert type(cert.sample_radius) is float and type(cert.cone_margin) is float
+        assert cert.residual_target == constructor.RESIDUAL_TARGET
+
+    @pytest.mark.parametrize("kwargs, nonzero", [
+        ({}, True),
+        ({"value": 0.0}, False),
+        ({"value": -1e-12}, False),
+        ({"value": math.nan}, False),
+        ({"cone_ok": False}, True),
+        ({"checks": [True, False]}, True),
+    ], ids=["passes", "zero-witness", "witness-at-threshold", "nan-witness", "outside-cone", "extra-check"])
+    def test_each_condition_decides(self, kwargs, nonzero):
+        cert = _certificate([-1.0, 1.0], [1e-9, 0.0], **kwargs)
+        assert cert.witness["nonzero"] is nonzero
+        assert cert.passed is (not kwargs)
+
+    def test_mss_zero_residuals_have_no_worst_sample(self, monkeypatch):
+        monkeypatch.setattr(constructor, "minkowski_residual", lambda fld, x: np.zeros(len(x)))
+        _, cert = build_mss_counterexample(1.2, 0.1, T=10.0, rel_tol=1e-8, radius=5.0, samples=11)
+        assert cert.residual_sup == 0.0 and cert.passed
+        assert cert.cross_checks["worst_sample"] is None
+
+    def test_mss_nan_residual_is_the_worst_sample(self, monkeypatch):
+        def nan_at_minus_2(fld, x):
+            return np.where(x[:, 0] == -2.0, math.nan, 0.0)
+
+        monkeypatch.setattr(constructor, "minkowski_residual", nan_at_minus_2)
+        _, cert = build_mss_counterexample(1.2, 0.1, T=10.0, rel_tol=1e-8, radius=5.0, samples=11)
+        assert math.isnan(cert.residual_sup) and not cert.passed
+        assert cert.cross_checks["worst_sample"] == -2.0
 
 
 class TestMssCounterexample:

@@ -25,7 +25,7 @@ DEFAULT_TOL = {"verify-quadratic": 1e-10, "flow-check": 1e-10, "defect": 1e-7}
 
 def frozen_admissible_matrix(tp, n, rng):
     """The per-matrix builder the stacked one replaced, kept as written."""
-    lo, hi = _eigenvalue_window(tp, 0.15, 4.0)
+    lo, hi = _eigenvalue_window(tp)
     lams = rng.uniform(lo, hi, size=n)
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     Q = q * np.sign(np.diag(r))

@@ -33,7 +33,7 @@ from shrinker_lab.tau import (
     f_value_mp,
     minkowski_residual,
 )
-from shrinker_lab.quadratics import _eigenvalue_window, random_admissible_matrix
+from shrinker_lab.quadratics import _eigenvalue_window, admissible_matrix, random_admissible_matrix
 from conftest import CallableField, branch_params, same_bits, with_lower_cones
 
 SQRT2 = math.sqrt(2.0)
@@ -427,7 +427,7 @@ class TestNonFiniteEigenvalues:
         for fn in (f_value, f_derivative):
             with pytest.raises(DomainError, match="admissibility"):
                 fn(tp, lam)
-        interior = sum(_eigenvalue_window(tp, 0.15, 4.0)) / 2
+        interior = sum(_eigenvalue_window(tp)) / 2
         for spectrum in ([lam], [interior, lam]):
             with pytest.raises(DomainError, match="cone component"):
                 operator_value(tp, spectrum)
@@ -438,7 +438,7 @@ class TestFloatAgainstHighPrecision:
     @pytest.mark.parametrize("name", list(with_lower_cones()))
     def test_f_and_inverse_match_closed_forms_at_50_digits(self, name, rng):
         tp = with_lower_cones()[name]
-        lo, hi = _eigenvalue_window(tp, 0.15, 4.0)
+        lo, hi = _eigenvalue_window(tp)
         with mp.workdps(50):
             for lam in rng.uniform(lo, hi, size=300):
                 y = f_value(tp, lam)
@@ -506,7 +506,7 @@ class TestOperator:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_stacked_spectra_equal_row_calls_bit_for_bit(self, name, n, rng):
         tp = with_lower_cones()[name]
-        spectra = rng.uniform(*_eigenvalue_window(tp, 0.15, 4.0), size=(30, n))
+        spectra = rng.uniform(*_eigenvalue_window(tp), size=(30, n))
         values = operator_value(tp, spectra)
         assert values.shape == (30,)
         assert same_bits(values, [operator_value(tp, row) for row in spectra])
@@ -514,7 +514,7 @@ class TestOperator:
     @pytest.mark.parametrize("name", list(with_lower_cones()))
     def test_one_inadmissible_row_rejects_the_stack(self, name, rng):
         tp = with_lower_cones()[name]
-        spectra = rng.uniform(*_eigenvalue_window(tp, 0.15, 4.0), size=(20, 3))
+        spectra = rng.uniform(*_eigenvalue_window(tp), size=(20, 3))
         spectra[13, 1] = math.nan  # in no component on any branch
         spectra[17, 0] = math.nan
         with pytest.raises(DomainError, match="cone component") as err:
@@ -546,7 +546,7 @@ class TestOperator:
         drawn, other = tp.components[0], tp.components[-1]  # the spectra are drawn in the first
         for k in range(40):
             n = 1 + k % 4
-            spectra = rng.uniform(*_eigenvalue_window(tp, 0.15, 4.0), size=(12, n))
+            spectra = rng.uniform(*_eigenvalue_window(tp), size=(12, n))
             for row in rng.choice(12, size=1 + k % 3, replace=False):
                 col = rng.integers(n)
                 if k % 4 == 0:
@@ -654,7 +654,7 @@ class TestResiduals:
 class TestGrowthRatio:
     def test_quadratic_identity(self, rng):
         tp = TauParams.special_lagrangian()
-        A = sl.random_admissible_matrix(tp, 3, rng, spread=2.0)
+        A = admissible_matrix(rng.uniform(-1.0, 1.0, size=3), rng.standard_normal((3, 3)))
         sol = sl.build_quadratic(tp, A)
         theta = rng.standard_normal(3)
         theta /= np.linalg.norm(theta)
