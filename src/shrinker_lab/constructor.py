@@ -228,7 +228,10 @@ def profile_grid(span, step):
     """-span + k step for k = 0, 1, ... up to span, past it by at most the
     slack of ``numerics.read_span``: the CSV rows of a profile on [-span, span].
     A step that is not finite and positive, or more than MAX_GRID_POINTS
-    points, is refused before any point is formed."""
+    points, is refused before any point is formed, as is a half-span that is
+    not finite and positive."""
+    if not 0.0 < span < math.inf:  # NaN fails too
+        raise InputError(f"half-span must be finite and positive, got {span}")
     if not 0.0 < step < math.inf:  # NaN fails too
         raise InputError(f"grid step must be finite and positive, got {step}")
     if not 2 * span / step + 1 <= MAX_GRID_POINTS:  # NaN and inf fail too
@@ -341,6 +344,15 @@ def _neg_cone_margin(b, phi_min, phi_max, n):
     return 2.0 * b * margin
 
 
+def _sample_count(samples):
+    """``samples`` as an int, refused unless it is an integer of at least 1:
+    on no samples a certificate passes without reading a residual, and a
+    fractional count would be rounded down without a word."""
+    if not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise InputError(f"samples must be an integer of at least 1, got {samples!r}")
+    return int(samples)
+
+
 def _ball_samples(rng, n, radius, count):
     pts = rng.standard_normal((count, n))
     pts /= np.maximum(np.linalg.norm(pts, axis=1, keepdims=True), 1e-300)
@@ -380,6 +392,7 @@ def build_counterexample(
         raise InputError(f"dimension must be >= 1, got {n}")
     if not seed >= 0:
         raise InputError(f"seed must be at least 0, got {seed}")
+    samples = _sample_count(samples)
     a, b, k, c2 = _neg_constants(tp)
     traj = solve_phase_ode(a0, a1, max(T, span_needed), rel_tol=rel_tol)
 
@@ -440,7 +453,7 @@ def build_counterexample(
     }
     config = {"a": a, "b": b, "tau": tp.tau, "a0": float(a0), "a1": float(a1), "n": n, "T": float(T),
               "rel_tol": float(rel_tol), "abs_tol": traj.abs_tol, "radius": float(radius),
-              "samples": int(samples), "seed": int(seed)}
+              "samples": samples, "seed": int(seed)}
     return ufield, prof, Certificate.of(
         pts, stables, equation="bounded-cone self-shrinker potential equation", radius=radius,
         cone_ok=cone_ok, cone_margin=cone_margin, witness=witness, bounds=bounds,
@@ -543,6 +556,7 @@ def build_mss_counterexample(
         raise InputError("phi(0) = 0 yields a linear profile: trivial solution")
     if not T > 0:
         raise InputError(f"need T > 0, got {T}")
+    samples = _sample_count(samples)
     span = profile_span(None, radius, T)
     _check_size(span, rel_tol)
 
@@ -550,7 +564,7 @@ def build_mss_counterexample(
     integral = StepIntegralField(dense, np.tanh, 0.0, -2.0 * phi0, span)
     fld = MinkowskiProfile(integral)
 
-    xs = np.linspace(-radius, radius, int(samples))
+    xs = np.linspace(-radius, radius, samples)
     residuals = minkowski_residual(fld, xs[:, None])
     cloud_s = integral.read(xs[:, None])[2]  # the residual's own read of the cloud
     max_abs_s = float(np.max(np.abs(cloud_s), initial=0.0))
@@ -570,7 +584,7 @@ def build_mss_counterexample(
         "slope_at_0_expected": math.tanh(s0),
     }
     config = {"phi0": phi0, "s0": s0, "T": T, "rel_tol": float(rel_tol), "abs_tol": rel_tol * ABS_PER_REL_TOL,
-              "radius": float(radius), "samples": int(samples)}
+              "radius": float(radius), "samples": samples}
     return fld, Certificate.of(
         xs, residuals, equation="spacelike graph self-shrinker equation", radius=radius,
         cone_ok=bounds["spacelike"], cone_margin=_spacelike_margin(max_abs_s), witness=witness,

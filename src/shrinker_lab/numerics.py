@@ -443,24 +443,23 @@ ABS_PER_REL_TOL = 1e-2
 
 
 def integrate_ode(rhs, y0, t_span, rel_tol=1e-10):
-    """Adaptive Dormand-Prince 5(4) with dense output.
+    """Adaptive Dormand-Prince 5(4) with dense output, on a pair of floats.
 
-    Each step runs on Python floats: the state, the stages and the error
-    estimate are float lists, and each stage sum is formed left to right over
-    its tableau row.  The right-hand side takes and returns such lists too, so
-    no stage builds an ndarray: on states of a few components numpy's
-    per-call overhead would cost more than the arithmetic.
+    Every caller integrates a two-component state, so each step runs on named
+    Python floats: the state, the seven stages and the error estimate, each
+    stage sum written out per component left to right over its tableau row.
+    No step builds an ndarray or loops over components: on a pair, numpy's
+    per-call overhead or a loop's would cost more than the arithmetic.
 
     Parameters
     ----------
     rhs : callable
-        ``rhs(t, y) -> dy/dt``, with y the state as a list of floats, which
-        rhs must not modify, and dy/dt a list of the same length (checked on
-        every call).  May raise :class:`RhsEvaluationError` to signal
+        ``rhs(t, y) -> dy/dt``, with y the state as a new list of two floats
+        and dy/dt a list of two floats (checked on every call).  May raise :class:`RhsEvaluationError` to signal
         that (t, y) left the domain; the step is then shrunk and, on underflow,
         the failure becomes a :class:`DivergenceEvent` on the trajectory.
     y0 : array_like
-        Initial state, one-dimensional.
+        Initial state, a pair of finite floats (an InputError otherwise).
     t_span : (t0, t1)
         Integration span; t1 < t0 integrates backwards.
     rel_tol : float
@@ -481,32 +480,29 @@ def integrate_ode(rhs, y0, t_span, rel_tol=1e-10):
         raise InputError(f"tolerances must be finite and positive: rel_tol {rel_tol}, abs_tol {abs_tol}")
     t0, t1 = float(t_span[0]), float(t_span[1])
     y_arr = np.atleast_1d(np.asarray(y0, dtype=float))
-    if y_arr.ndim != 1:
-        raise InputError(f"initial state must be one-dimensional, got shape {y_arr.shape}")
+    if y_arr.shape != (2,):
+        raise InputError(f"initial state must be a pair of floats, got shape {y_arr.shape}")
     if not np.isfinite(y_arr).all():
         raise InputError("non-finite initial state")
-    dim = len(y_arr)
+    isfinite = math.isfinite
 
-    def stage(ti, yi):
-        """rhs at a stage point; every result is checked."""
-        if not all(map(math.isfinite, yi)):
+    def stage(ti, u, v):
+        """rhs at the stage point (u, v); every result is checked."""
+        if not (isfinite(u) and isfinite(v)):
             raise _NonFiniteStage
-        k = rhs(ti, yi)
-        if not isinstance(k, list) or len(k) != dim:
-            raise InputError(f"rhs must return a list of the state's length {dim}, got {k!r}")
+        k = rhs(ti, [u, v])
+        if not isinstance(k, list) or len(k) != 2:
+            raise InputError(f"rhs must return a list of the state's length 2, got {k!r}")
         return k
 
-    y = y_arr.tolist()
-    f = stage(t0, y)
+    u, v = y_arr.tolist()
+    f = stage(t0, u, v)
+    p0, q0 = f
     direction = 1.0 if t1 >= t0 else -1.0
     span = abs(t1 - t0)
 
-    ts = [t0]
-    ys = [y]
-    fs = [f]
-    event = None
-    n_steps = 0
-    n_rejected = 0
+    ts, ys, fs = [t0], [(u, v)], [f]
+    event, n_steps, n_rejected = None, 0, 0
 
     if span == 0.0:
         return Trajectory(np.array(ts), np.array(ys), np.array(fs))
@@ -532,31 +528,33 @@ def integrate_ode(rhs, y0, t_span, rel_tol=1e-10):
         if h < floor:
             if abs(t1 - t) < floor:
                 break  # the summed steps rounded a few ulp short of t1: reached
-            event = DivergenceEvent("step_underflow", t, np.array(y), "step size underflow")
+            event = DivergenceEvent("step_underflow", t, np.array((u, v)), "step size underflow")
             break
         hd = h * direction
         try:
-            k0 = f
-            k1 = stage(t + c1 * hd, [yj + hd * (a10 * p) for yj, p in zip(y, k0)])
-            k2 = stage(t + c2 * hd, [yj + hd * (a20 * p + a21 * q) for yj, p, q in zip(y, k0, k1)])
-            k3 = stage(t + c3 * hd, [
-                yj + hd * (a30 * p + a31 * q + a32 * r) for yj, p, q, r in zip(y, k0, k1, k2)
-            ])
-            k4 = stage(t + c4 * hd, [
-                yj + hd * (a40 * p + a41 * q + a42 * r + a43 * u)
-                for yj, p, q, r, u in zip(y, k0, k1, k2, k3)
-            ])
-            k5 = stage(t + c5 * hd, [
-                yj + hd * (a50 * p + a51 * q + a52 * r + a53 * u + a54 * v)
-                for yj, p, q, r, u, v in zip(y, k0, k1, k2, k3, k4)
-            ])
+            # stage i is (p_i, q_i), the derivative of the state's (u, v)
+            p1, q1 = stage(t + c1 * hd, u + hd * (a10 * p0), v + hd * (a10 * q0))
+            p2, q2 = stage(t + c2 * hd, u + hd * (a20 * p0 + a21 * p1), v + hd * (a20 * q0 + a21 * q1))
+            p3, q3 = stage(
+                t + c3 * hd,
+                u + hd * (a30 * p0 + a31 * p1 + a32 * p2),
+                v + hd * (a30 * q0 + a31 * q1 + a32 * q2),
+            )
+            p4, q4 = stage(
+                t + c4 * hd,
+                u + hd * (a40 * p0 + a41 * p1 + a42 * p2 + a43 * p3),
+                v + hd * (a40 * q0 + a41 * q1 + a42 * q2 + a43 * q3),
+            )
+            p5, q5 = stage(
+                t + c5 * hd,
+                u + hd * (a50 * p0 + a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4),
+                v + hd * (a50 * q0 + a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4),
+            )
             # row 6 holds the fifth-order weights: the last stage point is the
             # new state, and its derivative the next step's first stage (FSAL)
-            y_new = [
-                yj + hd * (a60 * p + a61 * q + a62 * r + a63 * u + a64 * v + a65 * w)
-                for yj, p, q, r, u, v, w in zip(y, k0, k1, k2, k3, k4, k5)
-            ]
-            k6 = stage(t + c6 * hd, y_new)
+            un = u + hd * (a60 * p0 + a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5)
+            vn = v + hd * (a60 * q0 + a61 * q1 + a62 * q2 + a63 * q3 + a64 * q4 + a65 * q5)
+            f = stage(t + c6 * hd, un, vn)
         except _NonFiniteStage:
             n_rejected += 1
             h *= 0.25
@@ -564,29 +562,30 @@ def integrate_ode(rhs, y0, t_span, rel_tol=1e-10):
         except RhsEvaluationError as exc:
             # domain failure inside the step: shrink; underflow localizes it
             if h < 4.0 * min_h_floor * max(1.0, abs(t)):
-                event = DivergenceEvent(exc.label, t, np.array(y), exc.detail)
+                event = DivergenceEvent(exc.label, t, np.array((u, v)), exc.detail)
                 break
             n_rejected += 1
             h *= 0.25
             continue
 
-        err_sq = 0.0
-        for yj, ynj, p, q, r, u, v, w, z in zip(y, y_new, k0, k1, k2, k3, k4, k5, k6):
-            e = hd * (e0 * p + e1 * q + e2 * r + e3 * u + e4 * v + e5 * w + e6 * z)
-            scaled = e / (abs_tol + rel_tol * max(abs(yj), abs(ynj)))
-            err_sq += scaled * scaled
-        err = math.sqrt(err_sq / len(y))  # RMS
+        p6, q6 = f
+        su = hd * (e0 * p0 + e1 * p1 + e2 * p2 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6) / (
+            abs_tol + rel_tol * max(abs(u), abs(un))
+        )
+        sv = hd * (e0 * q0 + e1 * q1 + e2 * q2 + e3 * q3 + e4 * q4 + e5 * q5 + e6 * q6) / (
+            abs_tol + rel_tol * max(abs(v), abs(vn))
+        )
+        err = math.sqrt((su * su + sv * sv) / 2)  # RMS
 
         if err <= 1.0 or h <= 2.0 * min_h_floor * max(1.0, abs(t)):
             # the new state passed as a stage point; its derivative may not
-            if not all(map(math.isfinite, k6)):
-                event = DivergenceEvent("non_finite_state", t, np.array(y))
+            if not (isfinite(p6) and isfinite(q6)):
+                event = DivergenceEvent("non_finite_state", t, np.array((u, v)))
                 break
             t = t + hd
-            y = y_new
-            f = k6
+            u, v, p0, q0 = un, vn, p6, q6
             ts.append(t)
-            ys.append(y)
+            ys.append((u, v))
             fs.append(f)
             n_steps += 1
             fac = 0.9 * err ** -0.2 if err > 0 else 5.0

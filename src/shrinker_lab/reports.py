@@ -43,15 +43,17 @@ def write_csv(path, header, rows):
     A float cell is written as ``repr`` of its float (the shortest string that
     reads back to the same double; ``nan``, ``inf``, ``-0.0``), any other cell
     (a label, an int) as the csv module writes it.  A float64 ndarray table is
-    formatted in blocks of rows, with the same bytes.
+    formatted in blocks of rows, each through one ``%r`` template (``%r`` of
+    a float is its ``repr``), with the same bytes.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
+            line = ",".join(["%r"] * rows.shape[1]) + "\r\n"
             for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-                block = rows[start:start + _CSV_BLOCK_ROWS].tolist()
-                fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in block]))
+                block = rows[start:start + _CSV_BLOCK_ROWS]
+                fh.write(line * len(block) % tuple(block.ravel().tolist()))
         else:
             for row in rows:
                 writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])

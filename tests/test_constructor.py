@@ -670,3 +670,28 @@ class TestMssCounterexample:
         fld, cert = build_mss_counterexample(-1.0, 0.0, T=10.0, radius=5.0)
         assert cert.residual_sup <= 1e-6
         assert cert.bounds["sup_abs_slope"] < 1.0
+
+
+_NEG = TauParams.neg_branch(a=-2.0)
+
+
+@pytest.mark.parametrize("call, reason", [
+    (lambda: sl.build_mss_counterexample(1.2, 0.1, rel_tol=1e-8, samples=0), "samples must be an integer of at least 1"),
+    (lambda: sl.build_mss_counterexample(1.2, 0.1, rel_tol=1e-8, samples=2.5), "samples must be an integer of at least 1"),
+    (lambda: sl.build_mss_counterexample(1.2, 0.1, rel_tol=1e-8, samples=-5), "samples must be an integer of at least 1"),
+    (lambda: sl.build_counterexample(_NEG, 0.3, 0.7, 2, samples=0), "samples must be an integer of at least 1"),
+    (lambda: sl.build_counterexample(_NEG, 0.3, 0.7, 2, samples=-1), "samples must be an integer of at least 1"),
+    (lambda: sl.build_counterexample(_NEG, 0.3, 0.7, 2, samples=800.0), "samples must be an integer of at least 1"),
+    (lambda: constructor.profile_grid(-1.0, 0.01), "half-span must be finite and positive"),
+    (lambda: constructor.profile_grid(0.0, 0.01), "half-span must be finite and positive"),
+    (lambda: constructor.profile_grid(math.inf, 0.01), "half-span must be finite and positive"),
+    (lambda: constructor.profile_grid(math.nan, 0.01), "half-span must be finite and positive"),
+], ids=["mss-samples-0", "mss-samples-fractional", "mss-samples-negative", "build-samples-0",
+        "build-samples-negative", "build-samples-float", "grid-span-negative", "grid-span-0", "grid-span-inf",
+        "grid-span-nan"])
+def test_constructions_refuse_degenerate_samples_and_spans(call, reason):
+    # a construction on no samples certified without reading a residual, a
+    # fractional count was rounded down, a negative one met numpy's ValueError,
+    # and a half-span below 0 gave an empty grid
+    with pytest.raises(InputError, match=reason):
+        call()

@@ -10,7 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shrinker_lab import constructor, shooting
 from shrinker_lab.numerics import (
+    _DP_A,
+    _DP_C,
+    _DP_E,
+    ABS_PER_REL_TOL,
     READ_SLACK,
     DivergenceEvent,
     InputError,
@@ -26,7 +31,7 @@ from shrinker_lab.numerics import (
     invert_monotone,
 )
 from shrinker_lab.quadratics import admissible_matrix
-from shrinker_lab.tau import admissible, cone_spec
+from shrinker_lab.tau import admissible, cone_spec, f_value
 
 from conftest import branch_params, same_bits
 
@@ -228,14 +233,17 @@ class TestInvertMonotone:
 
 
 class TestIntegrateOde:
+    # the one-component cases run on the duplicated pair (y, y): the RMS of
+    # two equal errors is that error, so each is the one-component run bit for
+    # bit (TestAgainstListLoop::test_duplicated_pair_is_the_scalar_run)
     def test_exponential(self):
-        traj = integrate_ode(lambda t, y: y, [1.0], (0.0, 1.0), 1e-10)
+        traj = integrate_ode(lambda t, y: y, [1.0, 1.0], (0.0, 1.0), 1e-10)
         assert traj.completed
         assert abs(traj(1.0)[0] - math.e) < 1e-8
 
     def test_zero_rhs_exact(self):
         c = 0.7315
-        traj = integrate_ode(lambda t, y: [0.0 * v for v in y], [c], (0.0, 5.0), 1e-8)
+        traj = integrate_ode(lambda t, y: [0.0 * v for v in y], [c, c], (0.0, 5.0), 1e-8)
         assert traj(3.1)[0] == c
 
     def test_sine(self):
@@ -257,12 +265,12 @@ class TestIntegrateOde:
         assert all(errs[i + 1] < errs[i] for i in range(3))
 
     def test_backwards(self):
-        traj = integrate_ode(lambda t, y: y, [1.0], (0.0, -1.0), 1e-10)
+        traj = integrate_ode(lambda t, y: y, [1.0, 1.0], (0.0, -1.0), 1e-10)
         assert abs(traj(-1.0)[0] - math.exp(-1.0)) < 1e-8
 
     def test_blow_up_event(self):
         # y' = y^2 from y(0)=1 blows up at t=1
-        traj = integrate_ode(lambda t, y: [y[0] * y[0]], [1.0], (0.0, 2.0), 1e-8)
+        traj = integrate_ode(lambda t, y: [v * v for v in y], [1.0, 1.0], (0.0, 2.0), 1e-8)
         assert not traj.completed
         assert isinstance(traj.event, DivergenceEvent)
         assert 0.9 < traj.event.t <= 1.01
@@ -273,7 +281,7 @@ class TestIntegrateOde:
                 raise RhsEvaluationError("left_domain")
             return [1.0] * len(y)
 
-        traj = integrate_ode(rhs, [0.0], (0.0, 1.0), 1e-8)
+        traj = integrate_ode(rhs, [0.0, 0.0], (0.0, 1.0), 1e-8)
         assert not traj.completed
         assert traj.event.label == "left_domain"
         assert abs(traj.event.t - 0.5) < 1e-6
@@ -286,17 +294,17 @@ class TestIntegrateOde:
 
         def rhs(t, y):
             calls.append(t)
-            return [y[0] * y[0] * y[0]]
+            return [v * v * v for v in y]
 
-        traj = integrate_ode(rhs, [1e100], (0.0, 1.0), 1e-10)
+        traj = integrate_ode(rhs, [1e100, 1e100], (0.0, 1.0), 1e-10)
         assert traj.event.label == "step_underflow" and traj.event.t == 0.0
         assert (traj.n_steps, traj.n_rejected, len(calls)) == (0, 20, 21)
 
     def test_dense_output_between_knots(self):
         # uncapped steps: the read between knots is the quintic, from the
         # right-hand side's time derivative -sin t at each knot
-        traj = integrate_ode(lambda t, y: [math.cos(t)], [0.0], (0.0, 6.0), 1e-10)
-        traj = dataclasses.replace(traj, dfs=-np.sin(traj.ts)[:, None])
+        traj = integrate_ode(lambda t, y: [math.cos(t)] * 2, [0.0, 0.0], (0.0, 6.0), 1e-10)
+        traj = dataclasses.replace(traj, dfs=np.column_stack([-np.sin(traj.ts)] * 2))
         for t in np.linspace(0.1, 5.9, 37):
             assert abs(traj(t)[0] - math.sin(t)) < 1e-7
 
@@ -304,7 +312,7 @@ class TestIntegrateOde:
         # zero rhs: the steps grow five-fold from T/100 and the last is the
         # remainder, yet at T = 0.93 their sum rounds one ulp short of T; a
         # remainder below the step floor ends the span, not step_underflow
-        traj = integrate_ode(lambda t, y: [0.0], [1.0], (0.0, 0.93), 1e-8)
+        traj = integrate_ode(lambda t, y: [0.0, 0.0], [1.0, 1.0], (0.0, 0.93), 1e-8)
         assert traj.completed and traj.t_end == traj.ts[-1] < 0.93
         assert 0.93 - traj.ts[-1] < 1e-14
 
@@ -314,13 +322,18 @@ class TestIntegrateOde:
         assert np.array_equal(traj(0.5), [2.0, -1.0])
 
     def test_outside_span_rejected(self):
-        traj = integrate_ode(lambda t, y: y, [1.0], (0.0, 1.0), 1e-8)
+        traj = integrate_ode(lambda t, y: y, [1.0, 1.0], (0.0, 1.0), 1e-8)
         with pytest.raises(InputError):
             traj(2.0)
 
     def test_state_must_be_one_dimensional(self):
         with pytest.raises(InputError):
             integrate_ode(lambda t, y: y, [[1.0, 0.0]], (0.0, 1.0))
+
+    @pytest.mark.parametrize("y0", [[1.0], [1.0, 0.0, -1.0]])
+    def test_state_must_be_a_pair(self, y0):
+        with pytest.raises(InputError, match=rf"must be a pair of floats, got shape \({len(y0)},\)"):
+            integrate_ode(lambda t, y: y, y0, (0.0, 1.0))
 
     @pytest.mark.parametrize("bad_from", [-1.0, 0.3])
     def test_every_rhs_result_checked(self, bad_from):
@@ -413,29 +426,29 @@ def _listed(rhs):
     return lambda t, y: rhs(t, np.array(y)).tolist()
 
 
-def _coupled_system(n, domain_end=math.inf):
-    """A nonlinear, forced n-component system; it leaves its domain past
-    |t| = domain_end."""
-    rng = np.random.default_rng(n)
-    M = rng.standard_normal((n, n))
-    w = rng.uniform(0.5, 3.0, n)
+def _coupled_system(seed, domain_end=math.inf):
+    """A nonlinear, forced two-component system drawn from ``seed``; it leaves
+    its domain past |t| = domain_end."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((2, 2))
+    w = rng.uniform(0.5, 3.0, 2)
 
     def rhs(t, y):
         if abs(t) > domain_end:
             raise RhsEvaluationError("left_domain")
         return M @ np.sin(y) - 0.3 * y + np.cos(w * t)
 
-    return rhs, rng.standard_normal(n)
+    return rhs, rng.standard_normal(2)
 
 
 class TestFloatKernelAgainstNumpyReference:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     @pytest.mark.parametrize("t_span", [(0.0, 8.0), (1.0, -6.0)])
-    def test_adaptive_steps_reach_the_same_event(self, n, t_span):
+    def test_adaptive_steps_reach_the_same_event(self, seed, t_span):
         # the domain end at |t| = 5 stops both after a run of rejections; the
         # step sizes there follow the rounding, so the step counts may differ
         # by a few, but not the event or the state it was met in
-        rhs, y0 = _coupled_system(n, domain_end=5.0)
+        rhs, y0 = _coupled_system(seed, domain_end=5.0)
         traj = integrate_ode(_listed(rhs), y0, t_span, 1e-6)
         _, _, event, _, n_rejected = _reference_integrate_ode(rhs, y0, t_span, 1e-6, 1e-8)
         assert traj.n_rejected > 0 and n_rejected > 0
@@ -443,13 +456,13 @@ class TestFloatKernelAgainstNumpyReference:
         assert abs(traj.event.t - event.t) <= 1e-12 * 5.0
         assert np.max(np.abs(traj.event.y - event.y)) <= 1e-9 * np.max(np.abs(event.y))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     @pytest.mark.parametrize("rel_tol", [1e-3, 1e-5])
-    def test_adaptive_steps_agree(self, n, rel_tol):
+    def test_adaptive_steps_agree(self, seed, rel_tol):
         # uncapped, the controller takes err^(-1/5) of an estimate formed by
         # cancellation, so the stage sums' rounding moves the step sizes and
         # with them the knots; the accept/reject decisions stay the same
-        rhs, y0 = _coupled_system(n)
+        rhs, y0 = _coupled_system(seed)
         traj = integrate_ode(_listed(rhs), y0, (0.0, 8.0), rel_tol)
         ts, ys, event, n_steps, n_rejected = _reference_integrate_ode(
             rhs, y0, (0.0, 8.0), rel_tol, rel_tol * 1e-2
@@ -459,6 +472,231 @@ class TestFloatKernelAgainstNumpyReference:
         assert n_rejected > 0
         assert np.max(np.abs(traj.ts - ts)) <= 1e-9 * 8.0
         assert np.max(np.abs(traj.ys - ys)) <= 1e-9 * np.max(np.abs(ys))
+
+
+# The generic list-based loop integrate_ode ran before it stepped a pair of
+# named floats, kept verbatim as the bit-for-bit reference: the state, the
+# stages and the error estimate are float lists of any length, each stage sum
+# formed left to right over its tableau row.
+class _ListNonFiniteStage(Exception):
+    pass
+
+
+def _list_integrate_ode(rhs, y0, t_span, rel_tol=1e-10):
+    abs_tol = rel_tol * ABS_PER_REL_TOL
+    if not (0.0 < rel_tol < math.inf and abs_tol > 0):  # NaN fails too
+        raise InputError(f"tolerances must be finite and positive: rel_tol {rel_tol}, abs_tol {abs_tol}")
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    y_arr = np.atleast_1d(np.asarray(y0, dtype=float))
+    if y_arr.ndim != 1:
+        raise InputError(f"initial state must be one-dimensional, got shape {y_arr.shape}")
+    if not np.isfinite(y_arr).all():
+        raise InputError("non-finite initial state")
+    dim = len(y_arr)
+
+    def stage(ti, yi):
+        """rhs at a stage point; every result is checked."""
+        if not all(map(math.isfinite, yi)):
+            raise _ListNonFiniteStage
+        k = rhs(ti, yi)
+        if not isinstance(k, list) or len(k) != dim:
+            raise InputError(f"rhs must return a list of the state's length {dim}, got {k!r}")
+        return k
+
+    y = y_arr.tolist()
+    f = stage(t0, y)
+    direction = 1.0 if t1 >= t0 else -1.0
+    span = abs(t1 - t0)
+
+    ts = [t0]
+    ys = [y]
+    fs = [f]
+    event = None
+    n_steps = 0
+    n_rejected = 0
+
+    if span == 0.0:
+        return Trajectory(np.array(ts), np.array(ys), np.array(fs))
+
+    h = max(min(span / 100.0, 1.0), 1e-12 * span)
+    t = t0
+    min_h_floor = 1e-14
+
+    # the tableau as locals: each stage sum below is spelled out left to right
+    # over its row, one fixed order of IEEE operations whichever BLAS numpy loads
+    (a10,) = _DP_A[1]
+    a20, a21 = _DP_A[2]
+    a30, a31, a32 = _DP_A[3]
+    a40, a41, a42, a43 = _DP_A[4]
+    a50, a51, a52, a53, a54 = _DP_A[5]
+    a60, a61, a62, a63, a64, a65 = _DP_A[6]
+    e0, e1, e2, e3, e4, e5, e6 = _DP_E
+    _, c1, c2, c3, c4, c5, c6 = _DP_C
+
+    while (t1 - t) * direction > 0:
+        h = min(h, abs(t1 - t))
+        floor = min_h_floor * max(1.0, abs(t))
+        if h < floor:
+            if abs(t1 - t) < floor:
+                break  # the summed steps rounded a few ulp short of t1: reached
+            event = DivergenceEvent("step_underflow", t, np.array(y), "step size underflow")
+            break
+        hd = h * direction
+        try:
+            k0 = f
+            k1 = stage(t + c1 * hd, [yj + hd * (a10 * p) for yj, p in zip(y, k0)])
+            k2 = stage(t + c2 * hd, [yj + hd * (a20 * p + a21 * q) for yj, p, q in zip(y, k0, k1)])
+            k3 = stage(t + c3 * hd, [
+                yj + hd * (a30 * p + a31 * q + a32 * r) for yj, p, q, r in zip(y, k0, k1, k2)
+            ])
+            k4 = stage(t + c4 * hd, [
+                yj + hd * (a40 * p + a41 * q + a42 * r + a43 * u)
+                for yj, p, q, r, u in zip(y, k0, k1, k2, k3)
+            ])
+            k5 = stage(t + c5 * hd, [
+                yj + hd * (a50 * p + a51 * q + a52 * r + a53 * u + a54 * v)
+                for yj, p, q, r, u, v in zip(y, k0, k1, k2, k3, k4)
+            ])
+            # row 6 holds the fifth-order weights: the last stage point is the
+            # new state, and its derivative the next step's first stage (FSAL)
+            y_new = [
+                yj + hd * (a60 * p + a61 * q + a62 * r + a63 * u + a64 * v + a65 * w)
+                for yj, p, q, r, u, v, w in zip(y, k0, k1, k2, k3, k4, k5)
+            ]
+            k6 = stage(t + c6 * hd, y_new)
+        except _ListNonFiniteStage:
+            n_rejected += 1
+            h *= 0.25
+            continue
+        except RhsEvaluationError as exc:
+            # domain failure inside the step: shrink; underflow localizes it
+            if h < 4.0 * min_h_floor * max(1.0, abs(t)):
+                event = DivergenceEvent(exc.label, t, np.array(y), exc.detail)
+                break
+            n_rejected += 1
+            h *= 0.25
+            continue
+
+        err_sq = 0.0
+        for yj, ynj, p, q, r, u, v, w, z in zip(y, y_new, k0, k1, k2, k3, k4, k5, k6):
+            e = hd * (e0 * p + e1 * q + e2 * r + e3 * u + e4 * v + e5 * w + e6 * z)
+            scaled = e / (abs_tol + rel_tol * max(abs(yj), abs(ynj)))
+            err_sq += scaled * scaled
+        err = math.sqrt(err_sq / len(y))  # RMS
+
+        if err <= 1.0 or h <= 2.0 * min_h_floor * max(1.0, abs(t)):
+            # the new state passed as a stage point; its derivative may not
+            if not all(map(math.isfinite, k6)):
+                event = DivergenceEvent("non_finite_state", t, np.array(y))
+                break
+            t = t + hd
+            y = y_new
+            f = k6
+            ts.append(t)
+            ys.append(y)
+            fs.append(f)
+            n_steps += 1
+            fac = 0.9 * err ** -0.2 if err > 0 else 5.0
+            h *= min(5.0, max(0.2, fac))
+        else:
+            n_rejected += 1
+            h *= min(1.0, max(0.1, 0.9 * err ** -0.2))
+
+    return Trajectory(np.array(ts), np.array(ys), np.array(fs), event=event, n_steps=n_steps, n_rejected=n_rejected)
+
+
+def _assert_same_run(traj, ref):
+    """Knots, states, right-hand sides, counts and event equal bit for bit."""
+    for a, b in ((traj.ts, ref.ts), (traj.ys, ref.ys), (traj.fs, ref.fs)):
+        assert same_bits(a, b)
+    assert (traj.n_steps, traj.n_rejected) == (ref.n_steps, ref.n_rejected)
+    assert (traj.event is None) == (ref.event is None)
+    if ref.event is not None:
+        assert (traj.event.label, traj.event.detail) == (ref.event.label, ref.event.detail)
+        assert same_bits(traj.event.t, ref.event.t) and same_bits(traj.event.y, ref.event.y)
+
+
+def _compared(calls):
+    """integrate_ode, checked on every call against the list loop; each
+    call's trajectory is appended to ``calls``."""
+
+    def run(rhs, y0, t_span, rel_tol=1e-10):
+        traj = integrate_ode(rhs, y0, t_span, rel_tol)
+        _assert_same_run(traj, _list_integrate_ode(rhs, y0, t_span, rel_tol))
+        calls.append(traj)
+        return traj
+
+    return run
+
+
+class TestAgainstListLoop:
+    """integrate_ode on a pair runs the list loop's IEEE operations in the
+    list loop's order: every knot, stage and event is the same, bit for bit."""
+
+    @pytest.mark.parametrize("a0, a1", [(0.0, 1.0), (-1.5, 0.4), (2.0, 3.0)])
+    def test_phase_ode_both_legs(self, a0, a1):
+        tol = max(1e-8 * constructor.ODE_TOL_PER_TOL, constructor.ODE_TOL_FLOOR)
+        for t_end in (12.0, -12.0):
+            traj = _compared([])(constructor._phase_rhs, [a0, a1], (0.0, t_end), tol)
+            assert traj.completed and traj.n_steps > 50
+
+    @pytest.mark.parametrize("phi0, s0", [(1.2, 0.1), (-0.7, 0.0), (1.9, -0.3)])
+    def test_spacelike_system_both_legs(self, phi0, s0):
+        tol = max(1e-8 * constructor.ODE_TOL_PER_TOL, constructor.ODE_TOL_FLOOR)
+        for x_end in (12.0, -12.0):
+            traj = _compared([])(constructor._mss_rhs, [s0, phi0], (0.0, x_end), tol)
+            assert traj.completed and traj.n_steps > 50
+
+    def test_radial_shots_on_every_branch(self, monkeypatch, all_branches):
+        # scripts/rigidity_events.py's data, each branch's quadratic with u0
+        # shifted by du0 and shot to r = 50 through the float radial rule, and
+        # one n = 4 shot that blows up
+        curvatures = {"MA": 0.8, "LOG": 0.3, "HARM": 0.0, "ATAN": 0.0, "SLAG": 1.0, "NEG": 2.0}
+        shots = [(name, 2, c, du0) for name, c in curvatures.items() for du0 in (-0.2, -0.05, 0.05, 0.2)]
+        calls = []
+        monkeypatch.setattr(shooting, "integrate_ode", _compared(calls))
+        events = set()
+        for name, n, c, du0 in shots + [("MA", 4, 0.8, 0.5)]:
+            tp = all_branches[name]
+            events.add(shooting.shoot_radial(tp, n, -n * f_value(tp, c) + du0, r_max=50.0).event.kind)
+        assert len(calls) == 25 and sum(traj.n_rejected for traj in calls) > 0
+        assert events == {"completed", "inversion_failure", "blow_up"}
+
+    @pytest.mark.parametrize(
+        "rhs, y0",
+        [
+            # the first stage's derivative overflows: every try stops at a
+            # non-finite stage point and is retried shorter until underflow
+            (lambda t, y: [v * v * v for v in y], [1e100, 1.0]),
+            # u' = 1, v' = 1 / (1 - u): past u = 1 a stage is infinite, and
+            # the steps that reach it are retried shorter
+            (lambda t, y: [1.0, 1.0 / (1.0 - y[0]) if y[0] < 1.0 else math.inf], [0.0, 0.0]),
+        ],
+    )
+    def test_non_finite_stages(self, rhs, y0):
+        traj = _compared([])(rhs, y0, (0.0, 3.0), 1e-8)
+        assert traj.n_rejected > 0 and traj.event.label == "step_underflow"
+
+    @pytest.mark.parametrize(
+        "rhs, y0, t_span, rel_tol",
+        [
+            (lambda t, y: y, [1.0], (0.0, 1.0), 1e-10),
+            (lambda t, y: y, [1.0], (0.0, -1.0), 1e-10),
+            (lambda t, y: [v * v for v in y], [1.0], (0.0, 2.0), 1e-8),
+            (lambda t, y: [math.cos(t)] * len(y), [0.0], (0.0, 6.0), 1e-10),
+        ],
+    )
+    def test_duplicated_pair_is_the_scalar_run(self, rhs, y0, t_span, rel_tol):
+        # the list loop on one component and integrate_ode on (y, y): the
+        # RMS of two equal errors is that error, so the runs agree bit for bit
+        ref = _list_integrate_ode(rhs, y0, t_span, rel_tol)
+        traj = integrate_ode(rhs, y0 * 2, t_span, rel_tol)
+        assert same_bits(traj.ts, ref.ts) and (traj.n_steps, traj.n_rejected) == (ref.n_steps, ref.n_rejected)
+        for j in (0, 1):
+            assert same_bits(traj.ys[:, j], ref.ys[:, 0]) and same_bits(traj.fs[:, j], ref.fs[:, 0])
+        assert (traj.event is None) == (ref.event is None)
+        if ref.event is not None:
+            assert traj.event.label == ref.event.label and same_bits(traj.event.t, ref.event.t)
 
 
 def _oscillator(t, y):
