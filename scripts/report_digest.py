@@ -18,8 +18,11 @@ sweep each on a branch chosen by ``--tau`` and by ``--a``, one ``defect``
 sweep next to a = -1 whose induced metric is singular (it exits 3 and
 writes no report, wherever in a stack the singular matrix is), one ``flow-check``
 of 519 trials in dimensions 1 to 4, which crosses two seams of the sweeps'
-256-trial blocks (the trials are drawn a block at a time, then certified as
-stacks, one dimension at a time), three Legendre
+256-trial blocks (the trials are drawn a block at a time, as unit uniforms,
+then scaled and certified as stacks, one dimension at a time), and a
+``defect`` sweep of 519 trials and a ``verify-quadratic`` sweep of 300 trials
+of 3 points in dimensions 1 to 4, which cross the seams in the other two
+sweeps, three Legendre
 checks (grid steps 0.02, the default 0.01, and 0.005 on a span of 1, each
 reading the dual table across its clamped end windows), sixteen shots
 (six float shots from perturbed quadratic data, one on each branch, four
@@ -63,6 +66,8 @@ COMMANDS = [
     # a = -1 - 2^-52: an admissible spectrum whose induced metric rounds to singular, exit 3, no report
     ["defect", "--a", "-1.0000000000000002", "--n", "1", "--trials", "7", "--seed", "3"],
     ["flow-check", "--n", "4", "--trials", "519", "--seed", "10"],  # 2 x 256 + 7 trials: two block seams
+    ["defect", "--n", "4", "--trials", "519", "--seed", "12"],
+    ["verify-quadratic", "--n", "4", "--trials", "300", "--points", "3", "--seed", "13"],  # one seam
     ["legendre-check", "--grid-step", "0.02"],
     ["legendre-check"],  # the default step, 0.01
     ["legendre-check", "--span", "1", "--grid-step", "0.005"],

@@ -156,9 +156,11 @@ def _branch_sweep(args, command, default_tol, key, draw, measure, summarize, **e
     sorted order.  One RNG seeded by --seed draws everything, so reports are
     byte-stable per seed: for each branch, trial k draws a dimension n in
     [1, --n], its matrix's ``quadratics.admissible_draw``, then
-    ``draw(k, n, rng)``.  The sweep draws ``_SWEEP_BLOCK`` trials, then
-    certifies them as stacks, one dimension at a time: one matrix stack, one
-    ``build_quadratic``, and ``measure(tp, sol, draws)``, a value per trial.
+    ``draw(k, n, rng)``, as unit uniforms that each block scales once per
+    dimension (``quadratics.scaled_uniform``).  The sweep draws
+    ``_SWEEP_BLOCK`` trials, then certifies them as stacks, one dimension at
+    a time: one matrix stack, one ``build_quadratic``, and
+    ``measure(tp, sol, draws)``, a value per trial.
     ``summarize`` reads the values in trial order and returns the branch's
     results; the sweep passes iff the worst ``results[key]`` is <= tol.
     """
@@ -174,15 +176,17 @@ def _branch_sweep(args, command, default_tol, key, draw, measure, summarize, **e
     tol = args.tol if args.tol is not None else default_tol
 
     def values(tp):
+        window = quadratics._eigenvalue_window(tp)
         for start in range(0, args.trials, _SWEEP_BLOCK):
             block = []
             for k in range(start, min(start + _SWEEP_BLOCK, args.trials)):
                 n = int(rng.integers(1, args.n + 1))
-                block.append((n, quadratics.admissible_draw(tp, n, rng), draw(k, n, rng)))
+                block.append((n, quadratics.admissible_draw(n, rng), draw(k, n, rng)))
             out = {}
             for n in sorted({trial[0] for trial in block}):
                 idx = [i for i, trial in enumerate(block) if trial[0] == n]
-                spectra, gaussians = (np.array(v) for v in zip(*(block[i][1] for i in idx)))
+                units, gaussians = (np.array(v) for v in zip(*(block[i][1] for i in idx)))
+                spectra = quadratics.scaled_uniform(*window, units)
                 sol = quadratics.build_quadratic(tp, quadratics.admissible_matrix(spectra, gaussians))
                 out.update(zip(idx, measure(tp, sol, [block[i][2] for i in idx])))
             yield from (out[i] for i in range(len(block)))
@@ -198,10 +202,11 @@ def _branch_sweep(args, command, default_tol, key, draw, measure, summarize, **e
     return EXIT_PASS if passed else EXIT_VERIFY_FAIL
 
 
-def _defects(tp, field, xs):
+def _defects(tp, field, units):
     """The vector shrinker defect of each quadratic of a stack of k at its own
-    point of the k points xs, in one stacked call, as a list."""
-    return geometry.shrinker_defect(tp, field, np.array(xs)[:, None])[:, 0].tolist()
+    point of [-2, 2)^n, scaled from its row of units, in one call, as a list."""
+    xs = quadratics.scaled_uniform(-2.0, 2.0, np.array(units))
+    return geometry.shrinker_defect(tp, field, xs[:, None])[:, 0].tolist()
 
 
 def _max_defect(values):
@@ -212,12 +217,12 @@ def cmd_verify_quadratic(args):
     defect_every = max(1, args.trials // 5)
 
     def draw(k, n, rng):
-        pts = rng.uniform(-3.0, 3.0, size=(args.points, n))
-        return pts, rng.uniform(-2.0, 2.0, size=n) if k % defect_every == 0 else None
+        return rng.random((args.points, n)), rng.random(n) if k % defect_every == 0 else None
 
     def measure(tp, sol, draws):
         pts, xs = zip(*draws)
-        residuals = quadratics.verify_quadratic(sol, np.array(pts)).tolist()
+        clouds = quadratics.scaled_uniform(-3.0, 3.0, np.array(pts))
+        residuals = quadratics.verify_quadratic(sol, clouds).tolist()
         idx = [i for i, x in enumerate(xs) if x is not None]
         defects = {}
         if idx:
@@ -282,10 +287,12 @@ def cmd_shoot(args):
 
 def cmd_flow_check(args):
     def draw(k, n, rng):
-        return rng.uniform(-3.0, 3.0, size=n), -float(rng.uniform(0.1, 10.0))
+        return rng.random(n + 1)  # x's n units, then t's
 
     def measure(tp, sol, draws):
-        xs, ts = (np.array(v) for v in zip(*draws))
+        units = np.array(draws)
+        xs = quadratics.scaled_uniform(-3.0, 3.0, units[:, :-1])
+        ts = -quadratics.scaled_uniform(0.1, 10.0, units[:, -1])
         return np.abs(transforms.self_similar_extension(tp, sol.field, xs, ts).defect).tolist()
 
     return _branch_sweep(args, "flow-check", 1e-10, "max_defect", draw, measure, _max_defect)
@@ -319,8 +326,8 @@ def cmd_legendre_check(args):
 
 
 def cmd_defect(args):
-    return _branch_sweep(args, "defect", 1e-7, "max_defect", lambda k, n, rng: rng.uniform(-2.0, 2.0, size=n),
-                         lambda tp, sol, xs: _defects(tp, sol.field, xs), _max_defect)
+    return _branch_sweep(args, "defect", 1e-7, "max_defect", lambda k, n, rng: rng.random(n),
+                         lambda tp, sol, units: _defects(tp, sol.field, units), _max_defect)
 
 
 def _add_common(p, tol_and_seed=True):

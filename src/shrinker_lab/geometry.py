@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .fields import QuadraticField
 from .numerics import DomainError, InputError, as_cloud, as_sym_matrix, eig_sym, row_dot
 from .tau import Branch, _gradient_matrix, operator_value
 
@@ -59,8 +60,13 @@ def _normal(tp, H, V):
 
 def _mean_curvature(tp, field, x, H):
     """Mean curvature vectors at the points x, with H the validated Hessians
-    there: the 2n stencil points of every point are read as one cloud."""
+    there: the 2n stencil points of every point are read as one cloud.  On a
+    ``QuadraticField`` every difference is +0.0: its k spectra get the
+    stencil's cone check once, and the zero vector is projected."""
     n = x.shape[-1]
+    if isinstance(field, QuadraticField):
+        operator_value(tp, eig_sym(field.A))
+        return _normal(tp, H, np.zeros((*x.shape[:-1], 2 * n)))
     steps = FD_STEP * np.eye(n)
     stencil = np.concatenate([x[..., None, :] + steps, x[..., None, :] - steps], axis=-2)
     spectra = eig_sym(field.hessian(stencil.reshape(*x.shape[:-2], -1, n)))
@@ -97,12 +103,15 @@ def normal_project(tp, H, V):
     rest is projected by one n x n solve: the induced metric E^T G E times
     beta equals E^T G (0, w) = (cos I + sin H) w, and the normal part is
     (0, w) - E beta.  Along a quadratic, X = (x, A x) gives w = 0 exactly.
+    A non-finite entry of V is an InputError.
     """
     H = as_sym_matrix(H)
     V = np.asarray(V, dtype=float)
     shape = H.shape[:-2] + (2 * H.shape[-1],)
     if V.shape != shape:
         raise InputError(f"expected ambient vectors of shape {shape}, got {V.shape}")
+    if not np.isfinite(V).all():
+        raise InputError("ambient vectors must be finite")
     return _normal(tp, H, V)
 
 
@@ -116,9 +125,13 @@ def mean_curvature(tp, field, x):
     derivatives at eigenvalue crossings.  The 2n stencil points
     x +- FD_STEP e_i of every point are read as one cloud, one stacked
     eigen-solve and one ``operator_value``: the points and arithmetic of
-    ``numerics.fd_gradient``.
+    ``numerics.fd_gradient``.  A ``QuadraticField``'s constant Hessian reads
+    no stencil: its spectra get the stencil's check once.  A NaN or infinite
+    coordinate is an InputError.
     """
     x, unwrap = as_cloud(x, field.dim, field.stack)
+    if not np.isfinite(x).all():
+        raise InputError("points must be finite")
     return unwrap(_mean_curvature(tp, field, x, as_sym_matrix(field.hessian(x))))
 
 
@@ -133,11 +146,13 @@ def shrinker_defect(tp, field, x):
     iff the vector does).  The value never reads u itself, so it is exactly
     invariant under constant shifts of the potential.  On a quadratic both
     terms are exactly 0: X is tangent, split off exactly by
-    :func:`normal_project`, and F(lambda(D^2 u)) is constant, so its central
-    difference is 0.  The Hessians at x are read and validated once, for
-    both projections.
+    :func:`normal_project`, and F(lambda(D^2 u)) is constant, so it reads no
+    stencil.  The Hessians at x are read and validated once, for both
+    projections.  A NaN or infinite coordinate is an InputError.
     """
     x, unwrap = as_cloud(x, field.dim, field.stack)
+    if not np.isfinite(x).all():  # the ambient norm's clamp reads NaN as 0
+        raise InputError("points must be finite")
     n = x.shape[-1]
     H = as_sym_matrix(field.hessian(x))
     X = np.concatenate([x, field.gradient(x)], axis=-1)

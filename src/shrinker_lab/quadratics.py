@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import QuadraticField
-from .numerics import as_sym_matrix, eig_sym
+from .numerics import InputError, as_sym_matrix, eig_sym
 from .tau import cone_spec, operator_value, phase
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "admissible_draw",
     "admissible_matrix",
     "random_admissible_matrix",
+    "scaled_uniform",
 ]
 
 
@@ -80,12 +81,19 @@ def _eigenvalue_window(tp):
     return -spread / 2.0, spread / 2.0
 
 
-def admissible_draw(tp, n, rng):
-    """What one admissible matrix draws from ``rng``, in order: its spectrum,
-    uniform inside the selected cone component with a safety margin (keeps f'
-    moderate for tight residual targets), then a Gaussian (n, n) sample."""
-    lo, hi = _eigenvalue_window(tp)
-    return rng.uniform(lo, hi, size=n), rng.standard_normal((n, n))
+def scaled_uniform(lo, hi, u):
+    """Unit uniforms u (``Generator.random`` draws) on [lo, hi) by numpy's own
+    ``uniform`` formula: ``Generator.uniform(lo, hi, size)``'s doubles and state."""
+    return lo + (hi - lo) * u
+
+
+def admissible_draw(n, rng):
+    """What one admissible matrix draws from ``rng``, in order: its spectrum's
+    n unit uniforms, for ``_eigenvalue_window`` (which keeps f' moderate for
+    tight residual targets), then a Gaussian (n, n) sample; n is an integer >= 1."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise InputError(f"matrix dimension must be an integer of at least 1, got {n!r}")
+    return rng.random(n), rng.standard_normal((n, n))
 
 
 def admissible_matrix(spectrum, gaussian):
@@ -100,6 +108,7 @@ def admissible_matrix(spectrum, gaussian):
 
 
 def random_admissible_matrix(tp, n, rng):
-    """``admissible_matrix`` of one ``admissible_draw``: the sweeps draw
-    first, then build a stack of these."""
-    return admissible_matrix(*admissible_draw(tp, n, rng))
+    """``admissible_matrix`` of one ``admissible_draw`` scaled onto the window:
+    the sweeps draw first, then build a stack of these."""
+    units, gaussian = admissible_draw(n, rng)
+    return admissible_matrix(scaled_uniform(*_eigenvalue_window(tp), units), gaussian)

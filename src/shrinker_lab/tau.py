@@ -385,6 +385,7 @@ def _polished_inverse(tp):
     # is the correctly rounded preimage (an infinite end clamps nothing)
     floor = math.nextafter(lo, math.inf) if math.isfinite(lo) else -math.inf
     ceiling = math.nextafter(hi, -math.inf) if math.isfinite(hi) else math.inf
+    isfinite, inf = math.isfinite, math.inf
 
     def inverse(y):
         y = float(y)
@@ -398,16 +399,16 @@ def _polished_inverse(tp):
             lam = floor
         if ceiling < lam:
             lam = ceiling
-        if not math.isfinite(lam):
+        if not isfinite(lam):
             return lam
-        # short guarded Newton polish, f_value's domain check inline
+        # up to four guarded Newton steps while the residual is finite and
+        # above tol (almost never: the closed form meets it), domain check inline
         tol = 1e-12 * (1.0 + abs(y))
-        for _ in range(4):
-            r = f(lam if lo < lam < hi else _eigenvalue(tp, lam)) - y
-            if not math.isfinite(r) or abs(r) <= tol:
-                break
+        r = f(lam if lo < lam < hi else _eigenvalue(tp, lam)) - y
+        steps = 4
+        while tol < abs(r) < inf:
             step = r / f_derivative(tp, lam)
-            if not math.isfinite(step):
+            if not isfinite(step):
                 break
             cand = lam - step
             while not lo < cand < hi:
@@ -416,6 +417,10 @@ def _polished_inverse(tp):
                 if abs(step) < 1e-300:
                     break
             lam = cand
+            steps -= 1
+            if not steps:
+                break
+            r = f(lam if lo < lam < hi else _eigenvalue(tp, lam)) - y
         return lam
 
     return inverse

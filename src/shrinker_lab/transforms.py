@@ -200,11 +200,14 @@ def self_similar_extension(tp, field, x, t):
     ``x`` is one point and ``t`` one time, or (k, n) points and (k,) times
     on a stack of k quadratic fields, giving (k,) values; each point is read
     as a cloud of one, so a stack costs one value, gradient and eigen read.
+    A non-finite t or x is an InputError.
     """
-    t = np.asarray(t, dtype=float)
+    t, x = np.asarray(t, dtype=float), np.atleast_1d(np.asarray(x, dtype=float))
     if not ((t < 0.0) & np.isfinite(t)).all():  # NaN and -inf fail too
         raise InputError(f"self-similar extension needs finite t < 0, got {t}")
-    xi = np.atleast_1d(np.asarray(x, dtype=float)) / np.sqrt(-t)[..., None]
+    if not np.isfinite(x).all():
+        raise InputError(f"self-similar extension needs finite x, got {x}")
+    xi = x / np.sqrt(-t)[..., None]
     cloud = xi[..., None, :]
     u_val, grad = field.value(cloud)[..., 0], field.gradient(cloud)[..., 0, :]
     v_t = -u_val + 0.5 * row_dot(grad, xi)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import shrinker_lab as sl
-from shrinker_lab import TauParams
+from shrinker_lab import TauParams, geometry
 from shrinker_lab.fields import AffineScaledField, QuadraticField, ScalarField
 from shrinker_lab.geometry import (
     FD_STEP,
     _metric,
+    _normal,
     mean_curvature,
     metric_duality_defect,
     normal_project,
@@ -16,6 +17,7 @@ from shrinker_lab.geometry import (
 )
 from shrinker_lab.numerics import as_sym_matrix, eig_sym, fd_gradient
 from shrinker_lab.tau import operator_value
+from shrinker_lab.transforms import self_similar_extension
 
 from conftest import CallableField, branch_params, same_bits, with_lower_cones
 
@@ -380,3 +382,110 @@ class TestStacks:
         H[4] = np.diag([0.0, 1.0])  # a zero eigenvalue degenerates the MA metric exactly
         with pytest.raises(sl.DomainError, match="induced metric degenerate: Singular matrix"):
             normal_project(tp, H, rng.standard_normal((6, 4)))
+
+
+def stencil_mean_curvature(tp, field, x):
+    """mean_curvature on a cloud or stack of clouds by the 2n-point central
+    differences of F(lambda(D^2 u)), read as one cloud: the path every field
+    but a QuadraticField takes, kept as the reference for quadratics."""
+    n = x.shape[-1]
+    steps = FD_STEP * np.eye(n)
+    stencil = np.concatenate([x[..., None, :] + steps, x[..., None, :] - steps], axis=-2)
+    spectra = eig_sym(field.hessian(stencil.reshape(*x.shape[:-2], -1, n)))
+    F = operator_value(tp, spectra).reshape(*x.shape[:-1], 2 * n)
+    V = np.concatenate([np.zeros(x.shape), (F[..., :n] - F[..., n:]) / (2.0 * FD_STEP)], axis=-1)
+    return _normal(tp, as_sym_matrix(field.hessian(x)), V)
+
+
+@pytest.fixture
+def solved_matrices(monkeypatch):
+    """The number of matrices each call of geometry's eig_sym solves."""
+    counts = []
+
+    def counted(M):
+        counts.append(np.asarray(M)[..., 0, 0].size)
+        return eig_sym(M)
+
+    monkeypatch.setattr(geometry, "eig_sym", counted)
+    return counts
+
+
+class TestConstantHessian:
+    """A QuadraticField's F(lambda(D^2 u)) is constant: mean_curvature checks
+    its k spectra once and reads no stencil, with the stencil's bits."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_quadratics_read_no_stencil(self, n, rng, solved_matrices):
+        for name, tp in with_lower_cones().items():
+            sol = sl.build_quadratic(tp, stack_of(tp, 5, n, rng))
+            xs = rng.uniform(-2.0, 2.0, size=(5, 7, n))
+            for field, x, k in ((sol.field, xs, 5), (QuadraticField(sol.A[0], sol.c[0]), xs[0], 1)):
+                want = stencil_mean_curvature(tp, field, x)
+                solved_matrices.clear()
+                assert same_bits(mean_curvature(tp, field, x), want), name
+                assert solved_matrices == [k], name
+                solved_matrices.clear()
+                defects = shrinker_defect(tp, field, x)
+                assert solved_matrices == [k], name
+                points = [[frozen_shrinker_defect(tp, QuadraticField(a, c), p) for p in cloud]
+                          for a, c, cloud in zip(sol.A, sol.c, xs)]
+                assert same_bits(defects, points if k > 1 else points[0]), name
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_other_fields_keep_the_stencil(self, n, rng, solved_matrices):
+        for name, tp in branch_params().items():
+            field = CosineQuadratics(stack_of(tp, 5, n, rng))
+            xs = rng.uniform(-1.0, 1.0, size=(5, 7, n))
+            want = stencil_mean_curvature(tp, field, xs)
+            solved_matrices.clear()
+            assert same_bits(mean_curvature(tp, field, xs), want), name
+            assert solved_matrices == [5 * 7 * 2 * n], name
+
+    def test_inadmissible_quadratic_raises_the_stencils_error(self, rng):
+        tp = TauParams.monge_ampere()
+        A = stack_of(tp, 4, 2, rng)
+        A[2] = np.diag([0.5, -0.25])
+        xs = rng.uniform(-1.0, 1.0, size=(4, 3, 2))
+        for field, x in ((QuadraticField(A, np.zeros(4)), xs), (QuadraticField(A[2]), xs[2])):
+            with pytest.raises(sl.DomainError) as want:
+                stencil_mean_curvature(tp, field, x)
+            for read in (mean_curvature, shrinker_defect):
+                with pytest.raises(sl.DomainError) as got:
+                    read(tp, field, x)
+                assert str(got.value) == str(want.value)
+                assert got.value.value == want.value.value == -0.25
+
+
+# reads that refuse a NaN or infinite coordinate; each gets the branch, one
+# field and a stack of three in dimension 2, and bad(shape), uniform draws of
+# that shape with one entry NaN or infinite
+NON_FINITE_READS = {
+    "defect at a point": lambda tp, one, three, bad: shrinker_defect(tp, one, bad((2,))),
+    "defect on a cloud": lambda tp, one, three, bad: shrinker_defect(tp, one, bad((4, 2))),
+    "defect on a stack": lambda tp, one, three, bad: shrinker_defect(tp, three, bad((3, 4, 2))),
+    "curvature at a point": lambda tp, one, three, bad: mean_curvature(tp, one, bad((2,))),
+    "curvature on a stack": lambda tp, one, three, bad: mean_curvature(tp, three, bad((3, 4, 2))),
+    "curvature off a quadratic": lambda tp, one, three, bad: mean_curvature(tp, CosineQuadratics(one.A), bad((4, 2))),
+    "projected vector": lambda tp, one, three, bad: normal_project(tp, one.A, bad((4,))),
+    "extension at a point": lambda tp, one, three, bad: self_similar_extension(tp, one, bad((2,)), -1.0),
+    "extension on a stack": lambda tp, one, three, bad: self_similar_extension(tp, three, bad((3, 2)), -np.ones(3)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("read", sorted(NON_FINITE_READS))
+@pytest.mark.parametrize("name", sorted(branch_params()))
+def test_non_finite_coordinate_is_refused(name, read, value, rng):
+    # a NaN point used to read as an exact zero defect on ATAN and SLAG, whose
+    # ambient-norm clamp maps NaN to 0
+    tp = branch_params()[name]
+    one = sl.build_quadratic(tp, sl.random_admissible_matrix(tp, 2, rng)).field
+    three = sl.build_quadratic(tp, stack_of(tp, 3, 2, rng)).field
+
+    def bad(shape):
+        x = rng.uniform(-1.0, 1.0, size=shape)
+        x.flat[x.size // 2] = value
+        return x
+
+    with pytest.raises(sl.InputError, match="finite"):
+        NON_FINITE_READS[read](tp, one, three, bad)

@@ -5,7 +5,7 @@ import pytest
 
 import shrinker_lab as sl
 from shrinker_lab import DomainError, TauParams, build_quadratic, verify_quadratic
-from shrinker_lab.quadratics import admissible_matrix
+from shrinker_lab.quadratics import admissible_draw, admissible_matrix, random_admissible_matrix
 
 SQRT2 = math.sqrt(2.0)
 
@@ -39,6 +39,16 @@ class TestBuild:
             build_quadratic(TauParams.monge_ampere(), np.diag([1.0, -0.1]))
         with pytest.raises(DomainError, match="inadmissible"):
             build_quadratic(TauParams.neg_branch(a=-2.0), np.diag([1.0, 5.0]))
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5, 2.0, "2", None])
+def test_sampled_dimension_must_be_an_integer_of_at_least_1(n):
+    # 0 drew a (0, 0) matrix, -1 raised numpy's ValueError and 2.5 a TypeError
+    rng = np.random.default_rng(0)
+    for draw in (lambda: admissible_draw(n, rng), lambda: random_admissible_matrix(TauParams.harmonic(), n, rng)):
+        with pytest.raises(sl.InputError, match="integer of at least 1"):
+            draw()
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state  # refused before any draw
 
 
 class TestVerify:

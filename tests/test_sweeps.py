@@ -14,7 +14,7 @@ from shrinker_lab.geometry import shrinker_defect
 from shrinker_lab.numerics import InputError
 from shrinker_lab.quadratics import (
     _eigenvalue_window, admissible_draw, admissible_matrix, build_quadratic, random_admissible_matrix,
-    verify_quadratic,
+    scaled_uniform, verify_quadratic,
 )
 from shrinker_lab.tau import TauParams, shrinker_residual
 from shrinker_lab.transforms import self_similar_extension
@@ -100,12 +100,33 @@ class TestAgainstPerTrialLoop:
         tp = branch_params()[name]
         for n in range(1, 5):
             rng = np.random.default_rng([n, 200])
-            spectra, gaussians = map(np.array, zip(*(admissible_draw(tp, n, rng) for _ in range(200))))
-            stack = admissible_matrix(spectra, gaussians)
+            units, gaussians = map(np.array, zip(*(admissible_draw(n, rng) for _ in range(200))))
+            stack = admissible_matrix(scaled_uniform(*_eigenvalue_window(tp), units), gaussians)
             rng = np.random.default_rng([n, 200])
             assert same_bits(stack, [random_admissible_matrix(tp, n, rng) for _ in range(200)])
             rng = np.random.default_rng([n, 200])
             assert same_bits(stack, [frozen_admissible_matrix(tp, n, rng) for _ in range(200)])
+
+
+# every window a sweep scales unit draws onto: each cone component's
+# eigenvalue window, and the point and time windows of the three sweeps
+SWEEP_WINDOWS = {**{name: _eigenvalue_window(tp) for name, tp in with_lower_cones().items()},
+                 "points": (-3.0, 3.0), "defect-points": (-2.0, 2.0), "times": (0.1, 10.0)}
+
+
+class TestScaledUniform:
+    """The sweeps draw ``Generator.random`` units and scale them with
+    ``scaled_uniform``; this fails on a numpy build whose ``uniform`` rounds
+    another way."""
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_WINDOWS))
+    def test_units_scaled_are_uniform_draws_bit_for_bit(self, name):
+        lo, hi = SWEEP_WINDOWS[name]
+        drawn, scaled = np.random.default_rng(5), np.random.default_rng(5)
+        for size in (100_000, (7, 3), 1):
+            assert same_bits(scaled_uniform(lo, hi, scaled.random(size)), drawn.uniform(lo, hi, size=size))
+        assert scaled_uniform(lo, hi, scaled.random()) == drawn.uniform(lo, hi)
+        assert scaled.bit_generator.state == drawn.bit_generator.state
 
 
 class TestStacks:

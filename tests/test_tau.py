@@ -266,7 +266,8 @@ class TestCachedForms:
 
 
 # f_value and f_inverse as they read before their guards were bound once per
-# TauParams, kept verbatim as the references of TestBoundGuards
+# TauParams, kept verbatim as the references of TestBoundGuards: the inverse
+# with its polish as a loop of four residual checks and Newton steps
 
 
 def _reference_f_value(tp, lam):
@@ -384,6 +385,25 @@ class TestBoundGuards:
             lams += _near_ends(spec.lo, spec.hi)
             targets += _near_ends(spec.f_lo, spec.f_hi)
         self._check(tp, lams, targets)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_denormal_and_clamp_end_targets(self, name):
+        # the first eight doubles inside each finite cone end are the images of
+        # targets whose closed form rounds onto (or past) the end and is clamped
+        tp = with_lower_cones()[name]
+        spec = tp.components[0]
+        targets = [sign * y for y in (5e-324, 1e-320, 1e-310, 2.2250738585072014e-308) for sign in (-1.0, 1.0)]
+        clamp_ends = []
+        for end, inward in ((spec.lo, math.inf), (spec.hi, -math.inf)):
+            if math.isfinite(end):
+                clamp_ends.append(math.nextafter(end, inward))
+                lam = end
+                for _ in range(8):
+                    lam = math.nextafter(lam, inward)
+                    targets.append(tp.f_form(lam))
+        self._check(tp, targets=targets)
+        clamped = [y for y in targets if spec.f_lo < y < spec.f_hi and f_inverse(tp, y) in clamp_ends]
+        assert len(clamped) >= len(clamp_ends)
 
     def test_ma_overflow_and_log_denormal_targets(self):
         ma, tps = TauParams.monge_ampere(), with_lower_cones()
