@@ -19,7 +19,6 @@ from .numerics import (
 from .fields import (
     AffineScaledField,
     QuadraticField,
-    RadialProfileField,
     ScalarField,
     SeparableExtensionField,
     Table1DField,

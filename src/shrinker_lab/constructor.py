@@ -29,7 +29,7 @@ import numpy as np
 
 from .fields import ScalarField, SeparableExtensionField, StepIntegralField
 from .numerics import ABS_PER_REL_TOL, MAX_GRID_POINTS, READ_SLACK, ConstructionError, DomainError, InputError
-from .numerics import Trajectory, integrate_ode
+from .numerics import Trajectory, abs_tolerance, as_count, integrate_ode
 from .numerics import cumulative_simpson  # noqa: F401  unused; perfbench/tracing.py wraps it by this name
 from .tau import Branch, minkowski_residual, phase, shrinker_residual
 from .transforms import normalize_counterexample_branch, _neg_constants
@@ -195,13 +195,12 @@ def _two_sided(rhs, rhs_dot, y0, span, rel_tol, stage, var):
 
 
 def _check_size(span, rel_tol):
-    """Refuse, before any work, a tolerance whose absolute part, the checks'
-    slack, is not positive, and a half-span longer than the integrator's span
-    at that tolerance: (MAX_GRID_POINTS - 1) // 2 steps of
+    """Refuse, before any work, a tolerance that is not finite and positive
+    with its absolute part (the checks' slack), and a half-span longer than
+    the integrator's span at that tolerance: (MAX_GRID_POINTS - 1) // 2 steps of
     min(2e-2, max(7.5e-4, 0.35 tol^(1/4))).  It bounds a construction's size
     and keeps the integrator off spans it would cross in a few huge steps."""
-    if not rel_tol * ABS_PER_REL_TOL > 0:  # NaN fails too
-        raise InputError(f"tolerances must be positive: rel_tol {rel_tol}, abs_tol {rel_tol * ABS_PER_REL_TOL}")
+    abs_tolerance(rel_tol)
     h = min(2e-2, max(7.5e-4, 0.35 * rel_tol**0.25))
     steps = (MAX_GRID_POINTS - 1) // 2
     if not span / h <= steps:  # NaN and inf fail too
@@ -344,15 +343,6 @@ def _neg_cone_margin(b, phi_min, phi_max, n):
     return 2.0 * b * margin
 
 
-def _sample_count(samples):
-    """``samples`` as an int, refused unless it is an integer of at least 1:
-    on no samples a certificate passes without reading a residual, and a
-    fractional count would be rounded down without a word."""
-    if not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise InputError(f"samples must be an integer of at least 1, got {samples!r}")
-    return int(samples)
-
-
 def _ball_samples(rng, n, radius, count):
     pts = rng.standard_normal((count, n))
     pts /= np.maximum(np.linalg.norm(pts, axis=1, keepdims=True), 1e-300)
@@ -387,12 +377,10 @@ def build_counterexample(
     rests on the stable form alone.
     """
     span_needed = profile_span(tp, radius, T)  # refuses a branch other than NEG
-    n = int(n)
-    if n < 1:
-        raise InputError(f"dimension must be >= 1, got {n}")
+    n = as_count(n, "dimension")
     if not seed >= 0:
         raise InputError(f"seed must be at least 0, got {seed}")
-    samples = _sample_count(samples)
+    samples = as_count(samples, "samples")  # on none a certificate passes unread
     a, b, k, c2 = _neg_constants(tp)
     traj = solve_phase_ode(a0, a1, max(T, span_needed), rel_tol=rel_tol)
 
@@ -556,7 +544,7 @@ def build_mss_counterexample(
         raise InputError("phi(0) = 0 yields a linear profile: trivial solution")
     if not T > 0:
         raise InputError(f"need T > 0, got {T}")
-    samples = _sample_count(samples)
+    samples = as_count(samples, "samples")  # on none a certificate passes unread
     span = profile_span(None, radius, T)
     _check_size(span, rel_tol)
 

@@ -1,7 +1,8 @@
 """Potential fields with value / gradient / Hessian evaluation: closed-form
 derivatives (quadratics, affine-scaled views), one-dimensional profiles
 integrated on the steps of an ODE trajectory or read from tables, and their
-separable and radial extensions.
+separable extension.  (A radial profile is its own field:
+``shooting.RadialProfile``.)
 
 Every field reads a row-major (m, dim) cloud with one kernel a derivative,
 and a point as a cloud of one, with no exception (``numerics.as_cloud``), so
@@ -23,7 +24,6 @@ __all__ = [
     "Table1DField",
     "StepIntegralField",
     "SeparableExtensionField",
-    "RadialProfileField",
 ]
 
 
@@ -290,41 +290,3 @@ class SeparableExtensionField(ScalarField):
         H = 0.5 * np.broadcast_to(np.eye(self.dim), (len(x), self.dim, self.dim))
         H[:, 0, 0] = self.base.hessian(x[:, :1])[:, 0, 0]
         return H
-
-
-class RadialProfileField(ScalarField):
-    """n-D radial potential u(|x|) from 1-D profile evaluators, each called on
-    one float radius.
-
-    The Hessian is u'' along the ray and u'/r on the orthogonal complement;
-    the removable singularity at the origin is filled with u''(0) I.
-    """
-
-    def __init__(self, n, u_fn, du_fn, d2u_fn, r_origin=1e-7):
-        self.dim = int(n)
-        self._u = u_fn
-        self._du = du_fn
-        self._d2u = d2u_fn
-        self._r0 = float(r_origin)
-
-    def _radii(self, x):
-        return np.sqrt(row_dot(x, x))
-
-    def _tangent(self, r):
-        """u'(r)/r, filled with u''(0) within r_origin of the origin."""
-        return [float(self._d2u(0.0)) if v < self._r0 else float(self._du(v)) / v for v in r.tolist()]
-
-    def _value(self, x):
-        return np.array([float(self._u(v)) for v in self._radii(x).tolist()])
-
-    def _gradient(self, x):
-        return np.array(self._tangent(self._radii(x)))[:, None] * x
-
-    def _hessian(self, x):
-        r = self._radii(x)
-        near = r < self._r0
-        tangent = np.array(self._tangent(r))
-        radial = np.array([float(self._d2u(v)) for v in np.where(near, 0.0, r).tolist()])
-        xh = x / np.where(near, 1.0, r)[:, None]    # at the origin radial - tangent is 0
-        return (tangent[:, None, None] * np.eye(self.dim)
-                + (radial - tangent)[:, None, None] * (xh[:, :, None] * xh[:, None, :]))

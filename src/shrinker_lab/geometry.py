@@ -148,20 +148,26 @@ def shrinker_defect(tp, field, x):
     terms are exactly 0: X is tangent, split off exactly by
     :func:`normal_project`, and F(lambda(D^2 u)) is constant, so it reads no
     stencil.  The Hessians at x are read and validated once, for both
-    projections.  A NaN or infinite coordinate is an InputError.
+    projections.  A NaN or infinite coordinate is an InputError, and so is a
+    point whose graph point (x, Du(x)), defect vector or norm is not finite
+    (a gradient or a product that overflows): the first such point is named.
     """
     x, unwrap = as_cloud(x, field.dim, field.stack)
-    if not np.isfinite(x).all():  # the ambient norm's clamp reads NaN as 0
+    if not np.isfinite(x).all():
         raise InputError("points must be finite")
     n = x.shape[-1]
     H = as_sym_matrix(field.hessian(x))
-    X = np.concatenate([x, field.gradient(x)], axis=-1)
-    W = _mean_curvature(tp, field, x, H) + 0.5 * _normal(tp, H, X)
-    if tp.branch in (Branch.ATAN, Branch.SLAG):
-        s, c = tp.sin_cos
-        w1, w2 = W[..., :n], W[..., n:]
-        sq = s * (row_dot(w1, w1) + row_dot(w2, w2)) + 2.0 * c * row_dot(w1, w2)
-        d = np.sqrt(np.where(sq > 0.0, sq, 0.0))
-    else:
-        d = np.sqrt(row_dot(W, W))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by point
+        X = np.concatenate([x, field.gradient(x)], axis=-1)
+        W = _mean_curvature(tp, field, x, H) + 0.5 * _normal(tp, H, X)
+        if tp.branch in (Branch.ATAN, Branch.SLAG):
+            s, c = tp.sin_cos
+            w1, w2 = W[..., :n], W[..., n:]
+            sq = s * (row_dot(w1, w1) + row_dot(w2, w2)) + 2.0 * c * row_dot(w1, w2)
+            d = np.sqrt(np.maximum(sq, 0.0))  # rounding below 0 is 0; a NaN stays, refused below
+        else:
+            d = np.sqrt(row_dot(W, W))
+    bad = ~np.isfinite(d)  # as it is wherever X or W is not finite
+    if bad.any():
+        raise InputError(f"graph point, defect vector or its norm not finite at x = {x[bad][0].tolist()}")
     return unwrap(d)

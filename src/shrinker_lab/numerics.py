@@ -29,10 +29,12 @@ __all__ = [
     "invert_monotone",
     "cumulative_simpson",
     "MAX_GRID_POINTS",
+    "as_count",
     "READ_SLACK",
     "read_span",
     "as_cloud",
     "Trajectory",
+    "abs_tolerance",
     "integrate_ode",
     "hermite_value",
     "hermite_quintic_value",
@@ -301,6 +303,16 @@ READ_SLACK = 1e-9
 MAX_GRID_POINTS = 10**6
 
 
+def as_count(value, name, least=1):
+    """``value`` as an int, refused unless it is an integer of at least
+    ``least``: the one rule for a dimension, a sample count or a precision.
+    A fractional count would be rounded down without a word, and a string
+    read as a number."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise InputError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
 def read_span(t, lo, hi):
     """Times t (an array or a float) on [lo, hi], the one rule for reads at or
     past the ends of data: a time within READ_SLACK (1 + |end|) past an end
@@ -442,6 +454,15 @@ class _NonFiniteStage(Exception):
 ABS_PER_REL_TOL = 1e-2
 
 
+def abs_tolerance(rel_tol):
+    """The absolute tolerance rel_tol * ABS_PER_REL_TOL; an InputError unless
+    both are finite and positive."""
+    abs_tol = rel_tol * ABS_PER_REL_TOL
+    if not (0.0 < rel_tol < math.inf and abs_tol > 0):  # NaN fails too
+        raise InputError(f"tolerances must be finite and positive: rel_tol {rel_tol}, abs_tol {abs_tol}")
+    return abs_tol
+
+
 def integrate_ode(rhs, y0, t_span, rel_tol=1e-10):
     """Adaptive Dormand-Prince 5(4) with dense output, on a pair of floats.
 
@@ -475,9 +496,7 @@ def integrate_ode(rhs, y0, t_span, rel_tol=1e-10):
         (summed steps can round a few ulp short of t1, and the last knot
         then stays there).
     """
-    abs_tol = rel_tol * ABS_PER_REL_TOL
-    if not (0.0 < rel_tol < math.inf and abs_tol > 0):  # NaN fails too
-        raise InputError(f"tolerances must be finite and positive: rel_tol {rel_tol}, abs_tol {abs_tol}")
+    abs_tol = abs_tolerance(rel_tol)
     t0, t1 = float(t_span[0]), float(t_span[1])
     y_arr = np.atleast_1d(np.asarray(y0, dtype=float))
     if y_arr.shape != (2,):

@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import QuadraticField
-from .numerics import InputError, as_sym_matrix, eig_sym
+from .numerics import as_count, as_sym_matrix, eig_sym
 from .tau import cone_spec, operator_value, phase
 
 __all__ = [
@@ -91,8 +91,7 @@ def admissible_draw(n, rng):
     """What one admissible matrix draws from ``rng``, in order: its spectrum's
     n unit uniforms, for ``_eigenvalue_window`` (which keeps f' moderate for
     tight residual targets), then a Gaussian (n, n) sample; n is an integer >= 1."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InputError(f"matrix dimension must be an integer of at least 1, got {n!r}")
+    n = as_count(n, "matrix dimension")
     return rng.random(n), rng.standard_normal((n, n))
 
 

@@ -27,15 +27,20 @@ path samples its profile in one batched ``Trajectory.evaluate`` read, bit for
 bit the per-radius reads of the profile it returns (``_shoot_float``).
 
 One step rule, built once a shot by ``_step_rule``, checks every state either
-path reaches: the float path's initial state and right-hand side, each Taylor
-expansion point, each profile sample and ``RadialProfile.d2u``.  So the two
-paths name a cone exit, an inversion failure and a blow-up past |(u, u')| =
-_BLOW_UP_MAG the same way, and at the state where the rule first fails.  The
-one exit outside the rule is the Taylor path's ``blow_up`` when its step
-radius falls below _MIN_STEP, where the float path's integrator shrinks its
-step to its own floor.  A profile ends at the last sample the rule accepts,
-and ``u``, ``du``, ``d2u`` and ``field`` read it on [0, that sample] through
-``numerics.read_span``; a read past there is an InputError.
+path reaches: the float path's initial state and right-hand side, each
+profile sample and read, and (as an mpf rule) each Taylor expansion point.
+So the two paths name a cone exit, an inversion failure and a blow-up past
+|(u, u')| = _BLOW_UP_MAG the same way, and at the state where the rule first
+fails.  The one exit outside the rule is the Taylor path's ``blow_up`` when
+its step radius falls below _MIN_STEP, where the float path's integrator
+shrinks its step to its own floor.  Each path hands back one batched reader
+of (u, u') at radii from _R_START on and its own series constants;
+``shoot_radial`` makes them the shot's one ``states``: (u0, +0.0) at r = 0,
+the series below _R_START (everywhere if the path took no step), the reader
+beyond.  A profile ends at the last sample the rule accepts, and
+``RadialProfile``, the n-D radial field itself, reads a batch of radii
+through ``states`` on [0, that sample] (``numerics.read_span``); a read past
+there is an InputError.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import mpmath as mp
 import numpy as np
@@ -52,8 +56,10 @@ from mpmath.libmp import (
 )
 
 from . import jets
-from .fields import RadialProfileField
-from .numerics import DomainError, InputError, RhsEvaluationError, integrate_ode, read_span
+from .fields import ScalarField
+from .numerics import (
+    DomainError, InputError, RhsEvaluationError, abs_tolerance, as_count, integrate_ode, read_span, row_dot,
+)
 from .tau import cone_spec, f_inverse, f_inverse_jet, f_inverse_mp, f_value, f_value_jet, f_value_mp
 
 __all__ = ["ShotEvent", "RadialProfile", "shoot_radial", "radial_quadratic_reference"]
@@ -75,8 +81,13 @@ class ShotEvent:
 
 
 @dataclass
-class RadialProfile:
-    """Sampled radial profile (r, u, u', u'') with its termination event."""
+class RadialProfile(ScalarField):
+    """Sampled radial profile (r, u, u', u'') with its termination event, and
+    the n-D radial field u(|x|): ``u``, ``du``, ``d2u`` and the field read a
+    batch of radii through the shot's ``states`` and ``rule``, with
+    u'' = f^-1(rule(r, u, u')), on [0, rs[-1]] (a NaN end if no sample).  The
+    Hessian is u'' along the ray and u'/r across it, u''(0) within _R_SERIES.
+    """
 
     tp: object
     n: int
@@ -87,27 +98,57 @@ class RadialProfile:
     ups: np.ndarray
     upps: np.ndarray
     event: ShotEvent
-    state: object  # r -> (u, u'), the shot's own reader, up to the shot's end
+    states: object  # an array of radii -> (m, 2) array of (u, u'), up to the shot's end
+    rule: object
 
-    def _read(self, r):
-        """(r, u, u') at r read on [0, rs[-1]], up to the last sample the step
-        rule accepted (a NaN end, past which every read lies, if none)."""
-        r = float(read_span(r, 0.0, self.rs[-1] if len(self.rs) else math.nan))
-        return (r, *self.state(r))
-
-    def u(self, r):
-        return self._read(r)[1]
-
-    def du(self, r):
-        return self._read(r)[2]
-
-    def d2u(self, r):
-        r, u, up = self._read(r)
-        return f_inverse(self.tp, _step_rule(self.tp, self.n, self.upp0)(r, u, up))
+    @property
+    def dim(self):
+        return self.n
 
     @property
     def field(self):
-        return RadialProfileField(self.n, self.u, self.du, self.d2u, r_origin=_R_SERIES)
+        """The profile itself, as the n-D radial field it describes."""
+        return self
+
+    def _read(self, radii):
+        """Radii read on [0, rs[-1]], and u and u' at each."""
+        r = read_span(radii, 0.0, self.rs[-1] if len(self.rs) else math.nan)
+        return (r, *self.states(r).T)
+
+    def _curvature(self, r, u, up):
+        return np.array([f_inverse(self.tp, self.rule(*s)) for s in zip(r.tolist(), u.tolist(), up.tolist())])
+
+    def u(self, r):
+        return float(self._read([r])[1][0])
+
+    def du(self, r):
+        return float(self._read([r])[2][0])
+
+    def d2u(self, r):
+        return float(self._curvature(*self._read([r]))[0])
+
+    def _polar(self, x):
+        """A cloud's radii, those within _R_SERIES, and the read there (at 0 for those)."""
+        r = np.sqrt(row_dot(x, x))
+        near = r < _R_SERIES
+        return r, near, self._read(np.where(near, 0.0, r))
+
+    def _value(self, x):
+        return self._read(np.sqrt(row_dot(x, x)))[1]
+
+    def _gradient(self, x):
+        r, near, (at, u, up) = self._polar(x)
+        tangent = up / np.where(near, 1.0, r)
+        tangent[near] = self._curvature(at[near], u[near], up[near])
+        return tangent[:, None] * x
+
+    def _hessian(self, x):
+        r, near, (at, u, up) = self._polar(x)
+        radial = self._curvature(at, u, up)
+        tangent = np.where(near, radial, up / np.where(near, 1.0, r))
+        xh = x / np.where(near, 1.0, r)[:, None]    # at the origin radial - tangent is 0
+        return (tangent[:, None, None] * np.eye(self.n)
+                + (radial - tangent)[:, None, None] * (xh[:, :, None] * xh[:, None, :]))
 
     def rows(self):
         return np.column_stack([self.rs, self.us, self.ups, self.upps])
@@ -145,21 +186,30 @@ def _series_state(u0, upp0, r):
     return u0 + 0.5 * upp0 * r * r, upp0 * r
 
 
+def _check_span(r_max):
+    if not 0.0 < r_max < math.inf:  # NaN fails too
+        raise InputError(f"r_max must be finite and positive, got {r_max}")
+    return float(r_max)
+
+
 def radial_quadratic_reference(tp, n, c, r_max=10.0, n_samples=401):
     """Exact profile u(r) = c r^2/2 - n f(c); the shooting oracle."""
+    n, r_max, n_samples = as_count(n, "dimension"), _check_span(r_max), as_count(n_samples, "n_samples", 2)
     c = float(c)
     if not cone_spec(tp).contains(c):
         raise DomainError(f"curvature {c} outside the selected cone component", value=c)
     const = -n * f_value(tp, c)
-    rs = np.linspace(0.0, float(r_max), n_samples)
+    rs = np.linspace(0.0, r_max, n_samples)
     return RadialProfile(
-        tp, int(n), float(const), c, rs, 0.5 * c * rs**2 + const, c * rs, np.full_like(rs, c),
-        ShotEvent("completed", float(r_max)), lambda r: (0.5 * c * r * r + const, c * r),
+        tp, n, float(const), c, rs, 0.5 * c * rs**2 + const, c * rs, np.full_like(rs, c),
+        ShotEvent("completed", r_max), lambda r: np.column_stack([0.5 * c * r * r + const, c * r]),
+        _step_rule(tp, n, c),
     )
 
 
-def _shoot_float(tp, n, u0, upp0, r_max, rel_tol):
-    rule = _step_rule(tp, n, upp0)  # bounds, range and n - 1 bound once a shot
+def _shoot_float(tp, rule, u0, upp0, r_max, rel_tol):
+    """(u, u')'s batched reader (None if ``rule`` refuses the start), series
+    constants, end and event, integrated from the series state at _R_START."""
     def rhs(r, y):
         u, up = y
         return [up, f_inverse(tp, rule(r, u, up))]
@@ -168,27 +218,17 @@ def _shoot_float(tp, n, u0, upp0, r_max, rel_tol):
     try:  # the initial state, as _shoot_mp checks each expansion point
         rule(_R_START, *y0)
     except RhsEvaluationError as exc:  # no step: the series is the whole shot
-        event = ShotEvent(exc.label, _R_START, exc.detail)
-        return (lambda rs: [_series_state(u0, upp0, r) for r in rs]), _R_START, event
-    traj = integrate_ode(rhs, y0, (_R_START, float(r_max)), rel_tol)
+        return None, (u0, upp0), _R_START, ShotEvent(exc.label, _R_START, exc.detail)
+    traj = integrate_ode(rhs, y0, (_R_START, r_max), rel_tol)
 
     if traj.event is None:
-        event = ShotEvent("completed", float(r_max))
+        event = ShotEvent("completed", r_max)
     else:
         kind = traj.event.label
         if kind not in ("cone_exit", "inversion_failure", "blow_up"):
             kind = "blow_up"
         event = ShotEvent(kind, float(traj.event.t), traj.event.detail)
-
-    def states(rs):  # one batched read: the series below _R_START, the trajectory beyond
-        out = np.empty((len(rs), 2))
-        near = rs < _R_START
-        out[~near] = traj.evaluate(rs[~near])
-        for i in np.flatnonzero(near):
-            out[i] = _series_state(u0, upp0, rs[i])
-        return out.tolist()
-
-    return states, traj.t_end, event
+    return traj.evaluate, (u0, upp0), traj.t_end, event
 
 
 _DEGREE = 20
@@ -336,12 +376,8 @@ def _shoot_mp(tp, n, u0, r_max, dps):
             if r0 >= r_max:
                 event = ShotEvent("completed", float(r_max))
                 break
-        r_end = event.r
 
         def state(r):
-            r = float(read_span(r, 0.0, r_end))
-            if r < _R_START or not steps:
-                return _series_state(float(u0_mp), float(upp0_mp), r)
             i = _step_index(starts_f, starts, r)
             sign, hm, exp, _ = mpf_sub(from_float(r), starts[i], fine_prec, rnd)
             if sign:
@@ -351,7 +387,8 @@ def _shoot_mp(tp, n, u0, r_max, dps):
             scale, us, ps = steps[i]
             return _to_float(_horner(us, hm, -exp), scale), _to_float(_horner(ps, hm, -exp), scale)
 
-    return state, r_end, event
+    read = (lambda rs: [state(r) for r in rs.tolist()]) if steps else None
+    return read, (float(u0_mp), float(upp0_mp)), event.r, event
 
 
 def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, *, dps=None, n_samples=401):
@@ -372,48 +409,48 @@ def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, *, dps=None, n_samples=40
     Raises
     ------
     InputError
-        If ``r_max`` is not finite and positive, -u0/n is not attainable on
-        the selected cone component, or its preimage u''(0) is not finite (no
-        valid initial curvature exists).
+        If ``n`` is not an integer of at least 1, ``n_samples`` one of at
+        least 2 or ``dps`` one above 10; if ``r_max`` or ``rel_tol`` is not
+        finite and positive; if -u0/n is not attainable on the selected cone
+        component, or its preimage u''(0) is not finite (no valid initial
+        curvature exists).
     """
-    n = int(n)
-    if n < 1:
-        raise InputError(f"dimension must be >= 1, got {n}")
-    if not 0.0 < r_max < math.inf:  # NaN fails too
-        raise InputError(f"r_max must be finite and positive, got {r_max}")
-    if dps is not None and dps <= 10:
-        # the Taylor steps' tolerance is 10^-(dps-10)
-        raise InputError(f"dps must be above 10, got {dps}")
+    n, r_max, n_samples = as_count(n, "dimension"), _check_span(r_max), as_count(n_samples, "n_samples", 2)
+    abs_tolerance(rel_tol)  # before the step rule may refuse the start
+    if dps is not None:
+        dps = as_count(dps, "dps", 11)  # the Taylor steps' tolerance is 10^-(dps-10)
     u0_raw = u0
     u0 = float(u0)
     upp0 = f_inverse(tp, -u0 / n)
     if not math.isfinite(upp0):
         raise InputError(f"u''(0) = f^-1(-u0/n) = {upp0} at u0 = {u0}: no finite initial curvature")
 
-    if dps is not None:
-        state, r_end, event = _shoot_mp(tp, n, u0_raw, float(r_max), int(dps))
-        states = partial(map, state)  # the fixed-point reader, sample by sample
-    else:
-        states, r_end, event = _shoot_float(tp, n, u0, upp0, float(r_max), rel_tol)
+    rule = _step_rule(tp, n, upp0)  # bounds, range and n - 1 bound once a shot
+    read, (su, supp), r_end, event = (_shoot_float(tp, rule, u0, upp0, r_max, rel_tol) if dps is None
+                                      else _shoot_mp(tp, n, u0_raw, r_max, dps))
 
-        def state(r):  # a batch of one
-            return tuple(states(np.array([r], dtype=float))[0])
+    def states(radii):
+        """(u, u') at an array of radii on [0, r_end], one row a radius."""
+        r = read_span(radii, 0.0, r_end)
+        out = np.empty((len(r), 2))
+        near = (r < _R_START) | (read is None)
+        out[near] = np.column_stack(_series_state(su, supp, r[near]))
+        if not near.all():
+            out[~near] = read(r[~near])
+        out[r == 0.0] = u0, 0.0
+        return out
 
-    rule = _step_rule(tp, n, upp0)
     rs = np.linspace(0.0, r_end, n_samples)
-    us, ups, upps = (np.empty_like(rs) for _ in range(3))
-    for i, (r, sample) in enumerate(zip(rs.tolist(), states(rs))):
-        u, up = sample if r > 0 else (u0, 0.0)
+    samples = states(rs)
+    upps = np.empty_like(rs)
+    for i, (r, u, up) in enumerate(zip(rs.tolist(), *samples.T.tolist())):
         try:
             upps[i] = f_inverse(tp, rule(r, u, up))
         except RhsEvaluationError as exc:
             # the profile ends at the last sample the step rule accepts
             if event.completed:
                 event = ShotEvent(exc.label, float(r), exc.detail)
-            rs, us, ups, upps = rs[:i], us[:i], ups[:i], upps[:i]
+            rs, samples, upps = rs[:i], samples[:i], upps[:i]
             break
-        us[i], ups[i] = u, up
-
-    return RadialProfile(
-        tp, n, u0, upp0, rs, us, ups, upps, event, lambda r: (u0, 0.0) if r == 0 else state(r)
-    )
+    us, ups = samples.T.copy()
+    return RadialProfile(tp, n, u0, upp0, rs, us, ups, upps, event, states, rule)

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from shrinker_lab.fields import (
     AffineScaledField,
     QuadraticField,
-    RadialProfileField,
     SeparableExtensionField,
     Table1DField,
 )
 from shrinker_lab.constructor import assemble_w1, solve_phase_ode
 from shrinker_lab.numerics import InputError, hermite_quintic_value, hermite_value
 from shrinker_lab.quadratics import random_admissible_matrix
+from shrinker_lab.shooting import radial_quadratic_reference
 from shrinker_lab.tau import shrinker_residual
 
 from conftest import CallableField, branch_params, same_bits
@@ -212,10 +212,12 @@ class TestCloudViews:
 
 
 class TestRadialProfileField:
+    """A radial profile read as a field: the closed-form profile of a quadratic."""
+
     def test_matches_quadratic(self, rng):
         c = 0.7
-        f = RadialProfileField(3, lambda r: 0.5 * c * r * r, lambda r: c * r, lambda r: c)
-        q = QuadraticField(c * np.eye(3))
+        f = radial_quadratic_reference(branch_params()["MA"], 3, c, r_max=4.0)
+        q = QuadraticField(c * np.eye(3), f.u0)
         for _ in range(10):
             x = rng.uniform(-2, 2, 3)
             assert f.value(x) == pytest.approx(q.value(x), abs=1e-13)
@@ -223,6 +225,6 @@ class TestRadialProfileField:
             assert np.max(np.abs(f.hessian(x) - q.hessian(x))) < 1e-12
 
     def test_origin_limit(self):
-        f = RadialProfileField(2, lambda r: r**2, lambda r: 2 * r, lambda r: 2.0)
+        f = radial_quadratic_reference(branch_params()["MA"], 2, 2.0)
         assert np.allclose(f.hessian(np.zeros(2)), 2.0 * np.eye(2))
         assert np.allclose(f.gradient(np.zeros(2)), 0.0)

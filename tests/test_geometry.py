@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from shrinker_lab.geometry import (
     shrinker_defect,
 )
 from shrinker_lab.numerics import as_sym_matrix, eig_sym, fd_gradient
-from shrinker_lab.tau import operator_value
+from shrinker_lab.tau import cone_spec, operator_gradient_matrix, operator_value
 from shrinker_lab.transforms import self_similar_extension
 
 from conftest import CallableField, branch_params, same_bits, with_lower_cones
@@ -186,6 +187,25 @@ class TestMeanCurvature:
             assert np.any(dF != 0.0), name
             want = normal_project(tp, field.hessian(x), np.concatenate([np.zeros(n), dF]))
             assert same_bits(mean_curvature(tp, field, x), want), name
+
+    @pytest.mark.parametrize("name", sorted(with_lower_cones()))
+    def test_stencil_meets_the_chain_rule(self, name, rng):
+        # on u = <x, A x>/2 - 0.01 sum cos x_k, d_k D^2 u is -0.01 sin(x_k) at
+        # (k, k) alone, so D_k F = tr(F'(D^2 u) d_k D^2 u) = -0.01 sin(x_k) F'_kk;
+        # with every |sin x_k| >= 0.1 the central differences at FD_STEP = 1e-3
+        # meet 5e-7 of the largest component, and those at 2e-3 do not
+        tp = with_lower_cones()[name]
+        for n in (1, 2, 3):
+            for _ in range(20):
+                field = CosineQuadratics(sl.random_admissible_matrix(tp, n, rng))
+                x = rng.uniform(-3.0, 3.0, n)
+                while np.any(np.abs(np.sin(x)) < 0.1):
+                    x = rng.uniform(-3.0, 3.0, n)
+                H = field.hessian(x)
+                dF = -0.01 * np.sin(x) * np.diag(operator_gradient_matrix(tp, H))
+                want = normal_project(tp, H, np.concatenate([np.zeros(n), dF]))
+                got = mean_curvature(tp, field, x)
+                assert np.max(np.abs(got - want)) <= 5e-7 * np.max(np.abs(want)), (n, x)
 
     def test_nonzero_for_counterexample(self):
         tp = TauParams.neg_branch(a=-2.0)
@@ -489,3 +509,20 @@ def test_non_finite_coordinate_is_refused(name, read, value, rng):
 
     with pytest.raises(sl.InputError, match="finite"):
         NON_FINITE_READS[read](tp, one, three, bad)
+
+
+@pytest.mark.parametrize("name", sorted(with_lower_cones()))
+def test_overflowed_gradient_is_refused_and_a_true_zero_stays(name):
+    # at x = [1e308, 0] the gradient of diag(lam, lam) overflows once |lam| >= 2:
+    # it used to read as 0.0 on ATAN and SLAG and as NaN elsewhere, with
+    # RuntimeWarnings; at |lam| = 1.68 nothing overflows and the defect is 0
+    tp = with_lower_cones()[name]
+    spec = cone_spec(tp)
+    x = np.array([[0.5, 0.1], [1e308, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(sl.InputError, match=r"not finite at x = \[1e\+308, 0\.0\]"):
+            shrinker_defect(tp, QuadraticField((2.0 if spec.contains(2.0) else -4.0) * np.eye(2)), x)
+        for lam in (1.68, -1.68):
+            if spec.contains(lam):
+                assert same_bits(shrinker_defect(tp, QuadraticField(lam * np.eye(2)), x[1]), 0.0)

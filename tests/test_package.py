@@ -54,3 +54,33 @@ def test_library_refuses_what_the_cli_refuses(call, reason):
     # each value the CLI refuses with exit 65 is an InputError at the library entry point too
     with pytest.raises(InputError, match=reason):
         call()
+
+
+SLAG = sl.TauParams.special_lagrangian()
+
+
+@pytest.mark.parametrize("call, reason", [
+    (lambda: sl.build_counterexample(NEG, 0.3, 0.7, 2.5), "dimension must be an integer of at least 1"),
+    (lambda: sl.build_counterexample(NEG, 0.3, 0.7, "2"), "dimension must be an integer of at least 1"),
+    (lambda: sl.shoot_radial(SLAG, 2.5, -1.0, r_max=5.0), "dimension must be an integer of at least 1"),
+    (lambda: sl.shoot_radial(SLAG, 2, -1.0, r_max=5.0, dps=20.5), "dps must be an integer of at least 11"),
+    (lambda: sl.shoot_radial(SLAG, 2, -1.0, r_max=5.0, n_samples=0), "n_samples must be an integer of at least 2"),
+    (lambda: sl.shoot_radial(SLAG, 2, -1.0, r_max=5.0, n_samples=-1), "n_samples must be an integer of at least 2"),
+    (lambda: sl.shoot_radial(SLAG, 2, -1.0, r_max=5.0, n_samples=2.5), "n_samples must be an integer of at least 2"),
+    (lambda: sl.shoot_radial(SLAG, 2, -1.0, r_max=5.0, n_samples=401.0), "n_samples must be an integer of at least 2"),
+    (lambda: sl.radial_quadratic_reference(SLAG, 2, 0.5, r_max=-1.0), "r_max must be finite and positive"),
+    (lambda: sl.radial_quadratic_reference(SLAG, 2, 0.5, r_max=math.nan), "r_max must be finite and positive"),
+    (lambda: sl.radial_quadratic_reference(SLAG, 0, 0.5), "dimension must be an integer of at least 1"),
+    (lambda: sl.radial_quadratic_reference(SLAG, 2, 0.5, n_samples=1), "n_samples must be an integer of at least 2"),
+    # the step rule refuses this shot's initial state, which came before the tolerance was read
+    (lambda: sl.shoot_radial(NEG, 2, 2e10, r_max=1.0, rel_tol=-1.0), "tolerances must be finite and positive"),
+    (lambda: sl.shoot_radial(NEG, 2, 2e10, r_max=1.0, rel_tol=math.nan), "tolerances must be finite and positive"),
+], ids=["build-n-fraction", "build-n-string", "shoot-n-fraction", "shoot-dps-fraction", "shoot-samples-0",
+        "shoot-samples-negative", "shoot-samples-fraction", "shoot-samples-float", "reference-rmax-negative",
+        "reference-rmax-nan", "reference-n-0", "reference-samples-1", "shoot-refused-start-tol-negative",
+        "shoot-refused-start-tol-nan"])
+def test_library_refuses_a_count_span_or_tolerance_it_cannot_use(call, reason):
+    # a count is an integer, never rounded down or read from a string, and a
+    # span or tolerance is checked before any work
+    with pytest.raises(InputError, match=reason):
+        call()

@@ -102,3 +102,15 @@ def test_nan_time_is_refused(reader):
     read, _, _ = READERS[reader]()
     with pytest.raises(InputError, match="outside the span"):
         read(math.nan)
+
+
+@pytest.mark.parametrize("reader", list(READERS))
+def test_the_slack_is_wide_enough_for_a_grid_and_no_wider(reader):
+    # numpy's arange drifts up to 3.7e-13 (1 + |end|) past a profile grid's
+    # end, and such a read must read the end; a read 1e-8 (1 + |end|) past an
+    # end is refused (the two literals bound READ_SLACK from both sides)
+    read, lo, hi = READERS[reader]()
+    for end, outward in ((lo, -1.0), (hi, 1.0)):
+        assert same_bits(np.hstack(read(end + 4e-13 * outward * (1 + abs(end)))), np.hstack(read(end)))
+        with pytest.raises(InputError, match="outside the span"):
+            read(end + 1e-8 * outward * (1 + abs(end)))

@@ -9,9 +9,10 @@ from mpmath.libmp import from_man_exp, fzero, round_nearest
 
 import shrinker_lab as sl
 from shrinker_lab import InputError, TauParams, shooting
-from shrinker_lab.numerics import RhsEvaluationError
+from shrinker_lab.fields import ScalarField
+from shrinker_lab.numerics import RhsEvaluationError, read_span, row_dot
 from shrinker_lab.shooting import _step_rule, radial_quadratic_reference, shoot_radial
-from shrinker_lab.tau import cone_spec, f_range, f_value, f_value_mp
+from shrinker_lab.tau import cone_spec, f_inverse, f_range, f_value, f_value_mp
 
 from conftest import branch_params, same_bits
 
@@ -131,7 +132,7 @@ class TestEvents:
             # sample of the grid to the event is past the bound
             grid = np.linspace(0.0, prof.event.r, 401)
             assert len(prof.rs) < 401 and prof.rs[-1] == grid[len(prof.rs) - 1]
-            assert max(map(abs, prof.state(grid[len(prof.rs)]))) > 5
+            assert max(map(abs, prof.states(grid[len(prof.rs):][:1])[0])) > 5
 
     def test_completed_shot_ends_with_the_label_of_its_first_rejected_sample(self, monkeypatch):
         # the step rule accepts the whole float shot to r = 10, then rejects
@@ -276,14 +277,14 @@ class TestFloatSampler:
         prof = shoot_radial(tp, 2, -2 * f_value(tp, EVENT_CURVATURES[branch]) + du0, r_max=50.0)
         if branch in ("LOG", "ATAN", "SLAG"):
             assert not prof.event.completed and len(prof.rs) == 401
-        assert same_bits(prof.rows(), [(r, *prof.state(r), prof.d2u(r)) for r in prof.rs])
+        assert same_bits(prof.rows(), [(r, *prof.states(np.array([r]))[0], prof.d2u(r)) for r in prof.rs])
 
     def test_samples_below_the_series_start(self, all_branches):
         # samples at 0.75e-8 and below come from the series, the rest from the trajectory
         tp = all_branches["LOG"]
         prof = shoot_radial(tp, 2, -2 * f_value(tp, 0.3) + 0.05, r_max=3e-8, n_samples=5)
         assert prof.event.completed and prof.rs[1] < shooting._R_START < prof.rs[2]
-        assert same_bits(prof.rows(), [(r, *prof.state(r), prof.d2u(r)) for r in prof.rs])
+        assert same_bits(prof.rows(), [(r, *prof.states(np.array([r]))[0], prof.d2u(r)) for r in prof.rs])
 
 
 def _inside(spec):
@@ -385,7 +386,7 @@ class TestReadsPastTheEnd:
             for read in reads:
                 with pytest.raises(InputError, match="outside the span"):
                     read(r)
-        assert prof.state(3.47)[0] == pytest.approx(5.04, abs=5e-3)
+        assert prof.states(np.array([3.47]))[0, 0] == pytest.approx(5.04, abs=5e-3)
 
     @pytest.mark.parametrize("dps, kind", [(None, "blow_up"), (15, "cone_exit")])
     def test_profile_without_samples_refuses_every_read(self, dps, kind):
@@ -452,7 +453,7 @@ class TestProfileReader:
 
     @staticmethod
     def _shot(monkeypatch, tp, u0, r_max, dps):
-        """A Taylor shot's reader, its end, and the start and (u, u')
+        """A Taylor shot's batched reader, its end, and the start and (u, u')
         polynomials (highest first) of each step, recorded as they are made."""
         steps = []
         taylor_step = shooting._taylor_step
@@ -463,10 +464,10 @@ class TestProfileReader:
             return us, ps
 
         monkeypatch.setattr(shooting, "_taylor_step", recording)
-        state, r_end, event = shooting._shoot_mp(tp, 2, u0, r_max, dps)
+        read, _, r_end, event = shooting._shoot_mp(tp, 2, u0, r_max, dps)
         if event.detail.startswith("Taylor step"):  # the last expansion was refused
             steps.pop()
-        return state, r_end, event, steps
+        return read, r_end, event, steps
 
     @staticmethod
     def _radii(starts, r_end):
@@ -478,7 +479,7 @@ class TestProfileReader:
         return [r for r in rs if shooting._R_START <= r <= r_end]
 
     def _check(self, monkeypatch, tp, u0, r_max, dps):
-        state, r_end, event, steps = self._shot(monkeypatch, tp, u0, r_max, dps)
+        read, r_end, event, steps = self._shot(monkeypatch, tp, u0, r_max, dps)
         starts = [s for s, _, _ in steps]
         with mp.workdps(dps):
             fine = mp.mp.prec + 40
@@ -489,7 +490,7 @@ class TestProfileReader:
             with mp.workprec(fine):
                 h = mp.mpf(r) - starts[i]
                 want = float(mp.polyval(steps[i][1], h)), float(mp.polyval(steps[i][2], h))
-            assert same_bits(state(r), want), r
+            assert same_bits(read(np.array([r]))[0], want), r
             assert shooting._step_index([float(s) for s in starts], [s._mpf_ for s in starts], r) == i, r
         assert picked == set(range(len(steps)))
         return event
@@ -528,3 +529,164 @@ class TestProfileReader:
         scale, us, ps = shooting._fixed_point([tiny] + [fzero] * 20, [fzero] * 21, mp.mpf(0.5), 200)
         assert scale == 200 - (-100 + 1)
         assert us == [0] * 20 + [1 << 199] and ps == [0] * 21
+
+
+class FrozenRadialField(ScalarField):
+    """The former ``fields.RadialProfileField``, kept as a reference: an n-D
+    radial potential from three 1-D callables, each called on one float
+    radius.  The Hessian is u'' along the ray and u'/r on the orthogonal
+    complement; within r_origin of the origin both are u''(0)."""
+
+    def __init__(self, n, u_fn, du_fn, d2u_fn, r_origin):
+        self.dim, self._u, self._du, self._d2u, self._r0 = n, u_fn, du_fn, d2u_fn, r_origin
+
+    def _radii(self, x):
+        return np.sqrt(row_dot(x, x))
+
+    def _tangent(self, r):
+        return [float(self._d2u(0.0)) if v < self._r0 else float(self._du(v)) / v for v in r.tolist()]
+
+    def _value(self, x):
+        return np.array([float(self._u(v)) for v in self._radii(x).tolist()])
+
+    def _gradient(self, x):
+        return np.array(self._tangent(self._radii(x)))[:, None] * x
+
+    def _hessian(self, x):
+        r = self._radii(x)
+        near = r < self._r0
+        tangent = np.array(self._tangent(r))
+        radial = np.array([float(self._d2u(v)) for v in np.where(near, 0.0, r).tolist()])
+        xh = x / np.where(near, 1.0, r)[:, None]
+        return (tangent[:, None, None] * np.eye(self.dim)
+                + (radial - tangent)[:, None, None] * (xh[:, :, None] * xh[:, None, :]))
+
+
+def _frozen_reads(prof, series, beyond):
+    """u, du and d2u of the former ``RadialProfile``, one float radius a call:
+    each radius read on [0, rs[-1]]; (u0, 0.0) at r = 0, the path's series
+    (u0, u''(0)) below _R_START or, if the path took no step, everywhere;
+    ``beyond(r)`` past it; d2u = f^-1 of the step rule there."""
+    su, supp = series
+
+    def read(r):
+        r = read_span(r, 0.0, prof.rs[-1] if len(prof.rs) else math.nan)
+        if r == 0:
+            return r, prof.u0, 0.0
+        if r < shooting._R_START or beyond is None:
+            return r, su + 0.5 * supp * r * r, supp * r
+        return (r, *beyond(r))
+
+    def d2u(r):
+        return f_inverse(prof.tp, shooting._step_rule(prof.tp, prof.n, prof.upp0)(*read(r)))
+
+    return lambda r: read(r)[1], lambda r: read(r)[2], d2u
+
+
+def _recorded_shot(monkeypatch, tp, n, u0, r_max, dps):
+    """A shot, its frozen per-radius reads and its frozen field: the float
+    path's trajectory and the Taylor path's steps recorded as they are made,
+    each read as the former readers read them, with each path's own series
+    constants."""
+    made = []
+    integrate, taylor_step = shooting.integrate_ode, shooting._taylor_step
+
+    def recording_integrate(*args, **kwargs):
+        made.append(integrate(*args, **kwargs))
+        return made[-1]
+
+    def recording_step(*args):
+        us, ps = taylor_step(*args)
+        made.append((args[2], [mp.make_mpf(c) for c in us[::-1]], [mp.make_mpf(c) for c in ps[::-1]]))
+        return us, ps
+
+    monkeypatch.setattr(shooting, "integrate_ode", recording_integrate)
+    monkeypatch.setattr(shooting, "_taylor_step", recording_step)
+    prof = shoot_radial(tp, n, u0, r_max=r_max, dps=dps)
+    monkeypatch.undo()
+    if dps is None:
+        series = u0, f_inverse(tp, -u0 / n)
+        beyond = (lambda r: tuple(made[0].evaluate([r])[0].tolist())) if made else None
+    else:
+        with mp.workdps(dps):
+            series = u0, float(sl.tau.f_inverse_mp(tp, -mp.mpf(u0) / n))
+            fine = mp.mp.prec + 40
+        if prof.event.detail.startswith("Taylor step"):  # the last expansion was refused
+            made.pop()
+        starts = [s for s, _, _ in made]
+
+        def polyval(r):
+            start, us, ps = made[max(bisect.bisect(starts, r) - 1, 0)]
+            with mp.workprec(fine):
+                h = mp.mpf(r) - start
+                return float(mp.polyval(us, h)), float(mp.polyval(ps, h))
+
+        beyond = polyval if made else None
+    reads = _frozen_reads(prof, series, beyond)
+    return prof, reads, FrozenRadialField(n, *reads, r_origin=shooting._R_SERIES)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except sl.DomainError as exc:
+        return str(exc)
+
+
+class TestProfileAsField:
+    """A radial profile reads a cloud's radii in one batched read through the
+    shot's one reader, bit for bit the former per-radius reads and field."""
+
+    @pytest.mark.parametrize("dps", [None, 20])
+    @pytest.mark.parametrize("branch", list(EVENT_CURVATURES))
+    def test_reads_are_the_former_reads(self, branch, dps, monkeypatch, rng):
+        tp = branch_params()[branch]
+        for n in (2, 3):
+            u0 = -n * f_value(tp, EVENT_CURVATURES[branch]) + 0.05
+            prof, (u, du, d2u), frozen = _recorded_shot(monkeypatch, tp, n, u0, 6.0, dps)
+            assert len(prof.rs) > 200
+            radii = [0.0, 5e-9, shooting._R_START, 5e-7, 2e-6, prof.rs[len(prof.rs) // 2], prof.rs[-1]]
+            for r in radii:
+                assert same_bits([prof.u(r), prof.du(r), prof.d2u(r)], [u(r), du(r), d2u(r)]), (n, r)
+            theta = rng.standard_normal(n)
+            theta /= np.linalg.norm(theta)
+            cloud = np.array(radii)[:, None] * np.vstack([theta, np.eye(n)[0]])[:, None, :]
+            for x in (cloud.reshape(-1, n), cloud[0, 3]):
+                for read in ("value", "gradient", "hessian"):
+                    assert same_bits(getattr(prof.field, read)(x), getattr(frozen, read)(x)), (n, read)
+            for r in (1.0, radii[5]):
+                assert _outcome(lambda: sl.growth_ratio(tp, prof, theta, r)) == \
+                    _outcome(lambda: sl.growth_ratio(tp, frozen, theta, r)), (n, r)
+
+    def test_one_step_rule_serves_a_shot_and_its_reads(self, monkeypatch, rng):
+        # the float right-hand side, the sampling and a 50-point field Hessian
+        built = []
+        step_rule = shooting._step_rule
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return step_rule(*args, **kwargs)
+
+        monkeypatch.setattr(shooting, "_step_rule", counting)
+        tp = TauParams.monge_ampere()
+        prof = shoot_radial(tp, 3, -3 * f_value(tp, 0.8), r_max=5.0)
+        H = prof.field.hessian(rng.uniform(-2.0, 2.0, (50, 3)))
+        assert H.shape == (50, 3, 3) and len(built) == 1
+
+    @pytest.mark.parametrize("dps", [None, 20])
+    def test_origin_row_is_u0_and_plus_zero(self, dps):
+        # u''(0) = -0.5, so the series would give u'(0) = -0.5 * 0.0 = -0.0
+        u0 = 0.9272952180016122
+        prof = shoot_radial(TauParams.special_lagrangian(), 2, u0, r_max=2.0, dps=dps)
+        assert prof.upp0 == pytest.approx(-0.5, abs=1e-15)
+        for row in (prof.rows()[0], [0.0, *prof.states(np.array([0.0]))[0], prof.upps[0]],
+                    [0.0, prof.u(0.0), prof.du(0.0), prof.d2u(0.0)]):
+            assert same_bits(row[:3], [0.0, u0, 0.0])
+
+
+def test_float_step_underflow_is_named_blow_up():
+    # the integrator's step size underflows; the float path names it blow_up,
+    # as scripts/report_digest.py's MA shot in dimension 3 records
+    prof = shoot_radial(TauParams.monge_ampere(), 3, 1.8559592064889043, r_max=50.0)
+    assert (prof.event.kind, prof.event.r, prof.event.detail) == ("blow_up", 14.629827339389282, "step size underflow")
+    assert len(prof.rs) == 401 and prof.rs[-1] == prof.event.r
