@@ -20,7 +20,7 @@ import numpy as np
 from . import geometry, quadratics, reports, shooting, transforms
 from .constructor import build_counterexample, build_mss_counterexample, profile_grid, profile_span
 from .fields import QuadraticField
-from .numerics import MAX_GRID_POINTS, ConstructionError, DomainError, InputError
+from .numerics import MAX_GRID_POINTS, ConstructionError, DomainError, InputError, as_count, as_positive
 from .tau import TauParams
 
 EXIT_PASS = 0
@@ -132,9 +132,8 @@ def _check_sizes(args):
         what = f"--trials {trials} x --points {points}" if hasattr(args, "points") else f"--trials {trials}"
         raise UsageError(f"{what} is above {MAX_GRID_POINTS}")
     for name in ("rmax", "grid_step", "span", "tol"):
-        value = getattr(args, name, None)
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise InputError(f"--{name.replace('_', '-')} must be finite and positive, got {value}")
+        if (value := getattr(args, name, None)) is not None:
+            as_positive(value, f"--{name.replace('_', '-')}")
     if getattr(args, "seed", 0) < 0:
         raise InputError(f"--seed must be at least 0, got {args.seed}")
 
@@ -166,8 +165,7 @@ def _branch_sweep(args, command, default_tol, key, draw, measure, summarize, **e
     """
     sizes = {"n": args.n, "trials": args.trials, **extra_config}
     for name, value in sizes.items():
-        if value < 1:
-            raise InputError(f"--{name} must be at least 1, got {value}")
+        as_count(value, f"--{name}")
     tp_single = _resolve_tp(args)
     tps = {tp_single.branch.value: tp_single} if tp_single else {
         name: make() for name, make in BRANCH_DEFAULTS.items()

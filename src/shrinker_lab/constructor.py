@@ -29,7 +29,7 @@ import numpy as np
 
 from .fields import ScalarField, SeparableExtensionField, StepIntegralField
 from .numerics import ABS_PER_REL_TOL, MAX_GRID_POINTS, READ_SLACK, ConstructionError, DomainError, InputError
-from .numerics import Trajectory, abs_tolerance, as_count, integrate_ode
+from .numerics import Trajectory, abs_tolerance, as_count, as_positive, integrate_ode
 from .numerics import cumulative_simpson  # noqa: F401  unused; perfbench/tracing.py wraps it by this name
 from .tau import Branch, minkowski_residual, phase, shrinker_residual
 from .transforms import normalize_counterexample_branch, _neg_constants
@@ -133,19 +133,18 @@ def solve_phase_ode(a0, a1, T, rel_tol=1e-10):
     """Integrate the phase ODE on [-T, T] from phi(0)=a0, phi'(0)=a1 > 0.
 
     a1 = 0 forces the constant phase (a trivial solution) and is rejected, as
-    is data whose a-priori ceiling on phi' overflows.  A divergence event
-    contradicts the entirety of the construction, so it is raised as an
-    integrator failure rather than recorded.
+    is data whose a-priori ceiling on phi' overflows, or a T not finite and
+    positive (``numerics.as_positive``).  A divergence event contradicts the
+    entirety of the construction: it is an integrator failure, not recorded.
     """
-    a0, a1, T = float(a0), float(a1), float(T)
+    a0, a1 = float(a0), float(a1)
     if not (math.isfinite(a0) and math.isfinite(a1)):
         raise InputError(f"phi(0) and phi'(0) must be finite, got {a0}, {a1}")
     if a1 == 0.0:
         raise InputError("phi'(0) = 0 yields a constant phase: trivial solution")
     if a1 < 0.0:
         raise InputError("phi'(0) must be positive (negate t to flip the sign)")
-    if not T > 0:
-        raise InputError(f"need T > 0, got {T}")
+    T = as_positive(T, "T")
     _check_size(T, rel_tol)
     try:
         bound = a1 * math.exp(math.exp(-a0) / (a1 * a1))
@@ -213,9 +212,9 @@ def profile_span(tp, radius, T):
     the spacelike build (``tp`` None); radius / c2 * 1.02 + 1 on the bounded
     cone, whose phase is read on the span it is integrated on and not past it:
     the reported tail bound is small only once the forcing is exponentially
-    dead, which a small phase slope postpones past any window."""
-    if not 0.0 < radius < math.inf:  # NaN fails too
-        raise InputError(f"radius must be finite and positive, got {radius}")
+    dead, which a small phase slope postpones past any window.  A radius that
+    is not finite and positive is an InputError (``numerics.as_positive``)."""
+    radius = as_positive(radius, "radius")
     if tp is None:
         return max(T, radius + 1.0)
     if tp.branch is not Branch.NEG:
@@ -228,11 +227,8 @@ def profile_grid(span, step):
     slack of ``numerics.read_span``: the CSV rows of a profile on [-span, span].
     A step that is not finite and positive, or more than MAX_GRID_POINTS
     points, is refused before any point is formed, as is a half-span that is
-    not finite and positive."""
-    if not 0.0 < span < math.inf:  # NaN fails too
-        raise InputError(f"half-span must be finite and positive, got {span}")
-    if not 0.0 < step < math.inf:  # NaN fails too
-        raise InputError(f"grid step must be finite and positive, got {step}")
+    not finite and positive (``numerics.as_positive``, both)."""
+    span, step = as_positive(span, "half-span"), as_positive(step, "grid step")
     if not 2 * span / step + 1 <= MAX_GRID_POINTS:  # NaN and inf fail too
         raise InputError(f"grid step {step} puts more than {MAX_GRID_POINTS} points on [-{span}, {span}]")
     xs = np.arange(-span, span + step / 2, step)
@@ -276,9 +272,10 @@ def assemble_w1(traj, span=None):
     Gauss-Legendre on phi's dense output, step by step (``StepIntegralField``),
     keeps w1, w1' and w1'' = sigma(phi(t)) consistent with one trajectory up
     to quadrature and rounding.  The defining identity  phi = t w1'/2 - w1  is
-    re-verified at every knot in the span and its sup defect stored.
+    re-verified at every knot in the span and its sup defect stored.  A span
+    that is not finite and positive is an InputError (``numerics.as_positive``).
     """
-    S = float(span) if span is not None else traj.span
+    S = as_positive(span, "profile half-span") if span is not None else traj.span
     if not S <= traj.span:
         raise InputError(f"profile half-span {S} exceeds the integrated half-span {traj.span}")
     fld = StepIntegralField(traj.dense, sigmoid, -traj.a0, -2.0 * traj.a1, S)
@@ -538,12 +535,11 @@ def build_mss_counterexample(
     (|f'| = |tanh s| < 1 wherever s is finite, with margin 1 - sup|f'| taken
     from the largest |s|), and the nonlinearity witness f''(0) != 0, read
     from the profile and recorded beside its closed form sech^2(s0) phi0.
+    T and the radius must be finite and positive (``numerics.as_positive``).
     """
-    phi0, s0, T = float(phi0), float(s0), float(T)
+    phi0, s0, T = float(phi0), float(s0), as_positive(T, "T")
     if phi0 == 0.0:
         raise InputError("phi(0) = 0 yields a linear profile: trivial solution")
-    if not T > 0:
-        raise InputError(f"need T > 0, got {T}")
     samples = as_count(samples, "samples")  # on none a certificate passes unread
     span = profile_span(None, radius, T)
     _check_size(span, rel_tol)

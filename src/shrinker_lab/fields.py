@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import _READ_BLOCK, InputError, Trajectory, as_cloud, read_span, row_dot
+from .numerics import _READ_BLOCK, InputError, Trajectory, as_cloud, as_count, read_span, row_dot
 
 __all__ = [
     "ScalarField",
@@ -148,6 +148,7 @@ class Table1DField(ScalarField):
     the quintic Hermite of (value, slope, curvature) and the cubic Hermite of
     (slope, curvature).  The curvature is interpolated by a local cubic.  All
     three read a cloud's times through ``read_span``, element by element.
+    Nodes that are not finite and strictly increasing are an InputError.
     """
 
     dim = 1
@@ -159,6 +160,8 @@ class Table1DField(ScalarField):
         self.curvs = np.asarray(curvatures, dtype=float)
         if not (len(self.ts) >= 4 and len(self.ts) == len(self.vals) == len(self.slopes) == len(self.curvs)):
             raise InputError("need >= 4 aligned samples")
+        if not (np.isfinite(self.ts).all() and (np.diff(self.ts) > 0.0).all()):
+            raise InputError("nodes must be finite and strictly increasing")
         self._value_read = Trajectory(self.ts, self.vals[:, None], self.slopes[:, None], dfs=self.curvs[:, None])
         self._slope_read = Trajectory(self.ts, self.slopes[:, None], self.curvs[:, None])
 
@@ -267,15 +270,14 @@ class StepIntegralField(ScalarField):
 
 
 class SeparableExtensionField(ScalarField):
-    """n-D extension  w(x) = w1(x_1) + (|x|^2 - x_1^2)/4  of a 1-D profile."""
+    """n-D extension  w(x) = w1(x_1) + (|x|^2 - x_1^2)/4  of a 1-D profile;
+    n is an integer of at least 1 (``numerics.as_count``)."""
 
     def __init__(self, profile_1d, n):
-        if n < 1:
-            raise InputError("dimension must be >= 1")
+        self.dim = as_count(n, "dimension")
         if profile_1d.dim != 1:
             raise InputError("base profile must be one-dimensional")
         self.base = profile_1d
-        self.dim = int(n)
 
     def _value(self, x):
         x1 = x[:, 0]

@@ -127,11 +127,9 @@ def mean_curvature(tp, field, x):
     eigen-solve and one ``operator_value``: the points and arithmetic of
     ``numerics.fd_gradient``.  A ``QuadraticField``'s constant Hessian reads
     no stencil: its spectra get the stencil's check once.  A NaN or infinite
-    coordinate is an InputError.
+    coordinate is an InputError (``numerics.as_cloud``).
     """
     x, unwrap = as_cloud(x, field.dim, field.stack)
-    if not np.isfinite(x).all():
-        raise InputError("points must be finite")
     return unwrap(_mean_curvature(tp, field, x, as_sym_matrix(field.hessian(x))))
 
 
@@ -148,13 +146,12 @@ def shrinker_defect(tp, field, x):
     terms are exactly 0: X is tangent, split off exactly by
     :func:`normal_project`, and F(lambda(D^2 u)) is constant, so it reads no
     stencil.  The Hessians at x are read and validated once, for both
-    projections.  A NaN or infinite coordinate is an InputError, and so is a
-    point whose graph point (x, Du(x)), defect vector or norm is not finite
-    (a gradient or a product that overflows): the first such point is named.
+    projections.  A NaN or infinite coordinate is an InputError
+    (``numerics.as_cloud``), and so is a point whose graph point (x, Du(x)),
+    defect vector or norm is not finite (a gradient or a product that
+    overflows): the first such point is named.
     """
     x, unwrap = as_cloud(x, field.dim, field.stack)
-    if not np.isfinite(x).all():
-        raise InputError("points must be finite")
     n = x.shape[-1]
     H = as_sym_matrix(field.hessian(x))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by point

@@ -30,6 +30,7 @@ __all__ = [
     "cumulative_simpson",
     "MAX_GRID_POINTS",
     "as_count",
+    "as_positive",
     "READ_SLACK",
     "read_span",
     "as_cloud",
@@ -128,11 +129,10 @@ def row_dot(a, b):
 
 
 def fd_gradient(fn, x, h):
-    """Central-difference gradient of the callable ``fn``, second order in h."""
+    """Central-difference gradient of the callable ``fn``, second order in a
+    finite positive step h (``as_positive``)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    h = float(h)
-    if not h > 0:
-        raise InputError(f"fd step must be positive, got {h}")
+    h = as_positive(h, "fd step")
     g = np.empty(len(x))
     for i in range(len(x)):
         e = np.zeros(len(x))
@@ -146,12 +146,10 @@ def fd_hessian(fn, x, h):
     symmetric output.
 
     The mixed-derivative stencil is evaluated once per (i, j) pair with i < j
-    and mirrored, so H[i, j] == H[j, i] bit for bit.
+    and mirrored, so H[i, j] == H[j, i] bit for bit.  h as ``fd_gradient``'s.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    h = float(h)
-    if not h > 0:
-        raise InputError(f"fd step must be positive, got {h}")
+    h = as_positive(h, "fd step")
     n = len(x)
     H = np.empty((n, n))
     f0 = fn(x)
@@ -313,6 +311,15 @@ def as_count(value, name, least=1):
     return int(value)
 
 
+def as_positive(value, name):
+    """``value`` as a float, refused unless it is finite and positive: the one
+    rule for a size (a span, a radius, a step or a time)."""
+    v = float(value)
+    if not 0.0 < v < math.inf:  # NaN fails too
+        raise InputError(f"{name} must be finite and positive, got {v}")
+    return v
+
+
 def read_span(t, lo, hi):
     """Times t (an array or a float) on [lo, hi], the one rule for reads at or
     past the ends of data: a time within READ_SLACK (1 + |end|) past an end
@@ -334,14 +341,17 @@ def as_cloud(x, dim, stack=()):
     in dimension 1, is a cloud of one, and a read on it unwraps to its one
     row, a Python float for a scalar read; a (*stack, m, dim) cloud is read,
     and its reads returned, as they are.  Any other shape, a point on a
-    stack among them, is an InputError."""
+    stack among them, is an InputError, and then so is a NaN or infinite
+    coordinate: the first point that holds one is named."""
     p = np.asarray(x, dtype=float)
-    if not stack and p.ndim < 2 and p.size == dim:
-        return np.ascontiguousarray(p.reshape(1, dim)), _one_row
-    if p.ndim == len(stack) + 2 and p.shape[:-2] == stack and p.shape[-1] == dim:
-        return np.ascontiguousarray(p), _as_is
-    raise InputError(f"expected {f'a stack {stack} of clouds' if stack else 'a point or a cloud'} "
-                     f"of dimension {dim}, got shape {p.shape}")
+    point = not stack and p.ndim < 2 and p.size == dim
+    if not (point or p.ndim == len(stack) + 2 and p.shape[:-2] == stack and p.shape[-1] == dim):
+        raise InputError(f"expected {f'a stack {stack} of clouds' if stack else 'a point or a cloud'} "
+                         f"of dimension {dim}, got shape {p.shape}")
+    cloud = np.ascontiguousarray(p.reshape(1, dim) if point else p)
+    if not np.isfinite(cloud).all():
+        raise InputError(f"points must be finite, got {cloud[~np.isfinite(cloud).all(axis=-1)][0].tolist()}")
+    return cloud, _one_row if point else _as_is
 
 
 def _one_row(read):

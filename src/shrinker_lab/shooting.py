@@ -58,7 +58,7 @@ from mpmath.libmp import (
 from . import jets
 from .fields import ScalarField
 from .numerics import (
-    DomainError, InputError, RhsEvaluationError, abs_tolerance, as_count, integrate_ode, read_span, row_dot,
+    DomainError, InputError, RhsEvaluationError, abs_tolerance, as_count, as_positive, integrate_ode, read_span, row_dot,
 )
 from .tau import cone_spec, f_inverse, f_inverse_jet, f_inverse_mp, f_value, f_value_jet, f_value_mp
 
@@ -186,15 +186,9 @@ def _series_state(u0, upp0, r):
     return u0 + 0.5 * upp0 * r * r, upp0 * r
 
 
-def _check_span(r_max):
-    if not 0.0 < r_max < math.inf:  # NaN fails too
-        raise InputError(f"r_max must be finite and positive, got {r_max}")
-    return float(r_max)
-
-
 def radial_quadratic_reference(tp, n, c, r_max=10.0, n_samples=401):
     """Exact profile u(r) = c r^2/2 - n f(c); the shooting oracle."""
-    n, r_max, n_samples = as_count(n, "dimension"), _check_span(r_max), as_count(n_samples, "n_samples", 2)
+    n, r_max, n_samples = as_count(n, "dimension"), as_positive(r_max, "r_max"), as_count(n_samples, "n_samples", 2)
     c = float(c)
     if not cone_spec(tp).contains(c):
         raise DomainError(f"curvature {c} outside the selected cone component", value=c)
@@ -415,7 +409,7 @@ def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, *, dps=None, n_samples=40
         component, or its preimage u''(0) is not finite (no valid initial
         curvature exists).
     """
-    n, r_max, n_samples = as_count(n, "dimension"), _check_span(r_max), as_count(n_samples, "n_samples", 2)
+    n, r_max, n_samples = as_count(n, "dimension"), as_positive(r_max, "r_max"), as_count(n_samples, "n_samples", 2)
     abs_tolerance(rel_tol)  # before the step rule may refuse the start
     if dps is not None:
         dps = as_count(dps, "dps", 11)  # the Taylor steps' tolerance is 10^-(dps-10)

@@ -20,7 +20,7 @@ import mpmath as mp
 import numpy as np
 
 from . import jets
-from .numerics import DomainError, InputError, as_cloud, eig_sym, eig_sym_full, row_dot
+from .numerics import DomainError, InputError, as_cloud, as_positive, eig_sym, eig_sym_full, row_dot
 
 __all__ = [
     "Branch",
@@ -551,16 +551,15 @@ def growth_ratio(tp, field, theta, r):
 
     Along any solution, dq/dr equals 2 F(lambda(D^2 u(r theta))) / r^3; the
     returned defect measures the failure of that identity.  u is read at
-    r theta and (r +- h) theta as one 3-point cloud.
+    r theta and (r +- h) theta as one 3-point cloud.  theta must be a unit
+    vector and r finite and positive (``numerics.as_positive``).
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     nrm = float(np.linalg.norm(theta))
     # each check holds only for finite values: NaN and inf fail it
     if not abs(nrm - 1.0) <= 1e-10:
         raise InputError(f"theta must be a unit vector, |theta| = {nrm}")
-    r = float(r)
-    if not 0.0 < r < math.inf:
-        raise InputError(f"radius must be positive and finite, got {r}")
+    r = as_positive(r, "radius")
     h = min(1e-4 * max(1.0, r), 0.45 * r)
     u, up, um = field.value(np.array([r, r + h, r - h])[:, None] * theta).tolist()
     q = u / r**2

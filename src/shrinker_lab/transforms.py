@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import AffineScaledField, Table1DField
-from .numerics import MAX_GRID_POINTS, DomainError, InputError, eig_sym, row_dot
+from .numerics import MAX_GRID_POINTS, DomainError, InputError, as_count, as_positive, eig_sym, row_dot
 from .tau import Branch, phase, operator_value
 
 __all__ = [
@@ -48,6 +48,13 @@ class Transform1DResult:
     involution_defect: float | None = None
 
 
+def _finite_interval(t0, t1):
+    t0, t1 = float(t0), float(t1)
+    if not (math.isfinite(t0) and t0 < t1 < math.inf):  # NaN fails too
+        raise InputError(f"need a finite interval t0 < t1, got [{t0}, {t1}]")
+    return t0, t1
+
+
 def legendre_1d(field, t0, t1, num=801, check_involution=True):
     """Legendre transform of a strictly convex 1-D field on [t0, t1].
 
@@ -58,13 +65,13 @@ def legendre_1d(field, t0, t1, num=801, check_involution=True):
     involution defect re-transforms the dual on ``num`` uniform dual nodes and
     reports the sup gap to the input at the midpoints of the primal cells from
     x_2 to x_{num-3}, between the nodes of both tables; it needs ``num`` >= 6,
-    so that one exists.
+    so that one exists.  An interval that is not finite is an InputError, and
+    so is a ``num`` that is not an integer (``numerics.as_count``).
     """
     if field.dim != 1:
         raise InputError("legendre_1d expects a one-dimensional field")
-    t0, t1 = float(t0), float(t1)
-    if not t1 > t0:
-        raise InputError(f"need t1 > t0, got [{t0}, {t1}]")
+    t0, t1 = _finite_interval(t0, t1)
+    num = as_count(num, "num")
     if check_involution and num < 6:
         raise InputError(f"{num} samples leave the involution check no interior sample")
     xs = np.linspace(t0, t1, num)
@@ -105,8 +112,9 @@ def legendre_dual_residual(w_field, t0, t1, grid_step=1e-2):
 
     One ``legendre_1d`` call on the nodes ``grid_step`` apart gives the dual
     and its involution defect; an interval that is not finite, a step that is
-    not finite and positive, or more than MAX_GRID_POINTS nodes is an
-    InputError, before any node is formed.  The dual must satisfy  sqrt(2) w*'' = <y, Dw*>/2 - w*;
+    not finite and positive (``numerics.as_positive``), or more than
+    MAX_GRID_POINTS nodes is an InputError, before any node is formed.  The
+    dual must satisfy  sqrt(2) w*'' = <y, Dw*>/2 - w*;
     its Hessian must be the reciprocal of the primal one (checked against
     (x_{i+1} - x_{i-1}) / (y_{i+1} - y_{i-1})); and its phase h must satisfy
     the drift equation  tr D^2 h = K <y, Dh>  with K = sqrt(2)/4.  The drift
@@ -115,11 +123,8 @@ def legendre_dual_residual(w_field, t0, t1, grid_step=1e-2):
     y + h, on the dual nodes past a margin of max(4, ceil(4e-3 / dy) + 2)
     nodes at either end; a grid that leaves none is an InputError.
     """
-    t0, t1 = float(t0), float(t1)
-    if not (math.isfinite(t0) and t0 < t1 < math.inf):  # NaN fails too
-        raise InputError(f"need a finite interval t0 < t1, got [{t0}, {t1}]")
-    if not 0.0 < grid_step < math.inf:
-        raise InputError(f"grid_step must be finite and positive, got {grid_step}")
+    t0, t1 = _finite_interval(t0, t1)
+    grid_step = as_positive(grid_step, "grid_step")
     if not (t1 - t0) / grid_step + 1 <= MAX_GRID_POINTS:  # an overflowing width fails too
         raise InputError(f"grid_step {grid_step} puts more than {MAX_GRID_POINTS} points on [{t0}, {t1}]")
     num = int(round((t1 - t0) / grid_step)) + 1
@@ -200,13 +205,11 @@ def self_similar_extension(tp, field, x, t):
     ``x`` is one point and ``t`` one time, or (k, n) points and (k,) times
     on a stack of k quadratic fields, giving (k,) values; each point is read
     as a cloud of one, so a stack costs one value, gradient and eigen read.
-    A non-finite t or x is an InputError.
+    A non-finite t or x / sqrt(-t) is an InputError (x: ``numerics.as_cloud``).
     """
     t, x = np.asarray(t, dtype=float), np.atleast_1d(np.asarray(x, dtype=float))
     if not ((t < 0.0) & np.isfinite(t)).all():  # NaN and -inf fail too
         raise InputError(f"self-similar extension needs finite t < 0, got {t}")
-    if not np.isfinite(x).all():
-        raise InputError(f"self-similar extension needs finite x, got {x}")
     xi = x / np.sqrt(-t)[..., None]
     cloud = xi[..., None, :]
     u_val, grad = field.value(cloud)[..., 0], field.gradient(cloud)[..., 0, :]

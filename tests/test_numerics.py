@@ -168,8 +168,10 @@ class TestFiniteDifferences:
         assert np.array_equal(H, H.T)
 
     def test_bad_step(self):
-        with pytest.raises(InputError):
-            fd_gradient(lambda x: x[0], [1.0], h=0.0)
+        for fd in (fd_gradient, fd_hessian):
+            for h in (0.0, -1e-3, math.inf, math.nan):
+                with pytest.raises(InputError, match="fd step must be finite and positive"):
+                    fd(lambda x: x[0], [1.0], h=h)
 
 
 class TestCumulativeSimpson:

@@ -59,6 +59,23 @@ def test_library_refuses_what_the_cli_refuses(call, reason):
 SLAG = sl.TauParams.special_lagrangian()
 
 
+def _line():
+    return sl.QuadraticField(np.eye(1))
+
+
+def _convex():
+    return sl.transforms.convexify_shift(sl.TauParams.harmonic(), _line())
+
+
+def _phase():
+    return sl.constructor.solve_phase_ode(0.3, 0.7, 4.0, rel_tol=1e-6)
+
+
+def _table(nodes):
+    ts = np.array(nodes)
+    return ts, ts**2 / 2, ts, np.ones_like(ts)
+
+
 @pytest.mark.parametrize("call, reason", [
     (lambda: sl.build_counterexample(NEG, 0.3, 0.7, 2.5), "dimension must be an integer of at least 1"),
     (lambda: sl.build_counterexample(NEG, 0.3, 0.7, "2"), "dimension must be an integer of at least 1"),
@@ -75,10 +92,21 @@ SLAG = sl.TauParams.special_lagrangian()
     # the step rule refuses this shot's initial state, which came before the tolerance was read
     (lambda: sl.shoot_radial(NEG, 2, 2e10, r_max=1.0, rel_tol=-1.0), "tolerances must be finite and positive"),
     (lambda: sl.shoot_radial(NEG, 2, 2e10, r_max=1.0, rel_tol=math.nan), "tolerances must be finite and positive"),
+    (lambda: sl.fields.SeparableExtensionField(_line(), 2.5), "dimension must be an integer of at least 1"),
+    (lambda: sl.fields.SeparableExtensionField(_line(), "2"), "dimension must be an integer of at least 1"),
+    (lambda: sl.transforms.legendre_1d(_convex(), -1.0, math.inf, num=10, check_involution=False),
+     "need a finite interval"),
+    (lambda: sl.transforms.legendre_1d(_convex(), -1.0, 1.0, num=-1, check_involution=False),
+     "num must be an integer of at least 1"),
+    (lambda: sl.constructor.assemble_w1(_phase(), span=-1.0), "profile half-span must be finite and positive"),
+    (lambda: sl.fields.Table1DField(*_table([0.0, 1.0, 1.0, 2.0])), "nodes must be finite and strictly increasing"),
+    (lambda: sl.fields.Table1DField(*_table([0.0, 1.0, math.nan, 2.0])),
+     "nodes must be finite and strictly increasing"),
 ], ids=["build-n-fraction", "build-n-string", "shoot-n-fraction", "shoot-dps-fraction", "shoot-samples-0",
         "shoot-samples-negative", "shoot-samples-fraction", "shoot-samples-float", "reference-rmax-negative",
         "reference-rmax-nan", "reference-n-0", "reference-samples-1", "shoot-refused-start-tol-negative",
-        "shoot-refused-start-tol-nan"])
+        "shoot-refused-start-tol-nan", "extension-n-fraction", "extension-n-string", "legendre-1d-infinite",
+        "legendre-1d-num-negative", "w1-span-negative", "table-nodes-repeated", "table-nodes-nan"])
 def test_library_refuses_a_count_span_or_tolerance_it_cannot_use(call, reason):
     # a count is an integer, never rounded down or read from a string, and a
     # span or tolerance is checked before any work

@@ -1,10 +1,11 @@
 """Every reader of points reads them by one rule, ``numerics.as_cloud``: a
 point (dim,), or a float in dimension 1, is a cloud of one, read as that
 cloud's one row bit for bit, a Python float for a scalar read; a point of
-another dimension, and a stack of clouds on an unstacked field, is an
-InputError."""
+another dimension, a stack of clouds on an unstacked field, and a point with
+a NaN or infinite coordinate are InputErrors."""
 
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -72,3 +73,17 @@ def test_a_point_of_another_dimension_and_a_stack_are_refused(reader, field):
     for x in (np.zeros(2), 0.5, np.zeros((4, 2)), np.zeros((2, 4, 3))):
         with pytest.raises(InputError, match="of dimension 3"):
             read(f, x)
+
+
+@pytest.mark.parametrize("reader, field", CASES)
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_point_is_refused_and_named(reader, field, n, bad):
+    read, _ = READERS[reader]
+    f = FIELDS[field](n)
+    x = np.full(n, 0.5)
+    x[-1] = bad
+    named = re.escape(f"points must be finite, got {x.tolist()}")
+    for points in (x, np.vstack([np.full(n, 0.25), x])):
+        with pytest.raises(InputError, match=named):
+            read(f, points)

@@ -1,7 +1,8 @@
 """Every reader of data on a span reads at and past its ends by one rule,
 ``numerics.read_span``: a time within READ_SLACK (1 + |end|) outside an end
 reads the end, bit for bit, and any other time outside the span, or NaN, is
-an InputError."""
+an InputError.  A field reads its times as points, so the points rule
+(``numerics.as_cloud``) refuses a NaN there first."""
 
 import functools
 import math
@@ -97,10 +98,14 @@ def test_half_the_slack_past_an_end_reads_the_end_and_twice_it_is_refused(reader
             read(end + 2.0 * outward * slack)
 
 
+# the readers whose first read of a time is a field's read of a point
+POINT_READERS = {"Table1DField", "MinkowskiProfile"}
+
+
 @pytest.mark.parametrize("reader", list(READERS))
 def test_nan_time_is_refused(reader):
     read, _, _ = READERS[reader]()
-    with pytest.raises(InputError, match="outside the span"):
+    with pytest.raises(InputError, match="points must be finite" if reader in POINT_READERS else "outside the span"):
         read(math.nan)
 
 
