@@ -4,8 +4,12 @@
     python3 scripts/bench_pairs.py REF --workload event-shoot precision-shoot --seeds 1-10 --pr 32
 
 REF (a commit, branch or tag) is the parent.  It is exported with
-``git archive`` into a temporary directory; the change is this checkout,
-uncommitted edits included.  For each seed and each workload the script runs
+``git archive`` into a temporary directory.  The change is this checkout:
+its tracked files with their uncommitted edits, and its untracked files that
+``.gitignore`` does not exclude, copied into a second temporary directory, so
+that both sides run from the same kind of place.  ``change.tree_sha256`` in
+the file is the SHA-256 of the copied files (``tree_hash``).  For each seed
+and each workload the script runs
 one pair of ``perfbench/run.py --workload W --seed S --seconds 8 --trace 0``,
 one run on each side, the side that goes first swapping from one pair of a
 workload to the next.
@@ -24,6 +28,7 @@ speed while the runs were made.
 """
 
 import argparse
+import hashlib
 import json
 import shutil
 import statistics
@@ -98,8 +103,8 @@ def run_side(root, workload, seed):
         return json.load(fh)
 
 
-def git(*args):
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+def git(*args, cwd=ROOT):
+    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True, text=True).stdout.strip()
 
 
 def export(ref, dest):
@@ -109,6 +114,32 @@ def export(ref, dest):
     archive.stdout.close()
     if archive.wait() != 0:
         raise SystemExit(f"git archive {ref} failed")
+
+
+def export_checkout(root, dest):
+    """The files of the checkout ``root`` as they are on disk, in ``dest``: the
+    tracked ones, uncommitted edits included (a deleted one is left out), and
+    the untracked ones that ``.gitignore`` does not exclude.  Returns their
+    ``tree_hash``."""
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard", cwd=root).split("\0")
+    paths = sorted({p for p in listed if p and (Path(root) / p).is_file()})
+    for rel in paths:
+        target = Path(dest) / rel
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(Path(root) / rel, target)
+    return tree_hash(dest, paths)
+
+
+def tree_hash(root, paths):
+    """SHA-256 over the files ``paths`` (relative, sorted) of ``root``: each
+    path, its length in bytes and its bytes, so a renamed, moved or edited
+    file changes it."""
+    h = hashlib.sha256()
+    for rel in paths:
+        data = (Path(root) / rel).read_bytes()
+        h.update(f"{rel}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
 
 
 def main(argv=None):
@@ -123,10 +154,10 @@ def main(argv=None):
         end_to_end = json.load(fh)["end_to_end"]
     parent_commit = git("rev-parse", f"{args.ref}^{{commit}}")
     records = {w: [] for w in args.workload}
-    parent_root = tempfile.mkdtemp(prefix="bench-parent-")
+    roots = {side: tempfile.mkdtemp(prefix=f"bench-{side}-") for side in SIDES}
     try:
-        export(parent_commit, parent_root)
-        roots = {"parent": parent_root, "change": ROOT}
+        export(parent_commit, roots["parent"])
+        change_hash = export_checkout(ROOT, roots["change"])
         for seed in args.seeds:
             for workload in args.workload:
                 order = SIDES if len(records[workload]) % 2 == 0 else SIDES[::-1]
@@ -136,13 +167,15 @@ def main(argv=None):
                       + " -> ".join(f"{pair[s]['result']['metrics']['job_s.p50']['value']:.5f}" for s in SIDES),
                       flush=True)
     finally:
-        shutil.rmtree(parent_root, ignore_errors=True)
+        for root in roots.values():
+            shutil.rmtree(root, ignore_errors=True)
 
     first = records[args.workload[0]][0][1]
     bench = {
         "pr": args.pr,
         "parent": parent_commit,
-        "change": {"head": git("rev-parse", "HEAD"), "uncommitted_edits": bool(git("status", "--porcelain"))},
+        "change": {"head": git("rev-parse", "HEAD"), "uncommitted_edits": bool(git("status", "--porcelain")),
+                   "tree_sha256": change_hash},
         "command": "python3 perfbench/run.py --workload W --seed S " + " ".join(RUN_ARGS),
         "environment": first["environment"],
         "ref_nominal_s": first["ref_nominal_s"],

@@ -8,11 +8,12 @@ extension to n dimensions, and the exact affine back-transform; plus the
 analogous spacelike construction in the flat-signature graph equation.  Every
 constructed solution carries a machine-checkable certificate.
 
-Each ODE is integrated from 0 in both directions and the two legs are joined
-into one ascending ``numerics.Trajectory``, on whose steps both profiles are
-integrated (``fields.StepIntegralField``).  Its dense output is the quintic
-Hermite from each knot's state, its derivative and the derivative's time
-derivative taken from the ODE, so it has the integrator's order.  A profile's
+Each ODE is integrated, as its second derivative alone, from 0 in both
+directions and the two legs are joined into one ascending
+``numerics.Trajectory``, on whose steps both profiles are integrated
+(``fields.StepIntegralField``).  Its dense output is the quintic Hermite from
+each knot's state, its derivative and the derivative's time derivative
+taken from the ODE, so it has the integrator's order.  A profile's
 clouds and CSV tables read the trajectory once, through the step integral's
 cached ``read``, which holds F, F' and the state at each time; the stable
 residual and single times read the phase through ``PhaseTrajectory``.  Both
@@ -74,22 +75,21 @@ def sigmoid(s):
     return np.where(s >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _phase_rhs(t, y):
-    """(phi', phi'') of the phase ODE at t, on the float list y = [phi, phi']."""
-    phi, dphi = y
+def _phase_rhs(t, phi, dphi):
+    """phi'' of the phase ODE at t, from the floats phi and phi'."""
     sig = sigmoid(phi)
-    return [dphi, 0.5 * sig * (1.0 - sig) * t * dphi]
+    return 0.5 * sig * (1.0 - sig) * t * dphi
 
 
 def _phase_rhs_dot(ts, ys, fs):
-    """(phi'', phi''') at the knots ts, from their states and right-hand sides:
-    with g = sigma(1 - sigma) t / 2, phi''' = g_t phi' + g phi'', where
+    """phi''' at the knots ts, from their states and derivatives: with
+    g = sigma(1 - sigma) t / 2, phi''' = g_t phi' + g phi'', where
     g_t = sigma(1 - sigma) ((1 - 2 sigma) phi' t + 1) / 2."""
     dphi, d2phi = ys[:, 1], fs[:, 1]
     sig = sigmoid(ys[:, 0])
     half_slope = 0.5 * sig * (1.0 - sig)
     g_t = half_slope * ((1.0 - 2.0 * sig) * dphi * ts + 1.0)
-    return np.column_stack([d2phi, g_t * dphi + half_slope * ts * d2phi])
+    return g_t * dphi + half_slope * ts * d2phi
 
 
 @dataclass
@@ -156,8 +156,7 @@ def solve_phase_ode(a0, a1, T, rel_tol=1e-10):
         )
     abs_tol = rel_tol * ABS_PER_REL_TOL  # at the construction's tolerance: the checks' slack
 
-    rhs0 = _phase_rhs(0.0, [a0, a1])
-    assert rhs0[1] == 0.0  # phi''(0) vanishes identically
+    assert _phase_rhs(0.0, a0, a1) == 0.0  # phi''(0) vanishes identically
 
     dense = _two_sided(_phase_rhs, _phase_rhs_dot, [a0, a1], T, rel_tol, "phase_ode", "t")
     right = dense.ys[dense.ts >= 0.0, 1]
@@ -172,11 +171,12 @@ def solve_phase_ode(a0, a1, T, rel_tol=1e-10):
 
 
 def _two_sided(rhs, rhs_dot, y0, span, rel_tol, stage, var):
-    """Integrate from 0 to +span and to -span at ODE_TOL_PER_TOL times the
-    construction's tolerance, floored at ODE_TOL_FLOOR, and join the legs into
-    one ascending Trajectory on [-span, span] that holds the origin knot once.
-    ``rhs_dot(ts, ys, fs)`` is the time derivative of ``rhs`` along the
-    solution at the knots, the third datum of the quintic dense output."""
+    """Integrate y'' = rhs(t, y, y') from 0 to +span and to -span at
+    ODE_TOL_PER_TOL times the construction's tolerance, floored at
+    ODE_TOL_FLOOR, and join the legs into one ascending Trajectory on
+    [-span, span] that holds the origin knot once.  ``rhs_dot(ts, ys, fs)`` is
+    y''' along the solution at the knots: beside y'', the third datum of the
+    quintic dense output."""
     legs = []
     for t_end in (span, -span):
         leg = integrate_ode(rhs, y0, (0.0, t_end), max(rel_tol * ODE_TOL_PER_TOL, ODE_TOL_FLOOR))
@@ -190,7 +190,8 @@ def _two_sided(rhs, rhs_dot, y0, span, rel_tol, stage, var):
     pos, neg = legs
     ts, ys, fs = (np.concatenate([a[:0:-1], b]) for a, b in ((neg.ts, pos.ts), (neg.ys, pos.ys), (neg.fs, pos.fs)))
     return Trajectory(ts, ys, fs, n_steps=pos.n_steps + neg.n_steps,
-                      n_rejected=pos.n_rejected + neg.n_rejected, dfs=rhs_dot(ts, ys, fs))
+                      n_rejected=pos.n_rejected + neg.n_rejected,
+                      dfs=np.column_stack([fs[:, 1], rhs_dot(ts, ys, fs)]))
 
 
 def _check_size(span, rel_tol):
@@ -375,8 +376,7 @@ def build_counterexample(
     """
     span_needed = profile_span(tp, radius, T)  # refuses a branch other than NEG
     n = as_count(n, "dimension")
-    if not seed >= 0:
-        raise InputError(f"seed must be at least 0, got {seed}")
+    seed = as_count(seed, "seed", 0)
     samples = as_count(samples, "samples")  # on none a certificate passes unread
     a, b, k, c2 = _neg_constants(tp)
     traj = solve_phase_ode(a0, a1, max(T, span_needed), rel_tol=rel_tol)
@@ -438,7 +438,7 @@ def build_counterexample(
     }
     config = {"a": a, "b": b, "tau": tp.tau, "a0": float(a0), "a1": float(a1), "n": n, "T": float(T),
               "rel_tol": float(rel_tol), "abs_tol": traj.abs_tol, "radius": float(radius),
-              "samples": samples, "seed": int(seed)}
+              "samples": samples, "seed": seed}
     return ufield, prof, Certificate.of(
         pts, stables, equation="bounded-cone self-shrinker potential equation", radius=radius,
         cone_ok=cone_ok, cone_margin=cone_margin, witness=witness, bounds=bounds,
@@ -448,7 +448,7 @@ def build_counterexample(
 
 class MinkowskiProfile(ScalarField):
     """Entire 1-D spacelike profile: f' = tanh(s), with (s, phi) from the
-    first-order system  s' = phi,  phi' = (x/2) sech^2(s) phi.
+    second-order equation  s'' = (x/2) sech^2(s) s',  phi = s'.
 
     ``gradient_complement`` evaluates 1 - f'^2 = sech^2(s) without the
     catastrophic cancellation of forming it from a rounded f'.  Every read of
@@ -493,20 +493,19 @@ def _sech2(s):
         return 0.0
 
 
-def _mss_rhs(x, y):
-    """(s', phi') of the spacelike system at x, on the float list y = [s, phi]."""
-    s, p = y
-    return [p, 0.5 * x * _sech2(s) * p]
+def _mss_rhs(x, s, p):
+    """s'' = phi' of the spacelike system at x, from the floats s and phi = s'."""
+    return 0.5 * x * _sech2(s) * p
 
 
 def _mss_rhs_dot(xs, ys, fs):
-    """(phi', phi'') at the knots xs, from their states and right-hand sides:
-    with E = sech^2 s, E' = -2 E tanh(s) phi, so
+    """phi'' at the knots xs, from their states and derivatives: with
+    E = sech^2 s, E' = -2 E tanh(s) phi, so
     phi'' = E phi / 2 - x E tanh(s) phi^2 + x E phi' / 2."""
     s, p, dp = ys[:, 0], ys[:, 1], fs[:, 1]
     with np.errstate(over="ignore"):  # cosh overflows past |s| = 710, where sech^2 is 0
         E = (1.0 / np.cosh(s)) ** 2
-    return np.column_stack([dp, 0.5 * E * p - xs * E * np.tanh(s) * p * p + 0.5 * xs * E * dp])
+    return 0.5 * E * p - xs * E * np.tanh(s) * p * p + 0.5 * xs * E * dp
 
 
 def _spacelike_margin(max_abs_s):
@@ -527,7 +526,7 @@ def build_mss_counterexample(
     """Entire non-trivial solution of the spacelike graph equation.
 
     With  phi = (x f' - f)/2  the 1-D equation reads  f''/(1 - f'^2) = phi;
-    substituting  s = artanh(f')  gives the first-order system integrated
+    substituting  s = artanh(f')  gives  s'' = (x/2) sech^2(s) s',  integrated
     here, with  f(0) = -2 phi(0)  and f recovered by quadrature of tanh(s) on
     the integrator's steps.
     The certificate checks the equation residual (via the independent

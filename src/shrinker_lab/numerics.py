@@ -67,8 +67,8 @@ class ConstructionError(RuntimeError):
 
 
 class RhsEvaluationError(DomainError):
-    """Raised by an ODE right-hand side that cannot be evaluated at (t, y):
-    the state left the equation's domain.
+    """Raised by an ODE right-hand side (``integrate_ode``'s acc) that cannot
+    be evaluated at (t, u, v): the state left the equation's domain.
 
     The integrator treats this as a soft failure: it shrinks the step and,
     if the step underflows, records an event labelled with ``self.label``.
@@ -473,24 +473,27 @@ def abs_tolerance(rel_tol):
     return abs_tol
 
 
-def integrate_ode(rhs, y0, t_span, rel_tol=1e-10):
-    """Adaptive Dormand-Prince 5(4) with dense output, on a pair of floats.
+def integrate_ode(acc, y0, t_span, rel_tol=1e-10):
+    """Adaptive Dormand-Prince 5(4) with dense output for u'' = acc(t, u, v),
+    stepped as the pair u' = v, v' = acc (Hairer, Norsett & Wanner, Solving
+    ODEs I, sec. II.14).
 
-    Every caller integrates a two-component state, so each step runs on named
-    Python floats: the state, the seven stages and the error estimate, each
-    stage sum written out per component left to right over its tableau row.
+    Each step runs on named Python floats: the state, the seven stages and the
+    error estimate, each stage sum written out per component left to right
+    over its tableau row; a stage's slope of u is the stage point's own v.
     No step builds an ndarray or loops over components: on a pair, numpy's
     per-call overhead or a loop's would cost more than the arithmetic.
 
     Parameters
     ----------
-    rhs : callable
-        ``rhs(t, y) -> dy/dt``, with y the state as a new list of two floats
-        and dy/dt a list of two floats (checked on every call).  May raise :class:`RhsEvaluationError` to signal
-        that (t, y) left the domain; the step is then shrunk and, on underflow,
-        the failure becomes a :class:`DivergenceEvent` on the trajectory.
+    acc : callable
+        ``acc(t, u, v) -> u''``, a float (checked on every call).  May raise
+        :class:`RhsEvaluationError` to signal that (t, u, v) left the domain;
+        the step is then shrunk and, on underflow, the failure becomes a
+        :class:`DivergenceEvent` on the trajectory.  Raised at the initial
+        state, before any step, it reaches the caller.
     y0 : array_like
-        Initial state, a pair of finite floats (an InputError otherwise).
+        Initial state (u0, v0), a pair of finite floats (an InputError otherwise).
     t_span : (t0, t1)
         Integration span; t1 < t0 integrates backwards.
     rel_tol : float
@@ -501,7 +504,8 @@ def integrate_ode(rhs, y0, t_span, rel_tol=1e-10):
     Returns
     -------
     Trajectory
-        Dense trajectory over the covered span; ``trajectory.event`` is None
+        Dense trajectory over the covered span, states (u, v) in ``ys`` and
+        (v, u'') in ``fs``; ``trajectory.event`` is None
         iff t1 was reached, to within the step floor 1e-14 * max(1, |t|)
         (summed steps can round a few ulp short of t1, and the last knot
         then stays there).
@@ -516,21 +520,20 @@ def integrate_ode(rhs, y0, t_span, rel_tol=1e-10):
     isfinite = math.isfinite
 
     def stage(ti, u, v):
-        """rhs at the stage point (u, v); every result is checked."""
+        """acc at the stage point (u, v); every result is checked."""
         if not (isfinite(u) and isfinite(v)):
             raise _NonFiniteStage
-        k = rhs(ti, [u, v])
-        if not isinstance(k, list) or len(k) != 2:
-            raise InputError(f"rhs must return a list of the state's length 2, got {k!r}")
-        return k
+        a = acc(ti, u, v)
+        if not isinstance(a, float):
+            raise InputError(f"acc must return a float, got {a!r}")
+        return a
 
     u, v = y_arr.tolist()
-    f = stage(t0, u, v)
-    p0, q0 = f
+    p0, q0 = v, stage(t0, u, v)
     direction = 1.0 if t1 >= t0 else -1.0
     span = abs(t1 - t0)
 
-    ts, ys, fs = [t0], [(u, v)], [f]
+    ts, ys, fs = [t0], [(u, v)], [(p0, q0)]
     event, n_steps, n_rejected = None, 0, 0
 
     if span == 0.0:
@@ -561,29 +564,23 @@ def integrate_ode(rhs, y0, t_span, rel_tol=1e-10):
             break
         hd = h * direction
         try:
-            # stage i is (p_i, q_i), the derivative of the state's (u, v)
-            p1, q1 = stage(t + c1 * hd, u + hd * (a10 * p0), v + hd * (a10 * q0))
-            p2, q2 = stage(t + c2 * hd, u + hd * (a20 * p0 + a21 * p1), v + hd * (a20 * q0 + a21 * q1))
-            p3, q3 = stage(
-                t + c3 * hd,
-                u + hd * (a30 * p0 + a31 * p1 + a32 * p2),
-                v + hd * (a30 * q0 + a31 * q1 + a32 * q2),
-            )
-            p4, q4 = stage(
-                t + c4 * hd,
-                u + hd * (a40 * p0 + a41 * p1 + a42 * p2 + a43 * p3),
-                v + hd * (a40 * q0 + a41 * q1 + a42 * q2 + a43 * q3),
-            )
-            p5, q5 = stage(
-                t + c5 * hd,
-                u + hd * (a50 * p0 + a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4),
-                v + hd * (a50 * q0 + a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4),
-            )
+            # stage i is (p_i, q_i), the derivative of the state's (u, v):
+            # p_i is the stage point's v, q_i its acc
+            p1 = v + hd * (a10 * q0)
+            q1 = stage(t + c1 * hd, u + hd * (a10 * p0), p1)
+            p2 = v + hd * (a20 * q0 + a21 * q1)
+            q2 = stage(t + c2 * hd, u + hd * (a20 * p0 + a21 * p1), p2)
+            p3 = v + hd * (a30 * q0 + a31 * q1 + a32 * q2)
+            q3 = stage(t + c3 * hd, u + hd * (a30 * p0 + a31 * p1 + a32 * p2), p3)
+            p4 = v + hd * (a40 * q0 + a41 * q1 + a42 * q2 + a43 * q3)
+            q4 = stage(t + c4 * hd, u + hd * (a40 * p0 + a41 * p1 + a42 * p2 + a43 * p3), p4)
+            p5 = v + hd * (a50 * q0 + a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4)
+            q5 = stage(t + c5 * hd, u + hd * (a50 * p0 + a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4), p5)
             # row 6 holds the fifth-order weights: the last stage point is the
             # new state, and its derivative the next step's first stage (FSAL)
             un = u + hd * (a60 * p0 + a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5)
-            vn = v + hd * (a60 * q0 + a61 * q1 + a62 * q2 + a63 * q3 + a64 * q4 + a65 * q5)
-            f = stage(t + c6 * hd, un, vn)
+            p6 = vn = v + hd * (a60 * q0 + a61 * q1 + a62 * q2 + a63 * q3 + a64 * q4 + a65 * q5)
+            q6 = stage(t + c6 * hd, un, vn)
         except _NonFiniteStage:
             n_rejected += 1
             h *= 0.25
@@ -597,7 +594,6 @@ def integrate_ode(rhs, y0, t_span, rel_tol=1e-10):
             h *= 0.25
             continue
 
-        p6, q6 = f
         su = hd * (e0 * p0 + e1 * p1 + e2 * p2 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6) / (
             abs_tol + rel_tol * max(abs(u), abs(un))
         )
@@ -607,15 +603,15 @@ def integrate_ode(rhs, y0, t_span, rel_tol=1e-10):
         err = math.sqrt((su * su + sv * sv) / 2)  # RMS
 
         if err <= 1.0 or h <= 2.0 * min_h_floor * max(1.0, abs(t)):
-            # the new state passed as a stage point; its derivative may not
-            if not (isfinite(p6) and isfinite(q6)):
+            # the new state passed as a stage point; its acc may not
+            if not isfinite(q6):
                 event = DivergenceEvent("non_finite_state", t, np.array((u, v)))
                 break
             t = t + hd
             u, v, p0, q0 = un, vn, p6, q6
             ts.append(t)
             ys.append((u, v))
-            fs.append(f)
+            fs.append((p6, q6))
             n_steps += 1
             fac = 0.9 * err ** -0.2 if err > 0 else 5.0
             h *= min(5.0, max(0.2, fac))

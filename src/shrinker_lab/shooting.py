@@ -29,6 +29,7 @@ bit the per-radius reads of the profile it returns (``_shoot_float``).
 One step rule, built once a shot by ``_step_rule``, checks every state either
 path reaches: the float path's initial state and right-hand side, each
 profile sample and read, and (as an mpf rule) each Taylor expansion point.
+One closure a shot, ``_curvature``, gives every u'' from the rule.
 So the two paths name a cone exit, an inversion failure and a blow-up past
 |(u, u')| = _BLOW_UP_MAG the same way, and at the state where the rule first
 fails.  The one exit outside the rule is the Taylor path's ``blow_up`` when
@@ -84,9 +85,9 @@ class ShotEvent:
 class RadialProfile(ScalarField):
     """Sampled radial profile (r, u, u', u'') with its termination event, and
     the n-D radial field u(|x|): ``u``, ``du``, ``d2u`` and the field read a
-    batch of radii through the shot's ``states`` and ``rule``, with
-    u'' = f^-1(rule(r, u, u')), on [0, rs[-1]] (a NaN end if no sample).  The
-    Hessian is u'' along the ray and u'/r across it, u''(0) within _R_SERIES.
+    batch of radii through the shot's ``states`` and ``curvature`` on
+    [0, rs[-1]] (a NaN end if no sample).  The Hessian is u'' along the ray
+    and u'/r across it, u''(0) within _R_SERIES.
     """
 
     tp: object
@@ -99,7 +100,7 @@ class RadialProfile(ScalarField):
     upps: np.ndarray
     event: ShotEvent
     states: object  # an array of radii -> (m, 2) array of (u, u'), up to the shot's end
-    rule: object
+    curvature: object  # (r, u, u') -> u'', the shot's ``_curvature``
 
     @property
     def dim(self):
@@ -115,8 +116,8 @@ class RadialProfile(ScalarField):
         r = read_span(radii, 0.0, self.rs[-1] if len(self.rs) else math.nan)
         return (r, *self.states(r).T)
 
-    def _curvature(self, r, u, up):
-        return np.array([f_inverse(self.tp, self.rule(*s)) for s in zip(r.tolist(), u.tolist(), up.tolist())])
+    def _upp(self, r, u, up):
+        return np.array(list(map(self.curvature, r.tolist(), u.tolist(), up.tolist())))
 
     def u(self, r):
         return float(self._read([r])[1][0])
@@ -125,7 +126,7 @@ class RadialProfile(ScalarField):
         return float(self._read([r])[2][0])
 
     def d2u(self, r):
-        return float(self._curvature(*self._read([r]))[0])
+        return float(self._upp(*self._read([r]))[0])
 
     def _polar(self, x):
         """A cloud's radii, those within _R_SERIES, and the read there (at 0 for those)."""
@@ -139,12 +140,12 @@ class RadialProfile(ScalarField):
     def _gradient(self, x):
         r, near, (at, u, up) = self._polar(x)
         tangent = up / np.where(near, 1.0, r)
-        tangent[near] = self._curvature(at[near], u[near], up[near])
+        tangent[near] = self._upp(at[near], u[near], up[near])
         return tangent[:, None] * x
 
     def _hessian(self, x):
         r, near, (at, u, up) = self._polar(x)
-        radial = self._curvature(at, u, up)
+        radial = self._upp(at, u, up)
         tangent = np.where(near, radial, up / np.where(near, 1.0, r))
         xh = x / np.where(near, 1.0, r)[:, None]    # at the origin radial - tangent is 0
         return (tangent[:, None, None] * np.eye(self.n)
@@ -182,6 +183,12 @@ def _step_rule(tp, n, upp0, f=None):
     return rule
 
 
+def _curvature(tp, rule):
+    """A shot's u'' = f^{-1}(rule(r, u, u')): the integrator's acc, each sample's
+    u'' and the field's Hessian read; ``f_inverse`` is looked up at each call."""
+    return lambda r, u, up: f_inverse(tp, rule(r, u, up))
+
+
 def _series_state(u0, upp0, r):
     return u0 + 0.5 * upp0 * r * r, upp0 * r
 
@@ -197,23 +204,18 @@ def radial_quadratic_reference(tp, n, c, r_max=10.0, n_samples=401):
     return RadialProfile(
         tp, n, float(const), c, rs, 0.5 * c * rs**2 + const, c * rs, np.full_like(rs, c),
         ShotEvent("completed", r_max), lambda r: np.column_stack([0.5 * c * r * r + const, c * r]),
-        _step_rule(tp, n, c),
+        _curvature(tp, _step_rule(tp, n, c)),
     )
 
 
-def _shoot_float(tp, rule, u0, upp0, r_max, rel_tol):
-    """(u, u')'s batched reader (None if ``rule`` refuses the start), series
-    constants, end and event, integrated from the series state at _R_START."""
-    def rhs(r, y):
-        u, up = y
-        return [up, f_inverse(tp, rule(r, u, up))]
-
-    y0 = _series_state(u0, upp0, _R_START)
-    try:  # the initial state, as _shoot_mp checks each expansion point
-        rule(_R_START, *y0)
+def _shoot_float(curvature, u0, upp0, r_max, rel_tol):
+    """(u, u')'s batched reader (None if the step rule refuses the start),
+    series constants, end and event, integrated from the series state at
+    _R_START with ``curvature`` as the integrator's acc."""
+    try:  # the initial state's acc, as _shoot_mp checks each expansion point
+        traj = integrate_ode(curvature, _series_state(u0, upp0, _R_START), (_R_START, r_max), rel_tol)
     except RhsEvaluationError as exc:  # no step: the series is the whole shot
         return None, (u0, upp0), _R_START, ShotEvent(exc.label, _R_START, exc.detail)
-    traj = integrate_ode(rhs, y0, (_R_START, r_max), rel_tol)
 
     if traj.event is None:
         event = ShotEvent("completed", r_max)
@@ -419,8 +421,8 @@ def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, *, dps=None, n_samples=40
     if not math.isfinite(upp0):
         raise InputError(f"u''(0) = f^-1(-u0/n) = {upp0} at u0 = {u0}: no finite initial curvature")
 
-    rule = _step_rule(tp, n, upp0)  # bounds, range and n - 1 bound once a shot
-    read, (su, supp), r_end, event = (_shoot_float(tp, rule, u0, upp0, r_max, rel_tol) if dps is None
+    curvature = _curvature(tp, _step_rule(tp, n, upp0))  # bounds, range and n - 1 bound once a shot
+    read, (su, supp), r_end, event = (_shoot_float(curvature, u0, upp0, r_max, rel_tol) if dps is None
                                       else _shoot_mp(tp, n, u0_raw, r_max, dps))
 
     def states(radii):
@@ -439,7 +441,7 @@ def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, *, dps=None, n_samples=40
     upps = np.empty_like(rs)
     for i, (r, u, up) in enumerate(zip(rs.tolist(), *samples.T.tolist())):
         try:
-            upps[i] = f_inverse(tp, rule(r, u, up))
+            upps[i] = curvature(r, u, up)
         except RhsEvaluationError as exc:
             # the profile ends at the last sample the step rule accepts
             if event.completed:
@@ -447,4 +449,4 @@ def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, *, dps=None, n_samples=40
             rs, samples, upps = rs[:i], samples[:i], upps[:i]
             break
     us, ups = samples.T.copy()
-    return RadialProfile(tp, n, u0, upp0, rs, us, ups, upps, event, states, rule)
+    return RadialProfile(tp, n, u0, upp0, rs, us, ups, upps, event, states, curvature)

@@ -521,10 +521,16 @@ def phase(field, x):
     ``x`` is an (m, n) cloud, or a (k, m, n) stack of clouds on a stack of k
     quadratic fields, giving (m,) or (k, m) values, or one point, read as a
     cloud of one (``numerics.as_cloud``), so each row is its point's value
-    bit for bit.
+    bit for bit.  A point whose phase is not finite (a value or a product that
+    overflows) is an InputError, and the first such point is named.
     """
     x, unwrap = as_cloud(x, field.dim, field.stack)
-    return unwrap(-field.value(x) + 0.5 * row_dot(x, field.gradient(x)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by point
+        ph = -field.value(x) + 0.5 * row_dot(x, field.gradient(x))
+    bad = ~np.isfinite(ph)
+    if bad.any():
+        raise InputError(f"phase not finite at x = {x[bad][0].tolist()}")
+    return unwrap(ph)
 
 
 def shrinker_residual(tp, field, x):

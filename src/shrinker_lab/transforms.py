@@ -205,14 +205,21 @@ def self_similar_extension(tp, field, x, t):
     ``x`` is one point and ``t`` one time, or (k, n) points and (k,) times
     on a stack of k quadratic fields, giving (k,) values; each point is read
     as a cloud of one, so a stack costs one value, gradient and eigen read.
-    A non-finite t or x / sqrt(-t) is an InputError (x: ``numerics.as_cloud``).
+    A non-finite t or x / sqrt(-t) is an InputError (x: ``numerics.as_cloud``),
+    and so is a point whose v, v_t or defect is not finite (a value or a
+    product that overflows): the first such (x, t) is named.
     """
     t, x = np.asarray(t, dtype=float), np.atleast_1d(np.asarray(x, dtype=float))
     if not ((t < 0.0) & np.isfinite(t)).all():  # NaN and -inf fail too
         raise InputError(f"self-similar extension needs finite t < 0, got {t}")
     xi = x / np.sqrt(-t)[..., None]
     cloud = xi[..., None, :]
-    u_val, grad = field.value(cloud)[..., 0], field.gradient(cloud)[..., 0, :]
-    v_t = -u_val + 0.5 * row_dot(grad, xi)
-    sample = (-t * u_val, v_t, v_t - operator_value(tp, eig_sym(field.hessian(cloud)[..., 0, :, :])))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by point
+        u_val, grad = field.value(cloud)[..., 0], field.gradient(cloud)[..., 0, :]
+        v_t = -u_val + 0.5 * row_dot(grad, xi)
+        sample = (-t * u_val, v_t, v_t - operator_value(tp, eig_sym(field.hessian(cloud)[..., 0, :, :])))
+    bad = np.flatnonzero(~np.isfinite(np.stack(sample)).all(axis=0))
+    if len(bad):
+        raise InputError(f"self-similar extension not finite at x = {x.reshape(-1, x.shape[-1])[bad[0]].tolist()}, "
+                         f"t = {t.reshape(-1)[bad[0]]}")
     return SelfSimilarSample(*(sample if t.ndim else map(float, sample)))

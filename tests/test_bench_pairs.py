@@ -1,4 +1,6 @@
+import functools
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -68,3 +70,34 @@ def test_summary_of_one_pair(bench_pairs):
     out = bench_pairs.summarize([(record(1, 0.02, 50.0), record(1, 0.01, 100.0))], END_TO_END)
     assert out["metrics"]["job_s.p50"]["parent"] == {"median": 0.02, "q1": 0.02, "q3": 0.02, "runs": [0.02]}
     assert out["metrics"]["jobs_per_s"]["change_wins"] == 1 and out["metrics"]["jobs_per_s"]["gain_holds"]
+
+
+def test_the_change_is_exported_as_it_is_on_disk(bench_pairs, tmp_path):
+    # tracked files with their uncommitted edits and untracked files that
+    # .gitignore does not exclude; one changed byte changes the tree hash
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "a.py").write_text("A = 1\n")
+    (repo / "gone.py").write_text("")
+    (repo / ".gitignore").write_text("/ignored/\n")
+    git = functools.partial(subprocess.run, cwd=repo, check=True, capture_output=True)
+    git(["git", "init", "-q"])
+    git(["git", "add", "-A"])
+    git(["git", "-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "seed"])
+    (repo / "src" / "a.py").write_text("A = 2\n")
+    (repo / "src" / "new.py").write_text("B = 3\n")
+    (repo / "gone.py").unlink()
+    (repo / "ignored").mkdir()
+    (repo / "ignored" / "run.json").write_text("{}")
+
+    first, second = tmp_path / "first", tmp_path / "second"
+    for dest in (first, second):
+        dest.mkdir()
+    digest = bench_pairs.export_checkout(repo, first)
+    files = sorted(str(p.relative_to(first)) for p in first.rglob("*") if p.is_file())
+    assert files == [".gitignore", "src/a.py", "src/new.py"]
+    assert (first / "src" / "a.py").read_text() == "A = 2\n"
+    assert digest == bench_pairs.tree_hash(first, files) and len(digest) == 64
+
+    (repo / "src" / "new.py").write_text("B = 4\n")
+    assert bench_pairs.export_checkout(repo, second) != digest

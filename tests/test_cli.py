@@ -240,10 +240,10 @@ class TestExitCodes:
     def test_construction_error_is_construction_failure(self, tmp_path, capsys, monkeypatch):
         phase_rhs = constructor._phase_rhs
 
-        def walled(t, y):  # the phase ODE leaves its domain past |t| = 1
+        def walled(t, phi, dphi):  # the phase ODE leaves its domain past |t| = 1
             if abs(t) > 1.0:
                 raise RhsEvaluationError("wall", f"t = {t}")
-            return phase_rhs(t, y)
+            return phase_rhs(t, phi, dphi)
 
         monkeypatch.setattr(constructor, "_phase_rhs", walled)
         assert run(tmp_path, "build-counterexample", "--tol", "1e-6") == 3

@@ -48,9 +48,9 @@ def phase_rhs(t, y):
 
 
 class TestPhaseRhs:
-    def test_list_rhs_equals_array_formula_bit_for_bit(self, rng):
-        # the integrator's float-list right-hand side against the same formula
-        # on arrays, through the array branch of sigmoid
+    def test_float_rhs_equals_array_formula_bit_for_bit(self, rng):
+        # the integrator's float right-hand side, phi'', against the same
+        # formula on arrays, through the array branch of sigmoid
         phis = np.concatenate([[0.0, -0.0, 745.5, -745.5, 800.0, -800.0, 1e4, -1e4],
                                rng.normal(0.0, 3.0, 200), rng.uniform(-40.0, 40.0, 200)])
         dphis = rng.uniform(0.0, 5.0, len(phis))
@@ -58,10 +58,9 @@ class TestPhaseRhs:
         ts[:4] = [0.0, -0.0, -1.5, -20.0]
         sig = sigmoid(phis)
         expected = 0.5 * sig * (1.0 - sig) * ts * dphis
-        got = [_phase_rhs(t, [p, d]) for t, p, d in zip(ts.tolist(), phis.tolist(), dphis.tolist())]
-        assert all(type(k) is list and len(k) == 2 for k in got)
-        assert same_bits([k[0] for k in got], dphis)
-        assert same_bits([k[1] for k in got], expected)
+        got = list(map(_phase_rhs, ts.tolist(), phis.tolist(), dphis.tolist()))
+        assert all(type(k) is float for k in got)
+        assert same_bits(got, expected)
 
 
 class TestSolvePhaseOde:
@@ -179,18 +178,21 @@ def _phase_reference(a0, a1, times, dps=30, degree=24, step=0.25):
 class TestQuinticDenseOutput:
     @pytest.mark.parametrize("ode", ["phase", "mss"])
     def test_rhs_dot_is_the_time_derivative_of_rhs(self, ode):
-        # each knot's f' against a central difference of rhs along the read
+        # each knot's f' against a central difference of f = (y', rhs) along
+        # the read
         if ode == "phase":
             dense, rhs = solve_phase_ode(0.3, 0.7, 10.0, rel_tol=1e-8).dense, _phase_rhs
         else:
             fld, _ = build_mss_counterexample(1.2, s0=0.1, T=8.0, rel_tol=1e-8, radius=5.0)
             dense, rhs = fld._integral.dense, _mss_rhs
+
+        def f(t):
+            y, dy = dense(t).tolist()
+            return np.array([dy, rhs(t, y, dy)])
+
         h = 1e-4
         inner = (dense.ts > dense.ts[0] + h) & (dense.ts < dense.ts[-1] - h)
-        fd = np.array([
-            (np.array(rhs(t + h, dense(t + h).tolist())) - np.array(rhs(t - h, dense(t - h).tolist()))) / (2 * h)
-            for t in dense.ts[inner]
-        ])
+        fd = np.array([(f(t + h) - f(t - h)) / (2 * h) for t in dense.ts[inner]])
         dfs = dense.dfs[inner]
         assert len(dfs) > 100
         assert np.all(np.abs(fd - dfs) <= 1e-7 * (1.0 + np.abs(dfs)))

@@ -235,22 +235,22 @@ class TestInvertMonotone:
 
 
 class TestIntegrateOde:
-    # the one-component cases run on the duplicated pair (y, y): the RMS of
-    # two equal errors is that error, so each is the one-component run bit for
-    # bit (TestAgainstListLoop::test_duplicated_pair_is_the_scalar_run)
+    # the equations are u'' = acc(t, u, u'); first-order model problems are
+    # written as second-order ones with the same exact solution
     def test_exponential(self):
-        traj = integrate_ode(lambda t, y: y, [1.0, 1.0], (0.0, 1.0), 1e-10)
+        # u'' = u from (1, 1): u = u' = e^t
+        traj = integrate_ode(lambda t, u, v: u, [1.0, 1.0], (0.0, 1.0), 1e-10)
         assert traj.completed
-        assert abs(traj(1.0)[0] - math.e) < 1e-8
+        assert abs(traj(1.0)[0] - math.e) < 1e-8 and abs(traj(1.0)[1] - math.e) < 1e-8
 
     def test_zero_rhs_exact(self):
         c = 0.7315
-        traj = integrate_ode(lambda t, y: [0.0 * v for v in y], [c, c], (0.0, 5.0), 1e-8)
+        traj = integrate_ode(lambda t, u, v: 0.0 * u, [c, 0.0], (0.0, 5.0), 1e-8)
         assert traj(3.1)[0] == c
 
     def test_sine(self):
         traj = integrate_ode(
-            lambda t, y: [y[1], -y[0]], [0.0, 1.0], (0.0, math.pi), 1e-10
+            lambda t, u, v: -u, [0.0, 1.0], (0.0, math.pi), 1e-10
         )
         end = traj(math.pi)
         assert abs(end[0] - 0.0) < 1e-7
@@ -261,99 +261,97 @@ class TestIntegrateOde:
         for k in range(4):
             rt = 1e-6 / 2**k
             traj = integrate_ode(
-                lambda t, y: [y[1], -y[0]], [0.0, 1.0], (0.0, math.pi), rt
+                lambda t, u, v: -u, [0.0, 1.0], (0.0, math.pi), rt
             )
             errs.append(abs(traj(math.pi)[0]))
         assert all(errs[i + 1] < errs[i] for i in range(3))
 
     def test_backwards(self):
-        traj = integrate_ode(lambda t, y: y, [1.0, 1.0], (0.0, -1.0), 1e-10)
+        traj = integrate_ode(lambda t, u, v: u, [1.0, 1.0], (0.0, -1.0), 1e-10)
         assert abs(traj(-1.0)[0] - math.exp(-1.0)) < 1e-8
 
     def test_blow_up_event(self):
-        # y' = y^2 from y(0)=1 blows up at t=1
-        traj = integrate_ode(lambda t, y: [v * v for v in y], [1.0, 1.0], (0.0, 2.0), 1e-8)
+        # u'' = 2 u u' from (1, 1) is u' = u^2, u = 1 / (1 - t): it blows up at t = 1
+        traj = integrate_ode(lambda t, u, v: 2.0 * u * v, [1.0, 1.0], (0.0, 2.0), 1e-8)
         assert not traj.completed
         assert isinstance(traj.event, DivergenceEvent)
         assert 0.9 < traj.event.t <= 1.01
 
     def test_rhs_domain_event(self):
-        def rhs(t, y):
+        def acc(t, u, v):
             if t > 0.5:
                 raise RhsEvaluationError("left_domain")
-            return [1.0] * len(y)
+            return 1.0
 
-        traj = integrate_ode(rhs, [0.0, 0.0], (0.0, 1.0), 1e-8)
+        traj = integrate_ode(acc, [0.0, 0.0], (0.0, 1.0), 1e-8)
         assert not traj.completed
         assert traj.event.label == "left_domain"
         assert abs(traj.event.t - 0.5) < 1e-6
 
     def test_non_finite_stage_is_retried_shorter(self):
-        # y' = y^3 from 1e100: the first stage's derivative overflows to inf,
+        # u'' = u'^3 from u' = 1e100: the first stage's acc overflows to inf,
         # so each try stops at the second stage point and retries a quarter as
         # long, until the step falls below the floor
         calls = []
 
-        def rhs(t, y):
+        def acc(t, u, v):
             calls.append(t)
-            return [v * v * v for v in y]
+            return v * v * v
 
-        traj = integrate_ode(rhs, [1e100, 1e100], (0.0, 1.0), 1e-10)
+        traj = integrate_ode(acc, [0.0, 1e100], (0.0, 1.0), 1e-10)
         assert traj.event.label == "step_underflow" and traj.event.t == 0.0
         assert (traj.n_steps, traj.n_rejected, len(calls)) == (0, 20, 21)
 
     def test_dense_output_between_knots(self):
-        # uncapped steps: the read between knots is the quintic, from the
-        # right-hand side's time derivative -sin t at each knot
-        traj = integrate_ode(lambda t, y: [math.cos(t)] * 2, [0.0, 0.0], (0.0, 6.0), 1e-10)
-        traj = dataclasses.replace(traj, dfs=np.column_stack([-np.sin(traj.ts)] * 2))
+        # u'' = -sin t from (0, 1) is u = sin t; the read between knots is the
+        # quintic, from the derivative's time derivative (-sin t, -cos t) at each knot
+        traj = integrate_ode(lambda t, u, v: -math.sin(t), [0.0, 1.0], (0.0, 6.0), 1e-10)
+        traj = dataclasses.replace(traj, dfs=np.column_stack([-np.sin(traj.ts), -np.cos(traj.ts)]))
         for t in np.linspace(0.1, 5.9, 37):
             assert abs(traj(t)[0] - math.sin(t)) < 1e-7
 
     def test_steps_summed_a_few_ulp_short_reach_the_end(self):
-        # zero rhs: the steps grow five-fold from T/100 and the last is the
-        # remainder, yet at T = 0.93 their sum rounds one ulp short of T; a
+        # zero derivatives: the steps grow five-fold from T/100 and the last is
+        # the remainder, yet at T = 0.93 their sum rounds one ulp short of T; a
         # remainder below the step floor ends the span, not step_underflow
-        traj = integrate_ode(lambda t, y: [0.0, 0.0], [1.0, 1.0], (0.0, 0.93), 1e-8)
+        traj = integrate_ode(lambda t, u, v: 0.0, [1.0, 0.0], (0.0, 0.93), 1e-8)
         assert traj.completed and traj.t_end == traj.ts[-1] < 0.93
         assert 0.93 - traj.ts[-1] < 1e-14
 
     def test_zero_span_returns_initial_state(self):
-        traj = integrate_ode(lambda t, y: [-v for v in y], [2.0, -1.0], (0.5, 0.5))
+        traj = integrate_ode(lambda t, u, v: -u, [2.0, -1.0], (0.5, 0.5))
         assert traj.completed and len(traj.ts) == 1
         assert np.array_equal(traj(0.5), [2.0, -1.0])
 
     def test_outside_span_rejected(self):
-        traj = integrate_ode(lambda t, y: y, [1.0, 1.0], (0.0, 1.0), 1e-8)
+        traj = integrate_ode(lambda t, u, v: u, [1.0, 1.0], (0.0, 1.0), 1e-8)
         with pytest.raises(InputError):
             traj(2.0)
 
     def test_state_must_be_one_dimensional(self):
         with pytest.raises(InputError):
-            integrate_ode(lambda t, y: y, [[1.0, 0.0]], (0.0, 1.0))
+            integrate_ode(lambda t, u, v: u, [[1.0, 0.0]], (0.0, 1.0))
 
     @pytest.mark.parametrize("y0", [[1.0], [1.0, 0.0, -1.0]])
     def test_state_must_be_a_pair(self, y0):
         with pytest.raises(InputError, match=rf"must be a pair of floats, got shape \({len(y0)},\)"):
-            integrate_ode(lambda t, y: y, y0, (0.0, 1.0))
+            integrate_ode(lambda t, u, v: u, y0, (0.0, 1.0))
 
     @pytest.mark.parametrize("bad_from", [-1.0, 0.3])
     def test_every_rhs_result_checked(self, bad_from):
-        # a short list or an ndarray is an error on any call, not only the first
-        def short(t, y):
-            return [y[1], -y[0]][: 1 if t > bad_from else 2]
+        # every acc result must be a float: a list, an ndarray or an int is an
+        # error on any call, not only the first
+        for bad in (lambda u: [-u], lambda u: np.array(-u), lambda u: 0):
+            def acc(t, u, v, bad=bad):
+                return bad(u) if t > bad_from else -u
 
-        def arrayed(t, y):
-            return np.array([y[1], -y[0]]) if t > bad_from else [y[1], -y[0]]
-
-        for rhs in (short, arrayed):
-            with pytest.raises(InputError):
-                integrate_ode(rhs, [0.0, 1.0], (0.0, 1.0), 1e-8)
+            with pytest.raises(InputError, match="acc must return a float"):
+                integrate_ode(acc, [0.0, 1.0], (0.0, 1.0), 1e-8)
 
 
 # The numpy-array Dormand-Prince loop that the float kernel replaced: the same
 # tableau and step control, each stage sum a BLAS product over the stages.  It
-# calls an ndarray right-hand side; ``_listed`` adapts one to integrate_ode.
+# calls a right-hand side of the whole state, which ``_paired`` makes of an acc.
 _REF_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _REF_A = [
     np.array([]),
@@ -423,24 +421,25 @@ def _reference_integrate_ode(rhs, y0, t_span, rel_tol, abs_tol):
     return np.array(ts), np.array(ys), event, n_steps, n_rejected
 
 
-def _listed(rhs):
-    """An ndarray right-hand side as integrate_ode calls one: on float lists."""
-    return lambda t, y: rhs(t, np.array(y)).tolist()
+def _paired(acc):
+    """The first-order right-hand side (u', u'') = (v, acc(t, u, v)) of the
+    state y = (u, v), as the reference loops call one."""
+    return lambda t, y: [y[1], acc(t, *y)]
 
 
-def _coupled_system(seed, domain_end=math.inf):
-    """A nonlinear, forced two-component system drawn from ``seed``; it leaves
-    its domain past |t| = domain_end."""
+def _forced_oscillator(seed, domain_end=math.inf):
+    """A nonlinear, damped and forced second-order equation drawn from
+    ``seed``; it leaves its domain past |t| = domain_end."""
     rng = np.random.default_rng(seed)
-    M = rng.standard_normal((2, 2))
-    w = rng.uniform(0.5, 3.0, 2)
+    m0, m1 = rng.standard_normal(2).tolist()
+    w = float(rng.uniform(0.5, 3.0))
 
-    def rhs(t, y):
+    def acc(t, u, v):
         if abs(t) > domain_end:
             raise RhsEvaluationError("left_domain")
-        return M @ np.sin(y) - 0.3 * y + np.cos(w * t)
+        return m0 * math.sin(u) + m1 * math.sin(v) - 0.3 * v + math.cos(w * t)
 
-    return rhs, rng.standard_normal(2)
+    return acc, rng.standard_normal(2)
 
 
 class TestFloatKernelAgainstNumpyReference:
@@ -450,9 +449,9 @@ class TestFloatKernelAgainstNumpyReference:
         # the domain end at |t| = 5 stops both after a run of rejections; the
         # step sizes there follow the rounding, so the step counts may differ
         # by a few, but not the event or the state it was met in
-        rhs, y0 = _coupled_system(seed, domain_end=5.0)
-        traj = integrate_ode(_listed(rhs), y0, t_span, 1e-6)
-        _, _, event, _, n_rejected = _reference_integrate_ode(rhs, y0, t_span, 1e-6, 1e-8)
+        acc, y0 = _forced_oscillator(seed, domain_end=5.0)
+        traj = integrate_ode(acc, y0, t_span, 1e-6)
+        _, _, event, _, n_rejected = _reference_integrate_ode(_paired(acc), y0, t_span, 1e-6, 1e-8)
         assert traj.n_rejected > 0 and n_rejected > 0
         assert traj.event.label == event.label == "left_domain"
         assert abs(traj.event.t - event.t) <= 1e-12 * 5.0
@@ -464,10 +463,10 @@ class TestFloatKernelAgainstNumpyReference:
         # uncapped, the controller takes err^(-1/5) of an estimate formed by
         # cancellation, so the stage sums' rounding moves the step sizes and
         # with them the knots; the accept/reject decisions stay the same
-        rhs, y0 = _coupled_system(seed)
-        traj = integrate_ode(_listed(rhs), y0, (0.0, 8.0), rel_tol)
+        acc, y0 = _forced_oscillator(seed)
+        traj = integrate_ode(acc, y0, (0.0, 8.0), rel_tol)
         ts, ys, event, n_steps, n_rejected = _reference_integrate_ode(
-            rhs, y0, (0.0, 8.0), rel_tol, rel_tol * 1e-2
+            _paired(acc), y0, (0.0, 8.0), rel_tol, rel_tol * 1e-2
         )
         assert traj.completed and event is None
         assert (traj.n_steps, traj.n_rejected) == (n_steps, n_rejected)
@@ -479,7 +478,8 @@ class TestFloatKernelAgainstNumpyReference:
 # The generic list-based loop integrate_ode ran before it stepped a pair of
 # named floats, kept verbatim as the bit-for-bit reference: the state, the
 # stages and the error estimate are float lists of any length, each stage sum
-# formed left to right over its tableau row.
+# formed left to right over its tableau row.  It integrates a second-order
+# equation as ``_paired(acc)``.
 class _ListNonFiniteStage(Exception):
     pass
 
@@ -622,9 +622,9 @@ def _compared(calls):
     """integrate_ode, checked on every call against the list loop; each
     call's trajectory is appended to ``calls``."""
 
-    def run(rhs, y0, t_span, rel_tol=1e-10):
-        traj = integrate_ode(rhs, y0, t_span, rel_tol)
-        _assert_same_run(traj, _list_integrate_ode(rhs, y0, t_span, rel_tol))
+    def run(acc, y0, t_span, rel_tol=1e-10):
+        traj = integrate_ode(acc, y0, t_span, rel_tol)
+        _assert_same_run(traj, _list_integrate_ode(_paired(acc), y0, t_span, rel_tol))
         calls.append(traj)
         return traj
 
@@ -665,34 +665,36 @@ class TestAgainstListLoop:
         assert events == {"completed", "inversion_failure", "blow_up"}
 
     @pytest.mark.parametrize(
-        "rhs, y0",
+        "acc, y0",
         [
-            # the first stage's derivative overflows: every try stops at a
-            # non-finite stage point and is retried shorter until underflow
-            (lambda t, y: [v * v * v for v in y], [1e100, 1.0]),
-            # u' = 1, v' = 1 / (1 - u): past u = 1 a stage is infinite, and
-            # the steps that reach it are retried shorter
-            (lambda t, y: [1.0, 1.0 / (1.0 - y[0]) if y[0] < 1.0 else math.inf], [0.0, 0.0]),
+            # the first stage's acc overflows: every try stops at a non-finite
+            # stage point and is retried shorter until underflow
+            (lambda t, u, v: v * v * v, [1.0, 1e100]),
+            # u'' = 1 / (1 - u) from (0, 0): past u = 1 a stage is infinite,
+            # and the steps that reach it are retried shorter
+            (lambda t, u, v: 1.0 / (1.0 - u) if u < 1.0 else math.inf, [0.0, 0.0]),
         ],
     )
-    def test_non_finite_stages(self, rhs, y0):
-        traj = _compared([])(rhs, y0, (0.0, 3.0), 1e-8)
+    def test_non_finite_stages(self, acc, y0):
+        traj = _compared([])(acc, y0, (0.0, 3.0), 1e-8)
         assert traj.n_rejected > 0 and traj.event.label == "step_underflow"
 
     @pytest.mark.parametrize(
-        "rhs, y0, t_span, rel_tol",
+        "acc, y0, t_span, rel_tol",
         [
-            (lambda t, y: y, [1.0], (0.0, 1.0), 1e-10),
-            (lambda t, y: y, [1.0], (0.0, -1.0), 1e-10),
-            (lambda t, y: [v * v for v in y], [1.0], (0.0, 2.0), 1e-8),
-            (lambda t, y: [math.cos(t)] * len(y), [0.0], (0.0, 6.0), 1e-10),
+            (lambda t, u, v: v, [1.0], (0.0, 1.0), 1e-10),
+            (lambda t, u, v: v, [1.0], (0.0, -1.0), 1e-10),
+            (lambda t, u, v: v, [-0.5], (0.0, 8.0), 1e-8),
+            (lambda t, u, v: v, [3.0], (2.0, -4.0), 1e-10),
         ],
     )
-    def test_duplicated_pair_is_the_scalar_run(self, rhs, y0, t_span, rel_tol):
-        # the list loop on one component and integrate_ode on (y, y): the
-        # RMS of two equal errors is that error, so the runs agree bit for bit
-        ref = _list_integrate_ode(rhs, y0, t_span, rel_tol)
-        traj = integrate_ode(rhs, y0 * 2, t_span, rel_tol)
+    def test_duplicated_pair_is_the_scalar_run(self, acc, y0, t_span, rel_tol):
+        # u'' = u' from (y, y) is y' = y on each component: the list loop on
+        # one component and integrate_ode on the pair take the same stages,
+        # and the RMS of two equal errors is that error, so the runs agree bit
+        # for bit
+        ref = _list_integrate_ode(lambda t, y: y, y0, t_span, rel_tol)
+        traj = integrate_ode(acc, y0 * 2, t_span, rel_tol)
         assert same_bits(traj.ts, ref.ts) and (traj.n_steps, traj.n_rejected) == (ref.n_steps, ref.n_rejected)
         for j in (0, 1):
             assert same_bits(traj.ys[:, j], ref.ys[:, 0]) and same_bits(traj.fs[:, j], ref.fs[:, 0])
@@ -701,8 +703,8 @@ class TestAgainstListLoop:
             assert traj.event.label == ref.event.label and same_bits(traj.event.t, ref.event.t)
 
 
-def _oscillator(t, y):
-    return [y[1], -y[0] + 0.1 * t]
+def _oscillator(t, u, v):
+    return -u + 0.1 * t
 
 
 def _merged_trajectory():

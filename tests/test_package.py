@@ -47,9 +47,12 @@ NEG = sl.TauParams.neg_branch(a=-2.0)
      "tolerances must be finite and positive"),
     (lambda: sl.build_counterexample(NEG, 0.3, 0.7, 2, rel_tol=math.inf), "tolerances must be finite and positive"),
     (lambda: sl.build_mss_counterexample(1.2, 0.1, rel_tol=math.inf), "tolerances must be finite and positive"),
-    (lambda: sl.build_counterexample(NEG, 0.3, 0.7, 2, seed=-1), "seed must be at least 0"),
+    (lambda: sl.build_counterexample(NEG, 0.3, 0.7, 2, seed=-1), "seed must be an integer of at least 0"),
+    (lambda: sl.build_counterexample(NEG, 0.3, 0.7, 2, seed=1.5), "seed must be an integer of at least 0"),
+    (lambda: sl.build_counterexample(NEG, 0.3, 0.7, 2, seed="3"), "seed must be an integer of at least 0"),
 ], ids=["grid-step-0", "grid-step-negative", "grid-step-inf", "legendre-infinite", "legendre-nan",
-        "legendre-too-many-nodes", "shoot-tol-inf", "build-tol-inf", "mss-tol-inf", "build-seed-negative"])
+        "legendre-too-many-nodes", "shoot-tol-inf", "build-tol-inf", "mss-tol-inf", "build-seed-negative",
+        "build-seed-fractional", "build-seed-string"])
 def test_library_refuses_what_the_cli_refuses(call, reason):
     # each value the CLI refuses with exit 65 is an InputError at the library entry point too
     with pytest.raises(InputError, match=reason):

@@ -6,6 +6,7 @@ a NaN or infinite coordinate are InputErrors."""
 
 import functools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from shrinker_lab.fields import QuadraticField, SeparableExtensionField, Table1D
 from shrinker_lab.geometry import mean_curvature, shrinker_defect
 from shrinker_lab.numerics import InputError
 from shrinker_lab.tau import minkowski_residual, phase, shrinker_residual
+from shrinker_lab.transforms import self_similar_extension
 
 from conftest import same_bits
 
@@ -87,3 +89,23 @@ def test_a_non_finite_point_is_refused_and_named(reader, field, n, bad):
     for points in (x, np.vstack([np.full(n, 0.25), x])):
         with pytest.raises(InputError, match=named):
             read(f, points)
+
+
+def test_a_finite_point_whose_read_overflows_is_refused_and_named():
+    # 0.25 |x|^2 overflows at |x| = 1e160 and, for the extension, at
+    # x / sqrt(-t) = 1e160: each read used to return NaN, with numpy overflow
+    # warnings, which are errors here
+    field = QuadraticField(0.5 * np.eye(2))
+    x = np.array([[0.5, 0.1], [1e160, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for read in (phase, functools.partial(shrinker_residual, SLAG)):
+            for points in (x, x[1]):
+                with pytest.raises(InputError, match=re.escape("phase not finite at x = [1e+160, 0.0]")):
+                    read(field, points)
+        y = np.array([[0.5, 0.1], [1e10, 0.0]])
+        stacked = QuadraticField(np.stack([0.5 * np.eye(2)] * 2))
+        for fld, points, t in ((field, y[1], -1e-300), (stacked, y, np.array([-1.0, -1e-300]))):
+            with pytest.raises(InputError, match=re.escape("not finite at x = [10000000000.0, 0.0], t = -1e-300")):
+                self_similar_extension(SLAG, fld, points, t)
+        assert same_bits(phase(field, x[0]), -0.25 * 0.26 + 0.5 * 0.5 * 0.26)

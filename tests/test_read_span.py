@@ -22,7 +22,7 @@ from conftest import same_bits
 @functools.cache
 def _backward():
     """A descending trajectory: the oscillator integrated from 0 to -3."""
-    return integrate_ode(lambda t, y: [y[1], -y[0]], [1.0, 0.2], (0.0, -3.0), 1e-8)
+    return integrate_ode(lambda t, u, v: -u, [1.0, 0.2], (0.0, -3.0), 1e-8)
 
 
 @functools.cache

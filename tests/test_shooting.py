@@ -246,12 +246,12 @@ def test_float_shot_reads_f_value_at_call_time(monkeypatch, all_branches):
         calls["f_inverse"] += calls["inside"]
         return f_inverse_(*args)
 
-    def counting_integrate(rhs, *args, **kwargs):
-        def counted_rhs(r, y):
+    def counting_integrate(acc, *args, **kwargs):
+        def counted_rhs(r, u, up):
             calls["rhs"] += 1
             calls["inside"] = True
             try:
-                return rhs(r, y)
+                return acc(r, u, up)
             finally:
                 calls["inside"] = False
 
