@@ -12,22 +12,15 @@ experiment's output, not errors.
 """
 
 import argparse
-import math
 import sys
 
-from shrinker_lab import TauParams
+from shrinker_lab.cli import BRANCH_DEFAULTS
 from shrinker_lab.reports import write_csv
 from shrinker_lab.shooting import shoot_radial
 from shrinker_lab.tau import f_value
 
-BRANCHES = {
-    "MA": (TauParams.monge_ampere(), 0.8),
-    "LOG": (TauParams.log_branch(math.pi / 6), 0.3),
-    "HARM": (TauParams.harmonic(), 0.0),
-    "ATAN": (TauParams.atan_branch(math.pi / 3), 0.0),
-    "SLAG": (TauParams.special_lagrangian(), 1.0),
-    "NEG": (TauParams.neg_branch(a=-2.0), 2.0),
-}
+# the quadratic's curvature on each branch of cli.BRANCH_DEFAULTS, in its order
+BRANCHES = {"MA": 0.8, "LOG": 0.3, "HARM": 0.0, "ATAN": 0.0, "SLAG": 1.0, "NEG": 2.0}
 
 
 def main(argv=None):
@@ -38,7 +31,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     rows = []
-    for name, (tp, c) in BRANCHES.items():
+    for name, c in BRANCHES.items():
+        tp = BRANCH_DEFAULTS[name]()
         base = -args.n * f_value(tp, c)
         for du0 in (-0.2, -0.05, 0.05, 0.2):
             prof = shoot_radial(tp, args.n, base + du0, r_max=args.rmax)

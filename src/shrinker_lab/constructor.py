@@ -29,11 +29,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .fields import ScalarField, SeparableExtensionField, StepIntegralField
-from .numerics import ABS_PER_REL_TOL, MAX_GRID_POINTS, READ_SLACK, ConstructionError, DomainError, InputError
+from .numerics import MAX_GRID_POINTS, READ_SLACK, ConstructionError, DomainError, InputError
 from .numerics import Trajectory, abs_tolerance, as_count, as_positive, integrate_ode
 from .numerics import cumulative_simpson  # noqa: F401  unused; perfbench/tracing.py wraps it by this name
 from .tau import Branch, minkowski_residual, phase, shrinker_residual
-from .transforms import normalize_counterexample_branch, _neg_constants
+from .transforms import normalize_counterexample_branch
 
 __all__ = [
     "PhaseTrajectory",
@@ -154,7 +154,7 @@ def solve_phase_ode(a0, a1, T, rel_tol=1e-10):
         raise InputError(
             f"the a-priori ceiling a1 exp(exp(-a0)/a1^2) on phi' overflows at a0 = {a0}, a1 = {a1}"
         )
-    abs_tol = rel_tol * ABS_PER_REL_TOL  # at the construction's tolerance: the checks' slack
+    abs_tol = abs_tolerance(rel_tol)  # at the construction's tolerance: the checks' slack
 
     assert _phase_rhs(0.0, a0, a1) == 0.0  # phi''(0) vanishes identically
 
@@ -220,7 +220,7 @@ def profile_span(tp, radius, T):
         return max(T, radius + 1.0)
     if tp.branch is not Branch.NEG:
         raise InputError(f"branch {tp.branch.value} is not the bounded-cone branch (a < -1)")
-    return radius / _neg_constants(tp)[3] * 1.02 + 1.0
+    return radius / tp.neg_scaling[1] * 1.02 + 1.0
 
 
 def profile_grid(span, step):
@@ -378,7 +378,7 @@ def build_counterexample(
     n = as_count(n, "dimension")
     seed = as_count(seed, "seed", 0)
     samples = as_count(samples, "samples")  # on none a certificate passes unread
-    a, b, k, c2 = _neg_constants(tp)
+    k, c2 = tp.neg_scaling
     traj = solve_phase_ode(a0, a1, max(T, span_needed), rel_tol=rel_tol)
 
     prof = assemble_w1(traj, span=span_needed)
@@ -393,7 +393,7 @@ def build_counterexample(
 
     phis = traj.phi_array(pts[:, 0] / c2)[:, 0]
     stables = (1.0 / k) * phis - phase(ufield, pts)
-    cone_margin = _neg_cone_margin(b, float(phis.min()), float(phis.max()), n)
+    cone_margin = _neg_cone_margin(tp.b, float(phis.min()), float(phis.max()), n)
     # sigmoid(phi) lies in (0, 1) for every finite phi, though the margin
     # underflows to 0 once |phi| passes about 745
     cone_ok = bool(np.isfinite(phis).all())
@@ -436,7 +436,7 @@ def build_counterexample(
         "route_agreement_inner_sup": agree_sup,
         "inner_sample_count": int(len(inner)),
     }
-    config = {"a": a, "b": b, "tau": tp.tau, "a0": float(a0), "a1": float(a1), "n": n, "T": float(T),
+    config = {"a": tp.a, "b": tp.b, "tau": tp.tau, "a0": float(a0), "a1": float(a1), "n": n, "T": float(T),
               "rel_tol": float(rel_tol), "abs_tol": traj.abs_tol, "radius": float(radius),
               "samples": samples, "seed": seed}
     return ufield, prof, Certificate.of(
@@ -566,7 +566,7 @@ def build_mss_counterexample(
         "slope_at_0": float(fld.gradient([0.0])[0]),
         "slope_at_0_expected": math.tanh(s0),
     }
-    config = {"phi0": phi0, "s0": s0, "T": T, "rel_tol": float(rel_tol), "abs_tol": rel_tol * ABS_PER_REL_TOL,
+    config = {"phi0": phi0, "s0": s0, "T": T, "rel_tol": float(rel_tol), "abs_tol": abs_tolerance(rel_tol),
               "radius": float(radius), "samples": samples}
     return fld, Certificate.of(
         xs, residuals, equation="spacelike graph self-shrinker equation", radius=radius,

@@ -90,25 +90,12 @@ class AffineScaledField(ScalarField):
     """View  w(x) = outer * u(inner * x) + (quad/2)|x|^2 + offset.
 
     Derivatives are exact chain-rule expressions of the backing field's, so a
-    pipeline of these views stays analytic whenever the base is.  Nested views
-    flatten into a single layer; in particular an exact involution composed
-    with itself collapses to the identity coefficients (1, 1, 0, 0) and
-    evaluates bit-for-bit as the base.
+    pipeline of these views stays analytic whenever the base is.
     """
 
     def __init__(self, base, outer=1.0, inner=1.0, quad=0.0, offset=0.0):
-        outer, inner, quad, offset = float(outer), float(inner), float(quad), float(offset)
-        if isinstance(base, AffineScaledField):
-            offset = outer * base.offset + offset
-            quad = outer * base.quad * inner * inner + quad
-            inner = base.inner * inner
-            outer = outer * base.outer
-            base = base.base
         self.base = base
-        self.outer = outer
-        self.inner = inner
-        self.quad = quad
-        self.offset = offset
+        self.outer, self.inner, self.quad, self.offset = float(outer), float(inner), float(quad), float(offset)
         self.dim = base.dim
 
     def _value(self, x):

@@ -321,13 +321,11 @@ def as_positive(value, name):
 
 
 def read_span(t, lo, hi):
-    """Times t (an array or a float) on [lo, hi], the one rule for reads at or
-    past the ends of data: a time within READ_SLACK (1 + |end|) past an end
-    is that end; any other time outside, or NaN, is an InputError."""
+    """Times t (an array) on [lo, hi], the one rule for reads at or past the
+    ends of data: a time within READ_SLACK (1 + |end|) past an end is that
+    end; any other time outside, or NaN, is an InputError."""
     lo, hi = float(lo), float(hi)
     below, above = lo - READ_SLACK * (1 + abs(lo)), hi + READ_SLACK * (1 + abs(hi))
-    if isinstance(t, float) and below <= t <= above:  # a float inside, without numpy's per-call cost
-        return min(max(t, lo), hi)
     t = np.asarray(t, dtype=float)
     inside = (t >= below) & (t <= above)
     if not inside.all():

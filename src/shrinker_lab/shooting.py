@@ -30,18 +30,18 @@ One step rule, built once a shot by ``_step_rule``, checks every state either
 path reaches: the float path's initial state and right-hand side, each
 profile sample and read, and (as an mpf rule) each Taylor expansion point.
 One closure a shot, ``_curvature``, gives every u'' from the rule.
-So the two paths name a cone exit, an inversion failure and a blow-up past
+So the two paths stop at a cone exit, an inversion failure and a blow-up past
 |(u, u')| = _BLOW_UP_MAG the same way, and at the state where the rule first
-fails.  The one exit outside the rule is the Taylor path's ``blow_up`` when
-its step radius falls below _MIN_STEP, where the float path's integrator
-shrinks its step to its own floor.  Each path hands back one batched reader
-of (u, u') at radii from _R_START on and its own series constants;
-``shoot_radial`` makes them the shot's one ``states``: (u0, +0.0) at r = 0,
-the series below _R_START (everywhere if the path took no step), the reader
-beyond.  A profile ends at the last sample the rule accepts, and
-``RadialProfile``, the n-D radial field itself, reads a batch of radii
-through ``states`` on [0, that sample] (``numerics.read_span``); a read past
-there is an InputError.
+fails; the float integrator also stops at a step underflow or a non-finite
+state, and the Taylor path at a step radius below _MIN_STEP.  Each path hands
+back its stop, one batched reader of (u, u') at radii from _R_START on and
+its own series constants.  ``shoot_radial`` names the stop once (a rule's kind
+as it is, any other a ``blow_up``, at the path's end) and makes the rest the
+shot's one ``states``: (u0, +0.0) at r = 0, the series below _R_START
+(everywhere if the path took no step), the reader beyond.  A profile ends at
+the last sample the rule accepts, and ``RadialProfile``, the n-D radial field
+itself, reads a batch of radii through ``states`` on [0, that sample]
+(``numerics.read_span``); a read past there is an InputError.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ __all__ = ["ShotEvent", "RadialProfile", "shoot_radial", "radial_quadratic_refer
 _R_START = 1e-8
 _R_SERIES = 1e-6
 _BLOW_UP_MAG = 1e10
+_RULE_KINDS = ("cone_exit", "inversion_failure", "blow_up")  # the events the step rule names
 
 
 @dataclass(frozen=True)
@@ -210,21 +211,15 @@ def radial_quadratic_reference(tp, n, c, r_max=10.0, n_samples=401):
 
 def _shoot_float(curvature, u0, upp0, r_max, rel_tol):
     """(u, u')'s batched reader (None if the step rule refuses the start),
-    series constants, end and event, integrated from the series state at
-    _R_START with ``curvature`` as the integrator's acc."""
+    series constants, end and stop ((label, detail), None if r_max was
+    reached), integrated from the series state at _R_START with
+    ``curvature`` as the integrator's acc."""
     try:  # the initial state's acc, as _shoot_mp checks each expansion point
         traj = integrate_ode(curvature, _series_state(u0, upp0, _R_START), (_R_START, r_max), rel_tol)
     except RhsEvaluationError as exc:  # no step: the series is the whole shot
-        return None, (u0, upp0), _R_START, ShotEvent(exc.label, _R_START, exc.detail)
-
-    if traj.event is None:
-        event = ShotEvent("completed", r_max)
-    else:
-        kind = traj.event.label
-        if kind not in ("cone_exit", "inversion_failure", "blow_up"):
-            kind = "blow_up"
-        event = ShotEvent(kind, float(traj.event.t), traj.event.detail)
-    return traj.evaluate, (u0, upp0), traj.t_end, event
+        return None, (u0, upp0), _R_START, (exc.label, exc.detail)
+    stop = None if traj.event is None else (traj.event.label, traj.event.detail)
+    return traj.evaluate, (u0, upp0), traj.t_end, stop
 
 
 _DEGREE = 20
@@ -322,8 +317,8 @@ def _shoot_mp(tp, n, u0, r_max, dps):
     fine_prec = prec + 40 bits by ``_join``, the libmp calls of mpmath's
     ``polyval`` on the tuples; only c_d and each joined state are wrapped as
     mpf values.  Every expansion point goes through
-    the float path's step rule (``_step_rule``), whose error names the
-    event; the one other exit is ``blow_up`` when the step radius falls below
+    the float path's step rule (``_step_rule``), whose error is the stop; the
+    one other stop is ``step_underflow`` when the step radius falls below
     _MIN_STEP (a singularity ahead).
 
     The profile reader works in fixed point.  Each step's two series are held
@@ -356,13 +351,13 @@ def _shoot_mp(tp, n, u0, r_max, dps):
             try:
                 rule(r0, u, p)
             except RhsEvaluationError as exc:
-                event = ShotEvent(exc.label, float(r0), exc.detail)
+                stop = exc.label, exc.detail
                 break
             us, ps = _taylor_step(tp, n, r0, u, p, f_s0 if r0 < _R_SERIES else None)
             radius = min([mp.mpf(1)] + [mp.root(tol / abs(mp.make_mpf(c[-1])), _DEGREE)
                                         for c in (us, ps) if c[-1] != fzero]) / 2
             if radius < _MIN_STEP:
-                event = ShotEvent("blow_up", float(r0), f"Taylor step {mp.nstr(radius, 3)} below {_MIN_STEP:g}")
+                stop = "step_underflow", f"Taylor step {mp.nstr(radius, 3)} below {_MIN_STEP:g}"
                 break
             starts_f.append(float(r0))
             starts.append(r0._mpf_)
@@ -370,7 +365,7 @@ def _shoot_mp(tp, n, u0, r_max, dps):
             r0 = r0 + radius
             u, p = (mp.make_mpf(_join(cs, radius._mpf_, fine_prec, rnd)) for cs in (us, ps))
             if r0 >= r_max:
-                event = ShotEvent("completed", float(r_max))
+                stop = None
                 break
 
         def state(r):
@@ -384,7 +379,7 @@ def _shoot_mp(tp, n, u0, r_max, dps):
             return _to_float(_horner(us, hm, -exp), scale), _to_float(_horner(ps, hm, -exp), scale)
 
     read = (lambda rs: [state(r) for r in rs.tolist()]) if steps else None
-    return read, (float(u0_mp), float(upp0_mp)), event.r, event
+    return read, (float(u0_mp), float(upp0_mp)), float(r0) if stop else r_max, stop
 
 
 def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, *, dps=None, n_samples=401):
@@ -422,8 +417,13 @@ def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, *, dps=None, n_samples=40
         raise InputError(f"u''(0) = f^-1(-u0/n) = {upp0} at u0 = {u0}: no finite initial curvature")
 
     curvature = _curvature(tp, _step_rule(tp, n, upp0))  # bounds, range and n - 1 bound once a shot
-    read, (su, supp), r_end, event = (_shoot_float(curvature, u0, upp0, r_max, rel_tol) if dps is None
-                                      else _shoot_mp(tp, n, u0_raw, r_max, dps))
+    read, (su, supp), r_end, stop = (_shoot_float(curvature, u0, upp0, r_max, rel_tol) if dps is None
+                                     else _shoot_mp(tp, n, u0_raw, r_max, dps))
+    if stop is None:
+        event = ShotEvent("completed", r_max)
+    else:  # the integrator's step underflow and non-finite state, and the Taylor minimum step, are blow-ups
+        label, detail = stop
+        event = ShotEvent(label if label in _RULE_KINDS else "blow_up", r_end, detail)
 
     def states(radii):
         """(u, u') at an array of radii on [0, r_end], one row a radius."""

@@ -167,19 +167,19 @@ class TauParams:
         summand, each with the range of f on it, the one ``cone_side`` selects
         first.  Every cone and range test reads them; a non-finite eigenvalue
         lies in none."""
-        br, a, b, inf = self.branch, self.a, self.b, math.inf
+        br, inf = self.branch, math.inf
         if br is Branch.MA:
             return (ConeSpec("upper", 0.0, inf, -inf, inf),)
-        if br is Branch.NEG:
-            return (ConeSpec("inside-interval", -(b + a), b - a, -inf, inf),)
         if br is Branch.ATAN:
-            c = self.sqrt_a2p1 / b
+            c = self.sqrt_a2p1 / self.b
             return (ConeSpec("all", -inf, inf, -0.75 * math.pi * c, 0.25 * math.pi * c),)
         if br is Branch.SLAG:
             return (ConeSpec("all", -inf, inf, -math.pi / 2.0, math.pi / 2.0),)
-        edge_upper, edge_lower = (-(a - b), -(a + b)) if br is Branch.LOG else (-1.0, -1.0)
-        upper = ConeSpec("upper", edge_upper, inf, -inf, 0.0)
-        lower = ConeSpec("lower", -inf, edge_lower, 0.0, inf)
+        a_m_b, a_p_b = self.edge_sums  # HARM's (1.0, 1.0) puts both edges at -1
+        if br is Branch.NEG:
+            return (ConeSpec("inside-interval", -a_p_b, -a_m_b, -inf, inf),)
+        upper = ConeSpec("upper", -a_m_b, inf, -inf, 0.0)
+        lower = ConeSpec("lower", -inf, -a_p_b, 0.0, inf)
         return (upper, lower) if self.cone_side == "upper" else (lower, upper)
 
     @cached_property
@@ -214,6 +214,20 @@ class TauParams:
     @cached_property
     def sqrt_a2p1(self):
         return math.sqrt(self.a * self.a + 1.0) if not math.isinf(self.a) else math.inf
+
+    @cached_property
+    def edge_sums(self):
+        """(a - b, a + b), the only float sums of the constants (``_mp_consts_at``
+        forms the mpf pair); b - a is -(a - b) and b + a is a + b, bit for bit."""
+        return self.a - self.b, self.a + self.b
+
+    @cached_property
+    def neg_scaling(self):
+        """(k, c2) = (2b / sqrt(a^2 + 1), (a^2 + 1)^(1/4) / (2b)) of the
+        bounded-cone normalization; an InputError off the NEG branch."""
+        if self.branch is not Branch.NEG:
+            raise InputError(f"normalization defined on the NEG branch, not {self.branch.value}")
+        return 2.0 * self.b / self.sqrt_a2p1, self.sqrt_a2p1 ** 0.5 / (2.0 * self.b)
 
     # the float closed forms of f and f^-1, and f_value's and f_inverse's forms
     # with their float guards (domain check; range check, clamp and polish), built once
@@ -265,22 +279,22 @@ def _mp_consts(tp):
 
 @lru_cache(maxsize=256)
 def _mp_consts_at(tp, prec, rounding):
-    """(a, b, sqrt(a^2 + 1)) as mpf values at the context's precision and
-    rounding, which are passed only to key the cache."""
+    """(a, b, sqrt(a^2 + 1), a - b, a + b) as mpf values at the context's
+    precision and rounding, which are passed only to key the cache."""
     a, b = mp.mpf(repr(tp.a)), mp.mpf(repr(tp.b))
-    return a, b, mp.sqrt(a * a + 1)
+    return a, b, mp.sqrt(a * a + 1), a - b, a + b
 
 
 def _arithmetic(fns, pi, consts, sigmoid=None):
-    """Namespace the closed forms are evaluated in: log/atan/exp/tan/tanh from
-    ``fns``, pi, ``consts(tp)`` = (a, b, sqrt(a^2 + 1)) and a logistic sigmoid."""
+    """Namespace of the closed forms: log/atan/exp/tan/tanh from ``fns``, pi, a
+    logistic sigmoid and ``consts(tp)`` = (a, b, sqrt(a^2 + 1), a - b, a + b)."""
     return SimpleNamespace(
         log=fns.log, atan=fns.atan, exp=fns.exp, tan=fns.tan, tanh=fns.tanh, pi=pi, consts=consts,
         sigmoid=sigmoid or (lambda s: 1 / (1 + fns.exp(-s))),
     )
 
 
-_FLOAT = _arithmetic(math, math.pi, lambda tp: (tp.a, tp.b, tp.sqrt_a2p1), sigmoid=_sigmoid)
+_FLOAT = _arithmetic(math, math.pi, lambda tp: (tp.a, tp.b, tp.sqrt_a2p1, *tp.edge_sums), sigmoid=_sigmoid)
 _MP = _arithmetic(mp, mp.pi, _mp_consts)
 _JETS = _arithmetic(jets, mp.pi, _mp_consts)
 
@@ -299,7 +313,7 @@ def _f_form(tp, ops):
         return lambda lam: log(lam) / 2
     if br is Branch.SLAG:
         return ops.atan
-    a, b, root = ops.consts(tp)
+    a, b, root, a_m_b, a_p_b = ops.consts(tp)
     if br is Branch.HARM:
         return lambda lam: -root / (1 + lam)  # root = sqrt(2)
     if br is Branch.ATAN:
@@ -307,10 +321,9 @@ def _f_form(tp, ops):
         return lambda lam: scale * (atan((lam + a) / b) - quarter)
     scale = root / (2 * b)
     if br is Branch.LOG:
-        a_m_b, a_p_b = a - b, a + b
         return lambda lam: scale * log((lam + a_m_b) / (lam + a_p_b))
-    b_p_a, b_m_a = b + a, b - a
-    return lambda lam: scale * log((lam + b_p_a) / (b_m_a - lam))
+    b_m_a = -a_m_b
+    return lambda lam: scale * log((lam + a_p_b) / (b_m_a - lam))
 
 
 def _f_inverse_form(tp, ops):
@@ -321,7 +334,7 @@ def _f_inverse_form(tp, ops):
         return lambda y: exp(2 * y)
     if br is Branch.SLAG:
         return tan
-    a, b, root = ops.consts(tp)
+    a, b, root, _, a_p_b = ops.consts(tp)
     if br is Branch.HARM:
         return lambda y: -root / y - 1
     if br is Branch.LOG:
@@ -330,7 +343,7 @@ def _f_inverse_form(tp, ops):
     if br is Branch.ATAN:
         quarter = ops.pi / 4
         return lambda y: -a + b * tan(y * b / root + quarter)
-    sigmoid, edge, width = ops.sigmoid, -(a + b), 2 * b
+    sigmoid, edge, width = ops.sigmoid, -a_p_b, 2 * b
     return lambda y: edge + width * sigmoid(width * y / root)
 
 
@@ -356,15 +369,17 @@ def f_derivative(tp, lam):
     br, a, b = tp.branch, tp.a, tp.b
     if br is Branch.MA:
         return 0.5 / lam
-    if br is Branch.LOG:
-        return tp.sqrt_a2p1 / ((lam + (a - b)) * (lam + (a + b)))
     if br is Branch.HARM:
         return SQRT2 / (1.0 + lam) ** 2
     if br is Branch.ATAN:
         return tp.sqrt_a2p1 / ((lam + a) ** 2 + b * b)
     if br is Branch.SLAG:
         return 1.0 / (1.0 + lam * lam)
-    return tp.sqrt_a2p1 / ((lam + (b + a)) * ((b - a) - lam))
+    a_m_b, a_p_b = tp.edge_sums
+    if br is Branch.LOG:
+        return tp.sqrt_a2p1 / ((lam + a_m_b) * (lam + a_p_b))
+    b_m_a = -a_m_b
+    return tp.sqrt_a2p1 / ((lam + a_p_b) * (b_m_a - lam))
 
 
 def f_range(tp):

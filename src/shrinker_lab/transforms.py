@@ -33,19 +33,15 @@ __all__ = [
 @dataclass
 class Transform1DResult:
     """Legendre dual of a strictly convex 1-D potential, tabulated on the
-    primal nodes.
+    primal nodes x_i, and its involution defect.
 
-    ``inverse_map[i]`` is the primal node x_i, and ``y_grid[i]`` = w'(x_i) its
-    dual node; the dual field carries exact-at-sample values, slopes (= the
-    primal nodes) and curvatures (= 1/w''(x_i)).
+    The dual field's nodes ``field.ts`` are y_i = w'(x_i), and it carries
+    exact-at-sample values ``field.vals``, slopes ``field.slopes`` (= the
+    primal nodes) and curvatures ``field.curvs`` (= 1/w''(x_i)).
     """
 
-    y_grid: np.ndarray
-    dual_values: np.ndarray
-    inverse_map: np.ndarray
-    dual_hessian: np.ndarray
     field: Table1DField
-    involution_defect: float | None = None
+    involution_defect: float
 
 
 def _finite_interval(t0, t1):
@@ -55,27 +51,13 @@ def _finite_interval(t0, t1):
     return t0, t1
 
 
-def legendre_1d(field, t0, t1, num=801, check_involution=True):
-    """Legendre transform of a strictly convex 1-D field on [t0, t1].
-
-    Reads w, w' and w'' on the ``num`` uniform nodes x_i, one cloud each, and stores
-    y_i = w'(x_i), w*(y_i) = x_i y_i - w(x_i), slope x_i and curvature
-    1/w''(x_i); no inversion is needed.  A w'' that is not positive, or a w'
-    that does not strictly increase from node to node, is a DomainError.  The
-    involution defect re-transforms the dual on ``num`` uniform dual nodes and
-    reports the sup gap to the input at the midpoints of the primal cells from
-    x_2 to x_{num-3}, between the nodes of both tables; it needs ``num`` >= 6,
-    so that one exists.  An interval that is not finite is an InputError, and
-    so is a ``num`` that is not an integer (``numerics.as_count``).
-    """
-    if field.dim != 1:
-        raise InputError("legendre_1d expects a one-dimensional field")
-    t0, t1 = _finite_interval(t0, t1)
-    num = as_count(num, "num")
-    if check_involution and num < 6:
-        raise InputError(f"{num} samples leave the involution check no interior sample")
-    xs = np.linspace(t0, t1, num)
-    nodes = xs[:, None]  # one cloud read of each derivative
+def _dual_table(field, xs):
+    """The Legendre dual of a 1-D field tabulated on the nodes xs: w, w' and
+    w'' read as one cloud each, y_i = w'(x_i), w*(y_i) = x_i y_i - w(x_i),
+    slope x_i and curvature 1/w''(x_i); no inversion is needed.  A w'' that
+    is not positive, or a w' that does not strictly increase from node to
+    node, is a DomainError."""
+    nodes = xs[:, None]
     vals, ys, curv = field.value(nodes), field.gradient(nodes)[:, 0], field.hessian(nodes)[:, 0, 0]
     bad = np.flatnonzero(curv <= 0.0)
     if len(bad):
@@ -86,15 +68,31 @@ def legendre_1d(field, t0, t1, num=801, check_involution=True):
     if len(bad):
         x, r = float(xs[bad[0] + 1]), float(rise[bad[0]])
         raise DomainError(f"w' rises by {r} <= 0 into x = {x}: not strictly convex", value=r, location=x)
-    dual_vals = xs * ys - vals
-    dual_hess = 1.0 / curv
-    result = Transform1DResult(ys, dual_vals, xs, dual_hess, Table1DField(ys, dual_vals, xs, dual_hess))
+    return Table1DField(ys, xs * ys - vals, xs, 1.0 / curv)
 
-    if check_involution:
-        back = legendre_1d(result.field, ys[0], ys[-1], num=num, check_involution=False)
-        mids = (0.5 * (xs[2 : num - 3] + xs[3 : num - 2]))[:, None]
-        result.involution_defect = float(np.max(np.abs(back.field.value(mids) - field.value(mids))))
-    return result
+
+def legendre_1d(field, t0, t1, num=801):
+    """Legendre transform of a strictly convex 1-D field on [t0, t1], tabulated
+    on the ``num`` uniform nodes x_i (``_dual_table``).
+
+    The involution defect re-transforms the dual on ``num`` uniform dual nodes
+    and reports the sup gap to the input at the midpoints of the primal cells
+    from x_2 to x_{num-3}, between the nodes of both tables; it needs ``num``
+    >= 6, so that one exists.  An interval that is not finite is an
+    InputError, and so is a ``num`` that is not an integer
+    (``numerics.as_count``).
+    """
+    if field.dim != 1:
+        raise InputError("legendre_1d expects a one-dimensional field")
+    t0, t1 = _finite_interval(t0, t1)
+    num = as_count(num, "num")
+    if num < 6:
+        raise InputError(f"{num} samples leave the involution check no interior sample")
+    xs = np.linspace(t0, t1, num)
+    dual = _dual_table(field, xs)
+    back = _dual_table(dual, np.linspace(dual.ts[0], dual.ts[-1], num))
+    mids = (0.5 * (xs[2 : num - 3] + xs[3 : num - 2]))[:, None]
+    return Transform1DResult(dual, float(np.max(np.abs(back.value(mids) - field.value(mids)))))
 
 
 @dataclass
@@ -129,7 +127,7 @@ def legendre_dual_residual(w_field, t0, t1, grid_step=1e-2):
         raise InputError(f"grid_step {grid_step} puts more than {MAX_GRID_POINTS} points on [{t0}, {t1}]")
     num = int(round((t1 - t0) / grid_step)) + 1
     res = legendre_1d(w_field, t0, t1, num=num)
-    ys, vals, xs, hess = res.y_grid, res.dual_values, res.inverse_map, res.dual_hessian
+    ys, vals, xs, hess = res.field.ts, res.field.vals, res.field.slopes, res.field.curvs
 
     dual_equation_sup = float(np.max(np.abs(math.sqrt(2.0) * hess - (0.5 * ys * xs - vals))))
 
@@ -156,22 +154,9 @@ def convexify_shift(tp, field):
     """
     if tp.cone_side != "upper":
         raise DomainError("lower-cone input: the shift convexifies upper-cone solutions only; negate first (u -> -k|x|^2 - u)")
-    if tp.branch is Branch.HARM:
-        k = 1.0
-    elif tp.branch is Branch.LOG:
-        k = tp.a - tp.b
-    else:
+    if tp.branch not in (Branch.HARM, Branch.LOG):
         raise InputError(f"convexifying shift defined for HARM and LOG only, not {tp.branch.value}")
-    return AffineScaledField(field, outer=1.0, inner=1.0, quad=k, offset=0.0)
-
-
-def _neg_constants(tp):
-    if tp.branch is not Branch.NEG:
-        raise InputError(f"normalization defined on the NEG branch, not {tp.branch.value}")
-    a, b = tp.a, tp.b
-    k = 2.0 * b / tp.sqrt_a2p1
-    c2 = tp.sqrt_a2p1 ** 0.5 / (2.0 * b)
-    return a, b, k, c2
+    return AffineScaledField(field, outer=1.0, inner=1.0, quad=tp.edge_sums[0], offset=0.0)  # HARM: 1 - 0
 
 
 def normalize_counterexample_branch(tp, field):
@@ -182,11 +167,11 @@ def normalize_counterexample_branch(tp, field):
     c2 = (a^2+1)^{1/4}/(2b), s = (a+b)/(2b), so
     u(y) = w(y/c2)/k - ((a+b)/2)|y|^2.
     """
-    a, b, k, c2 = _neg_constants(tp)
+    k, c2 = tp.neg_scaling
     mus = eig_sym(field.hessian(np.zeros(field.dim)))
     if np.any(mus <= 0.0) or np.any(mus >= 1.0):
         raise DomainError(f"input Hessian spectrum {mus} not inside (0, 1)")
-    return AffineScaledField(field, outer=1.0 / k, inner=1.0 / c2, quad=-(a + b), offset=0.0)
+    return AffineScaledField(field, outer=1.0 / k, inner=1.0 / c2, quad=-tp.edge_sums[1], offset=0.0)
 
 
 @dataclass(frozen=True)

@@ -4,20 +4,15 @@ import numpy as np
 import pytest
 
 from shrinker_lab import TauParams
+from shrinker_lab.cli import BRANCH_DEFAULTS
 from shrinker_lab.fields import ScalarField
 from shrinker_lab.numerics import DomainError, eig_sym, fd_gradient, fd_hessian
 from shrinker_lab.tau import phase
 
 
 def branch_params():
-    return {
-        "MA": TauParams.monge_ampere(),
-        "LOG": TauParams.log_branch(math.pi / 6),
-        "HARM": TauParams.harmonic(),
-        "ATAN": TauParams.atan_branch(math.pi / 3),
-        "SLAG": TauParams.special_lagrangian(),
-        "NEG": TauParams.neg_branch(a=-2.0),
-    }
+    """The CLI's default TauParams of each branch, by name."""
+    return {name: make() for name, make in BRANCH_DEFAULTS.items()}
 
 
 def with_lower_cones():

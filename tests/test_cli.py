@@ -19,7 +19,6 @@ from shrinker_lab.cli import BRANCH_DEFAULTS, build_parser, main
 from shrinker_lab import cli, constructor, reports
 from shrinker_lab.numerics import RhsEvaluationError
 from shrinker_lab.reports import write_csv
-from shrinker_lab.transforms import _neg_constants
 
 
 def run(tmp_path, *argv):
@@ -434,7 +433,7 @@ class TestReports:
         # the table's half-span S: --rmax / c2 * 1.02 + 1 on the bounded cone
         # (24.63 at the defaults: the last point below S + step/2 is past S),
         # max(--span, --rmax + 1) = 20 with --mss
-        c2 = _neg_constants(BRANCH_DEFAULTS["NEG"]())[3]
+        c2 = BRANCH_DEFAULTS["NEG"]().neg_scaling[1]
         span, name = (20.0, "mss-profile.csv") if mss else (10 / c2 * 1.02 + 1, "counterexample-trajectory.csv")
         argv = ("--mss",) if mss else ()
         assert run(tmp_path, "build-counterexample", *argv, "--tol", "1e-6", "--grid-step", "0.5") == 0

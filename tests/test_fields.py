@@ -107,13 +107,17 @@ class TestAffineScaledField:
         want_hess = k * c * c * A + s * np.eye(2)
         assert np.max(np.abs(view.hessian(x) - want_hess)) < 1e-14
 
-    def test_composition_stays_analytic(self):
-        base = QuadraticField(np.eye(2))
-        v1 = AffineScaledField(base, outer=2.0, inner=0.5)
-        v2 = AffineScaledField(v1, quad=1.0, offset=3.0)
-        # one layer over the analytic base: derivatives stay closed-form
-        assert v2.base is base
-        assert (v2.outer, v2.inner, v2.quad, v2.offset) == (2.0, 0.5, 1.0, 3.0)
+    def test_composition_stays_analytic(self, rng):
+        # a view of a view reads through both chain rules: with base
+        # x'Ax/2 + 0.3, v2 = 0.25 x'Ax + 0.3|x|^2 + 3.6 in closed form
+        A = rng.standard_normal((2, 2))
+        A = 0.5 * (A + A.T)
+        base = QuadraticField(A, 0.3)
+        v2 = AffineScaledField(AffineScaledField(base, outer=2.0, inner=0.5, quad=-0.4), quad=1.0, offset=3.0)
+        x = rng.uniform(-2, 2, 2)
+        assert v2.value(x) == pytest.approx(0.25 * float(x @ A @ x) + 0.3 * float(x @ x) + 3.6, abs=1e-14)
+        assert np.max(np.abs(v2.gradient(x) - (0.5 * A @ x + 0.6 * x))) < 1e-14
+        assert np.max(np.abs(v2.hessian(x) - (0.5 * A + 0.6 * np.eye(2)))) < 1e-14
 
 
 class TestTable1DField:

@@ -97,9 +97,9 @@ def _table(nodes):
     (lambda: sl.shoot_radial(NEG, 2, 2e10, r_max=1.0, rel_tol=math.nan), "tolerances must be finite and positive"),
     (lambda: sl.fields.SeparableExtensionField(_line(), 2.5), "dimension must be an integer of at least 1"),
     (lambda: sl.fields.SeparableExtensionField(_line(), "2"), "dimension must be an integer of at least 1"),
-    (lambda: sl.transforms.legendre_1d(_convex(), -1.0, math.inf, num=10, check_involution=False),
+    (lambda: sl.transforms.legendre_1d(_convex(), -1.0, math.inf, num=10),
      "need a finite interval"),
-    (lambda: sl.transforms.legendre_1d(_convex(), -1.0, 1.0, num=-1, check_involution=False),
+    (lambda: sl.transforms.legendre_1d(_convex(), -1.0, 1.0, num=-1),
      "num must be an integer of at least 1"),
     (lambda: sl.constructor.assemble_w1(_phase(), span=-1.0), "profile half-span must be finite and positive"),
     (lambda: sl.fields.Table1DField(*_table([0.0, 1.0, 1.0, 2.0])), "nodes must be finite and strictly increasing"),

@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import math
 import random
 
@@ -10,7 +11,7 @@ from mpmath.libmp import from_man_exp, fzero, round_nearest
 import shrinker_lab as sl
 from shrinker_lab import InputError, TauParams, shooting
 from shrinker_lab.fields import ScalarField
-from shrinker_lab.numerics import RhsEvaluationError, read_span, row_dot
+from shrinker_lab.numerics import DivergenceEvent, RhsEvaluationError, read_span, row_dot
 from shrinker_lab.shooting import _step_rule, radial_quadratic_reference, shoot_radial
 from shrinker_lab.tau import cone_spec, f_inverse, f_range, f_value, f_value_mp
 
@@ -455,8 +456,8 @@ class TestProfileReader:
 
     @staticmethod
     def _shot(monkeypatch, tp, u0, r_max, dps):
-        """A Taylor shot's batched reader, its end, and the start and (u, u')
-        polynomials (highest first) of each step, recorded as they are made."""
+        """A Taylor shot's batched reader, its end, its stop, and the start and
+        (u, u') polynomials (highest first) of each step, recorded as they are made."""
         steps = []
         taylor_step = shooting._taylor_step
 
@@ -466,10 +467,10 @@ class TestProfileReader:
             return us, ps
 
         monkeypatch.setattr(shooting, "_taylor_step", recording)
-        read, _, r_end, event = shooting._shoot_mp(tp, 2, u0, r_max, dps)
-        if event.detail.startswith("Taylor step"):  # the last expansion was refused
+        read, _, r_end, stop = shooting._shoot_mp(tp, 2, u0, r_max, dps)
+        if stop is not None and stop[1].startswith("Taylor step"):  # the last expansion was refused
             steps.pop()
-        return read, r_end, event, steps
+        return read, r_end, stop, steps
 
     @staticmethod
     def _radii(starts, r_end):
@@ -481,7 +482,7 @@ class TestProfileReader:
         return [r for r in rs if shooting._R_START <= r <= r_end]
 
     def _check(self, monkeypatch, tp, u0, r_max, dps):
-        read, r_end, event, steps = self._shot(monkeypatch, tp, u0, r_max, dps)
+        read, r_end, stop, steps = self._shot(monkeypatch, tp, u0, r_max, dps)
         starts = [s for s, _, _ in steps]
         with mp.workdps(dps):
             fine = mp.mp.prec + 40
@@ -495,20 +496,19 @@ class TestProfileReader:
             assert same_bits(read(np.array([r]))[0], want), r
             assert shooting._step_index([float(s) for s in starts], [s._mpf_ for s in starts], r) == i, r
         assert picked == set(range(len(steps)))
-        return event
+        return stop
 
     @pytest.mark.parametrize("branch", list(branch_params()))
     def test_completed_shot(self, branch, monkeypatch):
         tp = branch_params()[branch]
         c = {"MA": 0.6, "LOG": 0.4, "HARM": 0.3, "ATAN": 0.4, "SLAG": 0.5, "NEG": 1.2}[branch]
-        event = self._check(monkeypatch, tp, quad_initial_value(tp, 2, c, 30), 10.0, 30)
-        assert event.completed
+        assert self._check(monkeypatch, tp, quad_initial_value(tp, 2, c, 30), 10.0, 30) is None
 
     def test_blow_up_shot(self, monkeypatch):
         # the step radius falls to ~1e-12 before the event, where bounding the
         # coefficients without the radius loses the low orders
-        event = self._check(monkeypatch, *self.SLAG_BLOW_UP)
-        assert event.kind == "blow_up"
+        # the Taylor minimum step, which shoot_radial names a blow-up
+        assert self._check(monkeypatch, *self.SLAG_BLOW_UP)[0] == "step_underflow"
 
     def test_step_index_settles_float_ties_exactly(self):
         with mp.workprec(113):
@@ -692,3 +692,66 @@ def test_float_step_underflow_is_named_blow_up():
     prof = shoot_radial(TauParams.monge_ampere(), 3, 1.8559592064889043, r_max=50.0)
     assert (prof.event.kind, prof.event.r, prof.event.detail) == ("blow_up", 14.629827339389282, "step size underflow")
     assert len(prof.rs) == 401 and prof.rs[-1] == prof.event.r
+
+
+def _wall_taylor_rule_past_2(monkeypatch):
+    """The step rule fails on mpf states past r = 2 as an inversion failure."""
+    step_rule = shooting._step_rule
+
+    def walled(tp, n, upp0, f=None):
+        rule = step_rule(tp, n, upp0, f)
+
+        def walled_rule(r, u, up):
+            if f is f_value_mp and r > 2:
+                raise RhsEvaluationError("inversion_failure", f"r = {r}")
+            return rule(r, u, up)
+
+        return walled_rule
+
+    monkeypatch.setattr(shooting, "_step_rule", walled)
+
+
+def _stop_integrator_at_2_non_finite(monkeypatch):
+    """The integrator stops at r = 2 with a non-finite state."""
+    integrate_ode = shooting.integrate_ode
+
+    def stopped(acc, y0, t_span, rel_tol):
+        traj = integrate_ode(acc, y0, (t_span[0], 2.0), rel_tol)
+        return dataclasses.replace(traj, event=DivergenceEvent("non_finite_state", traj.t_end, traj.ys[-1]))
+
+    monkeypatch.setattr(shooting, "integrate_ode", stopped)
+
+
+_LOG_LOWER = TauParams.log_branch(math.pi / 6, "lower")
+_SLAG_QUADRATIC = -2 * f_value(TauParams.special_lagrangian(), 1.0)
+
+# Every kind of stop on each path, and the event shoot_radial names for it:
+# (branch, n, u0, r_max, dps, setup) -> (kind, radius).  A step rule's kind
+# is kept, any other stop is a blow-up, and the radius is the path's end.
+EVENT_TABLE = {
+    "float-refused-start": ((TauParams.neg_branch(a=-2.0), 2, 2e10, 1.0, None, None), ("blow_up", 1e-08)),
+    "float-cone-exit": ((_LOG_LOWER, 2, -1000.0, 30.0, None, None), ("cone_exit", 0.00039897731974178493)),
+    "float-inversion-failure": ((branch_params()["LOG"], 2, 2.0, 30.0, None, None),
+                                ("inversion_failure", 8.30915704747497)),
+    "float-blow-up": ((TauParams.monge_ampere(), 1, -20.0, 30.0, None, None), ("blow_up", 2.528228564218655)),
+    "float-step-underflow": ((TauParams.monge_ampere(), 3, 1.8559592064889043, 50.0, None, None),
+                             ("blow_up", 14.629827339389282)),
+    "float-non-finite-state": ((TauParams.special_lagrangian(), 2, _SLAG_QUADRATIC, 10.0, None,
+                                _stop_integrator_at_2_non_finite), ("blow_up", 2.0)),
+    "taylor-refused-start": ((TauParams.neg_branch(a=-2.0), 2, 2e10, 1.0, 15, None), ("cone_exit", 1e-08)),
+    "taylor-cone-exit": ((TauParams.monge_ampere(), 2, 1000.0, 30.0, 15, None), ("cone_exit", 0.075)),
+    "taylor-inversion-failure": ((TauParams.special_lagrangian(), 2, _SLAG_QUADRATIC, 10.0, 15,
+                                  _wall_taylor_rule_past_2), ("inversion_failure", 2.00000001)),
+    "taylor-blow-up": ((TauParams.monge_ampere(), 1, -20.0, 30.0, 15, None), ("blow_up", 0.50000001)),
+    "taylor-minimum-step": ((TauParams.special_lagrangian(), 2, -1.4707963267948966, 50.0, 15, None),
+                            ("blow_up", 9.603109008497341)),
+}
+
+
+@pytest.mark.parametrize("row", list(EVENT_TABLE))
+def test_event_table(row, monkeypatch):
+    (tp, n, u0, r_max, dps, setup), want = EVENT_TABLE[row]
+    if setup is not None:
+        setup(monkeypatch)
+    event = shoot_radial(tp, n, u0, r_max=r_max, dps=dps).event
+    assert (event.kind, event.r) == want

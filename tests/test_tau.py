@@ -806,3 +806,114 @@ class TestSeamConsistency:
             sol = sl.build_quadratic(tp, A)
             x = rng.uniform(-2, 2, 2)
             assert abs(sl.shrinker_residual(tp, sol.field, x)) < 1e-10
+
+
+# The branch constants' sums a - b and a + b have one owner, TauParams.edge_sums
+# (and tau._mp_consts_at in mpmath).  Each row below holds one quantity that
+# reads them to the expression tau.py and transforms.py wrote inline before,
+# bit for bit: a change to how the sums are formed moves exactly these rows.
+
+CONSTANTS_CASES = {
+    **with_lower_cones(),
+    "a=-1e7": TauParams.from_cot(-1e7),
+    "a=1e7": TauParams.from_cot(1e7),
+    "a=-1-2^-52": TauParams.from_cot(-1.0 - 2.0**-52),
+    "tau=pi/4-ulp": TauParams.from_tau(math.nextafter(math.pi / 4, 0.0)),
+    "tau=-pi/4+ulp": TauParams.from_tau(math.nextafter(-math.pi / 4, 0.0)),
+}
+
+
+def _former_edges(tp):
+    """Each component's (lo, hi) by tag, as ``TauParams.components`` wrote them."""
+    a, b, br, inf = tp.a, tp.b, tp.branch, math.inf
+    if br is Branch.NEG:
+        return {"inside-interval": (-(b + a), b - a)}
+    if br in (Branch.LOG, Branch.HARM):
+        edge_upper, edge_lower = (-(a - b), -(a + b)) if br is Branch.LOG else (-1.0, -1.0)
+        return {"upper": (edge_upper, inf), "lower": (-inf, edge_lower)}
+    return {"upper": (0.0, inf)} if br is Branch.MA else {"all": (-inf, inf)}
+
+
+def _former_forms(tp, m, a, b, root, sigmoid):
+    """(f, f^-1, f') of ``tau._f_form``, ``_f_inverse_form`` and ``f_derivative``
+    as written inline, in the module ``m`` (math or mpmath) on its constants."""
+    br, quarter = tp.branch, m.pi / 4
+    if br is Branch.MA:
+        return lambda lam: m.log(lam) / 2, lambda y: m.exp(2 * y), lambda lam: 0.5 / lam
+    if br is Branch.SLAG:
+        return m.atan, m.tan, lambda lam: 1.0 / (1.0 + lam * lam)
+    if br is Branch.HARM:
+        return lambda lam: -root / (1 + lam), lambda y: -root / y - 1, lambda lam: SQRT2 / (1.0 + lam) ** 2
+    if br is Branch.ATAN:
+        return (lambda lam: root / b * (m.atan((lam + a) / b) - quarter),
+                lambda y: -a + b * m.tan(y * b / root + quarter),
+                lambda lam: root / ((lam + a) ** 2 + b * b))
+    if br is Branch.LOG:
+        return (lambda lam: root / (2 * b) * m.log((lam + (a - b)) / (lam + (a + b))),
+                lambda y: -a - b / m.tanh(b * y / root),
+                lambda lam: root / ((lam + (a - b)) * (lam + (a + b))))
+    return (lambda lam: root / (2 * b) * m.log((lam + (b + a)) / ((b - a) - lam)),
+            lambda y: -(a + b) + 2 * b * sigmoid(2 * b * y / root),
+            lambda lam: root / ((lam + (b + a)) * ((b - a) - lam)))
+
+
+def _three_eigenvalues(tp):
+    """Three admissible eigenvalues of the selected component, two near its ends."""
+    lo, hi = tp.components[0].lo, tp.components[0].hi
+    if math.isinf(lo) and math.isinf(hi):
+        return [-0.7, 0.2, 3.0]
+    if math.isinf(hi):
+        return [lo + 1e-3 * (1.0 + abs(lo)), lo + 0.5, lo + 3.0]
+    if math.isinf(lo):
+        return [hi - 3.0, hi - 0.5, hi - 1e-3 * (1.0 + abs(hi))]
+    return [lo + 1e-3 * (hi - lo), 0.5 * (lo + hi), hi - 1e-3 * (hi - lo)]
+
+
+class TestBranchConstantsTable:
+    @pytest.mark.parametrize("case", list(CONSTANTS_CASES))
+    def test_cone_edges(self, case):
+        tp = CONSTANTS_CASES[case]
+        got = {spec.tag: (spec.lo, spec.hi) for spec in tp.components}
+        want = _former_edges(tp)
+        assert got.keys() == want.keys() and all(same_bits(got[tag], want[tag]) for tag in want)
+
+    @pytest.mark.parametrize("case", list(CONSTANTS_CASES))
+    def test_shift_and_scaling(self, case):
+        # convexify_shift's k on the upper LOG and HARM components; on NEG,
+        # neg_scaling's (k, c2) and the normalization's quadratic term
+        tp = CONSTANTS_CASES[case]
+        a, b = tp.a, tp.b
+        if tp.branch in (Branch.LOG, Branch.HARM) and tp.cone_side == "upper":
+            k = sl.transforms.convexify_shift(tp, QuadraticField(np.eye(1))).quad
+            assert same_bits(k, 1.0 if tp.branch is Branch.HARM else a - b)
+        elif tp.branch is Branch.NEG:
+            assert same_bits(tp.neg_scaling, (2.0 * b / tp.sqrt_a2p1, tp.sqrt_a2p1 ** 0.5 / (2.0 * b)))
+            quad = sl.transforms.normalize_counterexample_branch(tp, QuadraticField(0.5 * np.eye(1))).quad
+            assert same_bits(quad, -(a + b))
+        else:
+            with pytest.raises(InputError, match="NEG branch"):
+                tp.neg_scaling
+
+    @pytest.mark.parametrize("case", list(CONSTANTS_CASES))
+    def test_float_forms(self, case):
+        tp = CONSTANTS_CASES[case]
+        f, f_inv, df = _former_forms(tp, math, tp.a, tp.b, tp.sqrt_a2p1, sl.tau._sigmoid)
+        lams = _three_eigenvalues(tp)
+        ys = [f(lam) for lam in lams]
+        assert np.isfinite(ys).all()
+        assert same_bits([f_value(tp, lam) for lam in lams], ys)
+        assert same_bits([tp.f_inverse_form(y) for y in ys], [f_inv(y) for y in ys])
+        assert same_bits([f_derivative(tp, lam) for lam in lams], [df(lam) for lam in lams])
+
+    @pytest.mark.parametrize("case", list(CONSTANTS_CASES))
+    def test_mp_forms(self, case):
+        tp = CONSTANTS_CASES[case]
+        lams = _three_eigenvalues(tp)
+        ys = [f_value(tp, lam) for lam in lams]
+        with mp.workdps(30):
+            a, b = mp.mpf(repr(tp.a)), mp.mpf(repr(tp.b))
+            f, f_inv, _ = _former_forms(tp, mp, a, b, mp.sqrt(a * a + 1), lambda s: 1 / (1 + mp.exp(-s)))
+            for lam, y in zip(lams, ys):
+                want_f, want_inv = f(lam), f_inv(y)
+                assert mp.isfinite(want_f) and mp.isfinite(want_inv)
+                assert f_value_mp(tp, lam) == want_f and f_inverse_mp(tp, y) == want_inv

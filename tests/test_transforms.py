@@ -14,7 +14,6 @@ from shrinker_lab.transforms import (
     legendre_dual_residual,
     normalize_counterexample_branch,
     self_similar_extension,
-    _neg_constants,
 )
 
 from conftest import CallableField, logit_equation_residual, same_bits
@@ -51,8 +50,8 @@ class TestLegendre:
     def test_arrays_equal_point_reads_bit_for_bit(self, field):
         res = legendre_1d(field, -2.0, 2.0, num=161)
         xs, ys, dual, dual_hess = _legendre_reference(field, -2.0, 2.0, 161)
-        for got, want in ((res.inverse_map, xs), (res.y_grid, ys), (res.dual_values, dual),
-                          (res.dual_hessian, dual_hess)):
+        for got, want in ((res.field.slopes, xs), (res.field.ts, ys), (res.field.vals, dual),
+                          (res.field.curvs, dual_hess)):
             assert same_bits(got, want)
         # the involution: the dual table transformed back, read between the primal nodes
         back = _legendre_reference(Table1DField(ys, dual, xs, dual_hess), ys[0], ys[-1], 161)
@@ -68,7 +67,7 @@ class TestLegendre:
 
     def test_scaling(self):
         alpha = 2.5
-        res = legendre_1d(quad_1d(alpha), -2.0, 2.0, num=401, check_involution=False)
+        res = legendre_1d(quad_1d(alpha), -2.0, 2.0, num=401)
         for y in np.linspace(-4.5, 4.5, 11):
             assert res.field.value([y]) == pytest.approx(y * y / (2 * alpha), abs=1e-11)
 
@@ -81,9 +80,9 @@ class TestLegendre:
             grad=lambda p: np.array([p[0] ** 3]),
             hess=lambda p: np.array([[3.0 * p[0] ** 2]]),
         )
-        res = legendre_1d(quart, -2.0, 2.0, num=800, check_involution=False)
-        want = 0.75 * np.abs(res.y_grid) ** (4.0 / 3.0)
-        assert np.max(np.abs(res.dual_values - want)) <= 1e-6
+        res = legendre_1d(quart, -2.0, 2.0, num=800)
+        want = 0.75 * np.abs(res.field.ts) ** (4.0 / 3.0)
+        assert np.max(np.abs(res.field.vals - want)) <= 1e-6
 
     def test_involution_smooth_strictly_convex(self):
         w = CallableField(
@@ -168,7 +167,7 @@ class TestDualResidual:
         tp = TauParams.harmonic()
         w = convexify_shift(tp, sl.build_quadratic(tp, np.array([[lam]])).field)
         chk = legendre_dual_residual(w, -2.0, 2.0, grid_step=1e-2)
-        ys = chk.transform.y_grid
+        ys = chk.transform.field.ts
         dy = float(np.min(np.diff(ys)))
         h = min(1e-3, dy)
         margin = max(4, int(math.ceil(4 * 1e-3 / dy)) + 2)
@@ -197,8 +196,8 @@ class TestDualResidual:
         tp = TauParams.harmonic()
         sol = sl.build_quadratic(tp, np.array([[1.7]]))
         w = convexify_shift(tp, sol.field)
-        res = legendre_1d(w, -2.0, 2.0, num=201, check_involution=False)
-        assert np.allclose(res.dual_hessian, 1.0 / 2.7, atol=1e-10)
+        res = legendre_1d(w, -2.0, 2.0, num=201)
+        assert np.allclose(res.field.curvs, 1.0 / 2.7, atol=1e-10)
 
 
 class TestConvexifyShift:
@@ -279,7 +278,7 @@ class TestNormalizeCounterexampleBranch:
         tp = TauParams.neg_branch(a=-2.0)
         A = sl.random_admissible_matrix(tp, 2, rng)
         sol = sl.build_quadratic(tp, A)
-        a, b, k, c2 = _neg_constants(tp)
+        a, b, (k, c2) = tp.a, tp.b, tp.neg_scaling
         w = sl.AffineScaledField(sol.field, outer=k, inner=c2, quad=(a + b) / (2.0 * b), offset=0.0)
         u = normalize_counterexample_branch(tp, w)
         for _ in range(10):
@@ -292,7 +291,7 @@ class TestNormalizeCounterexampleBranch:
         tp = TauParams.neg_branch(a=-2.0)
         A = sl.random_admissible_matrix(tp, 2, rng)
         sol = sl.build_quadratic(tp, A)
-        a, b, k, c2 = _neg_constants(tp)
+        a, b, (k, c2) = tp.a, tp.b, tp.neg_scaling
         w = sl.AffineScaledField(sol.field, outer=k, inner=c2, quad=(a + b) / (2.0 * b), offset=0.0)
         mus = sl.eig_sym(w.hessian(np.zeros(2)))
         assert np.all(mus > 0.0) and np.all(mus < 1.0)
