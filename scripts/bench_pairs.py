@@ -24,7 +24,10 @@ medians apart by more than the parent's interquartile range) and whether the
 change's median is worse than the parent's by more than the metric's bound.
 Per workload it also holds the jobs attempted and failed in each run and each
 side's median reference-kernel time over every job (``ref_s``), the host's
-speed while the runs were made.
+speed while the runs were made.  After all the pairs, the script times
+SETUP_PROBES alternating ``run.py --setup-probe`` runs of each workload on
+each side, as ``run.py``'s ``setup_seconds`` times one, and records each
+side's best and all its runs as ``setup_probe_s``, beside ``setup_s``.
 """
 
 import argparse
@@ -35,11 +38,13 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_ARGS = ("--seconds", "8", "--trace", "0")
 SIDES = ("parent", "change")
+SETUP_PROBES = 6  # per side and workload
 
 
 def parse_seeds(text):
@@ -95,12 +100,27 @@ def summarize(pairs, end_to_end):
     return out
 
 
+def probe_summary(probes):
+    """Each side's best setup probe and all its probes, from ``probes``, a map
+    of each side to its probe times in seconds."""
+    return {side: {"best": min(probes[side]), "runs": list(probes[side])} for side in SIDES}
+
+
 def run_side(root, workload, seed):
     """One ``run.py`` run in checkout ``root``; its result record."""
     subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), *RUN_ARGS],
                    cwd=root, check=True, stdout=subprocess.DEVNULL)
     with open(Path(root) / ".perfbench-work" / "results" / f"{workload}-seed{seed}-trace0.json") as fh:
         return json.load(fh)
+
+
+def setup_probe(root, workload, seed):
+    """Seconds from spawning ``run.py --setup-probe`` in checkout ``root`` until
+    its first job is ready, as ``run.py``'s ``setup_seconds`` times one probe."""
+    t0 = time.monotonic()
+    done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                           "--setup-probe"], cwd=root, capture_output=True, text=True, check=True, timeout=120)
+    return float(done.stdout.split()[-1]) - t0
 
 
 def git(*args, cwd=ROOT):
@@ -166,6 +186,13 @@ def main(argv=None):
                 print(f"{workload} seed {seed} ({order[0]} first): job_s.p50 "
                       + " -> ".join(f"{pair[s]['result']['metrics']['job_s.p50']['value']:.5f}" for s in SIDES),
                       flush=True)
+        probes = {w: {side: [] for side in SIDES} for w in args.workload}
+        for workload in args.workload:
+            for i in range(SETUP_PROBES):
+                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                    probes[workload][side].append(setup_probe(roots[side], workload, args.seeds[0]))
+            print(f"{workload} setup probes: best "
+                  + " -> ".join(f"{min(probes[workload][s]):.4f}" for s in SIDES), flush=True)
     finally:
         for root in roots.values():
             shutil.rmtree(root, ignore_errors=True)
@@ -179,7 +206,8 @@ def main(argv=None):
         "command": "python3 perfbench/run.py --workload W --seed S " + " ".join(RUN_ARGS),
         "environment": first["environment"],
         "ref_nominal_s": first["ref_nominal_s"],
-        "workloads": {w: summarize(pairs, end_to_end) for w, pairs in records.items()},
+        "workloads": {w: {**summarize(pairs, end_to_end), "setup_probe_s": probe_summary(probes[w])}
+                      for w, pairs in records.items()},
     }
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")

@@ -24,14 +24,27 @@ is given, and a caller appends tuples after that.
 :func:`log`, :func:`exp`, :func:`atan`, :func:`tan` and :func:`tanh` take a
 :class:`Jet`; together with the operators they form the namespace in which
 ``tau`` evaluates its closed forms on series.
+
+:func:`taylor_integrate` is ``numerics.integrate_ode``'s Taylor twin for
+u'' = acc(t, u, u') with acc on jets: a degree-_DEGREE Taylor series method
+(Jorba & Zou) whose steps are joined and read on the libmp tuples.
 """
 
 from __future__ import annotations
 
-import mpmath as mp
-from mpmath.libmp import fzero, from_int, from_man_exp, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_neg, mpf_sub
+import bisect
+import math
 
-__all__ = ["Tape", "Jet", "log", "exp", "atan", "tan", "tanh"]
+import mpmath as mp
+import numpy as np
+from mpmath.libmp import (
+    from_float, from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_mul_int, mpf_neg, mpf_sub,
+    round_nearest, to_float,
+)
+
+from .numerics import DivergenceEvent, RhsEvaluationError
+
+__all__ = ["Tape", "Jet", "log", "exp", "atan", "tan", "tanh", "taylor_integrate"]
 
 
 def _dot(xs, ys, prec, rnd):
@@ -205,3 +218,151 @@ def log(x):
 
 def atan(x):
     return _quotient_chain(x, mp.atan, 1 + x * x)
+
+
+_DEGREE = 20
+_MIN_STEP = 1e-12
+_GUARD = 32  # bits the reader's fixed point keeps below fine_prec
+
+
+def _taylor_step(acc, t0, u0, p0):
+    """Degree-_DEGREE jets of (u, p) at t0 for u' = p, p' = acc(t, u, p), as
+    libmp tuples, each u_{k+1}, p_{k+1} rounded as ``mpf / int``."""
+    tape = Tape()
+    u, p, t = tape.input([u0]), tape.input([p0]), tape.input([t0])
+    t.c += [from_int(1)] + [fzero] * (_DEGREE - 1)  # the series of t itself
+    g = acc(t, u, p)
+    for k in range(_DEGREE):
+        tape.advance(k)
+        u.c.append(mpf_div(p.c[k], from_int(k + 1), tape.prec, tape.rnd))
+        p.c.append(mpf_div(g.c[k], from_int(k + 1), tape.prec, tape.rnd))
+    return u.c, p.c
+
+
+def _step_index(starts_f, starts, t):
+    """max(bisect.bisect(starts, t) - 1, 0) for the exact starts (libmp tuples)
+    and a float t, from their floats ``starts_f``: the float of a start orders
+    it against every float but itself, where the exact test settles it."""
+    i = bisect.bisect(starts_f, t)
+    while i > 0 and starts_f[i - 1] == t and mpf_gt(starts[i - 1], from_float(t)):
+        i -= 1
+    return max(i - 1, 0)
+
+
+def _fixed_point(us, ps, radius, prec):
+    """A step's two series (lowest first, libmp tuples) as integers on one scale
+    2^-S, highest first: S = prec - M, M >= log2 max_j |c_j| radius^j over both."""
+    _, _, exp, bc = radius._mpf_  # radius < 2^(exp + bc)
+    top = max((c[2] + c[3] + j * (exp + bc) for cs in (us, ps) for j, c in enumerate(cs) if c != fzero),
+              default=0)
+    scale = prec - top
+
+    def ints(cs):
+        out = []
+        for sign, man, e, _ in reversed(cs):
+            v = man << (e + scale) if e + scale >= 0 else man >> -(e + scale)
+            out.append(-v if sign else v)
+        return out
+
+    return scale, ints(us), ints(ps)
+
+
+def _horner(coeffs, hm, e):
+    """Horner's rule for integer coefficients (highest first) on a scale 2^-S
+    at h = hm 2^-e: the value on the same scale, each product floored."""
+    acc = 0
+    for c in coeffs:
+        acc = c + (acc * hm >> e)
+    return acc
+
+
+def _join(cs, x, prec, rnd):
+    """``mp.polyval`` of a series (lowest first, libmp tuples) at x under
+    ``mp.workprec(prec)``: Horner from the top coefficient, unrounded, each
+    step ``c + x * acc`` rounded twice as the mpf operators round it."""
+    acc = cs[-1]
+    for c in reversed(cs[:-1]):
+        acc = mpf_add(c, mpf_mul(x, acc, prec, rnd), prec, rnd)
+    return acc
+
+
+def _to_float(acc, scale):
+    """acc 2^-scale rounded once to the nearest float, as ``float(mpf)`` rounds."""
+    try:
+        return math.ldexp(acc, -scale)
+    except OverflowError:  # acc past the double range: scales above about 1000 bits
+        return to_float(from_man_exp(acc, -scale), rnd=round_nearest)
+
+
+def taylor_integrate(acc, y0, t_span, dps):
+    """Taylor series method for u'' = acc(t, u, p), p = u', at ``dps`` digits,
+    forward from t0 to t1 > t0 from ``y0`` = (u, p) at t0 (what ``mp.mpf``
+    converts).  ``acc`` takes jets and returns the jet of u''.  An
+    RhsEvaluationError it raises is the stop; raised at the initial state,
+    before any step, it reaches the caller.
+
+    Each step expands (u, p) to degree _DEGREE at the working precision and
+    takes the step of mpmath's ``ode_taylor`` (as ``odefun`` calls it with
+    tol = 10^-(dps-10)): radius min(1, (tol'/|c_d|)^(1/d))/2 over both
+    series, tol' = 2^-(floor(log2 10^(dps-10)) + 10).  Steps are joined at
+    fine_prec = prec + 40 bits by ``_join``; only c_d and each joined state
+    are wrapped as mpf values.  A step radius below _MIN_STEP (a singularity
+    ahead) is the other stop.
+
+    The reader works in fixed point.  Each step's two series are held as
+    integers on one scale 2^-S, S = fine_prec + _GUARD - M, where M is an
+    upper bound of log2 max_j |c_j| rho^j over both series and rho is the
+    step radius (bounding |c_j| alone would leave no bits for the low orders
+    once rho is small).  A read picks the step ``bisect.bisect`` picks on the
+    exact starts, forms h = t - start at fine_prec as hm 2^-e, runs Horner on
+    the integers, shifting each product right by e bits, and rounds once to
+    float.  Its error, a few units of 2^-S, is under 2^(M - fine_prec) like
+    the rounding of mpmath's Horner at fine_prec, far below a float's last
+    bit: each read is the float of mpmath's value there.
+
+    Returns ``(read, t_end, event)``: the batched reader of (u, p) at an array
+    of times on [t0, t_end] (None if no step was taken), where the integration
+    stopped, and the stop as a ``DivergenceEvent`` (None if t1 was reached).
+    """
+    with mp.workdps(dps):
+        fine_prec = mp.mp.prec + 40
+        rnd = mp.mp._prec_rounding[1]
+        tol = mp.ldexp(1, -(int((dps - 10) * math.log2(10.0)) + 10))
+        t, t1 = mp.mpf(t_span[0]), float(t_span[1])
+        u, p = (mp.mpf(v) for v in y0)
+        # per step: the start as a float and exactly, and (S, u and p on 2^-S)
+        starts_f, starts, steps, event = [], [], [], None
+        while True:
+            try:
+                us, ps = _taylor_step(acc, t, u, p)
+            except RhsEvaluationError as exc:
+                if not steps:
+                    raise
+                event = DivergenceEvent(exc.label, float(t), np.array((float(u), float(p))), exc.detail)
+                break
+            radius = min([mp.mpf(1)] + [mp.root(tol / abs(mp.make_mpf(c[-1])), _DEGREE)
+                                        for c in (us, ps) if c[-1] != fzero]) / 2
+            if radius < _MIN_STEP:
+                event = DivergenceEvent("step_underflow", float(t), np.array((float(u), float(p))),
+                                        f"Taylor step {mp.nstr(radius, 3)} below {_MIN_STEP:g}")
+                break
+            starts_f.append(float(t))
+            starts.append(t._mpf_)
+            steps.append(_fixed_point(us, ps, radius, fine_prec + _GUARD))
+            t = t + radius
+            u, p = (mp.make_mpf(_join(cs, radius._mpf_, fine_prec, rnd)) for cs in (us, ps))
+            if t >= t1:
+                break
+
+        def state(x):
+            i = _step_index(starts_f, starts, x)
+            sign, hm, exp, _ = mpf_sub(from_float(x), starts[i], fine_prec, rnd)
+            if sign:
+                hm = -hm
+            if exp > 0:
+                hm, exp = hm << exp, 0
+            scale, us, ps = steps[i]
+            return _to_float(_horner(us, hm, -exp), scale), _to_float(_horner(ps, hm, -exp), scale)
+
+    read = (lambda ts: [state(x) for x in ts.tolist()]) if steps else None
+    return read, float(t) if event else t1, event

@@ -14,50 +14,39 @@ exp(r^2/(4 f'(lambda))).  Rounding alone drives a shot off it, so a cone exit,
 inversion failure or blow-up marks the radius where the working precision
 runs out (r^2 grows by about 4 f'(lambda) ln 10 per decimal digit), not a
 perturbation that rigidity rules out.  Reproducing the closed form to large
-radius requires the high-precision Taylor path (``dps=...``): a
-degree-20 Taylor series method whose coefficients are Taylor-mode jets of the
-branch closed forms (:mod:`.jets`, ``tau.f_value_jet``/``f_inverse_jet``),
-computed and handed back as libmp tuples at the working precision.  Steps
-are joined on those tuples at 40 extra bits, as mpmath's ``polyval`` joins
-them.  The profile is read in fixed point:
-each step's coefficients are held as integers on one power-of-two scale, 72
-bits past the working precision relative to a bound on the step's largest
-term, and each sample is rounded once to float (``_shoot_mp``).  The float
-path samples its profile in one batched ``Trajectory.evaluate`` read, bit for
-bit the per-radius reads of the profile it returns (``_shoot_float``).
+radius requires the high-precision Taylor path (``dps=...``).  A shot makes
+one integrator call on u'' = acc(r, u, u'): ``numerics.integrate_ode`` with
+``_curvature``, or ``jets.taylor_integrate`` with ``_jet_curvature``, the
+equation on Taylor-mode jets of the branch closed forms.
 
 One step rule, built once a shot by ``_step_rule``, checks every state either
 path reaches: the float path's initial state and right-hand side, each
 profile sample and read, and (as an mpf rule) each Taylor expansion point.
-One closure a shot, ``_curvature``, gives every u'' from the rule.
 So the two paths stop at a cone exit, an inversion failure and a blow-up past
 |(u, u')| = _BLOW_UP_MAG the same way, and at the state where the rule first
 fails; the float integrator also stops at a step underflow or a non-finite
-state, and the Taylor path at a step radius below _MIN_STEP.  Each path hands
-back its stop, one batched reader of (u, u') at radii from _R_START on and
-its own series constants.  ``shoot_radial`` names the stop once (a rule's kind
-as it is, any other a ``blow_up``, at the path's end) and makes the rest the
-shot's one ``states``: (u0, +0.0) at r = 0, the series below _R_START
-(everywhere if the path took no step), the reader beyond.  A profile ends at
-the last sample the rule accepts, and ``RadialProfile``, the n-D radial field
-itself, reads a batch of radii through ``states`` on [0, that sample]
-(``numerics.read_span``); a read past there is an InputError.
+state, and the Taylor one at its minimum step.  Either integrator hands back
+its stop as a ``DivergenceEvent`` and a batched reader of (u, u') from
+_R_START on, and raises on a start the rule refuses.  ``shoot_radial`` names
+the stop once (a rule's kind as it is, any other a ``blow_up``, at the path's
+end) and makes the rest the shot's one ``states``: (u0, +0.0) at r = 0, the
+path's series below _R_START (everywhere if it took no step), the reader
+beyond.  A profile ends at the last sample the rule accepts, and
+``RadialProfile``, the n-D radial field itself, reads a batch of radii
+through ``states`` on [0, that sample] (``numerics.read_span``); a read past
+there is an InputError.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import (
-    from_float, from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_sub, round_nearest, to_float,
-)
 
-from . import jets
 from .fields import ScalarField
+from .jets import taylor_integrate
 from .numerics import (
     DomainError, InputError, RhsEvaluationError, abs_tolerance, as_count, as_positive, integrate_ode, read_span, row_dot,
 )
@@ -190,6 +179,21 @@ def _curvature(tp, rule):
     return lambda r, u, up: f_inverse(tp, rule(r, u, up))
 
 
+def _jet_curvature(tp, n, upp0):
+    """The Taylor path's acc: the mpf step rule at the expansion point, then the
+    jet of f^{-1}((-u + r p/2) - (n-1) f(s)), s = p/r; below _R_SERIES, where
+    p/r has a pole at r = 0 next to the expansion point, f(s) is f(u''(0))."""
+    rule = _step_rule(tp, n, upp0, f=f_value_mp)
+
+    def acc(r, u, p):
+        r0 = mp.make_mpf(r.c[0])
+        rule(r0, mp.make_mpf(u.c[0]), mp.make_mpf(p.c[0]))
+        f_s = f_value_mp(tp, upp0) if r0 < _R_SERIES else f_value_jet(tp, p / r)
+        return f_inverse_jet(tp, (-u + r * p / 2) - (n - 1) * f_s)
+
+    return acc
+
+
 def _series_state(u0, upp0, r):
     return u0 + 0.5 * upp0 * r * r, upp0 * r
 
@@ -209,177 +213,16 @@ def radial_quadratic_reference(tp, n, c, r_max=10.0, n_samples=401):
     )
 
 
-def _shoot_float(curvature, u0, upp0, r_max, rel_tol):
-    """(u, u')'s batched reader (None if the step rule refuses the start),
-    series constants, end and stop ((label, detail), None if r_max was
-    reached), integrated from the series state at _R_START with
-    ``curvature`` as the integrator's acc."""
-    try:  # the initial state's acc, as _shoot_mp checks each expansion point
-        traj = integrate_ode(curvature, _series_state(u0, upp0, _R_START), (_R_START, r_max), rel_tol)
-    except RhsEvaluationError as exc:  # no step: the series is the whole shot
-        return None, (u0, upp0), _R_START, (exc.label, exc.detail)
-    stop = None if traj.event is None else (traj.event.label, traj.event.detail)
-    return traj.evaluate, (u0, upp0), traj.t_end, stop
-
-
-_DEGREE = 20
-_MIN_STEP = 1e-12
-_GUARD = 32  # bits the profile reader's fixed point keeps below fine_prec
-
-
-def _taylor_step(tp, n, r0, u0, p0, f_s_frozen):
-    """Degree-_DEGREE jets of (u, p) at r0 for u' = p, p' = f^{-1}(-u + r p/2 - (n-1) f(s)).
-
-    s is p/r; at the series start, where p/r has a pole at r = 0 next to the
-    expansion point, f(s) is the constant ``f_s_frozen`` instead.  The
-    coefficients are libmp tuples, each u_{k+1}, p_{k+1} rounded as ``mpf / int``.
-    """
-    tape = jets.Tape()
-    u, p, r = tape.input([u0]), tape.input([p0]), tape.input([r0])
-    r.c += [from_int(1)] + [fzero] * (_DEGREE - 1)  # the series of r itself
-    f_s = f_s_frozen if f_s_frozen is not None else f_value_jet(tp, p / r)
-    g = f_inverse_jet(tp, (-u + r * p / 2) - (n - 1) * f_s)
-    for k in range(_DEGREE):
-        tape.advance(k)
-        u.c.append(mpf_div(p.c[k], from_int(k + 1), tape.prec, tape.rnd))
-        p.c.append(mpf_div(g.c[k], from_int(k + 1), tape.prec, tape.rnd))
-    return u.c, p.c
-
-
-def _step_index(starts_f, starts, r):
-    """max(bisect.bisect(starts, r) - 1, 0) for the exact starts (libmp tuples)
-    and a float r, from their floats ``starts_f``: the float of a start orders
-    it against every float but itself, where the exact test settles it."""
-    i = bisect.bisect(starts_f, r)
-    while i > 0 and starts_f[i - 1] == r and mpf_gt(starts[i - 1], from_float(r)):
-        i -= 1
-    return max(i - 1, 0)
-
-
-def _fixed_point(us, ps, radius, prec):
-    """A step's two series (lowest first, libmp tuples) as integers on one scale
-    2^-S, highest first: S = prec - M, M >= log2 max_j |c_j| radius^j over both."""
-    _, _, exp, bc = radius._mpf_  # radius < 2^(exp + bc)
-    top = max((c[2] + c[3] + j * (exp + bc) for cs in (us, ps) for j, c in enumerate(cs) if c != fzero),
-              default=0)
-    scale = prec - top
-
-    def ints(cs):
-        out = []
-        for sign, man, e, _ in reversed(cs):
-            v = man << (e + scale) if e + scale >= 0 else man >> -(e + scale)
-            out.append(-v if sign else v)
-        return out
-
-    return scale, ints(us), ints(ps)
-
-
-def _horner(coeffs, hm, e):
-    """Horner's rule for integer coefficients (highest first) on a scale 2^-S
-    at h = hm 2^-e: the value on the same scale, each product floored."""
-    acc = 0
-    for c in coeffs:
-        acc = c + (acc * hm >> e)
-    return acc
-
-
-def _join(cs, x, prec, rnd):
-    """``mp.polyval`` of a series (lowest first, libmp tuples) at x under
-    ``mp.workprec(prec)``: Horner from the top coefficient, unrounded, each
-    step ``c + x * acc`` rounded twice as the mpf operators round it."""
-    acc = cs[-1]
-    for c in reversed(cs[:-1]):
-        acc = mpf_add(c, mpf_mul(x, acc, prec, rnd), prec, rnd)
-    return acc
-
-
-def _to_float(acc, scale):
-    """acc 2^-scale rounded once to the nearest float, as ``float(mpf)`` rounds."""
-    try:
-        return math.ldexp(acc, -scale)
-    except OverflowError:  # acc past the double range: scales above about 1000 bits
-        return to_float(from_man_exp(acc, -scale), rnd=round_nearest)
-
-
-def _shoot_mp(tp, n, u0, r_max, dps):
-    """Arbitrary-precision Taylor path: Taylor-mode jets of the radial system.
-
-    ``u0`` may be an mpf or decimal string: shooting from the float64 rounding
-    of quadratic data is shooting from genuinely perturbed data, which the
-    rigidity mechanism blows up near finite radius no matter the working
-    precision.
-
-    Each step expands (u, p = u') to degree _DEGREE at the working precision,
-    as libmp tuples, and takes the step of mpmath's ``ode_taylor`` (as
-    ``odefun`` calls it with tol = 10^-(dps-10)): radius
-    min(1, (tol'/|c_d|)^(1/d))/2 over both series,
-    tol' = 2^-(floor(log2 10^(dps-10)) + 10).  Steps are joined at
-    fine_prec = prec + 40 bits by ``_join``, the libmp calls of mpmath's
-    ``polyval`` on the tuples; only c_d and each joined state are wrapped as
-    mpf values.  Every expansion point goes through
-    the float path's step rule (``_step_rule``), whose error is the stop; the
-    one other stop is ``step_underflow`` when the step radius falls below
-    _MIN_STEP (a singularity ahead).
-
-    The profile reader works in fixed point.  Each step's two series are held
-    as integers on one scale 2^-S, S = fine_prec + _GUARD - M, where M is an
-    upper bound of log2 max_j |c_j| rho^j over both series and rho is the step
-    radius (bounding |c_j| alone would leave no bits for the low orders once
-    rho is small).  A read picks the step ``bisect.bisect`` picks on the exact
-    starts, forms h = r - start at fine_prec as hm 2^-e, runs Horner on the
-    integers, shifting each product right by e bits, and rounds once to float.
-    Its error, a few units of 2^-S, is under 2^(M - fine_prec) like the
-    rounding of mpmath's Horner at fine_prec, far below a float's last bit:
-    each sample is the float of mpmath's value there.
-    """
-    with mp.workdps(int(dps)):
-        if isinstance(u0, str) or isinstance(u0, mp.mpf):
-            u0_mp = mp.mpf(u0)
-        else:
-            u0_mp = mp.mpf(float(u0))  # exact binary conversion
-        upp0_mp = f_inverse_mp(tp, -u0_mp / n)
-        fine_prec = mp.mp.prec + 40
-        rnd = mp.mp._prec_rounding[1]
-        tol = mp.ldexp(1, -(int((int(dps) - 10) * math.log2(10.0)) + 10))
-        f_s0 = f_value_mp(tp, upp0_mp)  # f(s) while s is frozen at u''(0)
-        r0 = mp.mpf(_R_START)
-        u, p = _series_state(u0_mp, upp0_mp, r0)
-        # per step: the start as a float and exactly, and (S, u and u' on 2^-S)
-        starts_f, starts, steps = [], [], []
-        rule = _step_rule(tp, n, upp0_mp, f=f_value_mp)
-        while True:
-            try:
-                rule(r0, u, p)
-            except RhsEvaluationError as exc:
-                stop = exc.label, exc.detail
-                break
-            us, ps = _taylor_step(tp, n, r0, u, p, f_s0 if r0 < _R_SERIES else None)
-            radius = min([mp.mpf(1)] + [mp.root(tol / abs(mp.make_mpf(c[-1])), _DEGREE)
-                                        for c in (us, ps) if c[-1] != fzero]) / 2
-            if radius < _MIN_STEP:
-                stop = "step_underflow", f"Taylor step {mp.nstr(radius, 3)} below {_MIN_STEP:g}"
-                break
-            starts_f.append(float(r0))
-            starts.append(r0._mpf_)
-            steps.append(_fixed_point(us, ps, radius, fine_prec + _GUARD))
-            r0 = r0 + radius
-            u, p = (mp.make_mpf(_join(cs, radius._mpf_, fine_prec, rnd)) for cs in (us, ps))
-            if r0 >= r_max:
-                stop = None
-                break
-
-        def state(r):
-            i = _step_index(starts_f, starts, r)
-            sign, hm, exp, _ = mpf_sub(from_float(r), starts[i], fine_prec, rnd)
-            if sign:
-                hm = -hm
-            if exp > 0:
-                hm, exp = hm << exp, 0
-            scale, us, ps = steps[i]
-            return _to_float(_horner(us, hm, -exp), scale), _to_float(_horner(ps, hm, -exp), scale)
-
-    read = (lambda rs: [state(r) for r in rs.tolist()]) if steps else None
-    return read, (float(u0_mp), float(upp0_mp)), float(r0) if stop else r_max, stop
+def _taylor_start(tp, n, u0, dps):
+    """The Taylor path's series constants, acc and (u, u') at _R_START, at
+    ``dps`` digits.  ``u0`` may be an mpf or decimal string: shooting from the
+    float64 rounding of quadratic data is shooting from genuinely perturbed
+    data, which the rigidity mechanism blows up near finite radius no matter
+    the working precision."""
+    with mp.workdps(dps):
+        u0 = mp.mpf(u0) if isinstance(u0, (str, mp.mpf)) else mp.mpf(float(u0))  # a float converts exactly
+        upp0 = f_inverse_mp(tp, -u0 / n)
+        return (float(u0), float(upp0)), _jet_curvature(tp, n, upp0), _series_state(u0, upp0, mp.mpf(_R_START))
 
 
 def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, *, dps=None, n_samples=401):
@@ -388,14 +231,11 @@ def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, *, dps=None, n_samples=40
     Parameters
     ----------
     dps : int, optional
-        When given, integrate with degree-20 Taylor steps whose coefficients
-        are Taylor-mode jets of the equation at that many digits.  Steps are
-        joined at 40 extra bits; samples are read in fixed point, 72 bits past
-        that precision relative to each step's largest term, and rounded once
-        to float.
-        Required to hold the (exponentially unstable) quadratic trajectories
-        to large radius; the float path is the event-recording experimental
-        tool.  Both paths end in the same event kinds.
+        When given, integrate with ``jets.taylor_integrate``'s degree-20
+        Taylor steps on jets of the equation at that many digits.  Required
+        to hold the (exponentially unstable) quadratic trajectories to large
+        radius; the float path is the event-recording experimental tool.
+        Both paths end in the same event kinds.
 
     Raises
     ------
@@ -417,13 +257,19 @@ def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, *, dps=None, n_samples=40
         raise InputError(f"u''(0) = f^-1(-u0/n) = {upp0} at u0 = {u0}: no finite initial curvature")
 
     curvature = _curvature(tp, _step_rule(tp, n, upp0))  # bounds, range and n - 1 bound once a shot
-    read, (su, supp), r_end, stop = (_shoot_float(curvature, u0, upp0, r_max, rel_tol) if dps is None
-                                     else _shoot_mp(tp, n, u0_raw, r_max, dps))
-    if stop is None:
-        event = ShotEvent("completed", r_max)
-    else:  # the integrator's step underflow and non-finite state, and the Taylor minimum step, are blow-ups
-        label, detail = stop
-        event = ShotEvent(label if label in _RULE_KINDS else "blow_up", r_end, detail)
+    su, supp = u0, upp0  # the series constants; the Taylor path has its own
+    try:
+        if dps is None:
+            traj = integrate_ode(curvature, _series_state(u0, upp0, _R_START), (_R_START, r_max), rel_tol)
+            read, r_end, stop = traj.evaluate, traj.t_end, traj.event
+        else:
+            (su, supp), acc, y0 = _taylor_start(tp, n, u0_raw, dps)
+            read, r_end, stop = taylor_integrate(acc, y0, (_R_START, r_max), dps)
+    except RhsEvaluationError as exc:  # the rule refused the start: the series is the whole shot
+        read, r_end, stop = None, _R_START, exc
+    # the integrator's step underflow and non-finite state, and the Taylor minimum step, are blow-ups
+    event = (ShotEvent("completed", r_max) if stop is None
+             else ShotEvent(stop.label if stop.label in _RULE_KINDS else "blow_up", r_end, stop.detail))
 
     def states(radii):
         """(u, u') at an array of radii on [0, r_end], one row a radius."""

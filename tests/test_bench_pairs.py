@@ -72,6 +72,13 @@ def test_summary_of_one_pair(bench_pairs):
     assert out["metrics"]["jobs_per_s"]["change_wins"] == 1 and out["metrics"]["jobs_per_s"]["gain_holds"]
 
 
+def test_setup_probe_summary(bench_pairs):
+    # each side keeps its best probe and every probe, in the order run
+    parent, change = [0.91, 0.88, 0.95, 0.90, 0.89, 0.93], [0.87, 0.92, 0.86, 0.94, 0.90, 0.88]
+    out = bench_pairs.probe_summary({"parent": parent, "change": change})
+    assert out == {"parent": {"best": 0.88, "runs": parent}, "change": {"best": 0.86, "runs": change}}
+
+
 def test_the_change_is_exported_as_it_is_on_disk(bench_pairs, tmp_path):
     # tracked files with their uncommitted edits and untracked files that
     # .gitignore does not exclude; one changed byte changes the tree hash

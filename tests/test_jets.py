@@ -6,11 +6,15 @@ every coefficient an ``mpf`` operator or an ``mp.fdot``, and
 give every coefficient's libmp tuple bit for bit as they do, through ``tau``'s
 closed forms and through one shooting Taylor step.  ``jets._dot`` itself must
 give ``mpf_sum(map(mpf_mul, xs, ys), prec, rnd)`` bit for bit.
+``jets.taylor_integrate`` keeps ``numerics.integrate_ode``'s contract on
+equations other than the radial one.
 """
 
+import math
 from types import SimpleNamespace
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,8 +22,9 @@ from mpmath.libmp import (
     from_man_exp, fzero, mpf_mul, mpf_sum, round_ceiling, round_down, round_floor, round_nearest, round_up,
 )
 
-from shrinker_lab import jets, shooting, tau
-from shrinker_lab.tau import f_inverse_jet, f_inverse_mp, f_value_jet, f_value_mp
+from shrinker_lab import TauParams, jets, shooting, tau
+from shrinker_lab.numerics import RhsEvaluationError, integrate_ode
+from shrinker_lab.tau import f_inverse, f_inverse_jet, f_inverse_mp, f_range, f_value, f_value_jet, f_value_mp
 
 from conftest import branch_params
 
@@ -41,7 +46,7 @@ class _RefTape:
 
     @classmethod
     def taylor_step(cls, tp, n, r0, u0, p0, f_s_frozen):
-        """``shooting._taylor_step`` with mpf operators."""
+        """``jets._taylor_step`` with the radial acc ``shooting._jet_curvature``, on mpf operators."""
         tape = cls()
         u, p = tape.input([u0]), tape.input([p0])
         r = tape.input([r0, 1] + [0] * (DEGREE - 1))
@@ -218,8 +223,9 @@ class TestAgainstMpfOperators:
             # a state near the quadratic with curvature c, at 40 guard bits
             u0 = guarded(c * r0 * r0 / 2 - 2 * f_value_mp(tp, c) + mp.mpf("1e-3"))
             p0 = guarded(c * r0 * (1 + mp.mpf("1e-3")))
-            f_s = f_value_mp(tp, f_inverse_mp(tp, -u0 / 2)) if frozen else None
-            got = shooting._taylor_step(tp, 2, r0, u0, p0, f_s)
+            upp0 = f_inverse_mp(tp, -u0 / 2)
+            got = jets._taylor_step(shooting._jet_curvature(tp, 2, upp0), r0, u0, p0)
+            f_s = f_value_mp(tp, upp0) if frozen else None
             want = _RefTape.taylor_step(tp, 2, r0, u0, p0, f_s)
         assert len(got[0]) == len(got[1]) == DEGREE + 1
         assert got[0] == bits(want[0]) and got[1] == bits(want[1])
@@ -229,7 +235,8 @@ class TestAgainstMpfOperators:
         # coefficient past u_0 is an exact zero, held as a libmp tuple too
         tp = branch_params()["HARM"]
         with mp.workdps(30):
-            steps = shooting._taylor_step(tp, 1, mp.mpf(0.5), -f_value_mp(tp, mp.mpf(0)), mp.mpf(0), None)
+            acc = shooting._jet_curvature(tp, 1, mp.mpf(0))
+            steps = jets._taylor_step(acc, mp.mpf(0.5), -f_value_mp(tp, mp.mpf(0)), mp.mpf(0))
         us, ps = steps
         assert len(us) == len(ps) == DEGREE + 1
         assert us[1:] == [fzero] * DEGREE and ps == [fzero] * (DEGREE + 1)
@@ -303,3 +310,55 @@ class TestFusedDot:
     def test_random_sums_bit_for_bit(self, pairs, prec, rnd):
         xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
         assert jets._dot(xs, ys, prec, rnd) == ref_dot(xs, ys, prec, rnd)
+
+
+class TestTaylorIntegrate:
+    """``taylor_integrate(acc, y0, t_span, dps)`` on accs other than the radial one."""
+
+    def test_harmonic_oscillator_to_the_last_bit(self):
+        # u'' = -u from (0, 1): u = sin, u' = cos, each read within one ulp
+        read, t_end, event = jets.taylor_integrate(lambda t, u, p: -u, (0, 1), (0.0, 10.0), 30)
+        assert (t_end, event) == (10.0, None)
+        xs = np.linspace(0.0, 10.0, 101)
+        for x, (u, p) in zip(xs.tolist(), read(xs)):
+            for got, want in ((u, float(mp.sin(x))), (p, float(mp.cos(x)))):
+                assert abs(got - want) <= math.ulp(want), x
+
+    def test_slag_datum_ends_at_its_singularity(self):
+        # the 1-D SLAG datum u'' = f^-1(-u + x u'/2), lambda0 = 0.9,
+        # u(0) = -f(lambda0), u'(0) = -1e-6: the Taylor step radius collapses
+        # at the singularity near x = 5.768, where the float integrator's
+        # target leaves the range of f; both agree short of it
+        tp = TauParams.special_lagrangian()
+        lo, hi = f_range(tp)
+        y0, span = (-f_value(tp, 0.9), -1e-6), (0.0, 10.0)
+        read, t_end, event = jets.taylor_integrate(lambda x, u, p: f_inverse_jet(tp, -u + x * p / 2), y0, span, 30)
+        assert event.label == "step_underflow" and event.t == t_end and round(t_end, 3) == 5.768
+
+        def float_acc(x, u, p):
+            y = -u + x * p / 2
+            if not lo < y < hi:
+                raise RhsEvaluationError("inversion_failure", f"target {y}")
+            return f_inverse(tp, y)
+
+        traj = integrate_ode(float_acc, y0, span, 1e-12)
+        assert traj.event.label == "inversion_failure" and round(traj.t_end, 7) == round(t_end, 7)
+        xs = np.linspace(0.0, 4.5, 91)
+        assert np.max(np.abs(np.array(read(xs)) - traj.evaluate(xs))) <= 1e-9
+
+    def test_a_raise_past_the_start_is_the_stop(self):
+        def walled(t, u, p):
+            if mp.make_mpf(t.c[0]) > 2:
+                raise RhsEvaluationError("wall", "past 2")
+            return -u
+
+        read, t_end, event = jets.taylor_integrate(walled, (0, 1), (0.0, 10.0), 30)
+        assert (event.label, event.detail, event.t) == ("wall", "past 2", t_end) and 2.0 < t_end < 3.0
+        assert read(np.array([t_end]))[0] == pytest.approx((math.sin(t_end), math.cos(t_end)), abs=1e-15)
+
+    def test_a_refused_start_reaches_the_caller(self):
+        def refusing(t, u, p):
+            raise RhsEvaluationError("inversion_failure", "at the start")
+
+        with pytest.raises(RhsEvaluationError, match="at the start"):
+            jets.taylor_integrate(refusing, (0, 1), (0.0, 10.0), 30)

@@ -9,7 +9,7 @@ import pytest
 from mpmath.libmp import from_man_exp, fzero, round_nearest
 
 import shrinker_lab as sl
-from shrinker_lab import InputError, TauParams, shooting
+from shrinker_lab import InputError, TauParams, jets, shooting
 from shrinker_lab.fields import ScalarField
 from shrinker_lab.numerics import DivergenceEvent, RhsEvaluationError, read_span, row_dot
 from shrinker_lab.shooting import _step_rule, radial_quadratic_reference, shoot_radial
@@ -405,7 +405,7 @@ class TestReadsPastTheEnd:
 
 
 class TestStepJoin:
-    """``_join`` against ``mp.polyval`` at fine_prec, the join it replaces."""
+    """``jets._join`` against ``mp.polyval`` at fine_prec, the join it replaces."""
 
     @pytest.mark.parametrize("du0", ["0", "0.01"])
     @pytest.mark.parametrize("branch", list(branch_params()))
@@ -416,17 +416,17 @@ class TestStepJoin:
         tp = branch_params()[branch]
         c = {"MA": 0.6, "LOG": 0.4, "HARM": 0.3, "ATAN": 0.4, "SLAG": 0.5, "NEG": 1.2}[branch]
         joins = []
-        join = shooting._join
+        join = jets._join
 
         def recording(cs, x, prec, rnd):
             joins.append((cs, x, prec, rnd, join(cs, x, prec, rnd)))
             return joins[-1][-1]
 
-        monkeypatch.setattr(shooting, "_join", recording)
+        monkeypatch.setattr(jets, "_join", recording)
         with mp.workdps(30):
             fine = mp.mp.prec + 40
             u0 = quad_initial_value(tp, 2, c, 30) + mp.mpf(du0)
-        shooting._shoot_mp(tp, 2, u0, 10.0, 30)
+        shoot_radial(tp, 2, u0, r_max=10.0, dps=30)
         assert len(joins) >= 20
         for cs, x, prec, rnd, got in joins:
             assert (prec, rnd) == (fine, round_nearest)
@@ -444,7 +444,7 @@ class TestStepJoin:
             x = from_man_exp(rng.randint(-(2**prec), 2**prec), rng.randint(-prec - 2, -prec + 2))
             with mp.workprec(prec):
                 want = mp.polyval([mp.make_mpf(a) for a in reversed(cs)], mp.make_mpf(x))
-            assert shooting._join(cs, x, prec, round_nearest) == want._mpf_
+            assert jets._join(cs, x, prec, round_nearest) == want._mpf_
 
 
 class TestProfileReader:
@@ -459,16 +459,17 @@ class TestProfileReader:
         """A Taylor shot's batched reader, its end, its stop, and the start and
         (u, u') polynomials (highest first) of each step, recorded as they are made."""
         steps = []
-        taylor_step = shooting._taylor_step
+        taylor_step = jets._taylor_step
 
         def recording(*args):
             us, ps = taylor_step(*args)
-            steps.append((args[2], [mp.make_mpf(c) for c in us[::-1]], [mp.make_mpf(c) for c in ps[::-1]]))
+            steps.append((args[1], [mp.make_mpf(c) for c in us[::-1]], [mp.make_mpf(c) for c in ps[::-1]]))
             return us, ps
 
-        monkeypatch.setattr(shooting, "_taylor_step", recording)
-        read, _, r_end, stop = shooting._shoot_mp(tp, 2, u0, r_max, dps)
-        if stop is not None and stop[1].startswith("Taylor step"):  # the last expansion was refused
+        monkeypatch.setattr(jets, "_taylor_step", recording)
+        _, acc, y0 = shooting._taylor_start(tp, 2, u0, dps)
+        read, r_end, stop = jets.taylor_integrate(acc, y0, (shooting._R_START, r_max), dps)
+        if stop is not None and stop.detail.startswith("Taylor step"):  # the last expansion was refused
             steps.pop()
         return read, r_end, stop, steps
 
@@ -494,7 +495,7 @@ class TestProfileReader:
                 h = mp.mpf(r) - starts[i]
                 want = float(mp.polyval(steps[i][1], h)), float(mp.polyval(steps[i][2], h))
             assert same_bits(read(np.array([r]))[0], want), r
-            assert shooting._step_index([float(s) for s in starts], [s._mpf_ for s in starts], r) == i, r
+            assert jets._step_index([float(s) for s in starts], [s._mpf_ for s in starts], r) == i, r
         assert picked == set(range(len(steps)))
         return stop
 
@@ -508,7 +509,7 @@ class TestProfileReader:
         # the step radius falls to ~1e-12 before the event, where bounding the
         # coefficients without the radius loses the low orders
         # the Taylor minimum step, which shoot_radial names a blow-up
-        assert self._check(monkeypatch, *self.SLAG_BLOW_UP)[0] == "step_underflow"
+        assert self._check(monkeypatch, *self.SLAG_BLOW_UP).label == "step_underflow"
 
     def test_step_index_settles_float_ties_exactly(self):
         with mp.workprec(113):
@@ -516,19 +517,19 @@ class TestProfileReader:
         floats, exact = [float(s) for s in starts], [s._mpf_ for s in starts]
         assert floats[1:] == [0.5, 0.75]  # one start rounds up to its float, one down
         for r in (1e-8, 0.25, 0.5, 0.6, 0.75, 0.9, math.nextafter(0.5, 0), math.nextafter(0.75, 1)):
-            assert shooting._step_index(floats, exact, r) == max(bisect.bisect(starts, r) - 1, 0), r
+            assert jets._step_index(floats, exact, r) == max(bisect.bisect(starts, r) - 1, 0), r
 
     def test_to_float_rounds_as_float_of_mpf(self):
         # ties to even; the last three are integers too large for a float, as
         # the fixed point's are above dps ~ 280
         for acc, scale in ((2**60 + 2**7, 60), (2**60 + 3 * 2**7, 60), (-(3**40), 70),
                            (3**700 + 1, 1100), (-(3**700), 1105), (2**1100 + 2**1047, 1100)):
-            assert shooting._to_float(acc, scale) == float(mp.ldexp(acc, -scale))
+            assert jets._to_float(acc, scale) == float(mp.ldexp(acc, -scale))
 
     def test_fixed_point_scale_skips_exact_zeros(self):
         # a libmp tuple is truthy even when it is zero; only 2^-100 may set M
         tiny = from_man_exp(1, -100)
-        scale, us, ps = shooting._fixed_point([tiny] + [fzero] * 20, [fzero] * 21, mp.mpf(0.5), 200)
+        scale, us, ps = jets._fixed_point([tiny] + [fzero] * 20, [fzero] * 21, mp.mpf(0.5), 200)
         assert scale == 200 - (-100 + 1)
         assert us == [0] * 20 + [1 << 199] and ps == [0] * 21
 
@@ -591,7 +592,7 @@ def _recorded_shot(monkeypatch, tp, n, u0, r_max, dps):
     each read as the former readers read them, with each path's own series
     constants."""
     made = []
-    integrate, taylor_step = shooting.integrate_ode, shooting._taylor_step
+    integrate, taylor_step = shooting.integrate_ode, jets._taylor_step
 
     def recording_integrate(*args, **kwargs):
         made.append(integrate(*args, **kwargs))
@@ -599,11 +600,11 @@ def _recorded_shot(monkeypatch, tp, n, u0, r_max, dps):
 
     def recording_step(*args):
         us, ps = taylor_step(*args)
-        made.append((args[2], [mp.make_mpf(c) for c in us[::-1]], [mp.make_mpf(c) for c in ps[::-1]]))
+        made.append((args[1], [mp.make_mpf(c) for c in us[::-1]], [mp.make_mpf(c) for c in ps[::-1]]))
         return us, ps
 
     monkeypatch.setattr(shooting, "integrate_ode", recording_integrate)
-    monkeypatch.setattr(shooting, "_taylor_step", recording_step)
+    monkeypatch.setattr(jets, "_taylor_step", recording_step)
     prof = shoot_radial(tp, n, u0, r_max=r_max, dps=dps)
     monkeypatch.undo()
     if dps is None:
@@ -745,6 +746,7 @@ EVENT_TABLE = {
     "taylor-blow-up": ((TauParams.monge_ampere(), 1, -20.0, 30.0, 15, None), ("blow_up", 0.50000001)),
     "taylor-minimum-step": ((TauParams.special_lagrangian(), 2, -1.4707963267948966, 50.0, 15, None),
                             ("blow_up", 9.603109008497341)),
+    "taylor-lower-start": ((_LOG_LOWER, 2, -1000.0, 30.0, 15, None), ("cone_exit", 1e-08)),
 }
 
 
@@ -755,3 +757,12 @@ def test_event_table(row, monkeypatch):
         setup(monkeypatch)
     event = shoot_radial(tp, n, u0, r_max=r_max, dps=dps).event
     assert (event.kind, event.r) == want
+
+
+@pytest.mark.parametrize("dps", [None, 15, 30])
+@pytest.mark.parametrize("name, u0, kind", [("LOG-lower", -1000.0, "cone_exit"), ("LOG-lower", -100.0, "cone_exit"),
+                                            ("HARM-lower", -1000.0, "completed"), ("HARM-lower", -100.0, "completed")])
+def test_lower_components_end_in_an_event_or_complete(name, u0, kind, dps):
+    # u''(0) rounds onto or past LOG's lower cone edge at these u0: the step rule names
+    # the cone exit before f(u''(0)) is formed, on either path
+    assert shoot_radial(RULE_BRANCHES[name], 2, u0, r_max=30.0, dps=dps).event.kind == kind
