@@ -14,9 +14,10 @@ Then each statement inside a function body (docstrings excluded) that no
 run executed is printed as ``module.py:LINE [function] source``, and their
 count last.  A statement is executed when a line event falls on one of its
 own lines: all of a simple statement's, or a compound statement's header.
-Each set's outcome goes to stderr.  Traced, the runs take about fifteen
-times as long as the digest alone (21 s against 1.4 s on a 2-core host), so
-no CI step runs it:
+Each set's outcome goes to stderr, and the script exits 1 unless all three
+succeeded: a failed run stops short, and what it did not reach only looks
+dead.  Traced, the runs take about fifteen times as long as the digest alone
+(21 s against 1.4 s on a 2-core host), so no CI step runs it:
 
     python3 scripts/line_trace.py
 """
@@ -109,9 +110,11 @@ def untraced(executed, package_dir):
     return lines
 
 
+# each run returns (succeeded, outcome)
 def run_digest():
     with contextlib.redirect_stdout(io.StringIO()):
-        return f"exit {runpy.run_path(os.path.join(HERE, 'report_digest.py'))['main']([])}"
+        code = runpy.run_path(os.path.join(HERE, "report_digest.py"))["main"]([])
+    return code == 0, f"exit {code}"
 
 
 def run_gate():
@@ -119,7 +122,8 @@ def run_gate():
 
     args = [os.path.join(ROOT, "tests", "test_acceptance.py"), "-q", "-p", "no:cacheprovider", "--rootdir", ROOT]
     with contextlib.redirect_stdout(io.StringIO()):
-        return f"exit {int(pytest.main(args))}"
+        code = int(pytest.main(args))
+    return code == 0, f"exit {code}"
 
 
 def run_perfbench():
@@ -132,7 +136,8 @@ def run_perfbench():
             for cycle in range(workload.run_cycles(1.0)):
                 for job in workloads.cycle_jobs(name, 1, cycle):
                     statuses.append(checks.check(job, workloads.run_job(job, out)).status)
-    return f"{len(statuses)} jobs, {sum(s != 'pass' for s in statuses)} not passed"
+    failed = sum(s != "pass" for s in statuses)
+    return failed == 0, f"{len(statuses)} jobs, {failed} not passed"
 
 
 def main(argv=None):
@@ -141,15 +146,16 @@ def main(argv=None):
     import shrinker_lab
 
     package = os.path.dirname(os.path.abspath(shrinker_lab.__file__))
-    executed = set()
+    executed, succeeded = set(), True
     for label, run in (("digest", run_digest), ("gate", run_gate), ("perfbench", run_perfbench)):
-        outcome, lines = trace_lines(run, package)
+        (ok, outcome), lines = trace_lines(run, package)
         executed |= lines
+        succeeded &= ok
         print(f"{label}: {outcome}", file=sys.stderr)
     missed = untraced(executed, package)
     print("\n".join(missed))
     print(f"{len(missed)} statements in function bodies that no run executes")
-    return 0
+    return 0 if succeeded else 1
 
 
 if __name__ == "__main__":

@@ -44,7 +44,7 @@ from .geometry import (
     normal_project,
     shrinker_defect,
 )
-from .quadratics import QuadraticSolution, build_quadratic, random_admissible_matrix, verify_quadratic
+from .quadratics import build_quadratic, random_admissible_matrix, verify_quadratic
 from .transforms import (
     convexify_shift,
     legendre_1d,

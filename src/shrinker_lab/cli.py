@@ -159,7 +159,7 @@ def _branch_sweep(args, command, default_tol, key, draw, measure, summarize, **e
     dimension (``quadratics.scaled_uniform``).  The sweep draws
     ``_SWEEP_BLOCK`` trials, then certifies them as stacks, one dimension at
     a time: one matrix stack, one ``build_quadratic``, and
-    ``measure(tp, sol, draws)``, a value per trial.
+    ``measure(tp, field, draws)``, a value per trial.
     ``summarize`` reads the values in trial order and returns the branch's
     results; the sweep passes iff the worst ``results[key]`` is <= tol.
     """
@@ -185,8 +185,8 @@ def _branch_sweep(args, command, default_tol, key, draw, measure, summarize, **e
                 idx = [i for i, trial in enumerate(block) if trial[0] == n]
                 units, gaussians = (np.array(v) for v in zip(*(block[i][1] for i in idx)))
                 spectra = quadratics.scaled_uniform(*window, units)
-                sol = quadratics.build_quadratic(tp, quadratics.admissible_matrix(spectra, gaussians))
-                out.update(zip(idx, measure(tp, sol, [block[i][2] for i in idx])))
+                field = quadratics.build_quadratic(tp, quadratics.admissible_matrix(spectra, gaussians))
+                out.update(zip(idx, measure(tp, field, [block[i][2] for i in idx])))
             yield from (out[i] for i in range(len(block)))
 
     per_branch = {}
@@ -287,11 +287,11 @@ def cmd_flow_check(args):
     def draw(k, n, rng):
         return rng.random(n + 1)  # x's n units, then t's
 
-    def measure(tp, sol, draws):
+    def measure(tp, field, draws):
         units = np.array(draws)
         xs = quadratics.scaled_uniform(-3.0, 3.0, units[:, :-1])
         ts = -quadratics.scaled_uniform(0.1, 10.0, units[:, -1])
-        return np.abs(transforms.self_similar_extension(tp, sol.field, xs, ts).defect).tolist()
+        return np.abs(transforms.self_similar_extension(tp, field, xs, ts).defect).tolist()
 
     return _branch_sweep(args, "flow-check", 1e-10, "max_defect", draw, measure, _max_defect)
 
@@ -301,7 +301,7 @@ def cmd_legendre_check(args):
     results = {}
 
     tp = TauParams.harmonic()
-    w = transforms.convexify_shift(tp, quadratics.build_quadratic(tp, np.array([[0.8]])).field)
+    w = transforms.convexify_shift(tp, quadratics.build_quadratic(tp, np.array([[0.8]])))
     try:  # a grid of more than MAX_GRID_POINTS nodes, or too coarse for either check
         check = transforms.legendre_dual_residual(w, -span, span, grid_step=step)
     except InputError as exc:
@@ -325,7 +325,7 @@ def cmd_legendre_check(args):
 
 def cmd_defect(args):
     return _branch_sweep(args, "defect", 1e-7, "max_defect", lambda k, n, rng: rng.random(n),
-                         lambda tp, sol, units: _defects(tp, sol.field, units), _max_defect)
+                         _defects, _max_defect)
 
 
 def _add_common(p, tol_and_seed=True):

@@ -1,14 +1,13 @@
 """Exact quadratic solutions  u(x) = <x, A x>/2 - F(lambda(A))  and their
 certification, plus admissible-matrix sampling used by sweeps and tests.
-Each takes one matrix or a (k, n, n) stack through the same kernels, so a
-matrix is a stack of one and each matrix of a stack gets its own result bits.
+A solution is its ``fields.QuadraticField``.  Each takes one matrix or a
+(k, n, n) stack through the same kernels, so a matrix is a stack of one and
+each matrix of a stack gets its own result bits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -17,7 +16,6 @@ from .numerics import as_count, as_sym_matrix, eig_sym
 from .tau import cone_spec, operator_value, phase
 
 __all__ = [
-    "QuadraticSolution",
     "build_quadratic",
     "verify_quadratic",
     "admissible_draw",
@@ -27,41 +25,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadraticSolution:
-    """Quadratic potential solving the self-shrinker equation exactly.
+def build_quadratic(tp, A):
+    """The ``QuadraticField`` with Hessian A, or their stack from a stack of
+    Hessians in one eigen-solve (A must be admissible; ``operator_value``
+    raises the "inadmissible" DomainError of the first matrix that is not).
 
     The constant is pinned to  c = -F(lambda(A)): substituting the quadratic
     into the equation leaves  -u + <x, Du>/2 = -c  at every x, which matches
     the operator value iff c has that value.
     """
-
-    tp: object
-    A: np.ndarray
-    c: float  # (k,) for a (k, n, n) stack
-
-    @cached_property
-    def field(self):
-        return QuadraticField(self.A, self.c)
-
-
-def build_quadratic(tp, A):
-    """Construct the quadratic solution with Hessian A, or their stack from a
-    stack of Hessians in one eigen-solve (A must be admissible; ``operator_value``
-    raises the "inadmissible" DomainError of the first matrix that is not)."""
     A = as_sym_matrix(A)
-    return QuadraticSolution(tp, A, -operator_value(tp, eig_sym(A)))
+    return QuadraticField(A, -operator_value(tp, eig_sym(A)))
 
 
-def verify_quadratic(sol, points):
+def verify_quadratic(field, points):
     """Max |shrinker residual| of a built solution over an (m, n) cloud of
     sample points, or of each solution of a stack over its own cloud of a
     (k, m, n) stack, as (k,): the sweeps draw a block of trials, then read it.
 
-    D^2u = A everywhere, so F(lambda(D^2u)) is -sol.c, read from
+    D^2u = A everywhere, so F(lambda(D^2u)) is -field.c, read from
     ``build_quadratic``'s one eigen-solve; the clouds cost one ``phase`` call.
     """
-    sup = np.max(np.abs(np.expand_dims(-sol.c, -1) - phase(sol.field, points)), axis=-1, initial=0.0)
+    sup = np.max(np.abs(np.expand_dims(-field.c, -1) - phase(field, points)), axis=-1, initial=0.0)
     return float(sup) if sup.ndim == 0 else sup
 
 

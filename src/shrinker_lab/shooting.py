@@ -32,9 +32,10 @@ the stop once (a rule's kind as it is, any other a ``blow_up``, at the path's
 end) and makes the rest the shot's one ``states``: (u0, +0.0) at r = 0, the
 path's series below _R_START (everywhere if it took no step), the reader
 beyond.  A profile ends at the last sample the rule accepts, and
-``RadialProfile``, the n-D radial field itself, reads a batch of radii
-through ``states`` on [0, that sample] (``numerics.read_span``); a read past
-there is an InputError.
+``RadialProfile``, the n-D radial field itself, holds its samples, its event,
+``states`` and ``curvature``, and reads a batch of radii through ``states``
+on [0, that sample] (``numerics.read_span``); a read past there is an
+InputError.
 """
 
 from __future__ import annotations
@@ -74,16 +75,12 @@ class ShotEvent:
 @dataclass
 class RadialProfile(ScalarField):
     """Sampled radial profile (r, u, u', u'') with its termination event, and
-    the n-D radial field u(|x|): ``u``, ``du``, ``d2u`` and the field read a
-    batch of radii through the shot's ``states`` and ``curvature`` on
-    [0, rs[-1]] (a NaN end if no sample).  The Hessian is u'' along the ray
-    and u'/r across it, u''(0) within _R_SERIES.
+    the n-D radial field u(|x|): it reads a batch of radii through ``states``
+    and ``curvature`` on [0, rs[-1]] (a NaN end if no sample).  The Hessian is
+    u'' along the ray and u'/r across it, u''(0) within _R_SERIES.
     """
 
-    tp: object
     n: int
-    u0: float
-    upp0: float  # u''(0): the step rule's transverse eigenvalue below _R_SERIES
     rs: np.ndarray
     us: np.ndarray
     ups: np.ndarray
@@ -108,15 +105,6 @@ class RadialProfile(ScalarField):
 
     def _upp(self, r, u, up):
         return np.array(list(map(self.curvature, r.tolist(), u.tolist(), up.tolist())))
-
-    def u(self, r):
-        return float(self._read([r])[1][0])
-
-    def du(self, r):
-        return float(self._read([r])[2][0])
-
-    def d2u(self, r):
-        return float(self._upp(*self._read([r]))[0])
 
     def _polar(self, x):
         """A cloud's radii, those within _R_SERIES, and the read there (at 0 for those)."""
@@ -188,8 +176,10 @@ def _jet_curvature(tp, n, upp0):
     def acc(r, u, p):
         r0 = mp.make_mpf(r.c[0])
         rule(r0, mp.make_mpf(u.c[0]), mp.make_mpf(p.c[0]))
-        f_s = f_value_mp(tp, upp0) if r0 < _R_SERIES else f_value_jet(tp, p / r)
-        return f_inverse_jet(tp, (-u + r * p / 2) - (n - 1) * f_s)
+        target = -u + r * p / 2
+        if n > 1:  # at n = 1 the term is 0 times f(s): not formed
+            target = target - (n - 1) * (f_value_mp(tp, upp0) if r0 < _R_SERIES else f_value_jet(tp, p / r))
+        return f_inverse_jet(tp, target)
 
     return acc
 
@@ -207,7 +197,7 @@ def radial_quadratic_reference(tp, n, c, r_max=10.0, n_samples=401):
     const = -n * f_value(tp, c)
     rs = np.linspace(0.0, r_max, n_samples)
     return RadialProfile(
-        tp, n, float(const), c, rs, 0.5 * c * rs**2 + const, c * rs, np.full_like(rs, c),
+        n, rs, 0.5 * c * rs**2 + const, c * rs, np.full_like(rs, c),
         ShotEvent("completed", r_max), lambda r: np.column_stack([0.5 * c * r * r + const, c * r]),
         _curvature(tp, _step_rule(tp, n, c)),
     )
@@ -295,4 +285,4 @@ def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, *, dps=None, n_samples=40
             rs, samples, upps = rs[:i], samples[:i], upps[:i]
             break
     us, ups = samples.T.copy()
-    return RadialProfile(tp, n, u0, upp0, rs, us, ups, upps, event, states, curvature)
+    return RadialProfile(n, rs, us, ups, upps, event, states, curvature)

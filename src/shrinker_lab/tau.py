@@ -204,8 +204,8 @@ class TauParams:
         return tp
 
     @classmethod
-    def neg_branch(cls, a=None, tau=None, cone_side="upper"):
-        tp = cls.from_cot(a, cone_side) if a is not None else cls.from_tau(tau, cone_side)
+    def neg_branch(cls, a):
+        tp = cls.from_cot(a)  # NEG has one cone component: cone_side changes nothing
         if tp.branch is not Branch.NEG:
             raise InputError("parameters are not in the NEG range (a < -1)")
         return tp
@@ -573,7 +573,8 @@ def growth_ratio(tp, field, theta, r):
     Along any solution, dq/dr equals 2 F(lambda(D^2 u(r theta))) / r^3; the
     returned defect measures the failure of that identity.  u is read at
     r theta and (r +- h) theta as one 3-point cloud.  theta must be a unit
-    vector and r finite and positive (``numerics.as_positive``).
+    vector and r finite and positive (``numerics.as_positive``).  An r where
+    q, dq/dr or the defect is not finite (r^3 overflows or is 0) is an InputError.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     nrm = float(np.linalg.norm(theta))
@@ -583,12 +584,15 @@ def growth_ratio(tp, field, theta, r):
     r = as_positive(r, "radius")
     h = min(1e-4 * max(1.0, r), 0.45 * r)
     u, up, um = field.value(np.array([r, r + h, r - h])[:, None] * theta).tolist()
-    q = u / r**2
-    qp = up / (r + h) ** 2
-    qm = um / (r - h) ** 2
-    dq_dr = (qp - qm) / (2.0 * h)
     F = operator_value(tp, eig_sym(field.hessian(r * theta)))
-    return GrowthRatio(q, dq_dr, dq_dr - 2.0 * F / r**3)
+    try:  # a power that overflows, or a divisor that rounds to 0, is not finite
+        q, dq_dr = u / r**2, (up / (r + h) ** 2 - um / (r - h) ** 2) / (2.0 * h)
+        ratio = GrowthRatio(q, dq_dr, dq_dr - 2.0 * F / r**3)
+    except ArithmeticError:
+        ratio = GrowthRatio(math.nan, math.nan, math.nan)
+    if not all(map(math.isfinite, (ratio.q, ratio.dq_dr, ratio.defect))):
+        raise InputError(f"q, dq/dr or the growth defect not finite at r = {r}")
+    return ratio
 
 
 def minkowski_residual(field, x):

@@ -47,7 +47,7 @@ def test_criterion_01_quadratic_exactness():
             n = 1 + k % 4
             A = sl.random_admissible_matrix(tp, n, rng)
             sol = sl.build_quadratic(tp, A)
-            residuals = sl.shrinker_residual(tp, sol.field, rng.uniform(-3.0, 3.0, (100, n)))
+            residuals = sl.shrinker_residual(tp, sol, rng.uniform(-3.0, 3.0, (100, n)))
             worst = max(worst, float(np.max(np.abs(residuals))))
     elapsed = time.perf_counter() - t0
     assert report(1, "quadratic exactness (6 branches, 100 A x 100 pts)", worst, 1e-10, elapsed, 10.0)
@@ -77,9 +77,9 @@ def test_criterion_03_shrinker_defect():
             A = sl.random_admissible_matrix(tp, n, rng)
             sol = sl.build_quadratic(tp, A)
             x = rng.uniform(-2.0, 2.0, n)
-            d = sl.shrinker_defect(tp, sol.field, x)
+            d = sl.shrinker_defect(tp, sol, x)
             worst = max(worst, d)
-            shifted = sl.AffineScaledField(sol.field, offset=1.0)
+            shifted = sl.AffineScaledField(sol, offset=1.0)
             shift_exact &= sl.shrinker_defect(tp, shifted, x) == d
     elapsed = time.perf_counter() - t0
     assert shift_exact, "constant-shift invariance must be exact"
@@ -168,7 +168,7 @@ def test_criterion_07_legendre_pipeline():
     worst_dual = worst_hess = worst_drift = 0.0
     for lam in (0.3, 0.8, 1.7):
         sol = sl.build_quadratic(tp, np.array([[lam]]))
-        w = convexify_shift(tp, sol.field)
+        w = convexify_shift(tp, sol)
         chk = legendre_dual_residual(w, -2.0, 2.0, grid_step=1e-2)
         worst_dual = max(worst_dual, chk.dual_equation_sup)
         worst_hess = max(worst_hess, chk.hessian_inverse_defect)
@@ -197,8 +197,8 @@ def test_criterion_08_self_similar_extension():
             sol = sl.build_quadratic(tp, A)
             x = rng.uniform(-3.0, 3.0, n)
             t = -float(rng.uniform(0.1, 10.0))
-            worst = max(worst, abs(sl.self_similar_extension(tp, sol.field, x, t).defect))
-            exact &= sl.self_similar_extension(tp, sol.field, x, -1.0).v == sol.field.value(x)
+            worst = max(worst, abs(sl.self_similar_extension(tp, sol, x, t).defect))
+            exact &= sl.self_similar_extension(tp, sol, x, -1.0).v == sol.value(x)
     elapsed = time.perf_counter() - t0
     assert exact, "v(x, -1) must equal u(x) exactly"
     assert report(8, "self-similar time extension (10^3 samples)", worst, 1e-10, elapsed, 2.0,

@@ -221,7 +221,7 @@ class TestRadialProfileField:
     def test_matches_quadratic(self, rng):
         c = 0.7
         f = radial_quadratic_reference(branch_params()["MA"], 3, c, r_max=4.0)
-        q = QuadraticField(c * np.eye(3), f.u0)
+        q = QuadraticField(c * np.eye(3), f.us[0])
         for _ in range(10):
             x = rng.uniform(-2, 2, 3)
             assert f.value(x) == pytest.approx(q.value(x), abs=1e-13)

@@ -158,7 +158,7 @@ class TestMeanCurvature:
         for name, tp in all_branches.items():
             A = sl.random_admissible_matrix(tp, 2, rng)
             sol = sl.build_quadratic(tp, A)
-            H = mean_curvature(tp, sol.field, rng.uniform(-2, 2, 2))
+            H = mean_curvature(tp, sol, rng.uniform(-2, 2, 2))
             assert np.max(np.abs(H)) < 1e-10
 
     def test_output_is_normal(self, rng):
@@ -220,7 +220,7 @@ class TestShrinkerDefect:
             A = sl.random_admissible_matrix(tp, 3, rng)
             sol = sl.build_quadratic(tp, A)
             for _ in range(5):
-                d = shrinker_defect(tp, sol.field, rng.uniform(-2, 2, 3))
+                d = shrinker_defect(tp, sol, rng.uniform(-2, 2, 3))
                 assert d <= 1e-7, f"{name}: {d}"
 
     def test_slag_explicit(self, rng):
@@ -236,7 +236,7 @@ class TestShrinkerDefect:
         for name, tp in with_lower_cones().items():
             for n in range(1, 5):
                 sol = sl.build_quadratic(tp, sl.random_admissible_matrix(tp, n, rng))
-                for field in (sol.field, AffineScaledField(sol.field, offset=1.0)):
+                for field in (sol, AffineScaledField(sol, offset=1.0)):
                     for _ in range(5):
                         assert shrinker_defect(tp, field, rng.uniform(-2, 2, n)) == 0.0, name
 
@@ -276,9 +276,9 @@ class TestShrinkerDefect:
         tp = TauParams.harmonic()
         A = sl.random_admissible_matrix(tp, 2, rng)
         sol = sl.build_quadratic(tp, A)
-        shifted = AffineScaledField(sol.field, offset=1.0)
+        shifted = AffineScaledField(sol, offset=1.0)
         x = rng.uniform(-2, 2, 2)
-        assert shrinker_defect(tp, sol.field, x) == shrinker_defect(tp, shifted, x)
+        assert shrinker_defect(tp, sol, x) == shrinker_defect(tp, shifted, x)
 
 
 # the one-point kernels the stacked ones replaced, kept as written: every row
@@ -366,7 +366,7 @@ class TestStacks:
             assert same_bits(Hv[2], [mean_curvature(tp, CosineQuadratics(A[2]), x) for x in xs[2]]), name
             # quadratics: the exact zeros of the point calls, stacked
             sol = sl.build_quadratic(tp, A)
-            zeros = shrinker_defect(tp, sol.field, xs)
+            zeros = shrinker_defect(tp, sol, xs)
             assert same_bits(zeros, [[frozen_shrinker_defect(tp, QuadraticField(a, c), x) for x in cloud]
                                      for a, c, cloud in zip(A, sol.c, xs)]), name
             assert not zeros.any(), name
@@ -439,7 +439,7 @@ class TestConstantHessian:
         for name, tp in with_lower_cones().items():
             sol = sl.build_quadratic(tp, stack_of(tp, 5, n, rng))
             xs = rng.uniform(-2.0, 2.0, size=(5, 7, n))
-            for field, x, k in ((sol.field, xs, 5), (QuadraticField(sol.A[0], sol.c[0]), xs[0], 1)):
+            for field, x, k in ((sol, xs, 5), (QuadraticField(sol.A[0], sol.c[0]), xs[0], 1)):
                 want = stencil_mean_curvature(tp, field, x)
                 solved_matrices.clear()
                 assert same_bits(mean_curvature(tp, field, x), want), name
@@ -499,8 +499,8 @@ def test_non_finite_coordinate_is_refused(name, read, value, rng):
     # a NaN point used to read as an exact zero defect on ATAN and SLAG, whose
     # ambient-norm clamp maps NaN to 0
     tp = branch_params()[name]
-    one = sl.build_quadratic(tp, sl.random_admissible_matrix(tp, 2, rng)).field
-    three = sl.build_quadratic(tp, stack_of(tp, 3, 2, rng)).field
+    one = sl.build_quadratic(tp, sl.random_admissible_matrix(tp, 2, rng))
+    three = sl.build_quadratic(tp, stack_of(tp, 3, 2, rng))
 
     def bad(shape):
         x = rng.uniform(-1.0, 1.0, size=shape)

@@ -28,7 +28,7 @@ def test_exports_resolve(name):
 
 def _legendre_check(t0, t1, grid_step=1e-2):
     tp = sl.TauParams.harmonic()
-    w = sl.transforms.convexify_shift(tp, sl.build_quadratic(tp, np.array([[0.8]])).field)
+    w = sl.transforms.convexify_shift(tp, sl.build_quadratic(tp, np.array([[0.8]])))
     return sl.transforms.legendre_dual_residual(w, t0, t1, grid_step=grid_step)
 
 

@@ -15,10 +15,17 @@ LOG_PI6_CONST = 1.6209939789535075
 
 
 class TestBuild:
+    def test_solution_is_its_field(self):
+        # one matrix gives a float constant, a stack a (k,) array of them
+        one = build_quadratic(TauParams.harmonic(), np.eye(2))
+        stack = build_quadratic(TauParams.harmonic(), np.array([np.eye(2)] * 3))
+        assert type(one) is type(stack) is sl.QuadraticField and not hasattr(one, "field")
+        assert type(one.c) is float and stack.c.shape == (3,) and (stack.c == one.c).all()
+
     def test_harm_zero_matrix(self):
         sol = build_quadratic(TauParams.harmonic(), np.zeros((1, 1)))
         assert sol.c == pytest.approx(SQRT2, abs=1e-15)
-        assert sol.field.value(np.array([2.0])) == pytest.approx(SQRT2, abs=1e-15)
+        assert sol.value(np.array([2.0])) == pytest.approx(SQRT2, abs=1e-15)
 
     def test_ma_identity(self):
         sol = build_quadratic(TauParams.monge_ampere(), np.eye(3))
@@ -68,7 +75,7 @@ class TestVerify:
                 A = sl.random_admissible_matrix(tp, n, rng)
                 pts = rng.uniform(-3.0, 3.0, size=(20, n))
                 sol = build_quadratic(tp, A)
-                loop = max(abs(sl.shrinker_residual(tp, sol.field, x)) for x in pts)
+                loop = max(abs(sl.shrinker_residual(tp, sol, x)) for x in pts)
                 assert verify_quadratic(sol, pts) == loop
 
     def test_lower_cone_sweep(self, rng):

@@ -13,7 +13,7 @@ from shrinker_lab import InputError, TauParams, jets, shooting
 from shrinker_lab.fields import ScalarField
 from shrinker_lab.numerics import DivergenceEvent, RhsEvaluationError, read_span, row_dot
 from shrinker_lab.shooting import _step_rule, radial_quadratic_reference, shoot_radial
-from shrinker_lab.tau import cone_spec, f_inverse, f_range, f_value, f_value_mp
+from shrinker_lab.tau import cone_spec, f_inverse, f_inverse_jet, f_range, f_value, f_value_jet, f_value_mp
 
 from conftest import branch_params, same_bits
 
@@ -210,7 +210,8 @@ class TestProfileStructure:
         prof = shoot_radial(tp, 3, u0, r_max=1.0, rel_tol=1e-12)
         assert prof.event.completed
         for r in (0.4, 0.2, 0.1, 0.05):
-            gap = abs(prof.du(r) / r - prof.d2u(r))
+            H = prof.hessian([r, 0.0, 0.0])  # u'' along the ray, u'/r across it
+            gap = abs(H[1, 1] - H[0, 0])
             assert gap <= 1e-8 * r * r + 1e-11
 
     def test_growth_ratio_along_completed_profile(self, all_branches):
@@ -221,6 +222,11 @@ class TestProfileStructure:
         for r in (1.0, 3.0, 7.0):
             g = sl.growth_ratio(tp, prof.field, theta, r)
             assert abs(g.defect) <= 1e-6
+
+    def test_profile_holds_only_what_its_reads_use(self):
+        names = [field.name for field in dataclasses.fields(sl.RadialProfile)]
+        assert names == ["n", "rs", "us", "ups", "upps", "event", "states", "curvature"]
+        assert not any(hasattr(sl.RadialProfile, name) for name in ("u", "du", "d2u"))
 
     def test_rows_shape(self):
         prof = radial_quadratic_reference(TauParams.special_lagrangian(), 2, 0.5, r_max=3.0)
@@ -267,6 +273,12 @@ def test_float_shot_reads_f_value_at_call_time(monkeypatch, all_branches):
     assert calls["rhs"] > 100 and calls["f"] == calls["f_inverse"] == calls["rhs"]
 
 
+def _state_row(prof, r):
+    """(r, u, u', u'') of one radius: the shot's ``states`` there and its ``curvature``."""
+    u, up = prof.states(np.array([r]))[0]
+    return r, u, up, prof.curvature(r, u, up)
+
+
 class TestFloatSampler:
     """The float path samples its profile in one batched read of the
     trajectory; each row is the profile's own per-radius read, bit for bit."""
@@ -278,14 +290,14 @@ class TestFloatSampler:
         prof = shoot_radial(tp, 2, -2 * f_value(tp, EVENT_CURVATURES[branch]) + du0, r_max=50.0)
         if branch in ("LOG", "ATAN", "SLAG"):
             assert not prof.event.completed and len(prof.rs) == 401
-        assert same_bits(prof.rows(), [(r, *prof.states(np.array([r]))[0], prof.d2u(r)) for r in prof.rs])
+        assert same_bits(prof.rows(), [_state_row(prof, r) for r in prof.rs])
 
     def test_samples_below_the_series_start(self, all_branches):
         # samples at 0.75e-8 and below come from the series, the rest from the trajectory
         tp = all_branches["LOG"]
         prof = shoot_radial(tp, 2, -2 * f_value(tp, 0.3) + 0.05, r_max=3e-8, n_samples=5)
         assert prof.event.completed and prof.rs[1] < shooting._R_START < prof.rs[2]
-        assert same_bits(prof.rows(), [(r, *prof.states(np.array([r]))[0], prof.d2u(r)) for r in prof.rs])
+        assert same_bits(prof.rows(), [_state_row(prof, r) for r in prof.rs])
 
 
 def _inside(spec):
@@ -362,32 +374,30 @@ class TestReadsPastTheEnd:
         assert prof.event.kind == kind
         r_end = prof.event.r
         assert prof.rs[-1] == r_end
-        assert prof.u(r_end) == prof.us[-1]
-        past = r_end + 1.0
-        for read in (prof.u, prof.du, prof.d2u, lambda r: prof.field.value([r, 0.0])):
+        assert prof.value([r_end, 0.0]) == prof.us[-1]
+        past = [r_end + 1.0, 0.0]
+        for read in (prof.value, prof.gradient, prof.hessian):
             with pytest.raises(InputError, match="past|outside"):
                 read(past)
 
     def test_reads_end_at_the_last_accepted_sample(self, monkeypatch):
         # the Taylor blow-up profile's last sample, 3.4475, is short of its
-        # event at 3.5000: u, du, d2u and the field read up to that sample and
-        # refuse past it and at NaN (the field's points rule refuses the NaN
-        # point first), where the raw state still reads the shot
+        # event at 3.5000: the field reads up to that sample and refuses past
+        # it and at NaN (its points rule refuses the NaN point first), where
+        # the raw state still reads the shot
         monkeypatch.setattr(shooting, "_BLOW_UP_MAG", 5)
         tp = TauParams.monge_ampere()
         prof = shoot_radial(tp, 2, -2 * f_value(tp, 0.8), r_max=10.0, dps=30)
         end = prof.rs[-1]
         assert round(end, 4) == 3.4475 and round(prof.event.r, 4) == 3.5
-        assert (prof.u(end), prof.du(end), prof.d2u(end)) == (prof.us[-1], prof.ups[-1], prof.upps[-1])
         field = prof.field
+        assert field.value([end, 0.0]) == prof.us[-1] and _state_row(prof, end)[2:] == (prof.ups[-1], prof.upps[-1])
         at_end = [field.value([end, 0.0]), *field.gradient([0.0, end]), *field.hessian([end, 0.0]).ravel()]
         assert np.isfinite(at_end).all()
-        reads = (prof.u, prof.du, prof.d2u, lambda r: field.value([r, 0.0]), lambda r: field.gradient([0.0, r]),
-                 lambda r: field.hessian([r, 0.0]))
+        reads = (lambda r: field.value([r, 0.0]), lambda r: field.gradient([0.0, r]), lambda r: field.hessian([r, 0.0]))
         for r in (3.47, math.nan):
-            for k, read in enumerate(reads):  # reads[3:] are the field's
-                match = "points must be finite" if math.isnan(r) and k >= 3 else "outside the span"
-                with pytest.raises(InputError, match=match):
+            for read in reads:
+                with pytest.raises(InputError, match="points must be finite" if math.isnan(r) else "outside the span"):
                     read(r)
         assert prof.states(np.array([3.47]))[0, 0] == pytest.approx(5.04, abs=5e-3)
 
@@ -399,9 +409,9 @@ class TestReadsPastTheEnd:
         prof = shoot_radial(TauParams.neg_branch(a=-2.0), 2, 2e10, r_max=1.0, dps=dps)
         assert (prof.event.kind, prof.event.r) == (kind, shooting._R_START)
         assert len(prof.rs) == 0
-        for read in (prof.u, prof.du, prof.d2u):
+        for read in (prof.value, prof.gradient, prof.hessian):
             with pytest.raises(InputError, match="outside the span"):
-                read(0.0)
+                read([0.0, 0.0])
 
 
 class TestStepJoin:
@@ -565,29 +575,31 @@ class FrozenRadialField(ScalarField):
                 + (radial - tangent)[:, None, None] * (xh[:, :, None] * xh[:, None, :]))
 
 
-def _frozen_reads(prof, series, beyond):
+def _frozen_reads(prof, tp, n, u0, series, beyond):
     """u, du and d2u of the former ``RadialProfile``, one float radius a call:
     each radius read on [0, rs[-1]]; (u0, 0.0) at r = 0, the path's series
     (u0, u''(0)) below _R_START or, if the path took no step, everywhere;
-    ``beyond(r)`` past it; d2u = f^-1 of the step rule there."""
+    ``beyond(r)`` past it; d2u = f^-1 of the step rule there, whose u''(0) is
+    the float f^-1(-u0/n) on either path."""
     su, supp = series
+    rule = shooting._step_rule(tp, n, f_inverse(tp, -u0 / n))
 
     def read(r):
         r = read_span(r, 0.0, prof.rs[-1] if len(prof.rs) else math.nan)
         if r == 0:
-            return r, prof.u0, 0.0
+            return r, u0, 0.0
         if r < shooting._R_START or beyond is None:
             return r, su + 0.5 * supp * r * r, supp * r
         return (r, *beyond(r))
 
     def d2u(r):
-        return f_inverse(prof.tp, shooting._step_rule(prof.tp, prof.n, prof.upp0)(*read(r)))
+        return f_inverse(tp, rule(*read(r)))
 
     return lambda r: read(r)[1], lambda r: read(r)[2], d2u
 
 
 def _recorded_shot(monkeypatch, tp, n, u0, r_max, dps):
-    """A shot, its frozen per-radius reads and its frozen field: the float
+    """A shot and its frozen field, from frozen per-radius reads: the float
     path's trajectory and the Taylor path's steps recorded as they are made,
     each read as the former readers read them, with each path's own series
     constants."""
@@ -625,8 +637,7 @@ def _recorded_shot(monkeypatch, tp, n, u0, r_max, dps):
                 return float(mp.polyval(us, h)), float(mp.polyval(ps, h))
 
         beyond = polyval if made else None
-    reads = _frozen_reads(prof, series, beyond)
-    return prof, reads, FrozenRadialField(n, *reads, r_origin=shooting._R_SERIES)
+    return prof, FrozenRadialField(n, *_frozen_reads(prof, tp, n, u0, series, beyond), r_origin=shooting._R_SERIES)
 
 
 def _outcome(call):
@@ -646,11 +657,13 @@ class TestProfileAsField:
         tp = branch_params()[branch]
         for n in (2, 3):
             u0 = -n * f_value(tp, EVENT_CURVATURES[branch]) + 0.05
-            prof, (u, du, d2u), frozen = _recorded_shot(monkeypatch, tp, n, u0, 6.0, dps)
+            prof, frozen = _recorded_shot(monkeypatch, tp, n, u0, 6.0, dps)
             assert len(prof.rs) > 200
             radii = [0.0, 5e-9, shooting._R_START, 5e-7, 2e-6, prof.rs[len(prof.rs) // 2], prof.rs[-1]]
             for r in radii:
-                assert same_bits([prof.u(r), prof.du(r), prof.d2u(r)], [u(r), du(r), d2u(r)]), (n, r)
+                x = r * np.eye(n)[0]
+                for read in ("value", "gradient", "hessian"):
+                    assert same_bits(getattr(prof, read)(x), getattr(frozen, read)(x)), (n, r, read)
             theta = rng.standard_normal(n)
             theta /= np.linalg.norm(theta)
             cloud = np.array(radii)[:, None] * np.vstack([theta, np.eye(n)[0]])[:, None, :]
@@ -681,10 +694,10 @@ class TestProfileAsField:
         # u''(0) = -0.5, so the series would give u'(0) = -0.5 * 0.0 = -0.0
         u0 = 0.9272952180016122
         prof = shoot_radial(TauParams.special_lagrangian(), 2, u0, r_max=2.0, dps=dps)
-        assert prof.upp0 == pytest.approx(-0.5, abs=1e-15)
-        for row in (prof.rows()[0], [0.0, *prof.states(np.array([0.0]))[0], prof.upps[0]],
-                    [0.0, prof.u(0.0), prof.du(0.0), prof.d2u(0.0)]):
+        assert prof.upps[0] == pytest.approx(-0.5, abs=1e-15)
+        for row in (prof.rows()[0], [0.0, *prof.states(np.array([0.0]))[0], prof.upps[0]]):
             assert same_bits(row[:3], [0.0, u0, 0.0])
+        assert same_bits(prof.value(np.zeros(2)), u0)
 
 
 def test_float_step_underflow_is_named_blow_up():
@@ -693,6 +706,38 @@ def test_float_step_underflow_is_named_blow_up():
     prof = shoot_radial(TauParams.monge_ampere(), 3, 1.8559592064889043, r_max=50.0)
     assert (prof.event.kind, prof.event.r, prof.event.detail) == ("blow_up", 14.629827339389282, "step size underflow")
     assert len(prof.rs) == 401 and prof.rs[-1] == prof.event.r
+
+
+def test_one_dimensional_taylor_shot_forms_no_transverse_term(monkeypatch):
+    # at n = 1 the Taylor acc drops (n - 1) f(s), which is 0: the rows are
+    # bit for bit those of the acc that formed f(p/r) and multiplied it by
+    # n - 1, and no f_value_jet call is made (the n = 2 shot makes them)
+    tp = TauParams.monge_ampere()
+
+    def multiplied_by_zero(tp, n, upp0):
+        rule = _step_rule(tp, n, upp0, f=f_value_mp)
+
+        def acc(r, u, p):
+            r0 = mp.make_mpf(r.c[0])
+            rule(r0, mp.make_mpf(u.c[0]), mp.make_mpf(p.c[0]))
+            f_s = f_value_mp(tp, upp0) if r0 < shooting._R_SERIES else f_value_jet(tp, p / r)
+            return f_inverse_jet(tp, (-u + r * p / 2) - (n - 1) * f_s)
+
+        return acc
+
+    def shot(n):
+        return shoot_radial(tp, n, -n * f_value(tp, 0.6), r_max=10.0, dps=30)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(shooting, "_jet_curvature", multiplied_by_zero)
+        want = shot(1)
+    calls = []
+    monkeypatch.setattr(shooting, "f_value_jet", lambda *args: calls.append(args) or f_value_jet(*args))
+    got = shot(1)
+    assert got.event == want.event and same_bits(got.rows(), want.rows())
+    assert calls == []
+    shot(2)
+    assert calls
 
 
 def _wall_taylor_rule_past_2(monkeypatch):

@@ -48,14 +48,14 @@ def reference_report(command, tps, n, trials, seed, points=None):
                 sol = build_quadratic(tp, A)
                 residuals.append(verify_quadratic(sol, pts))
                 if k % defect_every == 0:
-                    defects.append(shrinker_defect(tp, sol.field, rng.uniform(-2.0, 2.0, size=len(A))))
+                    defects.append(shrinker_defect(tp, sol, rng.uniform(-2.0, 2.0, size=len(A))))
             elif command == "flow-check":
                 x = rng.uniform(-3.0, 3.0, size=len(A))
                 t = -float(rng.uniform(0.1, 10.0))
-                worst = max(worst, abs(self_similar_extension(tp, build_quadratic(tp, A).field, x, t).defect))
+                worst = max(worst, abs(self_similar_extension(tp, build_quadratic(tp, A), x, t).defect))
             else:
                 sol = build_quadratic(tp, A)
-                worst = max(worst, shrinker_defect(tp, sol.field, rng.uniform(-2.0, 2.0, size=len(A))))
+                worst = max(worst, shrinker_defect(tp, sol, rng.uniform(-2.0, 2.0, size=len(A))))
         if command == "verify-quadratic":
             per_branch[name] = {"max_residual": max(residuals), "defect_max": max(defects),
                                 "defect_mean": float(np.mean(defects))}
@@ -140,12 +140,12 @@ class TestStacks:
             assert same_bits(sol.c, [s.c for s in singles])
             clouds = rng.uniform(-3.0, 3.0, size=(9, 6, n))
             assert same_bits(verify_quadratic(sol, clouds), [verify_quadratic(s, c) for s, c in zip(singles, clouds)])
-            residuals = [shrinker_residual(tp, s.field, c) for s, c in zip(singles, clouds)]
-            assert same_bits(shrinker_residual(tp, sol.field, clouds), residuals)
+            residuals = [shrinker_residual(tp, s, c) for s, c in zip(singles, clouds)]
+            assert same_bits(shrinker_residual(tp, sol, clouds), residuals)
             xs, ts = rng.uniform(-3.0, 3.0, size=(9, n)), -rng.uniform(0.1, 10.0, size=9)
-            stacked = self_similar_extension(tp, sol.field, xs, ts)
+            stacked = self_similar_extension(tp, sol, xs, ts)
             for field in ("v", "v_t", "defect"):
-                one = [getattr(self_similar_extension(tp, s.field, x, t), field) for s, x, t in zip(singles, xs, ts)]
+                one = [getattr(self_similar_extension(tp, s, x, t), field) for s, x, t in zip(singles, xs, ts)]
                 assert same_bits(getattr(stacked, field), one)
 
     def test_stacked_field_reads_each_cloud_with_its_own_matrix(self, rng):

@@ -1,5 +1,7 @@
 import dataclasses
+import inspect
 import math
+import re
 import pickle
 
 import mpmath as mp
@@ -81,6 +83,15 @@ class TestTauParams:
         assert spec.tag == "inside-interval"
         assert abs(spec.lo - (2.0 - math.sqrt(3.0))) < 1e-14
         assert abs(spec.hi - (2.0 + math.sqrt(3.0))) < 1e-14
+
+    def test_neg_branch_takes_a_alone(self):
+        # NEG has one cone component: either side builds the same one
+        assert list(inspect.signature(TauParams.neg_branch).parameters) == ["a"]
+        tp = TauParams.neg_branch(-2.0)
+        assert tp == TauParams.from_cot(-2.0)
+        assert tp.components == TauParams.from_cot(-2.0, "lower").components
+        with pytest.raises(InputError, match="not in the NEG range"):
+            TauParams.neg_branch(2.0)
 
     def test_cone_side_validated(self):
         with pytest.raises(InputError, match="cone_side"):
@@ -678,9 +689,9 @@ class TestGrowthRatio:
         sol = sl.build_quadratic(tp, A)
         theta = rng.standard_normal(3)
         theta /= np.linalg.norm(theta)
-        g = sl.growth_ratio(tp, sol.field, theta, 2.0)
+        g = sl.growth_ratio(tp, sol, theta, 2.0)
         assert abs(g.defect) <= 1e-8
-        assert g.q == pytest.approx((sol.field.value(2.0 * theta)) / 4.0)
+        assert g.q == pytest.approx((sol.value(2.0 * theta)) / 4.0)
 
     def test_slag_derivative_bound(self, rng):
         # spectra within [-1, 1]: |sum atan| <= n pi/4, so |dq/dr| <= (n pi/2)/r^3
@@ -692,7 +703,7 @@ class TestGrowthRatio:
             theta = rng.standard_normal(n)
             theta /= np.linalg.norm(theta)
             r = float(rng.uniform(0.5, 5.0))
-            g = sl.growth_ratio(tp, sol.field, theta, r)
+            g = sl.growth_ratio(tp, sol, theta, r)
             assert abs(g.dq_dr) <= (n * math.pi / 2.0) / r**3 + 1e-9
 
     def test_non_solution_control(self):
@@ -705,6 +716,14 @@ class TestGrowthRatio:
         )
         g = sl.growth_ratio(tp, ctl, np.array([1.0, 0.0]), 1.0)
         assert abs(g.defect) > 0.1
+
+    @pytest.mark.parametrize("r", [1e103, 1e-109, 1e-107])
+    def test_non_finite_read_is_refused(self, r):
+        # r^3 overflows at 1e103 and rounds to 0 at 1e-109; at 1e-107 the
+        # defect 2 F / r^3 is not finite
+        field = QuadraticField(0.5 * np.eye(2))
+        with pytest.raises(InputError, match=re.escape(f"not finite at r = {r}")):
+            sl.growth_ratio(TauParams.special_lagrangian(), field, np.array([1.0, 0.0]), r)
 
     def test_radius_validation(self):
         tp = TauParams.special_lagrangian()
@@ -805,7 +824,7 @@ class TestSeamConsistency:
             tp = TauParams.from_tau(tau)
             sol = sl.build_quadratic(tp, A)
             x = rng.uniform(-2, 2, 2)
-            assert abs(sl.shrinker_residual(tp, sol.field, x)) < 1e-10
+            assert abs(sl.shrinker_residual(tp, sol, x)) < 1e-10
 
 
 # The branch constants' sums a - b and a + b have one owner, TauParams.edge_sums

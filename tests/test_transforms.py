@@ -145,7 +145,7 @@ class TestDualResidual:
     def test_harm_quadratic_dual(self):
         tp = TauParams.harmonic()
         sol = sl.build_quadratic(tp, np.array([[0.8]]))
-        w = convexify_shift(tp, sol.field)
+        w = convexify_shift(tp, sol)
         chk = legendre_dual_residual(w, -2.0, 2.0, grid_step=1e-2)
         assert chk.dual_equation_sup <= 1e-8
         assert chk.hessian_inverse_defect <= 1e-8
@@ -165,7 +165,7 @@ class TestDualResidual:
 
         monkeypatch.setattr(transforms, "phase", spy)
         tp = TauParams.harmonic()
-        w = convexify_shift(tp, sl.build_quadratic(tp, np.array([[lam]])).field)
+        w = convexify_shift(tp, sl.build_quadratic(tp, np.array([[lam]])))
         chk = legendre_dual_residual(w, -2.0, 2.0, grid_step=1e-2)
         ys = chk.transform.field.ts
         dy = float(np.min(np.diff(ys)))
@@ -188,14 +188,14 @@ class TestDualResidual:
     @pytest.mark.parametrize("step", [0.0, -0.01, math.nan])
     def test_grid_step_must_be_finite_and_positive(self, step):
         tp = TauParams.harmonic()
-        w = convexify_shift(tp, sl.build_quadratic(tp, np.array([[0.8]])).field)
+        w = convexify_shift(tp, sl.build_quadratic(tp, np.array([[0.8]])))
         with pytest.raises(InputError, match="grid_step must be finite and positive"):
             legendre_dual_residual(w, -2.0, 2.0, grid_step=step)
 
     def test_dual_hessian_is_reciprocal(self):
         tp = TauParams.harmonic()
         sol = sl.build_quadratic(tp, np.array([[1.7]]))
-        w = convexify_shift(tp, sol.field)
+        w = convexify_shift(tp, sol)
         res = legendre_1d(w, -2.0, 2.0, num=201)
         assert np.allclose(res.field.curvs, 1.0 / 2.7, atol=1e-10)
 
@@ -205,7 +205,7 @@ class TestConvexifyShift:
         tp = TauParams.harmonic()
         n = 2
         sol = sl.build_quadratic(tp, np.zeros((n, n)))
-        w = convexify_shift(tp, sol.field)
+        w = convexify_shift(tp, sol)
         assert np.allclose(w.hessian(np.zeros(n)), np.eye(n), atol=1e-15)
         assert w.value(np.zeros(n)) == pytest.approx(SQRT2 * n, abs=1e-14)
 
@@ -213,20 +213,20 @@ class TestConvexifyShift:
         for tp in (TauParams.harmonic(), TauParams.log_branch(math.pi / 6)):
             A = sl.random_admissible_matrix(tp, 3, rng)
             sol = sl.build_quadratic(tp, A)
-            w = convexify_shift(tp, sol.field)
+            w = convexify_shift(tp, sol)
             for _ in range(10):
                 x = rng.uniform(-3, 3, 3)
-                assert sl.phase(w, x) == pytest.approx(sl.phase(sol.field, x), abs=1e-12)
+                assert sl.phase(w, x) == pytest.approx(sl.phase(sol, x), abs=1e-12)
 
     def test_eigenvalue_shift_exact(self, rng):
         tp = TauParams.log_branch(math.pi / 6)
         A = sl.random_admissible_matrix(tp, 3, rng)
         sol = sl.build_quadratic(tp, A)
-        w = convexify_shift(tp, sol.field)
+        w = convexify_shift(tp, sol)
         k = tp.a - tp.b
         x = rng.uniform(-1, 1, 3)
         assert np.allclose(
-            sl.eig_sym(w.hessian(x)), sl.eig_sym(sol.field.hessian(x)) + k, atol=1e-13
+            sl.eig_sym(w.hessian(x)), sl.eig_sym(sol.hessian(x)) + k, atol=1e-13
         )
 
     def test_solves_the_shifted_equation(self, rng):
@@ -241,7 +241,7 @@ class TestConvexifyShift:
         for tp in (TauParams.harmonic(), TauParams.log_branch(math.pi / 6)):
             A = sl.random_admissible_matrix(tp, 2, rng)
             sol = sl.build_quadratic(tp, A)
-            w = convexify_shift(tp, sol.field)
+            w = convexify_shift(tp, sol)
             for _ in range(5):
                 x = rng.uniform(-2, 2, 2)
                 mus = sl.eig_sym(w.hessian(x))
@@ -263,7 +263,7 @@ class TestSymmetryNegate:
             k = 1.0 if tp.branch is sl.Branch.HARM else tp.a
             A = sl.random_admissible_matrix(tp, 2, rng)
             sol = sl.build_quadratic(tp, A)
-            neg = sl.AffineScaledField(sol.field, outer=-1.0, inner=1.0, quad=-2.0 * k, offset=0.0)
+            neg = sl.AffineScaledField(sol, outer=-1.0, inner=1.0, quad=-2.0 * k, offset=0.0)
             up = dataclasses.replace(tp, cone_side="upper")
             w = convexify_shift(up, neg)
             for _ in range(5):
@@ -279,11 +279,11 @@ class TestNormalizeCounterexampleBranch:
         A = sl.random_admissible_matrix(tp, 2, rng)
         sol = sl.build_quadratic(tp, A)
         a, b, (k, c2) = tp.a, tp.b, tp.neg_scaling
-        w = sl.AffineScaledField(sol.field, outer=k, inner=c2, quad=(a + b) / (2.0 * b), offset=0.0)
+        w = sl.AffineScaledField(sol, outer=k, inner=c2, quad=(a + b) / (2.0 * b), offset=0.0)
         u = normalize_counterexample_branch(tp, w)
         for _ in range(10):
             x = rng.uniform(-3, 3, 2)
-            assert u.value(x) == pytest.approx(sol.field.value(x), abs=1e-12)
+            assert u.value(x) == pytest.approx(sol.value(x), abs=1e-12)
 
     def test_quadratic_maps_into_unit_window(self, rng):
         # the forward map w(x) = k u(c2 x) + (s/2)|x|^2 takes a bounded-cone
@@ -292,7 +292,7 @@ class TestNormalizeCounterexampleBranch:
         A = sl.random_admissible_matrix(tp, 2, rng)
         sol = sl.build_quadratic(tp, A)
         a, b, (k, c2) = tp.a, tp.b, tp.neg_scaling
-        w = sl.AffineScaledField(sol.field, outer=k, inner=c2, quad=(a + b) / (2.0 * b), offset=0.0)
+        w = sl.AffineScaledField(sol, outer=k, inner=c2, quad=(a + b) / (2.0 * b), offset=0.0)
         mus = sl.eig_sym(w.hessian(np.zeros(2)))
         assert np.all(mus > 0.0) and np.all(mus < 1.0)
         for _ in range(5):
@@ -326,8 +326,8 @@ class TestSelfSimilarExtension:
         A = sl.random_admissible_matrix(tp, 2, rng)
         sol = sl.build_quadratic(tp, A)
         x = rng.uniform(-3, 3, 2)
-        s = self_similar_extension(tp, sol.field, x, -1.0)
-        assert s.v == sol.field.value(x)
+        s = self_similar_extension(tp, sol, x, -1.0)
+        assert s.v == sol.value(x)
 
     def test_quadratic_defect(self, all_branches, rng):
         for name, tp in all_branches.items():
@@ -336,7 +336,7 @@ class TestSelfSimilarExtension:
             for _ in range(20):
                 x = rng.uniform(-3, 3, 2)
                 t = -float(rng.uniform(0.1, 10.0))
-                assert abs(self_similar_extension(tp, sol.field, x, t).defect) <= 1e-10
+                assert abs(self_similar_extension(tp, sol, x, t).defect) <= 1e-10
 
     def test_hessian_spectrum_invariance(self, rng):
         tp = TauParams.special_lagrangian()
@@ -345,7 +345,7 @@ class TestSelfSimilarExtension:
         x = rng.uniform(-2, 2, 3)
         t = -3.7
         xi = x / math.sqrt(-t)
-        assert np.max(np.abs(sl.eig_sym(sol.field.hessian(xi)) - sl.eig_sym(A))) < 1e-12
+        assert np.max(np.abs(sl.eig_sym(sol.hessian(xi)) - sl.eig_sym(A))) < 1e-12
 
     def test_future_time_rejected(self):
         tp = TauParams.harmonic()
