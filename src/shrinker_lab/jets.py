@@ -10,16 +10,18 @@ multiplications at the current mpmath precision.  Feeding outputs back into
 inputs (x_{k+1} = g_k / (k + 1) for x' = g(x)) yields the Taylor coefficients
 of an ODE solution.
 
-Coefficients are raw libmp tuples: ``Jet.c`` holds them, and each rule
-gives what mpf operators and ``mp.fdot`` would give, at the
-``(prec, rounding)`` the tape read from the context when it was made.  A
-Cauchy sum's exact products are accumulated as one signed integer, as
-``mpf_sum`` adds ``mpf_mul`` products, and rounded once (``_dot``); integers
-enter through ``from_int``; every other operation is the libmp call the mpf
-operator makes.  So a series is bit for bit what the same recurrences give
-on mpf objects, with no mpf made per coefficient.  An input's coefficients
-enter exactly, whatever their precision: ``Tape.input`` converts the ones it
-is given, and a caller appends tuples after that.
+Coefficients are (man, exp) pairs of ints worth man 2^exp, man odd (or the
+pair (0, 0)) as in a libmp tuple: ``Jet.c`` holds them, and each rule gives
+what mpf operators and ``mp.fdot`` would give, at the ``(prec, rounding)``
+the tape read from the context when it was made.  One kernel rounds each
+operation as the libmp call it replaces: ``_round`` as ``normalize``,
+``_add``, ``_mul`` and ``_div`` as ``mpf_add`` (its sticky shortcut
+included), ``mpf_mul`` and ``mpf_div``, negation as ``mpf_neg``, and ``_dot``
+as ``mpf_sum`` of ``mpf_mul`` products.  So a series is bit for bit what the
+same recurrences give on mpf objects, with no mpf or libmp tuple made per
+coefficient.  An input's coefficients enter exactly, whatever their
+precision: ``Tape.input`` converts the ones it is given, and a caller appends
+pairs after that.
 
 :func:`log`, :func:`exp`, :func:`atan`, :func:`tan` and :func:`tanh` take a
 :class:`Jet`; together with the operators they form the namespace in which
@@ -27,7 +29,7 @@ is given, and a caller appends tuples after that.
 
 :func:`taylor_integrate` is ``numerics.integrate_ode``'s Taylor twin for
 u'' = acc(t, u, u') with acc on jets: a degree-_DEGREE Taylor series method
-(Jorba & Zou) whose steps are joined and read on the libmp tuples.
+(Jorba & Zou) whose steps are joined and read on the pairs.
 """
 
 from __future__ import annotations
@@ -37,33 +39,100 @@ import math
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import (
-    from_float, from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_mul_int, mpf_neg, mpf_sub,
-    round_nearest, to_float,
-)
+from mpmath.libmp import from_float, from_man_exp, mpf_gt, round_nearest, to_float
 
 from .numerics import DivergenceEvent, RhsEvaluationError
 
-__all__ = ["Tape", "Jet", "log", "exp", "atan", "tan", "tanh", "taylor_integrate"]
+__all__ = ["Tape", "Jet", "mpf", "log", "exp", "atan", "tan", "tanh", "taylor_integrate"]
+
+_ZERO = (0, 0)
+
+
+def _pair(x):
+    """An mpf, int or float as its exact (man, exp) pair."""
+    sign, man, exp, _ = mp.convert(x)._mpf_
+    return -man if sign else man, exp
+
+
+def mpf(c):
+    """A coefficient pair as an mpf, exactly."""
+    return mp.make_mpf(from_man_exp(*c))
+
+
+def _round(man, exp, prec, rnd):
+    """man 2^exp rounded to prec bits as libmp's ``normalize`` rounds it (half
+    to even by a floor shift, right for either sign; other modes through
+    ``from_man_exp``), man then made odd: ``_add`` and ``_dot`` compare
+    exponents where libmp does, of odd mantissas.  Zero is (0, 0)."""
+    n = man.bit_length() - prec
+    if n > 0:
+        if rnd != round_nearest:
+            sign, man, exp, _ = from_man_exp(man, exp, prec, rnd)
+            return -man if sign else man, exp
+        t = man >> (n - 1)
+        if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
+            man = (t >> 1) + 1
+        else:
+            man = t >> 1
+        exp += n
+    elif not man:
+        return _ZERO
+    if not man & 1:
+        z = (man & -man).bit_length() - 1
+        man >>= z
+        exp += z
+    return man, exp
+
+
+def _add(x, y, prec, rnd):
+    """``mpf_add``: the exact sum rounded once, except that an operand more than
+    100 bits below the other at its last bit and prec + 4 below it at its first
+    enters as a unit of its sign prec + 4 bits below the other's last bit."""
+    (xm, xe), (ym, ye) = x, y
+    if not (xm and ym):
+        return _round(xm or ym, xe if xm else ye, prec, rnd)
+    if xe < ye:
+        xm, xe, ym, ye = ym, ye, xm, xe
+    offset = xe - ye
+    if offset > 100 and xm.bit_length() + offset - ym.bit_length() > prec + 4:
+        return _round((xm << (prec + 4)) + (1 if ym > 0 else -1), xe - prec - 4, prec, rnd)
+    return _round((xm << offset) + ym, ye, prec, rnd)
+
+
+def _mul(x, y, prec, rnd):
+    return _round(x[0] * y[0], x[1] + y[1], prec, rnd)
+
+
+def _div(x, y, prec, rnd):
+    """``mpf_div``: a quotient of at least prec + 5 bits and a sticky bit,
+    rounded once, whether y's mantissa is odd or not; a divisor of +-1 moves
+    the exponent only."""
+    (xm, xe), (ym, ye) = x, y
+    if ym == 1 or ym == -1:
+        return _round(xm * ym, xe - ye, prec, rnd)
+    extra = prec - xm.bit_length() + ym.bit_length() + 5
+    if extra < 5:
+        extra = 5
+    quot, rem = divmod(xm << extra, ym)  # a floor: the sticky bit is right for either sign
+    if rem:
+        quot, extra = (quot << 1) + 1, extra + 1
+    return _round(quot, xe - ye - extra, prec, rnd)
 
 
 def _dot(xs, ys, prec, rnd):
-    """``mp.fdot``, i.e. ``mpf_sum(map(mpf_mul, xs, ys), prec, rnd)``, on integers.
+    """``mp.fdot``, i.e. ``mpf_sum(map(mpf_mul, xs, ys), prec, rnd)``, on pairs.
 
     Each exact product is a signed int on 2^exp, added to the running sum as
     ``mpf_sum`` adds it: aligned to the lower exponent, except that a product
     more than 2 prec bits below a nonzero sum is dropped and one that far
-    above the sum replaces it.  The sum is rounded once.  Operands are
-    finite: no tape holds inf or nan.
+    above the sum replaces it.  The sum is rounded once.
     """
     man = exp = 0
     cap = 2 * prec
-    for (xsign, xman, xexp, _), (ysign, yman, yexp, _) in zip(xs, ys):
-        pman = xman * yman
+    for (xm, xe), (ym, ye) in zip(xs, ys):
+        pman = xm * ym
         if pman:
-            if xsign != ysign:
-                pman = -pman
-            delta = xexp + yexp - exp
+            delta = xe + ye - exp
             if delta >= 0:
                 if delta > cap and (not man or delta - man.bit_length() > cap):
                     man, exp = pman, exp + delta
@@ -75,38 +144,37 @@ def _dot(xs, ys, prec, rnd):
             else:
                 man = (man << -delta) + pman
                 exp += delta
-    return from_man_exp(man, exp, prec, rnd)
+    return _round(man, exp, prec, rnd)
 
 
 class Tape:
     """The series derived from some inputs, in evaluation order."""
 
     def __init__(self):
-        self.nodes = []
+        self.nodes = []  # (append to a derived series, its rule)
         self.prec, self.rnd = mp.mp._prec_rounding
 
     def input(self, coeffs):
         """A series whose coefficients the caller supplies as mpf values, ints or
-        floats, converted exactly; the caller may append libmp tuples."""
-        return Jet(self, None, [mp.convert(v)._mpf_ for v in coeffs])
+        floats, converted exactly; the caller may append pairs (odd mantissas)."""
+        return Jet(self, None, [_pair(v) for v in coeffs])
 
     def advance(self, k):
-        for node in self.nodes:
-            node.c.append(node.rule(k))
+        for append, rule in self.nodes:
+            append(rule(k))
 
 
 class Jet:
     """Truncated power series; ``c[k]`` is the k-th Taylor coefficient as a
-    libmp tuple."""
+    (man, exp) pair."""
 
-    __slots__ = ("tape", "rule", "c")
+    __slots__ = ("tape", "c")
 
     def __init__(self, tape, rule, c=None):
         self.tape = tape
-        self.rule = rule
         self.c = [] if c is None else c
         if rule is not None:
-            tape.nodes.append(self)
+            tape.nodes.append((self.c.append, rule))
 
     def _derive(self, rule):
         return Jet(self.tape, rule)
@@ -115,15 +183,15 @@ class Jet:
         a, prec, rnd = self.c, self.tape.prec, self.tape.rnd
         if isinstance(other, Jet):
             b = other.c
-            return self._derive(lambda k: mpf_add(a[k], b[k], prec, rnd))
-        x = mp.mpf(other)._mpf_
-        return self._derive(lambda k: mpf_add(a[k], x, prec, rnd) if k == 0 else a[k])
+            return self._derive(lambda k: _add(a[k], b[k], prec, rnd))
+        x = _pair(mp.mpf(other))
+        return self._derive(lambda k: _add(a[k], x, prec, rnd) if k == 0 else a[k])
 
     __radd__ = __add__
 
     def __neg__(self):
         a, prec, rnd = self.c, self.tape.prec, self.tape.rnd
-        return self._derive(lambda k: mpf_neg(a[k], prec, rnd))
+        return self._derive(lambda k: _round(-a[k][0], a[k][1], prec, rnd))
 
     def __sub__(self, other):
         return self + (-other)
@@ -135,9 +203,16 @@ class Jet:
         a, prec, rnd = self.c, self.tape.prec, self.tape.rnd
         if isinstance(other, Jet):
             b = other.c
-            return self._derive(lambda k: _dot(a[: k + 1], b[k::-1], prec, rnd))
-        x = mp.mpf(other)._mpf_
-        return self._derive(lambda k: mpf_mul(a[k], x, prec, rnd))
+
+            def rule(k):
+                if k < len(b):
+                    return _dot(a[: k + 1], b[k::-1], prec, rnd)
+                lo = k + 1 - len(b)  # past the end of a polynomial input b
+                return _dot(a[lo : k + 1], b[::-1], prec, rnd)
+
+            return self._derive(rule)
+        x = _pair(mp.mpf(other))
+        return self._derive(lambda k: _mul(a[k], x, prec, rnd))
 
     __rmul__ = __mul__
 
@@ -145,12 +220,12 @@ class Jet:
         if isinstance(other, Jet):
             return _quotient(self.c.__getitem__, other)
         a, prec, rnd = self.c, self.tape.prec, self.tape.rnd
-        x = mp.mpf(other)._mpf_
-        return self._derive(lambda k: mpf_div(a[k], x, prec, rnd))
+        x = _pair(mp.mpf(other))
+        return self._derive(lambda k: _div(a[k], x, prec, rnd))
 
     def __rtruediv__(self, other):
-        x = mp.mpf(other)._mpf_
-        return _quotient(lambda k: x if k == 0 else fzero, self)
+        x = _pair(mp.mpf(other))
+        return _quotient(lambda k: x if k == 0 else _ZERO, self)
 
 
 def _quotient(top, den):
@@ -160,7 +235,8 @@ def _quotient(top, den):
     w = []
 
     def rule(k):
-        return mpf_div(mpf_sub(top(k), _dot(b[1 : k + 1], w[::-1], prec, rnd), prec, rnd), b[0], prec, rnd)
+        man, exp = _dot(b[1 : k + 1], w[::-1], prec, rnd)
+        return _div(_add(top(k), (-man, exp), prec, rnd), b[0], prec, rnd)
 
     node = den._derive(rule)
     w = node.c
@@ -175,9 +251,10 @@ def _chain(x, w0, v_of):
 
     def rule(k):
         if k == 0:
-            return w0(mp.make_mpf(a[0]))._mpf_
-        da.append(mpf_mul_int(a[k], k, prec, rnd))
-        return mpf_div(_dot(da, v[k - 1 :: -1], prec, rnd), from_int(k), prec, rnd)
+            return _pair(w0(mpf(a[0])))
+        man, exp = a[k]
+        da.append(_round(man * k, exp, prec, rnd))
+        return _div(_dot(da, v[k - 1 :: -1], prec, rnd), (k, 0), prec, rnd)
 
     node = x._derive(rule)
     v = v_of(node).c
@@ -191,10 +268,10 @@ def _quotient_chain(x, w0, v):
 
     def rule(k):
         if k == 0:
-            return w0(mp.make_mpf(a[0]))._mpf_
-        t = mpf_div(_dot(dw, b[k - 1 : 0 : -1], prec, rnd), from_int(k), prec, rnd)
-        wk = mpf_div(mpf_sub(a[k], t, prec, rnd), b[0], prec, rnd)
-        dw.append(mpf_mul_int(wk, k, prec, rnd))
+            return _pair(w0(mpf(a[0])))
+        man, exp = _div(_dot(dw, b[k - 1 : 0 : -1], prec, rnd), (k, 0), prec, rnd)
+        wk = _div(_add(a[k], (-man, exp), prec, rnd), b[0], prec, rnd)
+        dw.append(_round(wk[0] * k, wk[1], prec, rnd))
         return wk
 
     return x._derive(rule)
@@ -227,15 +304,16 @@ _GUARD = 32  # bits the reader's fixed point keeps below fine_prec
 
 def _taylor_step(acc, t0, u0, p0):
     """Degree-_DEGREE jets of (u, p) at t0 for u' = p, p' = acc(t, u, p), as
-    libmp tuples, each u_{k+1}, p_{k+1} rounded as ``mpf / int``."""
+    pairs, each u_{k+1}, p_{k+1} rounded as ``mpf / int``.  t is the
+    polynomial t0 + h, a jet of two coefficients."""
     tape = Tape()
-    u, p, t = tape.input([u0]), tape.input([p0]), tape.input([t0])
-    t.c += [from_int(1)] + [fzero] * (_DEGREE - 1)  # the series of t itself
+    u, p, t = tape.input([u0]), tape.input([p0]), tape.input([t0, 1])
     g = acc(t, u, p)
+    prec, rnd = tape.prec, tape.rnd
     for k in range(_DEGREE):
         tape.advance(k)
-        u.c.append(mpf_div(p.c[k], from_int(k + 1), tape.prec, tape.rnd))
-        p.c.append(mpf_div(g.c[k], from_int(k + 1), tape.prec, tape.rnd))
+        u.c.append(_div(p.c[k], (k + 1, 0), prec, rnd))
+        p.c.append(_div(g.c[k], (k + 1, 0), prec, rnd))
     return u.c, p.c
 
 
@@ -250,18 +328,19 @@ def _step_index(starts_f, starts, t):
 
 
 def _fixed_point(us, ps, radius, prec):
-    """A step's two series (lowest first, libmp tuples) as integers on one scale
-    2^-S, highest first: S = prec - M, M >= log2 max_j |c_j| radius^j over both."""
+    """A step's two series (lowest first, pairs) as integers on one scale 2^-S,
+    highest first, each cut toward zero: S = prec - M, M >= log2 max_j |c_j|
+    radius^j over both."""
     _, _, exp, bc = radius._mpf_  # radius < 2^(exp + bc)
-    top = max((c[2] + c[3] + j * (exp + bc) for cs in (us, ps) for j, c in enumerate(cs) if c != fzero),
+    top = max((e + man.bit_length() + j * (exp + bc) for cs in (us, ps) for j, (man, e) in enumerate(cs) if man),
               default=0)
     scale = prec - top
 
     def ints(cs):
         out = []
-        for sign, man, e, _ in reversed(cs):
-            v = man << (e + scale) if e + scale >= 0 else man >> -(e + scale)
-            out.append(-v if sign else v)
+        for man, e in reversed(cs):
+            v = abs(man) << (e + scale) if e + scale >= 0 else abs(man) >> -(e + scale)
+            out.append(-v if man < 0 else v)
         return out
 
     return scale, ints(us), ints(ps)
@@ -277,12 +356,12 @@ def _horner(coeffs, hm, e):
 
 
 def _join(cs, x, prec, rnd):
-    """``mp.polyval`` of a series (lowest first, libmp tuples) at x under
+    """``mp.polyval`` of a series (lowest first, pairs) at the pair x under
     ``mp.workprec(prec)``: Horner from the top coefficient, unrounded, each
     step ``c + x * acc`` rounded twice as the mpf operators round it."""
     acc = cs[-1]
     for c in reversed(cs[:-1]):
-        acc = mpf_add(c, mpf_mul(x, acc, prec, rnd), prec, rnd)
+        acc = _add(c, _mul(x, acc, prec, rnd), prec, rnd)
     return acc
 
 
@@ -297,7 +376,8 @@ def _to_float(acc, scale):
 def taylor_integrate(acc, y0, t_span, dps):
     """Taylor series method for u'' = acc(t, u, p), p = u', at ``dps`` digits,
     forward from t0 to t1 > t0 from ``y0`` = (u, p) at t0 (what ``mp.mpf``
-    converts).  ``acc`` takes jets and returns the jet of u''.  An
+    converts).  ``acc`` takes jets and returns the jet of u''; t's jet is the
+    polynomial t0 + h, which products and quotients read whole.  An
     RhsEvaluationError it raises is the stop; raised at the initial state,
     before any step, it reaches the caller.
 
@@ -340,8 +420,7 @@ def taylor_integrate(acc, y0, t_span, dps):
                     raise
                 event = DivergenceEvent(exc.label, float(t), np.array((float(u), float(p))), exc.detail)
                 break
-            radius = min([mp.mpf(1)] + [mp.root(tol / abs(mp.make_mpf(c[-1])), _DEGREE)
-                                        for c in (us, ps) if c[-1] != fzero]) / 2
+            radius = min([mp.mpf(1)] + [mp.root(tol / abs(mpf(c[-1])), _DEGREE) for c in (us, ps) if c[-1][0]]) / 2
             if radius < _MIN_STEP:
                 event = DivergenceEvent("step_underflow", float(t), np.array((float(u), float(p))),
                                         f"Taylor step {mp.nstr(radius, 3)} below {_MIN_STEP:g}")
@@ -350,15 +429,15 @@ def taylor_integrate(acc, y0, t_span, dps):
             starts.append(t._mpf_)
             steps.append(_fixed_point(us, ps, radius, fine_prec + _GUARD))
             t = t + radius
-            u, p = (mp.make_mpf(_join(cs, radius._mpf_, fine_prec, rnd)) for cs in (us, ps))
+            u, p = (mpf(_join(cs, _pair(radius), fine_prec, rnd)) for cs in (us, ps))
             if t >= t1:
                 break
 
         def state(x):
             i = _step_index(starts_f, starts, x)
-            sign, hm, exp, _ = mpf_sub(from_float(x), starts[i], fine_prec, rnd)
-            if sign:
-                hm = -hm
+            m, e = math.frexp(x)
+            sign, man, exp, _ = starts[i]
+            hm, exp = _add(_round(int(m * 2**53), e - 53, 53, rnd), (man if sign else -man, exp), fine_prec, rnd)
             if exp > 0:
                 hm, exp = hm << exp, 0
             scale, us, ps = steps[i]

@@ -47,11 +47,11 @@ import mpmath as mp
 import numpy as np
 
 from .fields import ScalarField
-from .jets import taylor_integrate
+from . import jets
 from .numerics import (
     DomainError, InputError, RhsEvaluationError, abs_tolerance, as_count, as_positive, integrate_ode, read_span, row_dot,
 )
-from .tau import cone_spec, f_inverse, f_inverse_jet, f_inverse_mp, f_value, f_value_jet, f_value_mp
+from .tau import _JETS, _f_form, _f_inverse_form, cone_spec, f_inverse, f_inverse_mp, f_value, f_value_mp
 
 __all__ = ["ShotEvent", "RadialProfile", "shoot_radial", "radial_quadratic_reference"]
 
@@ -124,7 +124,7 @@ class RadialProfile(ScalarField):
     def _hessian(self, x):
         r, near, (at, u, up) = self._polar(x)
         radial = self._upp(at, u, up)
-        tangent = np.where(near, radial, up / np.where(near, 1.0, r))
+        tangent = np.where(near, radial, up / np.where(near, 1.0, at))  # past the end, the end's u'/r
         xh = x / np.where(near, 1.0, r)[:, None]    # at the origin radial - tangent is 0
         return (tangent[:, None, None] * np.eye(self.n)
                 + (radial - tangent)[:, None, None] * (xh[:, :, None] * xh[:, None, :]))
@@ -170,16 +170,18 @@ def _curvature(tp, rule):
 def _jet_curvature(tp, n, upp0):
     """The Taylor path's acc: the mpf step rule at the expansion point, then the
     jet of f^{-1}((-u + r p/2) - (n-1) f(s)), s = p/r; below _R_SERIES, where
-    p/r has a pole at r = 0 next to the expansion point, f(s) is f(u''(0))."""
+    p/r has a pole at r = 0 next to the expansion point, f(s) is f(u''(0)).
+    The closed forms on jets are bound once, at the shot's precision."""
     rule = _step_rule(tp, n, upp0, f=f_value_mp)
+    f_jet, f_inverse_jet = _f_form(tp, _JETS), _f_inverse_form(tp, _JETS)
 
     def acc(r, u, p):
-        r0 = mp.make_mpf(r.c[0])
-        rule(r0, mp.make_mpf(u.c[0]), mp.make_mpf(p.c[0]))
+        r0 = jets.mpf(r.c[0])
+        rule(r0, jets.mpf(u.c[0]), jets.mpf(p.c[0]))
         target = -u + r * p / 2
         if n > 1:  # at n = 1 the term is 0 times f(s): not formed
-            target = target - (n - 1) * (f_value_mp(tp, upp0) if r0 < _R_SERIES else f_value_jet(tp, p / r))
-        return f_inverse_jet(tp, target)
+            target = target - (n - 1) * (f_value_mp(tp, upp0) if r0 < _R_SERIES else f_jet(p / r))
+        return f_inverse_jet(target)
 
     return acc
 
@@ -254,7 +256,7 @@ def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, *, dps=None, n_samples=40
             read, r_end, stop = traj.evaluate, traj.t_end, traj.event
         else:
             (su, supp), acc, y0 = _taylor_start(tp, n, u0_raw, dps)
-            read, r_end, stop = taylor_integrate(acc, y0, (_R_START, r_max), dps)
+            read, r_end, stop = jets.taylor_integrate(acc, y0, (_R_START, r_max), dps)
     except RhsEvaluationError as exc:  # the rule refused the start: the series is the whole shot
         read, r_end, stop = None, _R_START, exc
     # the integrator's step underflow and non-finite state, and the Taylor minimum step, are blow-ups

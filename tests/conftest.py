@@ -40,6 +40,12 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def as_pair(t):
+    """A libmp tuple as the (man, exp) pair ``jets`` holds it in: man odd or 0."""
+    sign, man, exp, _ = t
+    return -man if sign else man, exp
+
+
 def default_fd_step(x):
     """Step balancing truncation vs rounding for second-order differences."""
     r = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))

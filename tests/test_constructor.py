@@ -164,9 +164,9 @@ def _phase_reference(a0, a1, times, dps=30, degree=24, step=0.25):
             g = e / ((1 + e) * (1 + e)) * tape.input([t, 1] + [0] * degree) * dp / 2
             for k in range(degree):
                 tape.advance(k)
-                p.c.append((mp.make_mpf(dp.c[k]) / (k + 1))._mpf_)
-                dp.c.append((mp.make_mpf(g.c[k]) / (k + 1))._mpf_)
-            pc, dc = ([mp.make_mpf(c) for c in cs[::-1]] for cs in (p.c, dp.c))
+                p.c.append(jets._pair(jets.mpf(dp.c[k]) / (k + 1)))
+                dp.c.append(jets._pair(jets.mpf(g.c[k]) / (k + 1)))
+            pc, dc = ([jets.mpf(c) for c in cs[::-1]] for cs in (p.c, dp.c))
             while want is not None and want <= t + step:
                 x = mp.mpf(want) - t
                 out.append((mp.polyval(pc, x), mp.polyval(dc, x)))

@@ -1,11 +1,12 @@
-"""Taylor-mode jets on libmp tuples against the same recurrences on mpf operators.
+"""Taylor-mode jets on (man, exp) pairs against the same recurrences on mpf operators.
 
 ``_RefTape`` and ``_RefJet`` below are the jets written with mpf objects:
 every coefficient an ``mpf`` operator or an ``mp.fdot``, and
 ``_RefTape.taylor_step`` is a shooting Taylor step on them.  ``jets`` must
-give every coefficient's libmp tuple bit for bit as they do, through ``tau``'s
+give every coefficient's pair bit for bit as they do, through ``tau``'s
 closed forms and through one shooting Taylor step.  ``jets._dot`` itself must
-give ``mpf_sum(map(mpf_mul, xs, ys), prec, rnd)`` bit for bit.
+give ``mpf_sum(map(mpf_mul, xs, ys), prec, rnd)`` bit for bit, and the
+rounding kernel under it what the libmp call each operation replaces gives.
 ``jets.taylor_integrate`` keeps ``numerics.integrate_ode``'s contract on
 equations other than the radial one.
 """
@@ -19,14 +20,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import (
-    from_man_exp, fzero, mpf_mul, mpf_sum, round_ceiling, round_down, round_floor, round_nearest, round_up,
+    from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_sum, round_ceiling, round_down, round_floor,
+    round_nearest, round_up,
 )
 
 from shrinker_lab import TauParams, jets, shooting, tau
 from shrinker_lab.numerics import RhsEvaluationError, integrate_ode
 from shrinker_lab.tau import f_inverse, f_inverse_jet, f_inverse_mp, f_range, f_value, f_value_jet, f_value_mp
 
-from conftest import branch_params
+from conftest import as_pair, branch_params
 
 # an interior eigenvalue per branch
 POINTS = {"MA": "0.6", "LOG": "0.3", "HARM": "0.2", "ATAN": "-0.3", "SLAG": "0.7", "NEG": "0.5"}
@@ -174,7 +176,7 @@ def ref_f_inverse_jet(tp, y):
 
 
 def bits(coeffs):
-    return [mp.convert(c)._mpf_ for c in coeffs]
+    return [jets._pair(c) for c in coeffs]
 
 
 def guarded(x):
@@ -230,17 +232,37 @@ class TestAgainstMpfOperators:
         assert len(got[0]) == len(got[1]) == DEGREE + 1
         assert got[0] == bits(want[0]) and got[1] == bits(want[1])
 
-    def test_coefficients_are_libmp_tuples(self):
+    def test_coefficients_are_pairs(self):
         # one step of the HARM constant profile (n = 1, u = sqrt(2)): every
-        # coefficient past u_0 is an exact zero, held as a libmp tuple too
+        # coefficient past u_0 is an exact zero, held as the pair (0, 0)
         tp = branch_params()["HARM"]
         with mp.workdps(30):
             acc = shooting._jet_curvature(tp, 1, mp.mpf(0))
             steps = jets._taylor_step(acc, mp.mpf(0.5), -f_value_mp(tp, mp.mpf(0)), mp.mpf(0))
         us, ps = steps
         assert len(us) == len(ps) == DEGREE + 1
-        assert us[1:] == [fzero] * DEGREE and ps == [fzero] * (DEGREE + 1)
-        assert all(type(x) is tuple and len(x) == 4 for cs in steps for x in cs)
+        assert us[1:] == [(0, 0)] * DEGREE and ps == [(0, 0)] * (DEGREE + 1)
+        assert all(type(x) is tuple and len(x) == 2 and all(type(i) is int for i in x) for cs in steps for x in cs)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_time_is_a_polynomial_on_either_side(self, side):
+        # t is t0 + h, two coefficients: a product with it on either side
+        # and a quotient by it are bit for bit those of mpf operators on
+        # the full series [t0, 1, 0, ..., 0]
+        def acc(t, u, p):
+            return (t * p if side == "left" else p * t) - u / t
+
+        with mp.workdps(30):
+            t0, u0, p0 = mp.mpf(0.75), mp.mpf("0.3"), mp.mpf("-1.1")
+            got = jets._taylor_step(acc, t0, u0, p0)
+            tape = _RefTape()
+            u, p, t = tape.input([u0]), tape.input([p0]), tape.input([t0, 1] + [0] * (DEGREE - 1))
+            g = acc(t, u, p)
+            for k in range(DEGREE):
+                tape.advance(k)
+                u.c.append(p.c[k] / (k + 1))
+                p.c.append(g.c[k] / (k + 1))
+        assert got[0] == bits(u.c) and got[1] == bits(p.c)
 
 
 ROUNDINGS = [round_nearest, round_floor, round_ceiling, round_down, round_up]
@@ -248,6 +270,11 @@ ROUNDINGS = [round_nearest, round_floor, round_ceiling, round_down, round_up]
 
 def ref_dot(xs, ys, prec, rnd):
     return mpf_sum(map(mpf_mul, xs, ys), prec, rnd)
+
+
+def dot(xs, ys, prec, rnd):
+    """``jets._dot`` on the pairs of libmp tuples."""
+    return jets._dot(list(map(as_pair, xs)), list(map(as_pair, ys)), prec, rnd)
 
 
 def raw(man, exp):
@@ -279,7 +306,7 @@ class TestFusedDot:
     @pytest.mark.parametrize("case", list(CASES))
     def test_cases_bit_for_bit(self, case, prec, rnd):
         xs, ys = self.CASES[case]
-        assert jets._dot(xs, ys, prec, rnd) == ref_dot(xs, ys, prec, rnd)
+        assert dot(xs, ys, prec, rnd) == as_pair(ref_dot(xs, ys, prec, rnd))
 
     @pytest.mark.parametrize("shift", [-1, 0, 1])
     @pytest.mark.parametrize("rnd", ROUNDINGS)
@@ -295,7 +322,7 @@ class TestFusedDot:
             ([one, raw(1, gap + 1)], [one, raw(-1, 0)]),  # a product above a sum of 1
         ]
         for xs, ys in cases:
-            assert jets._dot(xs, ys, prec, rnd) == ref_dot(xs, ys, prec, rnd), (xs, ys)
+            assert dot(xs, ys, prec, rnd) == as_pair(ref_dot(xs, ys, prec, rnd)), (xs, ys)
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(
@@ -309,7 +336,78 @@ class TestFusedDot:
     )
     def test_random_sums_bit_for_bit(self, pairs, prec, rnd):
         xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
-        assert jets._dot(xs, ys, prec, rnd) == ref_dot(xs, ys, prec, rnd)
+        assert dot(xs, ys, prec, rnd) == as_pair(ref_dot(xs, ys, prec, rnd))
+
+
+@st.composite
+def operands(draw, prec, zero=True):
+    """A pair as ``jets`` holds one (man odd, or (0, 0)) and its libmp tuple.
+    Its mantissa has prec bits (a rounded value), prec + 1 (a tie at prec),
+    prec + 40 (a joined value's guard bits), a few, or up to 250."""
+    if zero and draw(st.integers(0, 15)) == 0:
+        return (0, 0), fzero
+    bits = draw(st.sampled_from([prec, prec + 1, prec + 40, draw(st.integers(1, 250))]))
+    man = draw(st.integers(2 ** (bits - 1), 2**bits - 1)) | 1
+    pair = (-man if draw(st.booleans()) else man, draw(st.integers(-1500, 1500)))
+    return pair, from_man_exp(*pair)
+
+
+def kernel(examples):
+    return settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+
+
+class TestKernel:
+    """The rounding kernel on pairs against the libmp call each operation replaces."""
+
+    @kernel(600)
+    @given(data=st.data(), exp=st.integers(-1500, 1500), prec=st.integers(43, 200), rnd=st.sampled_from(ROUNDINGS))
+    def test_round_is_from_man_exp(self, data, exp, prec, rnd):
+        # any mantissa of up to 250 bits, odd or not, and ties at prec bits
+        bits = data.draw(st.integers(0, 250))
+        man = data.draw(st.integers(2**bits >> 1, 2**bits - 1)) * data.draw(st.sampled_from([1, -1]))
+        n = man.bit_length() - prec
+        if n > 0 and data.draw(st.booleans()):
+            man = (man >> n << n) + (1 << (n - 1))
+        assert jets._round(man, exp, prec, rnd) == as_pair(from_man_exp(man, exp, prec, rnd))
+
+    @kernel(500)
+    @given(data=st.data(), prec=st.integers(43, 200))
+    def test_operations_are_the_libmp_calls(self, data, prec):
+        (x, tx), (y, ty) = data.draw(operands(prec)), data.draw(operands(prec))
+        if data.draw(st.booleans()):  # y near x, or past the sticky gap of 100 bits either way
+            gap = data.draw(st.one_of(st.integers(-8, 8), st.integers(90, 400), st.integers(-400, -90)))
+            y = (y[0], x[1] + gap)
+            ty = from_man_exp(*y)
+        n = round_nearest
+        assert jets._add(x, y, prec, n) == as_pair(mpf_add(tx, ty, prec, n))
+        assert jets._mul(x, y, prec, n) == as_pair(mpf_mul(tx, ty, prec, n))
+        assert jets._round(-x[0], x[1], prec, n) == as_pair(mpf_neg(tx, prec, n))
+        if y[0]:
+            assert jets._div(x, y, prec, n) == as_pair(mpf_div(tx, ty, prec, n))
+
+    @kernel(300)
+    @given(data=st.data(), prec=st.integers(43, 200), gap=st.integers(101, 1500))
+    def test_sticky_addend_keeps_its_sign(self, data, prec, gap):
+        # an addend more than 100 bits below the other's last bit and
+        # prec + 4 below its first enters as a unit of its own sign; against
+        # a tie at prec (prec + 1 bits) the sign alone picks the rounding
+        (x, _), (y, _) = data.draw(operands(prec, zero=False)), data.draw(operands(prec, zero=False))
+        y = (y[0], x[1] - gap - max(y[0].bit_length() - x[0].bit_length(), 0) - prec)
+        for a, b in ((x, y), (y, x)):
+            want = as_pair(mpf_add(from_man_exp(*a), from_man_exp(*b), prec, round_nearest))
+            assert jets._add(a, b, prec, round_nearest) == want
+
+    @kernel(300)
+    @given(data=st.data(), prec=st.integers(43, 200), k=st.sampled_from([1, -1, 2, 3, -3, 4, 7, 12, 16, 19, 20, 21]),
+           shift=st.integers(-3, 3))
+    def test_division_by_small_ints(self, data, prec, k, shift):
+        # the Taylor recurrences divide by (k, 0) as it is, even or not;
+        # +-1 (and so +-2^shift as a pair) moves the exponent only
+        x, tx = data.draw(operands(prec))
+        assert jets._div(x, (k, 0), prec, round_nearest) == as_pair(mpf_div(tx, from_int(k), prec, round_nearest))
+        one = (k // abs(k), shift) if abs(k) == 1 else (k, shift)
+        want = mpf_div(tx, from_man_exp(*one), prec, round_nearest)
+        assert jets._div(x, one, prec, round_nearest) == as_pair(want)
 
 
 class TestTaylorIntegrate:
@@ -348,7 +446,7 @@ class TestTaylorIntegrate:
 
     def test_a_raise_past_the_start_is_the_stop(self):
         def walled(t, u, p):
-            if mp.make_mpf(t.c[0]) > 2:
+            if jets.mpf(t.c[0]) > 2:
                 raise RhsEvaluationError("wall", "past 2")
             return -u
 

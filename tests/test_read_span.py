@@ -70,12 +70,17 @@ def _minkowski():
 
 def _radial(dps):
     # ``states`` reads r on [0, the event], here rs[-1], and the field's value
-    # the point (r, 0) on [0, rs[-1]]; a point's radius is never below 0, so
-    # below 0 the field reads the origin and only ``states`` reads r (the
-    # gradient and Hessian divide u' by the point's own radius, not the end's)
+    # and Hessian the point (r, 0) on [0, rs[-1]]; a point's radius is never
+    # below 0, so below 0 the field reads the origin and only ``states`` reads
+    # r (the gradient divides u' by the point's own radius, not the end's)
     prof = _shot(dps)
     assert prof.rs[-1] == prof.event.r
-    return lambda r: [*prof.states(np.array([r]))[0], prof.value([max(r, 0.0), 0.0])], 0.0, prof.rs[-1]
+
+    def read(r):
+        x = [max(r, 0.0), 0.0]
+        return [*prof.states(np.array([r]))[0], prof.value(x), *np.ravel(prof.hessian(x))]
+
+    return read, 0.0, prof.rs[-1]
 
 
 # name: () -> (read(t), the span's lower end, its upper end)

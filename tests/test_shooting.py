@@ -6,7 +6,7 @@ import random
 import mpmath as mp
 import numpy as np
 import pytest
-from mpmath.libmp import from_man_exp, fzero, round_nearest
+from mpmath.libmp import from_man_exp, round_nearest
 
 import shrinker_lab as sl
 from shrinker_lab import InputError, TauParams, jets, shooting
@@ -15,7 +15,7 @@ from shrinker_lab.numerics import DivergenceEvent, RhsEvaluationError, read_span
 from shrinker_lab.shooting import _step_rule, radial_quadratic_reference, shoot_radial
 from shrinker_lab.tau import cone_spec, f_inverse, f_inverse_jet, f_range, f_value, f_value_jet, f_value_mp
 
-from conftest import branch_params, same_bits
+from conftest import as_pair, branch_params, same_bits
 
 # the six default branches and the lower components of LOG and HARM
 RULE_BRANCHES = {
@@ -441,8 +441,8 @@ class TestStepJoin:
         for cs, x, prec, rnd, got in joins:
             assert (prec, rnd) == (fine, round_nearest)
             with mp.workprec(prec):
-                want = mp.polyval([mp.make_mpf(a) for a in reversed(cs)], mp.make_mpf(x))
-            assert got == want._mpf_
+                want = mp.polyval([jets.mpf(a) for a in reversed(cs)], jets.mpf(x))
+            assert got == jets._pair(want)
 
     def test_join_is_polyval_on_random_series(self):
         # terms of like size, where every rounding of Horner's rule shows
@@ -454,7 +454,7 @@ class TestStepJoin:
             x = from_man_exp(rng.randint(-(2**prec), 2**prec), rng.randint(-prec - 2, -prec + 2))
             with mp.workprec(prec):
                 want = mp.polyval([mp.make_mpf(a) for a in reversed(cs)], mp.make_mpf(x))
-            assert jets._join(cs, x, prec, round_nearest) == want._mpf_
+            assert jets._join([as_pair(a) for a in cs], as_pair(x), prec, round_nearest) == jets._pair(want)
 
 
 class TestProfileReader:
@@ -473,7 +473,7 @@ class TestProfileReader:
 
         def recording(*args):
             us, ps = taylor_step(*args)
-            steps.append((args[1], [mp.make_mpf(c) for c in us[::-1]], [mp.make_mpf(c) for c in ps[::-1]]))
+            steps.append((args[1], [jets.mpf(c) for c in us[::-1]], [jets.mpf(c) for c in ps[::-1]]))
             return us, ps
 
         monkeypatch.setattr(jets, "_taylor_step", recording)
@@ -537,9 +537,8 @@ class TestProfileReader:
             assert jets._to_float(acc, scale) == float(mp.ldexp(acc, -scale))
 
     def test_fixed_point_scale_skips_exact_zeros(self):
-        # a libmp tuple is truthy even when it is zero; only 2^-100 may set M
-        tiny = from_man_exp(1, -100)
-        scale, us, ps = jets._fixed_point([tiny] + [fzero] * 20, [fzero] * 21, mp.mpf(0.5), 200)
+        # the zero pair (0, 0) is truthy; only 2^-100 may set M
+        scale, us, ps = jets._fixed_point([(1, -100)] + [(0, 0)] * 20, [(0, 0)] * 21, mp.mpf(0.5), 200)
         assert scale == 200 - (-100 + 1)
         assert us == [0] * 20 + [1 << 199] and ps == [0] * 21
 
@@ -612,7 +611,7 @@ def _recorded_shot(monkeypatch, tp, n, u0, r_max, dps):
 
     def recording_step(*args):
         us, ps = taylor_step(*args)
-        made.append((args[1], [mp.make_mpf(c) for c in us[::-1]], [mp.make_mpf(c) for c in ps[::-1]]))
+        made.append((args[1], [jets.mpf(c) for c in us[::-1]], [jets.mpf(c) for c in ps[::-1]]))
         return us, ps
 
     monkeypatch.setattr(shooting, "integrate_ode", recording_integrate)
@@ -711,15 +710,15 @@ def test_float_step_underflow_is_named_blow_up():
 def test_one_dimensional_taylor_shot_forms_no_transverse_term(monkeypatch):
     # at n = 1 the Taylor acc drops (n - 1) f(s), which is 0: the rows are
     # bit for bit those of the acc that formed f(p/r) and multiplied it by
-    # n - 1, and no f_value_jet call is made (the n = 2 shot makes them)
+    # n - 1, and no jet of f(s) is formed (the n = 2 shot forms them)
     tp = TauParams.monge_ampere()
 
     def multiplied_by_zero(tp, n, upp0):
         rule = _step_rule(tp, n, upp0, f=f_value_mp)
 
         def acc(r, u, p):
-            r0 = mp.make_mpf(r.c[0])
-            rule(r0, mp.make_mpf(u.c[0]), mp.make_mpf(p.c[0]))
+            r0 = jets.mpf(r.c[0])
+            rule(r0, jets.mpf(u.c[0]), jets.mpf(p.c[0]))
             f_s = f_value_mp(tp, upp0) if r0 < shooting._R_SERIES else f_value_jet(tp, p / r)
             return f_inverse_jet(tp, (-u + r * p / 2) - (n - 1) * f_s)
 
@@ -732,7 +731,13 @@ def test_one_dimensional_taylor_shot_forms_no_transverse_term(monkeypatch):
         patch.setattr(shooting, "_jet_curvature", multiplied_by_zero)
         want = shot(1)
     calls = []
-    monkeypatch.setattr(shooting, "f_value_jet", lambda *args: calls.append(args) or f_value_jet(*args))
+    f_form = shooting._f_form
+
+    def counting(tp, ops):
+        form = f_form(tp, ops)
+        return lambda lam: calls.append(lam) or form(lam)
+
+    monkeypatch.setattr(shooting, "_f_form", counting)
     got = shot(1)
     assert got.event == want.event and same_bits(got.rows(), want.rows())
     assert calls == []

@@ -491,7 +491,7 @@ class TestJets:
         out = fn(tp, x)
         for k in range(self.DEGREE + 1):
             tape.advance(k)
-        return [mp.make_mpf(c) for c in out.c]
+        return [jets.mpf(c) for c in out.c]
 
     @pytest.mark.parametrize("branch", list(POINTS))
     def test_jets_match_numerical_taylor(self, branch, all_branches):
