@@ -6,6 +6,7 @@ import csv
 import json
 
 import numpy as np
+import orjson
 
 from . import __version__
 
@@ -32,8 +33,8 @@ def write_json(path, text):
         fh.write(text)
 
 
-# rows formatted and written per block: the whole table as one list of
-# Python floats would cost several times the array's memory
+# rows formatted and written per block: the whole table as one text would
+# cost several times the array's memory
 _CSV_BLOCK_ROWS = 1024
 
 
@@ -43,17 +44,26 @@ def write_csv(path, header, rows):
     A float cell is written as ``repr`` of its float (the shortest string that
     reads back to the same double; ``nan``, ``inf``, ``-0.0``), any other cell
     (a label, an int) as the csv module writes it.  A float64 ndarray table is
-    formatted in blocks of rows, each through one ``%r`` template (``%r`` of
-    a float is its ``repr``), with the same bytes.
+    formatted in blocks of rows, each through one ``orjson.dumps``, whose
+    shortest round-trip digits are ``repr``'s wherever ``repr`` is plain
+    decimal: at +-0.0 and for 1e-4 <= |x| < 1e16.  Every other cell (nan, inf,
+    and the magnitudes ``repr`` writes with an exponent, which orjson writes
+    another way) is dumped as nan, orjson's ``null``, and filled in with its
+    ``repr``, so the bytes are those of ``csv.writer`` with ``repr`` cells.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
-            line = ",".join(["%r"] * rows.shape[1]) + "\r\n"
             for start in range(0, len(rows), _CSV_BLOCK_ROWS):
                 block = rows[start:start + _CSV_BLOCK_ROWS]
-                fh.write(line * len(block) % tuple(block.ravel().tolist()))
+                mag = np.abs(block)
+                plain = (block == 0) | ((mag >= 1e-4) & (mag < 1e16))
+                cells = np.ascontiguousarray(np.where(plain, block, np.nan))
+                text = orjson.dumps(cells, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode()
+                # "[[a,b],[c,d]]" -> "a,b\r\nc,d\r\n", each null a %s for its cell's repr
+                text = text.replace("],[", "\r\n").replace("null", "%s") + "\r\n"
+                fh.write(text % tuple(map(repr, block[~plain].tolist())))
         else:
             for row in rows:
                 writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
