@@ -9,10 +9,10 @@ normal projection is one n x n solve against the induced metric.
 Each function reads an (m, n) cloud on one field, or a (k, m, n) stack of
 clouds on a stack of k ``fields.QuadraticField``s (Hessians and ambient
 vectors stacked alike), or one point, read as a cloud of one
-(``numerics.as_cloud``).  The products
-are stacked matrix-vector and row-dot products and the solves stacked LAPACK
-solves, each running the kernel of the single-point product on each row, so
-every row of a stacked read is its point's read bit for bit.
+(``numerics.as_cloud``); the duality defect reads a Hessian or a (k, n, n)
+stack.  Products, solves and inverses are stacked numpy and LAPACK calls that
+run the single-point kernel on each row, so every row of a stacked read is
+its point's read bit for bit.
 """
 
 from __future__ import annotations
@@ -76,13 +76,14 @@ def _mean_curvature(tp, field, x, H):
 
 
 def metric_duality_defect(tp, H):
-    """Sup-norm gap between the inverse induced metric and dF/dH.
+    """Sup-norm gap between the inverse induced metric and dF/dH: a float, or
+    (k,) for a (k, n, n) stack of Hessians, each row its matrix's gap bit for bit.
 
     Both are diagonal in the Hessian eigenbasis with entries
     1/(sin (1+lam^2) + 2 cos lam) and f'(lam); the identity is exact, so the
     defect measures eigensolver and inversion error only.  H is validated
     once; the eigen-solve comes first, so an inadmissible H raises there,
-    before its metric is inverted.
+    before any metric is inverted; a singular metric is a DomainError.
     """
     H = as_sym_matrix(H)
     dF = _gradient_matrix(tp, *np.linalg.eigh(H))
@@ -90,7 +91,8 @@ def metric_duality_defect(tp, H):
         ginv = np.linalg.inv(_metric(tp, H))
     except np.linalg.LinAlgError as exc:
         raise DomainError(f"induced metric degenerate: {exc}") from exc
-    return float(np.max(np.abs(ginv - dF)))
+    gap = np.max(np.abs(ginv - dF), axis=(-2, -1))
+    return float(gap) if gap.ndim == 0 else gap
 
 
 def normal_project(tp, H, V):

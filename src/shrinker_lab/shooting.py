@@ -173,7 +173,7 @@ def _jet_curvature(tp, n, upp0):
     p/r has a pole at r = 0 next to the expansion point, f(s) is f(u''(0)).
     The closed forms on jets are bound once, at the shot's precision."""
     rule = _step_rule(tp, n, upp0, f=f_value_mp)
-    f_jet, f_inverse_jet = _f_form(tp, _JETS), _f_inverse_form(tp, _JETS)
+    f_jet, f_inv_jet = _f_form(tp, _JETS), _f_inverse_form(tp, _JETS)
 
     def acc(r, u, p):
         r0 = jets.mpf(r.c[0])
@@ -181,7 +181,7 @@ def _jet_curvature(tp, n, upp0):
         target = -u + r * p / 2
         if n > 1:  # at n = 1 the term is 0 times f(s): not formed
             target = target - (n - 1) * (f_value_mp(tp, upp0) if r0 < _R_SERIES else f_jet(p / r))
-        return f_inverse_jet(target)
+        return f_inv_jet(target)
 
     return acc
 

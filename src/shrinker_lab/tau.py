@@ -1,10 +1,10 @@
 """The one-parameter operator family on Hessian eigenvalues, its admissibility
 cones, and the pointwise residual operators built from it.
 
-The family is indexed by an angle ``tau`` in (-pi/4, pi/2].  Each member acts
-on a symmetric spectrum as a sum of one identical scalar function per
-eigenvalue; the scalar function, its derivative, and its inverse have closed
-forms on every branch.  Branch tags are stored explicitly: seam angles are
+The family is indexed by an angle ``tau`` in (-pi/4, pi/2].  Each member sums
+one scalar function f over a symmetric spectrum; f, f^-1 and f' have closed
+forms on every branch, bound once per ``TauParams``, and F and dF/dH read one
+spectrum or a stack.  Branch tags are stored explicitly: seam angles are
 never inferred from floating-point comparisons of cot^2(tau) with 1.
 """
 
@@ -33,8 +33,6 @@ __all__ = [
     "f_range",
     "f_value_mp",
     "f_inverse_mp",
-    "f_value_jet",
-    "f_inverse_jet",
     "operator_value",
     "operator_gradient_matrix",
     "admissible",
@@ -229,10 +227,11 @@ class TauParams:
             raise InputError(f"normalization defined on the NEG branch, not {self.branch.value}")
         return 2.0 * self.b / self.sqrt_a2p1, self.sqrt_a2p1 ** 0.5 / (2.0 * self.b)
 
-    # the float closed forms of f and f^-1, and f_value's and f_inverse's forms
+    # the float closed forms of f, f^-1 and f', and f_value's and f_inverse's forms
     # with their float guards (domain check; range check, clamp and polish), built once
     f_form = cached_property(lambda self: _f_form(self, _FLOAT))
     f_inverse_form = cached_property(lambda self: _f_inverse_form(self, _FLOAT))
+    f_prime_form = cached_property(lambda self: _f_prime_form(self, _FLOAT))
     f_guarded = cached_property(lambda self: _guarded_value(self))
     f_inverse_polished = cached_property(lambda self: _polished_inverse(self))
 
@@ -347,6 +346,25 @@ def _f_inverse_form(tp, ops):
     return lambda y: edge + width * sigmoid(width * y / root)
 
 
+def _f_prime_form(tp, ops):
+    """Closed form of f', lam -> f'(lam) > 0, in the arithmetic ``ops``, with
+    ``_f_form``'s exact groupings next to the cone edges."""
+    br = tp.branch
+    if br is Branch.MA:
+        return lambda lam: 0.5 / lam
+    if br is Branch.SLAG:
+        return lambda lam: 1.0 / (1.0 + lam * lam)
+    a, b, root, a_m_b, a_p_b = ops.consts(tp)
+    if br is Branch.HARM:
+        return lambda lam: root / (1.0 + lam) ** 2  # root = sqrt(2)
+    if br is Branch.ATAN:
+        return lambda lam: root / ((lam + a) ** 2 + b * b)
+    if br is Branch.LOG:
+        return lambda lam: root / ((lam + a_m_b) * (lam + a_p_b))
+    b_m_a = -a_m_b
+    return lambda lam: root / ((lam + a_p_b) * (b_m_a - lam))
+
+
 def _guarded_value(tp):
     """f behind :func:`_eigenvalue`'s check, tested first on the selected component's bounds."""
     lo, hi, form = tp.components[0].lo, tp.components[0].hi, tp.f_form
@@ -365,21 +383,7 @@ def f_value(tp, lam):
 
 def f_derivative(tp, lam):
     """Closed-form derivative of the scalar summand; strictly positive."""
-    lam = _eigenvalue(tp, lam)
-    br, a, b = tp.branch, tp.a, tp.b
-    if br is Branch.MA:
-        return 0.5 / lam
-    if br is Branch.HARM:
-        return SQRT2 / (1.0 + lam) ** 2
-    if br is Branch.ATAN:
-        return tp.sqrt_a2p1 / ((lam + a) ** 2 + b * b)
-    if br is Branch.SLAG:
-        return 1.0 / (1.0 + lam * lam)
-    a_m_b, a_p_b = tp.edge_sums
-    if br is Branch.LOG:
-        return tp.sqrt_a2p1 / ((lam + a_m_b) * (lam + a_p_b))
-    b_m_a = -a_m_b
-    return tp.sqrt_a2p1 / ((lam + a_p_b) * (b_m_a - lam))
+    return tp.f_prime_form(_eigenvalue(tp, lam))
 
 
 def f_range(tp):
@@ -390,7 +394,7 @@ def f_range(tp):
 
 def _polished_inverse(tp):
     """:func:`f_inverse` with its range, clamp ends and forms bound once."""
-    spec, form, f = tp.components[0], tp.f_inverse_form, tp.f_form
+    spec, form, f, f_prime = tp.components[0], tp.f_inverse_form, tp.f_form, tp.f_prime_form
     lo, hi, f_lo, f_hi = spec.lo, spec.hi, spec.f_lo, spec.f_hi
     # MA's exp(2y) past double range, or LOG's tanh(b y / root) underflowing
     # to 0 at a denormal y: the preimage is the component's infinite end
@@ -422,7 +426,7 @@ def _polished_inverse(tp):
         r = f(lam if lo < lam < hi else _eigenvalue(tp, lam)) - y
         steps = 4
         while tol < abs(r) < inf:
-            step = r / f_derivative(tp, lam)
+            step = r / f_prime(lam)  # lam passed the check of the f read just before
             if not isfinite(step):
                 break
             cand = lam - step
@@ -460,23 +464,16 @@ def f_inverse_mp(tp, y):
     return _f_inverse_form(tp, _MP)(y)
 
 
-def f_value_jet(tp, lam):
-    """Taylor jet of :func:`f_value_mp` along the series ``lam`` (a :class:`.jets.Jet`)."""
-    return _f_form(tp, _JETS)(lam)
-
-
-def f_inverse_jet(tp, y):
-    """Taylor jet of :func:`f_inverse_mp` along the series ``y``."""
-    return _f_inverse_form(tp, _JETS)(y)
-
-
 def admissible(tp, eigenvalues):
     """Cone-component tag for a spectrum, or None when no component holds it.
 
     Tags: 'upper' | 'lower' | 'all' | 'inside-interval'.  Components are
     treated separately; a spectrum mixing them is inadmissible.
     """
-    lams = np.atleast_1d(np.asarray(eigenvalues, dtype=float)).tolist()
+    lams = np.atleast_1d(np.asarray(eigenvalues, dtype=float))
+    if lams.ndim != 1 or not lams.size:
+        raise InputError(f"expected one spectrum of at least one eigenvalue, got shape {lams.shape}")
+    lams = lams.tolist()
     return next((spec.tag for spec in tp.components if all(spec.lo < lam < spec.hi for lam in lams)), None)
 
 
@@ -502,6 +499,8 @@ def operator_value(tp, eigenvalues):
     to right row by row, bit for bit.
     """
     lams = np.asarray(eigenvalues, dtype=float)
+    if lams.ndim and not lams.shape[-1]:
+        raise InputError(f"expected spectra of at least one eigenvalue, got shape {lams.shape}")
     rows = lams.reshape(-1, lams.shape[-1] if lams.ndim else 1)
     lo, hi = tp._cone_bounds
     inside = ((lo < rows) & (rows < hi)).all(axis=2).any(axis=0)
@@ -515,7 +514,7 @@ def operator_value(tp, eigenvalues):
 
 
 def operator_gradient_matrix(tp, H):
-    """dF/dH as a symmetric matrix, assembled eigenvalue-wise.
+    """dF/dH as a symmetric matrix, or a (k, n, n) stack of them, assembled eigenvalue-wise.
 
     Diagonalize H, apply the scalar derivative to each eigenvalue, rotate back.
     """
@@ -523,11 +522,13 @@ def operator_gradient_matrix(tp, H):
 
 
 def _gradient_matrix(tp, w, Q):
-    """dF/dH from the eigenvalues w and eigenvectors Q of a validated H."""
-    if admissible(tp, w) is None:
-        raise DomainError(f"Hessian spectrum {w} inadmissible for {tp.branch.value}")
-    d = np.array([f_derivative(tp, lam) for lam in w])
-    return (Q * d) @ Q.T
+    """dF/dH from the eigenvalues w and eigenvectors Q of validated Hessians,
+    one or a stack: each spectrum is checked once, then f' read bare."""
+    for row in w.reshape(-1, w.shape[-1]):
+        if admissible(tp, row) is None:
+            raise DomainError(f"Hessian spectrum {row} inadmissible for {tp.branch.value}")
+    d = np.array(list(map(tp.f_prime_form, w.ravel().tolist()))).reshape(w.shape)
+    return (Q * d[..., None, :]) @ Q.swapaxes(-1, -2)
 
 
 def phase(field, x):

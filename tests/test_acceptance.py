@@ -21,11 +21,12 @@ import shrinker_lab as sl
 from shrinker_lab import TauParams
 from shrinker_lab.cli import main
 from shrinker_lab.constructor import build_counterexample, build_mss_counterexample
+from shrinker_lab.quadratics import _eigenvalue_window, admissible_draw, admissible_matrix, scaled_uniform
 from shrinker_lab.shooting import radial_quadratic_reference, shoot_radial
 from shrinker_lab.tau import f_derivative, f_value_mp
 from shrinker_lab.transforms import convexify_shift, legendre_1d, legendre_dual_residual
 
-from conftest import CallableField, branch_params
+from conftest import CallableField, branch_params, same_bits
 
 
 def report(num, name, value, bound, elapsed, limit, extra=""):
@@ -53,17 +54,39 @@ def test_criterion_01_quadratic_exactness():
     assert report(1, "quadratic exactness (6 branches, 100 A x 100 pts)", worst, 1e-10, elapsed, 10.0)
 
 
+def criterion_02_stacks():
+    """(tp, H) for each branch and n = 1..4: the 1000 Hessians of a branch
+    are drawn as ``random_admissible_matrix(tp, 1 + k % 4, rng)`` draws them,
+    then built as one stack per dimension, as ``cli._branch_sweep`` builds them."""
+    rng = np.random.default_rng(102)
+    for tp in branch_params().values():
+        window = _eigenvalue_window(tp)
+        draws = [admissible_draw(1 + k % 4, rng) for k in range(1000)]
+        for n in range(1, 5):
+            units, gaussians = (np.array(v) for v in zip(*draws[n - 1::4]))
+            yield tp, admissible_matrix(scaled_uniform(*window, units), gaussians)
+
+
 def test_criterion_02_metric_hessian_duality():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(102)
     worst = 0.0
-    for name, tp in branch_params().items():
-        for k in range(1000):
-            n = 1 + k % 4
-            H = sl.random_admissible_matrix(tp, n, rng)
-            worst = max(worst, sl.metric_duality_defect(tp, H))
+    for tp, H in criterion_02_stacks():
+        worst = max(worst, float(np.max(sl.metric_duality_defect(tp, H))))
     elapsed = time.perf_counter() - t0
     assert report(2, "metric-Hessian duality (10^3 Hessians/branch)", worst, 1e-9, elapsed, 5.0)
+
+
+def test_criterion_02_checks_the_former_draws():
+    # the stacks hold the matrices the gate drew one at a time before it
+    # read stacks, bit for bit and in their order
+    rng = np.random.default_rng(102)
+    stacks = criterion_02_stacks()
+    for tp in branch_params().values():
+        former = [sl.random_admissible_matrix(tp, 1 + k % 4, rng) for k in range(1000)]
+        for n in range(1, 5):
+            got_tp, H = next(stacks)
+            assert got_tp == tp and H.shape == (250, n, n) and same_bits(H, former[n - 1::4])
+    assert next(stacks, None) is None
 
 
 def test_criterion_03_shrinker_defect():

@@ -396,6 +396,42 @@ class TestStacks:
             assert np.all(np.array(want) > 0.0)
             assert same_bits(shrinker_defect(tp, field, xs), want)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_duality_rows_are_matrix_calls(self, n, rng):
+        # dF/dH and the duality defect of a stack are its matrices' calls, bit for bit
+        for name, tp in with_lower_cones().items():
+            H = stack_of(tp, 40, n, rng)
+            assert same_bits(operator_gradient_matrix(tp, H), [operator_gradient_matrix(tp, h) for h in H]), name
+            defects = metric_duality_defect(tp, H)
+            assert defects.shape == (40,) and np.all(defects <= 1e-9), name
+            assert same_bits(defects, [metric_duality_defect(tp, h) for h in H]), name
+            assert isinstance(metric_duality_defect(tp, H[0]), float), name
+
+    def test_inadmissible_spectrum_inside_a_stack_is_a_domain_error(self, rng):
+        tp = TauParams.monge_ampere()
+        H = stack_of(tp, 5, 2, rng)
+        H[2] = np.diag([-0.5, 1.0])
+        for read in (operator_gradient_matrix, metric_duality_defect):
+            with pytest.raises(sl.DomainError, match="Hessian spectrum .* inadmissible for MA"):
+                read(tp, H)
+
+    def test_degenerate_metric_inside_a_duality_stack_is_a_domain_error(self):
+        # next to tau = -pi/4 the NEG cone is 4e-8 wide, and the induced
+        # metric of some admissible Hessians in it rounds to singular
+        tp = TauParams.from_cot(-1.0000000000000002)
+        rng = np.random.default_rng(3)
+        H = np.array([sl.random_admissible_matrix(tp, 1, rng) for _ in range(20)])
+        singular = []
+        for i, h in enumerate(H):
+            try:
+                metric_duality_defect(tp, h)
+            except sl.DomainError:
+                singular.append(i)
+        assert singular == [14]
+        with pytest.raises(sl.DomainError, match="induced metric degenerate"):
+            metric_duality_defect(tp, H)
+        assert metric_duality_defect(tp, np.delete(H, 14, axis=0)).shape == (19,)
+
     def test_singular_metric_anywhere_in_a_stack_is_a_domain_error(self, rng):
         tp = TauParams.monge_ampere()
         H = stack_of(tp, 6, 2, rng)

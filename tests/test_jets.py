@@ -26,7 +26,7 @@ from mpmath.libmp import (
 
 from shrinker_lab import TauParams, jets, shooting, tau
 from shrinker_lab.numerics import RhsEvaluationError, integrate_ode
-from shrinker_lab.tau import f_inverse, f_inverse_jet, f_inverse_mp, f_range, f_value, f_value_jet, f_value_mp
+from shrinker_lab.tau import _JETS, _f_form, _f_inverse_form, f_inverse, f_inverse_mp, f_range, f_value, f_value_mp
 
 from conftest import as_pair, branch_params
 
@@ -52,8 +52,8 @@ class _RefTape:
         tape = cls()
         u, p = tape.input([u0]), tape.input([p0])
         r = tape.input([r0, 1] + [0] * (DEGREE - 1))
-        f_s = f_s_frozen if f_s_frozen is not None else ref_f_value_jet(tp, p / r)
-        g = ref_f_inverse_jet(tp, (-u + r * p / 2) - (n - 1) * f_s)
+        f_s = f_s_frozen if f_s_frozen is not None else ref_f(tp, p / r)
+        g = ref_f_inverse(tp, (-u + r * p / 2) - (n - 1) * f_s)
         for k in range(DEGREE):
             tape.advance(k)
             u.c.append(p.c[k] / (k + 1))
@@ -167,11 +167,11 @@ REF = SimpleNamespace(
 REF_OPS = tau._arithmetic(REF, mp.pi, tau._mp_consts)
 
 
-def ref_f_value_jet(tp, lam):
+def ref_f(tp, lam):
     return tau._f_form(tp, REF_OPS)(lam)
 
 
-def ref_f_inverse_jet(tp, y):
+def ref_f_inverse(tp, y):
     return tau._f_inverse_form(tp, REF_OPS)(y)
 
 
@@ -209,11 +209,11 @@ class TestAgainstMpfOperators:
             # coefficients all carry guard bits (the join values' precision)
             unit = [1] + [0] * (DEGREE - 1)
             full = [guarded(mp.mpf(1) / (j + 2)) * (-1) ** j for j in range(DEGREE)]
-            for new, ref, x0 in ((f_value_jet, ref_f_value_jet, lam), (f_inverse_jet, ref_f_inverse_jet, y)):
+            for form, ref, x0 in ((_f_form, ref_f, lam), (_f_inverse_form, ref_f_inverse, y)):
                 for x0_, rest in ((x0, unit), (guarded(x0), full)):
                     want = bits(series(REF, ref, tp, x0_, rest))
-                    got = series(jets, new, tp, x0_, rest)
-                    assert got == want, (new.__name__, dps)
+                    got = series(jets, lambda tp, x: form(tp, _JETS)(x), tp, x0_, rest)
+                    assert got == want, (form.__name__, dps)
 
     @pytest.mark.parametrize("frozen", [False, True])
     @pytest.mark.parametrize("branch", list(POINTS))
@@ -430,7 +430,11 @@ class TestTaylorIntegrate:
         tp = TauParams.special_lagrangian()
         lo, hi = f_range(tp)
         y0, span = (-f_value(tp, 0.9), -1e-6), (0.0, 10.0)
-        read, t_end, event = jets.taylor_integrate(lambda x, u, p: f_inverse_jet(tp, -u + x * p / 2), y0, span, 30)
+
+        def jet_acc(x, u, p):  # the jet form is bound at each call, at the integrator's dps
+            return _f_inverse_form(tp, _JETS)(-u + x * p / 2)
+
+        read, t_end, event = jets.taylor_integrate(jet_acc, y0, span, 30)
         assert event.label == "step_underflow" and event.t == t_end and round(t_end, 3) == 5.768
 
         def float_acc(x, u, p):

@@ -105,11 +105,16 @@ def _table(nodes):
     (lambda: sl.fields.Table1DField(*_table([0.0, 1.0, 1.0, 2.0])), "nodes must be finite and strictly increasing"),
     (lambda: sl.fields.Table1DField(*_table([0.0, 1.0, math.nan, 2.0])),
      "nodes must be finite and strictly increasing"),
+    (lambda: sl.tau.operator_value(SLAG, []), "expected spectra of at least one eigenvalue"),
+    (lambda: sl.tau.operator_value(SLAG, np.zeros((3, 0))), "expected spectra of at least one eigenvalue"),
+    (lambda: sl.admissible(SLAG, []), "expected one spectrum of at least one eigenvalue"),
+    (lambda: sl.admissible(SLAG, np.zeros((2, 2))), "expected one spectrum of at least one eigenvalue"),
 ], ids=["build-n-fraction", "build-n-string", "shoot-n-fraction", "shoot-dps-fraction", "shoot-samples-0",
         "shoot-samples-negative", "shoot-samples-fraction", "shoot-samples-float", "reference-rmax-negative",
         "reference-rmax-nan", "reference-n-0", "reference-samples-1", "shoot-refused-start-tol-negative",
         "shoot-refused-start-tol-nan", "extension-n-fraction", "extension-n-string", "legendre-1d-infinite",
-        "legendre-1d-num-negative", "w1-span-negative", "table-nodes-repeated", "table-nodes-nan"])
+        "legendre-1d-num-negative", "w1-span-negative", "table-nodes-repeated", "table-nodes-nan",
+        "operator-empty-spectrum", "operator-empty-spectra", "admissible-empty-spectrum", "admissible-matrix"])
 def test_library_refuses_a_count_span_or_tolerance_it_cannot_use(call, reason):
     # a count is an integer, never rounded down or read from a string, and a
     # span or tolerance is checked before any work

@@ -13,7 +13,7 @@ from shrinker_lab import InputError, TauParams, jets, shooting
 from shrinker_lab.fields import ScalarField
 from shrinker_lab.numerics import DivergenceEvent, RhsEvaluationError, read_span, row_dot
 from shrinker_lab.shooting import _step_rule, radial_quadratic_reference, shoot_radial
-from shrinker_lab.tau import cone_spec, f_inverse, f_inverse_jet, f_range, f_value, f_value_jet, f_value_mp
+from shrinker_lab.tau import _JETS, _f_form, _f_inverse_form, cone_spec, f_inverse, f_range, f_value, f_value_mp
 
 from conftest import as_pair, branch_params, same_bits
 
@@ -719,8 +719,8 @@ def test_one_dimensional_taylor_shot_forms_no_transverse_term(monkeypatch):
         def acc(r, u, p):
             r0 = jets.mpf(r.c[0])
             rule(r0, jets.mpf(u.c[0]), jets.mpf(p.c[0]))
-            f_s = f_value_mp(tp, upp0) if r0 < shooting._R_SERIES else f_value_jet(tp, p / r)
-            return f_inverse_jet(tp, (-u + r * p / 2) - (n - 1) * f_s)
+            f_s = f_value_mp(tp, upp0) if r0 < shooting._R_SERIES else _f_form(tp, _JETS)(p / r)
+            return _f_inverse_form(tp, _JETS)((-u + r * p / 2) - (n - 1) * f_s)
 
         return acc
 

@@ -27,11 +27,12 @@ from shrinker_lab import (
 from shrinker_lab import jets
 from shrinker_lab.fields import QuadraticField, ScalarField
 from shrinker_lab.tau import (
+    _JETS,
     _eigenvalue,
+    _f_form,
+    _f_inverse_form,
     _first_outside,
-    f_inverse_jet,
     f_inverse_mp,
-    f_value_jet,
     f_value_mp,
     minkowski_residual,
 )
@@ -485,10 +486,10 @@ class TestJets:
     DEGREE = 12
     DPS = 40
 
-    def _jet(self, fn, tp, x0):
+    def _jet(self, form, tp, x0):
         tape = jets.Tape()
         x = tape.input([x0, 1] + [0] * (self.DEGREE - 1))
-        out = fn(tp, x)
+        out = form(tp, _JETS)(x)
         for k in range(self.DEGREE + 1):
             tape.advance(k)
         return [jets.mpf(c) for c in out.c]
@@ -499,19 +500,19 @@ class TestJets:
         with mp.workdps(self.DPS):
             lam = mp.mpf(self.POINTS[branch])
             y = f_value_mp(tp, lam)
-            for jet_fn, mp_fn, x0 in ((f_value_jet, f_value_mp, lam), (f_inverse_jet, f_inverse_mp, y)):
-                got = self._jet(jet_fn, tp, x0)
+            for form, mp_fn, x0 in ((_f_form, f_value_mp, lam), (_f_inverse_form, f_inverse_mp, y)):
+                got = self._jet(form, tp, x0)
                 want = mp.taylor(lambda t: mp_fn(tp, t), x0, self.DEGREE)
                 assert len(got) == len(want)
                 for k, (g, w) in enumerate(zip(got, want)):
-                    assert abs(g - w) <= mp.mpf(10) ** (5 - self.DPS) * (1 + abs(w)), (jet_fn.__name__, k)
+                    assert abs(g - w) <= mp.mpf(10) ** (5 - self.DPS) * (1 + abs(w)), (form.__name__, k)
 
     def test_constant_term_is_the_closed_form(self, all_branches):
         # order 0 of a jet is the mpmath closed form itself, bit for bit
         with mp.workdps(30):
             for name, tp in all_branches.items():
                 lam = mp.mpf(self.POINTS[name])
-                assert self._jet(f_value_jet, tp, lam)[0] == f_value_mp(tp, lam)
+                assert self._jet(_f_form, tp, lam)[0] == f_value_mp(tp, lam)
 
 
 class TestOperator:
