@@ -464,6 +464,7 @@ class MinkowskiProfile(ScalarField):
     def __init__(self, integral):
         self._integral = integral
         self.span = integral.span    # the half-span of the trajectory and of f
+        self._last_sech2 = (None, None)    # (the read it was mapped over, sech^2(s))
 
     def rows(self, xs):
         """Profile table (x, s, phi, f, f', f'') at an array of points."""
@@ -476,12 +477,17 @@ class MinkowskiProfile(ScalarField):
         return np.array(list(map(math.tanh, self._integral.read(x)[2].tolist())))[:, None]
 
     def _hessian(self, x):
-        _, _, s, p = self._integral.read(x)
-        return (np.array(list(map(_sech2, s.tolist()))) * p)[:, None, None]
+        return (self.gradient_complement(x) * self._integral.read(x)[3])[:, None, None]
 
     def gradient_complement(self, x):
-        """1 - f'^2 = sech^2(s) at an (m, 1) cloud, as (m,)."""
-        return np.array(list(map(_sech2, self._integral.read(x)[2].tolist())))
+        """1 - f'^2 = sech^2(s) at an (m, 1) cloud, as (m,): mapped once per
+        cloud, as the residual reads it and then the Hessian."""
+        reads = self._integral.read(x)
+        if self._last_sech2[0] is not reads:
+            sech2 = np.array(list(map(_sech2, reads[2].tolist())))
+            sech2.flags.writeable = False    # shared by every read of this cloud
+            self._last_sech2 = (reads, sech2)
+        return self._last_sech2[1]
 
 
 def _sech2(s):

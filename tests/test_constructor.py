@@ -653,6 +653,27 @@ class TestMssCounterexample:
         assert same_bits(fld.value(cloud), [fld.value([x]) for x in xs])
         assert same_bits(minkowski_residual(fld, cloud), [minkowski_residual(fld, [x]) for x in xs])
 
+    def test_sech2_kept_for_the_last_cloud_only(self):
+        # clouds A, B, A in turn: each read is that cloud's own sech^2(s),
+        # never the other cloud's kept one
+        fld, _ = build_mss_counterexample(1.2, 0.1, T=10.0, rel_tol=1e-8, radius=5.0, samples=11)
+        a, b = np.linspace(-5.0, 5.0, 41)[:, None], np.linspace(-9.0, 9.0, 37)[:, None]
+        for cloud in (a, b, a):
+            _, _, s, p = fld._integral.read(cloud)
+            sech2 = [constructor._sech2(v) for v in s]
+            assert same_bits(fld.gradient_complement(cloud), sech2)
+            assert same_bits(fld.hessian(cloud), [[[c * w]] for c, w in zip(sech2, p)])
+            assert same_bits(fld.gradient_complement(cloud), sech2)
+
+    def test_residual_maps_sech2_once_a_point(self, monkeypatch):
+        fld, _ = build_mss_counterexample(1.2, 0.1, T=10.0, rel_tol=1e-8, radius=5.0, samples=11)
+        cloud = np.linspace(-5.0, 5.0, 201)[:, None]
+        calls = []
+        sech2 = constructor._sech2
+        monkeypatch.setattr(constructor, "_sech2", lambda s: calls.append(s) or sech2(s))
+        minkowski_residual(fld, cloud)
+        assert len(calls) == len(cloud)
+
     def test_certificate_equals_point_residuals(self):
         fld, cert = build_mss_counterexample(-0.7, 0.2, T=10.0, rel_tol=1e-8, radius=5.0, samples=201)
         xs = np.linspace(-5.0, 5.0, 201)
