@@ -8,7 +8,9 @@ standard recurrences (Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
 ch. 13; Jorba & Zou, *Exp. Math.* 14 (2005) 99-117), so degree d costs O(d^2)
 multiplications at the current mpmath precision.  Feeding outputs back into
 inputs (x_{k+1} = g_k / (k + 1) for x' = g(x)) yields the Taylor coefficients
-of an ODE solution.
+of an ODE solution.  ``restart`` sets the inputs anew and clears every derived
+series in place, so a recorded graph is swept again at new inputs; the first
+node derived after a restart drops the old graph instead.
 
 Coefficients are (man, exp) pairs of ints worth man 2^exp, man odd (or the
 pair (0, 0)) as in a libmp tuple: ``Jet.c`` holds them, and each rule gives
@@ -21,7 +23,8 @@ as ``mpf_sum`` of ``mpf_mul`` products.  So a series is bit for bit what the
 same recurrences give on mpf objects, with no mpf or libmp tuple made per
 coefficient.  An input's coefficients enter exactly, whatever their
 precision: ``Tape.input`` converts the ones it is given, and a caller appends
-pairs after that.
+pairs after that.  Negating a derived series or multiplying it by 1 is exact,
+so there ``a - b`` and ``c - a`` are one node and ``1 * a`` is ``a``.
 
 :func:`log`, :func:`exp`, :func:`atan`, :func:`tan` and :func:`tanh` take a
 :class:`Jet`; together with the operators they form the namespace in which
@@ -41,7 +44,7 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import from_float, from_man_exp, mpf_gt, round_nearest, to_float
 
-from .numerics import DivergenceEvent, RhsEvaluationError
+from .numerics import DivergenceEvent, InputError, RhsEvaluationError
 
 __all__ = ["Tape", "Jet", "mpf", "log", "exp", "atan", "tan", "tanh", "taylor_integrate"]
 
@@ -152,12 +155,25 @@ class Tape:
 
     def __init__(self):
         self.nodes = []  # (append to a derived series, its rule)
+        self.inputs, self.restarted = [], False
         self.prec, self.rnd = mp.mp._prec_rounding
 
     def input(self, coeffs):
         """A series whose coefficients the caller supplies as mpf values, ints or
-        floats, converted exactly; the caller may append pairs (odd mantissas)."""
-        return Jet(self, None, [_pair(v) for v in coeffs])
+        floats, converted exactly; the caller may append pairs (odd mantissas).
+        It may carry bits past prec, so no fold rests on it."""
+        jet = Jet(self, None, [_pair(v) for v in coeffs], rounded=False)
+        self.inputs.append(jet)
+        return jet
+
+    def restart(self, *coeffs):
+        """Each input's coefficients anew, as ``input`` converts them, in the
+        order the inputs were made, and every derived series cleared."""
+        for jet, cs in zip(self.inputs, coeffs):
+            jet.c[:] = [_pair(v) for v in cs]
+        for append, _ in self.nodes:
+            append.__self__.clear()
+        self.restarted = True
 
     def advance(self, k):
         for append, rule in self.nodes:
@@ -166,18 +182,21 @@ class Tape:
 
 class Jet:
     """Truncated power series; ``c[k]`` is the k-th Taylor coefficient as a
-    (man, exp) pair."""
+    (man, exp) pair.  ``rounded``: a derived series, every coefficient rounded
+    at the tape's precision, so negating it or multiplying it by 1 is exact."""
 
-    __slots__ = ("tape", "c")
+    __slots__ = ("tape", "c", "rounded")
 
-    def __init__(self, tape, rule, c=None):
-        self.tape = tape
+    def __init__(self, tape, rule, c=None, rounded=True):
+        self.tape, self.rounded = tape, rounded
         self.c = [] if c is None else c
         if rule is not None:
+            if tape.restarted:
+                tape.nodes, tape.restarted = [], False
             tape.nodes.append((self.c.append, rule))
 
-    def _derive(self, rule):
-        return Jet(self.tape, rule)
+    def _derive(self, rule, rounded=True):
+        return Jet(self.tape, rule, rounded=rounded)
 
     def __add__(self, other):
         a, prec, rnd = self.c, self.tape.prec, self.tape.rnd
@@ -185,7 +204,7 @@ class Jet:
             b = other.c
             return self._derive(lambda k: _add(a[k], b[k], prec, rnd))
         x = _pair(mp.mpf(other))
-        return self._derive(lambda k: _add(a[k], x, prec, rnd) if k == 0 else a[k])
+        return self._derive(lambda k: _add(a[k], x, prec, rnd) if k == 0 else a[k], self.rounded)
 
     __radd__ = __add__
 
@@ -194,10 +213,17 @@ class Jet:
         return self._derive(lambda k: _round(-a[k][0], a[k][1], prec, rnd))
 
     def __sub__(self, other):
+        if isinstance(other, Jet) and other.rounded:  # -b is exact: one node
+            a, b, prec, rnd = self.c, other.c, self.tape.prec, self.tape.rnd
+            return self._derive(lambda k: _add(a[k], (-b[k][0], b[k][1]), prec, rnd))
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        if not self.rounded:
+            return (-self) + other
+        a, prec, rnd = self.c, self.tape.prec, self.tape.rnd
+        x = _pair(mp.mpf(other))
+        return self._derive(lambda k: _add((-a[0][0], a[0][1]), x, prec, rnd) if k == 0 else (-a[k][0], a[k][1]))
 
     def __mul__(self, other):
         a, prec, rnd = self.c, self.tape.prec, self.tape.rnd
@@ -212,6 +238,8 @@ class Jet:
 
             return self._derive(rule)
         x = _pair(mp.mpf(other))
+        if x == (1, 0) and self.rounded:
+            return self
         return self._derive(lambda k: _mul(a[k], x, prec, rnd))
 
     __rmul__ = __mul__
@@ -251,6 +279,7 @@ def _chain(x, w0, v_of):
 
     def rule(k):
         if k == 0:
+            da.clear()
             return _pair(w0(mpf(a[0])))
         man, exp = a[k]
         da.append(_round(man * k, exp, prec, rnd))
@@ -268,6 +297,7 @@ def _quotient_chain(x, w0, v):
 
     def rule(k):
         if k == 0:
+            dw.clear()
             return _pair(w0(mpf(a[0])))
         man, exp = _div(_dot(dw, b[k - 1 : 0 : -1], prec, rnd), (k, 0), prec, rnd)
         wk = _div(_add(a[k], (-man, exp), prec, rnd), b[0], prec, rnd)
@@ -302,19 +332,27 @@ _MIN_STEP = 1e-12
 _GUARD = 32  # bits the reader's fixed point keeps below fine_prec
 
 
-def _taylor_step(acc, t0, u0, p0):
+def _taylor_step(acc, t0, u0, p0, tape=None):
     """Degree-_DEGREE jets of (u, p) at t0 for u' = p, p' = acc(t, u, p), as
     pairs, each u_{k+1}, p_{k+1} rounded as ``mpf / int``.  t is the
-    polynomial t0 + h, a jet of two coefficients."""
-    tape = Tape()
-    u, p, t = tape.input([u0]), tape.input([p0]), tape.input([t0, 1])
+    polynomial t0 + h, a jet of two coefficients, on ``tape`` restarted."""
+    tape = tape or Tape()
+    u, p, t = tape.inputs or [tape.input([]) for _ in "upt"]
+    tape.restart([u0], [p0], [t0, 1])
     g = acc(t, u, p)
     prec, rnd = tape.prec, tape.rnd
     for k in range(_DEGREE):
         tape.advance(k)
         u.c.append(_div(p.c[k], (k + 1, 0), prec, rnd))
         p.c.append(_div(g.c[k], (k + 1, 0), prec, rnd))
-    return u.c, p.c
+    return u.c[:], p.c[:]
+
+
+def _step_radius(us, ps, tol):
+    """mpmath ``ode_taylor``'s step, min(1, (tol/|c_d|)^(1/d))/2 over both series;
+    a quotient tol/|c_d| >= 2 takes no root, which would pass 1 by over 3 %."""
+    qs = [tol / abs(mpf(cs[-1])) for cs in (us, ps) if cs[-1][0]]
+    return min([mp.mpf(1)] + [mp.root(q, _DEGREE) for q in qs if q < 2]) / 2
 
 
 def _step_index(starts_f, starts, t):
@@ -379,7 +417,7 @@ def taylor_integrate(acc, y0, t_span, dps):
     converts).  ``acc`` takes jets and returns the jet of u''; t's jet is the
     polynomial t0 + h, which products and quotients read whole.  An
     RhsEvaluationError it raises is the stop; raised at the initial state,
-    before any step, it reaches the caller.
+    before any step, it reaches the caller, as does a span not finite and forward.
 
     Each step expands (u, p) to degree _DEGREE at the working precision and
     takes the step of mpmath's ``ode_taylor`` (as ``odefun`` calls it with
@@ -409,18 +447,20 @@ def taylor_integrate(acc, y0, t_span, dps):
         rnd = mp.mp._prec_rounding[1]
         tol = mp.ldexp(1, -(int((dps - 10) * math.log2(10.0)) + 10))
         t, t1 = mp.mpf(t_span[0]), float(t_span[1])
+        if not (mp.isfinite(t) and math.isfinite(t1) and t1 >= t):
+            raise InputError(f"t_span must be finite and forward, got {t_span}")
         u, p = (mp.mpf(v) for v in y0)
         # per step: the start as a float and exactly, and (S, u and p on 2^-S)
-        starts_f, starts, steps, event = [], [], [], None
+        starts_f, starts, steps, event, tape = [], [], [], None, Tape()
         while True:
             try:
-                us, ps = _taylor_step(acc, t, u, p)
+                us, ps = _taylor_step(acc, t, u, p, tape)
             except RhsEvaluationError as exc:
                 if not steps:
                     raise
                 event = DivergenceEvent(exc.label, float(t), np.array((float(u), float(p))), exc.detail)
                 break
-            radius = min([mp.mpf(1)] + [mp.root(tol / abs(mpf(c[-1])), _DEGREE) for c in (us, ps) if c[-1][0]]) / 2
+            radius = _step_radius(us, ps, tol)
             if radius < _MIN_STEP:
                 event = DivergenceEvent("step_underflow", float(t), np.array((float(u), float(p))),
                                         f"Taylor step {mp.nstr(radius, 3)} below {_MIN_STEP:g}")

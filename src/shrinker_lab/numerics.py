@@ -493,7 +493,8 @@ def integrate_ode(acc, y0, t_span, rel_tol=1e-10):
     y0 : array_like
         Initial state (u0, v0), a pair of finite floats (an InputError otherwise).
     t_span : (t0, t1)
-        Integration span; t1 < t0 integrates backwards.
+        Integration span, both ends finite (an InputError otherwise); t1 < t0
+        integrates backwards.
     rel_tol : float
         Per-step local error control (RMS-weighted), mixed with the absolute
         tolerance rel_tol * ABS_PER_REL_TOL; both must be finite and positive
@@ -510,6 +511,8 @@ def integrate_ode(acc, y0, t_span, rel_tol=1e-10):
     """
     abs_tol = abs_tolerance(rel_tol)
     t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise InputError(f"t_span must be finite, got {t_span}")
     y_arr = np.atleast_1d(np.asarray(y0, dtype=float))
     if y_arr.shape != (2,):
         raise InputError(f"initial state must be a pair of floats, got shape {y_arr.shape}")

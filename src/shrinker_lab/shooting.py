@@ -17,7 +17,7 @@ perturbation that rigidity rules out.  Reproducing the closed form to large
 radius requires the high-precision Taylor path (``dps=...``).  A shot makes
 one integrator call on u'' = acc(r, u, u'): ``numerics.integrate_ode`` with
 ``_curvature``, or ``jets.taylor_integrate`` with ``_jet_curvature``, the
-equation on Taylor-mode jets of the branch closed forms.
+equation on Taylor-mode jets of the branch closed forms, recorded once a region.
 
 One step rule, built once a shot by ``_step_rule``, checks every state either
 path reaches: the float path's initial state and right-hand side, each
@@ -171,17 +171,24 @@ def _jet_curvature(tp, n, upp0):
     """The Taylor path's acc: the mpf step rule at the expansion point, then the
     jet of f^{-1}((-u + r p/2) - (n-1) f(s)), s = p/r; below _R_SERIES, where
     p/r has a pole at r = 0 next to the expansion point, f(s) is f(u''(0)).
-    The closed forms on jets are bound once, at the shot's precision."""
+    The closed forms on jets are bound once, at the shot's precision; the jet
+    is recorded once a region on the tape, which each later call hands back."""
     rule = _step_rule(tp, n, upp0, f=f_value_mp)
     f_jet, f_inv_jet = _f_form(tp, _JETS), _f_inverse_form(tp, _JETS)
+    graphs = {}  # region -> (the node list of the tape its jet was recorded on, the jet)
 
     def acc(r, u, p):
         r0 = jets.mpf(r.c[0])
         rule(r0, jets.mpf(u.c[0]), jets.mpf(p.c[0]))
-        target = -u + r * p / 2
-        if n > 1:  # at n = 1 the term is 0 times f(s): not formed
-            target = target - (n - 1) * (f_value_mp(tp, upp0) if r0 < _R_SERIES else f_jet(p / r))
-        return f_inv_jet(target)
+        near = r0 < _R_SERIES
+        nodes, g = graphs.get(near, (None, None))
+        if nodes is not r.tape.nodes:  # not recorded on this tape for the region, or dropped since
+            target = -u + r * p / 2
+            if n > 1:  # at n = 1 the term is 0 times f(s): not formed
+                target = target - (n - 1) * (f_value_mp(tp, upp0) if near else f_jet(p / r))
+            g = f_inv_jet(target)
+            graphs[near] = r.tape.nodes, g
+        return g
 
     return acc
 
@@ -256,7 +263,9 @@ def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, *, dps=None, n_samples=40
             read, r_end, stop = traj.evaluate, traj.t_end, traj.event
         else:
             (su, supp), acc, y0 = _taylor_start(tp, n, u0_raw, dps)
-            read, r_end, stop = jets.taylor_integrate(acc, y0, (_R_START, r_max), dps)
+            # a span that ends short of _R_START takes the start's step only: its shot is the series
+            read, r_end, stop = jets.taylor_integrate(acc, y0, (_R_START, max(r_max, _R_START)), dps)
+            r_end = r_end if stop else r_max
     except RhsEvaluationError as exc:  # the rule refused the start: the series is the whole shot
         read, r_end, stop = None, _R_START, exc
     # the integrator's step underflow and non-finite state, and the Taylor minimum step, are blow-ups

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shrinker_lab.cli import BRANCH_DEFAULTS, build_parser, main
-from shrinker_lab import cli, constructor, reports
+from shrinker_lab import cli, constructor, reports, shooting
 from shrinker_lab.numerics import RhsEvaluationError
 from shrinker_lab.reports import write_csv
 
@@ -375,6 +375,28 @@ class TestExitCodes:
         rows = (tmp_path / "radial-profile.csv").read_text().splitlines()
         last = rows[-1].split(",")
         assert abs(float(last[1]) - 0.5 * float(last[0]) ** 2) < 1e-6
+
+
+    @pytest.mark.parametrize("rmax", ["1e-9", "5e-324"])
+    def test_shoot_short_of_the_series_start_is_the_series(self, tmp_path, rmax):
+        # r_max below shooting._R_START: the Taylor path still checks its start,
+        # and the profile is the series u0 + u''(0) r^2/2 up to r_max
+        code = run(tmp_path, "shoot", "--branch", "MA", "--n", "2", "--u0", "-1", "--rmax", rmax, "--dps", "30")
+        assert code == 0
+        report = json.loads((tmp_path / "shoot.json").read_text())
+        assert report["results"]["event"] == {"kind": "completed", "r": float(rmax)}
+        (u0, upp0), _, _ = shooting._taylor_start(BRANCH_DEFAULTS["MA"](), 2, -1.0, 30)
+        rows = np.loadtxt(tmp_path / "radial-profile.csv", delimiter=",", skiprows=1)
+        rs = np.linspace(0.0, float(rmax), 401)
+        assert np.array_equal(rows[:, 0], rs)
+        assert np.array_equal(rows[:, 1:3].T, shooting._series_state(u0, upp0, rs))
+
+    @pytest.mark.parametrize("rmax", ["1e-9", "5e-324"])
+    def test_shoot_short_of_the_series_start_checks_the_start(self, tmp_path, rmax):
+        code = run(tmp_path, "shoot", "--branch", "NEG", "--n", "2", "--u0", "2e10", "--rmax", rmax, "--dps", "30")
+        assert code == 0
+        report = json.loads((tmp_path / "shoot.json").read_text())
+        assert report["results"]["event"] == {"kind": "cone_exit", "r": 1e-08}
 
 
 def _written(out):

@@ -9,6 +9,14 @@ give ``mpf_sum(map(mpf_mul, xs, ys), prec, rnd)`` bit for bit, and the
 rounding kernel under it what the libmp call each operation replaces gives.
 ``jets.taylor_integrate`` keeps ``numerics.integrate_ode``'s contract on
 equations other than the radial one.
+
+A shot keeps one tape: each step restarts it, which sets the inputs anew and
+clears every derived series (and each rule's scratch list) in place.  The
+radial acc hands back the graph it recorded on that tape for its region; any
+other acc's first derived node drops the old graph.  Every coefficient of a
+shot must be the pair a fresh tape per step gives.  ``a - b``, ``c - a``,
+``1 * a`` and ``a * 1`` fold to one node or none where the series negated or
+multiplied is a derived one, rounded at the tape's precision, and nowhere else.
 """
 
 import math
@@ -25,7 +33,7 @@ from mpmath.libmp import (
 )
 
 from shrinker_lab import TauParams, jets, shooting, tau
-from shrinker_lab.numerics import RhsEvaluationError, integrate_ode
+from shrinker_lab.numerics import InputError, RhsEvaluationError, integrate_ode
 from shrinker_lab.tau import _JETS, _f_form, _f_inverse_form, f_inverse, f_inverse_mp, f_range, f_value, f_value_mp
 
 from conftest import as_pair, branch_params
@@ -265,6 +273,137 @@ class TestAgainstMpfOperators:
         assert got[0] == bits(u.c) and got[1] == bits(p.c)
 
 
+# the shooting data of TestStepJoin: an interior curvature per branch
+CURVATURES = {"MA": "0.6", "LOG": "0.4", "HARM": "0.3", "ATAN": "0.4", "SLAG": "0.5", "NEG": "1.2"}
+
+
+class TestTapeRestart:
+    """One tape a shot: each step restarts it, the radial acc sweeps the graph
+    it recorded for its region again, and every coefficient stays the pair a
+    fresh tape per step gives."""
+
+    @pytest.mark.parametrize("du0", ["0", "0.01"])
+    @pytest.mark.parametrize("dps", [15, 30, 45])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("branch", list(CURVATURES))
+    def test_a_shot_is_a_fresh_tape_per_step(self, branch, n, dps, du0, monkeypatch):
+        tp = branch_params()[branch]
+        with mp.workdps(dps):
+            u0 = -n * f_value_mp(tp, mp.mpf(CURVATURES[branch])) + mp.mpf(du0)
+        _, acc, y0 = shooting._taylor_start(tp, n, u0, dps)
+        _, fresh, _ = shooting._taylor_start(tp, n, u0, dps)  # its own acc, on a new tape each call
+        steps, points = [], []
+        taylor_step = jets._taylor_step
+
+        def recording(acc, t0, u0, p0, tape):
+            nodes, size = tape.nodes, len(tape.nodes)
+            got = taylor_step(acc, t0, u0, p0, tape)
+            derived = tape.nodes is not nodes or len(tape.nodes) != size  # the acc recorded nodes
+            steps.append((t0, u0, p0, got, derived))
+            return got
+
+        def counted(r, u, p):
+            points.append(r.c[0])
+            return acc(r, u, p)
+
+        monkeypatch.setattr(jets, "_taylor_step", recording)
+        jets.taylor_integrate(counted, y0, (shooting._R_START, 10.0), dps)
+        assert len(steps) >= 20
+        assert points[: len(steps)] == [jets._pair(t0) for t0, *_ in steps] and len(points) <= len(steps) + 1
+        assert 1 <= sum(derived for *_, derived in steps) <= 2
+        with mp.workdps(dps):
+            for t0, u0, p0, got, _ in steps:
+                assert got == taylor_step(fresh, t0, u0, p0), float(t0)
+
+    def test_a_restart_gives_a_fresh_tapes_series(self):
+        # every rule with a scratch list (the chains' da, the quotient chains'
+        # dw) restarts it, and a restart clears each derived series in place
+        def graph(x, t):
+            return jets.exp(x) * jets.tan(x) + jets.tanh(x) / t - jets.log(t * t) * jets.atan(x)
+
+        def rest(x0):
+            return [mp.mpf(x0) / (j + 2) for j in range(DEGREE)]
+
+        with mp.workdps(30):
+            tape = jets.Tape()
+            x, t = tape.input([mp.mpf("0.3")] + rest("0.3")), tape.input([mp.mpf("0.75"), 1])
+            g = graph(x, t)
+            for k in range(DEGREE + 1):
+                tape.advance(k)
+            for x0, t0 in (("-0.2", "1.25"), ("0.45", "2.5")):
+                tape.restart([mp.mpf(x0)] + rest(x0), [mp.mpf(t0), 1])
+                for k in range(DEGREE + 1):
+                    tape.advance(k)
+                want = series(jets, lambda _, x: graph(x, x.tape.input([mp.mpf(t0), 1])), None, mp.mpf(x0), rest(x0))
+                assert g.c == want and len(g.c) == DEGREE + 1
+
+    def test_an_acc_that_derives_drops_the_old_graph(self):
+        # after a restart the first derived node drops the graph recorded before:
+        # 1/u, swept again at u = 0, would divide by zero
+        with mp.workdps(30):
+            tape = jets.Tape()
+            first = jets._taylor_step(lambda t, u, p: 1 / u, mp.mpf(0), mp.mpf(1), mp.mpf(0), tape)
+            second = jets._taylor_step(lambda t, u, p: -u, mp.mpf(1), mp.mpf(0), mp.mpf(1), tape)
+            assert len(tape.nodes) == 1
+            assert first == jets._taylor_step(lambda t, u, p: 1 / u, mp.mpf(0), mp.mpf(1), mp.mpf(0))
+            assert second == jets._taylor_step(lambda t, u, p: -u, mp.mpf(1), mp.mpf(0), mp.mpf(1))
+
+
+class TestFolds:
+    """Negating a derived series or multiplying it by 1 is exact, its
+    coefficients rounded at the tape's precision: there ``a - b`` and ``c - a``
+    are one node and ``1 * a`` is a.  No fold rests on an input, which may
+    carry bits past that precision (a guarded one does), and every coefficient
+    is the mpf operators' either way."""
+
+    FOLDS = {"a - b": lambda a, b: a - b, "c - a": lambda a, b: 2 - b, "1 * a": lambda a, b: 1 * b,
+             "a * 1": lambda a, b: b * 1}
+    # nodes each forms, folded and not
+    NODES = {"a - b": (1, 2), "c - a": (1, 2), "1 * a": (0, 1), "a * 1": (0, 1)}
+
+    @pytest.mark.parametrize("operand", ["derived", "short input", "guarded input"])
+    @pytest.mark.parametrize("fold", list(FOLDS))
+    def test_folds_only_on_rounded_series(self, fold, operand):
+        with mp.workdps(30):
+            a0 = [mp.mpf(1) / (j + 3) for j in range(DEGREE + 1)]
+            b0 = [mp.mpf(2) / (j + 5) * (-1) ** j for j in range(DEGREE + 1)]
+            if operand == "guarded input":
+                b0 = [guarded(v) for v in b0]
+            got = []
+            for module in (jets, REF):
+                tape = module.Tape()
+                a, b = tape.input(a0), tape.input(b0)
+                if operand == "derived":
+                    b = b * a
+                size = len(tape.nodes)
+                out = self.FOLDS[fold](a, b)
+                got.append((out, len(tape.nodes) - size, b))
+                for k in range(DEGREE + 1):
+                    tape.advance(k)
+        (out, nodes, b), (ref, _, _) = got
+        assert out.c == bits(ref.c)
+        assert nodes == self.NODES[fold][operand != "derived"]
+        assert (out is b) == ("1" in fold and operand == "derived")
+
+
+class TestStepRadius:
+    """min(1, (tol/|c_d|)^(1/d))/2 over both series' top coefficients: a
+    quotient of 2 or more takes no root, whose value would pass 1."""
+
+    @pytest.mark.parametrize("q", ["0.5", "0.75", "0.999", "1.001", "1.999999", "2.000001", "3"])
+    def test_the_radius_is_the_capped_root(self, q):
+        # just below 2 the root is taken and capped, just above it is skipped;
+        # below 1 the root itself is the radius
+        with mp.workdps(30):
+            tol = mp.ldexp(1, -70)
+            c = jets._pair(tol / mp.mpf(q))
+            want = min(mp.mpf(1), mp.root(tol / abs(jets.mpf(c)), DEGREE)) / 2
+            low = [(1, 0)] * DEGREE
+            assert jets._step_radius(low + [c], low + [(0, 0)], tol) == want
+            assert jets._step_radius(low + [(0, 0)], low + [(-c[0], c[1])], tol) == want
+            assert jets._step_radius(low + [(0, 0)], low + [(0, 0)], tol) == mp.mpf(1) / 2
+
+
 ROUNDINGS = [round_nearest, round_floor, round_ceiling, round_down, round_up]
 
 
@@ -457,6 +596,17 @@ class TestTaylorIntegrate:
         read, t_end, event = jets.taylor_integrate(walled, (0, 1), (0.0, 10.0), 30)
         assert (event.label, event.detail, event.t) == ("wall", "past 2", t_end) and 2.0 < t_end < 3.0
         assert read(np.array([t_end]))[0] == pytest.approx((math.sin(t_end), math.cos(t_end)), abs=1e-15)
+
+    @pytest.mark.parametrize("t_span, match", [((0.0, math.nan), "finite"), ((math.nan, 1.0), "finite"),
+                                                ((0.0, math.inf), "finite"), ((0.0, -10.0), "forward")])
+    def test_a_bad_span_is_refused_before_any_call(self, t_span, match):
+        # a nan end once stepped without end, and a backward one took one
+        # forward step its reader then extrapolated
+        def acc(t, u, p):
+            raise AssertionError("acc called")
+
+        with pytest.raises(InputError, match=match):
+            jets.taylor_integrate(acc, (0, 1), t_span, 30)
 
     def test_a_refused_start_reaches_the_caller(self):
         def refusing(t, u, p):

@@ -328,6 +328,15 @@ class TestIntegrateOde:
         with pytest.raises(InputError):
             traj(2.0)
 
+    @pytest.mark.parametrize("t_span", [(0.0, math.nan), (math.nan, 1.0), (0.0, math.inf)])
+    def test_a_non_finite_span_is_refused_before_any_call(self, t_span):
+        # once a completed one-knot trajectory ending at 0.0 or nan, or a loop that did not end
+        def acc(t, u, v):
+            raise AssertionError("acc called")
+
+        with pytest.raises(InputError, match="t_span must be finite"):
+            integrate_ode(acc, (0.0, 1.0), t_span)
+
     def test_state_must_be_one_dimensional(self):
         with pytest.raises(InputError):
             integrate_ode(lambda t, u, v: u, [[1.0, 0.0]], (0.0, 1.0))
