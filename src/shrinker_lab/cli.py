@@ -92,9 +92,7 @@ def _resolve_tp(args, fallback=None):
 
 
 def _out_path(args, name):
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    return os.path.join(out, name)
+    return os.path.join(args.out or ".", name)
 
 
 # build-counterexample's flags that one construction reads and the other
@@ -399,6 +397,10 @@ def main(argv=None):
         _construction_flags(parser, args)
     try:
         _check_sizes(args)
+        try:  # before the command runs, so an --out that cannot be a directory costs no work
+            os.makedirs(args.out or ".", exist_ok=True)
+        except OSError as exc:
+            raise InputError(f"--out {args.out} cannot be made a directory: {exc.strerror or exc}") from exc
         return args.func(args)
     except tuple(EXIT_CODES) as exc:
         code, label = next(v for cls, v in EXIT_CODES.items() if isinstance(exc, cls))

@@ -259,10 +259,13 @@ class W1Profile:
 
 def _table(integral, fld, xs):
     """The profile table of both constructions, (x, the trajectory's state,
-    f, f', f''), shape (m, 6), at an array of points: ``fld`` is read on the
-    points as one (m, 1) cloud, all through one cached ``read`` of
-    ``integral``, the step integral under it."""
-    x = np.asarray(xs, dtype=float)[:, None]
+    f, f', f''), shape (m, 6), at a 1-D array of points (any other shape is
+    an InputError): ``fld`` is read on the points as one (m, 1) cloud, all
+    through one cached ``read`` of ``integral``, the step integral under it."""
+    x = np.asarray(xs, dtype=float)
+    if x.ndim != 1:
+        raise InputError(f"expected a 1-D array of points, got shape {x.shape}")
+    x = x[:, None]
     return np.column_stack([x, integral.read(x)[2:].T, fld.value(x), fld.gradient(x), fld.hessian(x)[:, 0]])
 
 

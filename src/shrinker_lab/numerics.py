@@ -321,15 +321,18 @@ def as_positive(value, name):
 
 
 def read_span(t, lo, hi):
-    """Times t (an array) on [lo, hi], the one rule for reads at or past the
-    ends of data: a time within READ_SLACK (1 + |end|) past an end is that
-    end; any other time outside, or NaN, is an InputError."""
+    """Times t (a 1-D array) on [lo, hi], the one rule for reads at or past
+    the ends of data: a time within READ_SLACK (1 + |end|) past an end is that
+    end; any other time outside, or NaN, is an InputError, as is a t of any
+    other shape (a scalar, a 2-D batch)."""
     lo, hi = float(lo), float(hi)
     below, above = lo - READ_SLACK * (1 + abs(lo)), hi + READ_SLACK * (1 + abs(hi))
     t = np.asarray(t, dtype=float)
+    if t.ndim != 1:
+        raise InputError(f"expected a 1-D array of times, got shape {t.shape}")
     inside = (t >= below) & (t <= above)
     if not inside.all():
-        raise InputError(f"read at {t[~inside].flat[0]} outside the span [{lo}, {hi}]")
+        raise InputError(f"read at {t[~inside][0]} outside the span [{lo}, {hi}]")
     return np.clip(t, lo, hi)
 
 
@@ -360,7 +363,12 @@ def _as_is(read):
     return read
 
 
-_READ_BLOCK = 4096  # query times a Trajectory.evaluate block reads
+# query times a Trajectory.evaluate or StepIntegralField.read block reads: at
+# 1,024 a block's twenty-odd (4 Gauss nodes, block) float64 temporaries fit a
+# 2 MiB per-core L2.  The 4,926-row bounded-cone table read (best of 7 x 40,
+# 2-core Xeon): 3.37 ms at 4,096, 3.07 at 2,048, 2.26 at 1,024, 2.84 at 512
+# and 4.09 at 256, every size the same bits
+_READ_BLOCK = 1024
 
 
 @dataclass

@@ -49,12 +49,15 @@ def write_csv(path, header, rows):
     must be 2-D (any other shape is an InputError, before the file is opened)
     and is formatted in blocks of rows, each through one ``orjson.dumps``.
     orjson's shortest round-trip digits are ``repr``'s, and it writes them as
-    ``repr`` does but at four kinds of cell: 1e-9 <= |x| < 1e-4 as ``1e-7`` or
-    ``0.00001`` and |x| >= 1e16 as ``1e16``, where ``repr`` writes ``1e-07``,
-    ``1e-05`` and ``1e+16``, and nan and inf as ``null``.  Those cells are
-    dumped as nan and each ``null`` filled in with the cell's ``repr``, so the
-    bytes are those of ``csv.writer`` with ``repr`` cells; the header is
-    formatted by ``csv.writer`` and the file written as UTF-8 bytes.
+    ``repr`` does but at four kinds of cell: 1e-9 <= |x| < 1e-5 as ``1.5e-7``,
+    1e-5 <= |x| < 1e-4 as ``0.0000123`` and |x| >= 1e16 as ``1e16``, where
+    ``repr`` writes ``1.5e-07``, ``1.23e-05`` and ``1e+16``, and nan and inf
+    as ``null``.  Those cells are dumped as nan, and each ``null`` filled in
+    with the cell's text from a second dump of them alone: ``e-`` patched to
+    ``e-0`` (no other of their texts holds ``e-``), and ``repr`` itself for
+    nan, inf, 1e-5 <= |x| < 1e-4 and |x| >= 1e16.  So the bytes are those of
+    ``csv.writer`` with ``repr`` cells; the header is formatted by
+    ``csv.writer`` and the file written as UTF-8 bytes.
     """
     if not (isinstance(rows, np.ndarray) and rows.dtype == np.float64):
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -74,7 +77,16 @@ def write_csv(path, header, rows):
             mag = np.abs(block)
             same = (mag < 1e-9) | ((mag >= 1e-4) & (mag < 1e16))    # +-0.0 and subnormals among them
             cells = np.ascontiguousarray(np.where(same, block, np.nan))
-            text = orjson.dumps(cells, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
-            # "[[a,b],[c,d]]" -> "a,b\r\nc,d\r\n", each null a %b for its cell's repr
-            text = text.replace(b"],[", b"\r\n").replace(b"null", b"%b") + b"\r\n"
-            fh.write(text % tuple(repr(v).encode() for v in block[~same].tolist()))
+            # "[[a,b],[c,d]]" -> "a,b\r\nc,d\r\n"
+            text = b"\r\n".join(orjson.dumps(cells, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")) + b"\r\n"
+            odd = block[~same]
+            if odd.size:
+                fills = orjson.dumps(odd, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].replace(b"e-", b"e-0").split(b",")
+                rest = ~(np.abs(odd) < 1e-5)    # nan among them
+                for i, v in zip(np.flatnonzero(rest).tolist(), odd[rest].tolist()):
+                    fills[i] = repr(v).encode()
+                parts = text.split(b"null")    # a cell's null, in cell order
+                out = parts + fills
+                out[::2], out[1::2] = parts, fills
+                text = b"".join(out)
+            fh.write(text)

@@ -318,6 +318,37 @@ class TestExitCodes:
                 code = exc.code
         assert code in DOCUMENTED_EXIT_CODES, argv
 
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify-quadratic", "--trials", "1"),
+            ("build-counterexample",),
+            ("shoot", "--u0", "-1.5"),
+            ("flow-check", "--trials", "1"),
+            ("legendre-check",),
+            ("defect", "--trials", "1"),
+        ],
+    )
+    def test_out_that_cannot_be_a_directory_is_parameter_error(self, tmp_path, capsys, monkeypatch, argv, under):
+        # refused before the command runs: the parser's args carry a command that fails the test
+        parser = build_parser()
+        parse = parser.parse_args
+
+        def parse_without_command(argv):
+            args = parse(argv)
+            args.func = lambda args: pytest.fail("the command ran")
+            return args
+
+        monkeypatch.setattr(parser, "parse_args", parse_without_command)
+        blocker = tmp_path / "report"
+        blocker.write_bytes(b"kept\n")
+        out = blocker / "sub" if under else blocker
+        assert main([*argv, "--out", str(out)]) == 65
+        err = capsys.readouterr().err
+        assert err.startswith("shrinker-lab: parameter error: --out ") and err.count("\n") == 1
+        assert blocker.read_bytes() == b"kept\n" and os.listdir(tmp_path) == ["report"]
+
     @pytest.mark.parametrize(
         "argv, code",
         [

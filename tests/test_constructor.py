@@ -331,6 +331,63 @@ class TestStepIntegrals:
         assert same_bits(fld.gradient(knots)[:, 0], fld.slopes)
 
 
+class TestReadBlocks:
+    """A long read is taken in blocks of ``_READ_BLOCK`` times, and each time
+    rounds as it would alone: a 2,500-point cloud reads the same bits at any
+    block size.  ``fields`` imports the size by value, so it is patched in
+    both modules."""
+
+    BLOCKS = (1, 7, 1024, 4096)
+
+    @staticmethod
+    def _cloud(lo, hi):
+        rng = np.random.default_rng(49)
+        return np.concatenate([[lo, hi, 0.0], rng.uniform(lo, hi, 2497)])
+
+    def _assert_same_at_every_block(self, monkeypatch, read):
+        reads = []
+        for block in self.BLOCKS:
+            monkeypatch.setattr(sl.numerics, "_READ_BLOCK", block)
+            monkeypatch.setattr(sl.fields, "_READ_BLOCK", block)
+            reads.append(read())
+        assert all(same_bits(other, reads[0]) for other in reads[1:])
+
+    @pytest.mark.parametrize("quintic", [True, False])
+    def test_trajectory_evaluate(self, monkeypatch, quintic):
+        dense = solve_phase_ode(0.3, 0.7, 10.0, rel_tol=1e-8).dense
+        traj = dense if quintic else sl.Trajectory(dense.ts, dense.ys, dense.fs)
+        ts = self._cloud(dense.ts[0], dense.ts[-1])
+        self._assert_same_at_every_block(monkeypatch, lambda: traj.evaluate(ts))
+
+    def test_step_integral_read(self, monkeypatch):
+        fld = assemble_w1(solve_phase_ode(0.3, 0.7, 10.0, rel_tol=1e-8)).field
+        x = self._cloud(-fld.span, fld.span)[:, None]
+
+        def read():
+            fld._last_cloud = (None, None)    # a read of the same cloud is cached
+            return fld.read(x)
+
+        self._assert_same_at_every_block(monkeypatch, read)
+
+    @pytest.mark.parametrize("mss", [False, True])
+    def test_construction_rows(self, monkeypatch, mss):
+        if mss:
+            prof = build_mss_counterexample(1.2, 0.1, T=10.0, rel_tol=1e-8, radius=5.0, samples=11)[0]
+            integral = prof._integral
+        else:
+            prof = assemble_w1(solve_phase_ode(0.3, 0.7, 10.0, rel_tol=1e-8))
+            integral = prof.field
+        xs = self._cloud(-integral.span, integral.span)
+
+        def rows():
+            integral._last_cloud = (None, None)
+            if mss:
+                prof._last_sech2 = (None, None)
+            return prof.rows(xs)
+
+        self._assert_same_at_every_block(monkeypatch, rows)
+
+
 class TestAssembleNd:
     def test_identity_wrapper_in_1d(self):
         prof = assemble_w1(solve_phase_ode(0.0, 1.0, 8.0))

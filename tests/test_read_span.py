@@ -2,7 +2,8 @@
 ``numerics.read_span``: a time within READ_SLACK (1 + |end|) outside an end
 reads the end, bit for bit, and any other time outside the span, or NaN, is
 an InputError.  A field reads its times as points, so the points rule
-(``numerics.as_cloud``) refuses a NaN there first."""
+(``numerics.as_cloud``) refuses a NaN there first.  A batched reader takes a
+1-D array of times and refuses any other shape."""
 
 import functools
 import math
@@ -62,8 +63,13 @@ def _phase_read(read):
     return lambda t: read(traj, t), *_ends(traj.dense.ts)
 
 
+@functools.cache
+def _mss():
+    return build_mss_counterexample(1.2, 0.1, T=10.0, rel_tol=1e-8, radius=5.0, samples=11)[0]
+
+
 def _minkowski():
-    fld, _ = build_mss_counterexample(1.2, 0.1, T=10.0, rel_tol=1e-8, radius=5.0, samples=11)
+    fld = _mss()
     reads = (fld.value, fld.gradient, fld.hessian, fld.gradient_complement)
     return lambda t: [np.ravel(read(np.array([[t]]))) for read in reads], *_ends(fld._integral.dense.ts)
 
@@ -129,3 +135,21 @@ def test_the_slack_is_wide_enough_for_a_grid_and_no_wider(reader):
         assert same_bits(np.hstack(read(end + 4e-13 * outward * (1 + abs(end)))), np.hstack(read(end)))
         with pytest.raises(InputError, match="outside the span"):
             read(end + 1e-8 * outward * (1 + abs(end)))
+
+
+# name: () -> a reader of a 1-D array of times; every span holds 0
+BATCH_READERS = {
+    "Trajectory.evaluate": lambda: _backward().evaluate,
+    "PhaseTrajectory.phi_array": lambda: _phase().phi_array,
+    "RadialProfile.states-float": lambda: _shot(None).states,
+    "RadialProfile.states-taylor": lambda: _shot(15).states,
+    "W1Profile.rows": lambda: assemble_w1(_phase(), span=8.0).rows,
+    "MinkowskiProfile.rows": lambda: _mss().rows,
+}
+
+
+@pytest.mark.parametrize("times", [0.0, [[0.0, 0.0]]], ids=["scalar", "1x2"])
+@pytest.mark.parametrize("reader", list(BATCH_READERS))
+def test_times_that_are_not_a_1d_array_are_refused(reader, times):
+    with pytest.raises(InputError, match="expected a 1-D array"):
+        BATCH_READERS[reader]()(times)

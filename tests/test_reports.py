@@ -2,8 +2,9 @@
 
 A float64 table goes through orjson's shortest digits wherever orjson writes
 them as ``repr`` does (|x| < 1e-9, zeros and subnormals among them, and
-1e-4 <= |x| < 1e16) and through ``repr`` elsewhere (1e-9 <= |x| < 1e-4,
-|x| >= 1e16, nan and inf), so these cases sit on both sides of all three
+1e-4 <= |x| < 1e16), through orjson's text with ``e-`` patched to ``e-0`` at
+1e-9 <= |x| < 1e-5, and through ``repr`` elsewhere (1e-5 <= |x| < 1e-4,
+|x| >= 1e16, nan and inf), so these cases sit on both sides of all four
 thresholds.
 """
 
@@ -84,6 +85,29 @@ class TestFloatTableBytes:
         logs = 10.0 ** rng.uniform(-12.0, -4.0, 40_000)
         cells = np.concatenate([bits, logs]) * rng.choice([-1.0, 1.0], 80_000)
         assert_bytes_equal_reference(tmp_path, cells.reshape(-1, 8))
+
+    def test_patched_exponent_band(self, tmp_path, rng):
+        # 1e-9 <= |x| < 1e-5, where orjson writes repr's digits and exponent
+        # but without the exponent's leading 0: bit patterns, log10 and both edges
+        lo, hi = np.array([1e-9, 1e-5]).view(np.int64)
+        bits = rng.integers(lo, hi, 60_000).view(np.float64)
+        logs = np.clip(10.0 ** rng.uniform(-9.0, -5.0, 59_998), 1e-9, np.nextafter(1e-5, 0.0))
+        cells = np.concatenate([[1e-9, np.nextafter(1e-5, 0.0)], bits, logs]) * rng.choice([-1.0, 1.0], 120_000)
+        assert {repr(v)[-4:] for v in cells.tolist()} == {"e-06", "e-07", "e-08", "e-09"}
+        assert_bytes_equal_reference(tmp_path, cells.reshape(-1, 6))    # every cell of every block patched
+
+    def test_blocks_of_patched_cells_alone_and_of_none(self, tmp_path, rng):
+        patched = np.clip(10.0 ** rng.uniform(-9.0, -5.0, (BLOCK, 6)), 1e-9, np.nextafter(1e-5, 0.0))
+        unpatched = rng.choice([math.nan, math.inf, -math.inf, 2.5e-5, -7e-5, 3e16, -1e300], (BLOCK, 6))
+        plain = rng.standard_normal((BLOCK, 6))
+        for blocks in ((patched, unpatched, plain), (unpatched, patched), (plain, patched[:5])):
+            assert_bytes_equal_reference(tmp_path, np.vstack(blocks))
+
+    def test_fills_in_cell_order(self, tmp_path):
+        # patched cells between nan, inf, 1e-5 <= |x| < 1e-4 and |x| >= 1e16 cells
+        row = [1.5e-7, math.nan, -2e-9, 1.25e-5, 3e-6, math.inf, -8.5e-8, 1e16, 4e-9, -9.75e-5, 1e-8,
+               -math.inf, 2e-6, -3.5e20, 0.5, 6e-7]
+        assert_bytes_equal_reference(tmp_path, np.array([row, row[::-1]]))
 
     def test_edge_table(self, tmp_path):
         assert_bytes_equal_reference(tmp_path, edge_table())

@@ -584,7 +584,7 @@ def _frozen_reads(prof, tp, n, u0, series, beyond):
     rule = shooting._step_rule(tp, n, f_inverse(tp, -u0 / n))
 
     def read(r):
-        r = read_span(r, 0.0, prof.rs[-1] if len(prof.rs) else math.nan)
+        r = read_span([r], 0.0, prof.rs[-1] if len(prof.rs) else math.nan)[0]
         if r == 0:
             return r, u0, 0.0
         if r < shooting._R_START or beyond is None:
