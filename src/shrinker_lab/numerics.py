@@ -488,7 +488,9 @@ def integrate_ode(acc, y0, t_span, rel_tol=1e-10):
     error estimate, each stage sum written out per component left to right
     over its tableau row; a stage's slope of u is the stage point's own v.
     No step builds an ndarray or loops over components: on a pair, numpy's
-    per-call overhead or a loop's would cost more than the arithmetic.
+    per-call overhead or a loop's would cost more than the arithmetic.  A
+    stage's checks are written into the step, so acc is its one Python call;
+    min, max and abs are comparisons; the knots are flat float lists.
 
     Parameters
     ----------
@@ -497,7 +499,8 @@ def integrate_ode(acc, y0, t_span, rel_tol=1e-10):
         :class:`RhsEvaluationError` to signal that (t, u, v) left the domain;
         the step is then shrunk and, on underflow, the failure becomes a
         :class:`DivergenceEvent` on the trajectory.  Raised at the initial
-        state, before any step, it reaches the caller.
+        state, before any step, it reaches the caller.  A non-finite stage
+        point is never passed to it: the step is retried shorter.
     y0 : array_like
         Initial state (u0, v0), a pair of finite floats (an InputError otherwise).
     t_span : (t0, t1)
@@ -528,25 +531,15 @@ def integrate_ode(acc, y0, t_span, rel_tol=1e-10):
         raise InputError("non-finite initial state")
     isfinite = math.isfinite
 
-    def stage(ti, u, v):
-        """acc at the stage point (u, v); every result is checked."""
-        if not (isfinite(u) and isfinite(v)):
-            raise _NonFiniteStage
-        a = acc(ti, u, v)
-        if not isinstance(a, float):
-            raise InputError(f"acc must return a float, got {a!r}")
-        return a
-
     u, v = y_arr.tolist()
-    p0, q0 = v, stage(t0, u, v)
+    p0, q0 = v, acc(t0, u, v)
+    if not isinstance(q0, float):
+        raise InputError(f"acc must return a float, got {q0!r}")
     direction = 1.0 if t1 >= t0 else -1.0
     span = abs(t1 - t0)
 
-    ts, ys, fs = [t0], [(u, v)], [(p0, q0)]
+    ts, us, vs, ps, qs = [t0], [u], [v], [p0], [q0]
     event, n_steps, n_rejected = None, 0, 0
-
-    if span == 0.0:
-        return Trajectory(np.array(ts), np.array(ys), np.array(fs))
 
     h = max(min(span / 100.0, 1.0), 1e-12 * span)
     t = t0
@@ -563,55 +556,84 @@ def integrate_ode(acc, y0, t_span, rel_tol=1e-10):
     e0, e1, e2, e3, e4, e5, e6 = _DP_E
     _, c1, c2, c3, c4, c5, c6 = _DP_C
 
-    while (t1 - t) * direction > 0:
-        h = min(h, abs(t1 - t))
-        floor = min_h_floor * max(1.0, abs(t))
+    # rest = |t1 - t|; 2 or 4 * 1e-14 * max(1, |t|) is 2 or 4 * floor, bit for bit
+    while (rest := (t1 - t) * direction) > 0:
+        if rest < h:
+            h = rest
+        floor = min_h_floor * (t if t > 1.0 else -t if t < -1.0 else 1.0)
         if h < floor:
-            if abs(t1 - t) < floor:
+            if rest < floor:
                 break  # the summed steps rounded a few ulp short of t1: reached
             event = DivergenceEvent("step_underflow", t, np.array((u, v)), "step size underflow")
             break
         hd = h * direction
         try:
-            # stage i is (p_i, q_i), the derivative of the state's (u, v):
-            # p_i is the stage point's v, q_i its acc
+            # stage i is (p_i, q_i), the derivative of the state's (u, v) at
+            # the stage point (u_i, p_i): p_i is the point's v, q_i its acc
+            u1 = u + hd * (a10 * p0)
             p1 = v + hd * (a10 * q0)
-            q1 = stage(t + c1 * hd, u + hd * (a10 * p0), p1)
+            if not (isfinite(u1) and isfinite(p1)):
+                raise _NonFiniteStage
+            if not isinstance(q1 := acc(t + c1 * hd, u1, p1), float):
+                raise InputError(f"acc must return a float, got {q1!r}")
+            u2 = u + hd * (a20 * p0 + a21 * p1)
             p2 = v + hd * (a20 * q0 + a21 * q1)
-            q2 = stage(t + c2 * hd, u + hd * (a20 * p0 + a21 * p1), p2)
+            if not (isfinite(u2) and isfinite(p2)):
+                raise _NonFiniteStage
+            if not isinstance(q2 := acc(t + c2 * hd, u2, p2), float):
+                raise InputError(f"acc must return a float, got {q2!r}")
+            u3 = u + hd * (a30 * p0 + a31 * p1 + a32 * p2)
             p3 = v + hd * (a30 * q0 + a31 * q1 + a32 * q2)
-            q3 = stage(t + c3 * hd, u + hd * (a30 * p0 + a31 * p1 + a32 * p2), p3)
+            if not (isfinite(u3) and isfinite(p3)):
+                raise _NonFiniteStage
+            if not isinstance(q3 := acc(t + c3 * hd, u3, p3), float):
+                raise InputError(f"acc must return a float, got {q3!r}")
+            u4 = u + hd * (a40 * p0 + a41 * p1 + a42 * p2 + a43 * p3)
             p4 = v + hd * (a40 * q0 + a41 * q1 + a42 * q2 + a43 * q3)
-            q4 = stage(t + c4 * hd, u + hd * (a40 * p0 + a41 * p1 + a42 * p2 + a43 * p3), p4)
+            if not (isfinite(u4) and isfinite(p4)):
+                raise _NonFiniteStage
+            if not isinstance(q4 := acc(t + c4 * hd, u4, p4), float):
+                raise InputError(f"acc must return a float, got {q4!r}")
+            u5 = u + hd * (a50 * p0 + a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
             p5 = v + hd * (a50 * q0 + a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4)
-            q5 = stage(t + c5 * hd, u + hd * (a50 * p0 + a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4), p5)
+            if not (isfinite(u5) and isfinite(p5)):
+                raise _NonFiniteStage
+            if not isinstance(q5 := acc(t + c5 * hd, u5, p5), float):
+                raise InputError(f"acc must return a float, got {q5!r}")
             # row 6 holds the fifth-order weights: the last stage point is the
             # new state, and its derivative the next step's first stage (FSAL)
             un = u + hd * (a60 * p0 + a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5)
             p6 = vn = v + hd * (a60 * q0 + a61 * q1 + a62 * q2 + a63 * q3 + a64 * q4 + a65 * q5)
-            q6 = stage(t + c6 * hd, un, vn)
+            if not (isfinite(un) and isfinite(vn)):
+                raise _NonFiniteStage
+            if not isinstance(q6 := acc(t + c6 * hd, un, vn), float):
+                raise InputError(f"acc must return a float, got {q6!r}")
         except _NonFiniteStage:
             n_rejected += 1
             h *= 0.25
             continue
         except RhsEvaluationError as exc:
             # domain failure inside the step: shrink; underflow localizes it
-            if h < 4.0 * min_h_floor * max(1.0, abs(t)):
+            if h < 4.0 * floor:
                 event = DivergenceEvent(exc.label, t, np.array((u, v)), exc.detail)
                 break
             n_rejected += 1
             h *= 0.25
             continue
 
+        # the weights' max(|u|, |un|) and max(|v|, |vn|), up to a zero's sign, lost in abs_tol + 0
+        wu, wun = (u if u > 0 else -u), (un if un > 0 else -un)
+        wv, wvn = (v if v > 0 else -v), (vn if vn > 0 else -vn)
         su = hd * (e0 * p0 + e1 * p1 + e2 * p2 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6) / (
-            abs_tol + rel_tol * max(abs(u), abs(un))
+            abs_tol + rel_tol * (wun if wun > wu else wu)
         )
         sv = hd * (e0 * q0 + e1 * q1 + e2 * q2 + e3 * q3 + e4 * q4 + e5 * q5 + e6 * q6) / (
-            abs_tol + rel_tol * max(abs(v), abs(vn))
+            abs_tol + rel_tol * (wvn if wvn > wv else wv)
         )
         err = math.sqrt((su * su + sv * sv) / 2)  # RMS
 
-        if err <= 1.0 or h <= 2.0 * min_h_floor * max(1.0, abs(t)):
+        # the factor min(hi, max(lo, fac)) as comparisons: a NaN fac is lo
+        if err <= 1.0 or h <= 2.0 * floor:
             # the new state passed as a stage point; its acc may not
             if not isfinite(q6):
                 event = DivergenceEvent("non_finite_state", t, np.array((u, v)))
@@ -619,13 +641,16 @@ def integrate_ode(acc, y0, t_span, rel_tol=1e-10):
             t = t + hd
             u, v, p0, q0 = un, vn, p6, q6
             ts.append(t)
-            ys.append((u, v))
-            fs.append((p6, q6))
+            us.append(u)
+            vs.append(v)
+            ps.append(p6)
+            qs.append(q6)
             n_steps += 1
             fac = 0.9 * err ** -0.2 if err > 0 else 5.0
-            h *= min(5.0, max(0.2, fac))
+            h *= (fac if fac < 5.0 else 5.0) if fac > 0.2 else 0.2
         else:
             n_rejected += 1
-            h *= min(1.0, max(0.1, 0.9 * err ** -0.2))
+            fac = 0.9 * err ** -0.2
+            h *= (fac if fac < 1.0 else 1.0) if fac > 0.1 else 0.1
 
-    return Trajectory(np.array(ts), np.array(ys), np.array(fs), event=event, n_steps=n_steps, n_rejected=n_rejected)
+    return Trajectory(np.array(ts), np.column_stack((us, vs)), np.column_stack((ps, qs)), event, n_steps, n_rejected)

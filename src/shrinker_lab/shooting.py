@@ -145,7 +145,7 @@ def _step_rule(tp, n, upp0, f=None):
     of f on it, and then ``blow_up`` when |u| or |u'| passes _BLOW_UP_MAG.
     """
     spec = cone_spec(tp)
-    lo, hi, f_lo, f_hi, m = spec.lo, spec.hi, spec.f_lo, spec.f_hi, n - 1
+    lo, hi, f_lo, f_hi, m, big = spec.lo, spec.hi, spec.f_lo, spec.f_hi, n - 1, _BLOW_UP_MAG
 
     def rule(r, u, up):
         s = upp0 if r < _R_SERIES else up / r
@@ -154,8 +154,8 @@ def _step_rule(tp, n, upp0, f=None):
         target = (-u + 0.5 * r * up) - m * (f or f_value)(tp, s)
         if not (f_lo < target < f_hi):
             raise RhsEvaluationError("inversion_failure", f"operator target {target} out of range")
-        if abs(u) > _BLOW_UP_MAG or abs(up) > _BLOW_UP_MAG:
-            raise RhsEvaluationError("blow_up", f"|(u, u')| passed {_BLOW_UP_MAG:g}")
+        if u > big or u < -big or up > big or up < -big:  # |u| or |u'| > big, as comparisons
+            raise RhsEvaluationError("blow_up", f"|(u, u')| passed {big:g}")
         return target
 
     return rule
@@ -227,6 +227,9 @@ def _taylor_start(tp, n, u0, dps):
 def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, *, dps=None, n_samples=401):
     """Integrate the radial equation outward from u(0) = u0.
 
+    Either path starts its integrator from the series at _R_START = 1e-8: an ``r_max``
+    below that takes no step, and the profile is the series on [0, r_max], ``completed``.
+
     Parameters
     ----------
     dps : int, optional
@@ -257,14 +260,14 @@ def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, *, dps=None, n_samples=40
 
     curvature = _curvature(tp, _step_rule(tp, n, upp0))  # bounds, range and n - 1 bound once a shot
     su, supp = u0, upp0  # the series constants; the Taylor path has its own
+    span = (_R_START, max(r_max, _R_START))
     try:
         if dps is None:
-            traj = integrate_ode(curvature, _series_state(u0, upp0, _R_START), (_R_START, r_max), rel_tol)
-            read, r_end, stop = traj.evaluate, traj.t_end, traj.event
+            traj = integrate_ode(curvature, _series_state(u0, upp0, _R_START), span, rel_tol)
+            read, r_end, stop = traj.evaluate, traj.t_end if r_max >= _R_START else r_max, traj.event
         else:
             (su, supp), acc, y0 = _taylor_start(tp, n, u0_raw, dps)
-            # a span that ends short of _R_START takes the start's step only: its shot is the series
-            read, r_end, stop = jets.taylor_integrate(acc, y0, (_R_START, max(r_max, _R_START)), dps)
+            read, r_end, stop = jets.taylor_integrate(acc, y0, span, dps)
             r_end = r_end if stop else r_max
     except RhsEvaluationError as exc:  # the rule refused the start: the series is the whole shot
         read, r_end, stop = None, _R_START, exc

@@ -227,12 +227,12 @@ class TauParams:
             raise InputError(f"normalization defined on the NEG branch, not {self.branch.value}")
         return 2.0 * self.b / self.sqrt_a2p1, self.sqrt_a2p1 ** 0.5 / (2.0 * self.b)
 
-    # the float closed forms of f, f^-1 and f', and f_value's and f_inverse's forms
-    # with their float guards (domain check; range check, clamp and polish), built once
+    # the float closed forms of f, f^-1 and f', f_value's (lo, hi, f) and f_inverse's
+    # form with its float guards (range check, clamp and polish), built once
     f_form = cached_property(lambda self: _f_form(self, _FLOAT))
     f_inverse_form = cached_property(lambda self: _f_inverse_form(self, _FLOAT))
     f_prime_form = cached_property(lambda self: _f_prime_form(self, _FLOAT))
-    f_guarded = cached_property(lambda self: _guarded_value(self))
+    f_guard = cached_property(lambda self: (self.components[0].lo, self.components[0].hi, self.f_form))
     f_inverse_polished = cached_property(lambda self: _polished_inverse(self))
 
     @property
@@ -365,20 +365,12 @@ def _f_prime_form(tp, ops):
     return lambda lam: root / ((lam + a_p_b) * (b_m_a - lam))
 
 
-def _guarded_value(tp):
-    """f behind :func:`_eigenvalue`'s check, tested first on the selected component's bounds."""
-    lo, hi, form = tp.components[0].lo, tp.components[0].hi, tp.f_form
-
-    def value(lam):
-        lam = float(lam)
-        return form(lam if lo < lam < hi else _eigenvalue(tp, lam))
-
-    return value
-
-
 def f_value(tp, lam):
-    """The single-eigenvalue summand of the operator."""
-    return tp.f_guarded(lam)
+    """The single-eigenvalue summand of the operator: f behind
+    :func:`_eigenvalue`'s check, tested first on the selected component's bounds."""
+    lo, hi, form = tp.f_guard
+    lam = float(lam)
+    return form(lam if lo < lam < hi else _eigenvalue(tp, lam))
 
 
 def f_derivative(tp, lam):

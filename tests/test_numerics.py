@@ -358,6 +358,53 @@ class TestIntegrateOde:
                 integrate_ode(acc, [0.0, 1.0], (0.0, 1.0), 1e-8)
 
 
+def _stage_acc(stage, bad):
+    """u'' = -u whose call number ``stage`` returns ``bad(u)``: call 0 is the
+    initial state's acc and calls 1 to 6 the first step's six stages.  It
+    records its calls and refuses a stage point that is not finite."""
+    calls = []
+
+    def acc(t, u, v):
+        assert math.isfinite(u) and math.isfinite(v), "acc called at a non-finite stage point"
+        calls.append(t)
+        return bad(u) if len(calls) == stage + 1 else -u
+
+    return acc, calls
+
+
+class TestStageChecks:
+    """Each stage of a step checks its point before its acc and the acc's
+    result after it, stage by stage."""
+
+    @pytest.mark.parametrize(
+        "bad", [lambda u: 0, lambda u: [-u], lambda u: np.array(-u)], ids=["int", "list", "ndarray"]
+    )
+    @pytest.mark.parametrize("stage", range(7))  # stage 0: the initial state's acc
+    def test_a_non_float_at_one_stage_is_refused_there(self, stage, bad):
+        acc, calls = _stage_acc(stage, bad)
+        with pytest.raises(InputError, match="acc must return a float"):
+            integrate_ode(acc, [0.0, 1.0], (0.0, 1.0), 1e-8)
+        assert len(calls) == stage + 1
+
+    @pytest.mark.parametrize("stage", range(1, 7))
+    def test_a_non_finite_point_at_one_stage_is_retried_shorter(self, stage):
+        # stage i's point is the first to take q_(i-1), the acc of call i - 1:
+        # an inf there makes stage i's point the first non-finite one of the
+        # first try, which is retried shorter; at stage 1 that is the initial
+        # state's acc, so every try stops there until the step underflows
+        runs = []
+        for run in (integrate_ode, lambda acc, *args: _list_integrate_ode(_paired(acc), *args)):
+            acc, calls = _stage_acc(stage - 1, lambda u: math.inf)
+            runs.append(run(acc, [1.0, 0.0], (0.0, 1.0), 1e-8))
+        traj, ref = runs
+        _assert_same_run(traj, ref)
+        assert traj.n_rejected > 0
+        if stage == 1:
+            assert traj.event.label == "step_underflow" and len(traj.ts) == 1
+        else:
+            assert traj.completed and traj.n_steps > 5
+
+
 # The numpy-array Dormand-Prince loop that the float kernel replaced: the same
 # tableau and step control, each stage sum a BLAS product over the stages.  It
 # calls a right-hand side of the whole state, which ``_paired`` makes of an acc.

@@ -299,6 +299,19 @@ class TestFloatSampler:
         assert prof.event.completed and prof.rs[1] < shooting._R_START < prof.rs[2]
         assert same_bits(prof.rows(), [_state_row(prof, r) for r in prof.rs])
 
+    @pytest.mark.parametrize("r_max", [1e-9, 5e-9, 1e-320])
+    def test_a_span_short_of_the_series_start_is_the_series_to_r_max(self, r_max, monkeypatch):
+        # r_max below _R_START: the float path, as the Taylor path, takes no
+        # step and samples the series on [0, r_max], 401 distinct radii
+        trajs, integrate_ode = [], shooting.integrate_ode
+        monkeypatch.setattr(shooting, "integrate_ode", lambda *args: trajs.append(integrate_ode(*args)) or trajs[-1])
+        tp = TauParams.special_lagrangian()
+        shots = [shoot_radial(tp, 2, -1.2, r_max=r_max, dps=dps) for dps in (None, 30)]
+        assert same_bits(shots[0].rs, shots[1].rs) and len(np.unique(shots[0].rs)) == 401
+        for prof in shots:
+            assert prof.rs[-1] == r_max and (prof.event.kind, prof.event.r) == ("completed", r_max)
+        assert [(len(traj.ts), traj.n_steps, traj.n_rejected) for traj in trajs] == [(1, 0, 0)]
+
 
 def _inside(spec):
     """An eigenvalue inside the open component ``spec``."""
