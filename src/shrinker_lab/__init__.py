@@ -39,7 +39,6 @@ from .tau import (
     shrinker_residual,
 )
 from .geometry import (
-    mean_curvature,
     metric_duality_defect,
     normal_project,
     shrinker_defect,

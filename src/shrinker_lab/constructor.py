@@ -111,8 +111,8 @@ class PhaseTrajectory:
     positive_slope: bool
 
     def phi_pair(self, t):
-        """(phi, phi') at t: ``phi_array`` on a batch of one."""
-        phi, dphi = self.phi_array([float(t)])[0].tolist()
+        """(phi, phi') at t: ``dense`` read at one time."""
+        phi, dphi = self.dense(t).tolist()
         return phi, dphi
 
     def phi_array(self, ts):

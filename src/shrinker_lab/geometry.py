@@ -1,6 +1,6 @@
 """Geometry of gradient graphs {(x, Du(x))} in the doubled space with the
 interpolating ambient form G = [[sin I, cos I], [cos I, sin I]]: induced
-metric, normal projection, mean curvature, and the self-shrinker defect as a
+metric, normal projection, and the self-shrinker defect H + X^perp/2 as a
 vector equation.
 
 G is never built: every product with it is written in n x n blocks, so the
@@ -26,11 +26,10 @@ from .tau import Branch, _gradient_matrix, operator_value
 __all__ = [
     "metric_duality_defect",
     "normal_project",
-    "mean_curvature",
     "shrinker_defect",
 ]
 
-FD_STEP = 1e-3  # central-difference step of D_x F(lambda(D^2 u)) in mean_curvature
+FD_STEP = 1e-3  # central-difference step of D_x F(lambda(D^2 u)) in _mean_curvature
 
 
 def _matvec(H, v):
@@ -58,21 +57,21 @@ def _normal(tp, H, V):
     return np.concatenate([-beta, w - _matvec(H, beta)], axis=-1)
 
 
-def _mean_curvature(tp, field, x, H):
-    """Mean curvature vectors at the points x, with H the validated Hessians
-    there: the 2n stencil points of every point are read as one cloud.  On a
-    ``QuadraticField`` every difference is +0.0: its k spectra get the
-    stencil's cone check once, and the zero vector is projected."""
+def _mean_curvature(tp, field, x):
+    """The ambient vectors V = (0, D_x F(lambda(D^2 u))) at the points x, whose
+    normal parts are the mean curvature vectors: the 2n stencil points of
+    every point are read as one cloud.  On a ``QuadraticField`` every
+    difference is +0.0: its k spectra get the stencil's cone check once, and
+    V is zero."""
     n = x.shape[-1]
     if isinstance(field, QuadraticField):
         operator_value(tp, eig_sym(field.A))
-        return _normal(tp, H, np.zeros((*x.shape[:-1], 2 * n)))
+        return np.zeros((*x.shape[:-1], 2 * n))
     steps = FD_STEP * np.eye(n)
     stencil = np.concatenate([x[..., None, :] + steps, x[..., None, :] - steps], axis=-2)
     spectra = eig_sym(field.hessian(stencil.reshape(*x.shape[:-2], -1, n)))
     F = operator_value(tp, spectra).reshape(*x.shape[:-1], 2 * n)
-    V = np.concatenate([np.zeros(x.shape), (F[..., :n] - F[..., n:]) / (2.0 * FD_STEP)], axis=-1)
-    return _normal(tp, H, V)
+    return np.concatenate([np.zeros(x.shape), (F[..., :n] - F[..., n:]) / (2.0 * FD_STEP)], axis=-1)
 
 
 def metric_duality_defect(tp, H):
@@ -117,38 +116,24 @@ def normal_project(tp, H, V):
     return _normal(tp, H, V)
 
 
-def mean_curvature(tp, field, x):
-    """Mean curvature vector of the gradient graph at (x, Du(x)), or at each
-    point of a cloud or stack of clouds.
-
-    The ambient divergence reduces to the normal projection of
-    (0, D_x[F(lambda(D^2 u))]); the derivative of the composite scalar is taken
-    by central differences, which avoids ill-conditioned eigenvector
-    derivatives at eigenvalue crossings.  The 2n stencil points
-    x +- FD_STEP e_i of every point are read as one cloud, one stacked
-    eigen-solve and one ``operator_value``: the points and arithmetic of
-    ``numerics.fd_gradient``.  A ``QuadraticField``'s constant Hessian reads
-    no stencil: its spectra get the stencil's check once.  A NaN or infinite
-    coordinate is an InputError (``numerics.as_cloud``).
-    """
-    x, unwrap = as_cloud(x, field.dim, field.stack)
-    return unwrap(_mean_curvature(tp, field, x, as_sym_matrix(field.hessian(x))))
-
-
 def shrinker_defect(tp, field, x):
     """Norm of  H + (1/2) X^perp  at the graph point over x, or at each point
     of an (m, n) cloud, (m,), or of a (k, m, n) stack of clouds, (k, m).
 
-    Vanishes along self-shrinkers.  For branches whose ambient form is
-    positive definite the ambient norm sqrt(sin (|w1|^2 + |w2|^2) +
+    Vanishes along self-shrinkers.  H is the normal part of
+    V = (0, D_x[F(lambda(D^2 u))]), whose derivative is taken by central
+    differences (no ill-conditioned eigenvector derivatives at eigenvalue
+    crossings); the projection is linear, so the defect vector W is the
+    normal part of V + X/2: one induced metric and one stacked solve on the
+    Hessians at x, read and validated once.  For branches whose ambient form
+    is positive definite the ambient norm sqrt(sin (|w1|^2 + |w2|^2) +
     2 cos w1.w2) of W = (w1, w2) is used; on the indefinite branches the
     Euclidean norm of the defect vector is reported (a residual must vanish
     iff the vector does).  The value never reads u itself, so it is exactly
-    invariant under constant shifts of the potential.  On a quadratic both
-    terms are exactly 0: X is tangent, split off exactly by
-    :func:`normal_project`, and F(lambda(D^2 u)) is constant, so it reads no
-    stencil.  The Hessians at x are read and validated once, for both
-    projections.  A NaN or infinite coordinate is an InputError
+    invariant under constant shifts of the potential.  On a quadratic W is
+    exactly 0: F(lambda(D^2 u)) is constant, so V = 0 and no stencil is
+    read, and X is tangent, split off exactly by the projection.  A NaN or
+    infinite coordinate is an InputError
     (``numerics.as_cloud``), and so is a point whose graph point (x, Du(x)),
     defect vector or norm is not finite (a gradient or a product that
     overflows): the first such point is named.
@@ -158,7 +143,7 @@ def shrinker_defect(tp, field, x):
     H = as_sym_matrix(field.hessian(x))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by point
         X = np.concatenate([x, field.gradient(x)], axis=-1)
-        W = _mean_curvature(tp, field, x, H) + 0.5 * _normal(tp, H, X)
+        W = _normal(tp, H, _mean_curvature(tp, field, x) + 0.5 * X)
         if tp.branch in (Branch.ATAN, Branch.SLAG):
             s, c = tp.sin_cos
             w1, w2 = W[..., :n], W[..., n:]

@@ -28,8 +28,9 @@ fails; the float integrator also stops at a step underflow or a non-finite
 state, and the Taylor one at its minimum step.  Either integrator hands back
 its stop as a ``DivergenceEvent`` and a batched reader of (u, u') from
 _R_START on, and raises on a start the rule refuses.  ``shoot_radial`` names
-the stop once (a rule's kind as it is, any other a ``blow_up``, at the path's
-end) and makes the rest the shot's one ``states``: (u0, +0.0) at r = 0, the
+the stop once (a rule's kind as it is, any other a ``blow_up``) at the shot's
+one end, the lesser of r_max and the path's end (_R_START for a refused
+start), and makes the rest the shot's one ``states``: (u0, +0.0) at r = 0, the
 path's series below _R_START (everywhere if it took no step), the reader
 beyond.  A profile ends at the last sample the rule accepts, and
 ``RadialProfile``, the n-D radial field itself, holds its samples, its event,
@@ -228,7 +229,8 @@ def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, *, dps=None, n_samples=40
     """Integrate the radial equation outward from u(0) = u0.
 
     Either path starts its integrator from the series at _R_START = 1e-8: an ``r_max``
-    below that takes no step, and the profile is the series on [0, r_max], ``completed``.
+    below that takes no step, and the profile is the series on [0, r_max], ``completed``
+    unless the step rule refuses the start; either way the event is at most r_max.
 
     Parameters
     ----------
@@ -264,13 +266,13 @@ def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, *, dps=None, n_samples=40
     try:
         if dps is None:
             traj = integrate_ode(curvature, _series_state(u0, upp0, _R_START), span, rel_tol)
-            read, r_end, stop = traj.evaluate, traj.t_end if r_max >= _R_START else r_max, traj.event
+            read, t_end, stop = traj.evaluate, traj.t_end, traj.event
         else:
             (su, supp), acc, y0 = _taylor_start(tp, n, u0_raw, dps)
-            read, r_end, stop = jets.taylor_integrate(acc, y0, span, dps)
-            r_end = r_end if stop else r_max
+            read, t_end, stop = jets.taylor_integrate(acc, y0, span, dps)
     except RhsEvaluationError as exc:  # the rule refused the start: the series is the whole shot
-        read, r_end, stop = None, _R_START, exc
+        read, t_end, stop = None, _R_START, exc
+    r_end = min(r_max, t_end)  # the shot's end on every path: never past r_max
     # the integrator's step underflow and non-finite state, and the Taylor minimum step, are blow-ups
     event = (ShotEvent("completed", r_max) if stop is None
              else ShotEvent(stop.label if stop.label in _RULE_KINDS else "blow_up", r_end, stop.detail))

@@ -427,7 +427,7 @@ class TestExitCodes:
         code = run(tmp_path, "shoot", "--branch", "NEG", "--n", "2", "--u0", "2e10", "--rmax", rmax, "--dps", "30")
         assert code == 0
         report = json.loads((tmp_path / "shoot.json").read_text())
-        assert report["results"]["event"] == {"kind": "cone_exit", "r": 1e-08}
+        assert report["results"]["event"] == {"kind": "cone_exit", "r": float(rmax)}
 
 
 def _written(out):

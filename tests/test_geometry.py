@@ -9,9 +9,9 @@ from shrinker_lab import TauParams, geometry
 from shrinker_lab.fields import AffineScaledField, QuadraticField, ScalarField
 from shrinker_lab.geometry import (
     FD_STEP,
+    _mean_curvature,
     _metric,
     _normal,
-    mean_curvature,
     metric_duality_defect,
     normal_project,
     shrinker_defect,
@@ -154,18 +154,22 @@ class TestDegenerateMetric:
 
 
 class TestMeanCurvature:
+    """The ambient vector V = (0, D_x F(lambda(D^2 u))) whose normal part is
+    the mean curvature vector: ``_mean_curvature`` on a cloud or stack."""
+
     def test_quadratic_graph_is_minimal_in_the_flow_sense(self, all_branches, rng):
         for name, tp in all_branches.items():
             A = sl.random_admissible_matrix(tp, 2, rng)
             sol = sl.build_quadratic(tp, A)
-            H = mean_curvature(tp, sol, rng.uniform(-2, 2, 2))
-            assert np.max(np.abs(H)) < 1e-10
+            V = _mean_curvature(tp, sol, rng.uniform(-2, 2, (3, 2)))
+            assert V.shape == (3, 4) and not np.any(V), name
 
     def test_output_is_normal(self, rng):
+        # the projected ambient vector, H itself, is orthogonal to the graph
         tp = TauParams.neg_branch(a=-2.0)
         u, prof, cert = sl.build_counterexample(tp, 0.0, 1.0, 2, T=10.0, radius=2.0, samples=50)
         x = np.array([0.4, -0.3])
-        Hv = mean_curvature(tp, u, x)
+        Hv = normal_project(tp, u.hessian(x), _mean_curvature(tp, u, x[None])[0])
         E = tangent_frame(u.hessian(x))
         G = ambient_metric(tp, 2)
         assert np.max(np.abs(E.T @ G @ Hv)) < 1e-10
@@ -185,8 +189,7 @@ class TestMeanCurvature:
             x = rng.uniform(-1, 1, n)
             dF = fd_gradient(lambda p: operator_value(tp, eig_sym(field.hessian(p))), x, FD_STEP)
             assert np.any(dF != 0.0), name
-            want = normal_project(tp, field.hessian(x), np.concatenate([np.zeros(n), dF]))
-            assert same_bits(mean_curvature(tp, field, x), want), name
+            assert same_bits(_mean_curvature(tp, field, x[None])[0], np.concatenate([np.zeros(n), dF])), name
 
     @pytest.mark.parametrize("name", sorted(with_lower_cones()))
     def test_stencil_meets_the_chain_rule(self, name, rng):
@@ -201,16 +204,15 @@ class TestMeanCurvature:
                 x = rng.uniform(-3.0, 3.0, n)
                 while np.any(np.abs(np.sin(x)) < 0.1):
                     x = rng.uniform(-3.0, 3.0, n)
-                H = field.hessian(x)
-                dF = -0.01 * np.sin(x) * np.diag(operator_gradient_matrix(tp, H))
-                want = normal_project(tp, H, np.concatenate([np.zeros(n), dF]))
-                got = mean_curvature(tp, field, x)
-                assert np.max(np.abs(got - want)) <= 5e-7 * np.max(np.abs(want)), (n, x)
+                want = -0.01 * np.sin(x) * np.diag(operator_gradient_matrix(tp, field.hessian(x)))
+                got = _mean_curvature(tp, field, x[None])[0]
+                assert not np.any(got[:n]), (n, x)
+                assert np.max(np.abs(got[n:] - want)) <= 5e-7 * np.max(np.abs(want)), (n, x)
 
     def test_nonzero_for_counterexample(self):
         tp = TauParams.neg_branch(a=-2.0)
         u, prof, cert = sl.build_counterexample(tp, 0.0, 1.0, 1, T=10.0, radius=2.0, samples=50)
-        Hv = mean_curvature(tp, u, np.array([0.0]))
+        Hv = normal_project(tp, u.hessian(np.array([0.0])), _mean_curvature(tp, u, np.zeros((1, 1)))[0])
         assert np.linalg.norm(Hv) > 1e-3  # third derivative does not vanish
 
 
@@ -248,9 +250,10 @@ class TestShrinkerDefect:
             x = np.array(x)
             H = u.hessian(x)
             dF = fd_gradient(lambda p: operator_value(tp, eig_sym(u.hessian(p))), x, FD_STEP)
-            Hv = reference_normal_project(tp, H, np.concatenate([np.zeros(1), dF]))
-            W = Hv + 0.5 * reference_normal_project(tp, H, np.concatenate([x, u.gradient(x)]))
-            assert np.max(np.abs(mean_curvature(tp, u, x) - Hv)) <= 1e-12
+            V = np.concatenate([np.zeros(1), dF])
+            X = np.concatenate([x, u.gradient(x)])
+            W = reference_normal_project(tp, H, V) + 0.5 * reference_normal_project(tp, H, X)
+            assert np.max(np.abs(_mean_curvature(tp, u, x[None])[0] - V)) <= 1e-12
             assert abs(shrinker_defect(tp, u, x) - np.linalg.norm(W)) <= 1e-12
 
     def test_ambient_norm_matches_block_form(self, rng):
@@ -265,9 +268,8 @@ class TestShrinkerDefect:
             )
             x = rng.uniform(-1, 1, 2)
             H = field.hessian(x)
-            W = mean_curvature(tp, field, x) + 0.5 * reference_normal_project(
-                tp, H, np.concatenate([x, field.gradient(x)])
-            )
+            V, X = _mean_curvature(tp, field, x[None])[0], np.concatenate([x, field.gradient(x)])
+            W = reference_normal_project(tp, H, V) + 0.5 * reference_normal_project(tp, H, X)
             want = math.sqrt(W @ ambient_metric(tp, 2) @ W)
             assert want > 1e-3
             assert shrinker_defect(tp, field, x) == pytest.approx(want, rel=1e-12)
@@ -295,9 +297,8 @@ def frozen_shrinker_defect(tp, field, x):
     n = len(x)
     steps = FD_STEP * np.eye(n)
     F = operator_value(tp, eig_sym(field.hessian(np.vstack([x + steps, x - steps]))))
-    H = field.hessian(x)
-    Hv = frozen_normal_project(tp, H, np.concatenate([np.zeros(n), (F[:n] - F[n:]) / (2.0 * FD_STEP)]))
-    W = Hv + 0.5 * frozen_normal_project(tp, H, np.concatenate([x, field.gradient(x)]))
+    V = np.concatenate([np.zeros(n), (F[:n] - F[n:]) / (2.0 * FD_STEP)])
+    W = frozen_normal_project(tp, field.hessian(x), V + 0.5 * np.concatenate([x, field.gradient(x)]))
     if tp.branch.value in ("ATAN", "SLAG"):
         s, c = tp.sin_cos
         w1, w2 = W[:n], W[n:]
@@ -362,8 +363,8 @@ class TestStacks:
             assert same_bits(shrinker_defect(tp, CosineQuadratics(A), xs), want), name
             assert same_bits(shrinker_defect(tp, CosineQuadratics(A[0]), xs[0]), want[0]), name
             assert shrinker_defect(tp, CosineQuadratics(A[1]), xs[1, 2]) == want[1][2], name
-            Hv = mean_curvature(tp, CosineQuadratics(A), xs)
-            assert same_bits(Hv[2], [mean_curvature(tp, CosineQuadratics(A[2]), x) for x in xs[2]]), name
+            V = _mean_curvature(tp, CosineQuadratics(A), xs)
+            assert same_bits(V[2], [_mean_curvature(tp, CosineQuadratics(A[2]), x[None])[0] for x in xs[2]]), name
             # quadratics: the exact zeros of the point calls, stacked
             sol = sl.build_quadratic(tp, A)
             zeros = shrinker_defect(tp, sol, xs)
@@ -378,7 +379,7 @@ class TestStacks:
         want = [frozen_shrinker_defect(tp, u, x) for x in xs]
         assert np.all(np.array(want) != 0.0)
         assert same_bits(shrinker_defect(tp, u, xs), want)
-        assert same_bits(mean_curvature(tp, u, xs), [mean_curvature(tp, u, x) for x in xs])
+        assert same_bits(_mean_curvature(tp, u, xs), [_mean_curvature(tp, u, x[None])[0] for x in xs])
 
     @pytest.mark.parametrize("tp", [TauParams.atan_branch(math.pi / 3), TauParams.special_lagrangian()])
     def test_ambient_norm_on_a_cloud_of_a_cubic(self, tp, rng):
@@ -440,17 +441,16 @@ class TestStacks:
             normal_project(tp, H, rng.standard_normal((6, 4)))
 
 
-def stencil_mean_curvature(tp, field, x):
-    """mean_curvature on a cloud or stack of clouds by the 2n-point central
-    differences of F(lambda(D^2 u)), read as one cloud: the path every field
-    but a QuadraticField takes, kept as the reference for quadratics."""
+def stencil_ambient_vector(tp, field, x):
+    """(0, D_x F(lambda(D^2 u))) on a cloud or stack of clouds by the 2n-point
+    central differences of F(lambda(D^2 u)), read as one cloud: the path every
+    field but a QuadraticField takes, kept as the reference for quadratics."""
     n = x.shape[-1]
     steps = FD_STEP * np.eye(n)
     stencil = np.concatenate([x[..., None, :] + steps, x[..., None, :] - steps], axis=-2)
     spectra = eig_sym(field.hessian(stencil.reshape(*x.shape[:-2], -1, n)))
     F = operator_value(tp, spectra).reshape(*x.shape[:-1], 2 * n)
-    V = np.concatenate([np.zeros(x.shape), (F[..., :n] - F[..., n:]) / (2.0 * FD_STEP)], axis=-1)
-    return _normal(tp, as_sym_matrix(field.hessian(x)), V)
+    return np.concatenate([np.zeros(x.shape), (F[..., :n] - F[..., n:]) / (2.0 * FD_STEP)], axis=-1)
 
 
 @pytest.fixture
@@ -467,8 +467,8 @@ def solved_matrices(monkeypatch):
 
 
 class TestConstantHessian:
-    """A QuadraticField's F(lambda(D^2 u)) is constant: mean_curvature checks
-    its k spectra once and reads no stencil, with the stencil's bits."""
+    """A QuadraticField's F(lambda(D^2 u)) is constant: its ambient vector
+    checks the k spectra once and reads no stencil, with the stencil's bits."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_quadratics_read_no_stencil(self, n, rng, solved_matrices):
@@ -476,9 +476,10 @@ class TestConstantHessian:
             sol = sl.build_quadratic(tp, stack_of(tp, 5, n, rng))
             xs = rng.uniform(-2.0, 2.0, size=(5, 7, n))
             for field, x, k in ((sol, xs, 5), (QuadraticField(sol.A[0], sol.c[0]), xs[0], 1)):
-                want = stencil_mean_curvature(tp, field, x)
+                want = stencil_ambient_vector(tp, field, x)
+                assert not np.any(want), name
                 solved_matrices.clear()
-                assert same_bits(mean_curvature(tp, field, x), want), name
+                assert same_bits(_mean_curvature(tp, field, x), want), name
                 assert solved_matrices == [k], name
                 solved_matrices.clear()
                 defects = shrinker_defect(tp, field, x)
@@ -492,9 +493,9 @@ class TestConstantHessian:
         for name, tp in branch_params().items():
             field = CosineQuadratics(stack_of(tp, 5, n, rng))
             xs = rng.uniform(-1.0, 1.0, size=(5, 7, n))
-            want = stencil_mean_curvature(tp, field, xs)
+            want = stencil_ambient_vector(tp, field, xs)
             solved_matrices.clear()
-            assert same_bits(mean_curvature(tp, field, xs), want), name
+            assert same_bits(_mean_curvature(tp, field, xs), want), name
             assert solved_matrices == [5 * 7 * 2 * n], name
 
     def test_inadmissible_quadratic_raises_the_stencils_error(self, rng):
@@ -504,24 +505,69 @@ class TestConstantHessian:
         xs = rng.uniform(-1.0, 1.0, size=(4, 3, 2))
         for field, x in ((QuadraticField(A, np.zeros(4)), xs), (QuadraticField(A[2]), xs[2])):
             with pytest.raises(sl.DomainError) as want:
-                stencil_mean_curvature(tp, field, x)
-            for read in (mean_curvature, shrinker_defect):
+                stencil_ambient_vector(tp, field, x)
+            for read in (_mean_curvature, shrinker_defect):
                 with pytest.raises(sl.DomainError) as got:
                     read(tp, field, x)
                 assert str(got.value) == str(want.value)
                 assert got.value.value == want.value.value == -0.25
 
 
+def defect_norm(tp, W):
+    """The defect's norm of each (..., 2n) defect vector, as shrinker_defect
+    takes it: ambient on ATAN and SLAG, Euclidean elsewhere."""
+    if tp.branch.value not in ("ATAN", "SLAG"):
+        return np.sqrt(np.sum(W * W, axis=-1))
+    s, c = tp.sin_cos
+    w1, w2 = np.split(W, 2, axis=-1)
+    return np.sqrt(np.maximum(s * np.sum(w1 * w1 + w2 * w2, axis=-1) + 2.0 * c * np.sum(w1 * w2, axis=-1), 0.0))
+
+
+class TestOneProjection:
+    """The normal projection is linear, so shrinker_defect projects V + X/2 as
+    one sum: one induced metric and one stacked solve a call."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", sorted(branch_params()))
+    def test_two_projection_reference(self, name, n, rng):
+        # |P(V) + P(X)/2|, the two projections the defect made before, on
+        # the same Hessians and ambient vectors: equal up to rounding
+        tp = branch_params()[name]
+        field = CosineQuadratics(stack_of(tp, 6, n, rng))
+        xs = rng.uniform(-1.0, 1.0, size=(6, 20, n))
+        H = as_sym_matrix(field.hessian(xs))
+        X = np.concatenate([xs, field.gradient(xs)], axis=-1)
+        want = defect_norm(tp, _normal(tp, H, _mean_curvature(tp, field, xs)) + 0.5 * _normal(tp, H, X))
+        assert np.all(want > 0.0)
+        assert np.max(np.abs(shrinker_defect(tp, field, xs) - want)) <= 1e-13 * np.max(want)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "off a quadratic"])
+    def test_one_metric_and_one_solve_a_call(self, kind, rng, monkeypatch):
+        solves, metrics = [], []
+        solve, metric = np.linalg.solve, geometry._metric
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a.shape) or solve(a, b))
+        monkeypatch.setattr(geometry, "_metric", lambda tp, H: metrics.append(H.shape) or metric(tp, H))
+        for name, tp in branch_params().items():
+            A = stack_of(tp, 5, 3, rng)
+            field = sl.build_quadratic(tp, A) if kind == "quadratic" else CosineQuadratics(A)
+            xs = rng.uniform(-1.0, 1.0, size=(5, 7, 3))
+            solves.clear()
+            metrics.clear()
+            shrinker_defect(tp, field, xs)
+            assert solves == metrics == [(5, 7, 3, 3)], name
+
+
 # reads that refuse a NaN or infinite coordinate; each gets the branch, one
 # field and a stack of three in dimension 2, and bad(shape), uniform draws of
-# that shape with one entry NaN or infinite
+# that shape with one entry NaN or infinite.  The curvature reads are defects
+# off a quadratic, whose mean curvature term reads the stencil
 NON_FINITE_READS = {
     "defect at a point": lambda tp, one, three, bad: shrinker_defect(tp, one, bad((2,))),
     "defect on a cloud": lambda tp, one, three, bad: shrinker_defect(tp, one, bad((4, 2))),
     "defect on a stack": lambda tp, one, three, bad: shrinker_defect(tp, three, bad((3, 4, 2))),
-    "curvature at a point": lambda tp, one, three, bad: mean_curvature(tp, one, bad((2,))),
-    "curvature on a stack": lambda tp, one, three, bad: mean_curvature(tp, three, bad((3, 4, 2))),
-    "curvature off a quadratic": lambda tp, one, three, bad: mean_curvature(tp, CosineQuadratics(one.A), bad((4, 2))),
+    "curvature at a point": lambda tp, one, three, bad: shrinker_defect(tp, CosineQuadratics(one.A), bad((2,))),
+    "curvature on a stack": lambda tp, one, three, bad: shrinker_defect(tp, CosineQuadratics(three.A), bad((3, 4, 2))),
+    "curvature off a quadratic": lambda tp, one, three, bad: shrinker_defect(tp, CosineQuadratics(one.A), bad((4, 2))),
     "projected vector": lambda tp, one, three, bad: normal_project(tp, one.A, bad((4,))),
     "extension at a point": lambda tp, one, three, bad: self_similar_extension(tp, one, bad((2,)), -1.0),
     "extension on a stack": lambda tp, one, three, bad: self_similar_extension(tp, three, bad((3, 2)), -np.ones(3)),

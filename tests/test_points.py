@@ -13,7 +13,7 @@ import pytest
 
 from shrinker_lab import TauParams
 from shrinker_lab.fields import QuadraticField, SeparableExtensionField, Table1DField
-from shrinker_lab.geometry import mean_curvature, shrinker_defect
+from shrinker_lab.geometry import shrinker_defect
 from shrinker_lab.numerics import InputError
 from shrinker_lab.tau import minkowski_residual, phase, shrinker_residual
 from shrinker_lab.transforms import self_similar_extension
@@ -48,7 +48,6 @@ READERS = {
     "tau.phase": (phase, True),
     "tau.shrinker_residual": (functools.partial(shrinker_residual, SLAG), True),
     "tau.minkowski_residual": (minkowski_residual, True),
-    "geometry.mean_curvature": (functools.partial(mean_curvature, SLAG), False),
     "geometry.shrinker_defect": (functools.partial(shrinker_defect, SLAG), True),
 }
 

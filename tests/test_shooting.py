@@ -114,6 +114,15 @@ class TestEvents:
         prof = shoot_radial(tp, 2, -math.pi / 2 + 0.1, r_max=50.0)
         assert len(prof.rs) > 10  # profile sampled up to the event
 
+    @pytest.mark.parametrize("dps, kind", [(None, "blow_up"), (30, "cone_exit")])
+    @pytest.mark.parametrize("r_max", [1e-9, 5e-324, 1.0])
+    def test_a_refused_start_ends_at_the_shots_end(self, r_max, dps, kind):
+        # u0 = 2e10 is past the blow-up bound: the step rule refuses the start on
+        # either path, and the event sits where the shot ends, never past r_max
+        prof = shoot_radial(TauParams.from_cot(-2.0), 2, 2e10, r_max=r_max, dps=dps)
+        assert (prof.event.kind, prof.event.r) == (kind, min(r_max, shooting._R_START))
+        assert len(prof.rs) == 0
+
     @pytest.mark.parametrize("dps, r_event", [(None, 3.4557), (30, 3.5000)])
     def test_blow_up_past_the_magnitude_bound(self, monkeypatch, dps, r_event):
         # quadratic data, whose |u| passes 5 near r = 3.46: the step rule names
