@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import _READ_BLOCK, InputError, Trajectory, as_cloud, as_count, read_span, row_dot
+from .numerics import _READ_BLOCK, InputError, Trajectory, as_cloud, as_count, as_sym_matrix, read_span, row_dot
 
 __all__ = [
     "ScalarField",
@@ -62,15 +62,11 @@ class QuadraticField(ScalarField):
     On a cloud the stacked products ``(X[..., None, :] @ A) @ X[..., :, None]``
     and ``A @ X[..., :, None]`` run the kernel of the single-point products row
     by row, where ``X @ A`` would not, and the Hessian is A repeated m times.
-    A point is a cloud of one, as on every field.
+    A point is a cloud of one, as on every field.  A is read by ``as_sym_matrix``.
     """
 
     def __init__(self, A, c=0.0):
-        self.A = np.asarray(A, dtype=float)
-        if self.A.ndim < 2 or self.A.shape[-1] != self.A.shape[-2]:
-            raise InputError("A must be square")
-        if not np.array_equal(self.A, self.A.swapaxes(-1, -2)):
-            raise InputError("A must be symmetric")
+        self.A = as_sym_matrix(A)
         self.c = float(c) if self.A.ndim == 2 else np.asarray(c, dtype=float)
         self.dim = self.A.shape[-1]
         self.stack = self.A.shape[:-2]

@@ -52,7 +52,7 @@ from . import jets
 from .numerics import (
     DomainError, InputError, RhsEvaluationError, abs_tolerance, as_count, as_positive, integrate_ode, read_span, row_dot,
 )
-from .tau import _JETS, _f_form, _f_inverse_form, cone_spec, f_inverse, f_inverse_mp, f_value, f_value_mp
+from .tau import _JETS, _forms, cone_spec, f_inverse, f_inverse_mp, f_value, f_value_mp
 
 __all__ = ["ShotEvent", "RadialProfile", "shoot_radial", "radial_quadratic_reference"]
 
@@ -175,7 +175,7 @@ def _jet_curvature(tp, n, upp0):
     The closed forms on jets are bound once, at the shot's precision; the jet
     is recorded once a region on the tape, which each later call hands back."""
     rule = _step_rule(tp, n, upp0, f=f_value_mp)
-    f_jet, f_inv_jet = _f_form(tp, _JETS), _f_inverse_form(tp, _JETS)
+    f_jet, f_inv_jet, _ = _forms(tp, _JETS)
     graphs = {}  # region -> (the node list of the tape its jet was recorded on, the jet)
 
     def acc(r, u, p):

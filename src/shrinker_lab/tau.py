@@ -3,9 +3,10 @@ cones, and the pointwise residual operators built from it.
 
 The family is indexed by an angle ``tau`` in (-pi/4, pi/2].  Each member sums
 one scalar function f over a symmetric spectrum; f, f^-1 and f' have closed
-forms on every branch, bound once per ``TauParams``, and F and dF/dH read one
-spectrum or a stack.  Branch tags are stored explicitly: seam angles are
-never inferred from floating-point comparisons of cot^2(tau) with 1.
+forms on every branch, one block a branch in ``_forms``, the float ones bound
+once per ``TauParams``, and F and dF/dH read one spectrum or a stack.  Branch
+tags are stored explicitly: seam angles are never inferred from floating-point
+comparisons of cot^2(tau) with 1.
 """
 
 from __future__ import annotations
@@ -116,16 +117,10 @@ class TauParams:
             return cls.harmonic(cone_side)
         if tau == math.pi / 2:
             return cls.special_lagrangian()
-        if -math.pi / 4 < tau < 0.0:
-            a = 1.0 / math.tan(tau)
-            return cls(tau, a, math.sqrt(a * a - 1.0), Branch.NEG, cone_side)
-        if 0.0 < tau < math.pi / 4:
-            a = 1.0 / math.tan(tau)
-            return cls(tau, a, math.sqrt(a * a - 1.0), Branch.LOG, cone_side)
-        if math.pi / 4 < tau < math.pi / 2:
-            a = 1.0 / math.tan(tau)
-            return cls(tau, a, math.sqrt(1.0 - a * a), Branch.ATAN, cone_side)
-        raise InputError(f"tau = {tau} outside (-pi/4, pi/2]")
+        if not -math.pi / 4 < tau < math.pi / 2:  # NaN too
+            raise InputError(f"tau = {tau} outside (-pi/4, pi/2]")
+        branch = Branch.NEG if tau < 0.0 else Branch.LOG if tau < math.pi / 4 else Branch.ATAN
+        return cls._off_seam(tau, 1.0 / math.tan(tau), branch, cone_side)
 
     @classmethod
     def from_cot(cls, a, cone_side="upper"):
@@ -140,12 +135,14 @@ class TauParams:
             return cls.harmonic(cone_side)
         if -1.0 <= a < 0.0:
             raise InputError(f"a = {a} corresponds to tau <= -pi/4")
-        tau = math.atan(1.0 / a)
-        if a > 1.0:
-            return cls(tau, a, math.sqrt(a * a - 1.0), Branch.LOG, cone_side)
-        if 0.0 < a < 1.0:
-            return cls(tau, a, math.sqrt(1.0 - a * a), Branch.ATAN, cone_side)
-        return cls(tau, a, math.sqrt(a * a - 1.0), Branch.NEG, cone_side)
+        branch = Branch.LOG if a > 1.0 else Branch.ATAN if 0.0 < a < 1.0 else Branch.NEG  # NaN is refused as NEG
+        return cls._off_seam(math.atan(1.0 / a), a, branch, cone_side)
+
+    @classmethod
+    def _off_seam(cls, tau, a, branch, cone_side):
+        """The LOG, ATAN or NEG member at tau, a = cot(tau): the one place b is
+        formed, as sqrt(|a^2 - 1|) (1 - a^2 and a^2 - 1 round to one magnitude)."""
+        return cls(tau, a, math.sqrt(abs(a * a - 1.0)), branch, cone_side)
 
     @classmethod
     def monge_ampere(cls, cone_side="upper"):
@@ -227,12 +224,10 @@ class TauParams:
             raise InputError(f"normalization defined on the NEG branch, not {self.branch.value}")
         return 2.0 * self.b / self.sqrt_a2p1, self.sqrt_a2p1 ** 0.5 / (2.0 * self.b)
 
-    # the float closed forms of f, f^-1 and f', f_value's (lo, hi, f) and f_inverse's
+    # the float closed forms (f, f^-1, f'), f_value's (lo, hi, f) and f_inverse's
     # form with its float guards (range check, clamp and polish), built once
-    f_form = cached_property(lambda self: _f_form(self, _FLOAT))
-    f_inverse_form = cached_property(lambda self: _f_inverse_form(self, _FLOAT))
-    f_prime_form = cached_property(lambda self: _f_prime_form(self, _FLOAT))
-    f_guard = cached_property(lambda self: (self.components[0].lo, self.components[0].hi, self.f_form))
+    forms = cached_property(lambda self: _forms(self, _FLOAT))
+    f_guard = cached_property(lambda self: (self.components[0].lo, self.components[0].hi, self.forms[0]))
     f_inverse_polished = cached_property(lambda self: _polished_inverse(self))
 
     @property
@@ -298,71 +293,44 @@ _MP = _arithmetic(mp, mp.pi, _mp_consts)
 _JETS = _arithmetic(jets, mp.pi, _mp_consts)
 
 
-def _f_form(tp, ops):
-    """Closed form of f, lam -> f(lam), in the arithmetic ``ops``; each bound
-    constant is a subexpression the formula rounds first anyway.
+def _forms(tp, ops):
+    """The closed forms (f, f^{-1}, f') of ``tp``'s branch in the arithmetic
+    ``ops``, one block a branch; each bound constant is a subexpression the
+    formula rounds first anyway.  f^{-1} maps y to lam on the upper component
+    (the lower one for LOG/HARM targets y > 0), and f' > 0.
 
     The groupings lam + (a -+ b) and (b - a) - lam are exact near the cone
     edges, where the left-to-right sums round the small factor to zero; the
     smooth ATAN form avoids the quotient arctangent's jump by pi across
     lam = -(a + b).
     """
-    br, log = tp.branch, ops.log
+    br, log, exp, tan, tanh = tp.branch, ops.log, ops.exp, ops.tan, ops.tanh
     if br is Branch.MA:
-        return lambda lam: log(lam) / 2
+        return (lambda lam: log(lam) / 2,
+                lambda y: exp(2 * y),
+                lambda lam: 0.5 / lam)
     if br is Branch.SLAG:
-        return ops.atan
+        return ops.atan, tan, lambda lam: 1.0 / (1.0 + lam * lam)
     a, b, root, a_m_b, a_p_b = ops.consts(tp)
-    if br is Branch.HARM:
-        return lambda lam: -root / (1 + lam)  # root = sqrt(2)
+    if br is Branch.HARM:  # root = sqrt(2)
+        return (lambda lam: -root / (1 + lam),
+                lambda y: -root / y - 1,
+                lambda lam: root / (1.0 + lam) ** 2)
     if br is Branch.ATAN:
         atan, scale, quarter = ops.atan, root / b, ops.pi / 4
-        return lambda lam: scale * (atan((lam + a) / b) - quarter)
+        return (lambda lam: scale * (atan((lam + a) / b) - quarter),
+                lambda y: -a + b * tan(y * b / root + quarter),
+                lambda lam: root / ((lam + a) ** 2 + b * b))
     scale = root / (2 * b)
     if br is Branch.LOG:
-        return lambda lam: scale * log((lam + a_m_b) / (lam + a_p_b))
-    b_m_a = -a_m_b
-    return lambda lam: scale * log((lam + a_p_b) / (b_m_a - lam))
-
-
-def _f_inverse_form(tp, ops):
-    """Closed form of f^{-1}, y -> lam, on the upper component (the lower one
-    for LOG/HARM targets y > 0), in the arithmetic ``ops``, as ``_f_form``."""
-    br, exp, tan, tanh = tp.branch, ops.exp, ops.tan, ops.tanh
-    if br is Branch.MA:
-        return lambda y: exp(2 * y)
-    if br is Branch.SLAG:
-        return tan
-    a, b, root, _, a_p_b = ops.consts(tp)
-    if br is Branch.HARM:
-        return lambda y: -root / y - 1
-    if br is Branch.LOG:
-        # (1+E)/(1-E) with E = exp(2by/sqrt(a^2+1)) equals -coth(by/sqrt(a^2+1))
-        return lambda y: -a - b / tanh(b * y / root)
-    if br is Branch.ATAN:
-        quarter = ops.pi / 4
-        return lambda y: -a + b * tan(y * b / root + quarter)
-    sigmoid, edge, width = ops.sigmoid, -a_p_b, 2 * b
-    return lambda y: edge + width * sigmoid(width * y / root)
-
-
-def _f_prime_form(tp, ops):
-    """Closed form of f', lam -> f'(lam) > 0, in the arithmetic ``ops``, with
-    ``_f_form``'s exact groupings next to the cone edges."""
-    br = tp.branch
-    if br is Branch.MA:
-        return lambda lam: 0.5 / lam
-    if br is Branch.SLAG:
-        return lambda lam: 1.0 / (1.0 + lam * lam)
-    a, b, root, a_m_b, a_p_b = ops.consts(tp)
-    if br is Branch.HARM:
-        return lambda lam: root / (1.0 + lam) ** 2  # root = sqrt(2)
-    if br is Branch.ATAN:
-        return lambda lam: root / ((lam + a) ** 2 + b * b)
-    if br is Branch.LOG:
-        return lambda lam: root / ((lam + a_m_b) * (lam + a_p_b))
-    b_m_a = -a_m_b
-    return lambda lam: root / ((lam + a_p_b) * (b_m_a - lam))
+        return (lambda lam: scale * log((lam + a_m_b) / (lam + a_p_b)),
+                # (1+E)/(1-E) with E = exp(2by/sqrt(a^2+1)) equals -coth(by/sqrt(a^2+1))
+                lambda y: -a - b / tanh(b * y / root),
+                lambda lam: root / ((lam + a_m_b) * (lam + a_p_b)))
+    sigmoid, b_m_a, edge, width = ops.sigmoid, -a_m_b, -a_p_b, 2 * b
+    return (lambda lam: scale * log((lam + a_p_b) / (b_m_a - lam)),
+            lambda y: edge + width * sigmoid(width * y / root),
+            lambda lam: root / ((lam + a_p_b) * (b_m_a - lam)))
 
 
 def f_value(tp, lam):
@@ -374,8 +342,13 @@ def f_value(tp, lam):
 
 
 def f_derivative(tp, lam):
-    """Closed-form derivative of the scalar summand; strictly positive."""
-    return tp.f_prime_form(_eigenvalue(tp, lam))
+    """Closed-form derivative of the scalar summand; strictly positive.  An
+    eigenvalue whose f' overflows (a float ``** 2`` raises past ~1.3e154) is an InputError."""
+    lam = _eigenvalue(tp, lam)
+    try:
+        return tp.forms[2](lam)
+    except OverflowError:
+        raise InputError(f"f' overflows at eigenvalue {lam} on {tp.branch.value}") from None
 
 
 def f_range(tp):
@@ -386,7 +359,7 @@ def f_range(tp):
 
 def _polished_inverse(tp):
     """:func:`f_inverse` with its range, clamp ends and forms bound once."""
-    spec, form, f, f_prime = tp.components[0], tp.f_inverse_form, tp.f_form, tp.f_prime_form
+    spec, (f, form, f_prime) = tp.components[0], tp.forms
     lo, hi, f_lo, f_hi = spec.lo, spec.hi, spec.f_lo, spec.f_hi
     # MA's exp(2y) past double range, or LOG's tanh(b y / root) underflowing
     # to 0 at a denormal y: the preimage is the component's infinite end
@@ -448,12 +421,12 @@ def f_inverse(tp, y):
 
 def f_value_mp(tp, lam):
     """:func:`f_value`'s closed form in mpmath, for high-precision shooting."""
-    return _f_form(tp, _MP)(lam)
+    return _forms(tp, _MP)[0](lam)
 
 
 def f_inverse_mp(tp, y):
     """:func:`f_inverse`'s closed form in mpmath (no polish)."""
-    return _f_inverse_form(tp, _MP)(y)
+    return _forms(tp, _MP)[1](y)
 
 
 def admissible(tp, eigenvalues):
@@ -500,7 +473,7 @@ def operator_value(tp, eigenvalues):
         row = rows[np.argmin(inside)]
         raise DomainError(f"spectrum {row} inadmissible: not inside a single {tp.branch.value} cone "
                           f"component", value=_first_outside(tp, row.tolist()))
-    f = tp.f_form
+    f = tp.forms[0]
     sums = [float(sum(map(f, row))) for row in rows.tolist()]
     return np.array(sums).reshape(lams.shape[:-1]) if lams.ndim > 1 else sums[0]
 
@@ -519,7 +492,13 @@ def _gradient_matrix(tp, w, Q):
     for row in w.reshape(-1, w.shape[-1]):
         if admissible(tp, row) is None:
             raise DomainError(f"Hessian spectrum {row} inadmissible for {tp.branch.value}")
-    d = np.array(list(map(tp.f_prime_form, w.ravel().tolist()))).reshape(w.shape)
+    lams = w.ravel().tolist()
+    try:
+        d = np.array(list(map(tp.forms[2], lams))).reshape(w.shape)
+    except OverflowError:
+        for lam in lams:  # f_derivative's InputError names the first eigenvalue whose f' overflows
+            f_derivative(tp, lam)
+        raise
     return (Q * d[..., None, :]) @ Q.swapaxes(-1, -2)
 
 

@@ -13,7 +13,7 @@ from shrinker_lab.fields import (
 )
 from shrinker_lab.constructor import assemble_w1, solve_phase_ode
 from shrinker_lab.numerics import InputError, hermite_quintic_value, hermite_value
-from shrinker_lab.quadratics import random_admissible_matrix
+from shrinker_lab.quadratics import build_quadratic, random_admissible_matrix
 from shrinker_lab.shooting import radial_quadratic_reference
 from shrinker_lab.tau import shrinker_residual
 
@@ -44,6 +44,22 @@ class TestQuadraticField:
     def test_requires_symmetry(self):
         with pytest.raises(InputError):
             QuadraticField(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "A, refusal", [([[math.inf]], "non-finite"), ([[math.nan]], "non-finite"), (np.zeros((0, 0)), "square")]
+    )
+    def test_refuses_non_finite_and_empty_matrices(self, A, refusal):
+        with pytest.raises(InputError, match=refusal):
+            QuadraticField(np.array(A))
+
+    def test_reads_its_matrix_as_build_quadratic(self, all_branches):
+        # a 1e-13 relative asymmetry is rounding noise, averaged as build_quadratic
+        # averages it; a valid matrix is kept, not copied
+        A = np.array([[1.0, 0.3], [0.3 * (1.0 + 1e-13), 2.0]])
+        field = QuadraticField(A)
+        assert same_bits(field.A, build_quadratic(all_branches["MA"], A).A)
+        assert same_bits(field.A, field.A.T) and not same_bits(field.A, A)
+        assert QuadraticField(field.A).A is field.A
 
     @given(
         branch=st.sampled_from(sorted(branch_params())),

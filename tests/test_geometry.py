@@ -152,6 +152,13 @@ class TestDegenerateMetric:
         with pytest.raises(sl.DomainError, match="inadmissible"):
             metric_duality_defect(tp, np.diag([0.0, 1.0]))
 
+    @pytest.mark.parametrize("name", ["HARM", "ATAN"])
+    def test_overflowing_derivative_is_an_input_error(self, name, all_branches):
+        # f' squares 1 + lam (HARM) or lam + a (ATAN) with a float **, which
+        # raises OverflowError past |lam| ~ 1.3e154: dF/dH is read first
+        with pytest.raises(sl.InputError, match=r"f' overflows at eigenvalue 1e\+200"):
+            metric_duality_defect(all_branches[name], np.array([[1e200]]))
+
 
 class TestMeanCurvature:
     """The ambient vector V = (0, D_x F(lambda(D^2 u))) whose normal part is

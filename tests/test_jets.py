@@ -34,7 +34,7 @@ from mpmath.libmp import (
 
 from shrinker_lab import TauParams, jets, shooting, tau
 from shrinker_lab.numerics import InputError, RhsEvaluationError, integrate_ode
-from shrinker_lab.tau import _JETS, _f_form, _f_inverse_form, f_inverse, f_inverse_mp, f_range, f_value, f_value_mp
+from shrinker_lab.tau import _JETS, _forms, f_inverse, f_inverse_mp, f_range, f_value, f_value_mp
 
 from conftest import as_pair, branch_params
 
@@ -176,11 +176,11 @@ REF_OPS = tau._arithmetic(REF, mp.pi, tau._mp_consts)
 
 
 def ref_f(tp, lam):
-    return tau._f_form(tp, REF_OPS)(lam)
+    return tau._forms(tp, REF_OPS)[0](lam)
 
 
 def ref_f_inverse(tp, y):
-    return tau._f_inverse_form(tp, REF_OPS)(y)
+    return tau._forms(tp, REF_OPS)[1](y)
 
 
 def bits(coeffs):
@@ -217,11 +217,11 @@ class TestAgainstMpfOperators:
             # coefficients all carry guard bits (the join values' precision)
             unit = [1] + [0] * (DEGREE - 1)
             full = [guarded(mp.mpf(1) / (j + 2)) * (-1) ** j for j in range(DEGREE)]
-            for form, ref, x0 in ((_f_form, ref_f, lam), (_f_inverse_form, ref_f_inverse, y)):
+            for form, ref, x0 in ((0, ref_f, lam), (1, ref_f_inverse, y)):
                 for x0_, rest in ((x0, unit), (guarded(x0), full)):
                     want = bits(series(REF, ref, tp, x0_, rest))
-                    got = series(jets, lambda tp, x: form(tp, _JETS)(x), tp, x0_, rest)
-                    assert got == want, (form.__name__, dps)
+                    got = series(jets, lambda tp, x: _forms(tp, _JETS)[form](x), tp, x0_, rest)
+                    assert got == want, (form, dps)
 
     @pytest.mark.parametrize("frozen", [False, True])
     @pytest.mark.parametrize("branch", list(POINTS))
@@ -571,7 +571,7 @@ class TestTaylorIntegrate:
         y0, span = (-f_value(tp, 0.9), -1e-6), (0.0, 10.0)
 
         def jet_acc(x, u, p):  # the jet form is bound at each call, at the integrator's dps
-            return _f_inverse_form(tp, _JETS)(-u + x * p / 2)
+            return _forms(tp, _JETS)[1](-u + x * p / 2)
 
         read, t_end, event = jets.taylor_integrate(jet_acc, y0, span, 30)
         assert event.label == "step_underflow" and event.t == t_end and round(t_end, 3) == 5.768

@@ -13,7 +13,7 @@ from shrinker_lab import InputError, TauParams, jets, shooting
 from shrinker_lab.fields import ScalarField
 from shrinker_lab.numerics import DivergenceEvent, RhsEvaluationError, read_span, row_dot
 from shrinker_lab.shooting import _step_rule, radial_quadratic_reference, shoot_radial
-from shrinker_lab.tau import _JETS, _f_form, _f_inverse_form, cone_spec, f_inverse, f_range, f_value, f_value_mp
+from shrinker_lab.tau import _JETS, _forms, cone_spec, f_inverse, f_range, f_value, f_value_mp
 
 from conftest import as_pair, branch_params, same_bits
 
@@ -741,8 +741,8 @@ def test_one_dimensional_taylor_shot_forms_no_transverse_term(monkeypatch):
         def acc(r, u, p):
             r0 = jets.mpf(r.c[0])
             rule(r0, jets.mpf(u.c[0]), jets.mpf(p.c[0]))
-            f_s = f_value_mp(tp, upp0) if r0 < shooting._R_SERIES else _f_form(tp, _JETS)(p / r)
-            return _f_inverse_form(tp, _JETS)((-u + r * p / 2) - (n - 1) * f_s)
+            f_s = f_value_mp(tp, upp0) if r0 < shooting._R_SERIES else _forms(tp, _JETS)[0](p / r)
+            return _forms(tp, _JETS)[1]((-u + r * p / 2) - (n - 1) * f_s)
 
         return acc
 
@@ -753,13 +753,13 @@ def test_one_dimensional_taylor_shot_forms_no_transverse_term(monkeypatch):
         patch.setattr(shooting, "_jet_curvature", multiplied_by_zero)
         want = shot(1)
     calls = []
-    f_form = shooting._f_form
+    forms = shooting._forms
 
     def counting(tp, ops):
-        form = f_form(tp, ops)
-        return lambda lam: calls.append(lam) or form(lam)
+        form, *rest = forms(tp, ops)
+        return (lambda lam: calls.append(lam) or form(lam), *rest)
 
-    monkeypatch.setattr(shooting, "_f_form", counting)
+    monkeypatch.setattr(shooting, "_forms", counting)
     got = shot(1)
     assert got.event == want.event and same_bits(got.rows(), want.rows())
     assert calls == []

@@ -29,12 +29,12 @@ from shrinker_lab.fields import QuadraticField, ScalarField
 from shrinker_lab.tau import (
     _JETS,
     _eigenvalue,
-    _f_form,
-    _f_inverse_form,
     _first_outside,
+    _forms,
     f_inverse_mp,
     f_value_mp,
     minkowski_residual,
+    operator_gradient_matrix,
 )
 from shrinker_lab.quadratics import _eigenvalue_window, admissible_matrix, random_admissible_matrix
 from conftest import CallableField, branch_params, same_bits, with_lower_cones
@@ -126,6 +126,17 @@ class TestTauParams:
             TauParams.from_cot(a)
         tp = TauParams.from_cot(a / 1e3)
         assert tp.b < abs(tp.a) and 0.0 not in (cone_spec(tp).lo, cone_spec(tp).hi)
+
+    def test_from_cot_of_from_tau_a(self, rng):
+        # off the seams both constructors form b from a alone: the same a,
+        # b and branch, bit for bit, on NEG, LOG and ATAN
+        branches = set()
+        for tau in rng.uniform(-math.pi / 4, math.pi / 2, 3000).tolist():
+            tp = TauParams.from_tau(tau)
+            back = TauParams.from_cot(tp.a)
+            assert same_bits((back.a, back.b), (tp.a, tp.b)) and back.branch is tp.branch, tau
+            branches.add(tp.branch)
+        assert branches == {Branch.NEG, Branch.LOG, Branch.ATAN}
 
 
 class TestScalarFunction:
@@ -284,7 +295,7 @@ class TestCachedForms:
 
 def _reference_f_value(tp, lam):
     """The single-eigenvalue summand of the operator."""
-    return tp.f_form(_eigenvalue(tp, lam))
+    return tp.forms[0](_eigenvalue(tp, lam))
 
 
 def _reference_f_inverse(tp, y):
@@ -298,7 +309,7 @@ def _reference_f_inverse(tp, y):
     if not (spec.f_lo < y < spec.f_hi):
         raise InputError(f"target {y} outside attainable range ({spec.f_lo}, {spec.f_hi})")
     try:
-        lam = tp.f_inverse_form(y)
+        lam = tp.forms[1](y)
     except (OverflowError, ZeroDivisionError):
         # MA's exp(2y) past double range, or LOG's tanh(b y / root) underflowing
         # to 0 at a denormal y: the preimage is the component's infinite end
@@ -313,7 +324,7 @@ def _reference_f_inverse(tp, y):
     if not math.isfinite(lam):
         return lam
     # short guarded Newton polish
-    tol, f = 1e-12 * (1.0 + abs(y)), tp.f_form
+    tol, f = 1e-12 * (1.0 + abs(y)), tp.forms[0]
     for _ in range(4):
         r = f(_eigenvalue(tp, lam)) - y
         if not math.isfinite(r) or abs(r) <= tol:
@@ -412,7 +423,7 @@ class TestBoundGuards:
                 lam = end
                 for _ in range(8):
                     lam = math.nextafter(lam, inward)
-                    targets.append(tp.f_form(lam))
+                    targets.append(tp.forms[0](lam))
         self._check(tp, targets=targets)
         clamped = [y for y in targets if spec.f_lo < y < spec.f_hi and f_inverse(tp, y) in clamp_ends]
         assert len(clamped) >= len(clamp_ends)
@@ -465,6 +476,20 @@ class TestNonFiniteEigenvalues:
                 operator_value(tp, spectrum)
         assert admissible(tp, [lam]) is None
 
+    @pytest.mark.parametrize(
+        "name, lam, other", [("HARM", 1e200, 0.5), ("HARM-lower", -1e200, -3.0), ("ATAN", 1e200, 0.5), ("ATAN", -1e200, 0.5)]
+    )
+    def test_overflowing_derivative_is_an_input_error(self, name, lam, other):
+        # HARM's and ATAN's f' square a float with **, which raises OverflowError
+        # past |lam| ~ 1.3e154: the eigenvalue is named, in a matrix or a stack
+        tp = with_lower_cones()[name]
+        named = f"f' overflows at eigenvalue {lam}"
+        with pytest.raises(InputError, match=re.escape(named)):
+            f_derivative(tp, lam)
+        for H in ([[lam]], [[[other]], [[lam]]], np.diag([other, lam])):
+            with pytest.raises(InputError, match=re.escape(named)):
+                operator_gradient_matrix(tp, np.array(H))
+
 
 class TestFloatAgainstHighPrecision:
     @pytest.mark.parametrize("name", list(with_lower_cones()))
@@ -489,7 +514,7 @@ class TestJets:
     def _jet(self, form, tp, x0):
         tape = jets.Tape()
         x = tape.input([x0, 1] + [0] * (self.DEGREE - 1))
-        out = form(tp, _JETS)(x)
+        out = _forms(tp, _JETS)[form](x)
         for k in range(self.DEGREE + 1):
             tape.advance(k)
         return [jets.mpf(c) for c in out.c]
@@ -500,19 +525,19 @@ class TestJets:
         with mp.workdps(self.DPS):
             lam = mp.mpf(self.POINTS[branch])
             y = f_value_mp(tp, lam)
-            for form, mp_fn, x0 in ((_f_form, f_value_mp, lam), (_f_inverse_form, f_inverse_mp, y)):
+            for form, mp_fn, x0 in ((0, f_value_mp, lam), (1, f_inverse_mp, y)):
                 got = self._jet(form, tp, x0)
                 want = mp.taylor(lambda t: mp_fn(tp, t), x0, self.DEGREE)
                 assert len(got) == len(want)
                 for k, (g, w) in enumerate(zip(got, want)):
-                    assert abs(g - w) <= mp.mpf(10) ** (5 - self.DPS) * (1 + abs(w)), (form.__name__, k)
+                    assert abs(g - w) <= mp.mpf(10) ** (5 - self.DPS) * (1 + abs(w)), (form, k)
 
     def test_constant_term_is_the_closed_form(self, all_branches):
         # order 0 of a jet is the mpmath closed form itself, bit for bit
         with mp.workdps(30):
             for name, tp in all_branches.items():
                 lam = mp.mpf(self.POINTS[name])
-                assert self._jet(_f_form, tp, lam)[0] == f_value_mp(tp, lam)
+                assert self._jet(0, tp, lam)[0] == f_value_mp(tp, lam)
 
 
 class TestOperator:
@@ -855,8 +880,8 @@ def _former_edges(tp):
 
 
 def _former_forms(tp, m, a, b, root, sigmoid):
-    """(f, f^-1, f') of ``tau._f_form``, ``_f_inverse_form`` and ``f_derivative``
-    as written inline, in the module ``m`` (math or mpmath) on its constants."""
+    """(f, f^-1, f') of ``tau._forms`` and ``f_derivative`` as written inline, in
+    the module ``m`` (math or mpmath) on its constants."""
     br, quarter = tp.branch, m.pi / 4
     if br is Branch.MA:
         return lambda lam: m.log(lam) / 2, lambda y: m.exp(2 * y), lambda lam: 0.5 / lam
@@ -922,8 +947,19 @@ class TestBranchConstantsTable:
         ys = [f(lam) for lam in lams]
         assert np.isfinite(ys).all()
         assert same_bits([f_value(tp, lam) for lam in lams], ys)
-        assert same_bits([tp.f_inverse_form(y) for y in ys], [f_inv(y) for y in ys])
+        assert same_bits([tp.forms[1](y) for y in ys], [f_inv(y) for y in ys])
         assert same_bits([f_derivative(tp, lam) for lam in lams], [df(lam) for lam in lams])
+
+    @pytest.mark.parametrize("case", list(CONSTANTS_CASES))
+    def test_mp_block_agrees_with_itself(self, case):
+        # one branch's mp block at dps 30: f^-1 undoes f, and f' is f's derivative
+        tp = CONSTANTS_CASES[case]
+        tol = mp.mpf(10) ** -20
+        with mp.workdps(30):
+            f, f_inv, df = _forms(tp, sl.tau._MP)
+            for lam in map(mp.mpf, _three_eigenvalues(tp)):
+                assert abs(f_inv(f(lam)) - lam) <= tol * (1 + abs(lam)), lam
+                assert abs(df(lam) - mp.diff(f, lam)) <= tol * df(lam), lam
 
     @pytest.mark.parametrize("case", list(CONSTANTS_CASES))
     def test_mp_forms(self, case):
