@@ -16,8 +16,9 @@ runs out (r^2 grows by about 4 f'(lambda) ln 10 per decimal digit), not a
 perturbation that rigidity rules out.  Reproducing the closed form to large
 radius requires the high-precision Taylor path (``dps=...``).  A shot makes
 one integrator call on u'' = acc(r, u, u'): ``numerics.integrate_ode`` with
-``_curvature``, or ``jets.taylor_integrate`` with ``_jet_curvature``, the
-equation on Taylor-mode jets of the branch closed forms, recorded once a region.
+``_curvature``, which calls the float closed forms bound once a shot, or
+``jets.taylor_integrate`` with ``_jet_curvature``, the equation on Taylor-mode
+jets of the branch closed forms, recorded once a region.
 
 One step rule, built once a shot by ``_step_rule``, checks every state either
 path reaches: the float path's initial state and right-hand side, each
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import mpmath as mp
 import numpy as np
@@ -139,20 +141,22 @@ def _step_rule(tp, n, upp0, f=None):
     target (-u + r u'/2) - (n-1) f(s) of the radial equation u'' = f^{-1}(target).
 
     The transverse eigenvalue s is ``upp0`` = u''(0) below _R_SERIES and u'/r
-    beyond.  ``f`` is ``f_value`` (looked up at each call, so a wrapper
-    installed over it sees every step), or ``f_value_mp`` on mpf states.  The
-    rule raises RhsEvaluationError ``cone_exit`` when s has left the selected
-    cone component, ``inversion_failure`` when the target is outside the range
-    of f on it, and then ``blow_up`` when |u| or |u'| passes _BLOW_UP_MAG.
+    beyond.  f, bound once, is ``tp.forms[0]`` on floats (``f`` None), behind the
+    rule's cone test, which is ``f_value``'s guard, so the bits are ``f_value``'s;
+    or ``f_value_mp`` on mpf states.  The rule raises RhsEvaluationError
+    ``cone_exit`` when s has left the selected cone component, ``inversion_failure``
+    when the target is outside the range of f on it, and then ``blow_up`` when
+    |u| or |u'| passes _BLOW_UP_MAG.
     """
     spec = cone_spec(tp)
     lo, hi, f_lo, f_hi, m, big = spec.lo, spec.hi, spec.f_lo, spec.f_hi, n - 1, _BLOW_UP_MAG
+    f = tp.forms[0] if f is None else partial(f, tp)
 
     def rule(r, u, up):
         s = upp0 if r < _R_SERIES else up / r
         if not lo < s < hi:
             raise RhsEvaluationError("cone_exit", f"transverse eigenvalue {s} left the cone")
-        target = (-u + 0.5 * r * up) - m * (f or f_value)(tp, s)
+        target = (-u + 0.5 * r * up) - m * f(s)
         if not (f_lo < target < f_hi):
             raise RhsEvaluationError("inversion_failure", f"operator target {target} out of range")
         if u > big or u < -big or up > big or up < -big:  # |u| or |u'| > big, as comparisons
@@ -164,8 +168,9 @@ def _step_rule(tp, n, upp0, f=None):
 
 def _curvature(tp, rule):
     """A shot's u'' = f^{-1}(rule(r, u, u')): the integrator's acc, each sample's
-    u'' and the field's Hessian read; ``f_inverse`` is looked up at each call."""
-    return lambda r, u, up: f_inverse(tp, rule(r, u, up))
+    u'' and the field's Hessian read, the float target into ``f_inverse``'s closure."""
+    inverse = tp.f_inverse_polished
+    return lambda r, u, up: inverse(rule(r, u, up))
 
 
 def _jet_curvature(tp, n, upp0):

@@ -371,8 +371,7 @@ def _polished_inverse(tp):
     ceiling = math.nextafter(hi, -math.inf) if math.isfinite(hi) else math.inf
     isfinite, inf = math.isfinite, math.inf
 
-    def inverse(y):
-        y = float(y)
+    def inverse(y):  # y a float
         if not (f_lo < y < f_hi):
             raise InputError(f"target {y} outside attainable range ({f_lo}, {f_hi})")
         try:
@@ -387,7 +386,7 @@ def _polished_inverse(tp):
             return lam
         # up to four guarded Newton steps while the residual is finite and
         # above tol (almost never: the closed form meets it), domain check inline
-        tol = 1e-12 * (1.0 + abs(y))
+        tol = 1e-12 * (1.0 + (y if y > 0.0 else -y))  # abs(y), as a comparison
         r = f(lam if lo < lam < hi else _eigenvalue(tp, lam)) - y
         steps = 4
         while tol < abs(r) < inf:
@@ -413,10 +412,11 @@ def _polished_inverse(tp):
 def f_inverse(tp, y):
     """Unique admissible lam with f(lam) = y on the selected cone component.
 
-    A closed-form seed exists on every branch; a short guarded Newton polish
-    enforces |f(lam) - y| <= 1e-12 * (1 + |y|).
+    A closed-form seed exists on every branch; while |f(lam) - y| > 1e-12 * (1 + |y|), a guarded
+    Newton polish runs at most four steps and returns an interior lam (no double meets that
+    tolerance next to a finite cone edge, nor at MA's subnormal preimages).
     """
-    return tp.f_inverse_polished(y)
+    return tp.f_inverse_polished(float(y))
 
 
 def f_value_mp(tp, lam):

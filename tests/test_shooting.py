@@ -13,7 +13,7 @@ from shrinker_lab import InputError, TauParams, jets, shooting
 from shrinker_lab.fields import ScalarField
 from shrinker_lab.numerics import DivergenceEvent, RhsEvaluationError, read_span, row_dot
 from shrinker_lab.shooting import _step_rule, radial_quadratic_reference, shoot_radial
-from shrinker_lab.tau import _JETS, _forms, cone_spec, f_inverse, f_range, f_value, f_value_mp
+from shrinker_lab.tau import _FLOAT, _JETS, _forms, cone_spec, f_inverse, f_range, f_value, f_value_mp
 
 from conftest import as_pair, branch_params, same_bits
 
@@ -247,39 +247,43 @@ class TestProfileStructure:
 EVENT_CURVATURES = {"MA": 0.8, "LOG": 0.3, "HARM": 0.0, "ATAN": 0.0, "SLAG": 1.0, "NEG": 2.0}
 
 
-def test_float_shot_reads_f_value_at_call_time(monkeypatch, all_branches):
-    # wrappers over shooting.f_value and shooting.f_inverse, as a tracer
-    # installs them, see the step rule's f and the inverse once in every
-    # right-hand-side call of a float shot
-    calls = {"rhs": 0, "f": 0, "f_inverse": 0, "inside": False}
-    f_value_, f_inverse_, integrate_ode = shooting.f_value, shooting.f_inverse, shooting.integrate_ode
+def test_float_shot_calls_its_bound_forms(monkeypatch):
+    # counting wrappers in a fresh TauParams' float forms, before their first
+    # use: every integrator call and every sample of a float shot makes the
+    # rule's f(s), one f^-1 and the polish's residual f, and no Newton step
+    # runs, so f' is never called; the start f^-1(-u0/n) adds one f^-1 and one f
+    calls = {"rhs": 0, "f": 0, "f_inverse": 0, "f_prime": 0}
+    tp = TauParams.monge_ampere()
+    u0 = -2 * f_value(TauParams.monge_ampere(), EVENT_CURVATURES["MA"]) + 0.05
 
-    def counted_f(*args):
-        calls["f"] += calls["inside"]
-        return f_value_(*args)
+    def counted(key, form):
+        def wrapped(x):
+            calls[key] += 1
+            return form(x)
 
-    def counted_f_inverse(*args):
-        calls["f_inverse"] += calls["inside"]
-        return f_inverse_(*args)
+        return wrapped
+
+    tp.__dict__["forms"] = tuple(map(counted, ("f", "f_inverse", "f_prime"), _forms(tp, _FLOAT)))
+    built, step_rule, integrate_ode = [], shooting._step_rule, shooting.integrate_ode
+
+    def counting_rule(*args, **kwargs):
+        built.append(args)
+        return step_rule(*args, **kwargs)
 
     def counting_integrate(acc, *args, **kwargs):
         def counted_rhs(r, u, up):
             calls["rhs"] += 1
-            calls["inside"] = True
-            try:
-                return acc(r, u, up)
-            finally:
-                calls["inside"] = False
+            return acc(r, u, up)
 
         return integrate_ode(counted_rhs, *args, **kwargs)
 
-    monkeypatch.setattr(shooting, "f_value", counted_f)
-    monkeypatch.setattr(shooting, "f_inverse", counted_f_inverse)
+    monkeypatch.setattr(shooting, "_step_rule", counting_rule)
     monkeypatch.setattr(shooting, "integrate_ode", counting_integrate)
-    tp = all_branches["MA"]
-    prof = shoot_radial(tp, 2, -2 * f_value(tp, EVENT_CURVATURES["MA"]) + 0.05, r_max=10.0)
-    assert prof.event.completed
-    assert calls["rhs"] > 100 and calls["f"] == calls["f_inverse"] == calls["rhs"]
+    prof = shoot_radial(tp, 2, u0, r_max=10.0)
+    assert prof.event.completed and len(prof.rs) == 401 and len(built) == 1
+    reads = calls["rhs"] + len(prof.rs)
+    assert calls["rhs"] > 100
+    assert (calls["f"], calls["f_inverse"], calls["f_prime"]) == (2 * reads + 1, reads + 1, 0)
 
 
 def _state_row(prof, r):
@@ -386,6 +390,109 @@ class TestStepRule:
             "NEG": (-math.inf, math.inf),
         }
         assert {name: f_range(tp) for name, tp in RULE_BRANCHES.items()} == expected
+
+
+def _parent_curvature(tp, n, upp0):
+    """The acc composed as before the float forms were bound: the step rule
+    calls ``f_value`` and the acc ``f_inverse``, module functions, at each call."""
+    rule = _step_rule(tp, n, upp0, f=f_value)
+    return lambda r, u, up: f_inverse(tp, rule(r, u, up))
+
+
+# RULE_BRANCHES plus NEG at a = -1e3, whose cone (5e-4, 2000) has an edge
+# next to 0; and the targets of tests/test_tau.py's
+# TestInverse::test_polish_ends_where_no_double_meets_tol, where the polish runs
+ACC_BRANCHES = {**RULE_BRANCHES, "NEG-1e3": TauParams.neg_branch(-1e3)}
+POLISHED_TARGETS = {"MA": [-372.5], "LOG": [-23.6188], "NEG": [23.0763, -24.3715]}
+POLISHING = {"MA", "LOG", "HARM", "NEG", "NEG-1e3"}  # a Newton step runs on some of their states
+
+
+def _acc_states(tp, n, upp0, rng):
+    """(r, u, u') states for a rule of ``tp`` in dimension n: seeded states
+    inside the cone, transverse eigenvalues outside it, states past the
+    blow-up bound, and targets past f's range, within 1e-6 of a finite range
+    end, at f one to three ulps inside a finite cone edge and at
+    POLISHED_TARGETS, each at seeded radii with s = u''(0), next to a finite
+    cone edge and 1e-4 inside it."""
+    spec, f, m = cone_spec(tp), tp.forms[0], n - 1
+    lo, hi = f_range(tp)
+    edges = [(edge, inward) for edge, inward in ((spec.lo, math.inf), (spec.hi, -math.inf)) if math.isfinite(edge)]
+    s_in = [upp0] + [s for edge, inward in edges
+                     for s in (math.nextafter(edge, inward), edge + math.copysign(1e-4, inward))]
+    targets = [f(s) for s in s_in]
+    for end, inward in ((lo, math.inf), (hi, -math.inf)):
+        if math.isfinite(end):
+            targets += [end, math.nextafter(end, -inward)]
+            targets += [end + sign * d for d in (1e-12, 1e-9, 1e-6) for sign in (-1.0, 1.0)]
+    for edge, inward in edges:
+        for _ in range(3):
+            edge = math.nextafter(edge, inward)
+            targets.append(f(edge))
+    targets += [y for name, ys in POLISHED_TARGETS.items() if tp.branch.value == name for y in ys]
+    states = [(0.0, -y, 0.0) for y in targets] if n == 1 else []  # r = 0, n = 1: the target is -u
+    for y in targets:
+        for s in s_in:
+            r = float(rng.uniform(1e-3, 20.0))
+            states.append((r, 0.5 * r * (s * r) - m * f(s) - y, s * r))
+    for _ in range(40):  # seeded states about the cone, in and out of it
+        r = float(rng.choice([0.0, 1e-7, *rng.uniform(1e-6, 30.0, 3)]))
+        states.append((r, float(rng.normal(0.0, 5.0)), float(r * (_inside(spec) + rng.normal(0.0, 2.0)))))
+    for s in _outside(spec):
+        states.append((1.0, 0.0, s))
+    for s in s_in:  # |u| or |u'| at or past the blow-up bound
+        states += [(1.0, u, s) for u in (1e10, 2e10, -2e10)] + [(1e11, 0.0, s * 1e11)]
+    for y in targets[:len(s_in)]:  # r = 0: u' is not in the target, which is in f's range
+        states += [(0.0, -y - m * f(upp0), up) for up in (1e10, 2e10, -2e10)]
+    return states
+
+
+def _bits_or_label(call):
+    """The float bits of ``call()``, or the RhsEvaluationError's label and detail."""
+    try:
+        value = call()
+    except RhsEvaluationError as exc:
+        return exc.label, exc.detail
+    assert isinstance(value, float)
+    return np.float64(value).view(np.int64).item()
+
+
+class TestCurvatureBits:
+    """A float shot's acc calls the bound closed forms, bit for bit the
+    composition through ``f_value`` and ``f_inverse`` it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(ACC_BRANCHES))
+    def test_acc_is_the_module_composition(self, name, n):
+        rng = np.random.default_rng([20260809, n, sorted(ACC_BRANCHES).index(name)])
+        tp = ACC_BRANCHES[name]
+        polished = dataclasses.replace(tp)  # its own forms, f' counted: the polish runs
+        newton = []
+        f, f_inv, f_prime = _forms(polished, _FLOAT)
+        polished.__dict__["forms"] = f, f_inv, lambda lam: newton.append(lam) or f_prime(lam)
+        upp0 = _inside(cone_spec(tp))
+        acc = shooting._curvature(polished, _step_rule(polished, n, upp0))
+        parent = _parent_curvature(polished, n, upp0)
+        outcomes = [(_bits_or_label(lambda: acc(*x)), _bits_or_label(lambda: parent(*x)))
+                    for x in _acc_states(tp, n, upp0, rng)]
+        assert all(got == want for got, want in outcomes), name
+        kinds = {want[0] if isinstance(want, tuple) else "value" for _, want in outcomes}
+        finite_range = any(map(math.isfinite, f_range(tp)))
+        assert kinds == {"value", "cone_exit", "blow_up"} | ({"inversion_failure"} if finite_range else set())
+        assert newton or name not in POLISHING, name
+
+    # perturbed quadratic data u0 = -2 f(c) + du0, and (c None) the u0 of
+    # test_lower_components_end_in_an_event_or_complete
+    @pytest.mark.parametrize("name, c, du0", [("LOG-lower", -4.0, 0.05), ("LOG-lower", -4.0, -0.05),
+                                              ("LOG-lower", None, -100.0), ("HARM-lower", -2.5, 0.05),
+                                              ("HARM-lower", -2.5, -0.05), ("HARM-lower", None, -1000.0)])
+    def test_lower_component_shots_are_the_module_composition(self, monkeypatch, name, c, du0):
+        tp = RULE_BRANCHES[name]
+        u0 = du0 if c is None else -2 * f_value(tp, c) + du0
+        got = shoot_radial(tp, 2, u0, r_max=50.0)
+        monkeypatch.setattr(shooting, "_step_rule", lambda tp, n, upp0, f=None: _step_rule(tp, n, upp0, f or f_value))
+        monkeypatch.setattr(shooting, "_curvature", lambda tp, rule: lambda r, u, up: f_inverse(tp, rule(r, u, up)))
+        want = shoot_radial(tp, 2, u0, r_max=50.0)
+        assert got.event == want.event and same_bits(got.rows(), want.rows())
 
 
 class TestReadsPastTheEnd:

@@ -237,6 +237,18 @@ class TestInverse:
                 lam = f_inverse(tp, y)
                 assert abs(f_value(tp, lam) - y) <= 1e-12 * (1.0 + abs(y))
 
+    # targets next to a finite cone edge and at an MA subnormal preimage,
+    # where no double meets the polish's tolerance 1e-12 (1 + |y|)
+    @pytest.mark.parametrize("name, y", [("NEG", 23.0763), ("NEG", -24.3715), ("MA", -372.5), ("LOG", -23.6188)])
+    def test_polish_ends_where_no_double_meets_tol(self, name, y, all_branches):
+        tp = all_branches[name]
+        spec, f = cone_spec(tp), tp.forms[0]
+        lam = f_inverse(tp, y)
+        tol = 1e-12 * (1.0 + abs(y))
+        doubles = [lam, math.nextafter(lam, -math.inf), math.nextafter(lam, math.inf)]
+        assert spec.contains(lam)
+        assert all(abs(f(x) - y) > tol for x in doubles if spec.contains(x))
+
     def test_range_error_reports_interval(self, all_branches):
         tp = all_branches["SLAG"]
         with pytest.raises(InputError, match="outside attainable range") as exc:
