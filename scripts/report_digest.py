@@ -24,13 +24,15 @@ then scaled and certified as stacks, one dimension at a time), and a
 of 3 points in dimensions 1 to 4, which cross the seams in the other two
 sweeps, three Legendre
 checks (grid steps 0.02, the default 0.01, and 0.005 on a span of 1, each
-reading the dual table across its clamped end windows), seventeen shots
+reading the dual table across its clamped end windows), eighteen shots
 (six float shots from perturbed quadratic data, one on each branch, four
 ending in an event and two complete, so every branch's float f, f^-1 and
 profile sampler is seen; a seventh float shot, NEG's run on to r = 1e6,
 whose ``blow_up`` ends where |u| crosses the step rule's bound 1e10; an
 eighth, on MA in dimension 3, whose integrator's step size underflows,
-which the float path names ``blow_up``; and
+which the float path names ``blow_up``; a ninth, on LOG, complete, whose
+u'' runs down to the cone edge, where no double meets the polish's tolerance
+and f^-1's Newton steps run; and
 nine Taylor shots: one on each branch, five
 complete and one ending in ``blow_up``, so the Taylor path's naming and
 placing of an event is seen, a second ``blow_up`` at a working precision
@@ -85,6 +87,8 @@ COMMANDS = [
     ["shoot", "--branch", "NEG", "--n", "2", "--u0", "0.2", "--rmax", "1e6"],
     # a step size underflow, which the float path names blow_up, at r = 14.63
     ["shoot", "--branch", "MA", "--n", "3", "--u0", "1.8559592064889043", "--rmax", "50"],
+    # complete, u'' down to the cone edge -0.3178, where f^-1's Newton polish runs
+    ["shoot", "--branch", "LOG", "--n", "2", "--u0", "1.863362138406894", "--rmax", "50"],
     ["shoot", "--branch", "MA", "--n", "2", "--u0", "0", "--rmax", "2", "--dps", "30"],
     ["shoot", "--branch", "SLAG", "--n", "2", "--u0", "-1.4707963267948966", "--dps", "15"],  # Taylor blow_up
     # dps 12: the Taylor path at 43 bits, below a double's 53

@@ -149,11 +149,11 @@ def _step_rule(tp, n, upp0, f=None):
     |u| or |u'| passes _BLOW_UP_MAG.
     """
     spec = cone_spec(tp)
-    lo, hi, f_lo, f_hi, m, big = spec.lo, spec.hi, spec.f_lo, spec.f_hi, n - 1, _BLOW_UP_MAG
+    lo, hi, f_lo, f_hi, m, big, r_series = spec.lo, spec.hi, spec.f_lo, spec.f_hi, n - 1, _BLOW_UP_MAG, _R_SERIES
     f = tp.forms[0] if f is None else partial(f, tp)
 
     def rule(r, u, up):
-        s = upp0 if r < _R_SERIES else up / r
+        s = upp0 if r < r_series else up / r
         if not lo < s < hi:
             raise RhsEvaluationError("cone_exit", f"transverse eigenvalue {s} left the cone")
         target = (-u + 0.5 * r * up) - m * f(s)

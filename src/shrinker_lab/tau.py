@@ -358,9 +358,9 @@ def f_range(tp):
 
 
 def _polished_inverse(tp):
-    """:func:`f_inverse` with its range, clamp ends and forms bound once."""
+    """:func:`f_inverse` past its range check (a float y in (f_lo, f_hi)), its clamp ends and forms bound once."""
     spec, (f, form, f_prime) = tp.components[0], tp.forms
-    lo, hi, f_lo, f_hi = spec.lo, spec.hi, spec.f_lo, spec.f_hi
+    lo, hi = spec.lo, spec.hi
     # MA's exp(2y) past double range, or LOG's tanh(b y / root) underflowing
     # to 0 at a denormal y: the preimage is the component's infinite end
     infinite_end = hi if hi == math.inf else lo
@@ -371,9 +371,7 @@ def _polished_inverse(tp):
     ceiling = math.nextafter(hi, -math.inf) if math.isfinite(hi) else math.inf
     isfinite, inf = math.isfinite, math.inf
 
-    def inverse(y):  # y a float
-        if not (f_lo < y < f_hi):
-            raise InputError(f"target {y} outside attainable range ({f_lo}, {f_hi})")
+    def inverse(y):  # y a float in (f_lo, f_hi)
         try:
             lam = form(y)
         except (OverflowError, ZeroDivisionError):
@@ -384,10 +382,10 @@ def _polished_inverse(tp):
             lam = ceiling
         if not isfinite(lam):
             return lam
-        # up to four guarded Newton steps while the residual is finite and
-        # above tol (almost never: the closed form meets it), domain check inline
+        # up to four guarded Newton steps while the residual is finite and above tol (almost never: the
+        # closed form meets it), domain check inline, ending at a step that leaves lam where it was
         tol = 1e-12 * (1.0 + (y if y > 0.0 else -y))  # abs(y), as a comparison
-        r = f(lam if lo < lam < hi else _eigenvalue(tp, lam)) - y
+        r = f(lam) - y  # the clamped lam is interior
         steps = 4
         while tol < abs(r) < inf:
             step = r / f_prime(lam)  # lam passed the check of the f read just before
@@ -399,6 +397,8 @@ def _polished_inverse(tp):
                 cand = lam - step
                 if abs(step) < 1e-300:
                     break
+            if cand == lam:
+                return cand
             lam = cand
             steps -= 1
             if not steps:
@@ -412,11 +412,15 @@ def _polished_inverse(tp):
 def f_inverse(tp, y):
     """Unique admissible lam with f(lam) = y on the selected cone component.
 
-    A closed-form seed exists on every branch; while |f(lam) - y| > 1e-12 * (1 + |y|), a guarded
-    Newton polish runs at most four steps and returns an interior lam (no double meets that
-    tolerance next to a finite cone edge, nor at MA's subnormal preimages).
+    A target outside the range (f_lo, f_hi) of f on it, NaN too, is an InputError.  A closed-form
+    seed exists on every branch; while |f(lam) - y| > 1e-12 * (1 + |y|), a guarded Newton polish
+    runs at most four steps, ends at a step that leaves lam where it was, and returns an interior
+    lam (no double meets that tolerance next to a finite cone edge, nor at MA's subnormal preimages).
     """
-    return tp.f_inverse_polished(float(y))
+    (f_lo, f_hi), y = f_range(tp), float(y)
+    if not (f_lo < y < f_hi):
+        raise InputError(f"target {y} outside attainable range ({f_lo}, {f_hi})")
+    return tp.f_inverse_polished(y)
 
 
 def f_value_mp(tp, lam):

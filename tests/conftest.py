@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from shrinker_lab import TauParams
 from shrinker_lab.cli import BRANCH_DEFAULTS
 from shrinker_lab.fields import ScalarField
 from shrinker_lab.numerics import DomainError, eig_sym, fd_gradient, fd_hessian
-from shrinker_lab.tau import phase
+from shrinker_lab.tau import _FLOAT, _forms, phase
 
 
 def branch_params():
@@ -38,6 +39,22 @@ def same_bits(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def counted_forms(tp):
+    """A fresh copy of ``tp`` whose float forms count their calls, set before
+    any closure is built from them: (copy, {"f": .., "f_inverse": .., "f_prime": ..})."""
+    fresh, calls = dataclasses.replace(tp), {"f": 0, "f_inverse": 0, "f_prime": 0}
+
+    def counted(key, form):
+        def wrapped(x):
+            calls[key] += 1
+            return form(x)
+
+        return wrapped
+
+    fresh.__dict__["forms"] = tuple(map(counted, calls, _forms(fresh, _FLOAT)))
+    return fresh, calls
 
 
 def as_pair(t):

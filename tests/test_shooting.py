@@ -2,6 +2,7 @@ import bisect
 import dataclasses
 import math
 import random
+import re
 
 import mpmath as mp
 import numpy as np
@@ -15,7 +16,7 @@ from shrinker_lab.numerics import DivergenceEvent, RhsEvaluationError, read_span
 from shrinker_lab.shooting import _step_rule, radial_quadratic_reference, shoot_radial
 from shrinker_lab.tau import _FLOAT, _JETS, _forms, cone_spec, f_inverse, f_range, f_value, f_value_mp
 
-from conftest import as_pair, branch_params, same_bits
+from conftest import as_pair, branch_params, counted_forms, same_bits
 
 # the six default branches and the lower components of LOG and HARM
 RULE_BRANCHES = {
@@ -252,18 +253,9 @@ def test_float_shot_calls_its_bound_forms(monkeypatch):
     # use: every integrator call and every sample of a float shot makes the
     # rule's f(s), one f^-1 and the polish's residual f, and no Newton step
     # runs, so f' is never called; the start f^-1(-u0/n) adds one f^-1 and one f
-    calls = {"rhs": 0, "f": 0, "f_inverse": 0, "f_prime": 0}
-    tp = TauParams.monge_ampere()
+    tp, calls = counted_forms(TauParams.monge_ampere())
+    calls["rhs"] = 0
     u0 = -2 * f_value(TauParams.monge_ampere(), EVENT_CURVATURES["MA"]) + 0.05
-
-    def counted(key, form):
-        def wrapped(x):
-            calls[key] += 1
-            return form(x)
-
-        return wrapped
-
-    tp.__dict__["forms"] = tuple(map(counted, ("f", "f_inverse", "f_prime"), _forms(tp, _FLOAT)))
     built, step_rule, integrate_ode = [], shooting._step_rule, shooting.integrate_ode
 
     def counting_rule(*args, **kwargs):
@@ -284,6 +276,33 @@ def test_float_shot_calls_its_bound_forms(monkeypatch):
     reads = calls["rhs"] + len(prof.rs)
     assert calls["rhs"] > 100
     assert (calls["f"], calls["f_inverse"], calls["f_prime"]) == (2 * reads + 1, reads + 1, 0)
+
+
+# float shots of scripts/report_digest.py where f^-1's polish runs (NEG to
+# r = 50 and on to its blow_up, LOG down to its cone edge), and a LOG shot
+# whose rule refuses a target past f's range, at r = 9.8078
+@pytest.mark.parametrize("name, u0, r_max, kind", [("NEG", 0.2, 50.0, "completed"), ("NEG", 0.2, 1e6, "blow_up"),
+                                                   ("LOG", 1.863362138406894, 50.0, "completed"),
+                                                   ("LOG", 2.3391822067764148, 50.0, "inversion_failure")])
+def test_polished_inverse_is_handed_targets_in_range(name, u0, r_max, kind, all_branches):
+    # the closure leaves the range test to its callers: f_inverse (the
+    # shot's start) and the step rule (every acc call) hand it only targets
+    # inside (f_lo, f_hi), and the rule names the one outside
+    tp = all_branches[name]  # fresh: its closure is not built yet
+    (f_lo, f_hi), inverse, seen = f_range(tp), sl.tau._polished_inverse(tp), []
+
+    def checked(y):
+        seen.append(y)
+        return inverse(y)
+
+    tp.__dict__["f_inverse_polished"] = checked
+    prof = shoot_radial(tp, 2, u0, r_max=r_max)
+    assert prof.event.kind == kind and len(seen) > len(prof.rs) == 401
+    assert all(f_lo < y < f_hi for y in seen)
+    if kind == "inversion_failure":
+        assert prof.event.r == pytest.approx(9.8078, abs=1e-4)
+        assert re.fullmatch(r"operator target \S+ out of range", prof.event.detail)
+        assert not f_lo < float(prof.event.detail.split()[2]) < f_hi
 
 
 def _state_row(prof, r):

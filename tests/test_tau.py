@@ -37,7 +37,7 @@ from shrinker_lab.tau import (
     operator_gradient_matrix,
 )
 from shrinker_lab.quadratics import _eigenvalue_window, admissible_matrix, random_admissible_matrix
-from conftest import CallableField, branch_params, same_bits, with_lower_cones
+from conftest import CallableField, branch_params, counted_forms, same_bits, with_lower_cones
 
 SQRT2 = math.sqrt(2.0)
 
@@ -257,11 +257,147 @@ class TestInverse:
         assert str(sl.tau.f_range(tp)) in str(exc.value)
         with pytest.raises(InputError, match="outside attainable range"):
             f_inverse(all_branches["HARM"], 0.5)  # upper component range is (-inf, 0)
+        # NaN, and each finite range end, which the open range leaves out
+        for name, y in [("SLAG", math.nan), ("SLAG", -math.pi / 2), ("SLAG", math.pi / 2), ("HARM", 0.0),
+                        ("HARM", math.nan), ("MA", math.nan)]:
+            with pytest.raises(InputError, match="outside attainable range") as exc:
+                f_inverse(all_branches[name], y)
+            assert str(sl.tau.f_range(all_branches[name])) in str(exc.value)
 
     @pytest.mark.parametrize("cone_side, y, end", [("upper", -5e-324, math.inf), ("lower", 5e-324, -math.inf)])
     def test_log_denormal_target_is_infinite_end(self, cone_side, y, end):
         # b y / sqrt(a^2 + 1) underflows to 0, and the closed form divides by tanh(0)
         assert f_inverse(TauParams.log_branch(math.pi / 6, cone_side), y) == end
+
+
+def _reference_polished_inverse(tp):
+    """The polished inverse before its fixed-point exit, verbatim: the range
+    test, the cone test at the first residual and four Newton steps whether or
+    not they move lam; every float bit of ``f_inverse`` is checked against it."""
+    spec, (f, form, f_prime) = tp.components[0], tp.forms
+    lo, hi, f_lo, f_hi = spec.lo, spec.hi, spec.f_lo, spec.f_hi
+    # MA's exp(2y) past double range, or LOG's tanh(b y / root) underflowing
+    # to 0 at a denormal y: the preimage is the component's infinite end
+    infinite_end = hi if hi == math.inf else lo
+    # clamp into the open component: for extreme targets the closed form can
+    # round onto (or past) a cone endpoint, where the nearest interior double
+    # is the correctly rounded preimage (an infinite end clamps nothing)
+    floor = math.nextafter(lo, math.inf) if math.isfinite(lo) else -math.inf
+    ceiling = math.nextafter(hi, -math.inf) if math.isfinite(hi) else math.inf
+    isfinite, inf = math.isfinite, math.inf
+
+    def inverse(y):  # y a float
+        if not (f_lo < y < f_hi):
+            raise InputError(f"target {y} outside attainable range ({f_lo}, {f_hi})")
+        try:
+            lam = form(y)
+        except (OverflowError, ZeroDivisionError):
+            return infinite_end
+        if floor > lam:  # max(lam, floor), then min(lam, ceiling), NaN kept
+            lam = floor
+        if ceiling < lam:
+            lam = ceiling
+        if not isfinite(lam):
+            return lam
+        # up to four guarded Newton steps while the residual is finite and
+        # above tol (almost never: the closed form meets it), domain check inline
+        tol = 1e-12 * (1.0 + (y if y > 0.0 else -y))  # abs(y), as a comparison
+        r = f(lam if lo < lam < hi else _eigenvalue(tp, lam)) - y
+        steps = 4
+        while tol < abs(r) < inf:
+            step = r / f_prime(lam)  # lam passed the check of the f read just before
+            if not isfinite(step):
+                break
+            cand = lam - step
+            while not lo < cand < hi:
+                step *= 0.5
+                cand = lam - step
+                if abs(step) < 1e-300:
+                    break
+            lam = cand
+            steps -= 1
+            if not steps:
+                break
+            r = f(lam if lo < lam < hi else _eigenvalue(tp, lam)) - y
+        return lam
+
+    return inverse
+
+
+def _bits_or_error(call):
+    """The float bits of ``call()``, or the type and text of the error it raised."""
+    try:
+        value = call()
+    except (InputError, DomainError) as exc:
+        return type(exc).__name__, str(exc)
+    assert isinstance(value, float)
+    return np.float64(value).view(np.int64).item()
+
+
+def _polish_targets(tp, rng):
+    """Seeded targets where the polish runs or the range test refuses: at
+    preimages 1e-16 to 1e-9 (relative, log-uniform) and one to three ulps
+    inside a finite cone edge, f there and a target between it and f at the
+    next double inward, which no double need meet; MA targets below -354
+    (down to its subnormal and underflowing preimages); targets within 1e-6
+    of a finite range end on both sides of it, the end and the double inside
+    it; and NaN."""
+    spec, f = cone_spec(tp), tp.forms[0]
+    targets = [math.nan]
+    for edge, inward in ((spec.lo, math.inf), (spec.hi, -math.inf)):
+        if not math.isfinite(edge) or edge == 0.0:
+            continue
+        lams = edge + math.copysign(abs(edge), inward) * 10.0 ** rng.uniform(-16.0, -9.0, 40)
+        for _ in range(3):
+            edge = math.nextafter(edge, inward)
+            lams = np.append(lams, edge)
+        lams = [lam for lam in lams.tolist() if spec.contains(lam)]
+        targets += [f(lam) for lam in lams]
+        fractions = rng.uniform(0.0, 1.0, len(lams)).tolist()
+        targets += [f(lam) + u * (f(math.nextafter(lam, inward)) - f(lam)) for lam, u in zip(lams, fractions)]
+    if tp.branch is Branch.MA:
+        targets += rng.uniform(-800.0, -354.0, 40).tolist() + [-372.5, -745.2]
+    for end, inward in ((spec.f_lo, math.inf), (spec.f_hi, -math.inf)):
+        if math.isfinite(end):
+            d = math.copysign(1e-6, inward) * rng.uniform(0.0, 1.0, 20)
+            targets += [end, math.nextafter(end, inward), *(end + d).tolist(), *(end - d).tolist()]
+    return targets
+
+
+# the targets of TestInverse::test_polish_ends_where_no_double_meets_tol, with
+# the f' reads of the polish there: 4 before the fixed-point exit, whose
+# steps after the first (LOG: the second) left lam where it was
+POLISH_FIXED_POINTS = [("NEG", 23.0763, 1), ("NEG", -24.3715, 1), ("MA", -372.5, 1), ("LOG", -23.6188, 2)]
+# with_lower_cones() and NEG at a = -1e3, whose cone (5e-4, 2000) has an edge next to 0
+POLISH_BRANCHES = {**with_lower_cones(), "NEG-1e3": TauParams.neg_branch(-1e3)}
+
+
+class TestPolishFixedPoint:
+    """The polish ends at a Newton step that leaves lam where it was: every
+    later step would read the same residual and make the same step, so
+    ``f_inverse`` keeps the float bits (or the error) of the four-step loop."""
+
+    @pytest.mark.parametrize("name, y, f_primes", POLISH_FIXED_POINTS)
+    def test_polish_ends_at_its_fixed_point(self, name, y, f_primes, all_branches):
+        tp, calls = counted_forms(all_branches[name])
+        reference, reference_calls = counted_forms(all_branches[name])
+        got = f_inverse(tp, y)
+        assert same_bits(got, _reference_polished_inverse(reference)(y))
+        assert calls["f_prime"] == f_primes and reference_calls["f_prime"] == 4
+        assert calls["f"] == f_primes and reference_calls["f"] == 4  # a residual a step, the last step's unread
+
+    @pytest.mark.parametrize("name", sorted(POLISH_BRANCHES))
+    def test_bits_are_the_four_step_loops(self, name):
+        rng = np.random.default_rng([20261022, sorted(POLISH_BRANCHES).index(name)])
+        tp, calls = counted_forms(POLISH_BRANCHES[name])
+        reference, reference_calls = counted_forms(POLISH_BRANCHES[name])
+        parent = _reference_polished_inverse(reference)
+        targets = _polish_targets(POLISH_BRANCHES[name], rng)
+        outcomes = [(_bits_or_error(lambda: f_inverse(tp, y)), _bits_or_error(lambda: parent(y))) for y in targets]
+        assert all(got == want for got, want in outcomes), name
+        assert {"InputError"} <= {want[0] for _, want in outcomes if isinstance(want, tuple)}
+        # the exit fires next to each finite cone edge and at MA's subnormal preimages
+        assert (calls["f_prime"] < reference_calls["f_prime"]) == (name not in ("ATAN", "SLAG")), name
 
 
 class TestCachedForms:
