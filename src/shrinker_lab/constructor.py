@@ -213,14 +213,14 @@ def profile_span(tp, radius, T):
     the spacelike build (``tp`` None); radius / c2 * 1.02 + 1 on the bounded
     cone, whose phase is read on the span it is integrated on and not past it:
     the reported tail bound is small only once the forcing is exponentially
-    dead, which a small phase slope postpones past any window.  A radius that
-    is not finite and positive is an InputError (``numerics.as_positive``)."""
+    dead, which a small phase slope postpones past any window.  A radius, or a
+    half-span, not finite and positive is an InputError (``numerics.as_positive``)."""
     radius = as_positive(radius, "radius")
     if tp is None:
         return max(T, radius + 1.0)
     if tp.branch is not Branch.NEG:
         raise InputError(f"branch {tp.branch.value} is not the bounded-cone branch (a < -1)")
-    return radius / tp.neg_scaling[1] * 1.02 + 1.0
+    return as_positive(radius / tp.neg_scaling[1] * 1.02 + 1.0, f"half-span at radius {radius}")
 
 
 def profile_grid(span, step):

@@ -41,7 +41,8 @@ def _metric(tp, H):
     """The induced metric sin (I + H^2) + 2 cos H of validated (..., n, n)
     Hessians: the pullback metric on the graph."""
     s, c = tp.sin_cos
-    return s * (np.eye(H.shape[-1]) + H @ H) + 2.0 * c * H
+    M = 2.0 * c * H
+    return M if s == 0.0 else s * (np.eye(H.shape[-1]) + H @ H) + M  # on MA (sin 0) no H^2 to overflow
 
 
 def _normal(tp, H, V):

@@ -14,8 +14,9 @@ node derived after a restart drops the old graph instead.
 
 Coefficients are (man, exp) pairs of ints worth man 2^exp, man odd (or the
 pair (0, 0)) as in a libmp tuple: ``Jet.c`` holds them, and each rule gives
-what mpf operators and ``mp.fdot`` would give, at the ``(prec, rounding)``
-the tape read from the context when it was made.  One kernel rounds each
+what mpf operators and ``mp.fdot`` would give, at the precision the tape read
+from the context when it was made, rounded to nearest as mpmath's public
+context rounds (the kernel takes any libmp mode).  One kernel rounds each
 operation as the libmp call it replaces: ``_round`` as ``normalize``,
 ``_add``, ``_mul`` and ``_div`` as ``mpf_add`` (its sticky shortcut
 included), ``mpf_mul`` and ``mpf_div``, negation as ``mpf_neg``, and ``_dot``
@@ -156,7 +157,7 @@ class Tape:
     def __init__(self):
         self.nodes = []  # (append to a derived series, its rule)
         self.inputs, self.restarted = [], False
-        self.prec, self.rnd = mp.mp._prec_rounding
+        self.prec, self.rnd = mp.mp.prec, round_nearest
 
     def input(self, coeffs):
         """A series whose coefficients the caller supplies as mpf values, ints or
@@ -444,7 +445,7 @@ def taylor_integrate(acc, y0, t_span, dps):
     """
     with mp.workdps(dps):
         fine_prec = mp.mp.prec + 40
-        rnd = mp.mp._prec_rounding[1]
+        rnd = round_nearest
         tol = mp.ldexp(1, -(int((dps - 10) * math.log2(10.0)) + 10))
         t, t1 = mp.mpf(t_span[0]), float(t_span[1])
         if not (mp.isfinite(t) and math.isfinite(t1) and t1 >= t):

@@ -16,13 +16,13 @@ runs out (r^2 grows by about 4 f'(lambda) ln 10 per decimal digit), not a
 perturbation that rigidity rules out.  Reproducing the closed form to large
 radius requires the high-precision Taylor path (``dps=...``).  A shot makes
 one integrator call on u'' = acc(r, u, u'): ``numerics.integrate_ode`` with
-``_curvature``, which calls the float closed forms bound once a shot, or
+``_curvature``, which calls the float closed forms ``tp.forms``, or
 ``jets.taylor_integrate`` with ``_jet_curvature``, the equation on Taylor-mode
-jets of the branch closed forms, recorded once a region.
+jets of the branch closed forms bound once a shot, recorded once a region.
 
 One step rule, built once a shot by ``_step_rule``, checks every state either
 path reaches: the float path's initial state and right-hand side, each
-profile sample and read, and (as an mpf rule) each Taylor expansion point.
+profile sample and read, and (on mpf states) each Taylor expansion point.
 So the two paths stop at a cone exit, an inversion failure and a blow-up past
 |(u, u')| = _BLOW_UP_MAG the same way, and at the state where the rule first
 fails; the float integrator also stops at a step underflow or a non-finite
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import mpmath as mp
 import numpy as np
@@ -54,7 +53,7 @@ from . import jets
 from .numerics import (
     DomainError, InputError, RhsEvaluationError, abs_tolerance, as_count, as_positive, integrate_ode, read_span, row_dot,
 )
-from .tau import _JETS, _forms, cone_spec, f_inverse, f_inverse_mp, f_value, f_value_mp
+from .tau import _JETS, _MP, _forms, cone_spec, f_inverse, f_value
 
 __all__ = ["ShotEvent", "RadialProfile", "shoot_radial", "radial_quadratic_reference"]
 
@@ -136,21 +135,20 @@ class RadialProfile(ScalarField):
         return np.column_stack([self.rs, self.us, self.ups, self.upps])
 
 
-def _step_rule(tp, n, upp0, f=None):
+def _step_rule(tp, n, upp0, f):
     """The one step rule of both shooting paths: ``rule(r, u, up)`` returns the
     target (-u + r u'/2) - (n-1) f(s) of the radial equation u'' = f^{-1}(target).
 
     The transverse eigenvalue s is ``upp0`` = u''(0) below _R_SERIES and u'/r
-    beyond.  f, bound once, is ``tp.forms[0]`` on floats (``f`` None), behind the
-    rule's cone test, which is ``f_value``'s guard, so the bits are ``f_value``'s;
-    or ``f_value_mp`` on mpf states.  The rule raises RhsEvaluationError
+    beyond.  ``f`` is the branch's f bound in the state's arithmetic:
+    ``tp.forms[0]`` on floats, behind the rule's cone test, so the bits are
+    ``f_value``'s, or a Taylor shot's mpf form.  The rule raises RhsEvaluationError
     ``cone_exit`` when s has left the selected cone component, ``inversion_failure``
     when the target is outside the range of f on it, and then ``blow_up`` when
     |u| or |u'| passes _BLOW_UP_MAG.
     """
     spec = cone_spec(tp)
     lo, hi, f_lo, f_hi, m, big, r_series = spec.lo, spec.hi, spec.f_lo, spec.f_hi, n - 1, _BLOW_UP_MAG, _R_SERIES
-    f = tp.forms[0] if f is None else partial(f, tp)
 
     def rule(r, u, up):
         s = upp0 if r < r_series else up / r
@@ -166,20 +164,20 @@ def _step_rule(tp, n, upp0, f=None):
     return rule
 
 
-def _curvature(tp, rule):
-    """A shot's u'' = f^{-1}(rule(r, u, u')): the integrator's acc, each sample's
-    u'' and the field's Hessian read, the float target into ``f_inverse``'s closure."""
-    inverse = tp.f_inverse_polished
+def _curvature(tp, n, upp0):
+    """A shot's u'' = f^{-1}(rule(r, u, u')), the rule on ``tp.forms[0]`` and f^{-1}
+    ``f_inverse``'s closure: the integrator's acc, each sample's u'' and the field's Hessian read."""
+    rule, inverse = _step_rule(tp, n, upp0, tp.forms[0]), tp.f_inverse_polished
     return lambda r, u, up: inverse(rule(r, u, up))
 
 
-def _jet_curvature(tp, n, upp0):
-    """The Taylor path's acc: the mpf step rule at the expansion point, then the
-    jet of f^{-1}((-u + r p/2) - (n-1) f(s)), s = p/r; below _R_SERIES, where
-    p/r has a pole at r = 0 next to the expansion point, f(s) is f(u''(0)).
-    The closed forms on jets are bound once, at the shot's precision; the jet
-    is recorded once a region on the tape, which each later call hands back."""
-    rule = _step_rule(tp, n, upp0, f=f_value_mp)
+def _jet_curvature(tp, n, upp0, f):
+    """The Taylor path's acc: the step rule on the mpf form ``f`` at the expansion
+    point, then the jet of f^{-1}((-u + r p/2) - (n-1) f(s)), s = p/r; below
+    _R_SERIES, where p/r has a pole at r = 0 next to the expansion point, f(s) is
+    f(u''(0)).  The closed forms on jets are bound once, at the shot's precision;
+    the jet is recorded once a region on the tape, which each later call hands back."""
+    rule = _step_rule(tp, n, upp0, f)
     f_jet, f_inv_jet, _ = _forms(tp, _JETS)
     graphs = {}  # region -> (the node list of the tape its jet was recorded on, the jet)
 
@@ -191,7 +189,7 @@ def _jet_curvature(tp, n, upp0):
         if nodes is not r.tape.nodes:  # not recorded on this tape for the region, or dropped since
             target = -u + r * p / 2
             if n > 1:  # at n = 1 the term is 0 times f(s): not formed
-                target = target - (n - 1) * (f_value_mp(tp, upp0) if near else f_jet(p / r))
+                target = target - (n - 1) * (f(upp0) if near else f_jet(p / r))
             g = f_inv_jet(target)
             graphs[near] = r.tape.nodes, g
         return g
@@ -214,7 +212,7 @@ def radial_quadratic_reference(tp, n, c, r_max=10.0, n_samples=401):
     return RadialProfile(
         n, rs, 0.5 * c * rs**2 + const, c * rs, np.full_like(rs, c),
         ShotEvent("completed", r_max), lambda r: np.column_stack([0.5 * c * r * r + const, c * r]),
-        _curvature(tp, _step_rule(tp, n, c)),
+        _curvature(tp, n, c),
     )
 
 
@@ -223,11 +221,12 @@ def _taylor_start(tp, n, u0, dps):
     ``dps`` digits.  ``u0`` may be an mpf or decimal string: shooting from the
     float64 rounding of quadratic data is shooting from genuinely perturbed
     data, which the rigidity mechanism blows up near finite radius no matter
-    the working precision."""
+    the working precision.  The mpf forms are bound once, for u''(0) and the acc."""
     with mp.workdps(dps):
         u0 = mp.mpf(u0) if isinstance(u0, (str, mp.mpf)) else mp.mpf(float(u0))  # a float converts exactly
-        upp0 = f_inverse_mp(tp, -u0 / n)
-        return (float(u0), float(upp0)), _jet_curvature(tp, n, upp0), _series_state(u0, upp0, mp.mpf(_R_START))
+        f, f_inv, _ = _forms(tp, _MP)
+        upp0 = f_inv(-u0 / n)
+        return (float(u0), float(upp0)), _jet_curvature(tp, n, upp0, f), _series_state(u0, upp0, mp.mpf(_R_START))
 
 
 def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, *, dps=None, n_samples=401):
@@ -265,7 +264,7 @@ def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, *, dps=None, n_samples=40
     if not math.isfinite(upp0):
         raise InputError(f"u''(0) = f^-1(-u0/n) = {upp0} at u0 = {u0}: no finite initial curvature")
 
-    curvature = _curvature(tp, _step_rule(tp, n, upp0))  # bounds, range and n - 1 bound once a shot
+    curvature = _curvature(tp, n, upp0)  # bounds, range, n - 1 and forms bound once a shot
     su, supp = u0, upp0  # the series constants; the Taylor path has its own
     span = (_R_START, max(r_max, _R_START))
     try:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -208,11 +208,11 @@ class TauParams:
     # -- derived constants -------------------------------------------------
     @cached_property
     def sqrt_a2p1(self):
-        return math.sqrt(self.a * self.a + 1.0) if not math.isinf(self.a) else math.inf
+        return math.sqrt(self.a * self.a + 1.0)  # MA's a = inf gives inf
 
     @cached_property
     def edge_sums(self):
-        """(a - b, a + b), the only float sums of the constants (``_mp_consts_at``
+        """(a - b, a + b), the only float sums of the constants (``_mp_consts``
         forms the mpf pair); b - a is -(a - b) and b + a is a + b, bit for bit."""
         return self.a - self.b, self.a + self.b
 
@@ -224,13 +224,12 @@ class TauParams:
             raise InputError(f"normalization defined on the NEG branch, not {self.branch.value}")
         return 2.0 * self.b / self.sqrt_a2p1, self.sqrt_a2p1 ** 0.5 / (2.0 * self.b)
 
-    # the float closed forms (f, f^-1, f'), f_value's (lo, hi, f) and f_inverse's
-    # form with its float guards (range check, clamp and polish), built once
+    # the float closed forms (f, f^-1, f') and f_inverse's form with its float
+    # guards (clamp and polish), built once
     forms = cached_property(lambda self: _forms(self, _FLOAT))
-    f_guard = cached_property(lambda self: (self.components[0].lo, self.components[0].hi, self.forms[0]))
     f_inverse_polished = cached_property(lambda self: _polished_inverse(self))
 
-    @property
+    @cached_property
     def sin_cos(self):
         """(sin tau, cos tau) with exact values at the seams."""
         br = self.branch
@@ -268,13 +267,7 @@ def _sigmoid(s):
 
 
 def _mp_consts(tp):
-    return _mp_consts_at(tp, *mp.mp._prec_rounding)
-
-
-@lru_cache(maxsize=256)
-def _mp_consts_at(tp, prec, rounding):
-    """(a, b, sqrt(a^2 + 1), a - b, a + b) as mpf values at the context's
-    precision and rounding, which are passed only to key the cache."""
+    """(a, b, sqrt(a^2 + 1), a - b, a + b) as mpf values at the context's precision."""
     a, b = mp.mpf(repr(tp.a)), mp.mpf(repr(tp.b))
     return a, b, mp.sqrt(a * a + 1), a - b, a + b
 
@@ -334,11 +327,8 @@ def _forms(tp, ops):
 
 
 def f_value(tp, lam):
-    """The single-eigenvalue summand of the operator: f behind
-    :func:`_eigenvalue`'s check, tested first on the selected component's bounds."""
-    lo, hi, form = tp.f_guard
-    lam = float(lam)
-    return form(lam if lo < lam < hi else _eigenvalue(tp, lam))
+    """The single-eigenvalue summand of the operator: f behind :func:`_eigenvalue`'s check."""
+    return tp.forms[0](_eigenvalue(tp, lam))
 
 
 def f_derivative(tp, lam):
@@ -424,7 +414,7 @@ def f_inverse(tp, y):
 
 
 def f_value_mp(tp, lam):
-    """:func:`f_value`'s closed form in mpmath, for high-precision shooting."""
+    """:func:`f_value`'s closed form in mpmath, at the context's precision."""
     return _forms(tp, _MP)[0](lam)
 
 

@@ -285,6 +285,12 @@ class TestExitCodes:
         assert re.search(r"exceeds the integrator's span|more than 1000000 points", capsys.readouterr().err)
         assert not (tmp_path / "build-counterexample.json").exists()
 
+    def test_overflowing_half_span_is_refused_by_its_radius(self, tmp_path, capsys):
+        # --rmax / c2 * 1.02 + 1 on the bounded cone is inf at --rmax 1e308
+        assert run(tmp_path, "build-counterexample", "--rmax", "1e308") == 65
+        assert "half-span at radius 1e+308 must be finite and positive, got inf" in capsys.readouterr().err
+        assert not (tmp_path / "build-counterexample.json").exists()
+
     @pytest.mark.parametrize(
         "argv",
         # each is refused before any work, so none of them allocates its size

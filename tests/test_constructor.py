@@ -766,12 +766,15 @@ _NEG = TauParams.neg_branch(a=-2.0)
     (lambda: constructor.profile_grid(0.0, 0.01), "half-span must be finite and positive"),
     (lambda: constructor.profile_grid(math.inf, 0.01), "half-span must be finite and positive"),
     (lambda: constructor.profile_grid(math.nan, 0.01), "half-span must be finite and positive"),
+    (lambda: sl.build_counterexample(_NEG, 0.3, 0.7, 2, radius=1e308),
+     r"half-span at radius 1e\+308 must be finite and positive, got inf"),
 ], ids=["mss-samples-0", "mss-samples-fractional", "mss-samples-negative", "build-samples-0",
         "build-samples-negative", "build-samples-float", "grid-span-negative", "grid-span-0", "grid-span-inf",
-        "grid-span-nan"])
+        "grid-span-nan", "build-span-overflow"])
 def test_constructions_refuse_degenerate_samples_and_spans(call, reason):
     # a construction on no samples certified without reading a residual, a
     # fractional count was rounded down, a negative one met numpy's ValueError,
-    # and a half-span below 0 gave an empty grid
+    # a half-span below 0 gave an empty grid, and a radius whose bounded-cone
+    # half-span overflows was blamed on T
     with pytest.raises(InputError, match=reason):
         call()

@@ -152,6 +152,15 @@ class TestDegenerateMetric:
         with pytest.raises(sl.DomainError, match="inadmissible"):
             metric_duality_defect(tp, np.diag([0.0, 1.0]))
 
+    def test_monge_ampere_metric_has_no_square_to_overflow(self):
+        # sin = 0 on MA: the metric is 2 cos H alone, and H^2 (1e310) is never
+        # formed, where 0 * inf made the defect NaN with an overflow warning
+        tp = TauParams.monge_ampere()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert same_bits(metric_duality_defect(tp, np.array([[1e155]])), 0.0)
+            assert same_bits(metric_duality_defect(tp, np.array([[[1e155]], [[2.0]]])), [0.0, 0.0])
+
     @pytest.mark.parametrize("name", ["HARM", "ATAN"])
     def test_overflowing_derivative_is_an_input_error(self, name, all_branches):
         # f' squares 1 + lam (HARM) or lam + a (ATAN) with a float **, which

@@ -34,7 +34,7 @@ from mpmath.libmp import (
 
 from shrinker_lab import TauParams, jets, shooting, tau
 from shrinker_lab.numerics import InputError, RhsEvaluationError, integrate_ode
-from shrinker_lab.tau import _JETS, _forms, f_inverse, f_inverse_mp, f_range, f_value, f_value_mp
+from shrinker_lab.tau import _JETS, _MP, _forms, f_inverse, f_inverse_mp, f_range, f_value, f_value_mp
 
 from conftest import as_pair, branch_params
 
@@ -234,7 +234,7 @@ class TestAgainstMpfOperators:
             u0 = guarded(c * r0 * r0 / 2 - 2 * f_value_mp(tp, c) + mp.mpf("1e-3"))
             p0 = guarded(c * r0 * (1 + mp.mpf("1e-3")))
             upp0 = f_inverse_mp(tp, -u0 / 2)
-            got = jets._taylor_step(shooting._jet_curvature(tp, 2, upp0), r0, u0, p0)
+            got = jets._taylor_step(shooting._jet_curvature(tp, 2, upp0, _forms(tp, _MP)[0]), r0, u0, p0)
             f_s = f_value_mp(tp, upp0) if frozen else None
             want = _RefTape.taylor_step(tp, 2, r0, u0, p0, f_s)
         assert len(got[0]) == len(got[1]) == DEGREE + 1
@@ -245,7 +245,7 @@ class TestAgainstMpfOperators:
         # coefficient past u_0 is an exact zero, held as the pair (0, 0)
         tp = branch_params()["HARM"]
         with mp.workdps(30):
-            acc = shooting._jet_curvature(tp, 1, mp.mpf(0))
+            acc = shooting._jet_curvature(tp, 1, mp.mpf(0), _forms(tp, _MP)[0])
             steps = jets._taylor_step(acc, mp.mpf(0.5), -f_value_mp(tp, mp.mpf(0)), mp.mpf(0))
         us, ps = steps
         assert len(us) == len(ps) == DEGREE + 1

@@ -14,7 +14,7 @@ from shrinker_lab import InputError, TauParams, jets, shooting
 from shrinker_lab.fields import ScalarField
 from shrinker_lab.numerics import DivergenceEvent, RhsEvaluationError, read_span, row_dot
 from shrinker_lab.shooting import _step_rule, radial_quadratic_reference, shoot_radial
-from shrinker_lab.tau import _FLOAT, _JETS, _forms, cone_spec, f_inverse, f_range, f_value, f_value_mp
+from shrinker_lab.tau import _FLOAT, _JETS, _MP, _forms, cone_spec, f_inverse, f_range, f_value, f_value_mp
 
 from conftest import as_pair, branch_params, counted_forms, same_bits
 
@@ -157,7 +157,7 @@ class TestEvents:
             integrated.append(True)
             return traj
 
-        def walled(tp, n, upp0, f=None):
+        def walled(tp, n, upp0, f):
             rule = step_rule(tp, n, upp0, f)
 
             def walled_rule(r, u, up):
@@ -178,19 +178,7 @@ class TestEvents:
     def test_taylor_path_checks_each_expansion_point(self, monkeypatch):
         # the step rule fails on mpf states past r = 2: the shot ends at the
         # first expansion point there, 1e-8 plus four steps of 0.5
-        step_rule = shooting._step_rule
-
-        def walled(tp, n, upp0, f=None):
-            rule = step_rule(tp, n, upp0, f)
-
-            def walled_rule(r, u, up):
-                if f is f_value_mp and r > 2:
-                    raise RhsEvaluationError("inversion_failure", f"r = {r}")
-                return rule(r, u, up)
-
-            return walled_rule
-
-        monkeypatch.setattr(shooting, "_step_rule", walled)
+        _wall_taylor_rule_past_2(monkeypatch)
         tp = TauParams.special_lagrangian()
         prof = shoot_radial(tp, 2, -2 * f_value(tp, 1.0), r_max=10.0, dps=30)
         assert prof.event.kind == "inversion_failure" and prof.event.r == 2.00000001
@@ -276,6 +264,28 @@ def test_float_shot_calls_its_bound_forms(monkeypatch):
     reads = calls["rhs"] + len(prof.rs)
     assert calls["rhs"] > 100
     assert (calls["f"], calls["f_inverse"], calls["f_prime"]) == (2 * reads + 1, reads + 1, 0)
+
+
+@pytest.mark.parametrize("branch", list(EVENT_CURVATURES))
+def test_shots_bind_their_forms_once(branch, monkeypatch):
+    # a Taylor shot binds the mpf forms once (u''(0), the step rule and the
+    # term at the origin) and the jet forms once; a float shot reads
+    # tp.forms and binds neither; no shot calls the module's mpf functions
+    bound, forms = [], shooting._forms
+    monkeypatch.setattr(shooting, "_forms", lambda tp, ops: bound.append(ops) or forms(tp, ops))
+
+    def refused(*args):
+        raise AssertionError("a shot called a module mpf function")
+
+    for module in (sl.tau, shooting):
+        for name in ("f_value_mp", "f_inverse_mp"):
+            monkeypatch.setattr(module, name, refused, raising=False)
+    tp = branch_params()[branch]
+    u0 = -2 * f_value(tp, EVENT_CURVATURES[branch]) + 0.05
+    shots = [len(shoot_radial(tp, 2, u0, r_max=2.0, dps=30).rs)]
+    assert bound == [_MP, _JETS]
+    shots.append(len(shoot_radial(tp, 2, u0, r_max=2.0).rs))
+    assert bound == [_MP, _JETS] and shots == [401, 401]
 
 
 # float shots of scripts/report_digest.py where f^-1's polish runs (NEG to
@@ -372,12 +382,13 @@ class TestStepRule:
         spec = cone_spec(tp)
         for s in _outside(spec):
             # r = 1 is past the series start, so s = u'/r = u'
-            if precision == "float":
-                args, upp0, f = (1.0, 0.0, s), _inside(spec), f_value
-            else:
-                args, upp0, f = (mp.mpf(1), mp.mpf(0), mp.mpf(s)), mp.mpf(_inside(spec)), f_value_mp
-            with mp.workdps(30), pytest.raises(sl.DomainError) as exc:
-                _step_rule(tp, 2, upp0, f=f)(*args)
+            with mp.workdps(30):
+                if precision == "float":
+                    args, upp0, f = (1.0, 0.0, s), _inside(spec), tp.forms[0]
+                else:
+                    args, upp0, f = (mp.mpf(1), mp.mpf(0), mp.mpf(s)), mp.mpf(_inside(spec)), _forms(tp, _MP)[0]
+                with pytest.raises(sl.DomainError) as exc:
+                    _step_rule(tp, 2, upp0, f)(*args)
             assert isinstance(exc.value, RhsEvaluationError)
             assert exc.value.label == "cone_exit"
 
@@ -387,7 +398,7 @@ class TestStepRule:
         upp0 = _inside(cone_spec(tp))
         lo, hi = f_range(tp)
         targets = [lo, hi] + [end + step for end, step in ((lo, -1e-3), (hi, 1e-3)) if math.isfinite(end)]
-        rule = _step_rule(tp, 1, upp0)
+        rule = _step_rule(tp, 1, upp0, tp.forms[0])
         for y in targets:
             # n = 1 and r = 0: the target is -u exactly
             with pytest.raises(sl.DomainError) as exc:
@@ -414,7 +425,7 @@ class TestStepRule:
 def _parent_curvature(tp, n, upp0):
     """The acc composed as before the float forms were bound: the step rule
     calls ``f_value`` and the acc ``f_inverse``, module functions, at each call."""
-    rule = _step_rule(tp, n, upp0, f=f_value)
+    rule = _step_rule(tp, n, upp0, lambda lam: f_value(tp, lam))
     return lambda r, u, up: f_inverse(tp, rule(r, u, up))
 
 
@@ -489,7 +500,7 @@ class TestCurvatureBits:
         f, f_inv, f_prime = _forms(polished, _FLOAT)
         polished.__dict__["forms"] = f, f_inv, lambda lam: newton.append(lam) or f_prime(lam)
         upp0 = _inside(cone_spec(tp))
-        acc = shooting._curvature(polished, _step_rule(polished, n, upp0))
+        acc = shooting._curvature(polished, n, upp0)
         parent = _parent_curvature(polished, n, upp0)
         outcomes = [(_bits_or_label(lambda: acc(*x)), _bits_or_label(lambda: parent(*x)))
                     for x in _acc_states(tp, n, upp0, rng)]
@@ -508,8 +519,7 @@ class TestCurvatureBits:
         tp = RULE_BRANCHES[name]
         u0 = du0 if c is None else -2 * f_value(tp, c) + du0
         got = shoot_radial(tp, 2, u0, r_max=50.0)
-        monkeypatch.setattr(shooting, "_step_rule", lambda tp, n, upp0, f=None: _step_rule(tp, n, upp0, f or f_value))
-        monkeypatch.setattr(shooting, "_curvature", lambda tp, rule: lambda r, u, up: f_inverse(tp, rule(r, u, up)))
+        monkeypatch.setattr(shooting, "_curvature", _parent_curvature)
         want = shoot_radial(tp, 2, u0, r_max=50.0)
         assert got.event == want.event and same_bits(got.rows(), want.rows())
 
@@ -729,7 +739,7 @@ def _frozen_reads(prof, tp, n, u0, series, beyond):
     ``beyond(r)`` past it; d2u = f^-1 of the step rule there, whose u''(0) is
     the float f^-1(-u0/n) on either path."""
     su, supp = series
-    rule = shooting._step_rule(tp, n, f_inverse(tp, -u0 / n))
+    rule = shooting._step_rule(tp, n, f_inverse(tp, -u0 / n), tp.forms[0])
 
     def read(r):
         r = read_span([r], 0.0, prof.rs[-1] if len(prof.rs) else math.nan)[0]
@@ -861,13 +871,13 @@ def test_one_dimensional_taylor_shot_forms_no_transverse_term(monkeypatch):
     # n - 1, and no jet of f(s) is formed (the n = 2 shot forms them)
     tp = TauParams.monge_ampere()
 
-    def multiplied_by_zero(tp, n, upp0):
-        rule = _step_rule(tp, n, upp0, f=f_value_mp)
+    def multiplied_by_zero(tp, n, upp0, f):
+        rule = _step_rule(tp, n, upp0, f)
 
         def acc(r, u, p):
             r0 = jets.mpf(r.c[0])
             rule(r0, jets.mpf(u.c[0]), jets.mpf(p.c[0]))
-            f_s = f_value_mp(tp, upp0) if r0 < shooting._R_SERIES else _forms(tp, _JETS)[0](p / r)
+            f_s = f(upp0) if r0 < shooting._R_SERIES else _forms(tp, _JETS)[0](p / r)
             return _forms(tp, _JETS)[1]((-u + r * p / 2) - (n - 1) * f_s)
 
         return acc
@@ -881,9 +891,9 @@ def test_one_dimensional_taylor_shot_forms_no_transverse_term(monkeypatch):
     calls = []
     forms = shooting._forms
 
-    def counting(tp, ops):
+    def counting(tp, ops):  # the jet forms' f only: the mpf step rule forms f(s) at each expansion point
         form, *rest = forms(tp, ops)
-        return (lambda lam: calls.append(lam) or form(lam), *rest)
+        return (lambda lam: calls.append(lam) or form(lam), *rest) if ops is _JETS else (form, *rest)
 
     monkeypatch.setattr(shooting, "_forms", counting)
     got = shot(1)
@@ -897,11 +907,11 @@ def _wall_taylor_rule_past_2(monkeypatch):
     """The step rule fails on mpf states past r = 2 as an inversion failure."""
     step_rule = shooting._step_rule
 
-    def walled(tp, n, upp0, f=None):
+    def walled(tp, n, upp0, f):
         rule = step_rule(tp, n, upp0, f)
 
         def walled_rule(r, u, up):
-            if f is f_value_mp and r > 2:
+            if f is not tp.forms[0] and r > 2:  # the Taylor path's mpf rule
                 raise RhsEvaluationError("inversion_failure", f"r = {r}")
             return rule(r, u, up)
 

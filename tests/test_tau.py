@@ -435,6 +435,25 @@ class TestCachedForms:
             back = pickle.loads(pickle.dumps(tp))
             assert back == tp and same_bits(f_inverse(back, y), f_inverse(tp, y))
 
+    def test_f_value_reads_every_component(self):
+        # an upper LOG instance reads an eigenvalue of its lower component
+        # through the same closed form
+        tp = TauParams.log_branch(math.pi / 6)
+        for lam in (tp.components[1].hi - 0.5, tp.components[1].hi - 3.0):
+            y = f_value(tp, lam)
+            assert y > 0.0 and same_bits(y, tp.forms[0](lam))
+
+    def test_mp_constants_follow_the_context_precision(self):
+        # formed at the context's precision on each call, whatever precision
+        # the call before it had
+        for name, tp in with_lower_cones().items():
+            for prec in (43, 200, 53, 113, 43, 113, 200, 53):
+                with mp.workprec(prec):
+                    got = sl.tau._mp_consts(tp)
+                    a, b = mp.mpf(repr(tp.a)), mp.mpf(repr(tp.b))
+                    want = a, b, mp.sqrt(a * a + 1), a - b, a + b
+                assert [x._mpf_ for x in got] == [x._mpf_ for x in want], (name, prec)
+
 
 # f_value and f_inverse as they read before their guards were bound once per
 # TauParams, kept verbatim as the references of TestBoundGuards: the inverse
@@ -1002,7 +1021,7 @@ class TestSeamConsistency:
 
 
 # The branch constants' sums a - b and a + b have one owner, TauParams.edge_sums
-# (and tau._mp_consts_at in mpmath).  Each row below holds one quantity that
+# (and tau._mp_consts in mpmath).  Each row below holds one quantity that
 # reads them to the expression tau.py and transforms.py wrote inline before,
 # bit for bit: a change to how the sums are formed moves exactly these rows.
 
