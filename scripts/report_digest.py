@@ -24,7 +24,7 @@ then scaled and certified as stacks, one dimension at a time), and a
 of 3 points in dimensions 1 to 4, which cross the seams in the other two
 sweeps, three Legendre
 checks (grid steps 0.02, the default 0.01, and 0.005 on a span of 1, each
-reading the dual table across its clamped end windows), eighteen shots
+reading the dual table across its clamped end windows), twenty-three shots
 (six float shots from perturbed quadratic data, one on each branch, four
 ending in an event and two complete, so every branch's float f, f^-1 and
 profile sampler is seen; a seventh float shot, NEG's run on to r = 1e6,
@@ -32,12 +32,17 @@ whose ``blow_up`` ends where |u| crosses the step rule's bound 1e10; an
 eighth, on MA in dimension 3, whose integrator's step size underflows,
 which the float path names ``blow_up``; a ninth, on LOG, complete, whose
 u'' runs down to the cone edge, where no double meets the polish's tolerance
-and f^-1's Newton steps run; and
-nine Taylor shots: one on each branch, five
+and f^-1's Newton steps run; a tenth, on MA from u0 = 1000, whose u'/r is
+0.0 past r = 1e-6, a ``cone_exit``; and
+thirteen Taylor shots: one on each branch, five
 complete and one ending in ``blow_up``, so the Taylor path's naming and
 placing of an event is seen, a second ``blow_up`` at a working precision
-below a double's, and two complete shots at dps 50, 169 bits, the widest
-jets), and ten builds:
+below a double's, the MA shot from u0 = 1000, complete, whose float samples
+end at a ``cone_exit``, three that the step rule refuses on mpf states (an
+``inversion_failure`` and, at dps 12, a ``blow_up`` at an expansion point,
+and a ``cone_exit`` at the start), and two complete shots at dps 50, 169
+bits, the widest jets; so every refusal of the step rule is seen on floats
+and on mpf states), and ten builds:
 three tolerances, two spacelike (``--mss``) profiles, two whose cone margins
 are below the rounding of ``1 - x`` (taken from the log-odds and from s, they
 stay positive and both builds exit 0), one whose certificate reach is below
@@ -89,7 +94,17 @@ COMMANDS = [
     ["shoot", "--branch", "MA", "--n", "3", "--u0", "1.8559592064889043", "--rmax", "50"],
     # complete, u'' down to the cone edge -0.3178, where f^-1's Newton polish runs
     ["shoot", "--branch", "LOG", "--n", "2", "--u0", "1.863362138406894", "--rmax", "50"],
+    # u''(0) = f^-1(-500) clamps to 5e-324 and u'/r is 0.0 past r = 1e-6: the step rule's cone_exit
+    ["shoot", "--branch", "MA", "--n", "2", "--u0", "1000", "--rmax", "30"],
     ["shoot", "--branch", "MA", "--n", "2", "--u0", "0", "--rmax", "2", "--dps", "30"],
+    # the same shot on the Taylor path, which completes; its float sample at r = 0.075 is the cone_exit
+    ["shoot", "--branch", "MA", "--n", "2", "--u0", "1000", "--rmax", "30", "--dps", "15"],
+    # the step rule's refusals on mpf states: -u0/n one double below pi/2 ends at the expansion point
+    # r = 0.5 as an inversion_failure at dps 15 and a blow_up at dps 12; u0 = 2e10 on NEG's bounded
+    # cone (a = -2) is a cone_exit at the start
+    ["shoot", "--branch", "SLAG", "--n", "2", "--u0", "-3.1415926535897927", "--rmax", "1", "--dps", "15"],
+    ["shoot", "--branch", "SLAG", "--n", "2", "--u0", "-3.1415926535897927", "--rmax", "1", "--dps", "12"],
+    ["shoot", "--a", "-2", "--n", "2", "--u0", "2e10", "--rmax", "1", "--dps", "15"],
     ["shoot", "--branch", "SLAG", "--n", "2", "--u0", "-1.4707963267948966", "--dps", "15"],  # Taylor blow_up
     # dps 12: the Taylor path at 43 bits, below a double's 53
     ["shoot", "--branch", "SLAG", "--n", "2", "--u0", "-1.6207963267948966", "--rmax", "20", "--dps", "12"],

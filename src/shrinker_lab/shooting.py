@@ -16,13 +16,15 @@ runs out (r^2 grows by about 4 f'(lambda) ln 10 per decimal digit), not a
 perturbation that rigidity rules out.  Reproducing the closed form to large
 radius requires the high-precision Taylor path (``dps=...``).  A shot makes
 one integrator call on u'' = acc(r, u, u'): ``numerics.integrate_ode`` with
-``_curvature``, which calls the float closed forms ``tp.forms``, or
+``_curvature``, the float step rule itself, which calls the float closed forms
+``tp.forms`` and ends in the polished f^{-1}, one call an evaluation, or
 ``jets.taylor_integrate`` with ``_jet_curvature``, the equation on Taylor-mode
 jets of the branch closed forms bound once a shot, recorded once a region.
 
-One step rule, built once a shot by ``_step_rule``, checks every state either
-path reaches: the float path's initial state and right-hand side, each
-profile sample and read, and (on mpf states) each Taylor expansion point.
+One step rule, built once a shot by ``_step_rule`` with its bounds in the
+state's arithmetic, checks every state either path reaches: the float path's
+initial state and right-hand side, each profile sample and read, and (on mpf
+states) each Taylor expansion point.
 So the two paths stop at a cone exit, an inversion failure and a blow-up past
 |(u, u')| = _BLOW_UP_MAG the same way, and at the state where the rule first
 fails; the float integrator also stops at a step underflow or a non-finite
@@ -47,6 +49,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import from_float
 
 from .fields import ScalarField
 from . import jets
@@ -135,49 +138,53 @@ class RadialProfile(ScalarField):
         return np.column_stack([self.rs, self.us, self.ups, self.upps])
 
 
-def _step_rule(tp, n, upp0, f):
-    """The one step rule of both shooting paths: ``rule(r, u, up)`` returns the
-    target (-u + r u'/2) - (n-1) f(s) of the radial equation u'' = f^{-1}(target).
+def _step_rule(tp, n, upp0, f, then):
+    """The one step rule of both shooting paths: ``rule(r, u, up)`` returns ``then(target)``,
+    the target (-u + r u'/2) - (n-1) f(s) of the radial equation u'' = f^{-1}(target) under a
+    map bound once a shot: f^{-1} on floats, so the rule is the float shot's u'', or the identity.
 
     The transverse eigenvalue s is ``upp0`` = u''(0) below _R_SERIES and u'/r
     beyond.  ``f`` is the branch's f bound in the state's arithmetic:
     ``tp.forms[0]`` on floats, behind the rule's cone test, so the bits are
-    ``f_value``'s, or a Taylor shot's mpf form.  The rule raises RhsEvaluationError
+    ``f_value``'s, or a Taylor shot's mpf form.  The bounds, 1/2 and _R_SERIES are bound
+    in it too: the doubles, or for an mpf ``upp0`` their exact mpf values (``mp.mpf``
+    would round them), so no comparison converts a float.  The rule raises RhsEvaluationError
     ``cone_exit`` when s has left the selected cone component, ``inversion_failure``
     when the target is outside the range of f on it, and then ``blow_up`` when
     |u| or |u'| passes _BLOW_UP_MAG.
     """
-    spec = cone_spec(tp)
-    lo, hi, f_lo, f_hi, m, big, r_series = spec.lo, spec.hi, spec.f_lo, spec.f_hi, n - 1, _BLOW_UP_MAG, _R_SERIES
+    spec, m = cone_spec(tp), n - 1
+    exact = (lambda x: mp.make_mpf(from_float(x))) if isinstance(upp0, mp.mpf) else float
+    lo, hi, f_lo, f_hi, big, neg_big, half, r_series = map(
+        exact, (spec.lo, spec.hi, spec.f_lo, spec.f_hi, _BLOW_UP_MAG, -_BLOW_UP_MAG, 0.5, _R_SERIES))
 
     def rule(r, u, up):
         s = upp0 if r < r_series else up / r
         if not lo < s < hi:
             raise RhsEvaluationError("cone_exit", f"transverse eigenvalue {s} left the cone")
-        target = (-u + 0.5 * r * up) - m * f(s)
+        target = (-u + half * r * up) - m * f(s)
         if not (f_lo < target < f_hi):
             raise RhsEvaluationError("inversion_failure", f"operator target {target} out of range")
-        if u > big or u < -big or up > big or up < -big:  # |u| or |u'| > big, as comparisons
-            raise RhsEvaluationError("blow_up", f"|(u, u')| passed {big:g}")
-        return target
+        if u > big or u < neg_big or up > big or up < neg_big:  # |u| or |u'| > big, as comparisons
+            raise RhsEvaluationError("blow_up", f"|(u, u')| passed {_BLOW_UP_MAG:g}")
+        return then(target)
 
     return rule
 
 
 def _curvature(tp, n, upp0):
-    """A shot's u'' = f^{-1}(rule(r, u, u')), the rule on ``tp.forms[0]`` and f^{-1}
+    """A shot's u'' = f^{-1}(target), the float step rule on ``tp.forms[0]`` ending in
     ``f_inverse``'s closure: the integrator's acc, each sample's u'' and the field's Hessian read."""
-    rule, inverse = _step_rule(tp, n, upp0, tp.forms[0]), tp.f_inverse_polished
-    return lambda r, u, up: inverse(rule(r, u, up))
+    return _step_rule(tp, n, upp0, tp.forms[0], tp.f_inverse_polished)
 
 
 def _jet_curvature(tp, n, upp0, f):
     """The Taylor path's acc: the step rule on the mpf form ``f`` at the expansion
-    point, then the jet of f^{-1}((-u + r p/2) - (n-1) f(s)), s = p/r; below
-    _R_SERIES, where p/r has a pole at r = 0 next to the expansion point, f(s) is
+    point, its map the identity (only its check is needed), then the jet of
+    f^{-1}((-u + r p/2) - (n-1) f(s)), s = p/r; below _R_SERIES, where p/r has a pole at r = 0 next to the expansion point, f(s) is
     f(u''(0)).  The closed forms on jets are bound once, at the shot's precision;
     the jet is recorded once a region on the tape, which each later call hands back."""
-    rule = _step_rule(tp, n, upp0, f)
+    rule = _step_rule(tp, n, upp0, f, lambda target: target)
     f_jet, f_inv_jet, _ = _forms(tp, _JETS)
     graphs = {}  # region -> (the node list of the tape its jet was recorded on, the jet)
 
@@ -294,15 +301,15 @@ def shoot_radial(tp, n, u0, r_max=10.0, rel_tol=1e-10, *, dps=None, n_samples=40
 
     rs = np.linspace(0.0, r_end, n_samples)
     samples = states(rs)
-    upps = np.empty_like(rs)
-    for i, (r, u, up) in enumerate(zip(rs.tolist(), *samples.T.tolist())):
+    upps = []
+    for r, u, up in zip(rs.tolist(), *samples.T.tolist()):
         try:
-            upps[i] = curvature(r, u, up)
+            upps.append(curvature(r, u, up))
         except RhsEvaluationError as exc:
             # the profile ends at the last sample the step rule accepts
             if event.completed:
-                event = ShotEvent(exc.label, float(r), exc.detail)
-            rs, samples, upps = rs[:i], samples[:i], upps[:i]
+                event = ShotEvent(exc.label, r, exc.detail)
+            rs, samples = rs[:len(upps)], samples[:len(upps)]
             break
     us, ups = samples.T.copy()
-    return RadialProfile(n, rs, us, ups, upps, event, states, curvature)
+    return RadialProfile(n, rs, us, ups, np.array(upps), event, states, curvature)

@@ -348,7 +348,8 @@ def f_range(tp):
 
 
 def _polished_inverse(tp):
-    """:func:`f_inverse` past its range check (a float y in (f_lo, f_hi)), its clamp ends and forms bound once."""
+    """:func:`f_inverse` past its range check (a float y in (f_lo, f_hi)), its clamp ends and forms
+    bound once; a clamped closed-form lam whose residual f(lam) - y is exactly 0 is returned as it is."""
     spec, (f, form, f_prime) = tp.components[0], tp.forms
     lo, hi = spec.lo, spec.hi
     # MA's exp(2y) past double range, or LOG's tanh(b y / root) underflowing
@@ -372,10 +373,12 @@ def _polished_inverse(tp):
             lam = ceiling
         if not isfinite(lam):
             return lam
+        r = f(lam) - y  # the clamped lam is interior
+        if r == 0.0:  # the closed form's lam, exactly: no tolerance to form
+            return lam
         # up to four guarded Newton steps while the residual is finite and above tol (almost never: the
         # closed form meets it), domain check inline, ending at a step that leaves lam where it was
         tol = 1e-12 * (1.0 + (y if y > 0.0 else -y))  # abs(y), as a comparison
-        r = f(lam) - y  # the clamped lam is interior
         steps = 4
         while tol < abs(r) < inf:
             step = r / f_prime(lam)  # lam passed the check of the f read just before

@@ -3,17 +3,18 @@ import dataclasses
 import math
 import random
 import re
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import from_float, from_man_exp, round_nearest
 
 import shrinker_lab as sl
 from shrinker_lab import InputError, TauParams, jets, shooting
 from shrinker_lab.fields import ScalarField
 from shrinker_lab.numerics import DivergenceEvent, RhsEvaluationError, read_span, row_dot
-from shrinker_lab.shooting import _step_rule, radial_quadratic_reference, shoot_radial
+from shrinker_lab.shooting import _BLOW_UP_MAG, _R_SERIES, _step_rule, radial_quadratic_reference, shoot_radial
 from shrinker_lab.tau import _FLOAT, _JETS, _MP, _forms, cone_spec, f_inverse, f_range, f_value, f_value_mp
 
 from conftest import as_pair, branch_params, counted_forms, same_bits
@@ -157,8 +158,8 @@ class TestEvents:
             integrated.append(True)
             return traj
 
-        def walled(tp, n, upp0, f):
-            rule = step_rule(tp, n, upp0, f)
+        def walled(tp, n, upp0, f, then):
+            rule = step_rule(tp, n, upp0, f, then)
 
             def walled_rule(r, u, up):
                 if integrated and r > 5:
@@ -264,6 +265,46 @@ def test_float_shot_calls_its_bound_forms(monkeypatch):
     reads = calls["rhs"] + len(prof.rs)
     assert calls["rhs"] > 100
     assert (calls["f"], calls["f_inverse"], calls["f_prime"]) == (2 * reads + 1, reads + 1, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_curvature_is_the_rule_closure(n, all_branches):
+    # the float acc is the step rule itself, on tp.forms[0] and ending in the polished f^-1
+    tp = all_branches["LOG"]
+    acc = shooting._curvature(tp, n, 0.3)
+    cells = dict(zip(acc.__code__.co_freevars, (cell.cell_contents for cell in acc.__closure__)))
+    assert acc.__qualname__ == "_step_rule.<locals>.rule"
+    assert cells["f"] is tp.forms[0] and cells["then"] is tp.f_inverse_polished and cells["m"] == n - 1
+
+
+@pytest.mark.parametrize("branch, du0", [("MA", 0.05), ("LOG", 0.05), ("SLAG", -0.05)])
+def test_float_shot_makes_one_shooting_call_an_evaluation(branch, du0, monkeypatch, all_branches):
+    # a profiler counts the Python calls into shooting.py while the integrator runs:
+    # each right-hand-side evaluation is one call, the step rule's
+    tp = all_branches[branch]
+    u0 = -2 * f_value(tp, EVENT_CURVATURES[branch]) + du0
+    entered, rhs, integrate_ode = [], [], shooting.integrate_ode
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == shooting.__file__:
+            entered.append(frame.f_code.co_name)
+
+    def profiled_integrate(acc, *args, **kwargs):
+        def counted(r, u, up):
+            rhs.append(r)
+            return acc(r, u, up)
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            return integrate_ode(counted, *args, **kwargs)
+        finally:
+            sys.setprofile(previous)
+
+    monkeypatch.setattr(shooting, "integrate_ode", profiled_integrate)
+    prof = shoot_radial(tp, 2, u0, r_max=50.0)
+    assert len(rhs) > 100 and len(prof.rs) > 1
+    assert entered == ["rule"] * len(rhs)
 
 
 @pytest.mark.parametrize("branch", list(EVENT_CURVATURES))
@@ -372,6 +413,32 @@ def _outside(spec):
     return out or [math.inf, -math.inf]
 
 
+def _unmapped(target):
+    """The identity: a step rule's target as it is, the map the Taylor path binds."""
+    return target
+
+
+def _parent_step_rule(tp, n, upp0, f):
+    """The step rule before it ended in a map and bound its bounds in the state's
+    arithmetic, verbatim: floats compared with mpf states at each call, and the
+    target returned for the acc to invert."""
+    spec = cone_spec(tp)
+    lo, hi, f_lo, f_hi, m, big, r_series = spec.lo, spec.hi, spec.f_lo, spec.f_hi, n - 1, _BLOW_UP_MAG, _R_SERIES
+
+    def rule(r, u, up):
+        s = upp0 if r < r_series else up / r
+        if not lo < s < hi:
+            raise RhsEvaluationError("cone_exit", f"transverse eigenvalue {s} left the cone")
+        target = (-u + 0.5 * r * up) - m * f(s)
+        if not (f_lo < target < f_hi):
+            raise RhsEvaluationError("inversion_failure", f"operator target {target} out of range")
+        if u > big or u < -big or up > big or up < -big:  # |u| or |u'| > big, as comparisons
+            raise RhsEvaluationError("blow_up", f"|(u, u')| passed {big:g}")
+        return target
+
+    return rule
+
+
 class TestStepRule:
     """The rule ``_step_rule`` builds is the one check of a shot's state on both paths."""
 
@@ -388,7 +455,7 @@ class TestStepRule:
                 else:
                     args, upp0, f = (mp.mpf(1), mp.mpf(0), mp.mpf(s)), mp.mpf(_inside(spec)), _forms(tp, _MP)[0]
                 with pytest.raises(sl.DomainError) as exc:
-                    _step_rule(tp, 2, upp0, f)(*args)
+                    _step_rule(tp, 2, upp0, f, _unmapped)(*args)
             assert isinstance(exc.value, RhsEvaluationError)
             assert exc.value.label == "cone_exit"
 
@@ -398,7 +465,7 @@ class TestStepRule:
         upp0 = _inside(cone_spec(tp))
         lo, hi = f_range(tp)
         targets = [lo, hi] + [end + step for end, step in ((lo, -1e-3), (hi, 1e-3)) if math.isfinite(end)]
-        rule = _step_rule(tp, 1, upp0, tp.forms[0])
+        rule = _step_rule(tp, 1, upp0, tp.forms[0], _unmapped)
         for y in targets:
             # n = 1 and r = 0: the target is -u exactly
             with pytest.raises(sl.DomainError) as exc:
@@ -425,7 +492,7 @@ class TestStepRule:
 def _parent_curvature(tp, n, upp0):
     """The acc composed as before the float forms were bound: the step rule
     calls ``f_value`` and the acc ``f_inverse``, module functions, at each call."""
-    rule = _step_rule(tp, n, upp0, lambda lam: f_value(tp, lam))
+    rule = _parent_step_rule(tp, n, upp0, lambda lam: f_value(tp, lam))
     return lambda r, u, up: f_inverse(tp, rule(r, u, up))
 
 
@@ -522,6 +589,93 @@ class TestCurvatureBits:
         monkeypatch.setattr(shooting, "_curvature", _parent_curvature)
         want = shoot_radial(tp, 2, u0, r_max=50.0)
         assert got.event == want.event and same_bits(got.rows(), want.rows())
+
+
+def _beside(x, prec):
+    """A bound ``x`` (a double), exactly, and one unit either side of it: the
+    neighbouring doubles and, at a working precision ``prec`` (None on floats),
+    x -+ 2^-prec of x's binade; an infinite bound alone."""
+    if not math.isfinite(x):
+        return [x]
+    out = [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+    if prec is None:
+        return out
+    out = [mp.make_mpf(from_float(v)) for v in out]
+    if x != 0.0:
+        _, _, exp, bc = from_float(x)
+        with mp.workprec(prec + 60):  # exact: x's 53 bits and the unit span at most prec + 54
+            out += [out[0] - mp.ldexp(1, exp + bc - prec), out[0] + mp.ldexp(1, exp + bc - prec)]
+    return out
+
+
+def _bound_states(tp, prec):
+    """(n, upp0, (r, u, up)) on each bound of a rule of ``tp``, and one unit beside
+    it: s at the cone ends, at r = 1 (s = u'/1) and below _R_SERIES (s = upp0);
+    r at _R_SERIES itself; the target at the range ends (n = 1, r = 0: it is -u);
+    and u and u' at +-_BLOW_UP_MAG, with the target otherwise inside the range."""
+    spec, f = cone_spec(tp), tp.forms[0]
+    upp0 = _inside(spec)
+    y_in = f(upp0)  # n = 1, r = 0 and u = -y_in: the target y_in, inside the range
+    states = []
+    for end in (spec.lo, spec.hi):
+        for s in _beside(end, prec):
+            states += [(2, upp0, (1.0, 0.0, s)), (2, upp0, (1.0, -y_in, s)), (2, s, (0.0, -y_in, 0.0))]
+    for r in _beside(_R_SERIES, prec):
+        states += [(2, upp0, (r, -2 * y_in, 0.0)), (2, upp0, (r, -2 * y_in, r * upp0))]
+    for end in (spec.f_lo, spec.f_hi):
+        states += [(1, upp0, (0.0, -y, 0.0)) for y in _beside(end, prec)]
+    for big in (_BLOW_UP_MAG, -_BLOW_UP_MAG):
+        for x in _beside(big, prec):
+            states += [(1, upp0, (0.0, x, 0.0)), (1, upp0, (0.0, -y_in, x)), (2, upp0, (0.0, x, 0.0))]
+    return states
+
+
+def _outcome_of(call):
+    """("value", ``call()`` exactly: a float's bits or an mpf's tuple), the
+    RhsEvaluationError's label and detail, or ("TypeError",)."""
+    try:
+        value = call()
+    except RhsEvaluationError as exc:
+        return exc.label, exc.detail
+    except TypeError:  # an mpc compared with a bound: its text names the operand order
+        return ("TypeError",)
+    return "value", value._mpf_ if isinstance(value, mp.mpf) else np.float64(value).view(np.int64).item()
+
+
+class TestRuleBounds:
+    """States exactly on each bound of the step rule, and one unit beside it,
+    give the parent rule's outcome and message on both paths: the float rule
+    ends in f^-1, and the mpf rule, bound in the state's arithmetic, compares
+    its states with the exact doubles at any working precision."""
+
+    @pytest.mark.parametrize("dps", [None, 12, 15, 30])
+    @pytest.mark.parametrize("name", sorted(RULE_BRANCHES))
+    def test_states_on_and_beside_each_bound(self, name, dps, monkeypatch):
+        tp = RULE_BRANCHES[name]
+        outcomes = []
+        with mp.workdps(dps or 15):
+            prec = mp.mp.prec if dps else None
+            f_mp = _forms(tp, _MP)[0]
+            for n, upp0, state in _bound_states(tp, prec):
+                if dps is None:
+                    rule = shooting._curvature(tp, n, upp0)
+                    want = _outcome_of(lambda: tp.f_inverse_polished(_parent_step_rule(tp, n, upp0, tp.forms[0])(*state)))
+                else:
+                    upp0 = upp0 if isinstance(upp0, mp.mpf) else mp.make_mpf(from_float(upp0))
+                    state = tuple(x if isinstance(x, mp.mpf) else mp.make_mpf(from_float(x)) for x in state)
+                    built, step_rule = [], shooting._step_rule
+                    monkeypatch.setattr(shooting, "_step_rule", lambda *args: built.append(step_rule(*args)) or built[-1])
+                    shooting._jet_curvature(tp, n, upp0, f_mp)  # the rule the Taylor acc checks its states with
+                    monkeypatch.undo()
+                    rule = built[0]
+                    want = _outcome_of(lambda: _parent_step_rule(tp, n, upp0, f_mp)(*state))
+                outcomes.append((_outcome_of(lambda: rule(*state)), want, state))
+        assert all(got == want for got, want, _ in outcomes), [x for x in outcomes if x[0] != x[1]][:3]
+        # at dps 12 LOG's and NEG's mpf f, on constants rounded to 43 bits, can be complex one
+        # unit inside a finite cone end of the doubles, and the range comparison raises TypeError
+        kinds = {want[0] for _, want, _ in outcomes}
+        assert kinds - {"TypeError"} == {"value", "cone_exit", "inversion_failure", "blow_up"}, name
+        assert "TypeError" not in kinds or (dps == 12 and name in ("LOG", "LOG-lower", "NEG")), name
 
 
 class TestReadsPastTheEnd:
@@ -739,7 +893,7 @@ def _frozen_reads(prof, tp, n, u0, series, beyond):
     ``beyond(r)`` past it; d2u = f^-1 of the step rule there, whose u''(0) is
     the float f^-1(-u0/n) on either path."""
     su, supp = series
-    rule = shooting._step_rule(tp, n, f_inverse(tp, -u0 / n), tp.forms[0])
+    rule = _parent_step_rule(tp, n, f_inverse(tp, -u0 / n), tp.forms[0])
 
     def read(r):
         r = read_span([r], 0.0, prof.rs[-1] if len(prof.rs) else math.nan)[0]
@@ -872,7 +1026,7 @@ def test_one_dimensional_taylor_shot_forms_no_transverse_term(monkeypatch):
     tp = TauParams.monge_ampere()
 
     def multiplied_by_zero(tp, n, upp0, f):
-        rule = _step_rule(tp, n, upp0, f)
+        rule = _step_rule(tp, n, upp0, f, _unmapped)
 
         def acc(r, u, p):
             r0 = jets.mpf(r.c[0])
@@ -907,8 +1061,8 @@ def _wall_taylor_rule_past_2(monkeypatch):
     """The step rule fails on mpf states past r = 2 as an inversion failure."""
     step_rule = shooting._step_rule
 
-    def walled(tp, n, upp0, f):
-        rule = step_rule(tp, n, upp0, f)
+    def walled(tp, n, upp0, f, then):
+        rule = step_rule(tp, n, upp0, f, then)
 
         def walled_rule(r, u, up):
             if f is not tp.forms[0] and r > 2:  # the Taylor path's mpf rule

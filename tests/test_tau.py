@@ -399,6 +399,32 @@ class TestPolishFixedPoint:
         # the exit fires next to each finite cone edge and at MA's subnormal preimages
         assert (calls["f_prime"] < reference_calls["f_prime"]) == (name not in ("ATAN", "SLAG")), name
 
+    @pytest.mark.parametrize("name", sorted(POLISH_BRANCHES))
+    def test_zero_residual_returns_the_closed_form(self, name):
+        # the seeded targets and f at seeded eigenvalues, where f(f^-1(y)) == y is common: each
+        # target gives the reference's bits with no more f' reads, and one whose clamped
+        # closed-form lam has a zero residual returns it after one f read and no f' read
+        rng = np.random.default_rng([20261023, sorted(POLISH_BRANCHES).index(name)])
+        tp = POLISH_BRANCHES[name]
+        spec, (f, form, _) = cone_spec(tp), tp.forms
+        floor = math.nextafter(spec.lo, math.inf) if math.isfinite(spec.lo) else -math.inf
+        ceiling = math.nextafter(spec.hi, -math.inf) if math.isfinite(spec.hi) else math.inf
+        lams = [lam for lam in _spanning(rng, spec.lo, spec.hi, 200, (-3, 3)) if spec.contains(lam)]
+        exits = 0
+        for y in _polish_targets(tp, rng) + [f(lam) for lam in lams]:
+            (fresh, calls), (reference, reference_calls) = counted_forms(tp), counted_forms(tp)
+            got = _bits_or_error(lambda: f_inverse(fresh, y))
+            assert got == _bits_or_error(lambda: _reference_polished_inverse(reference)(y)), (name, y)
+            assert calls["f_prime"] <= reference_calls["f_prime"], (name, y)
+            try:
+                lam = min(max(form(y), floor), ceiling) if spec.f_lo < y < spec.f_hi else math.nan
+            except (OverflowError, ZeroDivisionError):
+                continue
+            if math.isfinite(lam) and f(lam) - y == 0.0:
+                exits += 1
+                assert got == _bits_or_error(lambda: lam) and (calls["f"], calls["f_prime"]) == (1, 0), (name, y)
+        assert exits >= len(lams) // 4, (name, exits)
+
 
 class TestCachedForms:
     """The float closed forms and sqrt(a^2 + 1) are cached on each TauParams
@@ -455,14 +481,32 @@ class TestCachedForms:
                 assert [x._mpf_ for x in got] == [x._mpf_ for x in want], (name, prec)
 
 
-# f_value and f_inverse as they read before their guards were bound once per
-# TauParams, kept verbatim as the references of TestBoundGuards: the inverse
-# with its polish as a loop of four residual checks and Newton steps
+# the references of TestBoundGuards: f_value's six float formulas as the
+# first f_value wrote them, with no closed form from tau._forms, and f_inverse
+# as it read before its guards were bound once per TauParams, verbatim, its
+# polish a loop of four residual checks and Newton steps
 
 
 def _reference_f_value(tp, lam):
-    """The single-eigenvalue summand of the operator."""
-    return tp.forms[0](_eigenvalue(tp, lam))
+    """The single-eigenvalue summand of the operator, behind ``_eigenvalue``'s check."""
+    lam = _eigenvalue(tp, lam)
+    br, a, b = tp.branch, tp.a, tp.b
+    if br is Branch.MA:
+        return 0.5 * math.log(lam)
+    if br is Branch.LOG:
+        # group as lam + (a -+ b): exact near the cone edge, where the naive
+        # left-to-right sum rounds the small factor to zero
+        return tp.sqrt_a2p1 / (2.0 * b) * math.log((lam + (a - b)) / (lam + (a + b)))
+    if br is Branch.HARM:
+        return -SQRT2 / (1.0 + lam)
+    if br is Branch.ATAN:
+        # smooth form of the quotient arctangent; the raw quotient form jumps
+        # by pi across lam = -(a + b)
+        return tp.sqrt_a2p1 / b * (math.atan((lam + a) / b) - math.pi / 4.0)
+    if br is Branch.SLAG:
+        return math.atan(lam)
+    # NEG
+    return tp.sqrt_a2p1 / (2.0 * b) * math.log((lam + (b + a)) / ((b - a) - lam))
 
 
 def _reference_f_inverse(tp, y):
